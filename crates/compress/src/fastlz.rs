@@ -68,9 +68,9 @@ impl FastLz {
         self.probes
     }
 
-    /// Tokenizes `input` with a greedy single-pass matcher. Public so the
-    /// GPU sub-chunk compressor can reuse the exact matcher per region.
-    /// Always single-probe, matching [`FastLz::new`].
+    /// Tokenizes `input` with a greedy single-pass matcher — the token-IR
+    /// reference [`FastLz::compress_into`] is tested against. Always
+    /// single-probe, matching [`FastLz::new`].
     pub fn tokenize(input: &[u8]) -> Vec<Token> {
         tokenize_region(input, 0, input.len(), input.len())
     }
@@ -95,9 +95,10 @@ impl FastLz {
 }
 
 /// Receives matcher output: either a literal span or a back-reference.
-/// Lets one matcher implementation drive both the token-IR path (GPU
-/// post-processing needs tokens for merge surgery) and the single-pass
-/// wire path (CPU hot loop needs zero intermediate allocation).
+/// Lets one matcher implementation drive both the single-pass wire paths
+/// (the CPU codec and the GPU kernel emulation, neither of which may
+/// allocate per token) and the token IR the differential tests use as
+/// their reference.
 trait TokenSink {
     fn literals(&mut self, bytes: &[u8]);
     fn matched(&mut self, offset: usize, len: usize);
@@ -124,15 +125,57 @@ impl TokenSink for WireSink<'_> {
     }
 }
 
+/// [`WireSink`] that also tallies what the GPU cost model charges for the
+/// raw token stream a kernel thread writes out: `len + 1` bytes per
+/// literal token and 3 per match token. The tally is per *token*, not per
+/// wire piece — a run longer than `MAX_LITERAL_RUN` or a match longer than
+/// `MAX_MATCH` splits on the wire but is one token to the kernel.
+struct CountingWireSink<'a> {
+    out: &'a mut Vec<u8>,
+    raw_token_bytes: u64,
+}
+
+impl TokenSink for CountingWireSink<'_> {
+    fn literals(&mut self, bytes: &[u8]) {
+        emit_literals(self.out, bytes);
+        self.raw_token_bytes += bytes.len() as u64 + 1;
+    }
+    fn matched(&mut self, offset: usize, len: usize) {
+        emit_match(self.out, offset, len);
+        self.raw_token_bytes += 3;
+    }
+}
+
 /// Greedy-tokenizes `input[start..end]`, allowing matches that reach back
 /// at most `window` bytes (and never before `input[0]`). Offsets are
 /// relative distances, so the produced tokens decode correctly whenever at
 /// least `start` bytes of history precede them — the property the GPU
 /// post-processor relies on.
-pub(crate) fn tokenize_region(input: &[u8], start: usize, end: usize, window: usize) -> Vec<Token> {
+///
+/// The token IR is the reference the differential tests hold the
+/// single-pass paths to; nothing on the ingest path materializes it.
+pub fn tokenize_region(input: &[u8], start: usize, end: usize, window: usize) -> Vec<Token> {
     let mut tokens = Vec::new();
     scan_region(input, start, end, window, &mut tokens);
     tokens
+}
+
+/// Scans `input[start..end]` exactly as [`tokenize_region`] does, but
+/// appends the wire encoding of the tokens straight to `out`. Returns the
+/// raw-token bytes the GPU cost model charges for the region.
+pub(crate) fn scan_region_to_wire(
+    input: &[u8],
+    start: usize,
+    end: usize,
+    window: usize,
+    out: &mut Vec<u8>,
+) -> u64 {
+    let mut sink = CountingWireSink {
+        out,
+        raw_token_bytes: 0,
+    };
+    scan_region(input, start, end, window, &mut sink);
+    sink.raw_token_bytes
 }
 
 /// The greedy single-pass matcher core behind [`tokenize_region`] and

@@ -15,17 +15,24 @@
 //!    preceding regions are decoded), then seals the result with the
 //!    stored-raw fallback when compression did not pay.
 //!
-//! Functionally the kernel runs on the host against device buffers; the
-//! [`dr_gpu_sim`] timing model charges transfer, launch and SIMT time.
+//! Functionally the kernel runs on the host — data-parallel like the real
+//! one, a [`dr_pool`] work item per chunk — and each thread writes wire
+//! bytes straight into the chunk's frame, so steps 1 and 3 are one pass
+//! with no token IR in between. The [`dr_gpu_sim`] timing model charges
+//! transfer, launch and SIMT time as if they were separate: the kernel for
+//! the raw per-thread streams, the caller's CPU model for the refinement.
 
 use dr_des::{Grant, SimTime};
-use dr_gpu_sim::{GpuDevice, GpuError, LaunchConfig, LaunchReport, MemAccess, WorkItemCost};
+use dr_gpu_sim::{
+    BufferId, GpuDevice, GpuError, KernelResources, LaunchConfig, LaunchReport, MemAccess,
+    WorkItemCost,
+};
 use dr_obs::{CounterHandle, HistogramHandle, ObsHandle};
+use dr_pool::WorkerPool;
 
 use crate::error::CodecError;
-use crate::fastlz::tokenize_region;
+use crate::fastlz::scan_region_to_wire;
 use crate::frame;
-use crate::token::{encode_tokens, Token};
 
 /// ALU cycles the kernel spends per input byte of region scanned
 /// (hash + probe + compare on a GCN-class core).
@@ -73,6 +80,9 @@ pub struct GpuBatchReport {
     pub raw_token_bytes: u64,
     /// When the GPU side of the batch completed (before CPU post-processing).
     pub gpu_done: SimTime,
+    /// What the launch was charged per work item: `threads_per_chunk`
+    /// entries per chunk, in chunk then thread order.
+    pub work_items: Vec<WorkItemCost>,
 }
 
 /// The GPU compression path.
@@ -83,12 +93,15 @@ pub struct GpuBatchReport {
 /// use dr_compress::{GpuCompressor, GpuCompressorConfig};
 /// use dr_gpu_sim::{GpuDevice, GpuSpec};
 /// use dr_des::SimTime;
+/// use dr_pool::WorkerPool;
 ///
 /// let mut gpu = GpuDevice::new(GpuSpec::radeon_hd_7970());
+/// let pool = WorkerPool::new(0);
 /// let comp = GpuCompressor::new(GpuCompressorConfig::default());
 /// let chunk = b"abcdabcdabcdabcd".repeat(256); // 4 KB
-/// let (frames, report) = comp
-///     .compress_batch(SimTime::ZERO, &mut gpu, &[chunk.as_slice()])
+/// let mut frames = vec![Vec::new()];
+/// let report = comp
+///     .compress_batch(SimTime::ZERO, &mut gpu, &pool, &[chunk.as_slice()], &mut frames)
 ///     .unwrap();
 /// assert!(frames[0].len() < chunk.len());
 /// assert_eq!(dr_compress::frame::open(&frames[0]).unwrap(), chunk);
@@ -123,6 +136,35 @@ impl GpuCompressObs {
     }
 }
 
+/// Allocates the device buffer a batch of `in_len` bytes is staged into,
+/// runs `body` against it, and frees it — plus the output buffer `body`
+/// may have allocated and handed back through its last argument — on
+/// every exit, not just success: a buffer leaked on an error path would
+/// shrink the device a little more on each degrade/re-probe cycle.
+pub(crate) fn with_staging_buffer<T>(
+    gpu: &mut GpuDevice,
+    in_len: u64,
+    body: impl FnOnce(&mut GpuDevice, BufferId, &mut Option<BufferId>) -> Result<T, GpuError>,
+) -> Result<T, GpuError> {
+    let in_buf = gpu.alloc(in_len.max(1))?;
+    let mut out_buf = None;
+    let outcome = body(gpu, in_buf, &mut out_buf);
+    // On a lost device the free can fail too, which is fine to ignore.
+    let _ = gpu.free(in_buf);
+    if let Some(out_buf) = out_buf {
+        let _ = gpu.free(out_buf);
+    }
+    outcome
+}
+
+/// One chunk's slot in the kernel fan-out: where its frame goes, where its
+/// threads report their costs, and what they tallied.
+struct ChunkSlot<'a> {
+    frame: &'a mut Vec<u8>,
+    costs: &'a mut [WorkItemCost],
+    raw_token_bytes: u64,
+}
+
 impl GpuCompressor {
     /// Creates the compressor.
     ///
@@ -149,59 +191,152 @@ impl GpuCompressor {
         self.obs = GpuCompressObs::new(obs);
     }
 
-    /// Compresses a batch of chunks on `gpu`, starting at `now`.
+    /// Compresses a batch of chunks on `gpu`, starting at `now`, sealing
+    /// chunk `i` into `frames[i]` (cleared first, capacity reused — pass
+    /// recycled buffers and the call allocates nothing per chunk).
     ///
-    /// Returns one sealed frame per chunk (post-processed on the CPU) and
-    /// the GPU timing report. The caller charges CPU time for
-    /// post-processing using [`GpuBatchReport::raw_token_bytes`].
+    /// The kernel emulation fans out over `pool`, one work item per chunk;
+    /// everything the simulated clock sees (work-item costs, launch and
+    /// PCIe grants) is derived afterwards on the calling thread in chunk
+    /// order, so pool width never shows in the report. The caller charges
+    /// CPU time for post-processing using
+    /// [`GpuBatchReport::raw_token_bytes`].
     ///
     /// # Errors
     ///
     /// [`GpuError::OutOfMemory`] when the batch does not fit in device
     /// memory; launch-level faults ([`GpuError::LaunchFailed`],
     /// [`GpuError::ProbeTimeout`], [`GpuError::DeviceLost`]) when the
-    /// device's fault schedule injects them — the staged batch is freed
-    /// before the error propagates, so a retry is safe.
+    /// device's fault schedule injects them. Device buffers are freed on
+    /// every exit, so a retry (or the CPU fallback) is safe; `frames`
+    /// then holds no meaningful data.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `frames` and `chunks` differ in length.
     pub fn compress_batch(
         &self,
         now: SimTime,
         gpu: &mut GpuDevice,
+        pool: &WorkerPool,
         chunks: &[&[u8]],
-    ) -> Result<(Vec<Vec<u8>>, GpuBatchReport), GpuError> {
+        frames: &mut [Vec<u8>],
+    ) -> Result<GpuBatchReport, GpuError> {
+        assert_eq!(chunks.len(), frames.len(), "one frame buffer per chunk");
         let total_in: usize = chunks.iter().map(|c| c.len()).sum();
 
-        // Stage the batch into device memory (one contiguous buffer).
-        let in_buf = gpu.alloc(total_in.max(1) as u64)?;
-        let mut staged = Vec::with_capacity(total_in);
-        for c in chunks {
-            staged.extend_from_slice(c);
-        }
-        let h2d = gpu.write_buffer(now, in_buf, 0, &staged)?;
+        // The batch is staged into one contiguous device buffer.
+        let report = with_staging_buffer(gpu, total_in as u64, |gpu, in_buf, out_buf| {
+            self.run_staged(now, gpu, pool, in_buf, out_buf, chunks, frames)
+        })?;
 
-        // "Kernel": every thread tokenizes its region. Runs functionally on
-        // the host; costs reported per work item.
-        let mut items = Vec::with_capacity(chunks.len() * self.config.threads_per_chunk);
-        let mut per_thread_tokens: Vec<Vec<Vec<Token>>> = Vec::with_capacity(chunks.len());
-        let mut raw_token_bytes = 0u64;
-        for chunk in chunks {
-            let t = self.config.threads_per_chunk;
-            let stride = chunk.len().div_ceil(t).max(1);
-            let mut streams = Vec::with_capacity(t);
-            for thread in 0..t {
-                let start = (thread * stride).min(chunk.len());
-                let end = ((thread + 1) * stride).min(chunk.len());
-                let tokens = tokenize_region(chunk, start, end, self.config.history);
-                let region_bytes = (end - start) as u64;
-                let window_bytes = region_bytes + self.config.history.min(start) as u64;
-                let out_bytes: u64 = tokens
-                    .iter()
-                    .map(|tok| match tok {
-                        Token::Literals(b) => b.len() as u64 + 1,
-                        Token::Match { .. } => 3,
-                    })
-                    .sum();
-                raw_token_bytes += out_bytes;
-                items.push(WorkItemCost {
+        self.obs.batches.incr();
+        self.obs.batch_chunks.record(chunks.len() as u64);
+        self.obs.in_bytes.add(total_in as u64);
+        self.obs
+            .out_bytes
+            .add(frames.iter().map(|f| f.len() as u64).sum());
+        self.obs.raw_token_bytes.add(report.raw_token_bytes);
+        Ok(report)
+    }
+
+    /// The body of [`GpuCompressor::compress_batch`] inside
+    /// [`with_staging_buffer`]: H2D, kernel, D2H.
+    #[allow(clippy::too_many_arguments)]
+    fn run_staged(
+        &self,
+        now: SimTime,
+        gpu: &mut GpuDevice,
+        pool: &WorkerPool,
+        in_buf: BufferId,
+        out_buf: &mut Option<BufferId>,
+        chunks: &[&[u8]],
+        frames: &mut [Vec<u8>],
+    ) -> Result<GpuBatchReport, GpuError> {
+        let h2d = gpu.write_buffer_gather(now, in_buf, 0, chunks)?;
+
+        // "Kernel": every thread scans its region. Runs functionally on the
+        // host, one pool work item per chunk; costs reported per GPU work
+        // item. The CPU post-processing ("refinement") is fused in: thread
+        // streams land in the frame in thread order, which *is* the merge,
+        // and the frame is sealed in place with the stored-raw fallback.
+        let t = self.config.threads_per_chunk;
+        let mut work_items = vec![WorkItemCost::default(); chunks.len() * t];
+        let mut slots: Vec<ChunkSlot> = frames
+            .iter_mut()
+            .zip(work_items.chunks_mut(t))
+            .map(|(frame, costs)| ChunkSlot {
+                frame,
+                costs,
+                raw_token_bytes: 0,
+            })
+            .collect();
+        pool.for_each_mut(&mut slots, |i, slot| {
+            frame::seal_with(chunks[i], slot.frame, |chunk, payload| {
+                slot.raw_token_bytes = self.scan_regions(chunk, payload, |thread, cost| {
+                    slot.costs[thread] = cost;
+                });
+            });
+        });
+        let raw_token_bytes: u64 = slots.iter().map(|s| s.raw_token_bytes).sum();
+        drop(slots);
+
+        // The per-thread history buffers live in local memory (the paper's
+        // "continuous data layout is useful when utilizing the GPU's local
+        // memory"), which bounds occupancy.
+        let resources = KernelResources {
+            registers_per_item: 48,
+            local_mem_per_group: (self.config.history as u32).saturating_mul(64).max(1),
+            items_per_group: 64,
+        };
+        let kernel = gpu.launch(
+            h2d.end,
+            LaunchConfig::named("lz-subchunk").with_resources(resources),
+            &work_items,
+        )?;
+
+        // Return raw streams to the host.
+        let out = gpu.alloc(raw_token_bytes.max(1))?;
+        *out_buf = Some(out);
+        let (_, d2h) = gpu.read_buffer(kernel.grant.end, out, 0, raw_token_bytes.max(1))?;
+
+        Ok(GpuBatchReport {
+            h2d,
+            kernel,
+            gpu_done: d2h.end,
+            d2h,
+            raw_token_bytes,
+            work_items,
+        })
+    }
+
+    /// The one walk over a chunk's sub-regions: thread `t` scans region
+    /// `t` with its private history window and appends its wire-encoded
+    /// token stream to `payload`, in thread order. `report` receives each
+    /// thread's kernel cost; the return value is the chunk's raw-token
+    /// bytes (what the threads wrote out, before CPU refinement).
+    fn scan_regions(
+        &self,
+        chunk: &[u8],
+        payload: &mut Vec<u8>,
+        mut report: impl FnMut(usize, WorkItemCost),
+    ) -> u64 {
+        let GpuCompressorConfig {
+            threads_per_chunk,
+            history,
+        } = self.config;
+        let stride = chunk.len().div_ceil(threads_per_chunk).max(1);
+        let mut raw_token_bytes = 0;
+        for thread in 0..threads_per_chunk {
+            let start = (thread * stride).min(chunk.len());
+            let end = ((thread + 1) * stride).min(chunk.len());
+            let out_bytes = scan_region_to_wire(chunk, start, end, history, payload);
+            let region_bytes = (end - start) as u64;
+            let window_bytes = region_bytes + history.min(start) as u64;
+            raw_token_bytes += out_bytes;
+            report(
+                thread,
+                WorkItemCost {
                     cycles: region_bytes * KERNEL_CYCLES_PER_BYTE,
                     mem: MemAccess {
                         // Linear scan of the region + its history window,
@@ -209,83 +344,20 @@ impl GpuCompressor {
                         coalesced_bytes: window_bytes + out_bytes,
                         uncoalesced_bytes: 0,
                     },
-                });
-                streams.push(tokens);
-            }
-            per_thread_tokens.push(streams);
+                },
+            );
         }
-        // The per-thread history buffers live in local memory (the paper's
-        // "continuous data layout is useful when utilizing the GPU's local
-        // memory"), which bounds occupancy.
-        let resources = dr_gpu_sim::KernelResources {
-            registers_per_item: 48,
-            local_mem_per_group: (self.config.history as u32).saturating_mul(64).max(1),
-            items_per_group: 64,
-        };
-        let kernel = match gpu.launch(
-            h2d.end,
-            LaunchConfig::named("lz-subchunk").with_resources(resources),
-            &items,
-        ) {
-            Ok(report) => report,
-            Err(e) => {
-                // Release the staged batch so a retry (or the CPU fallback)
-                // does not leak device memory; on a lost device the free
-                // can fail too, which is fine to ignore.
-                let _ = gpu.free(in_buf);
-                return Err(e);
-            }
-        };
-
-        // Return raw streams to the host.
-        let out_buf = gpu.alloc(raw_token_bytes.max(1))?;
-        let (_, d2h) = gpu.read_buffer(kernel.grant.end, out_buf, 0, raw_token_bytes.max(1))?;
-        gpu.free(in_buf)?;
-        gpu.free(out_buf)?;
-
-        // CPU post-processing ("refinement"): merge thread streams in order
-        // and seal with the stored-raw fallback.
-        let frames: Vec<Vec<u8>> = chunks
-            .iter()
-            .zip(per_thread_tokens)
-            .map(|(chunk, streams)| {
-                let merged: Vec<Token> = streams.into_iter().flatten().collect();
-                frame::seal(chunk, &merged)
-            })
-            .collect();
-
-        let gpu_done = d2h.end;
-        self.obs.batches.incr();
-        self.obs.batch_chunks.record(chunks.len() as u64);
-        self.obs.in_bytes.add(total_in as u64);
-        self.obs
-            .out_bytes
-            .add(frames.iter().map(|f| f.len() as u64).sum());
-        self.obs.raw_token_bytes.add(raw_token_bytes);
-        Ok((
-            frames,
-            GpuBatchReport {
-                h2d,
-                kernel,
-                d2h,
-                raw_token_bytes,
-                gpu_done,
-            },
-        ))
+        raw_token_bytes
     }
 
     /// Compresses one chunk without a device, for functional tests: the
-    /// exact token surgery the GPU path produces, minus the timing.
+    /// exact frame the GPU path produces, minus the timing.
     pub fn compress_functional(&self, chunk: &[u8]) -> Vec<u8> {
-        let t = self.config.threads_per_chunk;
-        let stride = chunk.len().div_ceil(t).max(1);
-        let mut merged = Vec::new();
-        for thread in 0..t {
-            let start = (thread * stride).min(chunk.len());
-            let end = ((thread + 1) * stride).min(chunk.len());
-            merged.extend(tokenize_region(chunk, start, end, self.config.history));
-        }
-        frame::seal(chunk, &merged)
+        let mut out = Vec::new();
+        frame::seal_with(chunk, &mut out, |chunk, payload| {
+            self.scan_regions(chunk, payload, |_, _| {});
+        });
+        out
     }
 
     /// Decompresses a frame produced by this path.
@@ -300,15 +372,9 @@ impl GpuCompressor {
     /// Size in bytes of the encoded merged stream for `chunk`, without
     /// framing — used by capacity planning tests.
     pub fn encoded_len(&self, chunk: &[u8]) -> usize {
-        let t = self.config.threads_per_chunk;
-        let stride = chunk.len().div_ceil(t).max(1);
-        let mut merged = Vec::new();
-        for thread in 0..t {
-            let start = (thread * stride).min(chunk.len());
-            let end = ((thread + 1) * stride).min(chunk.len());
-            merged.extend(tokenize_region(chunk, start, end, self.config.history));
-        }
-        encode_tokens(&merged).len()
+        let mut payload = Vec::new();
+        self.scan_regions(chunk, &mut payload, |_, _| {});
+        payload.len()
     }
 }
 
@@ -324,6 +390,23 @@ mod tests {
 
     fn compressor() -> GpuCompressor {
         GpuCompressor::new(GpuCompressorConfig::default())
+    }
+
+    /// `compress_batch` on an inline pool into fresh frame buffers.
+    fn batch(
+        c: &GpuCompressor,
+        device: &mut GpuDevice,
+        chunks: &[&[u8]],
+    ) -> Result<(Vec<Vec<u8>>, GpuBatchReport), GpuError> {
+        let mut frames = vec![Vec::new(); chunks.len()];
+        let report = c.compress_batch(
+            SimTime::ZERO,
+            device,
+            &WorkerPool::new(0),
+            chunks,
+            &mut frames,
+        )?;
+        Ok((frames, report))
     }
 
     #[test]
@@ -357,7 +440,7 @@ mod tests {
             .collect();
         let views: Vec<&[u8]> = chunks.iter().map(|c| c.as_slice()).collect();
         let c = compressor();
-        let (frames, report) = c.compress_batch(SimTime::ZERO, &mut gpu(), &views).unwrap();
+        let (frames, report) = batch(&c, &mut gpu(), &views).unwrap();
         for (frame_bytes, chunk) in frames.iter().zip(&chunks) {
             assert_eq!(&c.decompress(frame_bytes).unwrap(), chunk);
             assert_eq!(frame_bytes, &c.compress_functional(chunk));
@@ -370,9 +453,7 @@ mod tests {
     fn timing_orders_h2d_kernel_d2h() {
         let chunk = vec![0u8; 4096];
         let c = compressor();
-        let (_, report) = c
-            .compress_batch(SimTime::ZERO, &mut gpu(), &[chunk.as_slice()])
-            .unwrap();
+        let (_, report) = batch(&c, &mut gpu(), &[chunk.as_slice()]).unwrap();
         assert!(report.h2d.end <= report.kernel.grant.start);
         assert!(report.kernel.grant.end <= report.d2h.start);
     }
@@ -383,9 +464,22 @@ mod tests {
         let chunk = vec![1u8; 4096];
         let c = compressor();
         for _ in 0..4 {
-            c.compress_batch(SimTime::ZERO, &mut device, &[chunk.as_slice()])
-                .unwrap();
+            batch(&c, &mut device, &[chunk.as_slice()]).unwrap();
         }
+        assert_eq!(device.mem_used(), 0);
+    }
+
+    #[test]
+    fn device_memory_is_released_when_the_output_buffer_does_not_fit() {
+        // The staged input fills the device, so the alloc for the raw
+        // token streams fails with the input buffer still live.
+        let chunk = vec![3u8; 4096];
+        let mut device = GpuDevice::new(GpuSpec {
+            global_mem_bytes: chunk.len() as u64,
+            ..GpuSpec::radeon_hd_7970()
+        });
+        let err = batch(&compressor(), &mut device, &[chunk.as_slice()]).unwrap_err();
+        assert!(matches!(err, GpuError::OutOfMemory { .. }), "{err:?}");
         assert_eq!(device.mem_used(), 0);
     }
 
@@ -439,7 +533,7 @@ mod tests {
         c.set_obs(&obs);
         let chunks: Vec<Vec<u8>> = (0..3).map(|i| vec![i as u8; 4096]).collect();
         let views: Vec<&[u8]> = chunks.iter().map(|c| c.as_slice()).collect();
-        let (frames, report) = c.compress_batch(SimTime::ZERO, &mut gpu(), &views).unwrap();
+        let (frames, report) = batch(&c, &mut gpu(), &views).unwrap();
         let snap = obs.snapshot().unwrap();
         let counter = |name: &str| {
             snap.counters

@@ -15,13 +15,14 @@
 
 use dr_des::{Grant, SimTime};
 use dr_gpu_sim::{
-    subblock_copy_items, token_split_items, DecompChunkShape, GpuDevice, GpuError, KernelResources,
-    LaunchConfig, LaunchReport,
+    subblock_copy_items, token_split_items, BufferId, DecompChunkShape, GpuDevice, GpuError,
+    KernelResources, LaunchConfig, LaunchReport,
 };
 use dr_obs::{CounterHandle, HistogramHandle, ObsHandle};
 
 use crate::error::CodecError;
 use crate::frame;
+use crate::gpu::with_staging_buffer;
 
 /// Parameters of the GPU decompression kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,8 +146,8 @@ impl GpuDecompressor {
     /// [`GpuError::OutOfMemory`] when the batch does not fit in device
     /// memory; launch-level faults ([`GpuError::LaunchFailed`],
     /// [`GpuError::ProbeTimeout`], [`GpuError::DeviceLost`]) when the
-    /// device's fault schedule injects them — staged buffers are freed
-    /// before the error propagates, so a retry (or CPU fallback) is safe.
+    /// device's fault schedule injects them — device buffers are freed on
+    /// every exit, so a retry (or CPU fallback) is safe.
     #[allow(clippy::type_complexity)]
     pub fn decompress_batch(
         &self,
@@ -156,13 +157,36 @@ impl GpuDecompressor {
     ) -> Result<(Vec<Result<Vec<u8>, CodecError>>, GpuDecompReport), GpuError> {
         let total_in: usize = frames.iter().map(|f| f.len()).sum();
 
-        // Stage the frame batch into device memory (one contiguous buffer).
-        let in_buf = gpu.alloc(total_in.max(1) as u64)?;
-        let mut staged = Vec::with_capacity(total_in);
-        for f in frames {
-            staged.extend_from_slice(f);
-        }
-        let h2d = gpu.write_buffer(now, in_buf, 0, &staged)?;
+        // The frame batch is staged into one contiguous device buffer.
+        let (outputs, report) =
+            with_staging_buffer(gpu, total_in as u64, |gpu, in_buf, out_buf| {
+                self.run_staged(now, gpu, in_buf, out_buf, frames)
+            })?;
+
+        self.obs.batches.incr();
+        self.obs.batch_chunks.record(frames.len() as u64);
+        self.obs.in_bytes.add(total_in as u64);
+        self.obs.out_bytes.add(
+            outputs
+                .iter()
+                .map(|o| o.as_ref().map_or(0, |bytes| bytes.len() as u64))
+                .sum(),
+        );
+        Ok((outputs, report))
+    }
+
+    /// The body of [`GpuDecompressor::decompress_batch`] inside
+    /// [`with_staging_buffer`]: H2D, both kernels, D2H.
+    #[allow(clippy::type_complexity)]
+    fn run_staged(
+        &self,
+        now: SimTime,
+        gpu: &mut GpuDevice,
+        in_buf: BufferId,
+        out_buf: &mut Option<BufferId>,
+        frames: &[&[u8]],
+    ) -> Result<(Vec<Result<Vec<u8>, CodecError>>, GpuDecompReport), GpuError> {
+        let h2d = gpu.write_buffer_gather(now, in_buf, 0, frames)?;
 
         // Functional decode on the host; token shapes feed the cost model.
         // A frame that fails to decode still cost the split pass its scan.
@@ -199,50 +223,32 @@ impl GpuDecompressor {
             local_mem_per_group: 4 * 1024,
             items_per_group: 64,
         };
-        let split = match gpu.launch(
+        let split = gpu.launch(
             h2d.end,
             LaunchConfig::named("lz-token-split").with_resources(resources),
             &token_split_items(&shapes),
-        ) {
-            Ok(report) => report,
-            Err(e) => {
-                let _ = gpu.free(in_buf);
-                return Err(e);
-            }
-        };
+        )?;
 
         // Phase 2: round-robin sub-block copy.
-        let copy = match gpu.launch(
+        let copy = gpu.launch(
             split.grant.end,
             LaunchConfig::named("lz-subblock-copy").with_resources(resources),
             &subblock_copy_items(&shapes, self.config.subblocks_per_chunk),
-        ) {
-            Ok(report) => report,
-            Err(e) => {
-                let _ = gpu.free(in_buf);
-                return Err(e);
-            }
-        };
+        )?;
 
         // Return the decompressed chunks to the host.
-        let out_buf = gpu.alloc(total_out.max(1))?;
-        let (_, d2h) = gpu.read_buffer(copy.grant.end, out_buf, 0, total_out.max(1))?;
-        gpu.free(in_buf)?;
-        gpu.free(out_buf)?;
+        let out = gpu.alloc(total_out.max(1))?;
+        *out_buf = Some(out);
+        let (_, d2h) = gpu.read_buffer(copy.grant.end, out, 0, total_out.max(1))?;
 
-        let gpu_done = d2h.end;
-        self.obs.batches.incr();
-        self.obs.batch_chunks.record(frames.len() as u64);
-        self.obs.in_bytes.add(total_in as u64);
-        self.obs.out_bytes.add(total_out);
         Ok((
             outputs,
             GpuDecompReport {
                 h2d,
                 split,
                 copy,
+                gpu_done: d2h.end,
                 d2h,
-                gpu_done,
             },
         ))
     }
@@ -312,6 +318,22 @@ mod tests {
             d.decompress_batch(SimTime::ZERO, &mut device, &[frame_bytes.as_slice()])
                 .unwrap();
         }
+        assert_eq!(device.mem_used(), 0);
+    }
+
+    #[test]
+    fn device_memory_is_released_when_the_output_buffer_does_not_fit() {
+        // The device holds the staged frame but not the 4 KB it decodes
+        // to: the output alloc fails with the input buffer still live.
+        let frame_bytes = FastLz::new().compress(&vec![1u8; 4096]);
+        let mut device = GpuDevice::new(GpuSpec {
+            global_mem_bytes: frame_bytes.len() as u64 + 1024,
+            ..GpuSpec::radeon_hd_7970()
+        });
+        let err = decompressor()
+            .decompress_batch(SimTime::ZERO, &mut device, &[frame_bytes.as_slice()])
+            .unwrap_err();
+        assert!(matches!(err, GpuError::OutOfMemory { .. }), "{err:?}");
         assert_eq!(device.mem_used(), 0);
     }
 

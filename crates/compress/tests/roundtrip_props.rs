@@ -1,7 +1,12 @@
 //! Randomized tests: every codec is lossless on arbitrary inputs.
 
-use dr_compress::{Codec, FastLz, GpuCompressor, GpuCompressorConfig, Lz77};
+use dr_compress::fastlz::tokenize_region;
+use dr_compress::frame::{self, Frame};
+use dr_compress::{Codec, FastLz, GpuCompressor, GpuCompressorConfig, Lz77, Token};
 use dr_des::testkit::{self, Cases};
+use dr_des::SimTime;
+use dr_gpu_sim::{GpuDevice, GpuSpec, MemAccess, WorkItemCost};
+use dr_pool::WorkerPool;
 
 #[test]
 fn fastlz_round_trips() {
@@ -93,4 +98,128 @@ fn codecs_shrink_compressible_data() {
         );
         assert_eq!(FastLz::new().decompress(&packed).unwrap(), data);
     });
+}
+
+/// What the token-IR path makes of one chunk: per-thread `Vec<Token>`s,
+/// flattened and sealed, with the kernel cost model applied to the tokens
+/// (16 cycles per region byte; region + history window read, `len + 1`
+/// bytes written per literal token and 3 per match token).
+fn token_ir_reference(
+    config: GpuCompressorConfig,
+    chunk: &[u8],
+) -> (Vec<u8>, Vec<WorkItemCost>, u64) {
+    let t = config.threads_per_chunk;
+    let stride = chunk.len().div_ceil(t).max(1);
+    let mut merged = Vec::new();
+    let mut costs = Vec::new();
+    let mut raw_token_bytes = 0;
+    for thread in 0..t {
+        let start = (thread * stride).min(chunk.len());
+        let end = ((thread + 1) * stride).min(chunk.len());
+        let tokens = tokenize_region(chunk, start, end, config.history);
+        let out_bytes: u64 = tokens
+            .iter()
+            .map(|token| match token {
+                Token::Literals(bytes) => bytes.len() as u64 + 1,
+                Token::Match { .. } => 3,
+            })
+            .sum();
+        raw_token_bytes += out_bytes;
+        let region_bytes = (end - start) as u64;
+        costs.push(WorkItemCost {
+            cycles: region_bytes * 16,
+            mem: MemAccess {
+                coalesced_bytes: region_bytes + config.history.min(start) as u64 + out_bytes,
+                uncoalesced_bytes: 0,
+            },
+        });
+        merged.extend(tokens);
+    }
+    (frame::seal(chunk, &merged), costs, raw_token_bytes)
+}
+
+#[test]
+fn pooled_single_pass_kernel_matches_the_token_ir_reference() {
+    const LENGTHS: [usize; 8] = [0, 1, 7, 63, 4095, 4096, 4097, 65_536];
+    let mut rng = dr_des::SplitMix64::new(0xC02_0008);
+    let mut noise = |len: usize| -> Vec<u8> { (0..len).map(|_| rng.next_u64() as u8).collect() };
+    // Four data shapes per length. `zeros` is one match far longer than
+    // MAX_MATCH per region and `bursts` alternates literal runs longer
+    // than MAX_LITERAL_RUN with long matches — the inputs on which a
+    // token and its wire pieces differ in count.
+    let mut chunks: Vec<Vec<u8>> = Vec::new();
+    let mut incompressible = Vec::new();
+    for len in LENGTHS {
+        chunks.push(
+            b"the quick brown fox "
+                .iter()
+                .copied()
+                .cycle()
+                .take(len)
+                .collect(),
+        );
+        incompressible.push(chunks.len());
+        chunks.push(noise(len));
+        chunks.push(vec![0u8; len]);
+        let mut bursts = Vec::with_capacity(len);
+        while bursts.len() < len {
+            bursts.extend(noise(300));
+            bursts.extend([7u8; 700]);
+        }
+        bursts.truncate(len);
+        chunks.push(bursts);
+    }
+    let views: Vec<&[u8]> = chunks.iter().map(|c| c.as_slice()).collect();
+
+    let pools = [WorkerPool::new(0), WorkerPool::new(1), WorkerPool::new(3)];
+    for threads_per_chunk in [1usize, 8, 64] {
+        let config = GpuCompressorConfig {
+            threads_per_chunk,
+            history: 512,
+        };
+        let comp = GpuCompressor::new(config);
+        let mut want_frames = Vec::new();
+        let mut want_costs = Vec::new();
+        let mut want_raw = 0;
+        for chunk in &views {
+            let (frame_bytes, costs, raw) = token_ir_reference(config, chunk);
+            want_frames.push(frame_bytes);
+            want_costs.extend(costs);
+            want_raw += raw;
+        }
+        // The cost tally is per token: on these inputs it must differ
+        // from what the wire pieces add up to.
+        let wire_bytes: u64 = views.iter().map(|c| comp.encoded_len(c) as u64).sum();
+        assert_ne!(want_raw, wire_bytes, "inputs never split a token");
+
+        for pool in &pools {
+            let at = format!("threads {threads_per_chunk}, pool {}", pool.workers());
+            // Dirty, recycled output buffers: the call must clear them.
+            let mut frames = vec![vec![0xAAu8; 100]; views.len()];
+            let mut gpu = GpuDevice::new(GpuSpec::radeon_hd_7970());
+            let report = comp
+                .compress_batch(SimTime::ZERO, &mut gpu, pool, &views, &mut frames)
+                .unwrap();
+            for (i, (got, want)) in frames.iter().zip(&want_frames).enumerate() {
+                assert_eq!(got, want, "{at}: chunk {i} (len {})", views[i].len());
+                assert_eq!(got, &comp.compress_functional(views[i]), "{at}: chunk {i}");
+            }
+            assert_eq!(report.work_items, want_costs, "{at}");
+            assert_eq!(report.raw_token_bytes, want_raw, "{at}");
+            assert_eq!(gpu.mem_used(), 0, "{at}");
+        }
+
+        // The stored-raw fallback keeps its strict `<` rule: noise never
+        // pays, and an empty chunk's empty payload is not smaller than it.
+        for &i in &incompressible {
+            let (method, len) = frame::inspect(&want_frames[i]).unwrap();
+            assert_eq!((method, len), (Frame::Raw, views[i].len()), "chunk {i}");
+        }
+        assert_eq!(frame::inspect(&want_frames[0]).unwrap().0, Frame::Raw);
+        let zeros_4k = views
+            .iter()
+            .position(|c| c.len() == 4096 && c.iter().all(|&b| b == 0))
+            .expect("a 4 KB chunk of zeros");
+        assert_eq!(frame::inspect(&want_frames[zeros_4k]).unwrap().0, Frame::Lz);
+    }
 }

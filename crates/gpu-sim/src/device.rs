@@ -222,12 +222,31 @@ impl GpuDevice {
         offset: u64,
         data: &[u8],
     ) -> Result<Grant, GpuError> {
+        self.write_buffer_gather(now, id, offset, &[data])
+    }
+
+    /// [`GpuDevice::write_buffer`] for a batch that lives in several host
+    /// slices: `parts` land back to back from `offset` as **one** transfer
+    /// (one PCIe grant over their total length), so a caller staging a
+    /// batch of chunks need not concatenate them on the host first.
+    ///
+    /// # Errors
+    ///
+    /// As [`GpuDevice::write_buffer`]; the buffer is untouched on error.
+    pub fn write_buffer_gather(
+        &mut self,
+        now: SimTime,
+        id: BufferId,
+        offset: u64,
+        parts: &[&[u8]],
+    ) -> Result<Grant, GpuError> {
         if self.lost {
             return Err(GpuError::DeviceLost);
         }
-        let time = pcie_transfer_time(&self.spec, data.len() as u64);
+        let total: u64 = parts.iter().map(|p| p.len() as u64).sum();
+        let time = pcie_transfer_time(&self.spec, total);
         let buf = self.mem.get_mut(id)?;
-        let end = offset + data.len() as u64;
+        let end = offset + total;
         if end > buf.len() as u64 {
             return Err(GpuError::OutOfBounds {
                 buffer: id,
@@ -235,18 +254,22 @@ impl GpuDevice {
                 len: buf.len() as u64,
             });
         }
-        buf[offset as usize..end as usize].copy_from_slice(data);
+        let mut at = offset as usize;
+        for part in parts {
+            buf[at..at + part.len()].copy_from_slice(part);
+            at += part.len();
+        }
         let grant = self.copy_engine.acquire(now, time);
-        self.stats.h2d_bytes += data.len() as u64;
+        self.stats.h2d_bytes += total;
         self.stats.copy_busy += time;
-        self.obs.h2d_bytes.add(data.len() as u64);
+        self.obs.h2d_bytes.add(total);
         self.obs.transfer_ns.record(time.as_nanos());
         self.obs.tracer.sim_span(
             Track::GpuCopy,
             "h2d",
             grant.start.as_nanos(),
             grant.end.as_nanos(),
-            trace_args(&[("bytes", data.len() as u64)]),
+            trace_args(&[("bytes", total)]),
         );
         Ok(grant)
     }
@@ -463,6 +486,25 @@ mod tests {
         let g1 = gpu.write_buffer(SimTime::ZERO, buf, 0, &data).unwrap();
         let g2 = gpu.write_buffer(SimTime::ZERO, buf, 0, &data).unwrap();
         assert_eq!(g2.start, g1.end);
+    }
+
+    #[test]
+    fn gathered_write_is_one_transfer_of_the_concatenation() {
+        let parts: [&[u8]; 3] = [b"abc", b"", b"defgh"];
+        let mut whole = device();
+        let wb = whole.alloc(16).unwrap();
+        let gw = whole
+            .write_buffer(SimTime::ZERO, wb, 2, b"abcdefgh")
+            .unwrap();
+        let mut gathered = device();
+        let gb = gathered.alloc(16).unwrap();
+        let gg = gathered
+            .write_buffer_gather(SimTime::ZERO, gb, 2, &parts)
+            .unwrap();
+        assert_eq!((gg.start, gg.end), (gw.start, gw.end));
+        assert_eq!(gathered.buffer(gb).unwrap(), whole.buffer(wb).unwrap());
+        assert_eq!(gathered.stats().h2d_bytes, whole.stats().h2d_bytes);
+        assert_eq!(gathered.stats().copy_busy, whole.stats().copy_busy);
     }
 
     #[test]

@@ -1242,14 +1242,13 @@ impl Pipeline {
             .map(|c| (c.offset as usize, c.data.len()))
             .collect();
         span.finish();
-        let payloads: Vec<BatchPayload> = spans
+        let payloads = spans
             .chunks(self.config.batch_chunks)
             .map(|s| BatchPayload::Shared {
                 buf: Arc::clone(&buf),
                 spans: s.to_vec(),
-            })
-            .collect();
-        self.drive(payloads.into_iter())
+            });
+        self.drive(payloads)
     }
 
     /// Runs pre-chunked blocks through the pipeline and returns the final
@@ -2060,11 +2059,13 @@ impl Pipeline {
             .collect()
     }
 
-    /// GPU compression: one batched kernel, then CPU post-processing
-    /// ("refinement") per chunk. Transient launch faults are retried with
-    /// backoff; exhausted retries (or a lost device, or an open latch)
-    /// route the batch to [`Pipeline::cpu_compress`] instead — the frames
-    /// still get sealed, just slower.
+    /// GPU compression: one batched kernel — its host emulation fanned out
+    /// over the pool into recycled arena buffers, exactly like
+    /// [`Pipeline::cpu_compress`] — then CPU post-processing
+    /// ("refinement") charged per chunk. Transient launch faults are
+    /// retried with backoff; exhausted retries (or a lost device, or an
+    /// open latch) route the batch to [`Pipeline::cpu_compress`] instead —
+    /// the frames still get sealed, just slower.
     fn gpu_compress(
         &mut self,
         payload: &BatchPayload,
@@ -2084,12 +2085,16 @@ impl Pipeline {
             return self.cpu_compress(payload, chunks, unique, SimTime::ZERO);
         }
         let views: Vec<&[u8]> = unique.iter().map(|&i| payload.view(i)).collect();
+        let mut frames: Vec<Vec<u8>> = unique.iter().map(|_| self.arena.take()).collect();
         let backoff = self.config.degrade.backoff();
         let mut at = batch_ready;
         let mut retry = 0u32;
-        let (frames, report) = loop {
-            match self.gpu_comp.compress_batch(at, &mut self.gpu, &views) {
-                Ok(out) => break out,
+        let report = loop {
+            match self
+                .gpu_comp
+                .compress_batch(at, &mut self.gpu, &self.pool, &views, &mut frames)
+            {
+                Ok(report) => break report,
                 Err(e) if e.is_transient() && backoff.permits(retry) => {
                     at += backoff.delay(retry);
                     retry += 1;
@@ -2115,6 +2120,9 @@ impl Pipeline {
                     );
                     // The time burnt attempting the GPU is the floor for
                     // the CPU fallback — degradation is never free.
+                    for buf in frames {
+                        self.arena.put(buf);
+                    }
                     return self.cpu_compress(payload, chunks, unique, at);
                 }
             }
@@ -2603,45 +2611,54 @@ mod tests {
         );
     }
 
+    /// Everything a run shows on the simulated side — the full report
+    /// after reading the whole stream back — plus the bytes read back.
+    fn simulated_outcome(p: &mut Pipeline) -> (Report, Vec<Vec<u8>>) {
+        let all: Vec<usize> = (0..p.ingested_chunks()).collect();
+        let blocks = p.read_blocks(&all).expect("read-back");
+        (p.report().clone(), blocks)
+    }
+
     #[test]
     fn shared_views_and_owned_blocks_are_simulated_identically() {
         // `run` carries zero-copy views into one shared buffer;
         // `run_blocks` carries caller-owned vectors. Both must produce the
-        // exact same simulated timeline and stored bytes.
+        // exact same simulated timeline, stored bytes and read-back, in
+        // every integration mode.
         let data = stream();
-        let mut shared = Pipeline::new(small_config(IntegrationMode::CpuOnly));
-        let rs = shared.run(&data);
-        let mut owned = Pipeline::new(small_config(IntegrationMode::CpuOnly));
-        let ro = owned.run_blocks(data.chunks(4096).map(|c| c.to_vec()));
-        assert_eq!(rs.chunks, ro.chunks);
-        assert_eq!(rs.unique_chunks, ro.unique_chunks);
-        assert_eq!(rs.dedup_hits, ro.dedup_hits);
-        assert_eq!(rs.stored_bytes, ro.stored_bytes);
-        assert_eq!(rs.reduction_end, ro.reduction_end);
-        assert_eq!(rs.ssd_end, ro.ssd_end);
+        for mode in IntegrationMode::ALL {
+            let mut shared = Pipeline::new(small_config(mode));
+            shared.run(&data);
+            let mut owned = Pipeline::new(small_config(mode));
+            owned.run_blocks(data.chunks(4096).map(|c| c.to_vec()));
+            let (rs, bs) = simulated_outcome(&mut shared);
+            let (ro, bo) = simulated_outcome(&mut owned);
+            assert_eq!(rs, ro, "{mode}");
+            assert_eq!(bs, bo, "{mode}");
+            assert_eq!(bs.concat(), data, "{mode}");
+        }
     }
 
     #[test]
     fn pool_width_does_not_change_simulated_results() {
         // Host pool width is a wall-clock knob only; the simulated array
-        // (CpuModel::workers) is what the timeline models.
+        // (CpuModel::workers) is what the timeline models. That covers the
+        // GPU kernel emulation too: it fans out over the same pool, but
+        // its costs are tallied in chunk order afterwards.
         let data = stream();
-        let mut baseline = None;
-        for pool_workers in [1usize, 2, 4] {
-            let mut cfg = small_config(IntegrationMode::CpuOnly);
-            cfg.pool_workers = pool_workers;
-            let mut p = Pipeline::new(cfg);
-            let r = p.run(&data);
-            let key = (
-                r.chunks,
-                r.unique_chunks,
-                r.stored_bytes,
-                r.reduction_end,
-                r.ssd_end,
-            );
-            match &baseline {
-                None => baseline = Some(key),
-                Some(b) => assert_eq!(*b, key, "pool_workers={pool_workers} diverged"),
+        for mode in IntegrationMode::ALL {
+            let mut baseline = None;
+            for pool_workers in [1usize, 2, 4] {
+                let mut cfg = small_config(mode);
+                cfg.pool_workers = pool_workers;
+                let mut p = Pipeline::new(cfg);
+                p.run(&data);
+                let outcome = simulated_outcome(&mut p);
+                assert_eq!(outcome.1.concat(), data, "{mode}");
+                match &baseline {
+                    None => baseline = Some(outcome),
+                    Some(b) => assert_eq!(*b, outcome, "{mode} pool_workers={pool_workers}"),
+                }
             }
         }
     }

@@ -186,8 +186,9 @@ impl VolumeManager {
             }
         }
         let first_recipe = self.pipeline.ingested_chunks();
-        self.pipeline
-            .run_blocks(data.chunks(chunk_bytes).map(|c| c.to_vec()));
+        // One shared buffer and a span per chunk, never a copy per chunk;
+        // `data` is chunk-aligned, so `run` cuts it at the block bounds.
+        self.pipeline.run(data);
         // Re-fetched mutably after the pipeline borrow ends; the map was
         // not touched in between, but report the impossible case as a
         // typed error rather than aborting a checker run.

@@ -36,6 +36,15 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
+# Benchmark self-tests: the repo benchmark is a package of its own
+# (benchmark/, outside the workspace), so the steps above never compile
+# it. Its tests drive `--smoke` on all four workloads through
+# benchmark/src/sut.rs: a public-API break or a simulated digest that
+# differs between repetitions fails here in seconds instead of at the
+# perf gate.
+echo "==> benchmark self-tests (public API + sim_digest, --smoke on 4 workloads)"
+cargo test --manifest-path benchmark/Cargo.toml --offline -q
+
 # Degradation gate: seeded fault schedules must not change the logical
 # volume contents in any integration mode (DESIGN.md §10). The bin exits
 # non-zero on a digest mismatch.
