@@ -332,162 +332,14 @@ impl BinIndex {
         }
     }
 
-    /// Batch insert across worker threads: entries are partitioned into
-    /// contiguous bin ranges so every thread owns disjoint bins — the
-    /// paper's lock-free parallelism, applied to the insert path. Returns
-    /// the flush events from all bins (order is unspecified across bins).
-    ///
-    /// Falls back to the serial path when an entry budget is configured
-    /// (global eviction cannot be partitioned) or `workers == 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn insert_batch_parallel(
-        &mut self,
-        items: &[(ChunkDigest, ChunkRef)],
-        workers: usize,
-    ) -> Vec<FlushEvent> {
-        assert!(workers > 0, "worker count must be positive");
-        if items.is_empty() {
-            return Vec::new();
-        }
-        if self.config.max_entries != u64::MAX || workers == 1 {
-            return items
-                .iter()
-                .filter_map(|(d, r)| self.insert(*d, *r))
-                .collect();
-        }
-        // The Bloom front is a single shared structure; feed it serially
-        // (it is a few ns per insert).
-        if let Some(bloom) = &mut self.bloom {
-            for (d, _) in items {
-                bloom.insert(d);
-            }
-        }
-
-        let shards = workers.min(self.bins.len());
-        let per_shard = self.bins.len().div_ceil(shards);
-        let capacity = self.config.bin_buffer_capacity;
-        let prefix = self.config.prefix_bytes;
-        let router = self.router;
-
-        // Partition items by contiguous bin range.
-        let mut parts: Vec<Vec<(usize, BinKey, ChunkRef)>> = vec![Vec::new(); shards];
-        for (d, r) in items {
-            let bin = router.route(d);
-            let mut key = *d.as_bytes();
-            for b in key.iter_mut().take(prefix) {
-                *b = 0;
-            }
-            parts[bin / per_shard].push((bin, key, *r));
-        }
-
-        let mut flushes = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(shards);
-            for (shard, (bins, part)) in self.bins.chunks_mut(per_shard).zip(parts).enumerate() {
-                handles.push(scope.spawn(move || {
-                    let base = shard * per_shard;
-                    let mut local_flushes = Vec::new();
-                    for (bin, key, r) in part {
-                        if let Some(f) = bins[bin - base].insert(key, r, capacity, bin) {
-                            local_flushes.push(f);
-                        }
-                    }
-                    local_flushes
-                }));
-            }
-            for handle in handles {
-                flushes.extend(handle.join().expect("insert worker panicked"));
-            }
-        });
-        self.entries += items.len() as u64;
-        self.stats.inserts += items.len() as u64;
-        self.stats.flushes += flushes.len() as u64;
-        self.obs.inserts.add(items.len() as u64);
-        self.obs.flushes.add(flushes.len() as u64);
-        self.obs
-            .flushed_entries
-            .add(flushes.iter().map(|f| f.entries.len() as u64).sum());
-        flushes
-    }
-
-    /// Batch lookup over an existing worker pool. Digests are partitioned
-    /// by bin shard (bin id modulo shard count) so every participant owns
-    /// a disjoint bin set and no locking is needed. Results are in input
-    /// order.
-    pub fn lookup_batch_on(
-        &mut self,
-        pool: &WorkerPool,
-        digests: &[ChunkDigest],
-    ) -> Vec<Option<ChunkRef>> {
-        let mut results = vec![None; digests.len()];
-        if digests.is_empty() {
-            return results;
-        }
-        let shards = (pool.workers() + 1).min(digests.len());
-
-        let mut partitions: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for (i, d) in digests.iter().enumerate() {
-            partitions[self.router.route(d) % shards].push(i);
-        }
-
-        let bins = &self.bins;
-        let router = self.router;
-        let prefix = self.config.prefix_bytes;
-        /// One probed digest: input index, lookup result, hit kind.
-        type Probe = (usize, Option<ChunkRef>, Option<BinHit>);
-        let mut shard_out: Vec<Vec<Probe>> = vec![Vec::new(); shards];
-
-        pool.for_each_mut(&mut shard_out, |shard, local| {
-            let part = &partitions[shard];
-            local.reserve(part.len());
-            for &i in part {
-                let d = &digests[i];
-                let bin = router.route(d);
-                let mut key = *d.as_bytes();
-                for b in key.iter_mut().take(prefix) {
-                    *b = 0;
-                }
-                match bins[bin].lookup(&key) {
-                    Some((r, hit)) => local.push((i, Some(r), Some(hit))),
-                    None => local.push((i, None, None)),
-                }
-            }
-        });
-
-        let mut hits = (0u64, 0u64); // (buffer, tree)
-        for local in shard_out {
-            for (i, r, hit) in local {
-                results[i] = r;
-                match hit {
-                    Some(BinHit::Buffer) => hits.0 += 1,
-                    Some(BinHit::Tree) => hits.1 += 1,
-                    None => {}
-                }
-            }
-        }
-
-        self.stats.lookups += digests.len() as u64;
-        self.obs.probes.add(digests.len() as u64);
-        self.stats.buffer_hits += hits.0;
-        self.stats.tree_hits += hits.1;
-        self.obs.buffer_hits.add(hits.0);
-        self.obs.tree_hits.add(hits.1);
-        let misses = results.iter().filter(|r| r.is_none()).count() as u64;
-        self.stats.misses += misses;
-        self.obs.misses.add(misses);
-        results
-    }
-
     /// Stats-free batched probe over an existing pool, in input order.
     ///
     /// The pipeline's dedup stage owns its own hit accounting (simulated
     /// per-chunk costs must be charged serially, in input order), so this
     /// variant leaves [`IndexStats`] untouched and takes `&self` — probes
-    /// only read the bin pages. Queries are partitioned by bin shard like
-    /// [`BinIndex::lookup_batch_on`]; a zero-worker pool degrades to a
+    /// only read the bin pages. Queries are partitioned by bin shard (bin
+    /// id modulo shard count), so every participant owns a disjoint bin
+    /// set and no locking is needed; a zero-worker pool degrades to a
     /// serial scan on the caller.
     pub fn probe_batch_on(
         &self,
@@ -650,100 +502,6 @@ mod tests {
             .filter(|&i| idx.lookup(&digest(i)).is_some())
             .count();
         assert_eq!(found, 64);
-    }
-
-    #[test]
-    fn parallel_batch_matches_serial() {
-        let mut idx = BinIndex::new(BinIndexConfig::default());
-        for i in 0..500 {
-            idx.insert(digest(i), ChunkRef::new(i, 1));
-        }
-        let queries: Vec<ChunkDigest> = (0..1000).map(digest).collect();
-        let expect: Vec<Option<ChunkRef>> = queries
-            .iter()
-            .map(|d| {
-                let bin = idx.router().route(d);
-                let key = idx.key_of(d);
-                idx.bin(bin).lookup(&key).map(|(r, _)| r)
-            })
-            .collect();
-        // The caller participates in every batch, so `workers - 1` pool
-        // threads give `workers` concurrent probers.
-        for workers in [1usize, 2, 4, 8] {
-            assert_eq!(
-                idx.lookup_batch_on(&WorkerPool::new(workers - 1), &queries),
-                expect,
-                "workers = {workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_batch_updates_stats() {
-        let mut idx = BinIndex::new(BinIndexConfig::default());
-        for i in 0..100 {
-            idx.insert(digest(i), ChunkRef::new(i, 1));
-        }
-        let queries: Vec<ChunkDigest> = (0..200).map(digest).collect();
-        let before = idx.stats();
-        idx.lookup_batch_on(&WorkerPool::new(3), &queries);
-        let after = idx.stats();
-        assert_eq!(after.lookups - before.lookups, 200);
-        assert_eq!(
-            (after.buffer_hits + after.tree_hits) - (before.buffer_hits + before.tree_hits),
-            100
-        );
-        assert_eq!(after.misses - before.misses, 100);
-    }
-
-    #[test]
-    fn empty_batch() {
-        let mut idx = BinIndex::new(BinIndexConfig::default());
-        assert!(idx.lookup_batch_on(&WorkerPool::new(3), &[]).is_empty());
-    }
-
-    #[test]
-    fn parallel_insert_matches_serial() {
-        let items: Vec<(ChunkDigest, ChunkRef)> = (0..2000u64)
-            .map(|i| (digest(i), ChunkRef::new(i * 4096, 4096)))
-            .collect();
-        let mut serial = BinIndex::new(BinIndexConfig {
-            bin_buffer_capacity: 4,
-            ..BinIndexConfig::default()
-        });
-        let mut serial_flushes: Vec<_> = items
-            .iter()
-            .filter_map(|(d, r)| serial.insert(*d, *r))
-            .collect();
-        for workers in [2usize, 4, 8] {
-            let mut parallel = BinIndex::new(BinIndexConfig {
-                bin_buffer_capacity: 4,
-                ..BinIndexConfig::default()
-            });
-            let mut flushes = parallel.insert_batch_parallel(&items, workers);
-            assert_eq!(parallel.len(), serial.len(), "workers {workers}");
-            // Same flush multiset (order across bins is unspecified).
-            flushes.sort_by_key(|f| f.bin);
-            serial_flushes.sort_by_key(|f| f.bin);
-            assert_eq!(flushes, serial_flushes, "workers {workers}");
-            // And every entry is findable afterwards.
-            for (d, r) in items.iter().step_by(97) {
-                assert_eq!(parallel.lookup(d), Some(*r));
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_insert_with_budget_falls_back_to_serial() {
-        let items: Vec<(ChunkDigest, ChunkRef)> = (0..200u64)
-            .map(|i| (digest(i), ChunkRef::new(i, 1)))
-            .collect();
-        let mut idx = BinIndex::new(BinIndexConfig {
-            max_entries: 64,
-            ..BinIndexConfig::default()
-        });
-        idx.insert_batch_parallel(&items, 4);
-        assert_eq!(idx.len(), 64, "budget must still hold");
     }
 
     #[test]

@@ -35,9 +35,9 @@
 //! ascending keys per bin, so the sorted-page insert path is a straight
 //! append.
 //!
-//! Version-2 blobs (interleaved `bin id + suffix + addr + len` records)
-//! and version-1 blobs (version 2 minus the integrity trailer) are still
-//! accepted by [`restore`].
+//! Version 3 is the only format [`restore`] reads. Versions 1 and 2 never
+//! left this repository, and version 1 had no integrity trailer — while it
+//! was accepted, one flipped bit in the version byte skipped the CRC check.
 
 use std::error::Error;
 use std::fmt;
@@ -50,11 +50,7 @@ use crate::index::{BinIndex, BinIndexConfig};
 use crate::page::KEY_BYTES;
 
 const MAGIC: &[u8; 4] = b"DRIX";
-/// First format revision: interleaved records, no integrity trailer.
-const VERSION_V1: u8 = 1;
-/// Second revision: interleaved records + CRC-32C trailer.
-const VERSION_V2: u8 = 2;
-/// Current revision: columnar per-bin groups + CRC-32C trailer.
+/// The one readable revision: columnar per-bin groups + CRC-32C trailer.
 const VERSION: u8 = 3;
 const HEADER_LEN: usize = 34;
 const TRAILER_LEN: usize = 4;
@@ -140,43 +136,30 @@ pub fn snapshot(index: &BinIndex) -> Result<Vec<u8>, SnapshotError> {
     Ok(out)
 }
 
-/// Rebuilds an index from a [`snapshot`] blob (version 1, 2, or 3).
+/// Rebuilds an index from a [`snapshot`] blob.
 ///
-/// The declared entry count is validated against the actual blob length —
-/// with overflow-checked arithmetic — *before* any allocation is sized
-/// from it, and version-2+ blobs must pass their CRC-32C integrity check
-/// before a single entry is trusted.
+/// Nothing is trusted before the magic, the version and the CRC-32C
+/// trailer have checked out, and the declared entry count is validated
+/// against the actual blob length — with overflow-checked arithmetic —
+/// *before* any allocation is sized from it.
 ///
 /// # Errors
 ///
-/// Any [`SnapshotError`] for malformed input.
+/// Any [`SnapshotError`] for malformed input; a version other than 3 is
+/// [`SnapshotError::BadHeader`].
 pub fn restore(bytes: &[u8]) -> Result<BinIndex, SnapshotError> {
-    if bytes.len() < HEADER_LEN {
+    if bytes.len() < HEADER_LEN + TRAILER_LEN {
         return Err(SnapshotError::Truncated);
     }
-    if &bytes[..4] != MAGIC {
+    if &bytes[..4] != MAGIC || bytes[4] != VERSION {
         return Err(SnapshotError::BadHeader);
     }
-    let version = bytes[4];
-    if version != VERSION_V1 && version != VERSION_V2 && version != VERSION {
-        return Err(SnapshotError::BadHeader);
+    // The trailer protects header + entries against bit rot.
+    let body_end = bytes.len() - TRAILER_LEN;
+    let declared = u32::from_le_bytes(bytes[body_end..].try_into().expect("4 bytes"));
+    if crc32c(&bytes[..body_end]) != declared {
+        return Err(SnapshotError::Corrupt);
     }
-    let body_end = if version >= VERSION_V2 {
-        // The trailer protects header + entries against bit rot.
-        let Some(crc_start) = bytes.len().checked_sub(TRAILER_LEN) else {
-            return Err(SnapshotError::Truncated);
-        };
-        if crc_start < HEADER_LEN {
-            return Err(SnapshotError::Truncated);
-        }
-        let declared = u32::from_le_bytes(bytes[crc_start..].try_into().expect("4 bytes"));
-        if crc32c(&bytes[..crc_start]) != declared {
-            return Err(SnapshotError::Corrupt);
-        }
-        crc_start
-    } else {
-        bytes.len()
-    };
     let prefix = bytes[5] as usize;
     if !(1..=3).contains(&prefix) {
         return Err(SnapshotError::BadField("prefix_bytes"));
@@ -191,14 +174,8 @@ pub fn restore(bytes: &[u8]) -> Result<BinIndex, SnapshotError> {
 
     // Validate the declared count against what the blob actually holds
     // before sizing anything from it: a corrupted count must fail cleanly,
-    // never drive an allocation. Columnar blobs drop the per-entry bin-id
-    // prefix, so the minimum bytes per entry is version-dependent.
-    let suffix_len = 20 - prefix;
-    let entry_len = if version == VERSION {
-        suffix_len + 12
-    } else {
-        prefix + suffix_len + 12
-    };
+    // never drive an allocation.
+    let entry_len = (20 - prefix) + 12;
     let count = usize::try_from(count).map_err(|_| SnapshotError::BadField("entry_count"))?;
     let need = count
         .checked_mul(entry_len)
@@ -219,15 +196,11 @@ pub fn restore(bytes: &[u8]) -> Result<BinIndex, SnapshotError> {
         ..BinIndexConfig::default()
     });
 
-    if version == VERSION {
-        restore_columnar(&mut index, body, prefix, count)?;
-    } else {
-        restore_interleaved(&mut index, body, prefix, count, entry_len);
-    }
+    restore_columnar(&mut index, body, prefix, count)?;
     Ok(index)
 }
 
-/// Parses the version-3 columnar body: per-bin `(id, count)` headers
+/// Parses the columnar body: per-bin `(id, count)` headers
 /// followed by suffix / addr / len columns.
 fn restore_columnar(
     index: &mut BinIndex,
@@ -280,37 +253,6 @@ fn restore_columnar(
     Ok(())
 }
 
-/// Parses the version-1/2 interleaved body: one `bin id + suffix + addr +
-/// len` record per entry.
-fn restore_interleaved(
-    index: &mut BinIndex,
-    body: &[u8],
-    prefix: usize,
-    count: usize,
-    entry_len: usize,
-) {
-    let suffix_len = 20 - prefix;
-    for record in body.chunks_exact(entry_len).take(count) {
-        let mut bin_id = 0usize;
-        for &b in &record[..prefix] {
-            bin_id = (bin_id << 8) | b as usize;
-        }
-        let mut key: BinKey = [0u8; 20];
-        key[prefix..].copy_from_slice(&record[prefix..prefix + suffix_len]);
-        let addr = u64::from_le_bytes(
-            record[prefix + suffix_len..prefix + suffix_len + 8]
-                .try_into()
-                .expect("8 bytes"),
-        );
-        let len = u32::from_le_bytes(
-            record[prefix + suffix_len + 8..]
-                .try_into()
-                .expect("4 bytes"),
-        );
-        index.restore_entry(bin_id, key, ChunkRef::new(addr, len));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,41 +267,6 @@ mod tests {
             index.insert(sha1_digest(&i.to_le_bytes()), ChunkRef::new(i * 4096, 4096));
         }
         index
-    }
-
-    /// The retired version-2 writer (interleaved records + trailer), kept
-    /// verbatim so back-compat restores are tested against real blobs.
-    fn snapshot_v2(index: &BinIndex) -> Vec<u8> {
-        let config = index.config();
-        let prefix = config.prefix_bytes;
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.push(VERSION_V2);
-        out.push(prefix as u8);
-        out.extend_from_slice(&(config.bin_buffer_capacity as u32).to_le_bytes());
-        out.extend_from_slice(&config.max_entries.to_le_bytes());
-        out.extend_from_slice(&config.seed.to_le_bytes());
-        out.extend_from_slice(&index.len().to_le_bytes());
-        for bin_id in 0..index.router().bin_count() {
-            for (key, r) in index.bin(bin_id).iter() {
-                for shift in (0..prefix).rev() {
-                    out.push((bin_id >> (8 * shift)) as u8);
-                }
-                out.extend_from_slice(&key[prefix..]);
-                out.extend_from_slice(&r.addr().to_le_bytes());
-                out.extend_from_slice(&r.stored_len().to_le_bytes());
-            }
-        }
-        out.extend_from_slice(&crc32c(&out).to_le_bytes());
-        out
-    }
-
-    /// A v1 blob for back-compat tests: strip the v2 trailer, stamp
-    /// version 1.
-    fn as_v1(mut blob: Vec<u8>) -> Vec<u8> {
-        blob.truncate(blob.len() - TRAILER_LEN);
-        blob[4] = VERSION_V1;
-        blob
     }
 
     /// Re-stamps the CRC-32C trailer after a deliberate body edit, so a
@@ -404,10 +311,12 @@ mod tests {
     fn truncation_detected() {
         let blob = snapshot(&populated(100)).unwrap();
         assert!(restore(&blob[..blob.len() - 3]).is_err());
-        assert!(matches!(
-            restore(&blob[..20]),
-            Err(SnapshotError::Truncated)
-        ));
+        for short in [0, 20, HEADER_LEN, HEADER_LEN + TRAILER_LEN - 1] {
+            assert!(matches!(
+                restore(&blob[..short]),
+                Err(SnapshotError::Truncated)
+            ));
+        }
     }
 
     #[test]
@@ -425,9 +334,25 @@ mod tests {
     }
 
     #[test]
+    fn older_versions_are_rejected_with_bad_header() {
+        // Versions 1 and 2 are gone. The header check comes before the
+        // CRC, so the answer is the same whether or not the trailer was
+        // re-stamped — in particular a bit flip 3 -> 1 or 3 -> 2 in byte 4
+        // can no longer talk `restore` out of the integrity check.
+        for version in [0u8, 1, 2] {
+            let mut blob = snapshot(&populated(8)).unwrap();
+            blob[4] = version;
+            assert!(matches!(restore(&blob), Err(SnapshotError::BadHeader)));
+            fix_crc(&mut blob);
+            assert!(matches!(restore(&blob), Err(SnapshotError::BadHeader)));
+        }
+    }
+
+    #[test]
     fn bad_prefix_detected() {
-        let mut blob = as_v1(snapshot_v2(&populated(1)));
+        let mut blob = snapshot(&populated(1)).unwrap();
         blob[5] = 9;
+        fix_crc(&mut blob);
         assert!(matches!(
             restore(&blob),
             Err(SnapshotError::BadField("prefix_bytes"))
@@ -458,36 +383,15 @@ mod tests {
 
     #[test]
     fn inflated_count_is_rejected_before_any_entry_is_read() {
-        let mut blob = snapshot_v2(&populated(8));
-        // Claim u64::MAX entries; the checked size math must refuse it (on
-        // a v1 blob, so the CRC does not mask the count validation).
+        let mut blob = snapshot(&populated(8)).unwrap();
+        // Claim u64::MAX entries; the checked size math must refuse it
+        // (CRC re-stamped, so it does not mask the count validation).
         blob[26..34].copy_from_slice(&u64::MAX.to_le_bytes());
-        let blob = as_v1(blob);
+        fix_crc(&mut blob);
         assert!(matches!(
             restore(&blob),
             Err(SnapshotError::BadField("entry_count")) | Err(SnapshotError::Truncated)
         ));
-    }
-
-    #[test]
-    fn v1_blobs_still_restore() {
-        let index = populated(200);
-        let blob = as_v1(snapshot_v2(&index));
-        let mut restored = restore(&blob).expect("v1 restore");
-        assert_eq!(restored.len(), index.len());
-        let d = sha1_digest(&7u64.to_le_bytes());
-        assert_eq!(restored.lookup(&d), Some(ChunkRef::new(7 * 4096, 4096)));
-    }
-
-    #[test]
-    fn v2_blobs_still_restore() {
-        let index = populated(200);
-        let mut restored = restore(&snapshot_v2(&index)).expect("v2 restore");
-        assert_eq!(restored.len(), index.len());
-        for i in 0..200u64 {
-            let d = sha1_digest(&i.to_le_bytes());
-            assert_eq!(restored.lookup(&d), Some(ChunkRef::new(i * 4096, 4096)));
-        }
     }
 
     #[test]

@@ -48,28 +48,6 @@ fn behaves_like_a_map() {
     });
 }
 
-/// Parallel batch lookup matches serial lookup for any batch.
-#[test]
-fn parallel_lookup_matches_serial() {
-    Cases::new("parallel_lookup_matches_serial", 0xB14_0002).run(64, |rng| {
-        let present: Vec<u64> = (0..testkit::usize_in(rng, 0, 99))
-            .map(|_| testkit::u64_in(rng, 0, 99))
-            .collect();
-        let queries: Vec<u64> = (0..testkit::usize_in(rng, 0, 199))
-            .map(|_| testkit::u64_in(rng, 0, 149))
-            .collect();
-        let workers = testkit::usize_in(rng, 1, 5);
-        let mut index = BinIndex::new(BinIndexConfig::default());
-        for k in &present {
-            index.insert(digest_of(*k), ChunkRef::new(*k, 1));
-        }
-        let digests: Vec<_> = queries.iter().map(|q| digest_of(*q)).collect();
-        let expect: Vec<Option<ChunkRef>> = digests.iter().map(|d| index.lookup(d)).collect();
-        let pool = dr_pool::WorkerPool::new(workers - 1);
-        assert_eq!(index.lookup_batch_on(&pool, &digests), expect);
-    });
-}
-
 /// Batched stats-free probes (the pipeline path) return bit-identical
 /// results for every pool width, and `Full` probes agree with plain
 /// serial lookups.

@@ -38,7 +38,6 @@ pub mod gpu_decomp;
 pub mod huffman;
 pub mod lz77;
 pub mod lzhuf;
-pub mod parallel;
 pub mod scan;
 pub mod token;
 
@@ -50,7 +49,6 @@ pub use gpu_decomp::{GpuDecompReport, GpuDecompressor, GpuDecompressorConfig};
 pub use huffman::{huffman_decode, huffman_encode};
 pub use lz77::Lz77;
 pub use lzhuf::LzHuf;
-pub use parallel::{compress_chunks_parallel, compress_chunks_pooled};
 pub use token::Token;
 
 /// A lossless block codec.

@@ -6,7 +6,7 @@
 //! module centralizes that arithmetic so every component that degrades
 //! gracefully waits the same, deterministic way.
 
-use crate::time::SimDuration;
+use crate::time::{SimDuration, SimTime};
 
 /// A bounded exponential-backoff schedule: attempt `k` (zero-based) waits
 /// `base * factor^k` before retrying, up to `max_retries` retries after
@@ -116,6 +116,59 @@ impl ExponentialBackoff {
     pub fn budget_exhausted(&self, retry: u32) -> bool {
         retry < self.max_retries && !self.permits(retry)
     }
+
+    /// Runs `op` under this schedule — the one retry loop every
+    /// fault-absorbing component shares. `op(at)` is attempted at `start`;
+    /// while it fails with an error `is_transient` accepts and the
+    /// schedule [`permits`](Self::permits) retry number `k`, the clock
+    /// advances by that retry's delay, `on_retry(at, k)` is told (`k`
+    /// one-based), and `op` runs again at the new instant.
+    pub fn retry<T, E>(
+        &self,
+        start: SimTime,
+        is_transient: impl Fn(&E) -> bool,
+        mut on_retry: impl FnMut(SimTime, u32),
+        mut op: impl FnMut(SimTime) -> Result<T, E>,
+    ) -> Retried<T, E> {
+        let mut at = start;
+        let mut retries = 0u32;
+        let mut budget_exhausted = false;
+        let result = loop {
+            match op(at) {
+                Err(e) if is_transient(&e) && self.permits(retries) => {
+                    at += self.delay(retries);
+                    retries += 1;
+                    on_retry(at, retries);
+                }
+                Err(e) => {
+                    budget_exhausted = is_transient(&e) && self.budget_exhausted(retries);
+                    break Err(e);
+                }
+                ok => break ok,
+            }
+        };
+        Retried {
+            result,
+            at,
+            retries,
+            budget_exhausted,
+        }
+    }
+}
+
+/// What one [`ExponentialBackoff::retry`] run came to.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Retried<T, E> {
+    /// The last attempt's outcome.
+    pub result: Result<T, E>,
+    /// When the last attempt was issued: `start` plus every delay charged.
+    /// After a failure, the floor for whatever the caller falls back to.
+    pub at: SimTime,
+    /// Retries spent (attempts after the first).
+    pub retries: u32,
+    /// True when the sim-time budget — not the retry count — refused the
+    /// retry a transient error was still owed.
+    pub budget_exhausted: bool,
 }
 
 #[cfg(test)]
@@ -188,6 +241,96 @@ mod tests {
             assert_eq!(b.permits(retry), capped.permits(retry));
             assert!(!capped.budget_exhausted(retry));
         }
+    }
+
+    /// An op that fails transiently (`Err(true)`) `failures` times, then
+    /// succeeds with the instant it ran at; records every `on_retry` call.
+    fn flaky(
+        b: &ExponentialBackoff,
+        start: SimTime,
+        failures: u32,
+    ) -> (Retried<SimTime, bool>, Vec<(SimTime, u32)>) {
+        let mut seen = Vec::new();
+        let mut left = failures;
+        let out = b.retry(
+            start,
+            |transient: &bool| *transient,
+            |at, k| seen.push((at, k)),
+            |at| {
+                if left == 0 {
+                    Ok(at)
+                } else {
+                    left -= 1;
+                    Err(true)
+                }
+            },
+        );
+        (out, seen)
+    }
+
+    #[test]
+    fn retry_succeeds_after_k_transient_failures_at_the_charged_instant() {
+        let b = ExponentialBackoff::new(SimDuration::from_micros(10), 2, 3);
+        let start = SimTime::ZERO + SimDuration::from_micros(7);
+        for k in 0..=3u32 {
+            let (out, seen) = flaky(&b, start, k);
+            let reached = if k == 0 {
+                start
+            } else {
+                start + b.spent_through(k - 1)
+            };
+            assert_eq!(out.result, Ok(reached), "op ran at the reached instant");
+            assert_eq!(out.at, reached);
+            assert_eq!(out.retries, k);
+            assert!(!out.budget_exhausted);
+            let expected: Vec<(SimTime, u32)> = (1..=k)
+                .map(|r| (start + b.spent_through(r - 1), r))
+                .collect();
+            assert_eq!(seen, expected, "one on_retry per retry, at its instant");
+        }
+    }
+
+    #[test]
+    fn retry_does_not_retry_a_non_transient_error() {
+        let b = ExponentialBackoff::new(SimDuration::from_micros(10), 2, 3);
+        let mut calls = 0;
+        let out: Retried<(), bool> = b.retry(
+            SimTime::ZERO,
+            |transient: &bool| *transient,
+            |_, _| panic!("a hard error must not be retried"),
+            |_| {
+                calls += 1;
+                Err(false)
+            },
+        );
+        assert_eq!(out.result, Err(false));
+        assert_eq!((out.at, out.retries), (SimTime::ZERO, 0));
+        assert!(!out.budget_exhausted);
+        assert_eq!(calls, 1);
+    }
+
+    #[test]
+    fn retry_count_exhaustion_fails_at_total_delay() {
+        let b = ExponentialBackoff::new(SimDuration::from_micros(10), 2, 3);
+        let (out, seen) = flaky(&b, SimTime::ZERO, u32::MAX);
+        assert_eq!(out.result, Err(true));
+        assert_eq!(out.at, SimTime::ZERO + b.total_delay());
+        assert_eq!(out.retries, 3);
+        assert_eq!(seen.len(), 3);
+        assert!(!out.budget_exhausted, "the count ran out, not the budget");
+    }
+
+    #[test]
+    fn retry_stops_early_when_the_budget_binds() {
+        // Delays 10, 20, 40us under a 25us budget: one retry, then refusal.
+        let b = ExponentialBackoff::new(SimDuration::from_micros(10), 2, 3)
+            .with_budget(SimDuration::from_micros(25));
+        let (out, seen) = flaky(&b, SimTime::ZERO, u32::MAX);
+        assert_eq!(out.result, Err(true));
+        assert_eq!(out.at, SimTime::ZERO + SimDuration::from_micros(10));
+        assert_eq!(out.retries, 1);
+        assert_eq!(seen.len(), 1);
+        assert!(out.budget_exhausted);
     }
 
     #[test]

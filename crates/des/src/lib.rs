@@ -37,7 +37,7 @@ pub mod stats;
 pub mod testkit;
 pub mod time;
 
-pub use backoff::ExponentialBackoff;
+pub use backoff::{ExponentialBackoff, Retried};
 pub use event::{EventQueue, ScheduledEvent};
 pub use resource::{Grant, Resource};
 pub use rng::SplitMix64;

@@ -6,12 +6,10 @@
 //!
 //! * [`Sha1`] — FIPS 180-1 SHA-1 with an incremental API, verified against
 //!   the standard test vectors,
-//! * [`Sha256`] — FIPS 180-2 SHA-256 (used by the collision-hardened
-//!   configuration, an extension over the paper),
 //! * [`fast`] — fast non-cryptographic 64-bit hashes for compression match
 //!   tables and bin routing,
-//! * [`parallel`] — order-preserving multi-buffer hashing across CPU worker
-//!   threads (the paper's "hashing has no inter-chunk dependency" stage),
+//! * [`parallel`] — order-preserving multi-buffer hashing over a shared
+//!   worker pool (the paper's "hashing has no inter-chunk dependency" stage),
 //! * [`ChunkDigest`] — the 20-byte chunk fingerprint with prefix extraction
 //!   used by the bin router and by prefix truncation.
 //!
@@ -30,12 +28,10 @@ pub mod digest;
 pub mod fast;
 pub mod parallel;
 pub mod sha1;
-pub mod sha256;
 pub mod simd;
 
 pub use crc32c::{crc32c, Crc32c};
 pub use digest::ChunkDigest;
 pub use fast::{fnv1a64, mix64, FastHasher};
-pub use parallel::{hash_chunks_parallel, hash_chunks_pooled, ParallelHasher};
+pub use parallel::hash_chunks_pooled;
 pub use sha1::{sha1_digest, Sha1};
-pub use sha256::{sha256_digest, Sha256};

@@ -2,39 +2,14 @@
 //!
 //! The paper observes that hashing has *no inter-chunk dependency*, so the
 //! chunking stage's output can be fingerprinted by any number of CPU worker
-//! threads. [`ParallelHasher`] owns a persistent [`WorkerPool`] and fans
-//! each batch out over it — worker threads are created once, not per
+//! threads. [`hash_chunks_pooled`] fans a batch out over a caller-owned
+//! persistent [`WorkerPool`] — worker threads are created once, not per
 //! batch, and idle workers steal from busy ones instead of relying on
 //! static partitioning. Digests always come back in input order.
 
 use crate::digest::ChunkDigest;
 use crate::sha1::sha1_digest;
 use dr_pool::WorkerPool;
-
-/// Hashes every chunk in `chunks` with SHA-1 using up to `workers` threads,
-/// returning digests in input order.
-///
-/// A convenience wrapper around [`ParallelHasher`]; it builds (and tears
-/// down) a pool per call, so prefer a long-lived [`ParallelHasher`] — or
-/// [`hash_chunks_pooled`] with a shared pool — on hot paths.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-///
-/// ```
-/// use dr_hashes::{hash_chunks_parallel, sha1_digest};
-/// let chunks: Vec<&[u8]> = vec![b"aa", b"bb"];
-/// let ds = hash_chunks_parallel(&chunks, 2);
-/// assert_eq!(ds[0], sha1_digest(b"aa"));
-/// assert_eq!(ds[1], sha1_digest(b"bb"));
-/// ```
-pub fn hash_chunks_parallel<T: AsRef<[u8]> + Sync>(
-    chunks: &[T],
-    workers: usize,
-) -> Vec<ChunkDigest> {
-    ParallelHasher::new(workers).hash_batch(chunks)
-}
 
 /// Hashes every chunk over an existing pool, returning digests in input
 /// order.
@@ -53,119 +28,28 @@ pub fn hash_chunks_pooled<T: AsRef<[u8]> + Sync>(
     pool.map_collect(chunks.len(), |i| sha1_digest(chunks[i].as_ref()))
 }
 
-/// A reusable parallel hashing front-end over a persistent worker pool.
-///
-/// ```
-/// use dr_hashes::ParallelHasher;
-/// let hasher = ParallelHasher::new(4);
-/// let digests = hasher.hash_batch(&[b"x".as_slice(), b"y".as_slice()]);
-/// assert_eq!(digests.len(), 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ParallelHasher {
-    workers: usize,
-    pool: WorkerPool,
-}
-
-impl ParallelHasher {
-    /// Creates a hasher whose pool runs `workers` persistent threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn new(workers: usize) -> Self {
-        assert!(workers > 0, "worker count must be positive");
-        ParallelHasher {
-            workers,
-            // One thread of `workers` is the caller participating in each
-            // batch, so the pool itself needs one fewer.
-            pool: WorkerPool::new(workers - 1),
-        }
-    }
-
-    /// Wraps an existing pool (shared with other stages).
-    pub fn with_pool(pool: WorkerPool) -> Self {
-        ParallelHasher {
-            workers: pool.workers() + 1,
-            pool,
-        }
-    }
-
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Hashes `chunks` and returns digests in input order.
-    pub fn hash_batch<T: AsRef<[u8]> + Sync>(&self, chunks: &[T]) -> Vec<ChunkDigest> {
-        hash_chunks_pooled(&self.pool, chunks)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn make_chunks(n: usize) -> Vec<Vec<u8>> {
-        (0..n)
-            .map(|i| format!("chunk payload number {i}").into_bytes())
-            .collect()
-    }
-
     #[test]
-    fn matches_serial_hashing() {
-        let chunks = make_chunks(97);
-        let serial: Vec<ChunkDigest> = chunks.iter().map(|c| sha1_digest(c)).collect();
-        for workers in [1, 2, 3, 8, 97, 200] {
-            let parallel = hash_chunks_parallel(&chunks, workers);
-            assert_eq!(parallel, serial, "workers = {workers}");
+    fn shared_pool_hashing_preserves_order_and_equals_serial() {
+        // Pool widths: inline (the caller alone), then 1, 2 and 7 threads;
+        // batches: empty, single, and one that does not divide evenly.
+        // Each pool is reused across all batch sizes.
+        for threads in [0usize, 1, 2, 7] {
+            let pool = WorkerPool::new(threads);
+            for n in [0usize, 1, 97] {
+                let chunks: Vec<Vec<u8>> = (0..n)
+                    .map(|i| format!("chunk payload number {i}").into_bytes())
+                    .collect();
+                let serial: Vec<ChunkDigest> = chunks.iter().map(|c| sha1_digest(c)).collect();
+                assert_eq!(
+                    hash_chunks_pooled(&pool, &chunks),
+                    serial,
+                    "{threads} pool threads, {n} chunks"
+                );
+            }
         }
-    }
-
-    #[test]
-    fn empty_batch() {
-        let hasher = ParallelHasher::new(4);
-        assert!(hasher.hash_batch::<Vec<u8>>(&[]).is_empty());
-    }
-
-    #[test]
-    fn single_chunk() {
-        let got = hash_chunks_parallel(&[b"only".as_slice()], 8);
-        assert_eq!(got, vec![sha1_digest(b"only")]);
-    }
-
-    #[test]
-    fn preserves_input_order() {
-        let chunks = make_chunks(16);
-        let digests = hash_chunks_parallel(&chunks, 4);
-        for (i, chunk) in chunks.iter().enumerate() {
-            assert_eq!(digests[i], sha1_digest(chunk), "index {i}");
-        }
-    }
-
-    #[test]
-    fn reusing_one_hasher_across_batches() {
-        let hasher = ParallelHasher::new(3);
-        for round in 0..50 {
-            let chunks = make_chunks(round % 9 + 1);
-            let serial: Vec<ChunkDigest> = chunks.iter().map(|c| sha1_digest(c)).collect();
-            assert_eq!(hasher.hash_batch(&chunks), serial, "round {round}");
-        }
-    }
-
-    #[test]
-    fn shared_pool_hasher() {
-        let pool = WorkerPool::new(2);
-        let hasher = ParallelHasher::with_pool(pool);
-        assert_eq!(hasher.workers(), 3);
-        let chunks = make_chunks(7);
-        let serial: Vec<ChunkDigest> = chunks.iter().map(|c| sha1_digest(c)).collect();
-        assert_eq!(hasher.hash_batch(&chunks), serial);
-    }
-
-    #[test]
-    #[should_panic(expected = "worker count")]
-    fn zero_workers_panics() {
-        ParallelHasher::new(0);
     }
 }

@@ -3,8 +3,7 @@
 //! SHA-1 is cryptographically broken for adversarial collision resistance,
 //! but it is exactly what the paper (and most deduplication systems of its
 //! era) uses as the chunk fingerprint: 20 bytes, with accidental-collision
-//! probability far below device error rates. [`Sha256`](crate::Sha256) is
-//! provided for collision-hardened configurations.
+//! probability far below device error rates.
 
 use crate::digest::ChunkDigest;
 #[cfg(target_arch = "x86_64")]

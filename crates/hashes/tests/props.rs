@@ -1,7 +1,7 @@
 //! Randomized tests: hashing invariants on arbitrary inputs.
 
 use dr_des::testkit::{self, Cases};
-use dr_hashes::{crc32c, sha1_digest, sha256_digest, ChunkDigest, Crc32c, Sha1, Sha256};
+use dr_hashes::{crc32c, sha1_digest, ChunkDigest, Crc32c, Sha1};
 
 /// Incremental SHA-1 over arbitrary split points equals one-shot.
 #[test]
@@ -20,19 +20,6 @@ fn sha1_incremental_equals_one_shot() {
         }
         h.update(&data[prev..]);
         assert_eq!(h.finalize(), sha1_digest(&data));
-    });
-}
-
-/// Incremental SHA-256 over arbitrary split points equals one-shot.
-#[test]
-fn sha256_incremental_equals_one_shot() {
-    Cases::new("sha256_incremental_equals_one_shot", 0x5A1_0002).run(96, |rng| {
-        let data = testkit::vec_u8(rng, 0, 4096);
-        let cut = testkit::usize_in(rng, 0, data.len());
-        let mut h = Sha256::new();
-        h.update(&data[..cut]);
-        h.update(&data[cut..]);
-        assert_eq!(h.finalize(), sha256_digest(&data));
     });
 }
 

@@ -9,10 +9,11 @@
 use std::time::Instant;
 
 use dr_binindex::ChunkRef;
-use dr_des::{ExponentialBackoff, Grant, SimDuration, SimTime};
-use dr_obs::trace::{trace_args, Tracer, Track};
+use dr_des::{Grant, SimTime};
 use dr_obs::{CounterHandle, ObsHandle, StageObs};
 use dr_ssd_sim::{SsdDevice, SsdError};
+
+use crate::degrade::{DegradePolicy, Guarded, SSD_WRITE};
 
 /// Interned `destage.*` metrics; inert by default.
 #[derive(Debug, Clone, Default)]
@@ -27,12 +28,6 @@ struct DestageObs {
     /// destaged data page (frame-ready to write-grant end, so device
     /// queueing is included).
     stage: StageObs,
-    /// Retries charged against transient SSD faults.
-    write_retries: CounterHandle,
-    /// Retry loops cut short by the backoff's sim-time budget.
-    budget_exhausted: CounterHandle,
-    /// Fault-track retry instants, on the simulated timeline.
-    tracer: Tracer,
 }
 
 impl DestageObs {
@@ -44,9 +39,6 @@ impl DestageObs {
             index_pages: obs.counter("destage.index_pages"),
             partial_flushes: obs.counter("destage.partial_flushes"),
             stage: obs.stage("destage"),
-            write_retries: obs.counter("fault.ssd_write.retries"),
-            budget_exhausted: obs.counter("fault.retry_budget_exhausted"),
-            tracer: obs.tracer().clone(),
         }
     }
 }
@@ -67,11 +59,11 @@ pub struct Destager {
     buf: Vec<u8>,
     /// Total frame bytes appended (pre-padding).
     appended_bytes: u64,
-    /// Retry schedule for transient SSD faults; each retry charges its
-    /// backoff delay on the simulated clock.
-    backoff: ExponentialBackoff,
-    /// Retries spent on transient SSD faults so far.
-    write_retries: u64,
+    /// The SSD as a guarded component. Page writes and page reads retry
+    /// transient faults through it (each retry charges its backoff delay
+    /// on the simulated clock, and both tally on its one counter); the
+    /// pipeline drives its latch, which sheds compression while open.
+    pub(crate) ssd_write: Guarded,
     obs: DestageObs,
 }
 
@@ -85,8 +77,7 @@ impl Destager {
             next_index_lpn: ssd.logical_pages() - 1,
             buf: Vec::with_capacity(page_bytes),
             appended_bytes: 0,
-            backoff: ExponentialBackoff::new(SimDuration::from_micros(50), 2, 3),
-            write_retries: 0,
+            ssd_write: Guarded::new(&SSD_WRITE, DegradePolicy::default(), &ObsHandle::disabled()),
             obs: DestageObs::default(),
         }
     }
@@ -95,11 +86,7 @@ impl Destager {
     /// handle (the default) to turn recording off.
     pub fn set_obs(&mut self, obs: &ObsHandle) {
         self.obs = DestageObs::new(obs);
-    }
-
-    /// Replaces the transient-fault retry schedule.
-    pub fn set_backoff(&mut self, backoff: ExponentialBackoff) {
-        self.backoff = backoff;
+        self.ssd_write.set_obs(obs);
     }
 
     /// Reserves `pages` at the very top of the device (above the index
@@ -166,7 +153,7 @@ impl Destager {
 
     /// Retries spent on transient SSD faults (reads and writes) so far.
     pub fn fault_retries(&self) -> u64 {
-        self.write_retries
+        self.ssd_write.retries()
     }
 
     /// Data pages still writable before the data log meets the index
@@ -186,67 +173,10 @@ impl Destager {
         lpn: u64,
         page: &[u8],
     ) -> Result<Grant, SsdError> {
-        let mut at = now;
-        let mut retry = 0u32;
-        loop {
-            match ssd.write_page(at, lpn, page) {
-                Ok(g) => return Ok(g),
-                Err(e) if e.is_transient() && self.backoff.permits(retry) => {
-                    at += self.backoff.delay(retry);
-                    retry += 1;
-                    self.write_retries += 1;
-                    self.obs.write_retries.incr();
-                    self.obs.tracer.sim_instant(
-                        Track::Fault,
-                        "ssd-write retry",
-                        at.as_nanos(),
-                        trace_args(&[("retry", retry as u64)]),
-                    );
-                }
-                Err(e) => {
-                    if e.is_transient() && self.backoff.budget_exhausted(retry) {
-                        self.obs.budget_exhausted.incr();
-                    }
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    /// [`write_page_retrying`](Self::write_page_retrying) for reads. The
-    /// returned grant starts at the *final* (successful) attempt, so retry
-    /// backoff is visible in the read's simulated latency.
-    fn read_page_retrying(
-        &mut self,
-        now: SimTime,
-        ssd: &mut SsdDevice,
-        lpn: u64,
-    ) -> Result<(Vec<u8>, Grant), SsdError> {
-        let mut at = now;
-        let mut retry = 0u32;
-        loop {
-            match ssd.read_page(at, lpn) {
-                Ok((page, g)) => return Ok((page, g)),
-                Err(e) if e.is_transient() && self.backoff.permits(retry) => {
-                    at += self.backoff.delay(retry);
-                    retry += 1;
-                    self.write_retries += 1;
-                    self.obs.write_retries.incr();
-                    self.obs.tracer.sim_instant(
-                        Track::Fault,
-                        "ssd-read retry",
-                        at.as_nanos(),
-                        trace_args(&[("retry", retry as u64)]),
-                    );
-                }
-                Err(e) => {
-                    if e.is_transient() && self.backoff.budget_exhausted(retry) {
-                        self.obs.budget_exhausted.incr();
-                    }
-                    return Err(e);
-                }
-            }
-        }
+        let write = |at| ssd.write_page(at, lpn, page);
+        self.ssd_write
+            .retry(None, now, SsdError::is_transient, write)
+            .result
     }
 
     /// Appends one sealed frame to the log. Full pages are written to the
@@ -437,7 +367,15 @@ impl Destager {
         let mut bytes =
             Vec::with_capacity(((last_page - first_page + 1) as usize) * self.page_bytes);
         for lpn in first_page..=last_page {
-            let (page, g) = self.read_page_retrying(at, ssd, lpn)?;
+            // Retried like a page write, and tallied on the same counter.
+            // The grant starts at the *final* (successful) attempt, so
+            // retry backoff is visible in the read's simulated latency.
+            let read = |at| ssd.read_page(at, lpn);
+            let retry = Some("ssd-read retry");
+            let (page, g) = self
+                .ssd_write
+                .retry(retry, at, SsdError::is_transient, read)
+                .result?;
             bytes.extend_from_slice(&page);
             at = g.end;
         }

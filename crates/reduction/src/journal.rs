@@ -43,7 +43,7 @@
 //! grants are strictly ordered and a power cut can never produce a
 //! durable record *after* a torn one.
 
-use dr_des::{ExponentialBackoff, Grant, SimDuration, SimTime};
+use dr_des::{ExponentialBackoff, Grant, Retried, SimDuration, SimTime};
 use dr_hashes::{crc32c, ChunkDigest};
 use dr_obs::trace::{trace_args, Tracer, Track};
 use dr_obs::{CounterHandle, ObsHandle};
@@ -569,11 +569,6 @@ impl Journal {
         self.obs = JournalObs::new(obs);
     }
 
-    /// Overrides the retry schedule for journal I/O.
-    pub fn set_backoff(&mut self, backoff: ExponentialBackoff) {
-        self.backoff = backoff;
-    }
-
     /// Pages reserved for the journal.
     pub fn pages(&self) -> u64 {
         self.pages
@@ -600,26 +595,22 @@ impl Journal {
         self.end
     }
 
-    fn write_retrying(
-        &mut self,
+    /// One journal page command under the journal's own schedule — eight
+    /// retries, no budget, counted as `journal.write_retries`, silent on
+    /// the fault track. Longer than the degrade policy's on purpose:
+    /// nothing can stand in for a journal page, so outliving the schedule
+    /// is an error for the caller, not a degradation.
+    fn retrying<T>(
+        &self,
         at: SimTime,
-        ssd: &mut SsdDevice,
-        lpn: u64,
-        page: &[u8],
-    ) -> Result<Grant, SsdError> {
-        let mut now = at;
-        let mut retry = 0u32;
-        loop {
-            match ssd.write_page(now, lpn, page) {
-                Ok(grant) => return Ok(grant),
-                Err(e) if e.is_transient() && self.backoff.permits(retry) => {
-                    now += self.backoff.delay(retry);
-                    retry += 1;
-                    self.obs.retries.incr();
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        op: impl FnMut(SimTime) -> Result<T, SsdError>,
+    ) -> Retried<T, SsdError> {
+        self.backoff.retry(
+            at,
+            SsdError::is_transient,
+            |_, _| self.obs.retries.incr(),
+            op,
+        )
     }
 
     /// Appends one record, charging serial page programs on `ssd`.
@@ -654,14 +645,20 @@ impl Journal {
         self.written = needed;
         while self.tail.len() >= self.page_bytes {
             let page: Vec<u8> = self.tail.drain(..self.page_bytes).collect();
-            at = self.write_retrying(at, ssd, lpn, &page)?.end;
+            at = self
+                .retrying(at, |t| ssd.write_page(t, lpn, &page))
+                .result?
+                .end;
             lpn += 1;
             self.obs.pages_written.incr();
         }
         if !self.tail.is_empty() {
             let mut page = self.tail.clone();
             page.resize(self.page_bytes, 0);
-            at = self.write_retrying(at, ssd, lpn, &page)?.end;
+            at = self
+                .retrying(at, |t| ssd.write_page(t, lpn, &page))
+                .result?
+                .end;
             self.obs.pages_written.incr();
         }
         self.end = at;
@@ -696,25 +693,15 @@ impl Journal {
         let mut image: Vec<u8> = Vec::new();
         for page_idx in 0..self.pages {
             let lpn = self.region_start + page_idx;
-            let mut retry = 0u32;
-            let read = loop {
-                match ssd.read_page(at, lpn) {
-                    Ok((data, grant)) => break Some((data, grant)),
-                    Err(SsdError::Unwritten { .. }) => break None,
-                    Err(e) if e.is_transient() && self.backoff.permits(retry) => {
-                        at += self.backoff.delay(retry);
-                        retry += 1;
-                        self.obs.retries.incr();
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
-            match read {
-                Some((data, grant)) => {
+            let read = self.retrying(at, |t| ssd.read_page(t, lpn));
+            at = read.at;
+            match read.result {
+                Ok((data, grant)) => {
                     at = grant.end;
                     image.extend_from_slice(&data);
                 }
-                None => break,
+                Err(SsdError::Unwritten { .. }) => break,
+                Err(e) => return Err(e),
             }
         }
         let parsed = parse_log(&image);

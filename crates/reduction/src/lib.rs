@@ -63,9 +63,11 @@ pub mod cpu_model;
 pub mod degrade;
 pub mod destage;
 pub mod error;
+mod ingest;
 pub mod journal;
 pub mod pipeline;
 pub mod read;
+mod recovery;
 pub mod report;
 pub mod volume;
 

@@ -47,9 +47,12 @@ cargo test --manifest-path benchmark/Cargo.toml --offline -q
 
 # Degradation gate: seeded fault schedules must not change the logical
 # volume contents in any integration mode (DESIGN.md §10). The bin exits
-# non-zero on a digest mismatch.
-echo "==> fault matrix (faulted vs fault-free digest diff)"
-cargo run --release -q -p dr-bench --bin fault_matrix
+# non-zero on a digest mismatch, and its table — faults injected, retries
+# and latch transitions per mode x scenario, on the simulated clock, so
+# deterministic — must equal the committed golden. A PR that changes the
+# fault accounting on purpose updates the golden and says why.
+echo "==> fault matrix (faulted vs fault-free digest diff, table vs golden)"
+cargo run --release -q -p dr-bench --bin fault_matrix | diff crates/bench/fault_matrix.golden -
 
 # Differential-checker smoke: seeded op sequences against the in-memory
 # oracle across all 4 integration modes, fault-free and faulted
