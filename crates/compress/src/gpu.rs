@@ -38,6 +38,19 @@ use crate::frame;
 /// (hash + probe + compare on a GCN-class core).
 const KERNEL_CYCLES_PER_BYTE: u64 = 16;
 
+/// Chunks per participant below which the kernel's host emulation stays
+/// on the calling thread.
+///
+/// Measured on the 2-core reference host (one worker thread beside the
+/// caller, 4 KiB chunks at about 12.4 µs each; `compress_batch` serial /
+/// fanned out to a spinning worker / to a parked one, µs): 4 chunks 50.2 /
+/// 35.5 / 50.8, 6 chunks 79.0 / 44.8 / 63.9, 8 chunks 98.7 / 51.7 / 76.3,
+/// 16 chunks 198 / 105 / 119. Waking a parked worker costs one
+/// `dr_pool::SPIN_WINDOW`, a little over three chunks' worth, so from
+/// four chunks per participant the fan-out wins whichever state the
+/// worker is in.
+const KERNEL_FANOUT_GRAIN: usize = 4;
+
 /// Parameters of the GPU compression kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GpuCompressorConfig {
@@ -195,7 +208,8 @@ impl GpuCompressor {
     /// chunk `i` into `frames[i]` (cleared first, capacity reused — pass
     /// recycled buffers and the call allocates nothing per chunk).
     ///
-    /// The kernel emulation fans out over `pool`, one work item per chunk;
+    /// The kernel emulation fans out over `pool`, one work item per chunk
+    /// (a batch under two `KERNEL_FANOUT_GRAIN`s runs on the caller);
     /// everything the simulated clock sees (work-item costs, launch and
     /// PCIe grants) is derived afterwards on the calling thread in chunk
     /// order, so pool width never shows in the report. The caller charges
@@ -271,7 +285,7 @@ impl GpuCompressor {
                 raw_token_bytes: 0,
             })
             .collect();
-        pool.for_each_mut(&mut slots, |i, slot| {
+        pool.for_each_mut_grained(&mut slots, KERNEL_FANOUT_GRAIN, |i, slot| {
             frame::seal_with(chunks[i], slot.frame, |chunk, payload| {
                 slot.raw_token_bytes = self.scan_regions(chunk, payload, |thread, cost| {
                     slot.costs[thread] = cost;

@@ -12,11 +12,12 @@
 
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 use dr_obs::trace::{trace_args, Tracer};
 
 use crate::current_track;
+use crate::park::Completion;
 
 /// Packs a half-open index interval into one atomic word.
 fn pack(start: u32, end: u32) -> u64 {
@@ -49,8 +50,8 @@ pub(crate) struct BatchCore {
     steals: AtomicU64,
     /// First panic payload from an item, re-raised on the caller.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
-    done: Mutex<bool>,
-    done_cv: Condvar,
+    /// Set by the last participant out once every range is empty.
+    done: Completion,
 }
 
 impl BatchCore {
@@ -85,8 +86,7 @@ impl BatchCore {
             active: AtomicUsize::new(0),
             steals: AtomicU64::new(0),
             panic: Mutex::new(None),
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
+            done: Completion::new(false),
         })
     }
 
@@ -142,7 +142,12 @@ impl BatchCore {
     /// Runs one item under `catch_unwind`; on panic, records the payload
     /// and empties every range so the batch quiesces early. Returns false
     /// when the batch is poisoned and the participant should stop.
-    fn run_item(&self, f: &(dyn Fn(usize) + Sync), index: usize) -> bool {
+    fn run_item(&self, index: usize) -> bool {
+        // SAFETY: see `RawFn` — the caller holds the claim on `index`, so
+        // the batch has not quiesced and `map_batch`'s frame is alive. (A
+        // participant that arrives late never gets here, and so never
+        // forms a reference to a closure that is gone.)
+        let f = unsafe { &*self.f.0 };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(index)));
         match outcome {
             Ok(()) => true,
@@ -167,13 +172,11 @@ impl BatchCore {
     /// thread's wall track.
     pub(crate) fn participate(&self, slot: usize, tracer: &Tracer) {
         self.active.fetch_add(1, Ordering::AcqRel);
-        // SAFETY: see `RawFn` — we hold an index claim or touch no state.
-        let f = unsafe { &*self.f.0 };
         let slots = self.ranges.len();
         let own = slot % slots;
         'work: loop {
             while let Some(i) = self.claim_one(own) {
-                if !self.run_item(f, i) {
+                if !self.run_item(i) {
                     break 'work;
                 }
             }
@@ -199,7 +202,7 @@ impl BatchCore {
                     trace_args(&[("victim", victim as u64), ("stolen", (hi - lo) as u64)]),
                 );
                 for i in lo..hi {
-                    if !self.run_item(f, i) {
+                    if !self.run_item(i) {
                         break 'work;
                     }
                 }
@@ -208,19 +211,15 @@ impl BatchCore {
         // Last one out flips `done`; ranges can only be empty here because
         // intervals only ever shrink.
         if self.active.fetch_sub(1, Ordering::AcqRel) == 1 && !self.has_work() {
-            let mut d = self.done.lock().expect("batch done lock");
-            *d = true;
-            self.done_cv.notify_all();
+            self.done.set();
         }
     }
 
     /// Blocks the caller until the batch quiesced: every index claimed and
-    /// every participant out of the processing loop.
+    /// every participant out of the processing loop. The usual wait is for
+    /// the tail of one item on another thread, so it spins before parking.
     pub(crate) fn wait_done(&self) {
-        let mut d = self.done.lock().expect("batch done lock");
-        while !*d {
-            d = self.done_cv.wait(d).expect("batch done lock");
-        }
+        self.done.wait();
     }
 
     /// Successful steals during this batch.

@@ -1,11 +1,24 @@
 //! Joinable results for jobs submitted with `WorkerPool::spawn`.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::Result as ThreadResult;
+
+use crate::park::Completion;
 
 struct Slot<T> {
     result: Mutex<Option<ThreadResult<T>>>,
-    cv: Condvar,
+    /// Set after `result` is stored; the joiner waits on it spin-then-park
+    /// and only then touches the mutex.
+    done: Completion,
+}
+
+impl<T> Slot<T> {
+    fn new(result: Option<ThreadResult<T>>) -> Arc<Self> {
+        Arc::new(Slot {
+            done: Completion::new(result.is_some()),
+            result: Mutex::new(result),
+        })
+    }
 }
 
 /// The producing end of a job slot, moved into the pool job.
@@ -16,7 +29,7 @@ pub(crate) struct Completer<T> {
 impl<T> Completer<T> {
     pub(crate) fn complete(self, result: ThreadResult<T>) {
         *self.slot.result.lock().expect("job slot lock") = Some(result);
-        self.slot.cv.notify_all();
+        self.slot.done.set();
     }
 }
 
@@ -32,10 +45,7 @@ pub struct JobHandle<T> {
 impl<T> JobHandle<T> {
     /// A pending handle plus the completer the job resolves it with.
     pub(crate) fn pending() -> (Self, Completer<T>) {
-        let slot = Arc::new(Slot {
-            result: Mutex::new(None),
-            cv: Condvar::new(),
-        });
+        let slot = Slot::new(None);
         (
             JobHandle {
                 slot: Arc::clone(&slot),
@@ -46,11 +56,9 @@ impl<T> JobHandle<T> {
 
     /// A handle that is already resolved (inline pools run jobs eagerly).
     pub(crate) fn ready(result: ThreadResult<T>) -> Self {
-        let slot = Arc::new(Slot {
-            result: Mutex::new(Some(result)),
-            cv: Condvar::new(),
-        });
-        JobHandle { slot }
+        JobHandle {
+            slot: Slot::new(Some(result)),
+        }
     }
 
     /// Blocks until the job finished and returns its result.
@@ -59,21 +67,17 @@ impl<T> JobHandle<T> {
     ///
     /// Re-raises the job's panic, if it panicked.
     pub fn join(self) -> T {
-        let mut guard = self.slot.result.lock().expect("job slot lock");
-        loop {
-            if let Some(result) = guard.take() {
-                match result {
-                    Ok(v) => return v,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            guard = self.slot.cv.wait(guard).expect("job slot lock");
+        self.slot.done.wait();
+        let result = self.slot.result.lock().expect("job slot lock").take();
+        match result.expect("a completed job stored its result") {
+            Ok(v) => v,
+            Err(payload) => std::panic::resume_unwind(payload),
         }
     }
 
     /// True once the job finished (join will not block).
     pub fn is_finished(&self) -> bool {
-        self.slot.result.lock().expect("job slot lock").is_some()
+        self.slot.done.is_set()
     }
 }
 

@@ -16,13 +16,47 @@
 //!   caller after the batch quiesces).
 //! * [`WorkerPool::map_collect`] / [`WorkerPool::for_each_mut`] — the same
 //!   loop, collecting results in input order / mutating disjoint slots.
+//! * [`WorkerPool::for_each_mut_grained`] — `for_each_mut` for callers that
+//!   know what an item costs: it involves
+//!   [`WorkerPool::fan_out_width`]`(n, grain)` participants, and a batch
+//!   below two grains is a plain loop on the caller. The pipeline's stages
+//!   all fan out through it, so a small write never touches another
+//!   thread and costs the same whenever it arrives.
 //! * [`WorkerPool::spawn`] — a fire-and-forget job with a joinable
 //!   [`JobHandle`], used by the pipeline to hash batch *N+1* while batch
-//!   *N* compresses and destages (double buffering).
+//!   *N* compresses and destages (double buffering). A hand-off to
+//!   another thread is worth it only when the submitter has something
+//!   else to do meanwhile; the pipeline spawns a job only then.
 //!
 //! A pool with **zero workers** degrades to inline execution on the caller
 //! thread — no threads, deterministic, and useful for tests and
 //! single-core containers.
+//!
+//! # Wake-up protocol
+//!
+//! The units handed over are small (a 16-chunk hash is 40 µs, an 8-chunk
+//! compression the same), so a wake-up is a large part of what a hand-off
+//! costs. Every wait in the pool is therefore **spin-then-park**:
+//!
+//! * An idle worker spins for one [`SPIN_WINDOW`] (40 µs, one park/unpark
+//!   round trip as measured — see `park.rs`) on a publish epoch, an
+//!   atomic that `map_batch`, `spawn` and shutdown bump. Work published
+//!   inside the window — the next fan-out of the same batch — is
+//!   picked up with no system call on either side. Spinning reads one
+//!   atomic; it never takes the state mutex the publisher needs.
+//! * A worker that outlasts the window parks on the pool condvar and
+//!   counts itself in a **sleeper count** kept under the state mutex,
+//!   after a last scan of the queue under that same mutex.
+//! * A publisher queues its work under the state mutex, reads the sleeper
+//!   count there, and issues `notify_all` (batch) / `notify_one` (job)
+//!   **only when the count is non-zero**. Either the work was queued
+//!   before the worker's last scan (which finds it) or the count already
+//!   includes the worker (which gets the notify): no lost wake-up, and no
+//!   `futex` call at all while the workers are awake.
+//! * The submitter's own waits — `map_batch` for the tail of the batch,
+//!   [`JobHandle::join`] for the job — spin the same window on a
+//!   completion flag before parking, and the finishing thread notifies
+//!   only a parked waiter.
 //!
 //! Instrumentation (all through `dr-obs`, inert unless enabled): a
 //! `pool.queue_depth` gauge, `pool.tasks` / `pool.steals` / `pool.batches`
@@ -38,16 +72,20 @@
 
 mod batch;
 mod job;
+mod park;
 
 pub use job::JobHandle;
+pub use park::SPIN_WINDOW;
 
 use batch::BatchCore;
 use dr_obs::trace::{Tracer, Track};
 use dr_obs::{CounterHandle, GaugeHandle, HistogramHandle, ObsHandle};
+use park::spin_until;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::resume_unwind;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::{JoinHandle as ThreadHandle, ThreadId};
 use std::time::Instant;
 
@@ -93,7 +131,7 @@ pub fn default_workers() -> usize {
 
 /// Interned pool metrics; all handles are no-ops until
 /// [`WorkerPool::set_obs`] installs live ones.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct PoolObs {
     queue_depth: GaugeHandle,
     tasks: CounterHandle,
@@ -104,10 +142,43 @@ struct PoolObs {
     tracer: Tracer,
 }
 
-/// One unit of work a pool thread can pick up.
+/// The pool's current [`PoolObs`], read on every `map_batch` / `spawn` /
+/// worker wake-up without a lock or a clone: an append-only chain whose
+/// last link is current. [`WorkerPool::set_obs`] appends (once per
+/// pipeline in practice), readers walk to the end — one hop.
+#[derive(Default)]
+struct ObsChain {
+    obs: PoolObs,
+    next: OnceLock<Box<ObsChain>>,
+}
+
+impl ObsChain {
+    fn last(&self) -> &ObsChain {
+        let mut link = self;
+        while let Some(next) = link.next.get() {
+            link = next;
+        }
+        link
+    }
+
+    fn append(&self, obs: PoolObs) {
+        let mut new = Box::new(ObsChain {
+            obs,
+            next: OnceLock::new(),
+        });
+        // A concurrent `append` may take the tail first; chain behind it.
+        while let Err(lost) = self.last().next.set(new) {
+            new = lost;
+        }
+    }
+}
+
+/// What a pool thread does next.
 enum Work {
     Job(Box<dyn FnOnce() + Send>),
     Batch(Arc<BatchCore>),
+    /// The pool is shutting down: leave the worker loop.
+    Exit,
 }
 
 /// Shared pool state behind the mutex.
@@ -115,24 +186,67 @@ struct State {
     jobs: VecDeque<Box<dyn FnOnce() + Send>>,
     batches: Vec<Arc<BatchCore>>,
     shutdown: bool,
+    /// Workers parked on `Inner::cv`. A worker counts itself in under
+    /// this mutex, after a scan that found nothing and before `wait`
+    /// releases it; a publisher queues its work under the same mutex and
+    /// reads the count there. So the publisher either queued before the
+    /// scan (the worker finds the work) or reads a count that includes
+    /// the worker (and notifies): no wake-up can be lost, and none is
+    /// issued while every worker is awake.
+    sleepers: usize,
 }
 
 impl State {
     fn queue_depth(&self) -> i64 {
         (self.jobs.len() + self.batches.len()) as i64
     }
+
+    /// The next thing a worker should do, if there is anything.
+    fn take_work(&mut self, obs: &PoolObs) -> Option<Work> {
+        if self.shutdown {
+            return Some(Work::Exit);
+        }
+        if let Some(job) = self.jobs.pop_front() {
+            obs.queue_depth.set(self.queue_depth());
+            return Some(Work::Job(job));
+        }
+        let batch = self.batches.iter().find(|b| b.has_work())?;
+        Some(Work::Batch(Arc::clone(batch)))
+    }
 }
 
 struct Inner {
     state: Mutex<State>,
     cv: Condvar,
+    /// Bumped (under `state`) whenever work is queued or shutdown is
+    /// raised: what an idle worker spins on, so spinning never touches
+    /// the mutex the publisher needs.
+    epoch: AtomicU64,
     workers: usize,
-    obs: Mutex<PoolObs>,
+    obs: ObsChain,
 }
 
 impl Inner {
-    fn obs(&self) -> PoolObs {
-        self.obs.lock().expect("pool obs lock").clone()
+    fn obs(&self) -> &PoolObs {
+        &self.obs.last().obs
+    }
+
+    /// Changes the queue under the state lock, then wakes parked workers —
+    /// all of them or one — only if there are any.
+    fn publish(&self, wake_all: bool, change: impl FnOnce(&mut State)) {
+        let sleepers = {
+            let mut st = self.state.lock().expect("pool state lock");
+            change(&mut st);
+            // Release: a spinner that sees the new epoch sees the change
+            // too once it takes the lock; the lock alone orders the rest.
+            self.epoch.fetch_add(1, Ordering::Release);
+            st.sleepers
+        };
+        match (sleepers, wake_all) {
+            (0, _) => {}
+            (_, true) => self.cv.notify_all(),
+            (_, false) => self.cv.notify_one(),
+        }
     }
 }
 
@@ -145,11 +259,7 @@ struct Owner {
 
 impl Drop for Owner {
     fn drop(&mut self) {
-        {
-            let mut st = self.inner.state.lock().expect("pool state lock");
-            st.shutdown = true;
-        }
-        self.inner.cv.notify_all();
+        self.inner.publish(true, |st| st.shutdown = true);
         // A pool clone captured by one of its own jobs can be the last one
         // dropped — *on a pool thread*. Joining ourselves would deadlock;
         // the threads see `shutdown` and exit on their own, so detaching
@@ -189,10 +299,12 @@ impl WorkerPool {
                 jobs: VecDeque::new(),
                 batches: Vec::new(),
                 shutdown: false,
+                sleepers: 0,
             }),
             cv: Condvar::new(),
+            epoch: AtomicU64::new(0),
             workers,
-            obs: Mutex::new(PoolObs::default()),
+            obs: ObsChain::default(),
         });
         let mut handles = Vec::with_capacity(workers);
         let mut thread_ids = Vec::with_capacity(workers);
@@ -228,7 +340,7 @@ impl WorkerPool {
     /// Installs an observability sink; pass a disabled handle to turn
     /// instrumentation back off.
     pub fn set_obs(&self, obs: &ObsHandle) {
-        *self.inner.obs.lock().expect("pool obs lock") = PoolObs {
+        self.inner.obs.append(PoolObs {
             queue_depth: obs.gauge("pool.queue_depth"),
             tasks: obs.counter("pool.tasks"),
             steals: obs.counter("pool.steals"),
@@ -236,7 +348,23 @@ impl WorkerPool {
             jobs: obs.counter("pool.jobs"),
             batch_wall_ns: obs.histogram("pool.batch_wall_ns"),
             tracer: obs.tracer().clone(),
-        };
+        });
+    }
+
+    /// How many participants a fan-out of `n` items is worth when a
+    /// participant should get at least `grain` of them: the caller plus as
+    /// many pool threads as that leaves work for, `1` (the caller alone)
+    /// when there is not enough for two.
+    ///
+    /// Handing work to another thread costs up to one wake-up round trip
+    /// ([`SPIN_WINDOW`]) when that thread is parked, and whether it is
+    /// parked depends on how long ago the caller last used the pool — so a
+    /// fan-out that only pays off with a spinning worker makes the same
+    /// call fast or slow by timing alone. Callers therefore pick `grain`
+    /// so that one participant's share outweighs a wake-up, and batches
+    /// below two grains never leave the calling thread.
+    pub fn fan_out_width(&self, n: usize, grain: usize) -> usize {
+        (self.inner.workers + 1).min(n / grain.max(1)).max(1)
     }
 
     /// Runs `f(i)` for every `i in 0..n` across the pool, returning once
@@ -252,6 +380,17 @@ impl WorkerPool {
     where
         F: Fn(usize) + Sync,
     {
+        self.map_batch_grained(n, 1, f);
+    }
+
+    /// [`WorkerPool::map_batch`] over [`WorkerPool::fan_out_width`]`(n,
+    /// grain)` participants: a batch too small to give two participants
+    /// `grain` items each is a plain loop on the caller — no queue entry,
+    /// no lock, no wake-up.
+    fn map_batch_grained<F>(&self, n: usize, grain: usize, f: F)
+    where
+        F: Fn(usize) + Sync,
+    {
         if n == 0 {
             return;
         }
@@ -262,7 +401,8 @@ impl WorkerPool {
             .tracer
             .wall_span(current_track(), "batch")
             .arg("items", n as u64);
-        if self.inner.workers == 0 || n == 1 {
+        let participants = self.fan_out_width(n, grain);
+        if participants < 2 {
             let start = Instant::now();
             for i in 0..n {
                 f(i);
@@ -271,19 +411,16 @@ impl WorkerPool {
             return;
         }
 
-        let participants = self.inner.workers + 1;
         // SAFETY: the closure reference is erased to 'static so pool
         // threads can see it, but `map_batch` only returns after the batch
         // quiesced (every claimed index finished, no participant active)
         // and late arrivals can no longer claim an index — so no thread
         // dereferences the pointer after `f` goes out of scope.
         let core = unsafe { BatchCore::new(&f, participants, n) };
-        {
-            let mut st = self.inner.state.lock().expect("pool state lock");
+        self.inner.publish(true, |st| {
             st.batches.push(Arc::clone(&core));
             obs.queue_depth.set(st.queue_depth());
-        }
-        self.inner.cv.notify_all();
+        });
 
         let start = Instant::now();
         core.participate(0, &obs.tracer);
@@ -320,6 +457,18 @@ impl WorkerPool {
         T: Send,
         F: Fn(usize, &mut T) + Sync,
     {
+        self.for_each_mut_grained(items, 1, f);
+    }
+
+    /// [`WorkerPool::for_each_mut`] that leaves the calling thread only
+    /// when [`WorkerPool::fan_out_width`]`(items.len(), grain)` is two or
+    /// more; `grain` is the number of items whose cost outweighs waking a
+    /// parked worker.
+    pub fn for_each_mut_grained<T, F>(&self, items: &mut [T], grain: usize, f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut T) + Sync,
+    {
         struct SlotPtr<T>(*mut T);
         // SAFETY: each index is claimed exactly once, so every slot is
         // mutated by exactly one participant at a time.
@@ -333,7 +482,7 @@ impl WorkerPool {
         }
         let ptr = SlotPtr(items.as_mut_ptr());
         let n = items.len();
-        self.map_batch(n, move |i| {
+        self.map_batch_grained(n, grain, move |i| {
             debug_assert!(i < n);
             // SAFETY: `i < n` and indices are claimed exactly once.
             f(i, unsafe { &mut *ptr.slot(i) });
@@ -359,36 +508,47 @@ impl WorkerPool {
         let job: Box<dyn FnOnce() + Send> = Box::new(move || {
             completer.complete(std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)));
         });
-        {
-            let mut st = self.inner.state.lock().expect("pool state lock");
+        self.inner.publish(false, |st| {
             st.jobs.push_back(job);
             obs.queue_depth.set(st.queue_depth());
-        }
-        self.inner.cv.notify_one();
+        });
         handle
+    }
+}
+
+/// Blocks until there is something for this worker to do. An idle worker
+/// first spins on the publish epoch for one [`SPIN_WINDOW`] — the next
+/// fan-out of the same write call, or the next call of a busy client,
+/// arrives inside it and is picked up with no system call on either side
+/// — and only then parks on the condvar, counted in `State::sleepers` so
+/// that publishers know to notify.
+fn next_work(inner: &Inner) -> Work {
+    let lock = || inner.state.lock().expect("pool state lock");
+    loop {
+        let seen = inner.epoch.load(Ordering::Acquire);
+        if let Some(work) = lock().take_work(inner.obs()) {
+            return work;
+        }
+        if spin_until(|| inner.epoch.load(Ordering::Acquire) != seen) {
+            continue;
+        }
+        let mut st = lock();
+        loop {
+            if let Some(work) = st.take_work(inner.obs()) {
+                return work;
+            }
+            st.sleepers += 1;
+            st = inner.cv.wait(st).expect("pool state lock");
+            st.sleepers -= 1;
+        }
     }
 }
 
 fn worker_main(inner: Arc<Inner>, id: usize) {
     WORKER_ID.with(|c| c.set(Some(id.min(u16::MAX as usize) as u16)));
     loop {
-        let work = {
-            let mut st = inner.state.lock().expect("pool state lock");
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if let Some(job) = st.jobs.pop_front() {
-                    inner.obs().queue_depth.set(st.queue_depth());
-                    break Work::Job(job);
-                }
-                if let Some(b) = st.batches.iter().find(|b| b.has_work()) {
-                    break Work::Batch(Arc::clone(b));
-                }
-                st = inner.cv.wait(st).expect("pool state lock");
-            }
-        };
-        let tracer = inner.obs().tracer;
+        let work = next_work(&inner);
+        let tracer = &inner.obs().tracer;
         match work {
             Work::Job(job) => {
                 let _trace = tracer.wall_span(current_track(), "job");
@@ -397,8 +557,9 @@ fn worker_main(inner: Arc<Inner>, id: usize) {
             // Slot `id + 1`: slot 0 belongs to the publishing caller.
             Work::Batch(core) => {
                 let _trace = tracer.wall_span(current_track(), "batch-help");
-                core.participate(id + 1, &tracer);
+                core.participate(id + 1, tracer);
             }
+            Work::Exit => return,
         }
     }
 }
@@ -428,6 +589,52 @@ mod tests {
         let pool = WorkerPool::new(2);
         pool.map_batch(0, |_| panic!("must not run"));
         assert!(pool.map_collect(0, |i| i).is_empty());
+    }
+
+    #[test]
+    fn fan_out_width_counts_whole_grains_up_to_the_pool_width() {
+        let pool = WorkerPool::new(3);
+        assert_eq!(pool.fan_out_width(0, 8), 1);
+        assert_eq!(pool.fan_out_width(15, 8), 1);
+        assert_eq!(pool.fan_out_width(16, 8), 2);
+        assert_eq!(pool.fan_out_width(31, 8), 3);
+        assert_eq!(pool.fan_out_width(1000, 8), 4);
+        assert_eq!(pool.fan_out_width(2, 1), 2);
+        assert_eq!(pool.fan_out_width(5, 0), 4, "a zero grain means one");
+        assert_eq!(WorkerPool::new(0).fan_out_width(1000, 8), 1);
+    }
+
+    #[test]
+    fn a_batch_below_two_grains_never_leaves_the_caller() {
+        use std::sync::atomic::AtomicBool;
+        let pool = WorkerPool::new(2);
+        let me = std::thread::current().id();
+        let helped = AtomicBool::new(false);
+        // Every item the caller runs holds on until a pool thread has run
+        // one too (or, failing that, for ten seconds).
+        let ran_on = |n: usize, wait_for_help: bool| {
+            let mut ids = vec![None; n];
+            pool.for_each_mut_grained(&mut ids, 8, |_, id| {
+                let here = std::thread::current().id();
+                *id = Some(here);
+                if here != me {
+                    helped.store(true, Ordering::Release);
+                }
+                let start = Instant::now();
+                while wait_for_help
+                    && !helped.load(Ordering::Acquire)
+                    && start.elapsed().as_secs() < 10
+                {
+                    std::thread::yield_now();
+                }
+            });
+            ids
+        };
+        assert!(ran_on(15, false).iter().all(|id| *id == Some(me)));
+        assert!(!helped.load(Ordering::Acquire));
+        // From two grains up the pool is in, and every slot still runs.
+        assert!(ran_on(16, true).iter().all(Option::is_some));
+        assert!(helped.load(Ordering::Acquire), "no pool thread joined");
     }
 
     #[test]

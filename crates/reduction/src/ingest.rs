@@ -19,6 +19,19 @@ use dr_obs::trace::{trace_args, TraceArgs, Tracer, Track};
 use crate::journal::{BatchCommit, ChunkCommit, Record};
 use crate::pipeline::Pipeline;
 
+/// Unique chunks per participant below which CPU compression stays on the
+/// submitter.
+///
+/// Measured on the 2-core reference host (one worker thread beside the
+/// submitter, `FastLz::compress_to` on 4 KiB chunks at about 5.1 µs each;
+/// serial / fanned out to a spinning worker / to a parked one, µs):
+/// 4 chunks 20.4 / 15.0 / 28.8, 8 chunks 40.8 / 29.1 / 39.5, 12 chunks
+/// 61.2 / 41.6 / 52.9, 16 chunks 81.6 / 49.7 / 63.1. Waking a parked
+/// worker costs one `dr_pool::SPIN_WINDOW`, eight chunks' worth, so from
+/// eight chunks per participant the fan-out wins whichever state the
+/// worker is in.
+const CPU_COMPRESS_FANOUT_GRAIN: usize = 8;
+
 /// How deduplication resolved one chunk.
 #[derive(PartialEq)]
 enum DedupOutcome {
@@ -460,9 +473,10 @@ impl Pipeline {
         let codec = self.codec;
         let mut outs: Vec<(usize, Vec<u8>)> =
             unique.iter().map(|&i| (i, self.arena.take())).collect();
-        self.pool.for_each_mut(&mut outs, |_, (i, buf)| {
-            codec.compress_to(payload.view(*i), buf);
-        });
+        self.pool
+            .for_each_mut_grained(&mut outs, CPU_COMPRESS_FANOUT_GRAIN, |_, (i, buf)| {
+                codec.compress_to(payload.view(*i), buf);
+            });
         outs.into_iter()
             .map(|(i, frame_bytes)| {
                 let len = payload.view(i).len();

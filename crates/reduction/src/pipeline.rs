@@ -13,7 +13,7 @@ use dr_gpu_sim::{GpuDevice, GpuSpec};
 use dr_hashes::{hash_chunks_pooled, ChunkDigest};
 use dr_obs::trace::Tracer;
 use dr_obs::{CounterHandle, GaugeHandle, HistogramHandle, ObsHandle, StageObs};
-use dr_pool::{JobHandle, WorkerPool};
+use dr_pool::WorkerPool;
 use dr_ssd_sim::{SsdDevice, SsdSpec};
 use std::sync::Arc;
 use std::time::Instant;
@@ -292,6 +292,33 @@ pub(crate) fn power_on_gpu(config: &PipelineConfig) -> (GpuDevice, Option<GpuBin
         GpuBinIndex::new(&mut gpu, cfg).expect("GPU index must fit in device memory")
     });
     (gpu, gpu_index)
+}
+
+/// A batch with its fingerprints, ready for [`Pipeline::process_batch`].
+type HashedBatch = (BatchPayload, Vec<ChunkDigest>);
+
+/// Fingerprints one batch: a `hash_chunks_pooled` fan-out under the
+/// `hashing` wall span, the same whether the submitter calls it or a pool
+/// job does. Fingerprints only exist on behalf of deduplication — the
+/// paper's compression-only experiment does not hash, so with dedup
+/// disabled the digests are zero sentinels and no SHA-1 is computed at
+/// all.
+fn fingerprint(
+    pool: &WorkerPool,
+    dedup_enabled: bool,
+    hashing: &StageObs,
+    payload: BatchPayload,
+) -> HashedBatch {
+    let digests = if dedup_enabled {
+        let span = hashing.span();
+        let views: Vec<&[u8]> = (0..payload.len()).map(|i| payload.view(i)).collect();
+        let digests = hash_chunks_pooled(pool, &views);
+        span.finish();
+        digests
+    } else {
+        vec![ChunkDigest::zero(); payload.len()]
+    };
+    (payload, digests)
 }
 
 /// The integrated inline data reduction pipeline.
@@ -586,49 +613,37 @@ impl Pipeline {
 
     /// The double-buffered batch loop: while batch N runs its downstream
     /// stages (dedup, compression, destage) on the calling thread, batch
-    /// N+1 is already being fingerprinted on the pool. Simulated-time
-    /// accounting stays serial and in input order inside
-    /// [`Pipeline::process_batch`], so the overlap changes wall-clock
-    /// behavior only — simulated results are bit-identical.
+    /// N+1 is being fingerprinted by a pool job. A job is spawned only to
+    /// overlap with a batch in flight: the first batch of a call — for a
+    /// small write the only one — has nothing to hide behind, so handing
+    /// it to another thread and sleeping until it comes back would buy
+    /// two wake-ups and no overlap; it is fingerprinted right here.
+    /// Simulated-time accounting stays serial and in input order inside
+    /// [`Pipeline::process_batch`], so where a batch was hashed changes
+    /// wall-clock behavior only — simulated results are bit-identical.
     fn drive<I>(&mut self, batches: I) -> Report
     where
         I: Iterator<Item = BatchPayload>,
     {
-        let mut pending: Option<JobHandle<(BatchPayload, Vec<ChunkDigest>)>> = None;
+        let dedup_enabled = self.config.dedup_enabled;
+        let mut in_flight: Option<HashedBatch> = None;
         for payload in batches {
-            let job = self.spawn_hash_job(payload);
-            if let Some(prev) = pending.replace(job) {
-                let (payload, digests) = prev.join();
-                self.process_batch(&payload, digests);
-            }
+            in_flight = Some(match in_flight {
+                None => fingerprint(&self.pool, dedup_enabled, &self.obs.hashing, payload),
+                Some((prev, digests)) => {
+                    let (pool, hashing) = (self.pool.clone(), self.obs.hashing.clone());
+                    let next = self
+                        .pool
+                        .spawn(move || fingerprint(&pool, dedup_enabled, &hashing, payload));
+                    self.process_batch(&prev, digests);
+                    next.join()
+                }
+            });
         }
-        if let Some(prev) = pending.take() {
-            let (payload, digests) = prev.join();
+        if let Some((payload, digests)) = in_flight {
             self.process_batch(&payload, digests);
         }
         self.finish()
-    }
-
-    /// Starts fingerprinting a batch on the pool. Fingerprints only exist
-    /// on behalf of deduplication — the paper's compression-only
-    /// experiment does not hash, so with dedup disabled the digests are
-    /// zero sentinels and no SHA-1 is computed at all.
-    fn spawn_hash_job(&self, payload: BatchPayload) -> JobHandle<(BatchPayload, Vec<ChunkDigest>)> {
-        let pool = self.pool.clone();
-        let dedup_enabled = self.config.dedup_enabled;
-        let hashing = self.obs.hashing.clone();
-        self.pool.spawn(move || {
-            let digests = if dedup_enabled {
-                let span = hashing.span();
-                let views: Vec<&[u8]> = (0..payload.len()).map(|i| payload.view(i)).collect();
-                let digests = hash_chunks_pooled(&pool, &views);
-                span.finish();
-                digests
-            } else {
-                vec![ChunkDigest::zero(); payload.len()]
-            };
-            (payload, digests)
-        })
     }
 
     /// Flushes the destage log and closes out the report.
@@ -1009,23 +1024,61 @@ pub(crate) mod tests {
         // Host pool width is a wall-clock knob only; the simulated array
         // (CpuModel::workers) is what the timeline models. That covers the
         // GPU kernel emulation too: it fans out over the same pool, but
-        // its costs are tallied in chunk order afterwards.
+        // its costs are tallied in chunk order afterwards. It also covers
+        // where a batch is fingerprinted: a 4-batch `run` hashes its first
+        // batch on the submitter and the other three in pool jobs (which
+        // a 1-wide pipeline runs inline and a wider one on a worker), a
+        // one-batch `run` hashes on the submitter only. Slicings are not
+        // compared with one another: every `run` call ends in a flush.
         let data = stream();
+        let chunk = 4096;
+        let one_run = vec![data.len()];
+        let one_batch_slices = vec![32 * chunk; 4];
+        let small_slices: Vec<usize> = [1usize, 8, 3, 5, 2, 7, 4, 6]
+            .iter()
+            .cycle()
+            .scan(0, |fed, &chunks| {
+                let len = (chunks * chunk).min(data.len() - *fed);
+                *fed += len;
+                (len > 0).then_some(len)
+            })
+            .collect();
         for mode in IntegrationMode::ALL {
-            let mut baseline = None;
-            for pool_workers in [1usize, 2, 4] {
-                let mut cfg = small_config(mode);
-                cfg.pool_workers = pool_workers;
-                let mut p = Pipeline::new(cfg);
-                p.run(&data);
-                let outcome = simulated_outcome(&mut p);
-                assert_eq!(outcome.1.concat(), data, "{mode}");
-                match &baseline {
-                    None => baseline = Some(outcome),
-                    Some(b) => assert_eq!(*b, outcome, "{mode} pool_workers={pool_workers}"),
+            for slicing in [&one_run, &one_batch_slices, &small_slices] {
+                let mut baseline = None;
+                for pool_workers in [1usize, 2, 4] {
+                    let mut cfg = small_config(mode);
+                    cfg.pool_workers = pool_workers;
+                    cfg.batch_chunks = 32;
+                    let mut p = Pipeline::new(cfg);
+                    let mut rest = data.as_slice();
+                    for &len in slicing {
+                        let (slice, tail) = rest.split_at(len);
+                        p.run(slice);
+                        rest = tail;
+                    }
+                    assert!(rest.is_empty());
+                    let outcome = simulated_outcome(&mut p);
+                    assert_eq!(outcome.1.concat(), data, "{mode}");
+                    let calls = slicing.len();
+                    match &baseline {
+                        None => baseline = Some(outcome),
+                        Some(b) => assert_eq!(
+                            *b, outcome,
+                            "{mode}, {calls} run calls, pool_workers={pool_workers}"
+                        ),
+                    }
                 }
             }
         }
+    }
+
+    fn counter(obs: &ObsHandle, name: &str) -> u64 {
+        let snap = obs.snapshot().expect("enabled handle snapshots");
+        snap.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |(_, v)| *v)
     }
 
     #[test]
@@ -1033,19 +1086,63 @@ pub(crate) mod tests {
         let obs = ObsHandle::enabled("pool-obs-test");
         let mut cfg = small_config(IntegrationMode::CpuOnly);
         cfg.pool_workers = 3;
+        cfg.batch_chunks = 32; // 4 batches: the later ones hash in pool jobs
         cfg.obs = obs.clone();
         let mut p = Pipeline::new(cfg);
         p.run(&stream());
-        let snap = obs.snapshot().expect("enabled handle snapshots");
-        let counter = |name: &str| {
-            snap.counters
+        assert!(counter(&obs, "pool.jobs") > 0, "no prefetch jobs recorded");
+        assert!(
+            counter(&obs, "pool.batches") > 0,
+            "no pool batches recorded"
+        );
+        assert!(counter(&obs, "pool.tasks") > 0, "no pool tasks recorded");
+    }
+
+    #[test]
+    fn a_run_of_k_batches_spawns_k_minus_one_hash_jobs() {
+        // A job is spawned only to overlap with a batch in flight, so the
+        // first batch of every `run` call is hashed on the submitter.
+        let data = stream(); // 128 chunks
+        for (batch_chunks, batches) in [(128usize, 1u64), (64, 2), (48, 3), (4, 32)] {
+            let obs = ObsHandle::enabled("hash-jobs-test");
+            let mut cfg = small_config(IntegrationMode::CpuOnly);
+            cfg.pool_workers = 3;
+            cfg.batch_chunks = batch_chunks;
+            cfg.obs = obs.clone();
+            let mut p = Pipeline::new(cfg);
+            p.run(&data);
+            assert_eq!(counter(&obs, "pipeline.batches"), batches);
+            assert_eq!(counter(&obs, "pool.jobs"), batches - 1, "{batches} batches");
+            // A second call starts over: its first batch is inline again.
+            p.run(&data);
+            assert_eq!(counter(&obs, "pool.jobs"), 2 * (batches - 1));
+        }
+    }
+
+    #[test]
+    fn a_write_below_every_fan_out_grain_stays_on_the_submitter() {
+        // Seven chunks are under two grains of every stage (32 hashes, 16
+        // CPU compressions, 8 kernel-emulation chunks), so no pool thread
+        // is ever handed anything — whatever the gaps between the calls.
+        use dr_obs::trace::{Tracer, Track};
+        let data = stream();
+        for mode in IntegrationMode::ALL {
+            let tracer = Tracer::enabled();
+            let mut cfg = small_config(mode);
+            cfg.pool_workers = 4;
+            cfg.obs = ObsHandle::enabled("small-write-test").with_tracer(tracer.clone());
+            let mut p = Pipeline::new(cfg);
+            for call in data.chunks(7 * 4096) {
+                p.run(call);
+            }
+            let events = tracer.sink().expect("enabled tracer").drain();
+            assert!(events.iter().any(|e| e.track == Track::Driver));
+            let on_workers: Vec<_> = events
                 .iter()
-                .find(|(n, _)| n == name)
-                .map_or(0, |(_, v)| *v)
-        };
-        assert!(counter("pool.jobs") > 0, "no prefetch jobs recorded");
-        assert!(counter("pool.batches") > 0, "no pool batches recorded");
-        assert!(counter("pool.tasks") > 0, "no pool tasks recorded");
+                .filter(|e| matches!(e.track, Track::Worker(_)))
+                .collect();
+            assert!(on_workers.is_empty(), "{mode}: {on_workers:?}");
+        }
     }
 
     #[test]

@@ -36,6 +36,19 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
+# Miri leg: dr-pool is where the workspace's thread-facing `unsafe` lives
+# (the lifetime-erased batch closure, the disjoint-slot pointer of
+# `for_each_mut`) beside a hand-rolled spin-then-park wake-up protocol;
+# its unit tests run every one of those paths on real threads, and Miri
+# checks them for undefined behaviour and data races. Miri ships with
+# nightly toolchains only; without it the leg is skipped, like clippy.
+if cargo miri --version >/dev/null 2>&1; then
+    echo "==> cargo miri test -p dr-pool --lib"
+    cargo miri test -p dr-pool --lib
+else
+    echo "==> cargo miri unavailable; skipping the dr-pool Miri leg"
+fi
+
 # Benchmark self-tests: the repo benchmark is a package of its own
 # (benchmark/, outside the workspace), so the steps above never compile
 # it. Its tests drive `--smoke` on all four workloads through
