@@ -1,16 +1,23 @@
-//! Shared harness utilities for the experiment binaries (`src/bin/e*.rs`)
-//! that regenerate every table and figure of the paper's evaluation, and
-//! for the Criterion micro-benchmarks (`benches/`).
+//! Shared harness utilities for the experiment binaries (`src/bin/`)
+//! that regenerate every table and figure of the paper's evaluation.
+//! Host-clock measurements live in the repo benchmark (`benchmark/`,
+//! outside the workspace), not here.
 //!
 //! Experiment index (see `DESIGN.md` §4 and `EXPERIMENTS.md`):
 //!
-//! | binary | paper result |
+//! | binary | result |
 //! |---|---|
 //! | `e1_indexing_cpu_vs_gpu` | CPU indexing 4.16–5.45× faster than GPU |
 //! | `e2_dedup_throughput` | GPU-assisted dedup +15%, 3× SSD |
 //! | `e3_compress_throughput` | GPU compression ≈ +88.3%, always > SSD |
 //! | `e4_fig2_integration` | Figure 2: four integration modes |
 //! | `e5_calibration` | dummy-I/O probe picks the best mode |
+//! | `e6_endurance` | background reduction wears the SSD more than none (the case for inline) |
+//! | `e7_chunk_size_sweep` | chunk size vs throughput, dedup fineness and index RAM |
+//! | `e8_read_path` | batched cold reads via GPU decompression, hot re-reads from the chunk cache |
+//! | `e9_cluster` | 1/2/4/8 nodes read back bit-identically; throughput scales out |
+//! | `ablation_report` | the `DESIGN.md` §5 design-choice ablations |
+//! | `fault_matrix` | injected / retried / degraded per mode × fault scenario, diffed against `fault_matrix.golden` |
 
 use std::fmt::Write as _;
 

@@ -102,29 +102,46 @@ fn batched_probes_match_serial_across_widths() {
     });
 }
 
-/// Snapshot/restore preserves every entry under any configuration.
+/// Snapshot/restore preserves every entry of an index built from `keys`.
+fn assert_snapshot_round_trips(keys: &HashSet<u64>, prefix_bytes: usize, capacity: usize) {
+    let mut index = BinIndex::new(BinIndexConfig {
+        prefix_bytes,
+        bin_buffer_capacity: capacity,
+        ..BinIndexConfig::default()
+    });
+    for k in keys {
+        index.insert(digest_of(*k), ChunkRef::new(*k, 7));
+    }
+    let (bytes, len) = (snapshot(&index).expect("snapshot"), index.len());
+    // One index alive at a time: at a 3-byte prefix each is gigabytes.
+    drop(index);
+    let mut restored = restore(&bytes).expect("restore");
+    assert_eq!(restored.len(), len);
+    for k in keys {
+        assert_eq!(restored.lookup(&digest_of(*k)), Some(ChunkRef::new(*k, 7)));
+    }
+}
+
+/// Snapshot/restore preserves every entry under any configuration. The
+/// property stays at 1- and 2-byte prefixes: a 3-byte prefix is 2^24
+/// bins, and building and dropping two such indexes per case used to be
+/// most of the workspace suite's wall time; one fixed case covers it.
 #[test]
 fn snapshot_round_trips() {
     Cases::new("snapshot_round_trips", 0xB14_0003).run(64, |rng| {
         let keys: HashSet<u64> = (0..testkit::usize_in(rng, 0, 199))
             .map(|_| testkit::u64_in(rng, 0, 499))
             .collect();
-        let prefix = testkit::usize_in(rng, 1, 3);
+        let prefix = testkit::usize_in(rng, 1, 2);
         let capacity = testkit::usize_in(rng, 1, 15);
-        let mut index = BinIndex::new(BinIndexConfig {
-            prefix_bytes: prefix,
-            bin_buffer_capacity: capacity,
-            ..BinIndexConfig::default()
-        });
-        for k in &keys {
-            index.insert(digest_of(*k), ChunkRef::new(*k, 7));
-        }
-        let mut restored = restore(&snapshot(&index).expect("snapshot")).expect("restore");
-        assert_eq!(restored.len(), index.len());
-        for k in &keys {
-            assert_eq!(restored.lookup(&digest_of(*k)), Some(ChunkRef::new(*k, 7)));
-        }
+        assert_snapshot_round_trips(&keys, prefix, capacity);
     });
+}
+
+#[test]
+fn snapshot_round_trips_at_a_three_byte_prefix() {
+    let keys: HashSet<u64> = (0..200).map(|k| k * 7).collect();
+    assert_snapshot_round_trips(&keys, 3, 4);
 }
 
 /// Collects the full lookup table of an index for equality comparison.

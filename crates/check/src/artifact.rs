@@ -13,12 +13,13 @@
 //! trace of the failing sequence was written, when tracing was on).
 //! Version 3 adds the `crash` op and the `crash` scenario for power-cut
 //! sequences. Version 4 adds the `cluster` scenario and its membership
-//! ops (`node-join`, `node-leave`, `node-crash`). Older documents parse
-//! unchanged.
+//! ops (`node-join`, `node-leave`, `node-crash`). No artifact ever left
+//! this repository, so only the current version parses; the corpus is
+//! re-encoded whenever the format moves.
 
+use crate::harness::Failure;
 use crate::json::{self, quote, Value};
 use crate::ops::{Op, Scenario};
-use crate::runner::Failure;
 use dr_reduction::IntegrationMode;
 
 /// Artifact schema version.
@@ -87,11 +88,10 @@ impl Artifact {
     pub fn from_json(text: &str) -> Result<Artifact, String> {
         let v = json::parse(text)?;
         let version = field_u64(&v, "version")?;
-        // Older versions lack optional post-mortem fields / newer op kinds
-        // but are otherwise identical — replaying old artifacts must keep
-        // working.
-        if !(1..=VERSION).contains(&version) {
-            return Err(format!("unsupported artifact version {version}"));
+        if version != VERSION {
+            return Err(format!(
+                "unsupported artifact version {version} (this build reads {VERSION})"
+            ));
         }
         let mode: IntegrationMode = field_str(&v, "mode")?.parse()?;
         let scenario = Scenario::parse(field_str(&v, "scenario")?)?;
@@ -402,12 +402,22 @@ mod tests {
     }
 
     #[test]
-    fn version_1_artifacts_still_parse() {
-        let v1 = r#"{"version": 1, "seed": 5, "mode": "cpu-only",
-            "scenario": "fault-free", "failure": {"op_index": 0,
-            "invariant": "x", "detail": ""},
-            "ops": [{"op": "flush"}]}"#;
-        let artifact = Artifact::from_json(v1).expect("v1 parses");
+    fn older_versions_are_rejected() {
+        let document = |version: u64| {
+            format!(
+                r#"{{"version": {version}, "seed": 5, "mode": "cpu-only",
+                "scenario": "fault-free", "failure": {{"op_index": 0,
+                "invariant": "x", "detail": ""}},
+                "ops": [{{"op": "flush"}}]}}"#
+            )
+        };
+        for version in 0..VERSION {
+            let err = Artifact::from_json(&document(version)).unwrap_err();
+            assert!(err.contains("version"), "v{version}: {err}");
+        }
+        // The same document at the current version parses, optional
+        // post-mortem fields absent.
+        let artifact = Artifact::from_json(&document(VERSION)).expect("current version");
         assert_eq!(artifact.seed, 5);
         assert_eq!(artifact.obs_snapshot, None);
         assert_eq!(artifact.trace_path, None);

@@ -1,15 +1,17 @@
-//! The cluster oracle: one logical volume namespace, membership mirror,
-//! and per-node durable version histories.
+//! What a cluster adds to the oracle: a membership mirror and per-node
+//! durable version histories.
 //!
-//! The byte/error model is the single-node [`Oracle`](crate::model)
-//! story again — a map from `(volume, block)` to bytes with the same
-//! validation order — plus the two things a cluster adds:
+//! The byte/size/validation model is the one [`Oracle`] — the cluster
+//! serves the same volume contract as a bare array, whatever the node
+//! count underneath — so [`ClusterModel`] owns an `Oracle` and keeps only
+//! the two things a cluster adds on top of it:
 //!
 //! 1. **Membership**: a sorted member list and a never-reused next-id
 //!    counter, mirrored against [`Cluster::node_ids`](dr_cluster::Cluster)
 //!    after every membership op.
-//! 2. **Crash envelopes**: for every block, the versions that were ever
-//!    written *through each node*, with their acknowledgement instants.
+//! 2. **Crash envelopes**: for every block, its current home and the
+//!    versions that were ever written *through each node*, with their
+//!    acknowledgement instants.
 //!    When node X power-cuts at `cut`, the block's fate is bounded by its
 //!    history on X: the latest version acked at or before `cut` **must**
 //!    survive (so the block may only be `lost` when nothing was acked),
@@ -28,7 +30,7 @@ use std::collections::BTreeMap;
 
 use dr_des::SimTime;
 
-use crate::model::ModelError;
+use crate::model::Oracle;
 
 /// A cluster node id, as the model tracks it (mirrors
 /// [`dr_cluster::NodeId`]).
@@ -43,13 +45,12 @@ pub struct Version {
     pub ack: SimTime,
 }
 
-/// Per-block state: current bytes, current home, and the per-node
-/// version histories that bound crash outcomes.
+/// Per-block placement state: current home and the per-node version
+/// histories that bound crash outcomes. The block's current bytes live in
+/// the [`Oracle`].
 #[derive(Debug, Clone, Default)]
-struct BlockState {
-    /// Current logical bytes (`None` = unwritten, e.g. after a loss).
-    current: Option<Vec<u8>>,
-    /// Node the placement map points at.
+struct Placement {
+    /// Node the placement map points at (`None` after a loss).
     home: Option<NodeId>,
     /// Versions ever written through each node, in write order.
     history: BTreeMap<NodeId, Vec<Version>>,
@@ -74,18 +75,19 @@ pub enum CrashFate {
     MayBeLost,
 }
 
-/// The reference cluster: logical bytes, membership, and crash envelopes.
+/// The reference cluster: the logical bytes ([`Oracle`]) plus membership
+/// and crash envelopes.
 #[derive(Debug)]
 pub struct ClusterModel {
-    chunk_bytes: usize,
+    /// Logical volume contents — sizes, bytes and validation.
+    pub oracle: Oracle,
     max_nodes: usize,
     /// Sorted live member ids.
     members: Vec<NodeId>,
     /// Next id a joiner receives; never reused.
     next_node: NodeId,
-    /// Volume name → size in blocks.
-    sizes: BTreeMap<String, u64>,
-    blocks: BTreeMap<(String, u64), BlockState>,
+    /// Volume → block → placement, for every block ever placed.
+    placed: BTreeMap<String, BTreeMap<u64, Placement>>,
     /// Chunks ingested through the front-end (conservation mirror for
     /// [`ClusterReport::chunks`](dr_cluster::ClusterReport)).
     pub chunks: u64,
@@ -96,12 +98,11 @@ impl ClusterModel {
     /// members (ids `0..nodes`) and a `max_nodes` join cap.
     pub fn new(chunk_bytes: usize, nodes: usize, max_nodes: usize) -> Self {
         ClusterModel {
-            chunk_bytes,
+            oracle: Oracle::new(chunk_bytes),
             max_nodes,
             members: (0..nodes as NodeId).collect(),
             next_node: nodes as NodeId,
-            sizes: BTreeMap::new(),
-            blocks: BTreeMap::new(),
+            placed: BTreeMap::new(),
             chunks: 0,
         }
     }
@@ -141,135 +142,47 @@ impl ClusterModel {
         true
     }
 
-    /// Mirrors `create_volume`.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::AlreadyExists`].
-    pub fn create_volume(&mut self, name: &str, blocks: u64) -> Result<(), ModelError> {
-        if self.sizes.contains_key(name) {
-            return Err(ModelError::AlreadyExists);
-        }
-        self.sizes.insert(name.to_owned(), blocks);
-        Ok(())
+    fn placement(&self, name: &str, block: u64) -> Option<&Placement> {
+        self.placed.get(name)?.get(&block)
     }
 
-    /// Validates a write exactly like the cluster front-end (alignment,
-    /// existence, range) and stores the bytes. Placement is recorded
-    /// separately via [`ClusterModel::record_run`] once the system
-    /// reports where each run landed.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::Misaligned`] / [`ModelError::UnknownVolume`] /
-    /// [`ModelError::OutOfRange`].
-    pub fn write(&mut self, name: &str, start_block: u64, data: &[u8]) -> Result<(), ModelError> {
-        if data.is_empty() || !data.len().is_multiple_of(self.chunk_bytes) {
-            return Err(ModelError::Misaligned);
+    /// Places the block's current oracle bytes on `node` — a front-end
+    /// write or a migration, which re-writes the bytes through the
+    /// destination (fresh journal record, fresh ack): the placement flips
+    /// and the bytes become a version in `node`'s history. The blocks of
+    /// one write run share the run's `ack` exactly, not approximately: one
+    /// journal record covers the run, so its blocks live or die together.
+    pub fn place(&mut self, name: &str, block: u64, node: NodeId, ack: SimTime) {
+        let data = self
+            .oracle
+            .read(name, block)
+            .expect("placing a written block")
+            .to_vec();
+        if !self.placed.contains_key(name) {
+            self.placed.insert(name.to_owned(), BTreeMap::new());
         }
-        let n = (data.len() / self.chunk_bytes) as u64;
-        let size = *self.sizes.get(name).ok_or(ModelError::UnknownVolume)?;
-        if start_block + n > size {
-            return Err(ModelError::OutOfRange);
-        }
-        for (i, chunk) in data.chunks(self.chunk_bytes).enumerate() {
-            let state = self
-                .blocks
-                .entry((name.to_owned(), start_block + i as u64))
-                .or_default();
-            state.current = Some(chunk.to_vec());
-        }
-        self.chunks += n;
-        Ok(())
-    }
-
-    /// Records where one node-contiguous run of a successful write
-    /// landed: each block's current bytes become a version in `node`'s
-    /// history with the run's shared `ack` (one journal record covers
-    /// the whole run, so its blocks live or die together — a shared ack
-    /// is exact, not an approximation).
-    pub fn record_run(
-        &mut self,
-        name: &str,
-        start_block: u64,
-        nblocks: u64,
-        node: NodeId,
-        ack: SimTime,
-    ) {
-        for block in start_block..start_block + nblocks {
-            let state = self
-                .blocks
-                .get_mut(&(name.to_owned(), block))
-                .expect("recording a run for bytes just written");
-            let data = state.current.clone().expect("written block has bytes");
-            state.home = Some(node);
-            state
-                .history
-                .entry(node)
-                .or_default()
-                .push(Version { data, ack });
-        }
-    }
-
-    /// Records one migration: the block's bytes are re-written through
-    /// `to` (fresh journal record, fresh ack) and the placement flips.
-    pub fn record_move(&mut self, name: &str, block: u64, to: NodeId, ack: SimTime) {
-        let state = self
-            .blocks
-            .get_mut(&(name.to_owned(), block))
-            .expect("moving a written block");
-        let data = state.current.clone().expect("moving a written block");
-        state.home = Some(to);
-        state
+        let volume = self.placed.get_mut(name).expect("just ensured");
+        let placement = volume.entry(block).or_default();
+        placement.home = Some(node);
+        placement
             .history
-            .entry(to)
+            .entry(node)
             .or_default()
             .push(Version { data, ack });
     }
 
-    /// Mirrors a read.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::UnknownVolume`] / [`ModelError::OutOfRange`] /
-    /// [`ModelError::Unwritten`].
-    pub fn read(&self, name: &str, block: u64) -> Result<&[u8], ModelError> {
-        let size = *self.sizes.get(name).ok_or(ModelError::UnknownVolume)?;
-        if block >= size {
-            return Err(ModelError::OutOfRange);
-        }
-        self.blocks
-            .get(&(name.to_owned(), block))
-            .and_then(|s| s.current.as_deref())
-            .ok_or(ModelError::Unwritten)
-    }
-
-    /// Size of `name` in blocks, if it exists.
-    pub fn volume_size(&self, name: &str) -> Option<u64> {
-        self.sizes.get(name).copied()
-    }
-
     /// Current home of a written block.
     pub fn home(&self, name: &str, block: u64) -> Option<NodeId> {
-        self.blocks
-            .get(&(name.to_owned(), block))
-            .and_then(|s| s.home)
+        self.placement(name, block).and_then(|p| p.home)
     }
 
-    /// Every currently written `(volume, block)`, in deterministic order.
-    pub fn written_blocks(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.blocks
-            .iter()
-            .filter(|(_, s)| s.current.is_some())
-            .map(|((name, block), _)| (name.as_str(), *block))
-    }
-
-    /// Blocks currently homed on `node`.
+    /// Blocks currently homed on `node`, in (name, block) order.
     pub fn blocks_on(&self, node: NodeId) -> Vec<(String, u64)> {
-        self.blocks
+        self.placed
             .iter()
-            .filter(|(_, s)| s.current.is_some() && s.home == Some(node))
-            .map(|(k, _)| k.clone())
+            .flat_map(|(name, volume)| volume.iter().map(move |(block, p)| (name, *block, p)))
+            .filter(|(_, _, p)| p.home == Some(node))
+            .map(|(name, block, _)| (name.clone(), block))
             .collect()
     }
 
@@ -277,12 +190,7 @@ impl ClusterModel {
     /// power at `cut` — the crash envelope derived from the block's
     /// version history on that node.
     pub fn crash_fate(&self, name: &str, block: u64, node: NodeId, cut: SimTime) -> CrashFate {
-        let versions = self
-            .blocks
-            .get(&(name.to_owned(), block))
-            .and_then(|s| s.history.get(&node))
-            .map(Vec::as_slice)
-            .unwrap_or(&[]);
+        let versions = self.versions_on(name, block, node);
         let latest_acked = versions.iter().rposition(|v| v.ack <= cut);
         match latest_acked {
             None => CrashFate::MayBeLost,
@@ -293,23 +201,26 @@ impl ClusterModel {
 
     /// The versions `(name, block)` ever wrote through `node`.
     pub fn versions_on(&self, name: &str, block: u64, node: NodeId) -> &[Version] {
-        self.blocks
-            .get(&(name.to_owned(), block))
-            .and_then(|s| s.history.get(&node))
+        self.placement(name, block)
+            .and_then(|p| p.history.get(&node))
             .map(Vec::as_slice)
             .unwrap_or(&[])
+    }
+
+    fn placement_mut(&mut self, name: &str, block: u64) -> &mut Placement {
+        self.placed
+            .get_mut(name)
+            .and_then(|volume| volume.get_mut(&block))
+            .expect("reconciling a placed block")
     }
 
     /// Applies a validated loss: the block becomes unwritten and `node`'s
     /// journal no longer holds any record of it (every version was torn).
     pub fn apply_loss(&mut self, name: &str, block: u64, node: NodeId) {
-        let state = self
-            .blocks
-            .get_mut(&(name.to_owned(), block))
-            .expect("losing a tracked block");
-        state.current = None;
-        state.home = None;
-        state.history.remove(&node);
+        self.oracle.forget(name, block);
+        let placement = self.placement_mut(name, block);
+        placement.home = None;
+        placement.history.remove(&node);
     }
 
     /// Applies a validated revert: the block's bytes roll back to
@@ -317,20 +228,23 @@ impl ClusterModel {
     /// recovery rebuilt the journal from the surviving prefix, so later
     /// records are gone for good.
     pub fn apply_revert(&mut self, name: &str, block: u64, node: NodeId, index: usize) {
-        let state = self
-            .blocks
-            .get_mut(&(name.to_owned(), block))
-            .expect("reverting a tracked block");
-        let versions = state.history.get_mut(&node).expect("revert needs history");
+        let placement = self.placement_mut(name, block);
+        let versions = placement
+            .history
+            .get_mut(&node)
+            .expect("revert needs history");
         versions.truncate(index + 1);
-        state.current = Some(versions[index].data.clone());
+        let data = versions[index].data.clone();
+        self.oracle
+            .write(name, block, &data)
+            .expect("a reverted block is in range");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dr_des::SimTime;
+    use crate::model::ModelError;
 
     fn t(n: u64) -> SimTime {
         SimTime::from_nanos(n)
@@ -351,11 +265,11 @@ mod tests {
     #[test]
     fn crash_fates_follow_the_ack_horizon() {
         let mut m = ClusterModel::new(4, 2, 4);
-        m.create_volume("v", 8).unwrap();
-        m.write("v", 0, &[1u8; 4]).unwrap();
-        m.record_run("v", 0, 1, 0, t(100));
-        m.write("v", 0, &[2u8; 4]).unwrap();
-        m.record_run("v", 0, 1, 0, t(200));
+        m.oracle.create_volume("v", 8).unwrap();
+        m.oracle.write("v", 0, &[1u8; 4]).unwrap();
+        m.place("v", 0, 0, t(100));
+        m.oracle.write("v", 0, &[2u8; 4]).unwrap();
+        m.place("v", 0, 0, t(200));
         // Cut after both acks: the latest version is pinned.
         assert_eq!(m.crash_fate("v", 0, 0, t(200)), CrashFate::MustSurvive);
         // Cut between the acks: may revert to version 0, not below.
@@ -374,12 +288,12 @@ mod tests {
         // v1 through node 0, then the block moves to node 1, then back:
         // node 0's history must keep both residencies' versions.
         let mut m = ClusterModel::new(4, 2, 4);
-        m.create_volume("v", 8).unwrap();
-        m.write("v", 3, &[1u8; 4]).unwrap();
-        m.record_run("v", 3, 1, 0, t(10));
-        m.record_move("v", 3, 1, t(20));
+        m.oracle.create_volume("v", 8).unwrap();
+        m.oracle.write("v", 3, &[1u8; 4]).unwrap();
+        m.place("v", 3, 0, t(10));
+        m.place("v", 3, 1, t(20));
         assert_eq!(m.home("v", 3), Some(1));
-        m.record_move("v", 3, 0, t(30));
+        m.place("v", 3, 0, t(30));
         assert_eq!(m.versions_on("v", 3, 0).len(), 2);
         // Cut at t=15: the re-placement record is torn but the original
         // write survives — a revert to index 0 is legal.
@@ -392,17 +306,18 @@ mod tests {
     #[test]
     fn loss_and_revert_update_bytes_and_histories() {
         let mut m = ClusterModel::new(4, 2, 4);
-        m.create_volume("v", 8).unwrap();
-        m.write("v", 0, &[1u8; 4]).unwrap();
-        m.record_run("v", 0, 1, 0, t(10));
-        m.write("v", 0, &[2u8; 4]).unwrap();
-        m.record_run("v", 0, 1, 0, t(20));
+        m.oracle.create_volume("v", 8).unwrap();
+        m.oracle.write("v", 0, &[1u8; 4]).unwrap();
+        m.place("v", 0, 0, t(10));
+        m.oracle.write("v", 0, &[2u8; 4]).unwrap();
+        m.place("v", 0, 0, t(20));
         m.apply_revert("v", 0, 0, 0);
-        assert_eq!(m.read("v", 0).unwrap(), &[1u8; 4]);
+        assert_eq!(m.oracle.read("v", 0).unwrap(), &[1u8; 4]);
         assert_eq!(m.versions_on("v", 0, 0).len(), 1);
         m.apply_loss("v", 0, 0);
-        assert_eq!(m.read("v", 0), Err(ModelError::Unwritten));
+        assert_eq!(m.oracle.read("v", 0), Err(ModelError::Unwritten));
         assert!(m.versions_on("v", 0, 0).is_empty());
-        assert_eq!(m.written_blocks().count(), 0);
+        assert_eq!(m.oracle.written_blocks().count(), 0);
+        assert!(m.blocks_on(0).is_empty());
     }
 }

@@ -3,43 +3,45 @@
 //! The paper's transparency claim (reduction changes ratios and latency,
 //! never logical contents) is exactly the kind of property hand-written
 //! tests under-cover once four integration modes, fault schedules, and
-//! overwrite patterns multiply. `dr-check` drives the real
-//! [`VolumeManager`](dr_reduction::VolumeManager) and a trivially-correct
+//! overwrite patterns multiply. `dr-check` drives a real system under
+//! test — the bare [`VolumeManager`](dr_reduction::VolumeManager) or the
+//! multi-node [`Cluster`](dr_cluster::Cluster) — and a trivially-correct
 //! in-memory [`Oracle`](model::Oracle) through seeded op sequences in
 //! lockstep, checks invariants after every op, shrinks any failing
 //! sequence with delta debugging, and records it as a replayable JSON
-//! artifact.
+//! artifact. One harness (`harness.rs`) does the driving; each system
+//! plugs in through one trait impl (`single.rs`, `cluster.rs`).
 //!
 //! ```text
-//! dr-check run [--seeds N] [--seed-start S] [--ops N]
-//!              [--mode M|all] [--scenario fault-free|faulted|crash|both]
-//!              [--artifact-dir DIR]
+//! dr-check run [--seeds N] [--seed-start S] [--ops N] [--mode M|all]
+//!              [--scenario fault-free|faulted|crash|cluster|both]
+//!              [--artifact-dir DIR] [--trace-dir DIR]
 //! dr-check replay <artifact.json>
 //! ```
 
 pub mod artifact;
 pub mod cluster_model;
-pub mod cluster_runner;
 pub mod json;
 pub mod model;
 pub mod ops;
-pub mod runner;
 pub mod shrink;
 
 mod cli;
+mod cluster;
+mod harness;
+mod single;
 
 pub use artifact::Artifact;
 pub use cli::cli;
 pub use cluster_model::{ClusterModel, CrashFate};
-pub use cluster_runner::{run_cluster_ops, run_cluster_ops_observed};
+pub use harness::Failure;
 pub use model::{ModelError, Oracle};
 pub use ops::{generate, Op, Scenario};
-pub use runner::{run_ops, run_ops_observed, Failure};
 pub use shrink::{shrink, Shrunk};
 
 use dr_obs::Tracer;
 use dr_reduction::IntegrationMode;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Runs `ops` against the system under test `scenario` selects: the
 /// multi-node [`Cluster`](dr_cluster::Cluster) for [`Scenario::Cluster`],
@@ -48,15 +50,42 @@ use std::path::PathBuf;
 ///
 /// # Errors
 ///
-/// The first [`Failure`] the selected runner hit.
+/// The first [`Failure`] the run hit (panics in the system included).
 pub fn run_scenario_ops(
     mode: IntegrationMode,
     scenario: Scenario,
     ops: &[Op],
 ) -> Result<(), Failure> {
+    run_on_sut(mode, scenario, ops, Tracer::disabled(), false).0
+}
+
+/// Like [`run_scenario_ops`], also returning the system's final metric
+/// state as JSON — the post-mortem state a replay artifact embeds: the
+/// array's snapshot, or the cluster-wide obs rollup. `tracer` is attached
+/// to the array's obs handle; cluster runs emit no trace events (they do
+/// not flow through the per-node registries). Runs are deterministic, so
+/// re-running a shrunk sequence through this reproduces the recorded
+/// failure with its metrics (and trace) captured.
+pub fn run_scenario_ops_observed(
+    mode: IntegrationMode,
+    scenario: Scenario,
+    ops: &[Op],
+    tracer: Tracer,
+) -> (Result<(), Failure>, String) {
+    run_on_sut(mode, scenario, ops, tracer, true)
+}
+
+/// The one place a scenario picks its system under test.
+fn run_on_sut(
+    mode: IntegrationMode,
+    scenario: Scenario,
+    ops: &[Op],
+    tracer: Tracer,
+    observed: bool,
+) -> (Result<(), Failure>, String) {
     match scenario {
-        Scenario::Cluster => run_cluster_ops(mode, ops),
-        _ => run_ops(mode, ops),
+        Scenario::Cluster => harness::run(cluster::ClusterSut::new(mode), ops, observed),
+        _ => harness::run(single::ArraySut::new(mode, tracer, ops), ops, observed),
     }
 }
 
@@ -114,7 +143,7 @@ pub struct MatrixOutcome {
 /// Sweeps seeds × modes × scenarios, stopping at the first failure, which
 /// is shrunk and (optionally) written to disk as a replay artifact.
 ///
-/// Pipeline panics are converted to failures by the runner; the default
+/// Pipeline panics are converted to failures by the harness; the default
 /// panic hook still prints them, so long sweeps install a quiet hook for
 /// the duration (restored on exit).
 pub fn run_matrix(opts: &MatrixOptions) -> MatrixOutcome {
@@ -141,30 +170,24 @@ fn run_matrix_inner(opts: &MatrixOptions) -> MatrixOutcome {
             for seed in opts.seed_start..opts.seed_start + opts.seeds {
                 cases_run += 1;
                 let ops = generate(seed, opts.ops, *scenario);
-                if run_scenario_ops(*mode, *scenario, &ops).is_err() {
-                    let shrunk = shrink(*mode, *scenario, &ops, opts.shrink_budget);
+                let run = |ops: &[Op]| run_scenario_ops(*mode, *scenario, ops);
+                if run(&ops).is_err() {
+                    let shrunk = shrink(run, &ops, opts.shrink_budget);
                     // One deterministic re-run of the shrunk sequence
                     // captures its final metric state (and, when a trace
                     // directory is configured, its event trace) for the
-                    // artifact's post-mortem fields. Cluster runs embed the
-                    // cluster-wide obs rollup instead and carry no trace —
-                    // events do not flow through the per-node registries.
-                    let (obs_json, trace_path) = if *scenario == Scenario::Cluster {
-                        let (_, rollup) = run_cluster_ops_observed(*mode, &shrunk.ops);
-                        (rollup, None)
+                    // artifact's post-mortem fields.
+                    let tracer = if opts.trace_dir.is_some() {
+                        Tracer::enabled()
                     } else {
-                        let tracer = if opts.trace_dir.is_some() {
-                            Tracer::enabled()
-                        } else {
-                            Tracer::disabled()
-                        };
-                        let (_, obs_json) = run_ops_observed(*mode, &shrunk.ops, tracer.clone());
-                        let trace_path = opts
-                            .trace_dir
-                            .as_ref()
-                            .and_then(|dir| write_trace(dir, seed, *mode, *scenario, &tracer));
-                        (obs_json, trace_path)
+                        Tracer::disabled()
                     };
+                    let (_, obs_json) =
+                        run_scenario_ops_observed(*mode, *scenario, &shrunk.ops, tracer.clone());
+                    let trace_path = opts
+                        .trace_dir
+                        .as_ref()
+                        .and_then(|dir| write_trace(dir, seed, *mode, *scenario, &tracer));
                     let artifact = Artifact {
                         seed,
                         mode: *mode,
@@ -195,40 +218,41 @@ fn run_matrix_inner(opts: &MatrixOptions) -> MatrixOutcome {
 }
 
 fn write_trace(
-    dir: &std::path::Path,
+    dir: &Path,
     seed: u64,
     mode: IntegrationMode,
     scenario: Scenario,
     tracer: &Tracer,
 ) -> Option<PathBuf> {
     let sink = tracer.sink()?;
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("dr-check: cannot create {}: {e}", dir.display());
+    let events = sink.drain();
+    // A run that emitted nothing (every cluster run) carries no trace.
+    if events.is_empty() {
         return None;
     }
-    let path = dir.join(format!("seed-{seed}-{mode}-{}-trace.json", scenario.name()));
-    let events = sink.drain();
-    match std::fs::write(&path, dr_obs::chrome_trace_json(&events, sink.dropped())) {
-        Ok(()) => Some(path),
-        Err(e) => {
-            eprintln!("dr-check: cannot write {}: {e}", path.display());
-            None
-        }
-    }
+    let name = format!("seed-{seed}-{mode}-{}-trace.json", scenario.name());
+    write_file(
+        dir,
+        &name,
+        &dr_obs::chrome_trace_json(&events, sink.dropped()),
+    )
 }
 
-fn write_artifact(dir: &std::path::Path, artifact: &Artifact) -> Option<PathBuf> {
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("dr-check: cannot create {}: {e}", dir.display());
-        return None;
-    }
-    let path = dir.join(format!(
+fn write_artifact(dir: &Path, artifact: &Artifact) -> Option<PathBuf> {
+    let name = format!(
         "seed-{}-{}-{}.json",
         artifact.seed,
         artifact.mode,
         artifact.scenario.name()
-    ));
-    match std::fs::write(&path, artifact.to_json()) {
+    );
+    write_file(dir, &name, &artifact.to_json())
+}
+
+/// Writes `dir/name` (creating `dir`); a failure is reported on stderr
+/// and costs the run only the file.
+fn write_file(dir: &Path, name: &str, contents: &str) -> Option<PathBuf> {
+    let path = dir.join(name);
+    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, contents)) {
         Ok(()) => Some(path),
         Err(e) => {
             eprintln!("dr-check: cannot write {}: {e}", path.display());
@@ -253,7 +277,7 @@ pub enum ReplayOutcome {
     Passed,
 }
 
-/// Re-executes `artifact` deterministically against the runner its
+/// Re-executes `artifact` deterministically against the system its
 /// scenario selects.
 pub fn replay(artifact: &Artifact) -> ReplayOutcome {
     match run_scenario_ops(artifact.mode, artifact.scenario, &artifact.ops) {

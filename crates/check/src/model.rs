@@ -1,12 +1,13 @@
 //! The oracle: a volume array with no reduction at all.
 //!
-//! A plain `BTreeMap<(volume, block), Vec<u8>>` is obviously correct —
-//! every write stores the bytes, every read returns them. The differential
-//! runner executes the same operation sequence against this model and the
-//! real [`VolumeManager`](dr_reduction::VolumeManager); any divergence in
-//! results *or in error kinds* is a bug in the reduction stack (or, in
-//! principle, in the model — but the model is small enough to audit by
-//! eye, which is the point).
+//! A plain map from volume to (block → bytes) is obviously correct —
+//! every write stores the bytes, every read returns them. The harness
+//! executes the same operation sequence against this model and the system
+//! under test — the bare [`VolumeManager`](dr_reduction::VolumeManager)
+//! or the multi-node [`Cluster`](dr_cluster::Cluster), which share one
+//! volume contract; any divergence in results *or in error kinds* is a bug
+//! in the reduction stack (or, in principle, in the model — but the model
+//! is small enough to audit by eye, which is the point).
 
 use std::collections::BTreeMap;
 
@@ -43,14 +44,19 @@ impl std::fmt::Display for ModelError {
 }
 
 /// The reference volume array. No dedup, no compression, no devices —
-/// just bytes in a map.
+/// just bytes in a map per volume.
 #[derive(Debug, Default)]
 pub struct Oracle {
     chunk_bytes: usize,
-    /// Volume name → size in blocks.
-    sizes: BTreeMap<String, u64>,
-    /// (volume, block) → stored chunk. Absent = never written.
-    blocks: BTreeMap<(String, u64), Vec<u8>>,
+    volumes: BTreeMap<String, Volume>,
+}
+
+#[derive(Debug, Default)]
+struct Volume {
+    /// Size in blocks.
+    size: u64,
+    /// Block → stored chunk. Absent = never written (or lost).
+    blocks: BTreeMap<u64, Vec<u8>>,
 }
 
 impl Oracle {
@@ -62,22 +68,26 @@ impl Oracle {
         }
     }
 
-    /// Mirrors [`VolumeManager::create_volume`](dr_reduction::VolumeManager::create_volume).
+    /// Mirrors `create_volume` on either system under test.
     ///
     /// # Errors
     ///
     /// [`ModelError::AlreadyExists`].
     pub fn create_volume(&mut self, name: &str, blocks: u64) -> Result<(), ModelError> {
-        if self.sizes.contains_key(name) {
+        if self.volumes.contains_key(name) {
             return Err(ModelError::AlreadyExists);
         }
-        self.sizes.insert(name.to_owned(), blocks);
+        let volume = Volume {
+            size: blocks,
+            ..Volume::default()
+        };
+        self.volumes.insert(name.to_owned(), volume);
         Ok(())
     }
 
-    /// Mirrors [`VolumeManager::write`](dr_reduction::VolumeManager::write):
-    /// same validation order (alignment, existence, range), so error kinds
-    /// line up exactly.
+    /// Mirrors [`VolumeManager::write`](dr_reduction::VolumeManager::write)
+    /// and the cluster front-end's: same validation order (alignment,
+    /// existence, range), so error kinds line up exactly.
     ///
     /// # Errors
     ///
@@ -88,13 +98,15 @@ impl Oracle {
             return Err(ModelError::Misaligned);
         }
         let n = (data.len() / self.chunk_bytes) as u64;
-        let size = *self.sizes.get(name).ok_or(ModelError::UnknownVolume)?;
-        if start_block + n > size {
+        let volume = self
+            .volumes
+            .get_mut(name)
+            .ok_or(ModelError::UnknownVolume)?;
+        if start_block + n > volume.size {
             return Err(ModelError::OutOfRange);
         }
         for (i, chunk) in data.chunks(self.chunk_bytes).enumerate() {
-            self.blocks
-                .insert((name.to_owned(), start_block + i as u64), chunk.to_vec());
+            volume.blocks.insert(start_block + i as u64, chunk.to_vec());
         }
         Ok(())
     }
@@ -106,31 +118,35 @@ impl Oracle {
     /// [`ModelError::UnknownVolume`] / [`ModelError::OutOfRange`] /
     /// [`ModelError::Unwritten`].
     pub fn read(&self, name: &str, block: u64) -> Result<&[u8], ModelError> {
-        let size = *self.sizes.get(name).ok_or(ModelError::UnknownVolume)?;
-        if block >= size {
+        let volume = self.volumes.get(name).ok_or(ModelError::UnknownVolume)?;
+        if block >= volume.size {
             return Err(ModelError::OutOfRange);
         }
-        self.blocks
-            .get(&(name.to_owned(), block))
+        volume
+            .blocks
+            .get(&block)
             .map(Vec::as_slice)
             .ok_or(ModelError::Unwritten)
     }
 
+    /// Makes a block unwritten again — a cluster node crash may lose a
+    /// block nothing was acknowledged for.
+    pub fn forget(&mut self, name: &str, block: u64) {
+        if let Some(volume) = self.volumes.get_mut(name) {
+            volume.blocks.remove(&block);
+        }
+    }
+
     /// Size of `name` in blocks, if it exists.
     pub fn volume_size(&self, name: &str) -> Option<u64> {
-        self.sizes.get(name).copied()
+        self.volumes.get(name).map(|v| v.size)
     }
 
-    /// Every written (volume, block) pair, in deterministic order.
-    pub fn written_blocks(&self) -> impl Iterator<Item = (&str, u64, &[u8])> {
-        self.blocks
+    /// Every written (volume, block) pair, in (name, block) order.
+    pub fn written_blocks(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.volumes
             .iter()
-            .map(|((name, block), data)| (name.as_str(), *block, data.as_slice()))
-    }
-
-    /// Total bytes the model holds (the "no reduction" baseline).
-    pub fn raw_bytes(&self) -> u64 {
-        self.blocks.values().map(|b| b.len() as u64).sum()
+            .flat_map(|(name, v)| v.blocks.keys().map(move |&block| (name.as_str(), block)))
     }
 }
 
@@ -151,7 +167,7 @@ mod tests {
         assert_eq!(m.read("v", 2), Err(ModelError::OutOfRange));
         assert_eq!(m.write("v", 1, &[9; 4]), Ok(()));
         assert_eq!(m.read("v", 1), Ok(&[9u8; 4][..]));
-        assert_eq!(m.raw_bytes(), 8);
+        assert_eq!(m.volume_size("v"), Some(2));
     }
 
     #[test]
@@ -160,6 +176,8 @@ mod tests {
         m.create_volume("v", 4).unwrap();
         m.write("v", 2, &[1; 4]).unwrap();
         assert_eq!(m.read("v", 0), Err(ModelError::Unwritten));
-        assert_eq!(m.written_blocks().count(), 1);
+        assert_eq!(m.written_blocks().collect::<Vec<_>>(), [("v", 2)]);
+        m.forget("v", 2);
+        assert_eq!(m.read("v", 2), Err(ModelError::Unwritten));
     }
 }

@@ -14,10 +14,8 @@
 //! Every candidate execution counts against a budget so shrinking a
 //! pathological case stays bounded.
 
-use dr_reduction::IntegrationMode;
-
-use crate::ops::{Op, Scenario};
-use crate::runner::Failure;
+use crate::harness::Failure;
+use crate::ops::Op;
 
 /// Upper bound on candidate executions across both passes.
 pub const DEFAULT_BUDGET: usize = 400;
@@ -33,46 +31,50 @@ pub struct Shrunk {
     pub executions: usize,
 }
 
-struct Budget {
+/// The run function under a budget of candidate executions.
+struct Budget<'a> {
     left: usize,
-    scenario: Scenario,
+    run: &'a mut dyn FnMut(&[Op]) -> Result<(), Failure>,
 }
 
-impl Budget {
-    fn try_run(&mut self, mode: IntegrationMode, ops: &[Op]) -> Option<Failure> {
+impl Budget<'_> {
+    fn try_run(&mut self, ops: &[Op]) -> Option<Failure> {
         if self.left == 0 {
             return None;
         }
         self.left -= 1;
-        crate::run_scenario_ops(mode, self.scenario, ops).err()
+        (self.run)(ops).err()
     }
 }
 
-/// Minimizes `ops` (which must fail under `mode` × `scenario` — cluster
-/// sequences shrink against the cluster oracle, everything else against
-/// the single-node runner) and returns the reduced sequence together with
-/// its failure.
+/// Minimizes `ops`, which must fail under `run` — any deterministic
+/// function from a sequence to its verdict, usually
+/// [`run_scenario_ops`](crate::run_scenario_ops) with the mode and
+/// scenario fixed — and returns the reduced sequence together with its
+/// failure.
 ///
 /// # Panics
 ///
 /// Panics if `ops` does not fail — shrinking a passing sequence is a
 /// harness bug, not a checkable state.
-pub fn shrink(mode: IntegrationMode, scenario: Scenario, ops: &[Op], budget: usize) -> Shrunk {
-    let initial = crate::run_scenario_ops(mode, scenario, ops)
-        .expect_err("shrink requires a failing sequence");
+pub fn shrink(
+    mut run: impl FnMut(&[Op]) -> Result<(), Failure>,
+    ops: &[Op],
+    budget: usize,
+) -> Shrunk {
+    let mut failure = run(ops).expect_err("shrink requires a failing sequence");
     let total = budget;
     let mut budget = Budget {
         left: budget,
-        scenario,
+        run: &mut run,
     };
     let mut current = ops.to_vec();
-    let mut failure = initial;
 
-    ddmin(mode, &mut current, &mut failure, &mut budget);
-    simplify_payloads(mode, &mut current, &mut failure, &mut budget);
+    ddmin(&mut current, &mut failure, &mut budget);
+    simplify_payloads(&mut current, &mut failure, &mut budget);
     // Payload simplification can unlock further op removal (a simplified
     // op may now be redundant); one more cheap pass.
-    ddmin(mode, &mut current, &mut failure, &mut budget);
+    ddmin(&mut current, &mut failure, &mut budget);
 
     Shrunk {
         ops: current,
@@ -82,7 +84,7 @@ pub fn shrink(mode: IntegrationMode, scenario: Scenario, ops: &[Op], budget: usi
 }
 
 /// Classic ddmin: try removing each of `n` chunks, refine granularity.
-fn ddmin(mode: IntegrationMode, current: &mut Vec<Op>, failure: &mut Failure, budget: &mut Budget) {
+fn ddmin(current: &mut Vec<Op>, failure: &mut Failure, budget: &mut Budget<'_>) {
     let mut n = 2usize;
     while current.len() >= 2 {
         let len = current.len();
@@ -100,7 +102,7 @@ fn ddmin(mode: IntegrationMode, current: &mut Vec<Op>, failure: &mut Failure, bu
                 start = end;
                 continue;
             }
-            if let Some(f) = budget.try_run(mode, &candidate) {
+            if let Some(f) = budget.try_run(&candidate) {
                 *current = candidate;
                 *failure = f;
                 removed = true;
@@ -285,12 +287,7 @@ fn simpler(op: &Op) -> Vec<Op> {
     out
 }
 
-fn simplify_payloads(
-    mode: IntegrationMode,
-    current: &mut Vec<Op>,
-    failure: &mut Failure,
-    budget: &mut Budget,
-) {
+fn simplify_payloads(current: &mut Vec<Op>, failure: &mut Failure, budget: &mut Budget<'_>) {
     let mut changed = true;
     while changed && budget.left > 0 {
         changed = false;
@@ -298,7 +295,7 @@ fn simplify_payloads(
             for candidate_op in simpler(&current[i]) {
                 let mut candidate = current.clone();
                 candidate[i] = candidate_op;
-                if let Some(f) = budget.try_run(mode, &candidate) {
+                if let Some(f) = budget.try_run(&candidate) {
                     *current = candidate;
                     *failure = f;
                     changed = true;
@@ -314,57 +311,100 @@ fn simplify_payloads(
 
 #[cfg(test)]
 mod tests {
-    // A self-contained "bug": reading v0/0 after any write to it. We fake
-    // it by shrinking against an invariant the real pipeline does violate:
-    // none — so instead exercise ddmin mechanics through a sequence whose
-    // failure we synthesize via an out-of-model op mix. The real
-    // end-to-end shrink demo lives in tests/mutation_demo.rs; here we only
-    // pin the ddmin plumbing with a cheap artificial predicate.
-    fn ddmin_with_predicate(ops: Vec<u32>, keep: impl Fn(&[u32]) -> bool) -> Vec<u32> {
-        // Mirror of the ddmin loop over plain integers.
-        let mut current = ops;
-        let mut n = 2usize;
-        while current.len() >= 2 {
-            let len = current.len();
-            let chunk = len.div_ceil(n);
-            let mut removed = false;
-            let mut start = 0;
-            while start < current.len() {
-                let end = (start + chunk).min(current.len());
-                let candidate: Vec<u32> = current[..start]
-                    .iter()
-                    .chain(&current[end..])
-                    .copied()
-                    .collect();
-                if !candidate.is_empty() && keep(&candidate) {
-                    current = candidate;
-                    removed = true;
-                } else {
-                    start = end;
-                }
-            }
-            if removed {
-                n = n.saturating_sub(1).max(2);
-            } else if n >= len {
-                break;
-            } else {
-                n = (n * 2).min(current.len().max(2));
-            }
+    //! The real `ddmin` / `simplify_payloads`, driven by predicate runners:
+    //! a sequence "fails" when the predicate holds. Sequences are built
+    //! from reads whose block number names the op.
+
+    use super::*;
+
+    fn reads(blocks: std::ops::Range<u64>) -> Vec<Op> {
+        blocks.map(|block| Op::Read { vol: 0, block }).collect()
+    }
+
+    fn has_read(ops: &[Op], block: u64) -> bool {
+        ops.contains(&Op::Read { vol: 0, block })
+    }
+
+    /// A run function failing exactly when `culprit(ops)` holds.
+    fn failing_when(culprit: impl Fn(&[Op]) -> bool) -> impl FnMut(&[Op]) -> Result<(), Failure> {
+        move |ops| match culprit(ops) {
+            true => Err(Failure {
+                op_index: ops.len(),
+                invariant: "planted".to_owned(),
+                detail: String::new(),
+            }),
+            false => Ok(()),
         }
-        current
     }
 
     #[test]
     fn ddmin_isolates_a_single_culprit() {
-        let ops: Vec<u32> = (0..64).collect();
-        let out = ddmin_with_predicate(ops, |s| s.contains(&37));
-        assert_eq!(out, vec![37]);
+        let out = shrink(failing_when(|s| has_read(s, 37)), &reads(1..65), 400);
+        assert_eq!(out.ops, reads(37..38));
+        assert_eq!(out.failure.op_index, 1, "the failure is the shrunk run's");
     }
 
     #[test]
     fn ddmin_isolates_an_interacting_pair() {
-        let ops: Vec<u32> = (0..64).collect();
-        let out = ddmin_with_predicate(ops, |s| s.contains(&3) && s.contains(&59));
-        assert_eq!(out, vec![3, 59]);
+        let run = failing_when(|s| has_read(s, 3) && has_read(s, 59));
+        let out = shrink(run, &reads(1..65), 400);
+        assert_eq!(out.ops, [reads(3..4), reads(59..60)].concat());
+    }
+
+    #[test]
+    fn budget_exhaustion_stops_cleanly_with_a_failing_sequence() {
+        let mut calls = 0usize;
+        let mut inner = failing_when(|s| has_read(s, 3) && has_read(s, 59));
+        let run = |ops: &[Op]| {
+            calls += 1;
+            inner(ops)
+        };
+        let out = shrink(run, &reads(1..65), 5);
+        assert_eq!(out.executions, 5);
+        assert_eq!(calls, 6, "the initial run plus exactly the budget");
+        assert!(
+            out.ops.len() < 64,
+            "five candidates still removed something"
+        );
+        assert!(has_read(&out.ops, 3) && has_read(&out.ops, 59));
+        assert_eq!(out.failure.op_index, out.ops.len());
+    }
+
+    #[test]
+    fn payload_simplification_unlocks_a_further_removal() {
+        // Fails on a write at block 0, or on any write next to a create:
+        // the create is load-bearing only until the write moves to 0.
+        let culprit = |ops: &[Op]| {
+            ops.iter().any(|op| match op {
+                Op::Write { block, .. } => {
+                    *block == 0 || ops.iter().any(|o| matches!(o, Op::CreateVolume { .. }))
+                }
+                _ => false,
+            })
+        };
+        let ops = vec![
+            Op::CreateVolume { vol: 0, blocks: 8 },
+            Op::Read { vol: 0, block: 1 },
+            Op::Write {
+                vol: 0,
+                block: 2,
+                nblocks: 4,
+                seed: 9,
+                ratio_milli: 2000,
+            },
+        ];
+        let out = shrink(failing_when(culprit), &ops, 400);
+        // The first ddmin keeps create + write; moving the write to block
+        // 0 makes the create redundant, which the second ddmin removes.
+        assert_eq!(
+            out.ops,
+            vec![Op::Write {
+                vol: 0,
+                block: 0,
+                nblocks: 1,
+                seed: 0,
+                ratio_milli: 2000,
+            }]
+        );
     }
 }

@@ -57,7 +57,7 @@ fn every_corpus_bug_stays_fixed() {
 /// the JSON file.
 #[test]
 fn destage_retry_does_not_double_stage() {
-    use dr_check::{run_ops, Op};
+    use dr_check::{run_scenario_ops, Op, Scenario};
     use dr_reduction::IntegrationMode;
 
     let ops = vec![
@@ -84,5 +84,6 @@ fn destage_retry_does_not_double_stage() {
             ratio_milli: 1500,
         },
     ];
-    run_ops(IntegrationMode::CpuOnly, &ops).expect("staged frames must be counted exactly once");
+    run_scenario_ops(IntegrationMode::CpuOnly, Scenario::Faulted, &ops)
+        .expect("staged frames must be counted exactly once");
 }

@@ -42,7 +42,7 @@ use std::collections::BTreeMap;
 use dr_binindex::BinRouter;
 use dr_des::{SimTime, SplitMix64};
 use dr_hashes::{crc32c, sha1_digest, ChunkDigest};
-use dr_obs::{merge_snapshots, ObsHandle, Snapshot};
+use dr_obs::{merge_snapshots, CounterHandle, ObsHandle, Snapshot};
 use dr_reduction::{PipelineConfig, RecoveryOutcome, Report, VolumeError};
 use dr_ssd_sim::CrashSpec;
 
@@ -163,6 +163,15 @@ pub struct MapEntry {
     pub digest: ChunkDigest,
 }
 
+/// One volume's cluster-level metadata (durable; it does not crash).
+#[derive(Debug)]
+struct VolumeMap {
+    /// Size in blocks.
+    size: u64,
+    /// Block → placement, for every written block.
+    placed: BTreeMap<u64, MapEntry>,
+}
+
 /// One contiguous slice of a write as placed on a single node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlacedRun {
@@ -269,10 +278,10 @@ pub struct Cluster {
     ring: Ring,
     nodes: BTreeMap<NodeId, Node>,
     next_node: NodeId,
-    /// Volume name → size in blocks (cluster-level metadata; durable).
-    volumes: BTreeMap<String, u64>,
-    /// `(volume, block)` → placement (cluster-level metadata; durable).
-    map: BTreeMap<(String, u64), MapEntry>,
+    /// Volume name → size and placement map. Iterating it visits
+    /// placement entries in (name, block) order, which rebalance and
+    /// reconciliation rely on.
+    volumes: BTreeMap<String, VolumeMap>,
     shards: ShardSet,
     chunks: u64,
     unique_chunks: u64,
@@ -280,6 +289,8 @@ pub struct Cluster {
     /// Cluster-front-end registry (named `router` so the rollup's
     /// `cluster.*` aggregate namespace stays collision-free).
     obs: ObsHandle,
+    ingest_unique: CounterHandle,
+    ingest_dedup_hits: CounterHandle,
     /// Test hook: corrupt the next handoff in transit, forcing the
     /// destination's CRC validation to reject and re-request it.
     pub corrupt_next_handoff: bool,
@@ -313,11 +324,12 @@ impl Cluster {
             next_node: nodes.len() as NodeId,
             nodes,
             volumes: BTreeMap::new(),
-            map: BTreeMap::new(),
             shards: ShardSet::default(),
             chunks: 0,
             unique_chunks: 0,
             dedup_hits: 0,
+            ingest_unique: obs.counter("ingest.unique"),
+            ingest_dedup_hits: obs.counter("ingest.dedup_hits"),
             obs,
             corrupt_next_handoff: false,
             config,
@@ -352,7 +364,22 @@ impl Cluster {
 
     /// Where a block currently lives (`None` when unwritten).
     pub fn locate(&self, name: &str, block: u64) -> Option<&MapEntry> {
-        self.map.get(&(name.to_owned(), block))
+        self.volumes.get(name)?.placed.get(&block)
+    }
+
+    /// Every placement entry, in (name, block) order.
+    fn entries(&self) -> impl Iterator<Item = (&str, u64, &MapEntry)> {
+        self.volumes.iter().flat_map(|(name, volume)| {
+            let placed = volume.placed.iter();
+            placed.map(move |(block, entry)| (name.as_str(), *block, entry))
+        })
+    }
+
+    fn entry_mut(&mut self, name: &str, block: u64) -> &mut MapEntry {
+        self.volumes
+            .get_mut(name)
+            .and_then(|volume| volume.placed.get_mut(&block))
+            .expect("a mapped block")
     }
 
     /// Creates a volume on every node (and on every future joiner), so
@@ -368,7 +395,11 @@ impl Cluster {
         for node in self.nodes.values_mut() {
             node.vm.create_volume(name, blocks)?;
         }
-        self.volumes.insert(name.to_owned(), blocks);
+        let volume = VolumeMap {
+            size: blocks,
+            placed: BTreeMap::new(),
+        };
+        self.volumes.insert(name.to_owned(), volume);
         Ok(())
     }
 
@@ -397,10 +428,11 @@ impl Cluster {
             .into());
         }
         let n = (data.len() / chunk_bytes) as u64;
-        let size = *self
+        let size = self
             .volumes
             .get(name)
-            .ok_or_else(|| VolumeError::UnknownVolume(name.to_owned()))?;
+            .ok_or_else(|| VolumeError::UnknownVolume(name.to_owned()))?
+            .size;
         if start_block + n > size {
             return Err(VolumeError::OutOfRange {
                 block: start_block + n - 1,
@@ -462,14 +494,13 @@ impl Cluster {
         self.chunks += 1;
         if self.shards.shard_mut(bin, &self.ring).acquire(digest) {
             self.unique_chunks += 1;
-            self.obs.counter("ingest.unique").incr();
+            self.ingest_unique.incr();
         } else {
             self.dedup_hits += 1;
-            self.obs.counter("ingest.dedup_hits").incr();
+            self.ingest_dedup_hits.incr();
         }
-        let prev = self
-            .map
-            .insert((name.to_owned(), block), MapEntry { node, bin, digest });
+        let volume = self.volumes.get_mut(name).expect("write validated it");
+        let prev = volume.placed.insert(block, MapEntry { node, bin, digest });
         if let Some(prev) = prev {
             self.shards
                 .shard_mut(prev.bin, &self.ring)
@@ -480,14 +511,17 @@ impl Cluster {
     /// Validates a read target against cluster metadata, mirroring the
     /// single-node error order, and resolves its placement.
     fn resolve(&self, name: &str, block: u64) -> Result<NodeId, VolumeError> {
-        let size = *self
+        let volume = self
             .volumes
             .get(name)
             .ok_or_else(|| VolumeError::UnknownVolume(name.to_owned()))?;
-        if block >= size {
-            return Err(VolumeError::OutOfRange { block, size });
+        if block >= volume.size {
+            return Err(VolumeError::OutOfRange {
+                block,
+                size: volume.size,
+            });
         }
-        match self.map.get(&(name.to_owned(), block)) {
+        match volume.placed.get(&block) {
             Some(entry) => Ok(entry.node),
             None => Err(VolumeError::Unwritten { block }),
         }
@@ -571,9 +605,9 @@ impl Cluster {
         let id = self.next_node;
         self.next_node += 1;
         let mut node = Node::new(id, &self.config.node);
-        for (name, blocks) in &self.volumes {
+        for (name, volume) in &self.volumes {
             node.vm
-                .create_volume(name, *blocks)
+                .create_volume(name, volume.size)
                 .expect("fresh node has no volumes");
         }
         self.nodes.insert(id, node);
@@ -602,7 +636,7 @@ impl Cluster {
         self.shards.reassign(&self.ring);
         let rebalance = self.rebalance()?;
         debug_assert!(
-            self.map.values().all(|e| e.node != id),
+            self.entries().all(|(_, _, e)| e.node != id),
             "rebalance must drain a leaving node"
         );
         self.nodes.remove(&id);
@@ -615,17 +649,16 @@ impl Cluster {
     /// untouched: moving a block changes where it lives, not what the
     /// cluster stores.
     fn rebalance(&mut self) -> Result<RebalanceOutcome, ClusterError> {
-        let moves: Vec<((String, u64), NodeId, NodeId)> = self
-            .map
-            .iter()
-            .filter_map(|(key, entry)| {
+        let moves: Vec<(String, u64, NodeId, NodeId)> = self
+            .entries()
+            .filter_map(|(name, block, entry)| {
                 let home = self.ring.route(entry.bin);
-                (home != entry.node).then(|| (key.clone(), entry.node, home))
+                (home != entry.node).then(|| (name.to_owned(), block, entry.node, home))
             })
             .collect();
         let mut outcome = RebalanceOutcome::default();
         for batch in moves.chunks(self.config.rebalance_batch.max(1)) {
-            for ((name, block), from, to) in batch {
+            for (name, block, from, to) in batch {
                 let moved = self.migrate(name, *block, *from, *to, &mut outcome.crc_resends)?;
                 outcome.moves.push(moved);
             }
@@ -683,11 +716,7 @@ impl Cluster {
             .counter("rebalance.transfer_sim_ns")
             .add(data.len() as u64 * self.config.transfer_ns_per_byte);
         self.obs.counter("rebalance.bytes").add(data.len() as u64);
-        let entry = self
-            .map
-            .get_mut(&(name.to_owned(), block))
-            .expect("migrating a mapped block");
-        entry.node = to;
+        self.entry_mut(name, block).node = to;
         Ok(MovedBlock {
             name: name.to_owned(),
             block,
@@ -756,19 +785,18 @@ impl Cluster {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        for (name, blocks) in &self.volumes {
+        for (name, volume) in &self.volumes {
             if !present.iter().any(|p| p == name) {
                 node.vm
-                    .create_volume(name, *blocks)
+                    .create_volume(name, volume.size)
                     .expect("recovered node lacks this volume");
             }
         }
         // Reconcile placement entries homed on the crashed node.
         let mine: Vec<(String, u64)> = self
-            .map
-            .iter()
-            .filter(|(_, e)| e.node == id)
-            .map(|(k, _)| k.clone())
+            .entries()
+            .filter(|(_, _, e)| e.node == id)
+            .map(|(name, block, _)| (name.to_owned(), block))
             .collect();
         let mut lost = Vec::new();
         let mut reverted = Vec::new();
@@ -779,19 +807,18 @@ impl Cluster {
                 .is_written(&name, block)
                 .expect("volume exists and block was in range");
             if !written {
-                self.map.remove(&(name.clone(), block));
+                let volume = self.volumes.get_mut(&name).expect("entry's volume");
+                volume.placed.remove(&block);
                 lost.push((name, block));
                 continue;
             }
             let data = self.read_with_retries(id, &name, block)?;
             let digest = sha1_digest(&data);
-            let entry = self
-                .map
-                .get_mut(&(name.clone(), block))
-                .expect("entry still mapped");
+            let bin = self.router.route(&digest) as u64;
+            let entry = self.entry_mut(&name, block);
             if digest != entry.digest {
                 entry.digest = digest;
-                entry.bin = self.router.route(&digest) as u64;
+                entry.bin = bin;
                 reverted.push((name, block));
             }
         }
@@ -805,7 +832,7 @@ impl Cluster {
         // *mirrored* on it resync from their intact primaries, and other
         // shards pick up reverted-entry reference moves directly.
         let mut auth: BTreeMap<u64, BTreeMap<ChunkDigest, u32>> = BTreeMap::new();
-        for entry in self.map.values() {
+        for (_, _, entry) in self.entries() {
             *auth
                 .entry(entry.bin)
                 .or_default()
@@ -912,7 +939,7 @@ impl Cluster {
             ));
         }
         let mut auth: BTreeMap<u64, BTreeMap<ChunkDigest, u32>> = BTreeMap::new();
-        for ((name, block), entry) in &self.map {
+        for (name, block, entry) in self.entries() {
             let node = self
                 .nodes
                 .get(&entry.node)
@@ -928,7 +955,7 @@ impl Cluster {
             if self.router.route(&entry.digest) as u64 != entry.bin {
                 return Err(format!("{name}/{block}: bin does not match digest prefix"));
             }
-            if node.vm.is_written(name, *block) != Ok(true) {
+            if node.vm.is_written(name, block) != Ok(true) {
                 return Err(format!(
                     "{name}/{block}: node {} has no durable mapping",
                     entry.node

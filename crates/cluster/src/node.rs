@@ -1,7 +1,7 @@
 //! One cluster node: a full single-node reduction stack plus the node's
 //! obs registry and crash-conservation anchors.
 
-use dr_obs::{ObsHandle, Snapshot};
+use dr_obs::{CounterHandle, ObsHandle, Snapshot};
 use dr_reduction::{PipelineConfig, VolumeManager};
 
 use crate::ring::NodeId;
@@ -19,6 +19,8 @@ pub struct Node {
     pub vm: VolumeManager,
     /// The node's metric registry, named `node{id}`.
     pub obs: ObsHandle,
+    /// The node pipeline's `destage.appends` counter.
+    appends: CounterHandle,
     /// `unique_chunks` at the node's last recovery; destage conservation
     /// is checked on deltas since this anchor because the physical log
     /// retains pre-crash appends while the recovered report restarts.
@@ -43,6 +45,7 @@ impl Node {
         Node {
             id,
             vm: VolumeManager::new(config),
+            appends: obs.counter("destage.appends"),
             obs,
             unique_base: 0,
             appends_base: 0,
@@ -54,23 +57,10 @@ impl Node {
         self.obs.snapshot().unwrap_or_default()
     }
 
-    /// One obs counter by name (0 when absent or obs disabled).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.obs
-            .snapshot()
-            .map(|s| {
-                s.counters
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map_or(0, |(_, v)| *v)
-            })
-            .unwrap_or(0)
-    }
-
     /// Re-anchors the conservation baselines after a recovery.
     pub fn reanchor(&mut self) {
         self.unique_base = self.vm.report().unique_chunks;
-        self.appends_base = self.counter("destage.appends");
+        self.appends_base = self.appends.get();
     }
 
     /// Destage conservation since the last recovery: every unique chunk
@@ -81,7 +71,7 @@ impl Node {
             return true;
         }
         let unique = self.vm.report().unique_chunks - self.unique_base;
-        let appends = self.counter("destage.appends") - self.appends_base;
+        let appends = self.appends.get() - self.appends_base;
         unique == appends
     }
 }

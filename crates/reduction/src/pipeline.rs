@@ -1073,14 +1073,6 @@ pub(crate) mod tests {
         }
     }
 
-    fn counter(obs: &ObsHandle, name: &str) -> u64 {
-        let snap = obs.snapshot().expect("enabled handle snapshots");
-        snap.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
-    }
-
     #[test]
     fn pool_metrics_are_recorded_when_enabled() {
         let obs = ObsHandle::enabled("pool-obs-test");
@@ -1090,12 +1082,18 @@ pub(crate) mod tests {
         cfg.obs = obs.clone();
         let mut p = Pipeline::new(cfg);
         p.run(&stream());
-        assert!(counter(&obs, "pool.jobs") > 0, "no prefetch jobs recorded");
         assert!(
-            counter(&obs, "pool.batches") > 0,
+            obs.counter("pool.jobs").get() > 0,
+            "no prefetch jobs recorded"
+        );
+        assert!(
+            obs.counter("pool.batches").get() > 0,
             "no pool batches recorded"
         );
-        assert!(counter(&obs, "pool.tasks") > 0, "no pool tasks recorded");
+        assert!(
+            obs.counter("pool.tasks").get() > 0,
+            "no pool tasks recorded"
+        );
     }
 
     #[test]
@@ -1111,11 +1109,15 @@ pub(crate) mod tests {
             cfg.obs = obs.clone();
             let mut p = Pipeline::new(cfg);
             p.run(&data);
-            assert_eq!(counter(&obs, "pipeline.batches"), batches);
-            assert_eq!(counter(&obs, "pool.jobs"), batches - 1, "{batches} batches");
+            assert_eq!(obs.counter("pipeline.batches").get(), batches);
+            assert_eq!(
+                obs.counter("pool.jobs").get(),
+                batches - 1,
+                "{batches} batches"
+            );
             // A second call starts over: its first batch is inline again.
             p.run(&data);
-            assert_eq!(counter(&obs, "pool.jobs"), 2 * (batches - 1));
+            assert_eq!(obs.counter("pool.jobs").get(), 2 * (batches - 1));
         }
     }
 

@@ -75,7 +75,7 @@ echo "==> dr-check smoke (${DR_CHECK_SEEDS:-25} seeds x 4 modes x 2 scenarios)"
 cargo run --release -q -p dr-check -- run --mode all --scenario both
 
 # Crash-consistency smoke: seeded sequences with power-cut ops, run with
-# the metadata journal enabled. After every cut the runner recovers from
+# the metadata journal enabled. After every cut the checker recovers from
 # the journal and verifies the durable prefix: acknowledged ops survive,
 # unacknowledged ones are atomically absent (DESIGN.md §15).
 echo "==> dr-check crash smoke (${DR_CHECK_SEEDS:-25} seeds x 4 modes)"
