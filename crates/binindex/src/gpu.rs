@@ -428,7 +428,7 @@ impl GpuBinIndex {
 
         // Return (index, hit) pairs: 8 bytes per query.
         let result_buf = gpu.alloc((digests.len() * 8).max(1) as u64)?;
-        let (_, d2h) = gpu.read_buffer(
+        let d2h = gpu.charge_d2h(
             kernel.grant.end,
             result_buf,
             0,

@@ -14,7 +14,7 @@
 //! ```
 
 use crate::error::CodecError;
-use crate::token::{decode_stream, encode_tokens, Token};
+use crate::token::{decode_stream_tallied, encode_tokens, StreamTally, Token};
 
 const METHOD_RAW: u8 = 0;
 const METHOD_LZ: u8 = 1;
@@ -167,42 +167,7 @@ pub fn inspect(block: &[u8]) -> Result<(Frame, usize), CodecError> {
 /// Any [`CodecError`]: truncation, corruption, or a length mismatch between
 /// the header and the decoded payload.
 pub fn open(block: &[u8]) -> Result<Vec<u8>, CodecError> {
-    let (method, original_len) = inspect(block)?;
-    let payload = &block[HEADER_LEN..];
-    match method {
-        Frame::Raw => {
-            if payload.len() != original_len {
-                return Err(CodecError::LengthMismatch {
-                    expected: original_len,
-                    got: payload.len(),
-                });
-            }
-            Ok(payload.to_vec())
-        }
-        Frame::Lz => {
-            let mut out = Vec::with_capacity(original_len);
-            decode_stream(payload, &mut out)?;
-            if out.len() != original_len {
-                return Err(CodecError::LengthMismatch {
-                    expected: original_len,
-                    got: out.len(),
-                });
-            }
-            Ok(out)
-        }
-        Frame::LzHuffman => {
-            let tokens = crate::huffman::huffman_decode(payload)?;
-            let mut out = Vec::with_capacity(original_len);
-            decode_stream(&tokens, &mut out)?;
-            if out.len() != original_len {
-                return Err(CodecError::LengthMismatch {
-                    expected: original_len,
-                    got: out.len(),
-                });
-            }
-            Ok(out)
-        }
-    }
+    open_with_stats(block).map(|(out, _)| out)
 }
 
 /// Token-level shape of a decoded frame — what a GPU decompression kernel
@@ -223,53 +188,50 @@ pub struct FrameStats {
 }
 
 /// [`open`], additionally returning the token-level [`FrameStats`] the
-/// GPU decompression model prices. The decoded bytes are byte-identical
-/// to [`open`]'s on every input.
+/// GPU decompression model prices, gathered in the decode's own walk over
+/// the tokens.
 ///
 /// # Errors
 ///
 /// Exactly the errors [`open`] reports.
 pub fn open_with_stats(block: &[u8]) -> Result<(Vec<u8>, FrameStats), CodecError> {
     let (method, original_len) = inspect(block)?;
-    let out = open(block)?;
-    let mut stats = FrameStats {
+    let payload = &block[HEADER_LEN..];
+    let (out, tally) = match method {
+        Frame::Raw => {
+            let tally = StreamTally {
+                tokens: 1,
+                literal_bytes: payload.len(),
+                match_bytes: 0,
+            };
+            (payload.to_vec(), tally)
+        }
+        Frame::Lz => {
+            let mut out = Vec::with_capacity(original_len);
+            let tally = decode_stream_tallied(payload, &mut out)?;
+            (out, tally)
+        }
+        Frame::LzHuffman => {
+            let tokens = crate::huffman::huffman_decode(payload)?;
+            let mut out = Vec::with_capacity(original_len);
+            let tally = decode_stream_tallied(&tokens, &mut out)?;
+            (out, tally)
+        }
+    };
+    if out.len() != original_len {
+        return Err(CodecError::LengthMismatch {
+            expected: original_len,
+            got: out.len(),
+        });
+    }
+    let stats = FrameStats {
         frame_bytes: block.len(),
         output_bytes: out.len(),
-        ..FrameStats::default()
+        tokens: tally.tokens,
+        literal_bytes: tally.literal_bytes,
+        match_bytes: tally.match_bytes,
     };
-    match method {
-        Frame::Raw => {
-            stats.tokens = 1;
-            stats.literal_bytes = out.len();
-        }
-        Frame::Lz => scan_token_stats(&block[HEADER_LEN..], &mut stats),
-        Frame::LzHuffman => {
-            let tokens = crate::huffman::huffman_decode(&block[HEADER_LEN..])?;
-            scan_token_stats(&tokens, &mut stats);
-        }
-    }
-    debug_assert_eq!(stats.literal_bytes + stats.match_bytes, original_len);
     Ok((out, stats))
-}
-
-/// Walks an LZ wire payload counting tokens and literal/match output
-/// bytes. The stream already decoded cleanly via [`open`], so control
-/// bytes are trusted here.
-fn scan_token_stats(payload: &[u8], stats: &mut FrameStats) {
-    let mut i = 0;
-    while i < payload.len() {
-        let control = payload[i];
-        stats.tokens += 1;
-        if control & 0x80 == 0 {
-            let run = control as usize + 1;
-            stats.literal_bytes += run;
-            i += 1 + run;
-        } else {
-            let len = (control & 0x7F) as usize + crate::token::MIN_MATCH;
-            stats.match_bytes += len;
-            i += 3;
-        }
-    }
 }
 
 /// `original / compressed` size ratio of a sealed block; > 1 means the

@@ -312,7 +312,7 @@ impl GpuCompressor {
         // Return raw streams to the host.
         let out = gpu.alloc(raw_token_bytes.max(1))?;
         *out_buf = Some(out);
-        let (_, d2h) = gpu.read_buffer(kernel.grant.end, out, 0, raw_token_bytes.max(1))?;
+        let d2h = gpu.charge_d2h(kernel.grant.end, out, 0, raw_token_bytes.max(1))?;
 
         Ok(GpuBatchReport {
             h2d,

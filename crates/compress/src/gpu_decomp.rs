@@ -239,7 +239,7 @@ impl GpuDecompressor {
         // Return the decompressed chunks to the host.
         let out = gpu.alloc(total_out.max(1))?;
         *out_buf = Some(out);
-        let (_, d2h) = gpu.read_buffer(copy.grant.end, out, 0, total_out.max(1))?;
+        let d2h = gpu.charge_d2h(copy.grant.end, out, 0, total_out.max(1))?;
 
         Ok((
             outputs,

@@ -133,6 +133,15 @@ pub fn encode_tokens(tokens: &[Token]) -> Vec<u8> {
     out
 }
 
+/// What one [`decode_stream_tallied`] walk saw: control tokens and the
+/// output bytes literal runs and matches produced.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct StreamTally {
+    pub(crate) tokens: usize,
+    pub(crate) literal_bytes: usize,
+    pub(crate) match_bytes: usize,
+}
+
 /// Decodes a wire-encoded token stream into `out`, appending.
 ///
 /// # Errors
@@ -140,11 +149,25 @@ pub fn encode_tokens(tokens: &[Token]) -> Vec<u8> {
 /// [`CodecError::Truncated`] on a short stream,
 /// [`CodecError::BadMatchOffset`] when a match reaches before the start of
 /// `out` as it stood at call time plus what has been decoded since.
-pub fn decode_stream(mut input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
-    let base = 0; // matches may reach into bytes already in `out`
-    let _ = base;
+pub fn decode_stream(input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
+    decode_stream_tallied(input, out).map(|_| ())
+}
+
+/// [`decode_stream`], also counting what it walked — the one decoder.
+///
+/// Literal runs and matches are both block copies. A match that overlaps
+/// its own output (`offset < len`, the LZ idiom for runs) is the decode's
+/// only serial dependency: its output repeats the `offset` bytes before
+/// it, so each copy doubles the replicated span instead of moving one
+/// byte.
+pub(crate) fn decode_stream_tallied(
+    mut input: &[u8],
+    out: &mut Vec<u8>,
+) -> Result<StreamTally, CodecError> {
+    let mut tally = StreamTally::default();
     while let Some((&control, rest)) = input.split_first() {
         input = rest;
+        tally.tokens += 1;
         if control & 0x80 == 0 {
             let run = control as usize + 1;
             if input.len() < run {
@@ -152,6 +175,7 @@ pub fn decode_stream(mut input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecErr
             }
             out.extend_from_slice(&input[..run]);
             input = &input[run..];
+            tally.literal_bytes += run;
         } else {
             let len = (control & 0x7F) as usize + MIN_MATCH;
             if input.len() < 2 {
@@ -165,16 +189,21 @@ pub fn decode_stream(mut input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecErr
                     offset,
                 });
             }
-            // Byte-at-a-time copy: correct for overlapping matches
-            // (offset < len), the LZ idiom for runs.
+            // `span` bytes from `start` are already a whole number of
+            // periods, so appending any prefix of them continues the
+            // pattern; a non-overlapping match is done in one copy.
             let start = out.len() - offset;
-            for i in 0..len {
-                let b = out[start + i];
-                out.push(b);
+            let (mut span, mut remaining) = (offset, len);
+            while remaining > 0 {
+                let n = span.min(remaining);
+                out.extend_from_within(start..start + n);
+                span += n;
+                remaining -= n;
             }
+            tally.match_bytes += len;
         }
     }
-    Ok(())
+    Ok(tally)
 }
 
 #[cfg(test)]

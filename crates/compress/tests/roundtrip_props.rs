@@ -2,7 +2,13 @@
 
 use dr_compress::fastlz::tokenize_region;
 use dr_compress::frame::{self, Frame};
-use dr_compress::{Codec, FastLz, GpuCompressor, GpuCompressorConfig, Lz77, Token};
+use dr_compress::token::{
+    decode_stream, emit_literals, emit_match, MAX_LITERAL_RUN, MAX_MATCH, MIN_MATCH,
+};
+use dr_compress::{
+    huffman_decode, Codec, CodecError, FastLz, FrameStats, GpuCompressor, GpuCompressorConfig,
+    Lz77, LzHuf, Token,
+};
 use dr_des::testkit::{self, Cases};
 use dr_des::SimTime;
 use dr_gpu_sim::{GpuDevice, GpuSpec, MemAccess, WorkItemCost};
@@ -222,4 +228,154 @@ fn pooled_single_pass_kernel_matches_the_token_ir_reference() {
             .expect("a 4 KB chunk of zeros");
         assert_eq!(frame::inspect(&want_frames[zeros_4k]).unwrap().0, Frame::Lz);
     }
+}
+
+/// The decoder `decode_stream` replaced, kept as its oracle: every match
+/// copied one byte at a time, which is correct for any overlap by
+/// construction.
+fn decode_stream_bytewise(mut input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
+    while let Some((&control, rest)) = input.split_first() {
+        input = rest;
+        if control & 0x80 == 0 {
+            let run = control as usize + 1;
+            if input.len() < run {
+                return Err(CodecError::Truncated);
+            }
+            out.extend_from_slice(&input[..run]);
+            input = &input[run..];
+        } else {
+            let len = (control & 0x7F) as usize + MIN_MATCH;
+            if input.len() < 2 {
+                return Err(CodecError::Truncated);
+            }
+            let offset = u16::from_le_bytes([input[0], input[1]]) as usize;
+            input = &input[2..];
+            if offset == 0 || offset > out.len() {
+                return Err(CodecError::BadMatchOffset {
+                    position: out.len(),
+                    offset,
+                });
+            }
+            let start = out.len() - offset;
+            for i in 0..len {
+                let b = out[start + i];
+                out.push(b);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Both decoders over `wire`, appending to the same `prefix`: the result
+/// and whatever reached the output before an error must be identical.
+fn assert_decoders_agree(prefix: &[u8], wire: &[u8]) {
+    let mut want = prefix.to_vec();
+    let want_result = decode_stream_bytewise(wire, &mut want);
+    let mut got = prefix.to_vec();
+    let got_result = decode_stream(wire, &mut got);
+    assert_eq!(got_result, want_result, "wire {wire:?}");
+    assert_eq!(got, want, "wire {wire:?}");
+}
+
+#[test]
+fn span_copy_decoder_matches_the_bytewise_reference() {
+    Cases::new(
+        "span_copy_decoder_matches_the_bytewise_reference",
+        0xC02_0009,
+    )
+    .run(512, |rng| {
+        // Matches may reach into bytes already in the output buffer.
+        let prefix = testkit::vec_u8(rng, 0, 16);
+        let mut wire = Vec::new();
+        let mut produced = prefix.len();
+        for _ in 0..testkit::usize_in(rng, 1, 40) {
+            if produced == 0 || rng.next_u64() % 3 == 0 {
+                let run = testkit::usize_in(rng, 1, MAX_LITERAL_RUN);
+                emit_literals(&mut wire, &testkit::vec_u8(rng, run, run));
+                produced += run;
+            } else {
+                // RLE (1), short periods, the overlap boundary on both
+                // sides, and a long reach that is out of range early on.
+                let len = testkit::usize_in(rng, MIN_MATCH, MAX_MATCH);
+                let offsets = [1, 2, 3, 7, 8, len - 1, len, len + 1, 4095];
+                let offset = offsets[testkit::usize_in(rng, 0, offsets.len() - 1)];
+                emit_match(&mut wire, offset, len);
+                produced += len;
+            }
+        }
+        assert_decoders_agree(&prefix, &wire);
+
+        // The same stream damaged: flipped bytes turn literals into
+        // matches and move offsets; truncation cuts mid-token.
+        let mut damaged = wire.clone();
+        for _ in 0..testkit::usize_in(rng, 1, 4) {
+            let at = testkit::usize_in(rng, 0, damaged.len() - 1);
+            damaged[at] ^= 1 << (rng.next_u64() % 8);
+        }
+        assert_decoders_agree(&prefix, &damaged);
+        damaged.truncate(testkit::usize_in(rng, 0, damaged.len()));
+        assert_decoders_agree(&prefix, &damaged);
+        wire.truncate(testkit::usize_in(rng, 0, wire.len()));
+        assert_decoders_agree(&prefix, &wire);
+    });
+}
+
+/// The second walk `open_with_stats` used to make over a decoded frame's
+/// wire payload, kept as the oracle for the single-walk tally.
+fn scan_token_stats(payload: &[u8], stats: &mut FrameStats) {
+    let mut i = 0;
+    while i < payload.len() {
+        let control = payload[i];
+        stats.tokens += 1;
+        if control & 0x80 == 0 {
+            let run = control as usize + 1;
+            stats.literal_bytes += run;
+            i += 1 + run;
+        } else {
+            stats.match_bytes += (control & 0x7F) as usize + MIN_MATCH;
+            i += 3;
+        }
+    }
+}
+
+#[test]
+fn open_with_stats_matches_open_plus_a_token_rescan() {
+    const HEADER_LEN: usize = 5;
+    Cases::new(
+        "open_with_stats_matches_open_plus_a_token_rescan",
+        0xC02_000A,
+    )
+    .run(128, |rng| {
+        let data = if rng.next_u64() % 2 == 0 {
+            testkit::vec_u8(rng, 0, 8192)
+        } else {
+            testkit::vec_u8_compressible(rng, 0, 8192)
+        };
+        for block in [
+            FastLz::new().compress(&data),
+            Lz77::new().compress(&data),
+            LzHuf::new().compress(&data),
+            GpuCompressor::new(GpuCompressorConfig::default()).compress_functional(&data),
+        ] {
+            let out = frame::open(&block).unwrap();
+            assert_eq!(out, data);
+            let mut want = FrameStats {
+                frame_bytes: block.len(),
+                output_bytes: out.len(),
+                ..FrameStats::default()
+            };
+            match frame::inspect(&block).unwrap().0 {
+                Frame::Raw => {
+                    want.tokens = 1;
+                    want.literal_bytes = out.len();
+                }
+                Frame::Lz => scan_token_stats(&block[HEADER_LEN..], &mut want),
+                Frame::LzHuffman => {
+                    let tokens = huffman_decode(&block[HEADER_LEN..]).unwrap();
+                    scan_token_stats(&tokens, &mut want);
+                }
+            }
+            assert_eq!(frame::open_with_stats(&block).unwrap(), (out, want));
+        }
+    });
 }

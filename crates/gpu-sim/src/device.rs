@@ -288,19 +288,39 @@ impl GpuDevice {
         offset: u64,
         len: u64,
     ) -> Result<(Vec<u8>, Grant), GpuError> {
+        let grant = self.charge_d2h(now, id, offset, len)?;
+        let out = self.mem.get(id)?[offset as usize..(offset + len) as usize].to_vec();
+        Ok((out, grant))
+    }
+
+    /// The timing half of [`GpuDevice::read_buffer`]: checks and charges
+    /// the device→host transfer of `len` bytes of buffer `id` from
+    /// `offset` without materialising them. For kernels that run
+    /// functionally on the host and leave their result in host memory —
+    /// the device buffer stands in for the transfer's size only.
+    ///
+    /// # Errors
+    ///
+    /// As [`GpuDevice::read_buffer`].
+    pub fn charge_d2h(
+        &mut self,
+        now: SimTime,
+        id: BufferId,
+        offset: u64,
+        len: u64,
+    ) -> Result<Grant, GpuError> {
         if self.lost {
             return Err(GpuError::DeviceLost);
         }
-        let buf = self.mem.get(id)?;
+        let buf_len = self.mem.get(id)?.len() as u64;
         let end = offset + len;
-        if end > buf.len() as u64 {
+        if end > buf_len {
             return Err(GpuError::OutOfBounds {
                 buffer: id,
                 end,
-                len: buf.len() as u64,
+                len: buf_len,
             });
         }
-        let out = buf[offset as usize..end as usize].to_vec();
         let time = pcie_transfer_time(&self.spec, len);
         let grant = self.copy_engine.acquire(now, time);
         self.stats.d2h_bytes += len;
@@ -314,7 +334,7 @@ impl GpuDevice {
             grant.end.as_nanos(),
             trace_args(&[("bytes", len)]),
         );
-        Ok((out, grant))
+        Ok(grant)
     }
 
     /// Direct host-side view of a buffer, used by kernel implementations
@@ -464,6 +484,26 @@ mod tests {
         assert_eq!(data, b"hello");
         assert_eq!(gpu.stats().h2d_bytes, 5);
         assert_eq!(gpu.stats().d2h_bytes, 5);
+    }
+
+    #[test]
+    fn charged_d2h_is_read_buffer_without_the_bytes() {
+        let (mut read, mut charged) = (device(), device());
+        let (rb, cb) = (read.alloc(4096).unwrap(), charged.alloc(4096).unwrap());
+        let (_, want) = read.read_buffer(SimTime::ZERO, rb, 16, 4000).unwrap();
+        let got = charged.charge_d2h(SimTime::ZERO, cb, 16, 4000).unwrap();
+        assert_eq!((got.start, got.end), (want.start, want.end));
+        assert_eq!(charged.stats().d2h_bytes, read.stats().d2h_bytes);
+        assert_eq!(charged.stats().copy_busy, read.stats().copy_busy);
+        // The same refusals, charging nothing.
+        let err = charged.charge_d2h(SimTime::ZERO, cb, 4000, 97).unwrap_err();
+        assert!(matches!(err, GpuError::OutOfBounds { end: 4097, .. }));
+        charged.free(cb).unwrap();
+        assert_eq!(
+            charged.charge_d2h(SimTime::ZERO, cb, 0, 1),
+            Err(GpuError::InvalidBuffer(cb))
+        );
+        assert_eq!(charged.stats().d2h_bytes, 4000);
     }
 
     #[test]
@@ -669,6 +709,10 @@ mod tests {
         assert!(gpu.is_lost());
         // Everything else is poisoned too.
         assert_eq!(gpu.alloc(16), Err(GpuError::DeviceLost));
+        assert_eq!(
+            gpu.charge_d2h(SimTime::ZERO, BufferId(0), 0, 1),
+            Err(GpuError::DeviceLost)
+        );
         let items = vec![WorkItemCost::compute(1); 1];
         assert!(matches!(
             gpu.launch(SimTime::ZERO, LaunchConfig::named("d"), &items),

@@ -254,11 +254,11 @@ impl HistogramHandle {
     }
 
     /// Starts a wall-clock span recording into this histogram on drop.
+    /// A disabled handle's span reads no clock.
     pub fn span(&self) -> Span {
         Span {
             hist: self.clone(),
-            start: Instant::now(),
-            finished: false,
+            start: self.is_live().then(Instant::now),
         }
     }
 
@@ -300,8 +300,8 @@ impl StageObs {
 #[derive(Debug)]
 pub struct Span {
     hist: HistogramHandle,
-    start: Instant,
-    finished: bool,
+    /// `None` once recorded, and from the start when `hist` is disabled.
+    start: Option<Instant>,
 }
 
 impl Span {
@@ -311,9 +311,8 @@ impl Span {
     }
 
     fn record(&mut self) {
-        if !self.finished {
-            self.finished = true;
-            let ns = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        if let Some(start) = self.start.take() {
+            let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             self.hist.record(ns);
         }
     }

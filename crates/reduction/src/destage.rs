@@ -337,23 +337,26 @@ impl Destager {
         Ok(grants)
     }
 
-    /// Reads a chunk's frame back. The open partial page is flushed first
-    /// if the chunk's tail still sits in it; page reads are issued
-    /// serially, each starting when the previous one completes, so
-    /// multi-page frames pay real device queueing on the simulated clock.
+    /// Reads a chunk's frame back, appending exactly its stored bytes to
+    /// `out`. The open partial page is flushed first if the chunk's tail
+    /// still sits in it; page reads are issued serially, each starting
+    /// when the previous one completes, so multi-page frames pay real
+    /// device queueing on the simulated clock.
     ///
     /// # Errors
     ///
-    /// Propagates SSD errors.
+    /// Propagates SSD errors; `out` may then hold part of the frame.
     pub fn read_chunk(
         &mut self,
         now: SimTime,
         ssd: &mut SsdDevice,
         r: ChunkRef,
+        out: &mut Vec<u8>,
     ) -> Result<ChunkRead, SsdError> {
+        let page_bytes = self.page_bytes as u64;
         let start = r.addr();
         let end = start + r.stored_len() as u64;
-        let written_end = self.next_data_lpn * self.page_bytes as u64;
+        let written_end = self.next_data_lpn * page_bytes;
         let mut flush = None;
         let mut at = now;
         if end > written_end {
@@ -362,37 +365,33 @@ impl Destager {
                 at = g.end;
             }
         }
-        let first_page = start / self.page_bytes as u64;
-        let last_page = (end - 1) / self.page_bytes as u64;
-        let mut bytes =
-            Vec::with_capacity(((last_page - first_page + 1) as usize) * self.page_bytes);
-        for lpn in first_page..=last_page {
+        out.reserve(r.stored_len() as usize);
+        for lpn in start / page_bytes..=(end - 1) / page_bytes {
+            let page_start = lpn * page_bytes;
+            let range = (start.max(page_start) - page_start) as usize
+                ..(end.min(page_start + page_bytes) - page_start) as usize;
             // Retried like a page write, and tallied on the same counter.
             // The grant starts at the *final* (successful) attempt, so
             // retry backoff is visible in the read's simulated latency.
-            let read = |at| ssd.read_page(at, lpn);
+            let keep = out.len();
+            let read = |at| {
+                out.truncate(keep);
+                ssd.read_page_into(at, lpn, range.clone(), out)
+            };
             let retry = Some("ssd-read retry");
-            let (page, g) = self
+            let g = self
                 .ssd_write
                 .retry(retry, at, SsdError::is_transient, read)
                 .result?;
-            bytes.extend_from_slice(&page);
             at = g.end;
         }
-        let offset = (start - first_page * self.page_bytes as u64) as usize;
-        Ok(ChunkRead {
-            bytes: bytes[offset..offset + r.stored_len() as usize].to_vec(),
-            done: at,
-            flush,
-        })
+        Ok(ChunkRead { done: at, flush })
     }
 }
 
-/// One chunk read back from the log, with its simulated completion time.
-#[derive(Debug, Clone)]
+/// When a chunk read back from the log completed, and what it forced.
+#[derive(Debug, Clone, Copy)]
 pub struct ChunkRead {
-    /// The chunk's stored frame bytes.
-    pub bytes: Vec<u8>,
     /// When the last page read completed on the simulated clock.
     pub done: SimTime,
     /// Grant of the partial-page flush this read forced, if any — the
@@ -413,6 +412,17 @@ mod tests {
             pages_per_block: 16,
             ..SsdSpec::samsung_830_256g()
         })
+    }
+
+    /// Reads `r` back from the start of time into a fresh buffer.
+    fn read_back(
+        log: &mut Destager,
+        dev: &mut SsdDevice,
+        r: ChunkRef,
+    ) -> Result<(Vec<u8>, ChunkRead), SsdError> {
+        let mut bytes = Vec::new();
+        let read = log.read_chunk(SimTime::ZERO, dev, r, &mut bytes)?;
+        Ok((bytes, read))
     }
 
     #[test]
@@ -446,14 +456,8 @@ mod tests {
         let frame_b: Vec<u8> = (0..3000u32).map(|i| (i % 13) as u8).collect();
         let (ra, _) = log.append(SimTime::ZERO, &mut dev, &frame_a).unwrap();
         let (rb, _) = log.append(SimTime::ZERO, &mut dev, &frame_b).unwrap();
-        assert_eq!(
-            log.read_chunk(SimTime::ZERO, &mut dev, ra).unwrap().bytes,
-            frame_a
-        );
-        assert_eq!(
-            log.read_chunk(SimTime::ZERO, &mut dev, rb).unwrap().bytes,
-            frame_b
-        );
+        assert_eq!(read_back(&mut log, &mut dev, ra).unwrap().0, frame_a);
+        assert_eq!(read_back(&mut log, &mut dev, rb).unwrap().0, frame_b);
     }
 
     #[test]
@@ -462,8 +466,8 @@ mod tests {
         let mut log = Destager::new(&dev);
         let frame: Vec<u8> = (0..9000u32).map(|i| (i % 251) as u8).collect();
         let (r, _) = log.append(SimTime::ZERO, &mut dev, &frame).unwrap();
-        let read = log.read_chunk(SimTime::ZERO, &mut dev, r).unwrap();
-        assert_eq!(read.bytes, frame);
+        let (bytes, read) = read_back(&mut log, &mut dev, r).unwrap();
+        assert_eq!(bytes, frame);
         assert!(read.done > SimTime::ZERO, "page reads must cost sim time");
         // The frame spans 3 pages read serially (plus the tail-forced
         // flush), so the total elapsed time must exceed two pure page-read
@@ -485,8 +489,8 @@ mod tests {
         let mut log = Destager::new(&dev);
         let (r, grants) = log.append(SimTime::ZERO, &mut dev, b"small frame").unwrap();
         assert!(grants.is_empty());
-        let back = log.read_chunk(SimTime::ZERO, &mut dev, r).unwrap();
-        assert_eq!(back.bytes, b"small frame");
+        let (bytes, back) = read_back(&mut log, &mut dev, r).unwrap();
+        assert_eq!(bytes, b"small frame");
         assert!(back.flush.is_some(), "reading the open page flushes it");
     }
 
@@ -639,10 +643,7 @@ mod tests {
         // Every data page survives intact.
         for lpn in 0..top {
             let r = ChunkRef::new(lpn * 4096, 4096);
-            assert_eq!(
-                log.read_chunk(SimTime::ZERO, &mut dev, r).unwrap().bytes,
-                frame
-            );
+            assert_eq!(read_back(&mut log, &mut dev, r).unwrap().0, frame);
         }
     }
 
@@ -666,7 +667,7 @@ mod tests {
         let r = ChunkRef::new(top * 4096, 100);
         // Flushing it fails (device full), but the buffer is not lost:
         assert!(matches!(
-            log.read_chunk(SimTime::ZERO, &mut dev, r),
+            read_back(&mut log, &mut dev, r),
             Err(SsdError::CapacityExhausted)
         ));
     }
@@ -695,11 +696,75 @@ mod tests {
         );
         assert!(dev.stats().faults_injected > 0);
         for r in refs {
-            assert_eq!(
-                log.read_chunk(SimTime::ZERO, &mut dev, r).unwrap().bytes,
-                frame
-            );
+            assert_eq!(read_back(&mut log, &mut dev, r).unwrap().0, frame);
         }
+    }
+
+    #[test]
+    fn ranged_page_reads_draw_faults_exactly_like_whole_page_reads() {
+        // Silent bit flips and transient read errors both on. `twin` is an
+        // identically seeded device read the way `read_chunk` used to:
+        // whole pages through the retry schedule, concatenated, sliced.
+        let spec = || {
+            let mut spec = SsdSpec {
+                channels: 2,
+                dies_per_channel: 2,
+                blocks_per_die: 64,
+                pages_per_block: 16,
+                read_fault_rate: 0.25,
+                fault_seed: 11,
+                ..SsdSpec::samsung_830_256g()
+            };
+            spec.faults.read_error_rate = 0.15;
+            spec.faults.seed = 5;
+            spec
+        };
+        let (mut dev, mut twin) = (SsdDevice::new(spec()), SsdDevice::new(spec()));
+        let (mut log, mut twin_log) = (Destager::new(&dev), Destager::new(&twin));
+        // 3000-byte frames on 4096-byte pages: three in four span two.
+        let frames: Vec<Vec<u8>> = (0..24u32)
+            .map(|f| (0..3000u32).map(|i| (i * 7 + f * 31) as u8).collect())
+            .collect();
+        let mut refs = Vec::new();
+        for frame in &frames {
+            refs.push(log.append(SimTime::ZERO, &mut dev, frame).unwrap().0);
+            twin_log.append(SimTime::ZERO, &mut twin, frame).unwrap();
+        }
+        log.flush(SimTime::ZERO, &mut dev).unwrap();
+        twin_log.flush(SimTime::ZERO, &mut twin).unwrap();
+
+        let (mut two_page, mut flipped) = (0, 0);
+        for (r, frame) in refs.iter().zip(&frames) {
+            let (got, read) = read_back(&mut log, &mut dev, *r).unwrap();
+            let (first, last) = (r.addr() / 4096, (r.addr() + 2999) / 4096);
+            let mut whole = Vec::new();
+            let mut at = SimTime::ZERO;
+            for lpn in first..=last {
+                let read = |at| twin.read_page(at, lpn);
+                let (page, g) = twin_log
+                    .ssd_write
+                    .retry(None, at, SsdError::is_transient, read)
+                    .result
+                    .unwrap();
+                whole.extend_from_slice(&page);
+                at = g.end;
+            }
+            let offset = (r.addr() - first * 4096) as usize;
+            assert_eq!(got, whole[offset..offset + 3000], "frame at {}", r.addr());
+            assert_eq!(read.done, at);
+            two_page += (last > first) as u32;
+            flipped += (got != *frame) as u32;
+        }
+        assert_eq!(dev.stats().faults_injected, twin.stats().faults_injected);
+        assert_eq!(log.fault_retries(), twin_log.fault_retries());
+        assert_eq!(dev.stats().reads, twin.stats().reads);
+        // The same tallies the whole-page implementation gave for these
+        // seeds before ranged reads existed.
+        assert_eq!(two_page, 17);
+        assert_eq!(
+            (dev.stats().faults_injected, log.fault_retries(), flipped),
+            (6, 6, 3)
+        );
     }
 
     #[test]

@@ -230,6 +230,11 @@ pub(crate) struct PipelineObs {
     pub(crate) read_cache_entries: GaugeHandle,
     pub(crate) read_gpu_batches: CounterHandle,
     pub(crate) read_latency: HistogramHandle,
+    /// `read.fetch.wall_ns` / `read.fetch.sim_ns` and `read.decode.*`: a
+    /// batch's cold-frame fetch loop and its decompression, one sample
+    /// each per batch that had a cold frame.
+    pub(crate) read_fetch: StageObs,
+    pub(crate) read_decode: StageObs,
     /// Event tracer (disabled unless the handle carries one): per-batch
     /// sim-time spans on the pipeline stage tracks.
     pub(crate) tracer: Tracer,
@@ -256,6 +261,8 @@ impl PipelineObs {
             read_cache_entries: obs.gauge("read.cache_entries"),
             read_gpu_batches: obs.counter("read.gpu_batches"),
             read_latency: obs.histogram("read.latency_sim_ns"),
+            read_fetch: obs.stage("read.fetch"),
+            read_decode: obs.stage("read.decode"),
             tracer: obs.tracer().clone(),
         }
     }
@@ -664,8 +671,9 @@ impl Pipeline {
     }
 
     /// Folds the device and latch fault tallies into the report — called
-    /// when a run closes out and after every read batch, so read-time
-    /// retries and latch transitions are visible without another write.
+    /// when a run closes out and after every read batch, failed ones
+    /// included, so read-time retries and latch transitions are visible
+    /// without another write.
     pub(crate) fn sync_fault_counters(&mut self) {
         self.report.faults_injected =
             self.ssd.stats().faults_injected + self.gpu.stats().faults_injected;

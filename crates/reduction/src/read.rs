@@ -9,7 +9,9 @@
 //! even a modest cache absorbs the re-read traffic of hot working sets
 //! (the VDI boot storm the paper targets).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::Arc;
 
 use dr_binindex::ChunkRef;
 use dr_compress::frame;
@@ -43,15 +45,40 @@ impl Default for ReadConfig {
     }
 }
 
+/// A decompressed chunk as the cache holds it and a batch borrows it:
+/// shared, never copied, until the one copy into the caller's `Vec`.
+type SharedChunk = Arc<Vec<u8>>;
+
+/// End-of-list marker for [`ReadCache`]'s recency links.
+const NIL: usize = usize::MAX;
+
+/// One resident chunk, linked into the recency list by slab index.
+#[derive(Debug)]
+struct CacheEntry {
+    addr: u64,
+    bytes: SharedChunk,
+    /// Neighbour towards the least-recent end, or [`NIL`].
+    prev: usize,
+    /// Neighbour towards the most-recent end, or [`NIL`].
+    next: usize,
+}
+
 /// A capacity-bounded LRU of decompressed chunks, keyed by stored-frame
-/// address. Purely functional state: cache contents never affect *what*
+/// address: a map from address to slab slot plus a doubly-linked recency
+/// list threaded through the slab, so `get`, `insert` and eviction are
+/// O(1). Purely functional state: cache contents never affect *what*
 /// bytes a read returns, only how much simulated work serving them costs.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct ReadCache {
     cap: usize,
-    map: HashMap<u64, Vec<u8>>,
-    /// Recency order, least-recent at the front.
-    lru: VecDeque<u64>,
+    map: HashMap<u64, usize>,
+    /// Resident entries; an eviction's slot is reused by the insert that
+    /// forced it, so the slab never holds a vacant slot.
+    slab: Vec<CacheEntry>,
+    /// Least-recently-used entry (the next victim), or [`NIL`].
+    lru: usize,
+    /// Most-recently-used entry, or [`NIL`].
+    mru: usize,
 }
 
 impl ReadCache {
@@ -59,13 +86,15 @@ impl ReadCache {
         ReadCache {
             cap,
             map: HashMap::with_capacity(cap),
-            lru: VecDeque::with_capacity(cap),
+            slab: Vec::with_capacity(cap),
+            lru: NIL,
+            mru: NIL,
         }
     }
 
     /// Cached chunks currently resident.
     pub(crate) fn len(&self) -> usize {
-        self.map.len()
+        self.slab.len()
     }
 
     /// True when `addr` is resident (does not touch recency).
@@ -74,15 +103,49 @@ impl ReadCache {
         self.map.contains_key(&addr)
     }
 
-    /// Returns a copy of the cached chunk and promotes it to
-    /// most-recently-used.
-    pub(crate) fn get(&mut self, addr: u64) -> Option<Vec<u8>> {
-        let bytes = self.map.get(&addr)?.clone();
-        if let Some(pos) = self.lru.iter().position(|&a| a == addr) {
-            self.lru.remove(pos);
-            self.lru.push_back(addr);
+    /// Resident addresses, least-recent first.
+    #[cfg(test)]
+    fn recency(&self) -> Vec<u64> {
+        let mut order = Vec::with_capacity(self.len());
+        let mut i = self.lru;
+        while i != NIL {
+            order.push(self.slab[i].addr);
+            i = self.slab[i].next;
         }
-        Some(bytes)
+        order
+    }
+
+    /// Takes entry `i` out of the recency list.
+    fn unlink(&mut self, i: usize) {
+        let (prev, next) = (self.slab[i].prev, self.slab[i].next);
+        match prev {
+            NIL => self.lru = next,
+            p => self.slab[p].next = next,
+        }
+        match next {
+            NIL => self.mru = prev,
+            n => self.slab[n].prev = prev,
+        }
+    }
+
+    /// Links entry `i` in at the most-recent end.
+    fn link_mru(&mut self, i: usize) {
+        self.slab[i].prev = self.mru;
+        self.slab[i].next = NIL;
+        match self.mru {
+            NIL => self.lru = i,
+            m => self.slab[m].next = i,
+        }
+        self.mru = i;
+    }
+
+    /// Returns the cached chunk (shared, not copied) and promotes it to
+    /// most-recently-used.
+    pub(crate) fn get(&mut self, addr: u64) -> Option<SharedChunk> {
+        let i = *self.map.get(&addr)?;
+        self.unlink(i);
+        self.link_mru(i);
+        Some(Arc::clone(&self.slab[i].bytes))
     }
 
     /// Drops every cached chunk. Called when the stored frames the cache
@@ -90,39 +153,104 @@ impl ReadCache {
     /// recovery — so stale decompressed bytes can never satisfy a read.
     pub(crate) fn clear(&mut self) {
         self.map.clear();
-        self.lru.clear();
+        self.slab.clear();
+        self.lru = NIL;
+        self.mru = NIL;
     }
 
-    /// Inserts (or refreshes) a decompressed chunk, evicting from the LRU
-    /// end to stay within capacity. Returns the number of evictions.
-    pub(crate) fn insert(&mut self, addr: u64, bytes: Vec<u8>) -> u64 {
+    /// Inserts (or refreshes) a decompressed chunk, evicting the
+    /// least-recently-used one when full. Returns the number of evictions.
+    pub(crate) fn insert(&mut self, addr: u64, bytes: SharedChunk) -> u64 {
         if self.cap == 0 {
             return 0;
         }
-        if self.map.insert(addr, bytes).is_some() {
+        if let Some(&i) = self.map.get(&addr) {
             // Refresh: promote without growing.
-            if let Some(pos) = self.lru.iter().position(|&a| a == addr) {
-                self.lru.remove(pos);
-            }
-            self.lru.push_back(addr);
+            self.slab[i].bytes = bytes;
+            self.unlink(i);
+            self.link_mru(i);
             return 0;
         }
-        self.lru.push_back(addr);
-        let mut evicted = 0;
-        while self.map.len() > self.cap {
-            if let Some(old) = self.lru.pop_front() {
-                self.map.remove(&old);
-                evicted += 1;
-            }
-        }
+        let entry = CacheEntry {
+            addr,
+            bytes,
+            prev: NIL,
+            next: NIL,
+        };
+        let (i, evicted) = if self.slab.len() < self.cap {
+            self.slab.push(entry);
+            (self.slab.len() - 1, 0)
+        } else {
+            let victim = self.lru;
+            self.unlink(victim);
+            self.map.remove(&self.slab[victim].addr);
+            self.slab[victim] = entry;
+            (victim, 1)
+        };
+        self.map.insert(addr, i);
+        self.link_mru(i);
         evicted
     }
 }
 
-/// A cold frame on its way through a read batch: stored-frame address,
-/// bytes (fetched frame, then decoded chunk), and the instant they were
-/// ready.
-type ColdFrame = (u64, Vec<u8>, SimTime);
+/// Batches of at most this many requests find their distinct frames by
+/// scanning the ones seen so far; larger batches build one map. A scan
+/// over a few dozen addresses is cheaper than hashing each, and a
+/// single-block read builds no hash container at all.
+const SCAN_MAX_REQUESTS: usize = 32;
+
+/// One distinct stored frame of a read batch.
+struct Slot {
+    addr: u64,
+    /// The decompressed chunk: captured from the cache at batch issue, or
+    /// filled in by the batch's own decode.
+    bytes: Option<SharedChunk>,
+    /// When this batch's decode of the frame was ready; `None` for a frame
+    /// that was cached at batch issue.
+    decoded_at: Option<SimTime>,
+}
+
+/// The distinct frames of a read batch, in first-appearance order.
+struct Grouped {
+    slots: Vec<Slot>,
+    /// Address → slot index, for batches above [`SCAN_MAX_REQUESTS`].
+    by_addr: Option<HashMap<u64, usize>>,
+}
+
+impl Grouped {
+    fn for_requests(requests: usize) -> Self {
+        Grouped {
+            slots: Vec::with_capacity(requests),
+            by_addr: (requests > SCAN_MAX_REQUESTS).then(|| HashMap::with_capacity(requests)),
+        }
+    }
+
+    fn find(&self, addr: u64) -> Option<usize> {
+        match &self.by_addr {
+            Some(by_addr) => by_addr.get(&addr).copied(),
+            None => self.slots.iter().position(|s| s.addr == addr),
+        }
+    }
+
+    fn push(&mut self, slot: Slot) {
+        if let Some(by_addr) = &mut self.by_addr {
+            by_addr.insert(slot.addr, self.slots.len());
+        }
+        self.slots.push(slot);
+    }
+}
+
+/// A cold frame on its way through a read batch.
+struct ColdFrame {
+    /// Index of its [`Slot`].
+    slot: usize,
+    chunk: ChunkRef,
+    /// Where the sealed frame (integrity envelope skipped) sits in the
+    /// batch's fetch buffer.
+    frame: Range<usize>,
+    /// When its last page read completed.
+    fetched_at: SimTime,
+}
 
 impl Pipeline {
     /// Reads a stored chunk back from the SSD and unseals it — the
@@ -163,6 +291,15 @@ impl Pipeline {
         if refs.is_empty() {
             return Ok(Vec::new());
         }
+        let out = self.read_batch(refs);
+        // On every exit: the retries and latch transitions a failed batch
+        // burnt belong in the report as much as a successful one's.
+        self.sync_fault_counters();
+        out
+    }
+
+    /// The body of [`Pipeline::read_chunks`] for a non-empty batch.
+    fn read_batch(&mut self, refs: &[ChunkRef]) -> Result<Vec<Vec<u8>>, ReadError> {
         let cpu_model = self.config.cpu;
         let now = self.report.read_end.max(self.report.reduction_end);
         self.obs.read_batches.incr();
@@ -171,62 +308,93 @@ impl Pipeline {
         // capture cache hits *now* — the batch's own fresh inserts may
         // evict them before delivery. Each distinct cold frame is fetched
         // and decompressed exactly once.
-        let mut seen = HashSet::new();
-        let mut hits: HashMap<u64, Vec<u8>> = HashMap::new();
-        let mut misses: Vec<ChunkRef> = Vec::new();
+        let mut grouped = Grouped::for_requests(refs.len());
+        let mut cold: Vec<ColdFrame> = Vec::new();
         for r in refs {
-            if !seen.insert(r.addr()) {
+            if grouped.find(r.addr()).is_some() {
                 continue;
             }
-            match self.read_cache.get(r.addr()) {
-                Some(bytes) => {
-                    hits.insert(r.addr(), bytes);
+            let bytes = self.read_cache.get(r.addr());
+            if bytes.is_none() {
+                if cold.is_empty() {
+                    // At most every request not yet grouped is cold.
+                    cold.reserve(refs.len() - grouped.slots.len());
                 }
-                None => misses.push(*r),
+                cold.push(ColdFrame {
+                    slot: grouped.slots.len(),
+                    chunk: *r,
+                    frame: 0..0,
+                    fetched_at: now,
+                });
             }
+            grouped.push(Slot {
+                addr: r.addr(),
+                bytes,
+                decoded_at: None,
+            });
         }
 
-        // Fetch cold frames serially through the destager (page reads
-        // chain on the device clock) and strip the integrity envelope.
         let mut at = now;
-        let mut fetched: Vec<ColdFrame> = Vec::with_capacity(misses.len());
-        for r in &misses {
-            let read = self.destage.read_chunk(at, &mut self.ssd, *r)?;
-            if let Some(g) = read.flush {
-                self.report.ssd_end = self.report.ssd_end.max(g.end);
+        if !cold.is_empty() {
+            // Fetch cold frames serially through the destager (page reads
+            // chain on the device clock) into one buffer, verifying each
+            // integrity envelope where it lands.
+            let fetch_span = self.obs.read_fetch.span();
+            let stored: usize = cold.iter().map(|c| c.chunk.stored_len() as usize).sum();
+            let mut fetched = Vec::with_capacity(stored);
+            for c in &mut cold {
+                let begin = fetched.len();
+                let read = self
+                    .destage
+                    .read_chunk(at, &mut self.ssd, c.chunk, &mut fetched)?;
+                if let Some(g) = read.flush {
+                    self.report.ssd_end = self.report.ssd_end.max(g.end);
+                }
+                at = read.done;
+                let sealed = if self.config.integrity {
+                    frame::verify_and_strip(&fetched[begin..])?.len()
+                } else {
+                    fetched.len() - begin
+                };
+                c.frame = fetched.len() - sealed..fetched.len();
+                c.fetched_at = read.done;
             }
-            at = read.done;
-            let frame_bytes = if self.config.integrity {
-                frame::verify_and_strip(&read.bytes)?.to_vec()
+            self.obs
+                .read_fetch
+                .record_sim_ns(at.saturating_duration_since(now).as_nanos());
+            fetch_span.finish();
+
+            // Route the cold batch: GPU for bulk cold reads when
+            // compression is GPU-assigned and the decompress latch is not
+            // resting; CPU otherwise (a small batch cannot amortize a
+            // kernel launch).
+            let decode_span = self.obs.read_decode.span();
+            let use_gpu = self.config.mode.gpu_compression()
+                && cold.len() >= self.config.read.gpu_min_batch
+                && self.fault.gpu_decompress.allow(at);
+            let decoded = if use_gpu {
+                self.gpu_decompress_reads(&fetched, &cold, &mut grouped.slots, at)?
             } else {
-                read.bytes
+                self.cpu_decompress_reads(&fetched, &cold, &mut grouped.slots, SimTime::ZERO)?
             };
-            fetched.push((r.addr(), frame_bytes, read.done));
-        }
+            self.obs
+                .read_decode
+                .record_sim_ns(decoded.saturating_duration_since(at).as_nanos());
+            decode_span.finish();
 
-        // Route the cold batch: GPU for bulk cold reads when compression
-        // is GPU-assigned and the decompress latch is not resting; CPU
-        // otherwise (a small batch cannot amortize a kernel launch).
-        let use_gpu = self.config.mode.gpu_compression()
-            && fetched.len() >= self.config.read.gpu_min_batch
-            && self.fault.gpu_decompress.allow(at);
-        let decoded = if use_gpu {
-            self.gpu_decompress_reads(&fetched, at)?
-        } else {
-            self.cpu_decompress_reads(&fetched, SimTime::ZERO)?
-        };
-
-        // Fresh decodes enter the cache — successful ones only, so a
-        // corrupt frame is re-detected on every re-read.
-        let mut fresh: HashMap<u64, (Vec<u8>, SimTime)> = HashMap::with_capacity(decoded.len());
-        for (addr, bytes, ready) in decoded {
+            // Fresh decodes enter the cache — the batch keeps sharing
+            // them — and only once every frame decoded, so a corrupt
+            // frame is re-detected on every re-read.
             if self.config.read.cache_chunks > 0 {
-                let evicted = self.read_cache.insert(addr, bytes.clone());
-                if evicted > 0 {
-                    self.obs.read_cache_evictions.add(evicted);
+                for c in &cold {
+                    let slot = &grouped.slots[c.slot];
+                    let bytes = slot.bytes.as_ref().expect("cold frame was decoded");
+                    let evicted = self.read_cache.insert(slot.addr, Arc::clone(bytes));
+                    if evicted > 0 {
+                        self.obs.read_cache_evictions.add(evicted);
+                    }
                 }
             }
-            fresh.insert(addr, (bytes, ready));
         }
         self.obs
             .read_cache_entries
@@ -238,20 +406,18 @@ impl Pipeline {
         let mut out = Vec::with_capacity(refs.len());
         let mut read_end = now;
         for r in refs {
-            let (bytes, ready) = match fresh.get(&r.addr()) {
-                Some((bytes, ready)) => {
+            let slot = &grouped.slots[grouped.find(r.addr()).expect("every request was grouped")];
+            let bytes = slot.bytes.as_ref().expect("frame is fresh or was cached");
+            let ready = match slot.decoded_at {
+                Some(ready) => {
                     self.obs.read_cache_misses.incr();
-                    (bytes.clone(), *ready)
+                    ready
                 }
                 None => {
-                    let bytes = hits
-                        .get(&r.addr())
-                        .expect("request is fresh or was cached at batch issue")
-                        .clone();
                     let g = self.cpu.acquire(now, cpu_model.read_hit_cost());
                     self.report.read_cache_hits += 1;
                     self.obs.read_cache_hits.incr();
-                    (bytes, g.end)
+                    g.end
                 }
             };
             self.obs
@@ -260,16 +426,16 @@ impl Pipeline {
             self.report.reads += 1;
             self.report.read_bytes += bytes.len() as u64;
             read_end = read_end.max(ready);
-            out.push(bytes);
+            // The one per-request copy: the caller owns what it gets.
+            out.push(bytes.to_vec());
         }
         self.report.read_end = self.report.read_end.max(read_end);
-        self.sync_fault_counters();
         self.obs.tracer.sim_span(
             Track::Read,
             "read-batch",
             now.as_nanos(),
             read_end.as_nanos(),
-            trace_args(&[("reads", refs.len() as u64), ("cold", misses.len() as u64)]),
+            trace_args(&[("reads", refs.len() as u64), ("cold", cold.len() as u64)]),
         );
         Ok(out)
     }
@@ -277,23 +443,27 @@ impl Pipeline {
     /// CPU decompression of fetched cold frames: each frame decodes on a
     /// simulated CPU worker at its fetch-ready instant (or `floor`, when a
     /// failed GPU attempt handed the batch over — degradation is never
-    /// free).
+    /// free). Returns when the last one was ready.
     fn cpu_decompress_reads(
         &mut self,
-        fetched: &[ColdFrame],
+        fetched: &[u8],
+        cold: &[ColdFrame],
+        slots: &mut [Slot],
         floor: SimTime,
-    ) -> Result<Vec<ColdFrame>, ReadError> {
+    ) -> Result<SimTime, ReadError> {
         let cpu_model = self.config.cpu;
-        let mut out = Vec::with_capacity(fetched.len());
-        for (addr, frame_bytes, fetched_at) in fetched {
-            let chunk = frame::open(frame_bytes)?;
+        let mut done = floor;
+        for c in cold {
+            let chunk = frame::open(&fetched[c.frame.clone()])?;
             let g = self.cpu.acquire(
-                (*fetched_at).max(floor),
+                c.fetched_at.max(floor),
                 cpu_model.decompress_cost(chunk.len()),
             );
-            out.push((*addr, chunk, g.end));
+            slots[c.slot].bytes = Some(Arc::new(chunk));
+            slots[c.slot].decoded_at = Some(g.end);
+            done = done.max(g.end);
         }
-        Ok(out)
+        Ok(done)
     }
 
     /// GPU decompression of a cold batch: one two-phase kernel pair
@@ -301,13 +471,16 @@ impl Pipeline {
     /// Transient launch faults retry with backoff; exhausted retries or a
     /// hard fault open the `gpu_decompress` latch and the batch falls back
     /// to [`Pipeline::cpu_decompress_reads`] with the burnt time as floor.
+    /// Returns when the last chunk was ready.
     fn gpu_decompress_reads(
         &mut self,
-        fetched: &[ColdFrame],
+        fetched: &[u8],
+        cold: &[ColdFrame],
+        slots: &mut [Slot],
         batch_ready: SimTime,
-    ) -> Result<Vec<ColdFrame>, ReadError> {
+    ) -> Result<SimTime, ReadError> {
         let cpu_model = self.config.cpu;
-        let views: Vec<&[u8]> = fetched.iter().map(|(_, f, _)| f.as_slice()).collect();
+        let views: Vec<&[u8]> = cold.iter().map(|c| &fetched[c.frame.clone()]).collect();
         let (gpu_decomp, gpu) = (&mut self.gpu_decomp, &mut self.gpu);
         let decompressed = self.fault.gpu_decompress.attempt(
             batch_ready,
@@ -316,12 +489,12 @@ impl Pipeline {
         );
         let (chunks, report) = match decompressed {
             Ok(out) => out,
-            Err(floor) => return self.cpu_decompress_reads(fetched, floor),
+            Err(floor) => return self.cpu_decompress_reads(fetched, cold, slots, floor),
         };
         self.report.gpu_decomp_batches += 1;
         self.obs.read_gpu_batches.incr();
-        let mut out = Vec::with_capacity(fetched.len());
-        for ((addr, _, _), chunk) in fetched.iter().zip(chunks) {
+        let mut done = report.gpu_done;
+        for (c, chunk) in cold.iter().zip(chunks) {
             let chunk = chunk?;
             // Host-side frame assembly once the kernels and the D2H copy
             // are done: the fixed decode overhead only — the byte work
@@ -329,9 +502,11 @@ impl Pipeline {
             let g = self
                 .cpu
                 .acquire(report.gpu_done, cpu_model.decompress_cost(0));
-            out.push((*addr, chunk, g.end));
+            slots[c.slot].bytes = Some(Arc::new(chunk));
+            slots[c.slot].decoded_at = Some(g.end);
+            done = done.max(g.end);
         }
-        Ok(out)
+        Ok(done)
     }
 
     /// Reads back the `index`-th ingested chunk through the logical map —
@@ -342,8 +517,11 @@ impl Pipeline {
     /// [`ReadError::UnknownBlock`] when `index` is out of range, otherwise
     /// whatever [`Pipeline::read_chunks`] reports.
     pub fn read_block(&mut self, index: usize) -> Result<Vec<u8>, ReadError> {
-        let mut out = self.read_blocks(&[index])?;
-        Ok(out.pop().expect("one result per request"))
+        let r = *self
+            .recipe
+            .get(index)
+            .ok_or(ReadError::UnknownBlock { index })?;
+        self.read_chunk(r)
     }
 
     /// Reads back a batch of ingested chunks through the logical map in
@@ -356,15 +534,11 @@ impl Pipeline {
     /// before any device work is issued), otherwise whatever
     /// [`Pipeline::read_chunks`] reports.
     pub fn read_blocks(&mut self, indices: &[usize]) -> Result<Vec<Vec<u8>>, ReadError> {
-        let refs = indices
-            .iter()
-            .map(|&index| {
-                self.recipe
-                    .get(index)
-                    .copied()
-                    .ok_or(ReadError::UnknownBlock { index })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let mut refs = Vec::with_capacity(indices.len());
+        for &index in indices {
+            let r = self.recipe.get(index);
+            refs.push(*r.ok_or(ReadError::UnknownBlock { index })?);
+        }
         self.read_chunks(&refs)
     }
 }
@@ -386,24 +560,24 @@ mod tests {
     #[test]
     fn insert_get_round_trips_and_bounds_capacity() {
         let mut cache = ReadCache::new(2);
-        assert_eq!(cache.insert(10, vec![1]), 0);
-        assert_eq!(cache.insert(20, vec![2]), 0);
+        assert_eq!(cache.insert(10, Arc::new(vec![1])), 0);
+        assert_eq!(cache.insert(20, Arc::new(vec![2])), 0);
         assert_eq!(cache.len(), 2);
         // Third insert evicts the least-recently-used (addr 10).
-        assert_eq!(cache.insert(30, vec![3]), 1);
+        assert_eq!(cache.insert(30, Arc::new(vec![3])), 1);
         assert!(!cache.contains(10));
-        assert_eq!(cache.get(20), Some(vec![2]));
-        assert_eq!(cache.get(30), Some(vec![3]));
+        assert_eq!(cache.get(20), Some(Arc::new(vec![2])));
+        assert_eq!(cache.get(30), Some(Arc::new(vec![3])));
     }
 
     #[test]
     fn get_promotes_recency() {
         let mut cache = ReadCache::new(2);
-        cache.insert(1, vec![1]);
-        cache.insert(2, vec![2]);
+        cache.insert(1, Arc::new(vec![1]));
+        cache.insert(2, Arc::new(vec![2]));
         // Touch 1, so 2 becomes the LRU victim.
         assert!(cache.get(1).is_some());
-        cache.insert(3, vec![3]);
+        cache.insert(3, Arc::new(vec![3]));
         assert!(cache.contains(1));
         assert!(!cache.contains(2));
     }
@@ -411,33 +585,122 @@ mod tests {
     #[test]
     fn refresh_does_not_evict() {
         let mut cache = ReadCache::new(2);
-        cache.insert(1, vec![1]);
-        cache.insert(2, vec![2]);
-        assert_eq!(cache.insert(1, vec![9]), 0, "refresh is not an insert");
-        assert_eq!(cache.get(1), Some(vec![9]));
+        cache.insert(1, Arc::new(vec![1]));
+        cache.insert(2, Arc::new(vec![2]));
+        assert_eq!(
+            cache.insert(1, Arc::new(vec![9])),
+            0,
+            "refresh is not an insert"
+        );
+        assert_eq!(cache.get(1), Some(Arc::new(vec![9])));
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn clear_empties_map_and_recency_queue() {
         let mut cache = ReadCache::new(2);
-        cache.insert(1, vec![1]);
-        cache.insert(2, vec![2]);
+        cache.insert(1, Arc::new(vec![1]));
+        cache.insert(2, Arc::new(vec![2]));
         cache.clear();
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.get(1), None);
         // Post-clear inserts behave like a fresh cache.
-        cache.insert(3, vec![3]);
+        cache.insert(3, Arc::new(vec![3]));
         assert!(cache.contains(3));
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
         let mut cache = ReadCache::new(0);
-        assert_eq!(cache.insert(1, vec![1]), 0);
+        assert_eq!(cache.insert(1, Arc::new(vec![1])), 0);
         assert!(!cache.contains(1));
         assert_eq!(cache.get(1), None);
         assert_eq!(cache.len(), 0);
+    }
+
+    /// The `HashMap` + `VecDeque` LRU the slab-linked one replaced, kept
+    /// as its model: recency by O(n) scan, eviction from the front.
+    struct ModelLru {
+        cap: usize,
+        map: HashMap<u64, u8>,
+        order: std::collections::VecDeque<u64>,
+    }
+
+    impl ModelLru {
+        fn get(&mut self, addr: u64) -> Option<u8> {
+            let tag = *self.map.get(&addr)?;
+            let pos = self.order.iter().position(|&a| a == addr).unwrap();
+            self.order.remove(pos);
+            self.order.push_back(addr);
+            Some(tag)
+        }
+
+        fn insert(&mut self, addr: u64, tag: u8) -> u64 {
+            if self.cap == 0 {
+                return 0;
+            }
+            if self.map.insert(addr, tag).is_some() {
+                let pos = self.order.iter().position(|&a| a == addr).unwrap();
+                self.order.remove(pos);
+                self.order.push_back(addr);
+                return 0;
+            }
+            self.order.push_back(addr);
+            let mut evicted = 0;
+            while self.map.len() > self.cap {
+                let old = self.order.pop_front().unwrap();
+                self.map.remove(&old);
+                evicted += 1;
+            }
+            evicted
+        }
+    }
+
+    #[test]
+    fn slab_lru_matches_the_scan_based_model_step_for_step() {
+        for cap in [0usize, 1, 2, 256] {
+            let mut rng = dr_des::SplitMix64::new(0x1A2_0000 + cap as u64);
+            let mut cache = ReadCache::new(cap);
+            let mut model = ModelLru {
+                cap,
+                map: HashMap::new(),
+                order: std::collections::VecDeque::new(),
+            };
+            // An address space a little over capacity keeps hits, refreshes
+            // and evictions all frequent.
+            let addrs = (cap as u64 * 3 / 2).max(4);
+            let (mut evictions, mut want_evictions) = (0, 0);
+            for step in 0..20_000 {
+                let addr = rng.next_below(addrs);
+                match rng.next_below(100) {
+                    0 => {
+                        cache.clear();
+                        model.map.clear();
+                        model.order.clear();
+                    }
+                    1..=44 => {
+                        let got = cache.get(addr).map(|bytes| bytes[0]);
+                        assert_eq!(got, model.get(addr), "cap {cap} step {step}: get {addr}");
+                    }
+                    _ => {
+                        let tag = rng.next_u64() as u8;
+                        evictions += cache.insert(addr, Arc::new(vec![tag]));
+                        want_evictions += model.insert(addr, tag);
+                    }
+                }
+                // Same residents in the same recency order: the next
+                // victim, and every one after it, is the same chunk.
+                assert_eq!(
+                    cache.recency(),
+                    Vec::from(model.order.clone()),
+                    "cap {cap} step {step}"
+                );
+                assert_eq!(evictions, want_evictions, "cap {cap} step {step}");
+                assert_eq!(cache.len(), model.map.len());
+                assert_eq!(cache.map.len(), cache.slab.len());
+            }
+            assert!(cap == 0 || evictions > 0, "cap {cap} never evicted");
+        }
     }
 
     #[test]
@@ -571,6 +834,49 @@ mod tests {
                     assert_eq!(b.1, key.1, "pool_workers={pool_workers} changed bytes");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_failed_read_batch_still_reports_the_faults_it_burnt() {
+        let mut p = Pipeline::new(small_config(IntegrationMode::CpuOnly));
+        p.run(&stream());
+        assert_eq!(p.report().fault_retries, 0);
+        p.set_ssd_faults(dr_ssd_sim::SsdFaultSpec {
+            read_error_rate: 1.0,
+            ..dr_ssd_sim::SsdFaultSpec::default()
+        });
+        assert!(matches!(p.read_block(0), Err(ReadError::Device(_))));
+        // No successful call since: the report already has the first
+        // attempt and the three retries the failed batch spent.
+        assert_eq!(p.report().fault_retries, 3);
+        assert_eq!(p.report().faults_injected, 4);
+    }
+
+    #[test]
+    fn fetch_and_decode_stages_sample_once_per_batch_with_a_cold_frame() {
+        let obs = dr_obs::ObsHandle::enabled("t");
+        let mut cfg = small_config(IntegrationMode::CpuOnly);
+        cfg.obs = obs.clone();
+        let mut p = Pipeline::new(cfg);
+        p.run(&stream());
+        p.read_blocks(&[0, 1, 2, 3]).unwrap(); // cold
+        p.read_blocks(&[0, 1]).unwrap(); // all resident: nothing to time
+        p.read_blocks(&[3, 4]).unwrap(); // one hit, one cold
+        let snap = obs.snapshot().unwrap();
+        for name in [
+            "read.fetch.wall_ns",
+            "read.fetch.sim_ns",
+            "read.decode.wall_ns",
+            "read.decode.sim_ns",
+        ] {
+            let (_, hist) = snap
+                .histograms
+                .iter()
+                .find(|(n, _)| n == name)
+                .unwrap_or_else(|| panic!("{name} missing"));
+            assert_eq!(hist.count, 2, "{name}");
+            assert!(hist.min > 0, "{name} recorded an empty span");
         }
     }
 

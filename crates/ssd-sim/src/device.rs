@@ -1,6 +1,7 @@
 //! The SSD request path: host commands → FTL ops → per-die timing.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use dr_des::{Grant, Resource, SimDuration, SimTime};
 use dr_obs::trace::{trace_args, Tracer, Track};
@@ -329,34 +330,64 @@ impl SsdDevice {
     ///
     /// # Errors
     ///
+    /// As [`SsdDevice::read_page_into`].
+    pub fn read_page(&mut self, now: SimTime, lpn: u64) -> Result<(Vec<u8>, Grant), SsdError> {
+        let page_bytes = self.ftl.spec().page_bytes as usize;
+        let mut data = Vec::with_capacity(page_bytes);
+        let grant = self.read_page_into(now, lpn, 0..page_bytes, &mut data)?;
+        Ok((data, grant))
+    }
+
+    /// Reads one page and appends bytes `range` of it to `out` — the page
+    /// read itself, for callers that want part of a page in a buffer they
+    /// already own. The command is a whole-page read whatever the range:
+    /// timing, statistics and fault draws do not depend on it, and an
+    /// injected bit flip that lands outside `range` is simply not seen.
+    /// `out` is untouched on error.
+    ///
+    /// # Errors
+    ///
     /// [`SsdError::InvalidLpn`] / [`SsdError::Unwritten`] from the FTL;
     /// [`SsdError::Busy`] / [`SsdError::ReadFault`] when the spec's fault
     /// schedule injects a transient failure (retry is safe).
-    pub fn read_page(&mut self, now: SimTime, lpn: u64) -> Result<(Vec<u8>, Grant), SsdError> {
+    ///
+    /// # Panics
+    ///
+    /// Panics when `range` reaches past the page.
+    pub fn read_page_into(
+        &mut self,
+        now: SimTime,
+        lpn: u64,
+        range: Range<usize>,
+        out: &mut Vec<u8>,
+    ) -> Result<Grant, SsdError> {
         if let Some(fault) = self.draw_transient_fault(lpn, false) {
             return Err(fault);
         }
         let t_ctrl = self.ftl.spec().t_ctrl;
-        let (_ppa, ops) = self.ftl.read(lpn)?;
+        let (_ppa, op) = self.ftl.read(lpn)?;
         let front = self.controller.acquire(now, t_ctrl);
-        let end = self.run_ops(front.end, &ops);
-        let mut data = match &self.store {
-            Some(store) => store
-                .get(&lpn)
-                .cloned()
-                .unwrap_or_else(|| vec![0; self.ftl.spec().page_bytes as usize]),
-            None => vec![0; self.ftl.spec().page_bytes as usize],
-        };
-        // Uncorrectable-read-error injection: flip one bit.
+        let end = self.run_ops(front.end, &[op]);
+        let page_bytes = self.ftl.spec().page_bytes as usize;
+        assert!(range.end <= page_bytes, "read range {range:?} exceeds page");
+        let at = out.len();
+        match self.store.as_ref().and_then(|store| store.get(&lpn)) {
+            Some(page) => out.extend_from_slice(&page[range.clone()]),
+            None => out.resize(at + range.len(), 0),
+        }
+        // Uncorrectable-read-error injection: flip one bit of the page.
         let fault_rate = self.ftl.spec().read_fault_rate;
         if fault_rate > 0.0 && self.fault_rng.next_f64() < fault_rate {
-            let bit = self.fault_rng.next_below(data.len() as u64 * 8);
-            data[(bit / 8) as usize] ^= 1 << (bit % 8);
+            let bit = self.fault_rng.next_below(page_bytes as u64 * 8);
+            let byte = (bit / 8) as usize;
+            if range.contains(&byte) {
+                out[at + byte - range.start] ^= 1 << (bit % 8);
+            }
         }
         self.stats.reads += 1;
-        self.stats.bytes_read += data.len() as u64;
+        self.stats.bytes_read += page_bytes as u64;
         self.obs.reads.incr();
-        self.obs.bytes_read.add(data.len() as u64);
+        self.obs.bytes_read.add(page_bytes as u64);
         self.obs
             .read_ns
             .record(end.saturating_duration_since(front.start).as_nanos());
@@ -367,13 +398,10 @@ impl SsdDevice {
             end.as_nanos(),
             trace_args(&[("lpn", lpn)]),
         );
-        Ok((
-            data,
-            Grant {
-                start: front.start,
-                end,
-            },
-        ))
+        Ok(Grant {
+            start: front.start,
+            end,
+        })
     }
 
     /// Invalidates a page (TRIM).
@@ -477,6 +505,62 @@ mod tests {
         let g = ssd.write_page(SimTime::ZERO, 7, &page).unwrap();
         let (back, _) = ssd.read_page(g.end, 7).unwrap();
         assert_eq!(back, page);
+    }
+
+    #[test]
+    fn ranged_read_appends_the_range_and_costs_a_whole_page() {
+        let (mut whole, mut ranged) = (small_device(), small_device());
+        let page: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
+        whole.write_page(SimTime::ZERO, 7, &page).unwrap();
+        ranged.write_page(SimTime::ZERO, 7, &page).unwrap();
+        let (_, want) = whole.read_page(SimTime::ZERO, 7).unwrap();
+        let mut out = b"kept".to_vec();
+        let got = ranged
+            .read_page_into(SimTime::ZERO, 7, 100..1100, &mut out)
+            .unwrap();
+        assert_eq!(got, want);
+        assert_eq!(&out[..4], b"kept");
+        assert_eq!(&out[4..], &page[100..1100]);
+        assert_eq!(ranged.stats().bytes_read, whole.stats().bytes_read);
+        // A failed read leaves the buffer alone.
+        assert!(ranged
+            .read_page_into(SimTime::ZERO, 8, 0..16, &mut out)
+            .is_err());
+        assert_eq!(out.len(), 1004);
+    }
+
+    #[test]
+    fn injected_bit_flips_draw_over_the_page_whatever_the_range() {
+        // Every read flips one bit somewhere in the page. A ranged read
+        // must consume the same two draws and show the flip only when it
+        // lands inside the range — so two devices stay in lockstep.
+        let spec = || SsdSpec {
+            channels: 2,
+            dies_per_channel: 2,
+            blocks_per_die: 16,
+            pages_per_block: 8,
+            read_fault_rate: 1.0,
+            ..SsdSpec::samsung_830_256g()
+        };
+        let (mut whole, mut ranged) = (SsdDevice::new(spec()), SsdDevice::new(spec()));
+        let page = vec![0u8; 4096];
+        whole.write_page(SimTime::ZERO, 0, &page).unwrap();
+        ranged.write_page(SimTime::ZERO, 0, &page).unwrap();
+        let (mut seen, mut unseen) = (0, 0);
+        for _ in 0..64 {
+            let (flipped, _) = whole.read_page(SimTime::ZERO, 0).unwrap();
+            let mut half = Vec::new();
+            ranged
+                .read_page_into(SimTime::ZERO, 0, 2048..4096, &mut half)
+                .unwrap();
+            assert_eq!(half, flipped[2048..]);
+            if half == page[2048..] {
+                unseen += 1;
+            } else {
+                seen += 1;
+            }
+        }
+        assert!(seen > 0 && unseen > 0, "seen {seen}, unseen {unseen}");
     }
 
     #[test]

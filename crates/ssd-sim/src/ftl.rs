@@ -288,15 +288,15 @@ impl Ftl {
         Ok(ops)
     }
 
-    /// Translates a host page read into NAND operations.
+    /// Translates a host page read into its NAND operation.
     ///
     /// # Errors
     ///
     /// [`SsdError::InvalidLpn`] / [`SsdError::Unwritten`].
-    pub fn read(&mut self, lpn: u64) -> Result<(Ppa, Vec<NandOp>), SsdError> {
+    pub fn read(&mut self, lpn: u64) -> Result<(Ppa, NandOp), SsdError> {
         let ppa = self.lookup(lpn)?.ok_or(SsdError::Unwritten { lpn })?;
         self.stats.host_reads += 1;
-        Ok((ppa, vec![NandOp::Read { die: ppa.die }]))
+        Ok((ppa, NandOp::Read { die: ppa.die }))
     }
 
     /// Invalidates a logical page (TRIM).
@@ -471,8 +471,8 @@ mod tests {
     fn read_after_write_finds_page() {
         let mut ftl = Ftl::new(tiny_spec());
         ftl.write(3).unwrap();
-        let (ppa, ops) = ftl.read(3).unwrap();
-        assert_eq!(ops, vec![NandOp::Read { die: ppa.die }]);
+        let (ppa, op) = ftl.read(3).unwrap();
+        assert_eq!(op, NandOp::Read { die: ppa.die });
     }
 
     #[test]
