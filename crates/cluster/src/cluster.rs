@@ -42,8 +42,8 @@ use std::collections::BTreeMap;
 use dr_binindex::BinRouter;
 use dr_des::{SimTime, SplitMix64};
 use dr_hashes::{crc32c, sha1_digest, ChunkDigest};
-use dr_obs::{merge_snapshots, CounterHandle, ObsHandle, Snapshot};
-use dr_reduction::{PipelineConfig, RecoveryOutcome, Report, VolumeError};
+use dr_obs::{merge_snapshots, CounterHandle, HistogramHandle, ObsHandle, Snapshot};
+use dr_reduction::{HashedChunks, PipelineConfig, RecoveryOutcome, Report, VolumeError};
 use dr_ssd_sim::CrashSpec;
 
 use crate::node::Node;
@@ -291,6 +291,14 @@ pub struct Cluster {
     obs: ObsHandle,
     ingest_unique: CounterHandle,
     ingest_dedup_hits: CounterHandle,
+    /// `hashing.wall_ns` in the front-end's registry: the host time of
+    /// the one fingerprinting pass a client write gets, under the name the
+    /// nodes use for theirs, so the roll-up's `cluster.hashing.wall_ns`
+    /// still reads "host ns spent fingerprinting". Wall side only — the
+    /// simulated hash cost stays the node's to charge.
+    hashing_wall: HistogramHandle,
+    /// `(bin, home node)` per chunk of the write in progress (reused).
+    routed: Vec<(u64, NodeId)>,
     /// Test hook: corrupt the next handoff in transit, forcing the
     /// destination's CRC validation to reject and re-request it.
     pub corrupt_next_handoff: bool,
@@ -330,6 +338,8 @@ impl Cluster {
             dedup_hits: 0,
             ingest_unique: obs.counter("ingest.unique"),
             ingest_dedup_hits: obs.counter("ingest.dedup_hits"),
+            hashing_wall: obs.histogram("hashing.wall_ns"),
+            routed: Vec::new(),
             obs,
             corrupt_next_handoff: false,
             config,
@@ -407,7 +417,10 @@ impl Cluster {
     /// each chunk and batching node-contiguous runs into single node
     /// writes — a single-node cluster therefore issues exactly the call
     /// sequence a bare [`VolumeManager`](dr_reduction::VolumeManager)
-    /// would, and its pipeline state is bit-identical.
+    /// would, and its pipeline state is bit-identical. The write is
+    /// fingerprinted here, once: routing needs the digests, and the nodes
+    /// take them over with their runs ([`HashedChunks`]) instead of
+    /// hashing the same bytes again.
     ///
     /// # Errors
     ///
@@ -440,41 +453,54 @@ impl Cluster {
             }
             .into());
         }
-        // Route every chunk, then group consecutive same-node chunks.
-        let placed: Vec<(ChunkDigest, u64, NodeId)> = data
-            .chunks(chunk_bytes)
-            .map(|chunk| {
-                let digest = sha1_digest(chunk);
-                let bin = self.router.route(&digest) as u64;
-                (digest, bin, self.ring.route(bin))
-            })
-            .collect();
+        // Fingerprint the write — the one hashing pass it gets: the nodes
+        // take these digests as their own — and route every chunk by it.
+        let span = self.hashing_wall.span();
+        let write = HashedChunks::hash(data, chunk_bytes);
+        span.finish();
+        let mut routed = std::mem::take(&mut self.routed);
+        routed.clear();
+        routed.extend(write.digests().iter().map(|digest| {
+            let bin = self.router.route(digest) as u64;
+            (bin, self.ring.route(bin))
+        }));
+        let outcome = self.write_runs(name, start_block, &write, &routed);
+        self.routed = routed;
+        outcome
+    }
+
+    /// Hands each run of consecutive same-node chunks of `write` to its
+    /// node; `routed` is every chunk's `(bin, home node)`.
+    fn write_runs(
+        &mut self,
+        name: &str,
+        start_block: u64,
+        write: &HashedChunks,
+        routed: &[(u64, NodeId)],
+    ) -> Result<WriteOutcome, ClusterError> {
         let mut outcome = WriteOutcome::default();
-        let mut i = 0usize;
-        while i < placed.len() {
-            let node_id = placed[i].2;
-            let mut j = i + 1;
-            while j < placed.len() && placed[j].2 == node_id {
-                j += 1;
-            }
-            let run_start = start_block + i as u64;
-            let bytes = &data[i * chunk_bytes..j * chunk_bytes];
+        let mut first = 0usize;
+        for run in routed.chunk_by(|a, b| a.1 == b.1) {
+            let (chunks, node_id) = (first..first + run.len(), run[0].1);
+            let run_start = start_block + first as u64;
             let node = self
                 .nodes
                 .get_mut(&node_id)
                 .expect("ring routes to members");
-            node.vm.write(name, run_start, bytes)?;
+            node.vm
+                .write_hashed(name, run_start, &write.slice(chunks.clone()))?;
             let ack = node.vm.last_ack();
-            for (k, (digest, bin, _)) in placed.iter().enumerate().take(j).skip(i) {
-                self.account_write(name, start_block + k as u64, *digest, *bin, node_id);
+            for (k, (bin, _)) in chunks.zip(run) {
+                let digest = write.digests()[k];
+                self.account_write(name, start_block + k as u64, digest, *bin, node_id);
             }
             outcome.runs.push(PlacedRun {
                 start_block: run_start,
-                nblocks: (j - i) as u64,
+                nblocks: run.len() as u64,
                 node: node_id,
                 ack,
             });
-            i = j;
+            first += run.len();
         }
         Ok(outcome)
     }

@@ -321,6 +321,35 @@ fn rollup_namespaces_nodes_and_aggregates() {
 }
 
 #[test]
+fn a_client_write_is_fingerprinted_once_at_the_router() {
+    let mut c = cluster(4, true);
+    c.create_volume("v", 64).unwrap();
+    let writes = 48u64;
+    for b in 0..writes {
+        // Fresh blocks, repeats and overwrites alike.
+        c.write("v", b % 40, &payload(b % 29)).unwrap();
+    }
+    let roll = c.rollup();
+    let hashing = |registry: &str| {
+        let name = format!("{registry}.hashing.wall_ns");
+        let found = roll.histograms.iter().find(|(n, _)| *n == name);
+        found.map_or(0, |(_, h)| h.count)
+    };
+    for id in c.node_ids() {
+        assert_eq!(hashing(&format!("node{id}")), 0, "node {id} hashed again");
+    }
+    assert_eq!(hashing("router"), writes);
+    assert_eq!(hashing("cluster"), writes, "the roll-up's one hashing pass");
+    // The simulated hash cost is still charged where the chunk lands.
+    let sim = roll
+        .histograms
+        .iter()
+        .find(|(n, _)| n == "cluster.hashing.sim_ns");
+    assert_eq!(sim.expect("nodes charge the hash").1.count, writes);
+    c.check_integrity().unwrap();
+}
+
+#[test]
 fn single_node_cluster_is_bit_identical_to_bare_array() {
     for mode in [
         IntegrationMode::CpuOnly,

@@ -165,16 +165,17 @@ impl Destager {
     /// Issues one page write, absorbing transient injected faults with the
     /// backoff schedule: each retry starts `delay(k)` after the previous
     /// attempt, so retries cost simulated time. Non-transient errors and
-    /// retry-budget exhaustion propagate.
+    /// retry-budget exhaustion propagate. Takes the guarded component
+    /// rather than `self`, so `page` may be the log's own buffer.
     fn write_page_retrying(
-        &mut self,
+        ssd_write: &mut Guarded,
         now: SimTime,
         ssd: &mut SsdDevice,
         lpn: u64,
         page: &[u8],
     ) -> Result<Grant, SsdError> {
         let write = |at| ssd.write_page(at, lpn, page);
-        self.ssd_write
+        ssd_write
             .retry(None, now, SsdError::is_transient, write)
             .result
     }
@@ -245,10 +246,11 @@ impl Destager {
         let start = self.obs.stage.wall.is_live().then(Instant::now);
         let mut grants = Vec::new();
         while self.buf.len() >= self.page_bytes {
-            // Write from a copy and drain only on success, so a fault that
-            // survives every retry leaves the buffered bytes intact.
-            let page: Vec<u8> = self.buf[..self.page_bytes].to_vec();
-            let g = self.write_page_retrying(now, ssd, self.next_data_lpn, &page)?;
+            // Drain only on success, so a fault that survives every retry
+            // leaves the buffered bytes intact.
+            let page = &self.buf[..self.page_bytes];
+            let lpn = self.next_data_lpn;
+            let g = Self::write_page_retrying(&mut self.ssd_write, now, ssd, lpn, page)?;
             self.buf.drain(..self.page_bytes);
             self.next_data_lpn += 1;
             self.obs.data_pages.incr();
@@ -282,15 +284,18 @@ impl Destager {
             return Ok(None);
         }
         // Check the crossing *before* touching the buffer, so a full device
-        // does not silently discard the buffered tail; likewise write from
-        // a padded copy and clear only on success.
+        // does not silently discard the buffered tail; likewise pad the
+        // buffer in place, cut it back to its length whatever the write
+        // did, and clear only on success.
         if self.free_data_pages() == 0 {
             return Err(SsdError::CapacityExhausted);
         }
         let start = self.obs.stage.wall.is_live().then(Instant::now);
-        let mut page = self.buf.clone();
-        page.resize(self.page_bytes, 0);
-        let g = self.write_page_retrying(now, ssd, self.next_data_lpn, &page)?;
+        let (len, lpn) = (self.buf.len(), self.next_data_lpn);
+        self.buf.resize(self.page_bytes, 0);
+        let written = Self::write_page_retrying(&mut self.ssd_write, now, ssd, lpn, &self.buf);
+        self.buf.truncate(len);
+        let g = written?;
         self.buf.clear();
         self.next_data_lpn += 1;
         self.obs.partial_flushes.incr();
@@ -329,7 +334,8 @@ impl Destager {
             if self.next_index_lpn <= self.next_data_lpn {
                 return Err(SsdError::CapacityExhausted);
             }
-            let g = self.write_page_retrying(now, ssd, self.next_index_lpn, &payload)?;
+            let lpn = self.next_index_lpn;
+            let g = Self::write_page_retrying(&mut self.ssd_write, now, ssd, lpn, &payload)?;
             self.next_index_lpn -= 1;
             self.obs.index_pages.incr();
             grants.push(g);
@@ -698,6 +704,30 @@ mod tests {
         for r in refs {
             assert_eq!(read_back(&mut log, &mut dev, r).unwrap().0, frame);
         }
+    }
+
+    #[test]
+    fn a_refused_flush_leaves_the_open_page_as_it_was() {
+        use dr_ssd_sim::SsdFaultSpec;
+        let mut dev = ssd();
+        let mut log = Destager::new(&dev);
+        let frame: Vec<u8> = (0..1000u32).map(|i| (i % 241) as u8 + 1).collect();
+        let (r, _) = log.append(SimTime::ZERO, &mut dev, &frame).unwrap();
+        dev.set_faults(SsdFaultSpec {
+            write_error_rate: 1.0,
+            ..SsdFaultSpec::default()
+        });
+        let refused = log.flush(SimTime::ZERO, &mut dev).unwrap_err();
+        assert!(refused.is_transient());
+        // Neither cleared nor left padded out to a page.
+        assert_eq!(log.tail(), frame);
+        assert_eq!(log.data_pages_written(), 0);
+        dev.set_faults(SsdFaultSpec::default());
+        // The next frame lands right behind it, and both read back.
+        let (r2, _) = log.append(SimTime::ZERO, &mut dev, &frame[..10]).unwrap();
+        assert_eq!(r2.addr(), 1000);
+        assert_eq!(read_back(&mut log, &mut dev, r).unwrap().0, frame);
+        assert_eq!(read_back(&mut log, &mut dev, r2).unwrap().0, frame[..10]);
     }
 
     #[test]

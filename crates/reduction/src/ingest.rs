@@ -7,13 +7,15 @@
 //! through its [`Guarded`](crate::degrade::Guarded) component and falls
 //! back to the CPU arm with the burnt time as its floor.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 use dr_binindex::{BinHit, ChunkRef, FlushEvent, GpuProbe, ProbeKind};
 use dr_compress::{frame, Codec};
 use dr_des::{Grant, SimTime};
-use dr_hashes::ChunkDigest;
+use dr_hashes::{sha1_digest, ChunkDigest};
 use dr_obs::trace::{trace_args, TraceArgs, Tracer, Track};
 
 use crate::journal::{BatchCommit, ChunkCommit, Record};
@@ -93,6 +95,102 @@ impl BatchPayload {
                 &buf[offset..offset + len]
             }
         }
+    }
+}
+
+/// A write with its fingerprints already taken: the bytes, cut at
+/// `chunk_bytes`, and one [`ChunkDigest`] per chunk.
+///
+/// A front-end that has to fingerprint a write to decide where it goes —
+/// the cluster routes by content — builds one of these, routes from
+/// [`digests`](Self::digests), and hands each node its
+/// [`slice`](Self::slice) through
+/// [`VolumeManager::write_hashed`](crate::VolumeManager::write_hashed) or
+/// [`Pipeline::run_hashed`], which then skip their own hashing pass.
+///
+/// ```
+/// use dr_hashes::sha1_digest;
+/// use dr_reduction::HashedChunks;
+///
+/// let data = vec![7u8; 8192];
+/// let write = HashedChunks::hash(&data, 4096);
+/// assert_eq!(write.digests(), [sha1_digest(&data[..4096]); 2]);
+/// assert_eq!(write.slice(1..2).data(), &data[4096..]);
+/// ```
+///
+/// The pipeline stores a chunk under the digest it is given, so a view
+/// must never carry a digest that was not computed from its bytes:
+/// [`hash`](Self::hash) is the only constructor, the fields are private,
+/// and debug builds hash again on entry and compare.
+///
+/// ```compile_fail
+/// use dr_hashes::sha1_digest;
+/// use dr_reduction::HashedChunks;
+///
+/// let data = vec![7u8; 4096];
+/// // There is no way in for a digest the caller brought along.
+/// let forged = HashedChunks {
+///     data: &data,
+///     chunk_bytes: 4096,
+///     digests: vec![sha1_digest(b"other bytes")].into(),
+/// };
+/// ```
+#[derive(Debug, Clone)]
+pub struct HashedChunks<'a> {
+    data: &'a [u8],
+    chunk_bytes: usize,
+    digests: Cow<'a, [ChunkDigest]>,
+}
+
+impl<'a> HashedChunks<'a> {
+    /// Fingerprints `data` chunk by chunk (the last chunk may be short).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `chunk_bytes` is zero.
+    pub fn hash(data: &'a [u8], chunk_bytes: usize) -> Self {
+        assert!(chunk_bytes > 0, "chunk size must be positive");
+        HashedChunks {
+            data,
+            chunk_bytes,
+            digests: data.chunks(chunk_bytes).map(sha1_digest).collect(),
+        }
+    }
+
+    /// The chunks `chunks` of this write, as a view of their own.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the range reaches past the last chunk.
+    pub fn slice(&self, chunks: Range<usize>) -> HashedChunks<'_> {
+        let bytes =
+            chunks.start * self.chunk_bytes..(chunks.end * self.chunk_bytes).min(self.data.len());
+        HashedChunks {
+            data: &self.data[bytes],
+            chunk_bytes: self.chunk_bytes,
+            digests: Cow::Borrowed(&self.digests[chunks]),
+        }
+    }
+
+    /// The write's bytes.
+    pub fn data(&self) -> &'a [u8] {
+        self.data
+    }
+
+    /// The chunk size the bytes were cut at.
+    pub fn chunk_bytes(&self) -> usize {
+        self.chunk_bytes
+    }
+
+    /// One digest per chunk, in order.
+    pub fn digests(&self) -> &[ChunkDigest] {
+        &self.digests
+    }
+
+    /// True when the digests are what the constructor would compute now;
+    /// debug builds check it on entry.
+    pub(crate) fn verify(&self) -> bool {
+        Self::hash(self.data, self.chunk_bytes).digests == self.digests
     }
 }
 

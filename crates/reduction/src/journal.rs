@@ -143,12 +143,7 @@ pub enum Record {
 impl Record {
     /// Short name for traces and error messages.
     pub fn kind_name(&self) -> &'static str {
-        match self {
-            Record::VolumeCreate { .. } => "volume-create",
-            Record::MapUpdate { .. } => "map-update",
-            Record::BatchCommit(_) => "batch-commit",
-            Record::Checkpoint(_) => "checkpoint",
-        }
+        kind_name(self.kind())
     }
 
     fn kind(&self) -> u8 {
@@ -158,6 +153,17 @@ impl Record {
             Record::BatchCommit(_) => KIND_BATCH_COMMIT,
             Record::Checkpoint(_) => KIND_CHECKPOINT,
         }
+    }
+}
+
+/// Short name of a record kind byte.
+fn kind_name(kind: u8) -> &'static str {
+    match kind {
+        KIND_VOLUME_CREATE => "volume-create",
+        KIND_MAP_UPDATE => "map-update",
+        KIND_BATCH_COMMIT => "batch-commit",
+        KIND_CHECKPOINT => "checkpoint",
+        _ => "unknown",
     }
 }
 
@@ -190,55 +196,62 @@ fn put_frontier(out: &mut Vec<u8>, f: &Frontier) {
     out.extend_from_slice(&f.tail);
 }
 
-fn encode_payload(record: &Record) -> Vec<u8> {
-    let mut out = Vec::new();
+/// The payload of a [`Record::MapUpdate`], from its parts.
+fn put_map_update(out: &mut Vec<u8>, name: &str, start_block: u64, nblocks: u64, first: u64) {
+    put_name(out, name);
+    put_u64(out, start_block);
+    put_u64(out, nblocks);
+    put_u64(out, first);
+}
+
+fn put_payload(out: &mut Vec<u8>, record: &Record) {
     match record {
         Record::VolumeCreate { name, blocks } => {
-            put_name(&mut out, name);
-            put_u64(&mut out, *blocks);
+            put_name(out, name);
+            put_u64(out, *blocks);
         }
         Record::MapUpdate {
             name,
             start_block,
             nblocks,
             first_recipe,
-        } => {
-            put_name(&mut out, name);
-            put_u64(&mut out, *start_block);
-            put_u64(&mut out, *nblocks);
-            put_u64(&mut out, *first_recipe);
-        }
+        } => put_map_update(out, name, *start_block, *nblocks, *first_recipe),
         Record::BatchCommit(batch) => {
-            put_frontier(&mut out, &batch.frontier);
-            put_u32(&mut out, batch.chunks.len() as u32);
+            put_frontier(out, &batch.frontier);
+            put_u32(out, batch.chunks.len() as u32);
             for c in &batch.chunks {
                 out.extend_from_slice(c.digest.as_bytes());
                 out.push(c.dup as u8);
-                put_u64(&mut out, c.addr);
-                put_u32(&mut out, c.stored_len);
-                put_u32(&mut out, c.orig_len);
+                put_u64(out, c.addr);
+                put_u32(out, c.stored_len);
+                put_u32(out, c.orig_len);
             }
         }
         Record::Checkpoint(cp) => {
-            put_frontier(&mut out, &cp.frontier);
-            put_u32(&mut out, cp.snapshot.len() as u32);
+            put_frontier(out, &cp.frontier);
+            put_u32(out, cp.snapshot.len() as u32);
             out.extend_from_slice(&cp.snapshot);
         }
     }
+}
+
+/// One CRC frame of `kind` around whatever `payload` writes.
+fn encode_frame(kind: u8, payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(128);
+    put_u32(&mut out, MAGIC);
+    out.push(kind);
+    put_u32(&mut out, 0); // the length, once the payload is in
+    payload(&mut out);
+    let len = (out.len() - FRAME_HEAD) as u32;
+    out[5..FRAME_HEAD].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32c(&out[4..]);
+    put_u32(&mut out, crc);
     out
 }
 
 /// Serializes one record with its CRC frame.
 pub fn encode_record(record: &Record) -> Vec<u8> {
-    let payload = encode_payload(record);
-    let mut out = Vec::with_capacity(FRAME_HEAD + payload.len() + FRAME_TAIL);
-    put_u32(&mut out, MAGIC);
-    out.push(record.kind());
-    put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(&payload);
-    let crc = crc32c(&out[4..]);
-    put_u32(&mut out, crc);
-    out
+    encode_frame(record.kind(), |out| put_payload(out, record))
 }
 
 struct Reader<'a> {
@@ -630,7 +643,38 @@ impl Journal {
         ssd: &mut SsdDevice,
         record: &Record,
     ) -> Result<Grant, JournalError> {
-        let bytes = encode_record(record);
+        self.append_frame(now, ssd, record.kind(), &encode_record(record))
+    }
+
+    /// Appends a [`Record::MapUpdate`] — the one record every host write
+    /// adds — encoded straight from a borrowed volume name.
+    ///
+    /// # Errors
+    ///
+    /// As [`Journal::append`].
+    pub fn append_map_update(
+        &mut self,
+        now: SimTime,
+        ssd: &mut SsdDevice,
+        name: &str,
+        start_block: u64,
+        nblocks: u64,
+        first_recipe: u64,
+    ) -> Result<Grant, JournalError> {
+        let frame = encode_frame(KIND_MAP_UPDATE, |out| {
+            put_map_update(out, name, start_block, nblocks, first_recipe)
+        });
+        self.append_frame(now, ssd, KIND_MAP_UPDATE, &frame)
+    }
+
+    /// Appends one encoded record frame of `kind`.
+    fn append_frame(
+        &mut self,
+        now: SimTime,
+        ssd: &mut SsdDevice,
+        kind: u8,
+        bytes: &[u8],
+    ) -> Result<Grant, JournalError> {
         let needed = self.written + bytes.len() as u64;
         if needed > self.capacity_bytes() {
             return Err(JournalError::Full {
@@ -641,35 +685,39 @@ impl Journal {
         let start = if now > self.end { now } else { self.end };
         let mut at = start;
         let mut lpn = self.region_start + self.written / self.page_bytes as u64;
-        self.tail.extend_from_slice(&bytes);
+        self.tail.extend_from_slice(bytes);
         self.written = needed;
+        // Pages are programmed straight from the tail buffer — the device
+        // takes the one copy. A full page leaves the buffer whether or
+        // not its program succeeded; the open page is padded in place and
+        // cut back to its length on every exit.
         while self.tail.len() >= self.page_bytes {
-            let page: Vec<u8> = self.tail.drain(..self.page_bytes).collect();
-            at = self
-                .retrying(at, |t| ssd.write_page(t, lpn, &page))
-                .result?
-                .end;
+            let page = &self.tail[..self.page_bytes];
+            let written = self.retrying(at, |t| ssd.write_page(t, lpn, page)).result;
+            self.tail.drain(..self.page_bytes);
+            at = written?.end;
             lpn += 1;
             self.obs.pages_written.incr();
         }
         if !self.tail.is_empty() {
-            let mut page = self.tail.clone();
-            page.resize(self.page_bytes, 0);
-            at = self
-                .retrying(at, |t| ssd.write_page(t, lpn, &page))
-                .result?
-                .end;
+            let len = self.tail.len();
+            self.tail.resize(self.page_bytes, 0);
+            let written = self
+                .retrying(at, |t| ssd.write_page(t, lpn, &self.tail))
+                .result;
+            self.tail.truncate(len);
+            at = written?.end;
             self.obs.pages_written.incr();
         }
         self.end = at;
         self.obs.appends.incr();
         self.obs.bytes.add(bytes.len() as u64);
-        if matches!(record, Record::Checkpoint(_)) {
+        if kind == KIND_CHECKPOINT {
             self.obs.checkpoints.incr();
         }
         self.obs.tracer.sim_span(
             Track::Journal,
-            record.kind_name(),
+            kind_name(kind),
             start.as_nanos(),
             at.as_nanos(),
             trace_args(&[("bytes", bytes.len() as u64)]),
@@ -899,6 +947,88 @@ mod tests {
         let replay2 = again.replay(SimTime::ZERO, &mut ssd).unwrap();
         assert_eq!(replay2.records.len(), records.len() + 1);
         assert_eq!(*replay2.records.last().unwrap(), extra);
+    }
+
+    #[test]
+    fn a_failed_tail_program_keeps_the_tail_for_the_next_append() {
+        use dr_ssd_sim::SsdFaultSpec;
+        let mut ssd = small_ssd();
+        let pages = 16;
+        let mut journal = Journal::new(ssd.logical_pages(), ssd.spec().page_bytes, pages);
+        let records = sample_records();
+        journal
+            .append(SimTime::ZERO, &mut ssd, &records[0])
+            .unwrap();
+        ssd.set_faults(SsdFaultSpec {
+            write_error_rate: 1.0,
+            ..SsdFaultSpec::default()
+        });
+        let refused = journal.append(SimTime::ZERO, &mut ssd, &records[1]);
+        assert!(matches!(refused, Err(JournalError::Ssd(e)) if e.is_transient()));
+        // Not rolled back, not left padded: the open page holds exactly
+        // the two records' bytes.
+        let two = encode_record(&records[0]).len() + encode_record(&records[1]).len();
+        assert_eq!(journal.tail.len(), two);
+        assert_eq!(journal.written_bytes(), two as u64);
+        // A full page leaves the buffer even when its program fails.
+        let refused = journal.append(SimTime::ZERO, &mut ssd, &records[3]);
+        assert!(matches!(refused, Err(JournalError::Ssd(_))));
+        let three = two + encode_record(&records[3]).len();
+        assert_eq!(journal.tail.len(), three - 4096);
+
+        // The next append's page carries the refused record with it.
+        let mut ssd = small_ssd();
+        let mut journal = Journal::new(ssd.logical_pages(), ssd.spec().page_bytes, pages);
+        journal
+            .append(SimTime::ZERO, &mut ssd, &records[0])
+            .unwrap();
+        ssd.set_faults(SsdFaultSpec {
+            write_error_rate: 1.0,
+            ..SsdFaultSpec::default()
+        });
+        journal
+            .append(SimTime::ZERO, &mut ssd, &records[1])
+            .unwrap_err();
+        ssd.set_faults(SsdFaultSpec::default());
+        journal
+            .append(SimTime::ZERO, &mut ssd, &records[2])
+            .unwrap();
+        let mut fresh = Journal::new(ssd.logical_pages(), ssd.spec().page_bytes, pages);
+        let replay = fresh.replay(SimTime::ZERO, &mut ssd).unwrap();
+        assert_eq!(replay.records, records[..3]);
+    }
+
+    #[test]
+    fn a_map_update_from_a_borrowed_name_is_the_owned_record() {
+        let Record::MapUpdate {
+            name,
+            start_block,
+            nblocks,
+            first_recipe,
+        } = &sample_records()[1]
+        else {
+            panic!("sample 1 is the map update");
+        };
+        let (mut ssd, mut twin_ssd) = (small_ssd(), small_ssd());
+        let mut journal = Journal::new(ssd.logical_pages(), ssd.spec().page_bytes, 4);
+        let mut twin = Journal::new(ssd.logical_pages(), ssd.spec().page_bytes, 4);
+        let g = journal
+            .append_map_update(
+                SimTime::ZERO,
+                &mut ssd,
+                name,
+                *start_block,
+                *nblocks,
+                *first_recipe,
+            )
+            .unwrap();
+        let owned = twin.append(SimTime::ZERO, &mut twin_ssd, &sample_records()[1]);
+        assert_eq!(g, owned.unwrap());
+        let region = journal.region_start();
+        assert_eq!(
+            ssd.read_page(g.end, region).unwrap(),
+            twin_ssd.read_page(g.end, region).unwrap()
+        );
     }
 
     #[test]

@@ -80,6 +80,7 @@ pub use cpu_model::CpuModel;
 pub use degrade::{ComponentLatch, DegradePolicy};
 pub use destage::{ChunkRead, Destager};
 pub use error::ReadError;
+pub use ingest::HashedChunks;
 pub use journal::{Journal, JournalError, Record};
 pub use pipeline::{
     IntegrationMode, Pipeline, PipelineConfig, RecoverError, RecoveryOutcome, VolumeRecord,

@@ -22,7 +22,7 @@ use crate::cpu_model::CpuModel;
 use crate::degrade::{DegradePolicy, Guarded, GPU_COMPRESS, GPU_DECOMPRESS, GPU_DEDUP};
 use crate::destage::Destager;
 use crate::error::ReadError;
-use crate::ingest::{BatchPayload, FrameArena};
+use crate::ingest::{BatchPayload, FrameArena, HashedChunks};
 use crate::journal::Journal;
 use crate::read::{ReadCache, ReadConfig};
 use crate::report::Report;
@@ -306,24 +306,28 @@ type HashedBatch = (BatchPayload, Vec<ChunkDigest>);
 
 /// Fingerprints one batch: a `hash_chunks_pooled` fan-out under the
 /// `hashing` wall span, the same whether the submitter calls it or a pool
-/// job does. Fingerprints only exist on behalf of deduplication — the
-/// paper's compression-only experiment does not hash, so with dedup
-/// disabled the digests are zero sentinels and no SHA-1 is computed at
-/// all.
+/// job does — unless the batch came out of a [`HashedChunks`], whose
+/// digests are `supplied` and taken as they are. Fingerprints only exist
+/// on behalf of deduplication — the paper's compression-only experiment
+/// does not hash, so with dedup disabled the digests are zero sentinels,
+/// supplied or not, and no SHA-1 is computed at all.
 fn fingerprint(
     pool: &WorkerPool,
     dedup_enabled: bool,
     hashing: &StageObs,
     payload: BatchPayload,
+    supplied: Option<Vec<ChunkDigest>>,
 ) -> HashedBatch {
-    let digests = if dedup_enabled {
+    let digests = if !dedup_enabled {
+        vec![ChunkDigest::zero(); payload.len()]
+    } else if let Some(digests) = supplied {
+        digests
+    } else {
         let span = hashing.span();
         let views: Vec<&[u8]> = (0..payload.len()).map(|i| payload.view(i)).collect();
         let digests = hash_chunks_pooled(pool, &views);
         span.finish();
         digests
-    } else {
-        vec![ChunkDigest::zero(); payload.len()]
     };
     (payload, digests)
 }
@@ -568,21 +572,58 @@ impl Pipeline {
     /// The stream is copied into a shared buffer once; every chunk then
     /// travels as a view into that buffer (no per-chunk allocation).
     pub fn run(&mut self, stream: &[u8]) -> Report {
+        self.run_chunks(stream, None)
+    }
+
+    /// [`Pipeline::run`] for a stream fingerprinted upstream: the same
+    /// batches through the same stages, the hashing pass skipped. The
+    /// simulated chunk+hash cost is charged all the same — the array
+    /// being modeled hashes what it ingests, wherever this host did.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `write` was cut at another chunk size than
+    /// [`PipelineConfig::chunk_bytes`].
+    pub fn run_hashed(&mut self, write: &HashedChunks) -> Report {
+        assert_eq!(
+            write.chunk_bytes(),
+            self.config.chunk_bytes,
+            "pre-hashed write cut at a foreign chunk size"
+        );
+        debug_assert!(write.verify(), "pre-hashed write carries a stale digest");
+        self.run_chunks(write.data(), Some(write.digests()))
+    }
+
+    /// Cuts `stream` into batches of shared-buffer views, each with its
+    /// share of `digests` when the caller brought them.
+    fn run_chunks(&mut self, stream: &[u8], digests: Option<&[ChunkDigest]>) -> Report {
         let chunker = FixedChunker::new(self.config.chunk_bytes);
         let span = self.obs.chunking.span();
         let buf: Arc<[u8]> = Arc::from(stream);
-        let spans: Vec<(usize, usize)> = chunker
+        let mut spans: Vec<(usize, usize)> = chunker
             .chunk(stream)
             .map(|c| (c.offset as usize, c.data.len()))
             .collect();
         span.finish();
-        let payloads = spans
-            .chunks(self.config.batch_chunks)
-            .map(|s| BatchPayload::Shared {
-                buf: Arc::clone(&buf),
-                spans: s.to_vec(),
-            });
-        self.drive(payloads)
+        let (total, batch_chunks) = (spans.len(), self.config.batch_chunks);
+        let mut next = 0;
+        let batches = std::iter::from_fn(move || {
+            let chunks = next..(next + batch_chunks).min(total);
+            if chunks.is_empty() {
+                return None;
+            }
+            next = chunks.end;
+            // A call that is one batch hands its span list over whole.
+            let spans = if chunks.len() == total {
+                std::mem::take(&mut spans)
+            } else {
+                spans[chunks.clone()].to_vec()
+            };
+            let buf = Arc::clone(&buf);
+            let digests = digests.map(|d| d[chunks].to_vec());
+            Some((BatchPayload::Shared { buf, spans }, digests))
+        });
+        self.drive(batches)
     }
 
     /// Runs pre-chunked blocks through the pipeline and returns the final
@@ -613,7 +654,7 @@ impl Pipeline {
             if let Some(start) = start {
                 chunking_wall.record(start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
             }
-            Some(BatchPayload::Owned(batch))
+            Some((BatchPayload::Owned(batch), None))
         });
         self.drive(batches)
     }
@@ -625,25 +666,33 @@ impl Pipeline {
     /// small write the only one — has nothing to hide behind, so handing
     /// it to another thread and sleeping until it comes back would buy
     /// two wake-ups and no overlap; it is fingerprinted right here.
-    /// Simulated-time accounting stays serial and in input order inside
-    /// [`Pipeline::process_batch`], so where a batch was hashed changes
-    /// wall-clock behavior only — simulated results are bit-identical.
+    /// A batch that arrives with its digests has nothing to compute and
+    /// is never worth a job either. Simulated-time accounting stays serial
+    /// and in input order inside [`Pipeline::process_batch`], so where —
+    /// or whether — this host hashed a batch changes wall-clock behavior
+    /// only: simulated results are bit-identical.
     fn drive<I>(&mut self, batches: I) -> Report
     where
-        I: Iterator<Item = BatchPayload>,
+        I: Iterator<Item = (BatchPayload, Option<Vec<ChunkDigest>>)>,
     {
         let dedup_enabled = self.config.dedup_enabled;
         let mut in_flight: Option<HashedBatch> = None;
-        for payload in batches {
+        for (payload, supplied) in batches {
             in_flight = Some(match in_flight {
-                None => fingerprint(&self.pool, dedup_enabled, &self.obs.hashing, payload),
-                Some((prev, digests)) => {
+                Some((prev, digests)) if supplied.is_none() => {
                     let (pool, hashing) = (self.pool.clone(), self.obs.hashing.clone());
                     let next = self
                         .pool
-                        .spawn(move || fingerprint(&pool, dedup_enabled, &hashing, payload));
+                        .spawn(move || fingerprint(&pool, dedup_enabled, &hashing, payload, None));
                     self.process_batch(&prev, digests);
                     next.join()
+                }
+                waiting => {
+                    if let Some((prev, digests)) = waiting {
+                        self.process_batch(&prev, digests);
+                    }
+                    let hashing = &self.obs.hashing;
+                    fingerprint(&self.pool, dedup_enabled, hashing, payload, supplied)
                 }
             });
         }

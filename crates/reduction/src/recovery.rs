@@ -4,10 +4,10 @@
 
 use dr_binindex::{BinIndex, ChunkRef};
 use dr_des::{Grant, SimTime};
-use dr_ssd_sim::{CrashReport, CrashSpec};
+use dr_ssd_sim::{CrashReport, CrashSpec, SsdDevice};
 
 use crate::ingest::FrameArena;
-use crate::journal::{Checkpoint, Frontier, JournalError, Record};
+use crate::journal::{Checkpoint, Frontier, Journal, JournalError, Record};
 use crate::pipeline::{power_on_gpu, FaultState, Pipeline};
 use crate::report::Report;
 
@@ -87,19 +87,28 @@ impl Pipeline {
         }
     }
 
-    /// Appends `record` to the journal no earlier than `at` and folds its
-    /// grant into the device clock; `Ok(None)` when journaling is off.
+    /// Runs one journal append — `append` gets the journal and the device
+    /// — and folds its grant into the device clock; `Ok(None)` when
+    /// journaling is off.
+    fn journal_with(
+        &mut self,
+        append: impl FnOnce(&mut Journal, &mut SsdDevice) -> Result<Grant, JournalError>,
+    ) -> Result<Option<Grant>, JournalError> {
+        let Some(journal) = self.journal.as_mut() else {
+            return Ok(None);
+        };
+        let g = append(journal, &mut self.ssd)?;
+        self.report.ssd_end = self.report.ssd_end.max(g.end);
+        Ok(Some(g))
+    }
+
+    /// Appends `record` to the journal no earlier than `at`.
     pub(crate) fn journal_append(
         &mut self,
         at: SimTime,
         record: &Record,
     ) -> Result<Option<Grant>, JournalError> {
-        let Some(journal) = self.journal.as_mut() else {
-            return Ok(None);
-        };
-        let g = journal.append(at, &mut self.ssd, record)?;
-        self.report.ssd_end = self.report.ssd_end.max(g.end);
-        Ok(Some(g))
+        self.journal_with(|journal, ssd| journal.append(at, ssd, record))
     }
 
     /// Appends a volume-level record to the journal (no-op when
@@ -107,6 +116,22 @@ impl Pipeline {
     pub(crate) fn journal_record(&mut self, record: Record) -> Option<Grant> {
         self.journal_append(self.report.reduction_end, &record)
             .unwrap_or_else(|e| panic!("journal {} append failed: {e}", record.kind_name()))
+    }
+
+    /// [`Pipeline::journal_record`] of a [`Record::MapUpdate`], from the
+    /// caller's borrowed volume name.
+    pub(crate) fn journal_map_update(
+        &mut self,
+        name: &str,
+        start_block: u64,
+        nblocks: u64,
+        first_recipe: u64,
+    ) -> Option<Grant> {
+        let at = self.report.reduction_end;
+        self.journal_with(|journal, ssd| {
+            journal.append_map_update(at, ssd, name, start_block, nblocks, first_recipe)
+        })
+        .unwrap_or_else(|e| panic!("journal map-update append failed: {e}"))
     }
 
     /// Embeds an index checkpoint in the journal, so a later recovery can

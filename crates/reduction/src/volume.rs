@@ -15,6 +15,7 @@ use std::collections::HashMap;
 use dr_ssd_sim::CrashSpec;
 
 use crate::error::ReadError;
+use crate::ingest::HashedChunks;
 use crate::journal::Record;
 use crate::pipeline::{Pipeline, PipelineConfig, RecoverError, RecoveryOutcome, VolumeRecord};
 use crate::report::Report;
@@ -164,6 +165,36 @@ impl VolumeManager {
     /// [`VolumeError::UnknownVolume`] / [`VolumeError::Misaligned`] /
     /// [`VolumeError::OutOfRange`].
     pub fn write(&mut self, name: &str, start_block: u64, data: &[u8]) -> Result<(), VolumeError> {
+        self.write_chunks(name, start_block, data, None)
+    }
+
+    /// [`VolumeManager::write`] for a write fingerprinted upstream (see
+    /// [`HashedChunks`]): same checks, same records, same acknowledgement
+    /// point; the pipeline's hashing pass is skipped.
+    ///
+    /// # Errors
+    ///
+    /// As [`VolumeManager::write`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Pipeline::run_hashed`].
+    pub fn write_hashed(
+        &mut self,
+        name: &str,
+        start_block: u64,
+        write: &HashedChunks,
+    ) -> Result<(), VolumeError> {
+        self.write_chunks(name, start_block, write.data(), Some(write))
+    }
+
+    fn write_chunks(
+        &mut self,
+        name: &str,
+        start_block: u64,
+        data: &[u8],
+        hashed: Option<&HashedChunks>,
+    ) -> Result<(), VolumeError> {
         let chunk_bytes = self.pipeline.config().chunk_bytes;
         if data.is_empty() || !data.len().is_multiple_of(chunk_bytes) {
             return Err(VolumeError::Misaligned {
@@ -188,7 +219,10 @@ impl VolumeManager {
         let first_recipe = self.pipeline.ingested_chunks();
         // One shared buffer and a span per chunk, never a copy per chunk;
         // `data` is chunk-aligned, so `run` cuts it at the block bounds.
-        self.pipeline.run(data);
+        match hashed {
+            Some(write) => self.pipeline.run_hashed(write),
+            None => self.pipeline.run(data),
+        };
         // Re-fetched mutably after the pipeline borrow ends; the map was
         // not touched in between, but report the impossible case as a
         // typed error rather than aborting a checker run.
@@ -205,12 +239,8 @@ impl VolumeManager {
         // to become durable — exactly the write-ahead order recovery
         // assumes: an acknowledged write's data, commits, and map are all
         // in the durable prefix.
-        self.pipeline.journal_record(Record::MapUpdate {
-            name: name.to_owned(),
-            start_block,
-            nblocks: n,
-            first_recipe: first_recipe as u64,
-        });
+        self.pipeline
+            .journal_map_update(name, start_block, n, first_recipe as u64);
         Ok(())
     }
 
@@ -357,6 +387,7 @@ impl VolumeManager {
 mod tests {
     use super::*;
     use crate::pipeline::IntegrationMode;
+    use dr_des::SimTime;
 
     fn manager() -> VolumeManager {
         VolumeManager::new(PipelineConfig {
@@ -539,6 +570,85 @@ mod tests {
             journal_pages: 64,
             ..PipelineConfig::default()
         })
+    }
+
+    #[test]
+    fn a_pre_hashed_write_is_the_write_it_replaces() {
+        // Twin arrays, one fed `write`, one `write_hashed`: every
+        // simulated instant, every stored and journaled byte must agree —
+        // in all four modes, journaled or not, with dedup off (supplied
+        // digests ignored like computed ones), across multi-batch writes.
+        let block_run = |tags: &[u8]| tags.iter().flat_map(|&t| block(t)).collect::<Vec<u8>>();
+        let writes: [(u64, Vec<u8>); 5] = [
+            (0, block(1)),
+            (1, block(1)),
+            (4, block_run(&[2, 3, 2, 4, 5, 1, 6, 7, 8, 6])), // three batches of four
+            (5, block(9)),                                   // overwrite
+            (20, block_run(&[9, 10])),
+        ];
+        for mode in IntegrationMode::ALL {
+            for (journal_pages, dedup_enabled) in [(0, true), (64, true), (64, false)] {
+                let config = PipelineConfig {
+                    mode,
+                    journal_pages,
+                    dedup_enabled,
+                    batch_chunks: 4,
+                    verify: true,
+                    ..PipelineConfig::default()
+                };
+                let what = format!("{mode}, journal {journal_pages}, dedup {dedup_enabled}");
+                let (mut plain, mut hashed) = (
+                    VolumeManager::new(config.clone()),
+                    VolumeManager::new(config),
+                );
+                plain.create_volume("v", 32).unwrap();
+                hashed.create_volume("v", 32).unwrap();
+                for (start, data) in &writes {
+                    plain.write("v", *start, data).unwrap();
+                    let view = HashedChunks::hash(data, 4096);
+                    hashed.write_hashed("v", *start, &view).unwrap();
+                    assert_eq!(plain.report(), hashed.report(), "{what}");
+                    assert_eq!(plain.last_ack(), hashed.last_ack(), "{what}");
+                }
+                assert_eq!(plain.pipeline.recipe, hashed.pipeline.recipe, "{what}");
+                let all: Vec<u64> = (0..32)
+                    .filter(|b| plain.is_written("v", *b).unwrap())
+                    .collect();
+                assert_eq!(
+                    plain.read_batch("v", &all).unwrap(),
+                    hashed.read_batch("v", &all).unwrap(),
+                    "{what}"
+                );
+                assert_eq!(hashed.read("v", 5).unwrap(), block(9), "{what}");
+                let region = |vm: &mut VolumeManager| {
+                    let p = &mut vm.pipeline;
+                    let Some(journal) = &p.journal else {
+                        return Vec::new();
+                    };
+                    let first = journal.region_start();
+                    let pages = journal.written_bytes().div_ceil(4096);
+                    let read = |lpn| p.ssd.read_page(SimTime::ZERO, lpn).expect("journal page").0;
+                    (first..first + pages).flat_map(read).collect::<Vec<u8>>()
+                };
+                let journaled = region(&mut plain);
+                assert_eq!(journaled.is_empty(), journal_pages == 0);
+                assert_eq!(journaled, region(&mut hashed), "{what}");
+            }
+        }
+        // Misaligned and out-of-range pre-hashed writes are refused the
+        // same way.
+        let mut m = manager();
+        m.create_volume("v", 2).unwrap();
+        let short = [1u8, 2, 3];
+        assert!(matches!(
+            m.write_hashed("v", 0, &HashedChunks::hash(&short, 4096)),
+            Err(VolumeError::Misaligned { .. })
+        ));
+        let long = block_run(&[1, 2]);
+        assert!(matches!(
+            m.write_hashed("v", 1, &HashedChunks::hash(&long, 4096)),
+            Err(VolumeError::OutOfRange { .. })
+        ));
     }
 
     #[test]

@@ -1,0 +1,94 @@
+//! Allocation budget of the small-write path.
+//!
+//! A single-chunk write into a journaled array programs two journal pages
+//! (its batch commit and its map update) and copies the stream into the
+//! batch's shared buffer: three page-sized buffers, of which the device
+//! keeps two. Everything else it allocates is lists of one element. This
+//! test pins that with a counting global allocator, so a cloned tail page
+//! or a copy of the page a write displaced fails here rather than in a
+//! benchmark run.
+//!
+//! Kept to a single `#[test]` on purpose: the libtest harness runs tests
+//! in one process, and a sibling test allocating concurrently would make
+//! the counters racy.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use dr_reduction::{HashedChunks, IntegrationMode, PipelineConfig, VolumeManager};
+
+struct CountingAlloc;
+
+static BYTES: AtomicU64 = AtomicU64::new(0);
+static PAGE_SIZED: AtomicU64 = AtomicU64::new(0);
+
+fn count(size: usize) {
+    BYTES.fetch_add(size as u64, Ordering::Relaxed);
+    if size >= 4096 {
+        PAGE_SIZED.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// `(page-sized allocations, bytes allocated)` during `f`.
+fn allocated_during(f: impl FnOnce()) -> (u64, u64) {
+    let before = (
+        PAGE_SIZED.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
+    f();
+    (
+        PAGE_SIZED.load(Ordering::Relaxed) - before.0,
+        BYTES.load(Ordering::Relaxed) - before.1,
+    )
+}
+
+#[test]
+fn a_small_journaled_write_allocates_three_pages_and_change() {
+    let mut array = VolumeManager::new(PipelineConfig {
+        mode: IntegrationMode::CpuOnly,
+        journal_pages: 256,
+        ..PipelineConfig::default()
+    });
+    array.create_volume("v", 64).unwrap();
+    let mut block = vec![0x5Au8; 4096];
+    block[..4].copy_from_slice(b"seed");
+    // Steady state: the chunk is stored, the scratch lists have grown, the
+    // journal's open page has been programmed before.
+    for b in 0..8 {
+        array.write("v", b, &block).unwrap();
+    }
+    let dedup_hits = array.report().dedup_hits;
+
+    let (pages, bytes) = allocated_during(|| array.write("v", 9, &block).unwrap());
+    assert_eq!(array.report().dedup_hits, dedup_hits + 1);
+    assert!(pages <= 3, "duplicate write: {pages} page-sized buffers");
+    assert!(bytes <= 14 * 1024, "duplicate write: {bytes} bytes");
+
+    // Fingerprinted upstream: the same budget (the digest list is the
+    // caller's).
+    let write = HashedChunks::hash(&block, 4096);
+    let (pages, bytes) = allocated_during(|| array.write_hashed("v", 10, &write).unwrap());
+    assert_eq!(array.report().dedup_hits, dedup_hits + 2);
+    assert!(pages <= 3, "pre-hashed write: {pages} page-sized buffers");
+    assert!(bytes <= 14 * 1024, "pre-hashed write: {bytes} bytes");
+    assert_eq!(array.read("v", 10).unwrap(), block);
+}

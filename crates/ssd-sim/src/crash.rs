@@ -10,10 +10,10 @@
 //!
 //! The model is a capture log: once [`SsdDevice::arm_crash_capture`]
 //! (see [`crate::SsdDevice`]) is called, every accepted page write
-//! records its LPN, its service grant `[start, end)`, and the page's
-//! *previous* contents. [`SsdDevice::power_cut`] then replays the log
-//! backwards against the functional store, classifying each write
-//! against the cut instant `T`:
+//! records its LPN, its service grant `[start, end)`, and what it takes
+//! to bring the page's *previous* contents back. [`SsdDevice::power_cut`]
+//! then replays the log backwards against the functional store,
+//! classifying each write against the cut instant `T`:
 //!
 //! * `grant.end <= T` — the program completed: **durable**, left as is.
 //! * `grant.start >= T` — the command never reached the NAND: **reverted**
@@ -26,9 +26,25 @@
 //! undoing the latest write to an LPN first leaves the store holding
 //! exactly what the next-older capture saw as "new" data.
 //!
+//! # What a capture keeps
+//!
+//! The previous contents are never copied. The write that replaces a
+//! page takes the old buffer out of the store, and the capture either
+//! keeps that buffer ([`Prev::Page`]) or — when the old page is a
+//! zero-padded prefix of the new one, which is every re-program of an
+//! append-only tail page (the journal's, the destage log's) — frees it
+//! and keeps the prefix length alone ([`Prev::PrefixOfNew`]). The cut
+//! rebuilds such a page from the page the write left behind. The
+//! backwards walk has that page at hand: it is what the store holds,
+//! unless a later write to the LPN stayed durable or tore — and then it
+//! is that capture's previous contents, which the walk has just rebuilt
+//! and sets aside for exactly this.
+//!
 //! Timing is untouched — a cut changes *contents*, never grants — so a
 //! run that arms capture but never cuts is bit-identical to one that
 //! does neither.
+
+use std::collections::{HashMap, HashSet};
 
 use dr_des::{Grant, SimTime, SplitMix64};
 
@@ -54,29 +70,161 @@ pub struct CrashReport {
     pub reverted: u64,
 }
 
+/// A page's contents before a captured write.
+#[derive(Debug, Clone)]
+pub(crate) enum Prev {
+    /// Nothing: the store had no page at the LPN.
+    Erased,
+    /// The old page itself, moved out of the store by the write.
+    Page(Vec<u8>),
+    /// The old page was the first `len` bytes of the new one, then zeros.
+    PrefixOfNew(usize),
+}
+
+impl Prev {
+    /// Classifies the page a write displaced: `old` came out of the
+    /// store, `new` went in.
+    pub(crate) fn displaced(old: Option<Vec<u8>>, new: &[u8]) -> Prev {
+        match old {
+            None => Prev::Erased,
+            Some(old) => match zero_padded_prefix_len(&old, new) {
+                Some(len) => Prev::PrefixOfNew(len),
+                None => Prev::Page(old),
+            },
+        }
+    }
+
+    /// Heap bytes this capture holds on to.
+    pub(crate) fn retained_bytes(&self) -> usize {
+        match self {
+            Prev::Page(page) => page.len(),
+            Prev::Erased | Prev::PrefixOfNew(_) => 0,
+        }
+    }
+}
+
+/// The `len` for which `old` is `new[..len]` followed by zeros, if there
+/// is one. Runs once per captured overwrite, so it compares 64-byte
+/// blocks (a `memcmp` each) and zero-tests a word at a time.
+fn zero_padded_prefix_len(old: &[u8], new: &[u8]) -> Option<usize> {
+    const BLOCK: usize = 64;
+    debug_assert_eq!(old.len(), new.len(), "pages of one device");
+    let mut len = old
+        .chunks(BLOCK)
+        .zip(new.chunks(BLOCK))
+        .position(|(o, n)| o != n)
+        .map_or(old.len(), |block| block * BLOCK);
+    while len < old.len() && old[len] == new[len] {
+        len += 1;
+    }
+    let rest = &old[len..];
+    let (head, words) = rest.split_at(rest.len() % 8);
+    let zero = head.iter().all(|&b| b == 0)
+        && words
+            .chunks_exact(8)
+            .map(|w| u64::from_ne_bytes(w.try_into().expect("8-byte chunk")))
+            .fold(0, |acc, w| acc | w)
+            == 0;
+    zero.then_some(len)
+}
+
 /// One armed-capture record: enough to undo or tear the write later.
 #[derive(Debug, Clone)]
 pub(crate) struct WriteCapture {
     pub(crate) lpn: u64,
     pub(crate) grant: Grant,
-    /// Page contents before this write (`None`: first write to the LPN).
-    pub(crate) prev: Option<Vec<u8>>,
+    pub(crate) prev: Prev,
+}
+
+/// One entry of the capture log.
+#[derive(Debug)]
+pub(crate) enum Capture {
+    /// An accepted page write.
+    Write(WriteCapture),
+    /// A TRIM took `page` out of the store. A cut does not undo a TRIM;
+    /// the page is kept because an older [`Prev::PrefixOfNew`] capture on
+    /// the LPN may need it as the page its write left behind.
+    Trimmed { lpn: u64, page: Vec<u8> },
+}
+
+impl Capture {
+    /// Bytes the log holds for this entry, the entry itself included.
+    pub(crate) fn retained_bytes(&self) -> usize {
+        std::mem::size_of::<Capture>()
+            + match self {
+                Capture::Write(cap) => cap.prev.retained_bytes(),
+                Capture::Trimmed { page, .. } => page.len(),
+            }
+    }
+}
+
+/// The armed capture log and the bytes it holds on to.
+#[derive(Debug, Default)]
+pub(crate) struct CaptureLog {
+    pub(crate) entries: Vec<Capture>,
+    /// Sum of the entries' [`Capture::retained_bytes`].
+    pub(crate) retained_bytes: usize,
+}
+
+impl CaptureLog {
+    pub(crate) fn push(&mut self, entry: Capture) {
+        self.retained_bytes += entry.retained_bytes();
+        self.entries.push(entry);
+    }
 }
 
 /// Applies `spec` to a capture log, mutating `store` in place.
 pub(crate) fn apply_power_cut(
-    store: &mut std::collections::HashMap<u64, Vec<u8>>,
-    log: Vec<WriteCapture>,
+    store: &mut HashMap<u64, Vec<u8>>,
+    log: Vec<Capture>,
     page_bytes: usize,
     spec: CrashSpec,
 ) -> CrashReport {
     let mut rng = SplitMix64::new(spec.torn_seed);
     let mut report = CrashReport::default();
-    for cap in log.into_iter().rev() {
+    // LPNs with a write the cut does not leave alone. Everywhere else
+    // every capture is durable and is dropped unread.
+    let unsettled: HashSet<u64> = log
+        .iter()
+        .filter_map(|entry| match entry {
+            Capture::Write(cap) if cap.grant.end > spec.at => Some(cap.lpn),
+            _ => None,
+        })
+        .collect();
+    // Per unsettled LPN, the page the capture about to be visited left
+    // behind, when that is no longer what the store holds.
+    let mut left_behind: HashMap<u64, Vec<u8>> = HashMap::new();
+    for entry in log.into_iter().rev() {
+        let cap = match entry {
+            Capture::Write(cap) => cap,
+            Capture::Trimmed { lpn, page } => {
+                if unsettled.contains(&lpn) {
+                    left_behind.insert(lpn, page);
+                }
+                continue;
+            }
+        };
+        if !unsettled.contains(&cap.lpn) {
+            report.durable += 1;
+            continue;
+        }
+        let left = left_behind.remove(&cap.lpn);
+        let prev = match cap.prev {
+            Prev::Erased => None,
+            Prev::Page(page) => Some(page),
+            Prev::PrefixOfNew(len) => {
+                let mut page = left
+                    .or_else(|| store.get(&cap.lpn).cloned())
+                    .expect("the page a captured write left behind");
+                page[len..].fill(0);
+                Some(page)
+            }
+        };
         if cap.grant.end <= spec.at {
             report.durable += 1;
+            left_behind.extend(prev.map(|page| (cap.lpn, page)));
         } else if cap.grant.start >= spec.at {
-            match cap.prev {
+            match prev {
                 Some(prev) => {
                     store.insert(cap.lpn, prev);
                 }
@@ -86,20 +234,21 @@ pub(crate) fn apply_power_cut(
             }
             report.reverted += 1;
         } else {
-            // Torn: prefix of the new data, stale (or erased) suffix. The
-            // store holds the new data here because every later write to
-            // this LPN has already been unwound.
+            // Torn: prefix of whatever the store holds now — the new data,
+            // unless a later write to this LPN landed or tore too — and
+            // the stale (or erased) suffix.
             let split = rng.next_below(page_bytes as u64 + 1) as usize;
             let mut torn = match store.get(&cap.lpn) {
                 Some(new) => new[..split].to_vec(),
                 None => vec![0; split],
             };
-            match &cap.prev {
+            match &prev {
                 Some(prev) => torn.extend_from_slice(&prev[split..]),
                 None => torn.resize(page_bytes, 0),
             }
             store.insert(cap.lpn, torn);
             report.torn += 1;
+            left_behind.extend(prev.map(|page| (cap.lpn, page)));
         }
     }
     report
@@ -108,7 +257,6 @@ pub(crate) fn apply_power_cut(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     fn grant(start_us: u64, end_us: u64) -> Grant {
         Grant {
@@ -131,21 +279,21 @@ mod tests {
         store.insert(1, vec![2u8; 8]);
         store.insert(2, vec![3u8; 8]);
         let log = vec![
-            WriteCapture {
+            Capture::Write(WriteCapture {
                 lpn: 0,
                 grant: grant(0, 10),
-                prev: None,
-            },
-            WriteCapture {
+                prev: Prev::Erased,
+            }),
+            Capture::Write(WriteCapture {
                 lpn: 1,
                 grant: grant(10, 30),
-                prev: Some(vec![9u8; 8]),
-            },
-            WriteCapture {
+                prev: Prev::Page(vec![9u8; 8]),
+            }),
+            Capture::Write(WriteCapture {
                 lpn: 2,
                 grant: grant(40, 50),
-                prev: None,
-            },
+                prev: Prev::Erased,
+            }),
         ];
         let report = apply_power_cut(&mut store, log, 8, cut_at(20));
         assert_eq!(
@@ -174,21 +322,21 @@ mod tests {
         // Three generations on one LPN: 1s (durable), 2s (durable), 3s
         // (reverted). The survivor must be the 2s.
         let log = vec![
-            WriteCapture {
+            Capture::Write(WriteCapture {
                 lpn: 5,
                 grant: grant(0, 10),
-                prev: None,
-            },
-            WriteCapture {
+                prev: Prev::Erased,
+            }),
+            Capture::Write(WriteCapture {
                 lpn: 5,
                 grant: grant(10, 20),
-                prev: Some(vec![1u8; 4]),
-            },
-            WriteCapture {
+                prev: Prev::Page(vec![1u8; 4]),
+            }),
+            Capture::Write(WriteCapture {
                 lpn: 5,
                 grant: grant(100, 110),
-                prev: Some(vec![2u8; 4]),
-            },
+                prev: Prev::Page(vec![2u8; 4]),
+            }),
         ];
         let report = apply_power_cut(&mut store, log, 4, cut_at(50));
         assert_eq!(report.durable, 2);
@@ -201,11 +349,11 @@ mod tests {
         let run = |seed: u64| {
             let mut store = HashMap::new();
             store.insert(0, vec![0xAAu8; 64]);
-            let log = vec![WriteCapture {
+            let log = vec![Capture::Write(WriteCapture {
                 lpn: 0,
                 grant: grant(0, 100),
-                prev: Some(vec![0x55u8; 64]),
-            }];
+                prev: Prev::Page(vec![0x55u8; 64]),
+            })];
             apply_power_cut(
                 &mut store,
                 log,
@@ -225,11 +373,11 @@ mod tests {
     fn cut_before_everything_reverts_everything() {
         let mut store = HashMap::new();
         store.insert(0, vec![1u8; 4]);
-        let log = vec![WriteCapture {
+        let log = vec![Capture::Write(WriteCapture {
             lpn: 0,
             grant: grant(10, 20),
-            prev: None,
-        }];
+            prev: Prev::Erased,
+        })];
         let report = apply_power_cut(&mut store, log, 4, cut_at(0));
         assert_eq!(report.reverted, 1);
         assert!(store.is_empty());

@@ -5,9 +5,11 @@ use std::ops::Range;
 
 use dr_des::{Grant, Resource, SimDuration, SimTime};
 use dr_obs::trace::{trace_args, Tracer, Track};
-use dr_obs::{CounterHandle, HistogramHandle, ObsHandle};
+use dr_obs::{CounterHandle, GaugeHandle, HistogramHandle, ObsHandle};
 
-use crate::crash::{apply_power_cut, CrashReport, CrashSpec, WriteCapture};
+use crate::crash::{
+    apply_power_cut, Capture, CaptureLog, CrashReport, CrashSpec, Prev, WriteCapture,
+};
 use crate::error::SsdError;
 use crate::ftl::{Ftl, FtlStats, NandOp};
 use crate::spec::SsdSpec;
@@ -38,6 +40,8 @@ struct SsdObs {
     write_ns: HistogramHandle,
     read_ns: HistogramHandle,
     faults_injected: CounterHandle,
+    /// `ssd.crash_capture_bytes`: what the armed capture log holds on to.
+    crash_capture_bytes: GaugeHandle,
     /// Device events on the sim-time axis (the `Ssd` track).
     tracer: Tracer,
 }
@@ -52,6 +56,7 @@ impl SsdObs {
             write_ns: obs.histogram("ssd.write_sim_ns"),
             read_ns: obs.histogram("ssd.read_sim_ns"),
             faults_injected: obs.counter("fault.ssd.injected"),
+            crash_capture_bytes: obs.gauge("ssd.crash_capture_bytes"),
             tracer: obs.tracer().clone(),
         }
     }
@@ -95,7 +100,9 @@ pub struct SsdDevice {
     transient_rng: dr_des::SplitMix64,
     /// Armed power-cut capture: every accepted write is recorded so
     /// [`SsdDevice::power_cut`] can tear or revert it. `None` = disarmed.
-    crash_log: Option<Vec<WriteCapture>>,
+    crash_log: Option<CaptureLog>,
+    /// The NAND ops of the write in progress (reused across writes).
+    ops: Vec<NandOp>,
     stats: SsdStats,
     obs: SsdObs,
 }
@@ -121,6 +128,7 @@ impl SsdDevice {
             controller,
             store,
             crash_log: None,
+            ops: Vec::new(),
             stats: SsdStats::default(),
             obs: SsdObs::default(),
         }
@@ -162,7 +170,15 @@ impl SsdDevice {
             self.store.is_some(),
             "crash capture needs a device with store_data"
         );
-        self.crash_log = Some(Vec::new());
+        self.crash_log = Some(CaptureLog::default());
+    }
+
+    /// Logs what `entry` builds, when capture is armed.
+    fn capture(&mut self, entry: impl FnOnce() -> Capture) {
+        if let Some(log) = &mut self.crash_log {
+            log.push(entry());
+            self.obs.crash_capture_bytes.set(log.retained_bytes as i64);
+        }
     }
 
     /// Cuts power at `spec.at`: rolls back captured writes that never
@@ -182,14 +198,15 @@ impl SsdDevice {
     pub fn power_cut(&mut self, spec: CrashSpec) -> CrashReport {
         let log = self
             .crash_log
-            .replace(Vec::new())
+            .replace(CaptureLog::default())
             .expect("power_cut without arm_crash_capture");
+        self.obs.crash_capture_bytes.set(0);
         let page_bytes = self.ftl.spec().page_bytes as usize;
         let store = self
             .store
             .as_mut()
             .expect("crash capture armed without a store");
-        apply_power_cut(store, log, page_bytes, spec)
+        apply_power_cut(store, log.entries, page_bytes, spec)
     }
 
     /// Host-side statistics.
@@ -221,8 +238,7 @@ impl SsdDevice {
     /// Executes `ops` starting no earlier than `start`, returning when the
     /// last one finishes. Ops on different dies overlap; ops on the same
     /// die serialize via that die's queue.
-    fn run_ops(&mut self, start: SimTime, ops: &[NandOp]) -> SimTime {
-        let spec = self.ftl.spec();
+    fn run_ops(dies: &mut [Resource], spec: &SsdSpec, start: SimTime, ops: &[NandOp]) -> SimTime {
         let (t_read, t_prog, t_erase) = (spec.t_read, spec.t_prog, spec.t_erase);
         let mut done = start;
         for op in ops {
@@ -231,7 +247,7 @@ impl SsdDevice {
                 NandOp::Program { die } => (die, t_prog),
                 NandOp::Erase { die } => (die, t_erase),
             };
-            let grant = self.dies[die as usize].acquire(start, dur);
+            let grant = dies[die as usize].acquire(start, dur);
             done = done.max(grant.end);
         }
         done
@@ -289,21 +305,21 @@ impl SsdDevice {
             return Err(fault);
         }
         let t_ctrl = self.ftl.spec().t_ctrl;
-        let ops = self.ftl.write(lpn)?;
+        self.ftl.write(lpn, &mut self.ops)?;
         let front = self.controller.acquire(now, t_ctrl);
-        let end = self.run_ops(front.end, &ops);
+        let end = Self::run_ops(&mut self.dies, self.ftl.spec(), front.end, &self.ops);
         if let Some(store) = &mut self.store {
-            if let Some(log) = &mut self.crash_log {
-                log.push(WriteCapture {
-                    lpn,
-                    grant: Grant {
-                        start: front.start,
-                        end,
-                    },
-                    prev: store.get(&lpn).cloned(),
-                });
-            }
-            store.insert(lpn, data.to_vec());
+            // The one copy of the page; the page it displaces comes out
+            // of the store with it.
+            let old = store.insert(lpn, data.to_vec());
+            let grant = Grant {
+                start: front.start,
+                end,
+            };
+            self.capture(|| {
+                let prev = Prev::displaced(old, data);
+                Capture::Write(WriteCapture { lpn, grant, prev })
+            });
         }
         self.stats.writes += 1;
         self.stats.bytes_written += data.len() as u64;
@@ -367,7 +383,7 @@ impl SsdDevice {
         let t_ctrl = self.ftl.spec().t_ctrl;
         let (_ppa, op) = self.ftl.read(lpn)?;
         let front = self.controller.acquire(now, t_ctrl);
-        let end = self.run_ops(front.end, &[op]);
+        let end = Self::run_ops(&mut self.dies, self.ftl.spec(), front.end, &[op]);
         let page_bytes = self.ftl.spec().page_bytes as usize;
         assert!(range.end <= page_bytes, "read range {range:?} exceeds page");
         let at = out.len();
@@ -411,8 +427,8 @@ impl SsdDevice {
     /// [`SsdError::InvalidLpn`] for out-of-range pages.
     pub fn trim(&mut self, lpn: u64) -> Result<(), SsdError> {
         self.ftl.trim(lpn)?;
-        if let Some(store) = &mut self.store {
-            store.remove(&lpn);
+        if let Some(page) = self.store.as_mut().and_then(|store| store.remove(&lpn)) {
+            self.capture(|| Capture::Trimmed { lpn, page });
         }
         Ok(())
     }
@@ -745,6 +761,154 @@ mod tests {
         let mut spec = SsdSpec::samsung_830_256g();
         spec.store_data = false;
         SsdDevice::new(spec).arm_crash_capture();
+    }
+
+    /// The capture this crate used to keep, as the reference model: a
+    /// clone of the page's previous contents per write, unwound backwards.
+    #[derive(Default)]
+    struct CloneEverything {
+        store: HashMap<u64, Vec<u8>>,
+        log: Vec<(u64, Grant, Option<Vec<u8>>)>,
+    }
+
+    impl CloneEverything {
+        fn write(&mut self, lpn: u64, grant: Grant, data: &[u8]) {
+            self.log.push((lpn, grant, self.store.get(&lpn).cloned()));
+            self.store.insert(lpn, data.to_vec());
+        }
+
+        fn power_cut(&mut self, page_bytes: usize, spec: CrashSpec) -> CrashReport {
+            let mut rng = dr_des::SplitMix64::new(spec.torn_seed);
+            let mut report = CrashReport::default();
+            for (lpn, grant, prev) in std::mem::take(&mut self.log).into_iter().rev() {
+                if grant.end <= spec.at {
+                    report.durable += 1;
+                } else if grant.start >= spec.at {
+                    match prev {
+                        Some(prev) => self.store.insert(lpn, prev),
+                        None => self.store.remove(&lpn),
+                    };
+                    report.reverted += 1;
+                } else {
+                    let split = rng.next_below(page_bytes as u64 + 1) as usize;
+                    let mut torn = match self.store.get(&lpn) {
+                        Some(new) => new[..split].to_vec(),
+                        None => vec![0; split],
+                    };
+                    match &prev {
+                        Some(prev) => torn.extend_from_slice(&prev[split..]),
+                        None => torn.resize(page_bytes, 0),
+                    }
+                    self.store.insert(lpn, torn);
+                    report.torn += 1;
+                }
+            }
+            report
+        }
+    }
+
+    #[test]
+    fn power_cuts_match_the_clone_everything_capture() {
+        use dr_des::testkit::Cases;
+        // 200-byte pages: not a multiple of the comparison's 64-byte block
+        // nor of its 8-byte word, so both remainders are exercised.
+        for page_bytes in [200usize, 4096] {
+            Cases::new("power-cut-differential", 0xD1FF).run(150, |rng| {
+                let mut ssd = SsdDevice::new(SsdSpec {
+                    channels: 2,
+                    dies_per_channel: 2,
+                    blocks_per_die: 16,
+                    pages_per_block: 8,
+                    page_bytes: page_bytes as u32,
+                    ..SsdSpec::samsung_830_256g()
+                });
+                ssd.arm_crash_capture();
+                let mut model = CloneEverything::default();
+                let mut horizon = SimTime::ZERO;
+                // Two cuts in a row: the survivor of the first is armed
+                // again and must unwind as exactly as a fresh device.
+                for _cut in 0..2 {
+                    for _ in 0..rng.next_below(40) {
+                        let lpn = rng.next_below(5);
+                        let old = model.store.get(&lpn);
+                        let mut page = vec![0u8; page_bytes];
+                        match (rng.next_below(7), old) {
+                            // Append-style re-program: the old contents,
+                            // a little more, zeros after.
+                            (0..=2, Some(old)) => {
+                                let used = old.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+                                let grown =
+                                    (used + 1 + rng.next_below(40) as usize).min(page_bytes);
+                                page[..used].copy_from_slice(&old[..used]);
+                                rng.fill_bytes(&mut page[used..grown]);
+                            }
+                            // The same page again.
+                            (3, Some(old)) => page.copy_from_slice(old),
+                            // The same page but for its last used byte:
+                            // not a prefix, by the shortest margin.
+                            (6, Some(old)) => {
+                                page.copy_from_slice(old);
+                                if let Some(last) = old.iter().rposition(|&b| b != 0) {
+                                    page[last] ^= 0x55;
+                                }
+                            }
+                            // All zeros.
+                            (4, _) => {}
+                            // TRIM, which a cut does not undo.
+                            (5, Some(_)) if rng.next_below(4) == 0 => {
+                                ssd.trim(lpn).unwrap();
+                                model.store.remove(&lpn);
+                                continue;
+                            }
+                            // Unrelated contents (and every first write).
+                            _ => rng.fill_bytes(&mut page),
+                        }
+                        // Issue at or before the horizon, so programs of
+                        // one LPN overlap on different dies.
+                        let back = rng.next_below(horizon.as_nanos() / 2 + 1);
+                        let now = SimTime::from_nanos(horizon.as_nanos() - back);
+                        let g = ssd.write_page(now, lpn, &page).unwrap();
+                        model.write(lpn, g, &page);
+                        horizon = horizon.max(g.end);
+                    }
+                    let at = match rng.next_below(4) {
+                        0 => SimTime::ZERO,
+                        1 => horizon,
+                        _ => SimTime::from_nanos(rng.next_below(horizon.as_nanos() + 1)),
+                    };
+                    let spec = CrashSpec {
+                        at,
+                        torn_seed: rng.next_u64(),
+                    };
+                    assert_eq!(ssd.power_cut(spec), model.power_cut(page_bytes, spec));
+                    assert_eq!(ssd.store.as_ref().unwrap(), &model.store);
+                    assert_eq!(ssd.crash_log.as_ref().unwrap().retained_bytes, 0);
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn tail_reprograms_retain_records_not_pages() {
+        let obs = ObsHandle::enabled("t");
+        let mut ssd = small_device();
+        ssd.set_obs(&obs);
+        ssd.arm_crash_capture();
+        let mut page = vec![0u8; 4096];
+        let mut at = SimTime::ZERO;
+        for i in 0..10_000usize {
+            page[i % 4096] = 1 + (i % 255) as u8;
+            if i % 4096 == 4095 {
+                // The page filled up: the log moves to a fresh one.
+                page.fill(0);
+            }
+            at = ssd.write_page(at, 3, &page).unwrap().end;
+        }
+        let retained = obs.gauge("ssd.crash_capture_bytes").get();
+        let per_record = std::mem::size_of::<Capture>() as i64;
+        // Two captures keep a page: the rewrites with a zeroed page.
+        assert_eq!(retained, 10_000 * per_record + 2 * 4096);
+        assert!(per_record <= 64, "a capture record is {per_record} bytes");
     }
 
     #[test]

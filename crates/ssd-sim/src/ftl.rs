@@ -260,32 +260,33 @@ impl Ftl {
     }
 
     /// Translates a host page write into NAND operations and updates the
-    /// mapping. Returns the ops the device must charge, in order.
+    /// mapping. `ops` — a list the caller keeps across writes — is
+    /// cleared, then filled with what the device must charge, in order.
     ///
     /// # Errors
     ///
     /// [`SsdError::InvalidLpn`] for out-of-range pages;
     /// [`SsdError::CapacityExhausted`] when GC cannot reclaim space.
-    pub fn write(&mut self, lpn: u64) -> Result<Vec<NandOp>, SsdError> {
+    pub fn write(&mut self, lpn: u64, ops: &mut Vec<NandOp>) -> Result<(), SsdError> {
+        ops.clear();
         if lpn as usize >= self.map.len() {
             return Err(SsdError::InvalidLpn {
                 lpn,
                 capacity: self.map.len() as u64,
             });
         }
-        let mut ops = Vec::with_capacity(1);
         // Invalidate the previous location.
         if let Some(old) = unpack_ppa(self.map[lpn as usize]) {
             self.dies[old.die as usize].blocks[old.block as usize].invalidate(old.page);
         }
         let die = self.next_die;
         self.next_die = (self.next_die + 1) % self.spec.total_dies();
-        let ppa = self.program_page(die, lpn, &mut ops)?;
+        let ppa = self.program_page(die, lpn, ops)?;
         self.map[lpn as usize] = pack_ppa(ppa);
         self.stats.host_writes += 1;
         ops.push(NandOp::Program { die });
         self.stats.nand_writes += 1;
-        Ok(ops)
+        Ok(())
     }
 
     /// Translates a host page read into its NAND operation.
@@ -423,6 +424,13 @@ impl Ftl {
 mod tests {
     use super::*;
 
+    /// One write into a fresh op list.
+    fn write(ftl: &mut Ftl, lpn: u64) -> Result<Vec<NandOp>, SsdError> {
+        let mut ops = Vec::new();
+        ftl.write(lpn, &mut ops)?;
+        Ok(ops)
+    }
+
     fn tiny_spec() -> SsdSpec {
         SsdSpec {
             channels: 1,
@@ -439,7 +447,7 @@ mod tests {
     #[test]
     fn first_write_maps_and_programs_once() {
         let mut ftl = Ftl::new(tiny_spec());
-        let ops = ftl.write(0).unwrap();
+        let ops = write(&mut ftl, 0).unwrap();
         assert_eq!(ops, vec![NandOp::Program { die: 0 }]);
         assert!(ftl.lookup(0).unwrap().is_some());
         assert_eq!(ftl.stats().host_writes, 1);
@@ -449,8 +457,8 @@ mod tests {
     #[test]
     fn writes_round_robin_across_dies() {
         let mut ftl = Ftl::new(tiny_spec());
-        let a = ftl.write(0).unwrap();
-        let b = ftl.write(1).unwrap();
+        let a = write(&mut ftl, 0).unwrap();
+        let b = write(&mut ftl, 1).unwrap();
         assert_eq!(a, vec![NandOp::Program { die: 0 }]);
         assert_eq!(b, vec![NandOp::Program { die: 1 }]);
     }
@@ -458,11 +466,11 @@ mod tests {
     #[test]
     fn overwrite_invalidates_old_page() {
         let mut ftl = Ftl::new(tiny_spec());
-        ftl.write(5).unwrap();
+        write(&mut ftl, 5).unwrap();
         let first = ftl.lookup(5).unwrap().unwrap();
         // Write other pages so die cursor comes back around.
-        ftl.write(6).unwrap();
-        ftl.write(5).unwrap();
+        write(&mut ftl, 6).unwrap();
+        write(&mut ftl, 5).unwrap();
         let second = ftl.lookup(5).unwrap().unwrap();
         assert_ne!(first, second);
     }
@@ -470,7 +478,7 @@ mod tests {
     #[test]
     fn read_after_write_finds_page() {
         let mut ftl = Ftl::new(tiny_spec());
-        ftl.write(3).unwrap();
+        write(&mut ftl, 3).unwrap();
         let (ppa, op) = ftl.read(3).unwrap();
         assert_eq!(op, NandOp::Read { die: ppa.die });
     }
@@ -485,7 +493,10 @@ mod tests {
     fn out_of_range_lpn_rejected() {
         let mut ftl = Ftl::new(tiny_spec());
         let cap = ftl.logical_pages();
-        assert!(matches!(ftl.write(cap), Err(SsdError::InvalidLpn { .. })));
+        assert!(matches!(
+            write(&mut ftl, cap),
+            Err(SsdError::InvalidLpn { .. })
+        ));
         assert!(matches!(ftl.read(cap), Err(SsdError::InvalidLpn { .. })));
         assert!(matches!(ftl.trim(cap), Err(SsdError::InvalidLpn { .. })));
     }
@@ -493,7 +504,7 @@ mod tests {
     #[test]
     fn trim_makes_page_unwritten() {
         let mut ftl = Ftl::new(tiny_spec());
-        ftl.write(2).unwrap();
+        write(&mut ftl, 2).unwrap();
         ftl.trim(2).unwrap();
         assert_eq!(ftl.read(2).unwrap_err(), SsdError::Unwritten { lpn: 2 });
     }
@@ -505,7 +516,7 @@ mod tests {
         // Overwrite a hot half of the logical space many times.
         for round in 0..50u64 {
             for lpn in 0..logical / 2 {
-                ftl.write(lpn).unwrap();
+                write(&mut ftl, lpn).unwrap();
             }
             let _ = round;
         }
@@ -526,7 +537,7 @@ mod tests {
         // still map somewhere valid afterwards.
         for _ in 0..3 {
             for lpn in 0..logical {
-                ftl.write(lpn).unwrap();
+                write(&mut ftl, lpn).unwrap();
             }
         }
         for lpn in 0..logical {
@@ -546,7 +557,7 @@ mod tests {
         let logical = ftl.logical_pages();
         for _ in 0..10 {
             for lpn in 0..logical {
-                ftl.write(lpn).expect("device wedged");
+                write(&mut ftl, lpn).expect("device wedged");
             }
         }
     }

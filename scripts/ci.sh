@@ -16,13 +16,13 @@ if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy (deny warnings)"
     cargo clippy --workspace --all-targets -- -D warnings
 
-    # Allocation audit for the ingest->hash->compress hot path and the
-    # read path back through the two device models: these crates must not
-    # clone or re-own buffers the execution engine works hard to keep
-    # zero-copy.
+    # Allocation audit for the ingest->hash->compress hot path, the read
+    # path back through the two device models, and the cluster front-end
+    # every routed write enters through: these crates must not clone or
+    # re-own buffers the execution engine works hard to keep zero-copy.
     echo "==> cargo clippy (hot-path allocation audit)"
     for crate in dr-pool dr-hashes dr-compress dr-binindex dr-reduction \
-        dr-ssd-sim dr-gpu-sim; do
+        dr-ssd-sim dr-gpu-sim dr-cluster; do
         cargo clippy -p "$crate" --all-targets -- \
             -D warnings \
             -D clippy::unnecessary_to_owned \
