@@ -5,8 +5,22 @@
 //! and greedy match extension — trading ratio for speed. QuickLZ itself is
 //! closed-source; [`FastLz`] is a from-scratch codec of the same
 //! algorithmic class (see `DESIGN.md` §2).
+//!
+//! The greedy matcher runs in two phases over per-thread scratch
+//! ([`Matcher`]). A *slot pass* hashes every position of the input once,
+//! a block at a time, with the vectorised [`dr_hashes::lz_slots`]; a
+//! *resolve pass* then walks the input serially, reading each position's
+//! precomputed slot, and makes the match decisions. [`FastLz`] is one
+//! region over the whole input; the GPU sub-chunk kernel's host emulation
+//! ([`crate::gpu`]) walks a chunk's regions over the same scratch.
+//! [`tokenize_region`] keeps the plain one-pass loop — fresh table, one
+//! hash per probe — as the token-IR reference the differential tests hold
+//! the two-phase core to.
 
-use dr_hashes::mix64;
+use std::cell::RefCell;
+use std::hint::select_unpredictable;
+
+use dr_hashes::{lz_slot, lz_slots, LZ_SLOT_BITS};
 
 use crate::error::CodecError;
 use crate::frame;
@@ -15,10 +29,17 @@ use crate::token::{emit_literals, emit_match, Token, MAX_OFFSET, MIN_MATCH};
 use crate::Codec;
 
 /// Number of slots in the direct-mapped match table (power of two).
-const TABLE_SIZE: usize = 1 << 12;
+const TABLE_SIZE: usize = 1 << LZ_SLOT_BITS;
 
-/// Upper bound on the candidate-bucket width (see [`FastLz::with_probes`]).
-pub const MAX_PROBES: u8 = 4;
+/// Positions the slot block holds: a whole 4 KiB chunk, so the kernel
+/// emulation hashes each chunk exactly once however many regions look
+/// back into it, while a long [`FastLz`] input keeps the scratch at 24 KiB.
+const SLOT_BLOCK: usize = 4096;
+
+/// Positions one call of the slot pass hashes: far enough ahead to keep
+/// the vector kernel in its main loop, not so far that a long match
+/// skips much of what was hashed.
+const SLOT_STEP: usize = 256;
 
 /// The fast single-pass codec.
 ///
@@ -29,48 +50,17 @@ pub const MAX_PROBES: u8 = 4;
 /// assert!(packed.len() < 128);
 /// assert_eq!(codec.decompress(&packed).unwrap(), vec![0u8; 4096]);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FastLz {
-    /// Candidates examined per table slot (1 = classic direct-mapped).
-    probes: u8,
-}
-
-impl Default for FastLz {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FastLz;
 
 impl FastLz {
-    /// Creates the codec with the classic single-candidate table.
+    /// Creates the codec.
     pub fn new() -> Self {
-        FastLz { probes: 1 }
-    }
-
-    /// A codec whose match table keeps `probes` recent candidates per slot
-    /// (a 4-ary set-associative table at the maximum). More probes buy
-    /// ratio on hash-collision-heavy data for a proportional scan cost;
-    /// `probes == 1` is byte-identical to [`FastLz::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `probes` is zero or exceeds [`MAX_PROBES`].
-    pub fn with_probes(probes: u8) -> Self {
-        assert!(
-            (1..=MAX_PROBES).contains(&probes),
-            "probes must be in 1..={MAX_PROBES}"
-        );
-        FastLz { probes }
-    }
-
-    /// The configured candidates-per-slot count.
-    pub fn probes(&self) -> u8 {
-        self.probes
+        FastLz
     }
 
     /// Tokenizes `input` with a greedy single-pass matcher — the token-IR
-    /// reference [`FastLz::compress_into`] is tested against. Always
-    /// single-probe, matching [`FastLz::new`].
+    /// reference [`FastLz::compress_into`] is tested against.
     pub fn tokenize(input: &[u8]) -> Vec<Token> {
         tokenize_region(input, 0, input.len(), input.len())
     }
@@ -82,124 +72,10 @@ impl FastLz {
     /// produced frame is byte-identical to [`Codec::compress`].
     pub fn compress_into(&self, input: &[u8], out: &mut Vec<u8>) {
         frame::seal_with(input, out, |original, payload| {
-            scan_region_dispatch(
-                original,
-                0,
-                original.len(),
-                original.len(),
-                self.probes,
-                &mut WireSink(payload),
-            );
+            with_chunk_scan(original, |scan| {
+                scan.region(0, original.len(), original.len(), payload);
+            });
         });
-    }
-}
-
-/// Receives matcher output: either a literal span or a back-reference.
-/// Lets one matcher implementation drive both the single-pass wire paths
-/// (the CPU codec and the GPU kernel emulation, neither of which may
-/// allocate per token) and the token IR the differential tests use as
-/// their reference.
-trait TokenSink {
-    fn literals(&mut self, bytes: &[u8]);
-    fn matched(&mut self, offset: usize, len: usize);
-}
-
-impl TokenSink for Vec<Token> {
-    fn literals(&mut self, bytes: &[u8]) {
-        self.push(Token::Literals(bytes.to_vec()));
-    }
-    fn matched(&mut self, offset: usize, len: usize) {
-        self.push(Token::Match { offset, len });
-    }
-}
-
-/// Emits the wire encoding straight into a byte buffer.
-struct WireSink<'a>(&'a mut Vec<u8>);
-
-impl TokenSink for WireSink<'_> {
-    fn literals(&mut self, bytes: &[u8]) {
-        emit_literals(self.0, bytes);
-    }
-    fn matched(&mut self, offset: usize, len: usize) {
-        emit_match(self.0, offset, len);
-    }
-}
-
-/// [`WireSink`] that also tallies what the GPU cost model charges for the
-/// raw token stream a kernel thread writes out: `len + 1` bytes per
-/// literal token and 3 per match token. The tally is per *token*, not per
-/// wire piece — a run longer than `MAX_LITERAL_RUN` or a match longer than
-/// `MAX_MATCH` splits on the wire but is one token to the kernel.
-struct CountingWireSink<'a> {
-    out: &'a mut Vec<u8>,
-    raw_token_bytes: u64,
-}
-
-impl TokenSink for CountingWireSink<'_> {
-    fn literals(&mut self, bytes: &[u8]) {
-        emit_literals(self.out, bytes);
-        self.raw_token_bytes += bytes.len() as u64 + 1;
-    }
-    fn matched(&mut self, offset: usize, len: usize) {
-        emit_match(self.out, offset, len);
-        self.raw_token_bytes += 3;
-    }
-}
-
-/// Greedy-tokenizes `input[start..end]`, allowing matches that reach back
-/// at most `window` bytes (and never before `input[0]`). Offsets are
-/// relative distances, so the produced tokens decode correctly whenever at
-/// least `start` bytes of history precede them — the property the GPU
-/// post-processor relies on.
-///
-/// The token IR is the reference the differential tests hold the
-/// single-pass paths to; nothing on the ingest path materializes it.
-pub fn tokenize_region(input: &[u8], start: usize, end: usize, window: usize) -> Vec<Token> {
-    let mut tokens = Vec::new();
-    scan_region(input, start, end, window, &mut tokens);
-    tokens
-}
-
-/// Scans `input[start..end]` exactly as [`tokenize_region`] does, but
-/// appends the wire encoding of the tokens straight to `out`. Returns the
-/// raw-token bytes the GPU cost model charges for the region.
-pub(crate) fn scan_region_to_wire(
-    input: &[u8],
-    start: usize,
-    end: usize,
-    window: usize,
-    out: &mut Vec<u8>,
-) -> u64 {
-    let mut sink = CountingWireSink {
-        out,
-        raw_token_bytes: 0,
-    };
-    scan_region(input, start, end, window, &mut sink);
-    sink.raw_token_bytes
-}
-
-/// The greedy single-pass matcher core behind [`tokenize_region`] and
-/// [`FastLz::compress_into`]; match decisions are identical regardless of
-/// the sink, so both paths produce the same token sequence.
-fn scan_region(input: &[u8], start: usize, end: usize, window: usize, sink: &mut dyn TokenSink) {
-    scan_region_probed::<1>(input, start, end, window, sink);
-}
-
-/// Monomorphizes the probe width: the table is a stack array, so its size
-/// must be a compile-time constant per variant.
-fn scan_region_dispatch(
-    input: &[u8],
-    start: usize,
-    end: usize,
-    window: usize,
-    probes: u8,
-    sink: &mut dyn TokenSink,
-) {
-    match probes {
-        1 => scan_region_probed::<1>(input, start, end, window, sink),
-        2 => scan_region_probed::<2>(input, start, end, window, sink),
-        3 => scan_region_probed::<3>(input, start, end, window, sink),
-        _ => scan_region_probed::<4>(input, start, end, window, sink),
     }
 }
 
@@ -218,7 +94,7 @@ fn three_bytes(input: &[u8], at: usize) -> u32 {
 
 #[inline]
 fn hash_key(key: u32) -> usize {
-    (mix64(key as u64 | 0x0100_0000) as usize) & (TABLE_SIZE - 1)
+    lz_slot(key) as usize
 }
 
 /// Absent-slot sentinel. Positions are stored as `u32` so the table stays
@@ -226,41 +102,26 @@ fn hash_key(key: u32) -> usize {
 /// format's u32 length field already bounds inputs below `u32::MAX`.
 const EMPTY: u32 = u32::MAX;
 
-/// Pushes `pos` as the newest candidate in its bucket, aging out the
-/// oldest. With `PROBES == 1` this is exactly the direct-mapped overwrite.
-#[inline]
-fn bucket_push<const PROBES: usize>(
-    table: &mut [[u32; PROBES]; TABLE_SIZE],
-    slot: usize,
-    pos: usize,
-) {
-    let bucket = &mut table[slot];
-    for i in (1..PROBES).rev() {
-        bucket[i] = bucket[i - 1];
-    }
-    bucket[0] = pos as u32;
-}
-
-/// Greedy single-pass scan over a `PROBES`-way set-associative match
-/// table. Candidates are probed newest-first; the longest match wins, with
-/// ties going to the most recent (smallest-offset) candidate. Extension is
-/// SWAR ([`match_len`]) — decision-identical to the byte-at-a-time loop,
-/// so `PROBES == 1` reproduces the historical output byte for byte.
-fn scan_region_probed<const PROBES: usize>(
-    input: &[u8],
-    start: usize,
-    end: usize,
-    window: usize,
-    sink: &mut dyn TokenSink,
-) {
+/// Greedy-tokenizes `input[start..end]`, allowing matches that reach back
+/// at most `window` bytes (and never before `input[0]`). Offsets are
+/// relative distances, so the produced tokens decode correctly whenever at
+/// least `start` bytes of history precede them — the property the GPU
+/// post-processor relies on.
+///
+/// This is the matcher as one plain loop — a fresh table per region, its
+/// history hashed in, one hash per probe, every range check spelled out —
+/// and the reference the differential tests hold [`ChunkScan::region`] to;
+/// nothing on the ingest path materializes the token IR.
+pub fn tokenize_region(input: &[u8], start: usize, end: usize, window: usize) -> Vec<Token> {
     debug_assert!(start <= end && end <= input.len());
-    let mut table = [[EMPTY; PROBES]; TABLE_SIZE];
+    let mut tokens = Vec::new();
+    let mut table = [EMPTY; TABLE_SIZE];
     // Seed the table with positions from the visible history window so the
     // first bytes of the region can match backwards into it.
     let hist_start = start.saturating_sub(window);
     if end >= MIN_MATCH {
         for pos in hist_start..start.min(end - MIN_MATCH + 1) {
-            bucket_push(&mut table, hash_key(three_bytes(input, pos)), pos);
+            table[hash_key(three_bytes(input, pos))] = pos as u32;
         }
     }
 
@@ -269,55 +130,30 @@ fn scan_region_probed<const PROBES: usize>(
     while pos + MIN_MATCH <= end {
         let here = three_bytes(input, pos);
         let slot = hash_key(here);
-
-        let mut matched = 0usize;
-        let mut best = usize::MAX;
-        let limit = end - pos;
-        for &candidate in &table[slot] {
-            // Reject empty, future, and out-of-window slots without
-            // branching: `EMPTY as usize` is `u32::MAX` (never below a
-            // valid position — the frame format bounds inputs under
-            // `u32::MAX`), and `wrapping_sub` turns a future candidate
-            // into a huge distance both range checks refuse. Eager `&`
-            // instead of `&&` keeps this a flag computation — a fresh
-            // table makes slot occupancy a coin flip for most of a 4 KiB
-            // chunk, and a data-dependent branch here mispredicts its
-            // way to ~2x the scan cost.
-            let candidate = candidate as usize;
-            let distance = pos.wrapping_sub(candidate);
-            let in_range = (candidate < pos)
-                & (distance <= MAX_OFFSET)
-                & (distance <= window)
-                & (candidate >= hist_start);
-            // A candidate disagreeing in the first MIN_MATCH bytes can
-            // never reach MIN_MATCH, and sub-minimum lengths never emit —
-            // the word prefilter is decision-identical and avoids the
-            // slice setup of a doomed extension. Rejected candidates load
-            // from `pos` (always in bounds) so the load itself needs no
-            // branch; the flag keeps them out of the accept path.
-            let probe_at = if in_range { candidate } else { pos };
-            let accept = in_range & (three_bytes(input, probe_at) == here);
-            if accept {
-                // Extend the match greedily, bounded by the region end.
-                let len = match_len(&input[candidate..candidate + limit], &input[pos..end]);
-                if len > matched {
-                    matched = len;
-                    best = candidate;
-                }
-            }
-        }
-        bucket_push(&mut table, slot, pos);
-
-        if matched >= MIN_MATCH {
+        // `EMPTY as usize` is `u32::MAX`, never below a valid position.
+        let candidate = table[slot] as usize;
+        table[slot] = pos as u32;
+        let in_range = candidate < pos
+            && pos - candidate <= MAX_OFFSET
+            && pos - candidate <= window
+            && candidate >= hist_start;
+        // A candidate disagreeing in the first MIN_MATCH bytes can never
+        // reach MIN_MATCH, and sub-minimum lengths never emit.
+        if in_range && three_bytes(input, candidate) == here {
+            // Extend the match greedily, bounded by the region end.
+            let matched = match_len(&input[candidate..candidate + (end - pos)], &input[pos..end]);
             if literal_start < pos {
-                sink.literals(&input[literal_start..pos]);
+                tokens.push(Token::Literals(input[literal_start..pos].to_vec()));
             }
-            sink.matched(pos - best, matched);
+            tokens.push(Token::Match {
+                offset: pos - candidate,
+                len: matched,
+            });
             // Insert a few positions inside the match so later data can
             // reference it (bounded to keep the pass single-speed).
             let insert_end = (pos + matched).min(end.saturating_sub(MIN_MATCH - 1));
             for p in (pos + 1..insert_end).take(8) {
-                bucket_push(&mut table, hash_key(three_bytes(input, p)), p);
+                table[hash_key(three_bytes(input, p))] = p as u32;
             }
             pos += matched;
             literal_start = pos;
@@ -326,8 +162,261 @@ fn scan_region_probed<const PROBES: usize>(
         }
     }
     if literal_start < end {
-        sink.literals(&input[literal_start..end]);
+        tokens.push(Token::Literals(input[literal_start..end].to_vec()));
     }
+    tokens
+}
+
+/// Per-thread scratch of the two-phase matcher: the match table and one
+/// block of precomputed slots. 24 KiB, allocated once per OS thread.
+pub(crate) struct Matcher {
+    /// Most recent position inserted per slot, or [`EMPTY`].
+    table: [u32; TABLE_SIZE],
+    /// `slots[i]` is the table slot of input position `base + i`, for
+    /// `i < filled`.
+    slots: [u16; SLOT_BLOCK],
+    base: usize,
+    filled: usize,
+}
+
+thread_local! {
+    static MATCHER: RefCell<Box<Matcher>> = RefCell::new(Matcher::new());
+}
+
+/// Runs `body` with this thread's [`Matcher`] set up for `input`.
+pub(crate) fn with_chunk_scan<R>(input: &[u8], body: impl FnOnce(&mut ChunkScan<'_>) -> R) -> R {
+    MATCHER.with_borrow_mut(|matcher| body(&mut matcher.chunk(input)))
+}
+
+impl Matcher {
+    fn new() -> Box<Matcher> {
+        Box::new(Matcher {
+            table: [EMPTY; TABLE_SIZE],
+            slots: [0; SLOT_BLOCK],
+            base: 0,
+            filled: 0,
+        })
+    }
+
+    /// Starts on a new input: one table clear, whatever the number of
+    /// regions scanned over it, and no slot of the previous input kept.
+    fn chunk<'a>(&'a mut self, input: &'a [u8]) -> ChunkScan<'a> {
+        self.table.fill(EMPTY);
+        self.filled = 0;
+        ChunkScan {
+            matcher: self,
+            input,
+            scanned_to: 0,
+        }
+    }
+}
+
+/// A [`Matcher`] bound to one input, over which the regions of the input
+/// are scanned **in ascending order** — all of them sharing the table.
+///
+/// Why one table is decision-identical to [`tokenize_region`]'s fresh
+/// table per region: seeding region `r` stores, in ascending order, every
+/// position of its history `[hist_start, start)`, so a slot with any
+/// occupant inside the window holds the same (newest) position a fresh
+/// table would. A slot without one holds `EMPTY` or a stale position of
+/// an earlier region, below `hist_start`; `EMPTY` fails the distance
+/// filter as it would in a fresh table, and a stale position is more
+/// than `window` behind every position of the region, so the filter
+/// refuses it too (when `start < window`, `hist_start` is 0 and nothing
+/// lies below it). From there both designs make the same inserts. The
+/// filter thereby also covers the reference's `candidate >= hist_start`.
+pub(crate) struct ChunkScan<'a> {
+    matcher: &'a mut Matcher,
+    input: &'a [u8],
+    /// End of the last region scanned, for the ordering assertion.
+    scanned_to: usize,
+}
+
+impl ChunkScan<'_> {
+    /// Slot pass: makes the slot block cover `pos`, hashing ahead when it
+    /// does not, and returns the end of the covered range. `pos` must have
+    /// a full 3-byte key.
+    ///
+    /// The block grows a step at a time while the scan runs off its end,
+    /// so a chunk that fits it is hashed once however many regions look
+    /// back into it; a scan that leaves the block — a match that jumped
+    /// far ahead, an input longer than the block — starts a new one at
+    /// `pos` and hashes nothing it skipped.
+    #[inline]
+    fn cover(&mut self, pos: usize) -> usize {
+        let m = &mut *self.matcher;
+        if pos.wrapping_sub(m.base) >= m.filled {
+            if pos != m.base + m.filled || m.filled + SLOT_STEP > SLOT_BLOCK {
+                m.base = pos;
+                m.filled = 0;
+            }
+            let room = &mut m.slots[m.filled..m.filled + SLOT_STEP];
+            let hashed = lz_slots(&self.input[pos..], room);
+            debug_assert!(hashed > 0, "position {pos} has no 3-byte key");
+            m.filled += hashed;
+        }
+        m.base + m.filled
+    }
+
+    /// Stores every position of `[from, to)` in the table, in ascending
+    /// order, from its precomputed slot.
+    fn insert(&mut self, from: usize, to: usize) {
+        let mut pos = from;
+        while pos < to {
+            let covered = self.cover(pos).min(to);
+            let m = &mut *self.matcher;
+            let mut quads = m.slots[pos - m.base..covered - m.base].chunks_exact(4);
+            let mut p = pos as u32;
+            // Seeding a history window is a few hundred of these stores
+            // per region; four to a step keeps the loop overhead off them.
+            for quad in &mut quads {
+                m.table[quad[0] as usize % TABLE_SIZE] = p;
+                m.table[quad[1] as usize % TABLE_SIZE] = p + 1;
+                m.table[quad[2] as usize % TABLE_SIZE] = p + 2;
+                m.table[quad[3] as usize % TABLE_SIZE] = p + 3;
+                p += 4;
+            }
+            for &slot in quads.remainder() {
+                m.table[slot as usize % TABLE_SIZE] = p;
+                p += 1;
+            }
+            pos = covered;
+        }
+    }
+
+    /// A match at `at` against `candidate` inside a region ending at `end`:
+    /// extends it, emits the literals pending since `literal_start` and
+    /// the match, and inserts its first positions. Returns its length.
+    ///
+    /// Out of line so that its calls do not cost [`ChunkScan::region`]'s
+    /// literal-run loop its registers.
+    #[inline(never)]
+    fn take_match(
+        &mut self,
+        literal_start: usize,
+        at: usize,
+        candidate: usize,
+        end: usize,
+        out: &mut Vec<u8>,
+    ) -> usize {
+        let input = self.input;
+        // Extend the match greedily, bounded by the region end.
+        let matched = match_len(&input[candidate..candidate + (end - at)], &input[at..end]);
+        if literal_start < at {
+            emit_literals(out, &input[literal_start..at]);
+        }
+        emit_match(out, at - candidate, matched);
+        // Insert a few positions inside the match so later data can
+        // reference it (bounded to keep the pass single-speed).
+        let insert_end = (at + matched).min(end - (MIN_MATCH - 1));
+        self.insert(at + 1, insert_end.min(at + 9));
+        matched
+    }
+
+    /// Resolve pass over `input[start..end]`: scans exactly as
+    /// [`tokenize_region`] does, but appends the wire encoding of the
+    /// tokens straight to `out`. Returns the raw-token bytes the GPU cost
+    /// model charges for the stream a kernel thread writes out — `len + 1`
+    /// per literal token and 3 per match token; per *token*, not per wire
+    /// piece: a run longer than `MAX_LITERAL_RUN` or a match longer than
+    /// `MAX_MATCH` splits on the wire but is one token to the kernel.
+    pub(crate) fn region(
+        &mut self,
+        start: usize,
+        end: usize,
+        window: usize,
+        out: &mut Vec<u8>,
+    ) -> u64 {
+        let input = self.input;
+        debug_assert!(self.scanned_to <= start && start <= end && end <= input.len());
+        self.scanned_to = end;
+        let mut raw_token_bytes = 0u64;
+        let mut literal_start = start;
+        // Positions below `scan_end` have their 3-byte key inside the
+        // region. A match needs a position behind it as well, so a region
+        // ending before the input's fourth byte is all literals.
+        let scan_end = end.saturating_sub(MIN_MATCH - 1);
+        if start < scan_end && end > MIN_MATCH {
+            // Seed the table with the visible history window so the first
+            // bytes of the region can match backwards into it.
+            self.insert(start.saturating_sub(window), start);
+
+            let reach = window.min(MAX_OFFSET) as u64;
+            let mut pos = start;
+            while pos < scan_end {
+                // Literal run: step until a match starts or the block ends.
+                let run_end = self.cover(pos).min(scan_end);
+                let m = &mut *self.matcher;
+                let slots = &m.slots[pos - m.base..run_end - m.base];
+                let Some((at, candidate)) = find_match(&mut m.table, slots, input, pos, reach)
+                else {
+                    pos = run_end;
+                    continue;
+                };
+
+                if literal_start < at {
+                    raw_token_bytes += (at - literal_start) as u64 + 1;
+                }
+                raw_token_bytes += 3;
+                let matched = self.take_match(literal_start, at, candidate, end, out);
+                pos = at + matched;
+                literal_start = pos;
+            }
+        }
+        if literal_start < end {
+            emit_literals(out, &input[literal_start..end]);
+            raw_token_bytes += (end - literal_start) as u64 + 1;
+        }
+        raw_token_bytes
+    }
+}
+
+/// The resolve pass's inner loop: probes positions `first..` — one per
+/// entry of `slots`, their precomputed table slots — inserting each, until
+/// one has a candidate within `reach` that agrees with it in the first
+/// `MIN_MATCH` bytes. Returns that position and its candidate.
+///
+/// `input` must be at least four bytes long and every probed position must
+/// have a full 3-byte key.
+#[inline]
+fn find_match(
+    table: &mut [u32; TABLE_SIZE],
+    slots: &[u16],
+    input: &[u8],
+    first: usize,
+    reach: u64,
+) -> Option<(usize, usize)> {
+    if slots.is_empty() {
+        return None;
+    }
+    // The 3-byte key at each position, rolled forward a byte at a time.
+    let mut key = (input[first] as u32) << 8 | (input[first + 1] as u32) << 16;
+    for (p, (&slot, &newest)) in (first..).zip(slots.iter().zip(&input[first + 2..])) {
+        key = key >> 8 | (newest as u32) << 16;
+        let slot = slot as usize % TABLE_SIZE;
+        let candidate = table[slot];
+        table[slot] = p as u32;
+        // A candidate is in range when `1 <= p - candidate <= reach`. In
+        // wrapping arithmetic wider than the table's u32 that is one
+        // compare, and it refuses `EMPTY`, `p` itself and anything ahead.
+        let distance = (p as u64).wrapping_sub(candidate as u64);
+        let in_range = distance.wrapping_sub(1) < reach;
+        // A candidate disagreeing in the first MIN_MATCH bytes can never
+        // reach MIN_MATCH, and sub-minimum lengths never emit. Slot
+        // occupancy is a coin flip for most of a chunk, so the range test
+        // must not become a branch: a refused candidate loads from the
+        // start of the input (always in bounds; an accepted one ends
+        // before `p + 3`) and is told apart by a flag or-ed into the key
+        // difference, leaving "a match starts here" as the loop's only
+        // data-dependent branch.
+        let probe_at = select_unpredictable(in_range, candidate as usize, 0);
+        let there = u32::from_le_bytes(input[probe_at..probe_at + 4].try_into().unwrap());
+        let differs = (there ^ key) << 8;
+        if differs | u32::from(!in_range) == 0 {
+            return Some((p, candidate as usize));
+        }
+    }
+    None
 }
 
 impl Codec for FastLz {
@@ -391,13 +480,7 @@ mod tests {
 
     #[test]
     fn random_data_expands_only_by_header() {
-        let mut state = 0x12345678u64;
-        let data: Vec<u8> = (0..4096)
-            .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (state >> 33) as u8
-            })
-            .collect();
+        let data = noise(4096, 0x12345678);
         let packed = FastLz::new().compress(&data);
         assert!(packed.len() <= data.len() + 5);
         round_trip(&data);
@@ -450,38 +533,126 @@ mod tests {
         assert_eq!(codec.decompress(&out).unwrap(), big);
     }
 
-    #[test]
-    fn single_probe_codec_matches_default() {
-        // `with_probes(1)` must be byte-identical to `new()` — the default
-        // dispatch arm the pipeline relies on for reproducible output.
-        let data = include_str!("fastlz.rs").as_bytes().repeat(2);
-        assert_eq!(
-            FastLz::with_probes(1).compress(&data),
-            FastLz::new().compress(&data)
-        );
+    /// `regions` equal strides over `input` with `window` bytes of
+    /// history each, scanned on `matcher`: the wire bytes and the
+    /// per-region raw-token tallies.
+    fn scan_on(
+        matcher: &mut Matcher,
+        input: &[u8],
+        regions: usize,
+        window: usize,
+    ) -> (Vec<u8>, Vec<u64>) {
+        let mut scan = matcher.chunk(input);
+        let stride = input.len().div_ceil(regions).max(1);
+        let mut wire = Vec::new();
+        let tallies = (0..regions)
+            .map(|r| {
+                let start = (r * stride).min(input.len());
+                let end = ((r + 1) * stride).min(input.len());
+                scan.region(start, end, window, &mut wire)
+            })
+            .collect();
+        (wire, tallies)
+    }
+
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (state >> 33) as u8
+            })
+            .collect()
+    }
+
+    /// A pair built so that a table left over from `a` changes what `b`
+    /// compresses to: the key `opX` sits at position 30 in both. In `a` it
+    /// is a literal position, so the table keeps it; in `b` it is deep in
+    /// a match, where the matcher inserts nothing — so when `opX` comes
+    /// round again, a fresh table has no candidate and a stale one has a
+    /// valid one.
+    fn stale_candidate_pair() -> (Vec<u8>, Vec<u8>) {
+        let mut a = noise(600, 0xA);
+        a[30..33].copy_from_slice(b"opX");
+        let mut b = b"abcdefghijklmnop".repeat(2);
+        b.extend_from_slice(b"XYZ 0123456789 opX tail");
+        assert_eq!(&b[30..33], b"opX");
+        (a, b)
     }
 
     #[test]
-    fn deeper_probing_round_trips_and_does_not_hurt_ratio() {
-        let data = include_str!("token.rs").as_bytes().repeat(2);
-        let base = FastLz::new().compress(&data);
-        for probes in 2..=MAX_PROBES {
-            let codec = FastLz::with_probes(probes);
-            let packed = codec.compress(&data);
-            assert!(
-                packed.len() <= base.len(),
-                "probes {probes}: {} vs {}",
-                packed.len(),
-                base.len()
-            );
-            assert_eq!(codec.decompress(&packed).unwrap(), data, "probes {probes}");
+    fn a_used_scratch_scans_like_a_fresh_one() {
+        let (stale_a, stale_b) = stale_candidate_pair();
+        let text: Vec<u8> = include_bytes!("fastlz.rs").repeat(2);
+        assert!(text.len() >= 20_000);
+        let pairs: Vec<(Vec<u8>, Vec<u8>)> = vec![
+            (stale_a, stale_b),
+            // The same keys at the same places, then fewer of them.
+            (text[..4096].to_vec(), text[..4096].to_vec()),
+            (text[..4096].to_vec(), text[..1000].to_vec()),
+            // Everything of `a` lands in few slots; `b` probes them all.
+            (vec![0u8; 4096], text[4096..8192].to_vec()),
+            (text[..4096].to_vec(), vec![0u8; 700]),
+            // Longer than the slot block, then shorter, and the reverse.
+            (text[..20_000].to_vec(), noise(4096, 1)),
+            (noise(300, 2), text[..20_000].to_vec()),
+            (noise(4096, 3), Vec::new()),
+            (noise(4096, 4), b"ab".to_vec()),
+        ];
+        for (i, (a, b)) in pairs.iter().enumerate() {
+            for (regions, window) in [(1, usize::MAX), (8, 512), (3, 70_000), (64, 3)] {
+                let want = scan_on(&mut Matcher::new(), b, regions, window);
+                let mut used = Matcher::new();
+                scan_on(&mut used, a, regions, window);
+                let got = scan_on(&mut used, b, regions, window);
+                assert_eq!(got, want, "pair {i}, {regions} regions, window {window}");
+            }
         }
     }
 
     #[test]
-    #[should_panic(expected = "probes must be")]
-    fn zero_probes_rejected() {
-        FastLz::with_probes(0);
+    fn the_per_chunk_table_clear_is_load_bearing() {
+        // The same scan of `b` after `a` with the table left as `a` left
+        // it: the stale candidate is in range and agrees in three bytes,
+        // so `b` gains a match a fresh table cannot see.
+        let (a, b) = stale_candidate_pair();
+        let want = scan_on(&mut Matcher::new(), &b, 1, usize::MAX);
+        let mut used = Matcher::new();
+        scan_on(&mut used, &a, 1, usize::MAX);
+        used.filled = 0;
+        let mut wire = Vec::new();
+        let mut scan = ChunkScan {
+            matcher: &mut used,
+            input: &b,
+            scanned_to: 0,
+        };
+        scan.region(0, b.len(), usize::MAX, &mut wire);
+        assert_ne!(wire, want.0, "the pair no longer exercises a stale slot");
+    }
+
+    #[test]
+    fn region_scan_matches_the_reference_tokens() {
+        // The unit-level twin of the property suite in
+        // `tests/roundtrip_props.rs`: one region, its history in the table.
+        let data = include_bytes!("fastlz.rs");
+        for (start, end, window) in [(0, 4096, 4096), (512, 1024, 512), (4000, 4003, 64)] {
+            let mut matcher = Matcher::new();
+            let mut scan = matcher.chunk(data);
+            let mut wire = Vec::new();
+            // Regions before `start` are scanned first in real use; an
+            // untouched table must do as well.
+            let raw = scan.region(start, end, window, &mut wire);
+            let tokens = tokenize_region(data, start, end, window);
+            assert_eq!(wire, crate::token::encode_tokens(&tokens), "{start}..{end}");
+            let want_raw: u64 = tokens
+                .iter()
+                .map(|t| match t {
+                    Token::Literals(bytes) => bytes.len() as u64 + 1,
+                    Token::Match { .. } => 3,
+                })
+                .sum();
+            assert_eq!(raw, want_raw, "{start}..{end}");
+        }
     }
 
     #[test]

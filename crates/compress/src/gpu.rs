@@ -18,9 +18,17 @@
 //! Functionally the kernel runs on the host — data-parallel like the real
 //! one, a [`dr_pool`] work item per chunk — and each thread writes wire
 //! bytes straight into the chunk's frame, so steps 1 and 3 are one pass
-//! with no token IR in between. The [`dr_gpu_sim`] timing model charges
-//! transfer, launch and SIMT time as if they were separate: the kernel for
-//! the raw per-thread streams, the caller's CPU model for the refinement.
+//! with no token IR in between. A chunk's threads are emulated one after
+//! another over the two-phase matcher of [`crate::fastlz`]: the chunk's
+//! positions are hashed once, in a vector pass, and the regions are
+//! resolved in ascending order over one match table, each seeding its
+//! private history from the precomputed slots — decision for decision
+//! what `T` threads with a fresh table each would emit. The
+//! [`dr_gpu_sim`] timing model charges transfer, launch and SIMT time as
+//! if they were separate: the kernel for the raw per-thread streams, the
+//! caller's CPU model for the refinement. The transfers are charged
+//! against device buffers of the right size that are never backed with
+//! host bytes: the emulation reads the caller's chunks where they are.
 
 use dr_des::{Grant, SimTime};
 use dr_gpu_sim::{
@@ -31,7 +39,7 @@ use dr_obs::{CounterHandle, HistogramHandle, ObsHandle};
 use dr_pool::WorkerPool;
 
 use crate::error::CodecError;
-use crate::fastlz::scan_region_to_wire;
+use crate::fastlz::with_chunk_scan;
 use crate::frame;
 
 /// ALU cycles the kernel spends per input byte of region scanned
@@ -42,14 +50,17 @@ const KERNEL_CYCLES_PER_BYTE: u64 = 16;
 /// on the calling thread.
 ///
 /// Measured on the 2-core reference host (one worker thread beside the
-/// caller, 4 KiB chunks at about 12.4 µs each; `compress_batch` serial /
-/// fanned out to a spinning worker / to a parked one, µs): 4 chunks 50.2 /
-/// 35.5 / 50.8, 6 chunks 79.0 / 44.8 / 63.9, 8 chunks 98.7 / 51.7 / 76.3,
-/// 16 chunks 198 / 105 / 119. Waking a parked worker costs one
-/// `dr_pool::SPIN_WINDOW`, a little over three chunks' worth, so from
-/// four chunks per participant the fan-out wins whichever state the
-/// worker is in.
-const KERNEL_FANOUT_GRAIN: usize = 4;
+/// caller, each pinned to its CPU, paper-profile 4 KiB chunks at about
+/// 6.9 µs each; `compress_batch` serial / fanned out to a spinning worker
+/// / to a parked one, µs). A quiet host: 8 chunks 59.7 / 31.0 / 59.4,
+/// 12 chunks 83.5 / 45.3 / 76.3, 16 chunks 113 / 59.5 / 89.4, 24 chunks
+/// 167 / 86.2 / 124. The same host in a noisy period, when a wake-up costs
+/// 50 µs and more instead of one `dr_pool::SPIN_WINDOW`: 12 chunks 84 /
+/// 48.0 / 96.8, 16 chunks 111 / 80.9 / 117, 24 chunks 169 / 102 / 154. A
+/// wake-up is six to eight chunks' worth, so from eight chunks per
+/// participant the fan-out wins or ties whichever state the worker is in;
+/// at six it wins only while the host is quiet.
+const KERNEL_FANOUT_GRAIN: usize = 8;
 
 /// Parameters of the GPU compression kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,19 +160,26 @@ impl GpuCompressObs {
     }
 }
 
-/// Allocates the device buffer a batch of `in_len` bytes is staged into,
-/// runs `body` against it, and frees it — plus the output buffer `body`
-/// may have allocated and handed back through its last argument — on
-/// every exit, not just success: a buffer leaked on an error path would
-/// shrink the device a little more on each degrade/re-probe cycle.
+/// Stages a batch of `in_len` bytes onto the device from `now` and runs
+/// `body` with the H2D transfer's grant. The staging buffer and the
+/// transfer are charged, not backed by host bytes: the kernels run on the
+/// host, against the caller's slices.
+///
+/// The staging buffer — and the output buffer `body` may have allocated
+/// and handed back through its last argument — is freed on every exit,
+/// not just success: a buffer leaked on an error path would shrink the
+/// device a little more on each degrade/re-probe cycle.
 pub(crate) fn with_staging_buffer<T>(
     gpu: &mut GpuDevice,
+    now: SimTime,
     in_len: u64,
-    body: impl FnOnce(&mut GpuDevice, BufferId, &mut Option<BufferId>) -> Result<T, GpuError>,
+    body: impl FnOnce(&mut GpuDevice, Grant, &mut Option<BufferId>) -> Result<T, GpuError>,
 ) -> Result<T, GpuError> {
     let in_buf = gpu.alloc(in_len.max(1))?;
     let mut out_buf = None;
-    let outcome = body(gpu, in_buf, &mut out_buf);
+    let outcome = gpu
+        .charge_h2d(now, in_buf, 0, in_len)
+        .and_then(|h2d| body(gpu, h2d, &mut out_buf));
     // On a lost device the free can fail too, which is fine to ignore.
     let _ = gpu.free(in_buf);
     if let Some(out_buf) = out_buf {
@@ -240,8 +258,8 @@ impl GpuCompressor {
         let total_in: usize = chunks.iter().map(|c| c.len()).sum();
 
         // The batch is staged into one contiguous device buffer.
-        let report = with_staging_buffer(gpu, total_in as u64, |gpu, in_buf, out_buf| {
-            self.run_staged(now, gpu, pool, in_buf, out_buf, chunks, frames)
+        let report = with_staging_buffer(gpu, now, total_in as u64, |gpu, h2d, out_buf| {
+            self.run_staged(gpu, pool, h2d, out_buf, chunks, frames)
         })?;
 
         self.obs.batches.incr();
@@ -255,20 +273,16 @@ impl GpuCompressor {
     }
 
     /// The body of [`GpuCompressor::compress_batch`] inside
-    /// [`with_staging_buffer`]: H2D, kernel, D2H.
-    #[allow(clippy::too_many_arguments)]
+    /// [`with_staging_buffer`], after its H2D: kernel, D2H.
     fn run_staged(
         &self,
-        now: SimTime,
         gpu: &mut GpuDevice,
         pool: &WorkerPool,
-        in_buf: BufferId,
+        h2d: Grant,
         out_buf: &mut Option<BufferId>,
         chunks: &[&[u8]],
         frames: &mut [Vec<u8>],
     ) -> Result<GpuBatchReport, GpuError> {
-        let h2d = gpu.write_buffer_gather(now, in_buf, 0, chunks)?;
-
         // "Kernel": every thread scans its region. Runs functionally on the
         // host, one pool work item per chunk; costs reported per GPU work
         // item. The CPU post-processing ("refinement") is fused in: thread
@@ -340,28 +354,30 @@ impl GpuCompressor {
             history,
         } = self.config;
         let stride = chunk.len().div_ceil(threads_per_chunk).max(1);
-        let mut raw_token_bytes = 0;
-        for thread in 0..threads_per_chunk {
-            let start = (thread * stride).min(chunk.len());
-            let end = ((thread + 1) * stride).min(chunk.len());
-            let out_bytes = scan_region_to_wire(chunk, start, end, history, payload);
-            let region_bytes = (end - start) as u64;
-            let window_bytes = region_bytes + history.min(start) as u64;
-            raw_token_bytes += out_bytes;
-            report(
-                thread,
-                WorkItemCost {
-                    cycles: region_bytes * KERNEL_CYCLES_PER_BYTE,
-                    mem: MemAccess {
-                        // Linear scan of the region + its history window,
-                        // plus the raw token stream written out.
-                        coalesced_bytes: window_bytes + out_bytes,
-                        uncoalesced_bytes: 0,
+        with_chunk_scan(chunk, |scan| {
+            let mut raw_token_bytes = 0;
+            for thread in 0..threads_per_chunk {
+                let start = (thread * stride).min(chunk.len());
+                let end = ((thread + 1) * stride).min(chunk.len());
+                let out_bytes = scan.region(start, end, history, payload);
+                let region_bytes = (end - start) as u64;
+                let window_bytes = region_bytes + history.min(start) as u64;
+                raw_token_bytes += out_bytes;
+                report(
+                    thread,
+                    WorkItemCost {
+                        cycles: region_bytes * KERNEL_CYCLES_PER_BYTE,
+                        mem: MemAccess {
+                            // Linear scan of the region + its history
+                            // window, plus the raw token stream written out.
+                            coalesced_bytes: window_bytes + out_bytes,
+                            uncoalesced_bytes: 0,
+                        },
                     },
-                },
-            );
-        }
-        raw_token_bytes
+                );
+            }
+            raw_token_bytes
+        })
     }
 
     /// Compresses one chunk without a device, for functional tests: the

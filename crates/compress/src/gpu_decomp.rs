@@ -159,8 +159,8 @@ impl GpuDecompressor {
 
         // The frame batch is staged into one contiguous device buffer.
         let (outputs, report) =
-            with_staging_buffer(gpu, total_in as u64, |gpu, in_buf, out_buf| {
-                self.run_staged(now, gpu, in_buf, out_buf, frames)
+            with_staging_buffer(gpu, now, total_in as u64, |gpu, h2d, out_buf| {
+                self.run_staged(gpu, h2d, out_buf, frames)
             })?;
 
         self.obs.batches.incr();
@@ -176,18 +176,15 @@ impl GpuDecompressor {
     }
 
     /// The body of [`GpuDecompressor::decompress_batch`] inside
-    /// [`with_staging_buffer`]: H2D, both kernels, D2H.
+    /// [`with_staging_buffer`], after its H2D: both kernels, D2H.
     #[allow(clippy::type_complexity)]
     fn run_staged(
         &self,
-        now: SimTime,
         gpu: &mut GpuDevice,
-        in_buf: BufferId,
+        h2d: Grant,
         out_buf: &mut Option<BufferId>,
         frames: &[&[u8]],
     ) -> Result<(Vec<Result<Vec<u8>, CodecError>>, GpuDecompReport), GpuError> {
-        let h2d = gpu.write_buffer_gather(now, in_buf, 0, frames)?;
-
         // Functional decode on the host; token shapes feed the cost model.
         // A frame that fails to decode still cost the split pass its scan.
         let mut outputs = Vec::with_capacity(frames.len());

@@ -5,7 +5,9 @@
 //! build (a `Vec<Token>` per region, a `Vec<u8>` per literal run, a fresh
 //! frame per chunk) is gone from the ingest path. This test pins that with
 //! a counting global allocator: a steady-state batch may allocate a small
-//! constant number of times per *batch*, never per chunk or per region.
+//! constant number of times per *batch*, never per chunk or per region —
+//! and only a few dozen KiB: the batch's device buffers are charged
+//! against device memory, not backed by host bytes nobody reads.
 //!
 //! Kept to a single `#[test]` on purpose: the libtest harness runs tests
 //! in one process, and a sibling test allocating concurrently would make
@@ -22,11 +24,19 @@ use dr_pool::WorkerPool;
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -35,6 +45,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -42,12 +53,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations one steady-state batch makes, whatever its chunk count. Five
-/// on an inline pool: the two device buffers (the D2H of the raw streams is
-/// charged, not materialised), the work-item cost list, the fan-out slot
-/// list and the kernel's name. A threaded pool adds its batch state and
-/// range table.
-const PER_BATCH_BOUND: u64 = 7;
+/// Allocations one steady-state batch makes, whatever its chunk count.
+/// Three on an inline pool: the work-item cost list, the fan-out slot list
+/// and the kernel's name — the two device buffers are charged, not
+/// backed, and each thread's matcher scratch dates from its first chunk. A
+/// threaded pool adds its batch state and range table.
+const PER_BATCH_BOUND: u64 = 5;
+
+/// Bytes those allocations may add up to for the 128-chunk batch below:
+/// the cost list is 24 KiB (1 024 work items) and the slot list 4 KiB.
+/// Backing the staging buffers would be another 512 KiB and more.
+const PER_BATCH_BYTES_BOUND: u64 = 48 << 10;
 
 #[test]
 fn steady_state_batches_do_not_allocate_per_chunk() {
@@ -79,16 +95,19 @@ fn steady_state_batches_do_not_allocate_per_chunk() {
 
     for pool in [WorkerPool::new(0), WorkerPool::new(1)] {
         // Warm-up: frame buffers grow to their steady capacity, the pool
-        // and the device settle their one-time allocations.
+        // and the device settle their one-time allocations, every thread
+        // that scans a chunk gets its matcher scratch.
         for _ in 0..2 {
             comp.compress_batch(SimTime::ZERO, &mut gpu, &pool, &views, &mut frames)
                 .unwrap();
         }
         let before = ALLOCS.load(Ordering::Relaxed);
+        let bytes_before = ALLOC_BYTES.load(Ordering::Relaxed);
         let report = comp
             .compress_batch(SimTime::ZERO, &mut gpu, &pool, &views, &mut frames)
             .unwrap();
         let after = ALLOCS.load(Ordering::Relaxed);
+        let bytes = ALLOC_BYTES.load(Ordering::Relaxed) - bytes_before;
         assert_eq!(report.work_items.len(), CHUNKS * 8);
         assert!(
             after - before <= PER_BATCH_BOUND,
@@ -97,6 +116,13 @@ fn steady_state_batches_do_not_allocate_per_chunk() {
              has crept back in",
             pool.workers(),
             after - before
+        );
+        assert!(
+            bytes <= PER_BATCH_BYTES_BOUND,
+            "a {CHUNKS}-chunk batch on a {}-worker pool allocated {bytes} bytes \
+             (bound {PER_BATCH_BYTES_BOUND}) — a batch-sized buffer is being \
+             backed again",
+            pool.workers()
         );
     }
 }

@@ -13,6 +13,7 @@ use dr_des::testkit::{self, Cases};
 use dr_des::SimTime;
 use dr_gpu_sim::{GpuDevice, GpuSpec, MemAccess, WorkItemCost};
 use dr_pool::WorkerPool;
+use dr_workload::synthesize_block;
 
 #[test]
 fn fastlz_round_trips() {
@@ -227,6 +228,84 @@ fn pooled_single_pass_kernel_matches_the_token_ir_reference() {
             .position(|c| c.len() == 4096 && c.iter().all(|&b| b == 0))
             .expect("a 4 KB chunk of zeros");
         assert_eq!(frame::inspect(&want_frames[zeros_4k]).unwrap().0, Frame::Lz);
+    }
+}
+
+/// `len` bytes of each data class the matcher treats differently: nothing
+/// to find, one unbroken offset-1 match, matches that tile at period 16,
+/// many short matches, and the benchmark's own block shape — a noise head
+/// and a period-16 tail — from incompressible to nearly all match.
+fn differential_inputs(len: usize, rng: &mut dr_des::SplitMix64) -> Vec<(String, Vec<u8>)> {
+    let cycled = |bytes: &[u8]| -> Vec<u8> { bytes.iter().copied().cycle().take(len).collect() };
+    let mut inputs = vec![
+        ("noise".to_owned(), testkit::vec_u8(rng, len, len)),
+        ("offset-1 rle".to_owned(), vec![0x5A; len]),
+        ("period-16".to_owned(), cycled(b"0123456789abcdef")),
+        (
+            "source text".to_owned(),
+            cycled(include_bytes!("../src/fastlz.rs")),
+        ),
+    ];
+    for ratio in [1.0, 1.33, 2.0, 4.0, 64.0] {
+        let block = match len {
+            0 => Vec::new(),
+            _ => synthesize_block(rng.next_u64(), len, ratio),
+        };
+        inputs.push((format!("synthesize_block ratio {ratio}"), block));
+    }
+    inputs
+}
+
+#[test]
+fn two_phase_matcher_matches_the_token_ir_reference() {
+    // Region counts that divide a chunk evenly, unevenly and into slivers;
+    // histories shorter than a key, shorter and longer than a region, the
+    // whole chunk, and past MAX_OFFSET; lengths around every boundary the
+    // matcher has (no key, one key, a region per byte, the slot block).
+    const THREADS: [usize; 6] = [1, 2, 3, 8, 16, 64];
+    const HISTORIES: [usize; 6] = [1, 3, 128, 512, 4096, 70_000];
+    const LENGTHS: [usize; 10] = [0, 1, 2, 3, 7, 63, 4095, 4096, 4097, 65_537];
+    let mut rng = dr_des::SplitMix64::new(0xC02_000B);
+    let pool = WorkerPool::new(0);
+    let codec = FastLz::new();
+    let mut packed = Vec::new();
+    for len in LENGTHS {
+        let inputs = differential_inputs(len, &mut rng);
+        let views: Vec<&[u8]> = inputs.iter().map(|(_, data)| data.as_slice()).collect();
+        for threads_per_chunk in THREADS {
+            for history in HISTORIES {
+                let config = GpuCompressorConfig {
+                    threads_per_chunk,
+                    history,
+                };
+                let mut want_frames = Vec::new();
+                let mut want_costs = Vec::new();
+                let mut want_raw = 0;
+                for chunk in &views {
+                    let (frame_bytes, costs, raw) = token_ir_reference(config, chunk);
+                    want_frames.push(frame_bytes);
+                    want_costs.extend(costs);
+                    want_raw += raw;
+                }
+                let at = format!("len {len}, threads {threads_per_chunk}, history {history}");
+                let mut frames = vec![Vec::new(); views.len()];
+                let mut gpu = GpuDevice::new(GpuSpec::radeon_hd_7970());
+                let report = GpuCompressor::new(config)
+                    .compress_batch(SimTime::ZERO, &mut gpu, &pool, &views, &mut frames)
+                    .unwrap();
+                for ((got, want), (class, _)) in frames.iter().zip(&want_frames).zip(&inputs) {
+                    assert_eq!(got, want, "{at}: {class}");
+                }
+                assert_eq!(report.work_items, want_costs, "{at}");
+                assert_eq!(report.raw_token_bytes, want_raw, "{at}");
+            }
+        }
+        // The CPU codec is the same core with one region and no window.
+        for (class, data) in &inputs {
+            codec.compress_into(data, &mut packed);
+            let want = frame::seal(data, &FastLz::tokenize(data));
+            assert_eq!(packed, want, "fastlz, len {len}: {class}");
+        }
     }
 }
 

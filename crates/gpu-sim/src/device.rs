@@ -93,6 +93,14 @@ impl GpuObs {
     }
 }
 
+/// Which way a PCIe transfer goes; picks the stats, metric and span it is
+/// booked under.
+#[derive(Debug, Clone, Copy)]
+enum Direction {
+    HostToDevice,
+    DeviceToHost,
+}
+
 /// The simulated GPU.
 ///
 /// Functionally a byte store plus a timing model: callers stage data into
@@ -240,38 +248,35 @@ impl GpuDevice {
         offset: u64,
         parts: &[&[u8]],
     ) -> Result<Grant, GpuError> {
-        if self.lost {
-            return Err(GpuError::DeviceLost);
-        }
         let total: u64 = parts.iter().map(|p| p.len() as u64).sum();
-        let time = pcie_transfer_time(&self.spec, total);
+        let grant = self.charge_h2d(now, id, offset, total)?;
+        // In bounds, or the charge above would have refused.
         let buf = self.mem.get_mut(id)?;
-        let end = offset + total;
-        if end > buf.len() as u64 {
-            return Err(GpuError::OutOfBounds {
-                buffer: id,
-                end,
-                len: buf.len() as u64,
-            });
-        }
         let mut at = offset as usize;
         for part in parts {
             buf[at..at + part.len()].copy_from_slice(part);
             at += part.len();
         }
-        let grant = self.copy_engine.acquire(now, time);
-        self.stats.h2d_bytes += total;
-        self.stats.copy_busy += time;
-        self.obs.h2d_bytes.add(total);
-        self.obs.transfer_ns.record(time.as_nanos());
-        self.obs.tracer.sim_span(
-            Track::GpuCopy,
-            "h2d",
-            grant.start.as_nanos(),
-            grant.end.as_nanos(),
-            trace_args(&[("bytes", total)]),
-        );
         Ok(grant)
+    }
+
+    /// The timing half of [`GpuDevice::write_buffer`]: checks and charges
+    /// the host→device transfer of `len` bytes into buffer `id` at
+    /// `offset` without copying them. For kernels that run functionally on
+    /// the host, against host memory — the device buffer stands in for the
+    /// transfer's size only, and is never backed with bytes.
+    ///
+    /// # Errors
+    ///
+    /// As [`GpuDevice::write_buffer`].
+    pub fn charge_h2d(
+        &mut self,
+        now: SimTime,
+        id: BufferId,
+        offset: u64,
+        len: u64,
+    ) -> Result<Grant, GpuError> {
+        self.charge_transfer(now, id, offset, len, Direction::HostToDevice)
     }
 
     /// Copies `len` bytes out of buffer `id` starting at `offset`, charging
@@ -309,10 +314,24 @@ impl GpuDevice {
         offset: u64,
         len: u64,
     ) -> Result<Grant, GpuError> {
+        self.charge_transfer(now, id, offset, len, Direction::DeviceToHost)
+    }
+
+    /// One PCIe transfer of `len` bytes against buffer `id` from `offset`:
+    /// every check a copy would make, then the copy engine's time, the
+    /// stats, the metrics and the trace span — and no bytes moved.
+    fn charge_transfer(
+        &mut self,
+        now: SimTime,
+        id: BufferId,
+        offset: u64,
+        len: u64,
+        direction: Direction,
+    ) -> Result<Grant, GpuError> {
         if self.lost {
             return Err(GpuError::DeviceLost);
         }
-        let buf_len = self.mem.get(id)?.len() as u64;
+        let buf_len = self.mem.len(id)?;
         let end = offset + len;
         if end > buf_len {
             return Err(GpuError::OutOfBounds {
@@ -323,13 +342,23 @@ impl GpuDevice {
         }
         let time = pcie_transfer_time(&self.spec, len);
         let grant = self.copy_engine.acquire(now, time);
-        self.stats.d2h_bytes += len;
         self.stats.copy_busy += time;
-        self.obs.d2h_bytes.add(len);
+        let span = match direction {
+            Direction::HostToDevice => {
+                self.stats.h2d_bytes += len;
+                self.obs.h2d_bytes.add(len);
+                "h2d"
+            }
+            Direction::DeviceToHost => {
+                self.stats.d2h_bytes += len;
+                self.obs.d2h_bytes.add(len);
+                "d2h"
+            }
+        };
         self.obs.transfer_ns.record(time.as_nanos());
         self.obs.tracer.sim_span(
             Track::GpuCopy,
-            "d2h",
+            span,
             grant.start.as_nanos(),
             grant.end.as_nanos(),
             trace_args(&[("bytes", len)]),
@@ -504,6 +533,97 @@ mod tests {
             Err(GpuError::InvalidBuffer(cb))
         );
         assert_eq!(charged.stats().d2h_bytes, 4000);
+    }
+
+    /// Everything a transfer leaves behind in the device's stats and in
+    /// `obs`, rendered for comparison.
+    fn transfer_footprint(gpu: &GpuDevice, obs: &ObsHandle) -> String {
+        format!("{:?} {:?}", gpu.stats(), obs.snapshot().unwrap())
+    }
+
+    #[test]
+    fn charged_h2d_is_write_buffer_gather_without_the_bytes() {
+        let parts: [&[u8]; 3] = [&[7u8; 3000], b"", &[9u8; 1000]];
+        let (written_obs, charged_obs) = (ObsHandle::enabled("t"), ObsHandle::enabled("t"));
+        let (mut written, mut charged) = (device(), device());
+        written.set_obs(&written_obs);
+        charged.set_obs(&charged_obs);
+        let (wb, cb) = (written.alloc(4096).unwrap(), charged.alloc(4096).unwrap());
+        let t0 = SimTime::from_nanos(500);
+        let want = written.write_buffer_gather(t0, wb, 16, &parts).unwrap();
+        let got = charged.charge_h2d(t0, cb, 16, 4000).unwrap();
+        assert_eq!(got, want);
+        assert_eq!(
+            transfer_footprint(&charged, &charged_obs),
+            transfer_footprint(&written, &written_obs)
+        );
+        assert_eq!(charged.stats().h2d_bytes, 4000);
+        // Only the copy backed its buffer; both count against capacity.
+        assert!(written.mem.is_backed(wb) && !charged.mem.is_backed(cb));
+        assert_eq!(charged.mem_used(), written.mem_used());
+        // The same refusals, charging nothing and backing nothing.
+        let err = charged.charge_h2d(t0, cb, 4000, 97).unwrap_err();
+        assert_eq!(
+            err,
+            written.write_buffer(t0, wb, 4000, &[0u8; 97]).unwrap_err()
+        );
+        assert!(matches!(err, GpuError::OutOfBounds { end: 4097, .. }));
+        charged.free(cb).unwrap();
+        assert_eq!(
+            charged.charge_h2d(t0, cb, 0, 1),
+            Err(GpuError::InvalidBuffer(cb))
+        );
+        assert_eq!(charged.stats().h2d_bytes, 4000);
+    }
+
+    #[test]
+    fn an_unbacked_buffer_behaves_like_a_backed_one() {
+        let mut gpu = GpuDevice::new(GpuSpec {
+            global_mem_bytes: 8192,
+            ..GpuSpec::radeon_hd_7970()
+        });
+        let staged = gpu.alloc(6000).unwrap();
+        gpu.charge_h2d(SimTime::ZERO, staged, 0, 6000).unwrap();
+        assert!(!gpu.mem.is_backed(staged));
+        assert_eq!(gpu.mem_used(), 6000);
+        assert_eq!(
+            gpu.alloc(4096),
+            Err(GpuError::OutOfMemory {
+                requested: 4096,
+                available: 2192
+            })
+        );
+        // First functional access reads zeros of the full size.
+        assert_eq!(gpu.buffer(staged).unwrap(), &[0u8; 6000][..]);
+        assert!(gpu.mem.is_backed(staged));
+        gpu.free(staged).unwrap();
+        assert_eq!(gpu.mem_used(), 0);
+
+        // A lost device refuses the charge exactly as it refuses the copy.
+        let mut gpu = device();
+        let buf = gpu.alloc(64).unwrap();
+        gpu.set_faults(crate::spec::GpuFaultSpec {
+            device_lost_after: 1,
+            ..Default::default()
+        });
+        let items = [WorkItemCost::compute(1)];
+        gpu.launch(SimTime::ZERO, LaunchConfig::named("k"), &items)
+            .unwrap();
+        assert_eq!(
+            gpu.launch(SimTime::ZERO, LaunchConfig::named("k"), &items)
+                .unwrap_err(),
+            GpuError::DeviceLost
+        );
+        assert_eq!(
+            gpu.charge_h2d(SimTime::ZERO, buf, 0, 8),
+            Err(GpuError::DeviceLost)
+        );
+        assert_eq!(
+            gpu.write_buffer(SimTime::ZERO, buf, 0, &[0u8; 8]),
+            Err(GpuError::DeviceLost)
+        );
+        assert_eq!(gpu.alloc(8), Err(GpuError::DeviceLost));
+        assert!(!gpu.mem.is_backed(buf));
     }
 
     #[test]

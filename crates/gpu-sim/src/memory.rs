@@ -1,11 +1,16 @@
 //! Device (global) memory: allocation tracking plus functional contents.
 //!
-//! The model keeps each buffer's bytes on the host so kernels (which execute
-//! functionally) can read and write them, while capacity accounting enforces
-//! the device's real memory limit — the reason the paper keeps only *hash
-//! values* resident on the GPU and leaves chunk metadata in system memory.
+//! The model backs a buffer with host bytes on first functional access, so
+//! kernels (which execute functionally) can read and write them, while
+//! capacity accounting enforces the device's real memory limit from the
+//! moment of allocation — the reason the paper keeps only *hash values*
+//! resident on the GPU and leaves chunk metadata in system memory. A
+//! buffer that only ever stands in for a transfer's size (the codecs'
+//! staging buffers: their kernels run on the host, against host memory)
+//! costs the host nothing.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use crate::error::GpuError;
 
@@ -13,12 +18,26 @@ use crate::error::GpuError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BufferId(pub(crate) u64);
 
+/// One allocation: its size, and its zero-initialised contents once
+/// something has looked at them.
+#[derive(Debug)]
+struct Buffer {
+    len: u64,
+    bytes: OnceLock<Vec<u8>>,
+}
+
+impl Buffer {
+    fn bytes(&self) -> &[u8] {
+        self.bytes.get_or_init(|| vec![0u8; self.len as usize])
+    }
+}
+
 #[derive(Debug)]
 pub(crate) struct DeviceMemory {
     capacity: u64,
     used: u64,
     next_id: u64,
-    buffers: HashMap<BufferId, Vec<u8>>,
+    buffers: HashMap<BufferId, Buffer>,
 }
 
 impl DeviceMemory {
@@ -50,7 +69,13 @@ impl DeviceMemory {
         }
         let id = BufferId(self.next_id);
         self.next_id += 1;
-        self.buffers.insert(id, vec![0u8; len as usize]);
+        self.buffers.insert(
+            id,
+            Buffer {
+                len,
+                bytes: OnceLock::new(),
+            },
+        );
         self.used += len;
         Ok(id)
     }
@@ -58,25 +83,43 @@ impl DeviceMemory {
     pub(crate) fn free(&mut self, id: BufferId) -> Result<(), GpuError> {
         match self.buffers.remove(&id) {
             Some(buf) => {
-                self.used -= buf.len() as u64;
+                self.used -= buf.len;
                 Ok(())
             }
             None => Err(GpuError::InvalidBuffer(id)),
         }
     }
 
+    /// Size of a live buffer, without backing it.
+    pub(crate) fn len(&self, id: BufferId) -> Result<u64, GpuError> {
+        self.buffers
+            .get(&id)
+            .map(|buf| buf.len)
+            .ok_or(GpuError::InvalidBuffer(id))
+    }
+
     pub(crate) fn get(&self, id: BufferId) -> Result<&[u8], GpuError> {
         self.buffers
             .get(&id)
-            .map(Vec::as_slice)
+            .map(Buffer::bytes)
             .ok_or(GpuError::InvalidBuffer(id))
     }
 
     pub(crate) fn get_mut(&mut self, id: BufferId) -> Result<&mut [u8], GpuError> {
-        self.buffers
+        let buf = self
+            .buffers
             .get_mut(&id)
-            .map(Vec::as_mut_slice)
-            .ok_or(GpuError::InvalidBuffer(id))
+            .ok_or(GpuError::InvalidBuffer(id))?;
+        buf.bytes();
+        Ok(buf.bytes.get_mut().expect("backed just above"))
+    }
+
+    /// True once a live buffer's bytes exist on the host.
+    #[cfg(test)]
+    pub(crate) fn is_backed(&self, id: BufferId) -> bool {
+        self.buffers
+            .get(&id)
+            .is_some_and(|buf| buf.bytes.get().is_some())
     }
 }
 
@@ -108,6 +151,38 @@ mod tests {
         assert_eq!(mem.get(id).unwrap(), &[0u8; 16]);
         mem.get_mut(id).unwrap()[0] = 0xAB;
         assert_eq!(mem.get(id).unwrap()[0], 0xAB);
+    }
+
+    #[test]
+    fn an_unbacked_buffer_counts_and_frees_like_a_backed_one() {
+        let mut mem = DeviceMemory::new(100);
+        let a = mem.alloc(60).unwrap();
+        assert!(!mem.is_backed(a));
+        // Capacity is charged at allocation, whether or not bytes exist.
+        assert_eq!((mem.used(), mem.len(a)), (60, Ok(60)));
+        assert!(matches!(
+            mem.alloc(41),
+            Err(GpuError::OutOfMemory {
+                requested: 41,
+                available: 40
+            })
+        ));
+        assert!(
+            !mem.is_backed(a),
+            "neither `len` nor a failed alloc backs it"
+        );
+        // First access, through either view, reads zeros of the full size.
+        let b = mem.alloc(40).unwrap();
+        assert_eq!(mem.get(a).unwrap(), &[0u8; 60]);
+        assert_eq!(mem.get_mut(b).unwrap(), &mut [0u8; 40]);
+        assert!(mem.is_backed(a) && mem.is_backed(b));
+        mem.free(a).unwrap();
+        assert_eq!(mem.used(), 40);
+        assert_eq!(mem.len(a), Err(GpuError::InvalidBuffer(a)));
+        // Never touched, still returned in full.
+        let c = mem.alloc(60).unwrap();
+        mem.free(c).unwrap();
+        assert_eq!(mem.used(), 40);
     }
 
     #[test]

@@ -36,10 +36,15 @@ pub fn fnv1a64(data: &[u8]) -> u64 {
 /// assert_ne!(mix64(1), mix64(2));
 /// ```
 pub fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x = (x ^ (x >> 30)).wrapping_mul(MIX64_MUL_1);
+    x = (x ^ (x >> 27)).wrapping_mul(MIX64_MUL_2);
     x ^ (x >> 31)
 }
+
+/// [`mix64`]'s two multipliers, shared with the vector arms of
+/// [`crate::lz_slots`] that repeat its arithmetic lane-wise.
+pub(crate) const MIX64_MUL_1: u64 = 0xBF58_476D_1CE4_E5B9;
+pub(crate) const MIX64_MUL_2: u64 = 0x94D0_49BB_1331_11EB;
 
 /// An incremental FNV-1a hasher implementing [`std::hash::Hasher`], usable
 /// as a drop-in `BuildHasher` for `HashMap`s in hot paths.

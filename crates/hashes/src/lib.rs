@@ -8,6 +8,8 @@
 //!   the standard test vectors,
 //! * [`fast`] — fast non-cryptographic 64-bit hashes for compression match
 //!   tables and bin routing,
+//! * [`lz_hash`] — the LZ match-table slot hash, one key or (vectorised) a
+//!   whole buffer of positions at a time,
 //! * [`parallel`] — order-preserving multi-buffer hashing over a shared
 //!   worker pool (the paper's "hashing has no inter-chunk dependency" stage),
 //! * [`ChunkDigest`] — the 20-byte chunk fingerprint with prefix extraction
@@ -26,6 +28,7 @@
 pub mod crc32c;
 pub mod digest;
 pub mod fast;
+pub mod lz_hash;
 pub mod parallel;
 pub mod sha1;
 pub mod simd;
@@ -33,5 +36,6 @@ pub mod simd;
 pub use crc32c::{crc32c, Crc32c};
 pub use digest::ChunkDigest;
 pub use fast::{fnv1a64, mix64, FastHasher};
+pub use lz_hash::{lz_slot, lz_slots, LZ_SLOT_BITS};
 pub use parallel::hash_chunks_pooled;
 pub use sha1::{sha1_digest, Sha1};

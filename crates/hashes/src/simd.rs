@@ -1,11 +1,12 @@
 //! Runtime SIMD dispatch policy for the hash kernels.
 //!
-//! The SHA-1 and CRC-32C hot loops each have two implementations: a
-//! portable scalar reference and a `std::arch` fast path (x86_64 SHA
-//! extensions for SHA-1, SSE4.2 `crc32` / aarch64 `crc32c*` for CRC-32C).
-//! Both arms are bit-identical by construction — the fast paths compute
-//! the same FIPS 180-1 / Castagnoli functions — and are pinned against
-//! each other by differential property tests.
+//! The SHA-1, CRC-32C and LZ slot-hashing hot loops each have a portable
+//! scalar reference and `std::arch` fast paths (x86_64 SHA extensions for
+//! SHA-1, SSE4.2 `crc32` / aarch64 `crc32c*` for CRC-32C, AVX-512DQ+BW or
+//! AVX2 for [`crate::lz_slots`]). The arms are bit-identical by
+//! construction — the fast paths compute the same FIPS 180-1 /
+//! Castagnoli / `mix64` functions — and are pinned against each other by
+//! differential property tests.
 //!
 //! Dispatch is decided **once** per process: CPU feature detection plus
 //! the `DR_SIMD` environment override, cached so the per-call cost is one
@@ -92,6 +93,40 @@ pub fn crc32c_hw() -> bool {
     })
 }
 
+/// True when [`crate::lz_slots`] can take its AVX-512 arm (eight 64-bit
+/// lanes: `vpmullq` from DQ, the byte shuffle from BW).
+pub fn lz_slots_avx512() -> bool {
+    static STATE: AtomicU8 = AtomicU8::new(0);
+    cached_detect(&STATE, || {
+        #[cfg(target_arch = "x86_64")]
+        {
+            is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512dq")
+                && is_x86_feature_detected!("avx512bw")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    })
+}
+
+/// True when [`crate::lz_slots`] can take its AVX2 arm; consulted only
+/// where [`lz_slots_avx512`] said no.
+pub fn lz_slots_avx2() -> bool {
+    static STATE: AtomicU8 = AtomicU8::new(0);
+    cached_detect(&STATE, || {
+        #[cfg(target_arch = "x86_64")]
+        {
+            is_x86_feature_detected!("avx2")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    })
+}
+
 /// Caches a detection result (1 = no, 2 = yes) and folds in the policy:
 /// a `Scalar` policy reports every fast path as unavailable.
 fn cached_detect(state: &AtomicU8, detect: impl FnOnce() -> bool) -> bool {
@@ -122,5 +157,7 @@ mod tests {
     fn detection_is_stable_across_calls() {
         assert_eq!(sha1_hw(), sha1_hw());
         assert_eq!(crc32c_hw(), crc32c_hw());
+        assert_eq!(lz_slots_avx512(), lz_slots_avx512());
+        assert_eq!(lz_slots_avx2(), lz_slots_avx2());
     }
 }

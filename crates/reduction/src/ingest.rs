@@ -25,14 +25,18 @@ use crate::pipeline::Pipeline;
 /// submitter.
 ///
 /// Measured on the 2-core reference host (one worker thread beside the
-/// submitter, `FastLz::compress_to` on 4 KiB chunks at about 5.1 µs each;
-/// serial / fanned out to a spinning worker / to a parked one, µs):
-/// 4 chunks 20.4 / 15.0 / 28.8, 8 chunks 40.8 / 29.1 / 39.5, 12 chunks
-/// 61.2 / 41.6 / 52.9, 16 chunks 81.6 / 49.7 / 63.1. Waking a parked
-/// worker costs one `dr_pool::SPIN_WINDOW`, eight chunks' worth, so from
-/// eight chunks per participant the fan-out wins whichever state the
-/// worker is in.
-const CPU_COMPRESS_FANOUT_GRAIN: usize = 8;
+/// submitter, each pinned to its CPU, `FastLz::compress_to` on 4 KiB
+/// chunks at about 4.9 µs each for paper-profile data and 4.0 µs for VDI;
+/// serial / fanned out to a spinning worker / to a parked one, µs). Paper
+/// profile: 16 chunks 79.1 / 55.8 / 80.1, 20 chunks 98.9 / 70.9 / 93.5,
+/// 24 chunks 119 / 82.8 / 109, 32 chunks 158 / 111 / 111. VDI: 16 chunks
+/// 64.3 / 44.3 / 64.7, 24 chunks 101 / 52.0 / 90.2, 32 chunks 125 / 65.1 /
+/// 91.2. In a noisy period of the same host (a wake-up at 50 µs and more
+/// instead of one `dr_pool::SPIN_WINDOW`): 20 chunks 100 / 69.1 / 108,
+/// 24 chunks 122 / 76.7 / 129, 32 chunks 160 / 108 / 158. A wake-up is ten
+/// to twelve chunks' worth, so from twelve chunks per participant the
+/// fan-out wins or ties whichever state the worker is in.
+const CPU_COMPRESS_FANOUT_GRAIN: usize = 12;
 
 /// How deduplication resolved one chunk.
 #[derive(PartialEq)]

@@ -1180,8 +1180,8 @@ pub(crate) mod tests {
 
     #[test]
     fn a_write_below_every_fan_out_grain_stays_on_the_submitter() {
-        // Seven chunks are under two grains of every stage (32 hashes, 16
-        // CPU compressions, 8 kernel-emulation chunks), so no pool thread
+        // Seven chunks are under two grains of every stage (32 hashes, 24
+        // CPU compressions, 16 kernel-emulation chunks), so no pool thread
         // is ever handed anything — whatever the gaps between the calls.
         use dr_obs::trace::{Tracer, Track};
         let data = stream();

@@ -42,13 +42,19 @@ cargo test --workspace -q
 # (the lifetime-erased batch closure, the disjoint-slot pointer of
 # `for_each_mut`) beside a hand-rolled spin-then-park wake-up protocol;
 # its unit tests run every one of those paths on real threads, and Miri
-# checks them for undefined behaviour and data races. Miri ships with
-# nightly toolchains only; without it the leg is skipped, like clippy.
+# checks them for undefined behaviour and data races. dr-hashes holds the
+# rest of it: the `std::arch` arms of SHA-1, CRC-32C and LZ slot hashing,
+# whose unit tests call every arm the interpreter reports, at every tail
+# length and load offset, so an out-of-bounds pointer load or store
+# there is Miri's to find. Miri ships with nightly toolchains only;
+# without it the leg is skipped, like clippy.
 if cargo miri --version >/dev/null 2>&1; then
     echo "==> cargo miri test -p dr-pool --lib"
     cargo miri test -p dr-pool --lib
+    echo "==> cargo miri test -p dr-hashes --lib"
+    cargo miri test -p dr-hashes --lib
 else
-    echo "==> cargo miri unavailable; skipping the dr-pool Miri leg"
+    echo "==> cargo miri unavailable; skipping the dr-pool and dr-hashes Miri legs"
 fi
 
 # Benchmark self-tests: the repo benchmark is a package of its own
@@ -134,6 +140,12 @@ DR_SIMD=scalar cargo test -q -p dr-hashes -p dr-compress
 DR_SCALE=0.125 DR_SIMD=scalar target/release/e2_dedup_throughput \
     > target/ci-e2-scalar.out
 diff target/ci-e2-plain.out target/ci-e2-scalar.out
+# e2 never compresses; e3 runs both codecs — the CPU one and the GPU
+# kernel emulation — through the matcher whose slot pass is vectorised.
+DR_SCALE=0.125 target/release/e3_compress_throughput > target/ci-e3-plain.out
+DR_SCALE=0.125 DR_SIMD=scalar target/release/e3_compress_throughput \
+    > target/ci-e3-scalar.out
+diff target/ci-e3-plain.out target/ci-e3-scalar.out
 echo "    scalar arm OK (stdout bit-identical)"
 
 echo "CI gate passed."
