@@ -256,9 +256,8 @@ fn operation_order() {
 }
 
 fn ssd_overprovisioning() {
-    use dr_des::SimTime;
+    use dr_des::{SimTime, SplitMix64};
     use dr_ssd_sim::{SsdDevice, SsdSpec};
-    use dr_workload::{AccessPattern, TraceConfig, TraceGenerator};
 
     println!("A7: SSD write amplification vs over-provisioning (uniform overwrites, 90% full)\n");
     let mut rows = Vec::new();
@@ -276,14 +275,12 @@ fn ssd_overprovisioning() {
         // The device is 90% full; uniform overwrites spread invalidations
         // evenly, the worst case for greedy GC.
         let working_set = ssd.logical_pages() * 9 / 10;
-        let gen = TraceGenerator::new(TraceConfig {
-            ops: working_set * 8, // several overwrite rounds
-            working_set_pages: working_set,
-            pattern: AccessPattern::UniformRandom,
-            ..TraceConfig::default()
-        });
-        for op in gen.ops() {
-            ssd.write_page(SimTime::ZERO, op.lpn, &op.data)
+        // Only the addresses matter: the device keeps no payloads.
+        let page = vec![0u8; ssd.spec().page_bytes as usize];
+        let mut rng = SplitMix64::new(0x7ACE);
+        // Several overwrite rounds.
+        for _ in 0..working_set * 8 {
+            ssd.write_page(SimTime::ZERO, rng.next_below(working_set), &page)
                 .expect("write");
         }
         let stats = ssd.ftl_stats();
@@ -302,48 +299,6 @@ fn ssd_overprovisioning() {
         )
     );
     println!("(more spare blocks => greedier GC victims => less migration wear)\n");
-}
-
-fn bloom_front() {
-    use dr_binindex::{BinIndex, ChunkRef};
-
-    println!("A8: Bloom-filter front — probes skipped on unique-heavy streams\n");
-    let blocks = stream(8 << 20, 1.3, 2.0); // mostly unique: misses dominate
-    let mut rows = Vec::new();
-    for bits in [0u64, 8, 12] {
-        let mut idx = BinIndex::new(BinIndexConfig {
-            bloom_bits_per_entry: bits,
-            bloom_expected_entries: blocks.len() as u64,
-            ..BinIndexConfig::default()
-        });
-        for (i, b) in blocks.iter().enumerate() {
-            let d = sha1_digest(b);
-            if idx.lookup(&d).is_none() {
-                idx.insert(d, ChunkRef::new(i as u64 * 4096, 4096));
-            }
-        }
-        let s = idx.stats();
-        let skipped = if s.misses == 0 {
-            0.0
-        } else {
-            s.bloom_fast_misses as f64 / s.misses as f64 * 100.0
-        };
-        rows.push(vec![
-            if bits == 0 {
-                "off".into()
-            } else {
-                format!("{bits} b/entry")
-            },
-            s.misses.to_string(),
-            s.bloom_fast_misses.to_string(),
-            format!("{skipped:.1}%"),
-        ]);
-    }
-    println!(
-        "{}",
-        render_table(&["bloom", "misses", "fast misses", "probes skipped"], &rows)
-    );
-    println!("(an extension after ChunkStash-style summary vectors; no false negatives by construction)\n");
 }
 
 fn gpu_bin_layout() {
@@ -505,7 +460,6 @@ fn main() {
     replacement_policy(&mut snapshots);
     operation_order();
     ssd_overprovisioning();
-    bloom_front();
     gpu_bin_layout();
     degradation_policy(&mut snapshots);
     // Per-run pipeline metrics for the sections that exercise the full

@@ -19,6 +19,8 @@
 //! | `ablation_report` | the `DESIGN.md` §5 design-choice ablations |
 //! | `fault_matrix` | injected / retried / degraded per mode × fault scenario, diffed against `fault_matrix.golden` |
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 
 /// Renders an aligned ASCII table: a header row plus data rows.

@@ -21,11 +21,6 @@ pub struct BinIndexConfig {
     pub max_entries: u64,
     /// Seed for the random replacement policy.
     pub seed: u64,
-    /// Bloom-filter front: bits per expected entry (0 disables the
-    /// filter). 10 bits/entry ≈ 1% false positives.
-    pub bloom_bits_per_entry: u64,
-    /// Expected entry count used to size the Bloom filter.
-    pub bloom_expected_entries: u64,
 }
 
 impl Default for BinIndexConfig {
@@ -37,8 +32,6 @@ impl Default for BinIndexConfig {
             bin_buffer_capacity: 64,
             max_entries: u64::MAX,
             seed: 0x1234_5678,
-            bloom_bits_per_entry: 0,
-            bloom_expected_entries: 1 << 20,
         }
     }
 }
@@ -54,11 +47,6 @@ pub struct IndexStats {
     pub tree_hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
-    /// Misses answered by the Bloom filter without probing any bin.
-    pub bloom_fast_misses: u64,
-    /// Bloom false positives: the filter said "maybe" but the bin probe
-    /// found nothing, so the filter cost a probe without saving one.
-    pub bloom_false_positives: u64,
     /// Entries inserted.
     pub inserts: u64,
     /// Entries evicted by the replacement policy.
@@ -86,8 +74,6 @@ struct IndexObs {
     buffer_hits: CounterHandle,
     tree_hits: CounterHandle,
     misses: CounterHandle,
-    bloom_fast_misses: CounterHandle,
-    bloom_false_positives: CounterHandle,
     inserts: CounterHandle,
     evictions: CounterHandle,
     flushes: CounterHandle,
@@ -102,8 +88,6 @@ impl IndexObs {
             buffer_hits: obs.counter("index.buffer_hits"),
             tree_hits: obs.counter("index.tree_hits"),
             misses: obs.counter("index.misses"),
-            bloom_fast_misses: obs.counter("index.bloom_fast_misses"),
-            bloom_false_positives: obs.counter("index.bloom_false_positives"),
             inserts: obs.counter("index.inserts"),
             evictions: obs.counter("index.evictions"),
             flushes: obs.counter("index.flushes"),
@@ -124,7 +108,6 @@ pub struct BinIndex {
     bins: Vec<Bin>,
     entries: u64,
     rng: SplitMix64,
-    bloom: Option<crate::bloom::BloomFilter>,
     stats: IndexStats,
     obs: IndexObs,
 }
@@ -143,18 +126,11 @@ impl BinIndex {
         );
         let router = BinRouter::new(config.prefix_bytes);
         let bins = (0..router.bin_count()).map(|_| Bin::new()).collect();
-        let bloom = (config.bloom_bits_per_entry > 0).then(|| {
-            crate::bloom::BloomFilter::new(
-                config.bloom_expected_entries.max(1),
-                config.bloom_bits_per_entry,
-            )
-        });
         BinIndex {
             router,
             bins,
             entries: 0,
             rng: SplitMix64::new(config.seed),
-            bloom,
             config,
             stats: IndexStats::default(),
             obs: IndexObs::default(),
@@ -223,19 +199,6 @@ impl BinIndex {
     pub fn lookup(&mut self, digest: &ChunkDigest) -> Option<ChunkRef> {
         self.stats.lookups += 1;
         self.obs.probes.incr();
-        // Bloom front: a definite-absent answer skips the bin probes.
-        let bloom_said_maybe = if let Some(bloom) = &self.bloom {
-            if !bloom.maybe_contains(digest) {
-                self.stats.misses += 1;
-                self.stats.bloom_fast_misses += 1;
-                self.obs.misses.incr();
-                self.obs.bloom_fast_misses.incr();
-                return None;
-            }
-            true
-        } else {
-            false
-        };
         let bin = self.router.route(digest);
         let key = self.key_of(digest);
         match self.bins[bin].lookup(&key) {
@@ -252,17 +215,13 @@ impl BinIndex {
             None => {
                 self.stats.misses += 1;
                 self.obs.misses.incr();
-                if bloom_said_maybe {
-                    self.stats.bloom_false_positives += 1;
-                    self.obs.bloom_false_positives.incr();
-                }
                 None
             }
         }
     }
 
-    /// Whether a digest is present, without touching lookup statistics,
-    /// the bloom front, or obs counters. This is a metadata audit probe
+    /// Whether a digest is present, without touching lookup statistics or
+    /// obs counters. This is a metadata audit probe
     /// (cluster shard directories cross-check their contents against node
     /// indexes with it); the hot path must keep using
     /// [`BinIndex::lookup`] so hit/miss accounting stays truthful.
@@ -275,9 +234,6 @@ impl BinIndex {
     /// Inserts a digest → location mapping. Returns a [`FlushEvent`] when
     /// this insert filled the bin's buffer.
     pub fn insert(&mut self, digest: ChunkDigest, r: ChunkRef) -> Option<FlushEvent> {
-        if let Some(bloom) = &mut self.bloom {
-            bloom.insert(&digest);
-        }
         let bin = self.router.route(&digest);
         let key = self.key_of(&digest);
         // In-memory-only policy: evict before exceeding the budget.
@@ -320,15 +276,6 @@ impl BinIndex {
     pub fn restore_entry(&mut self, bin: usize, key: crate::bin::BinKey, r: ChunkRef) {
         if self.bins[bin].restore_entry(key, r) {
             self.entries += 1;
-        }
-        if let Some(bloom) = &mut self.bloom {
-            // The routed prefix is implied by `bin`; reconstruct enough of
-            // the digest for the filter by writing it back into the key.
-            let mut bytes = key;
-            for (shift, b) in (0..self.config.prefix_bytes).rev().zip(bytes.iter_mut()) {
-                *b = (bin >> (8 * shift)) as u8;
-            }
-            bloom.insert(&ChunkDigest::new(bytes));
         }
     }
 
@@ -560,52 +507,6 @@ mod tests {
             .filter(|&i| idx.lookup(&digest(i)).is_some())
             .count();
         assert_eq!(found, 64);
-    }
-
-    #[test]
-    fn bloom_front_answers_misses_without_probes() {
-        let mut idx = BinIndex::new(BinIndexConfig {
-            bloom_bits_per_entry: 10,
-            bloom_expected_entries: 1000,
-            ..BinIndexConfig::default()
-        });
-        for i in 0..500 {
-            idx.insert(digest(i), ChunkRef::new(i, 1));
-        }
-        // Every present digest is still found (no false negatives).
-        for i in 0..500 {
-            assert!(idx.lookup(&digest(i)).is_some(), "false negative at {i}");
-        }
-        // Absent digests mostly short-circuit through the filter.
-        for i in 1000..2000 {
-            assert!(idx.lookup(&digest(i)).is_none());
-        }
-        let s = idx.stats();
-        assert!(
-            s.bloom_fast_misses > 900,
-            "bloom only fast-missed {} of 1000",
-            s.bloom_fast_misses
-        );
-    }
-
-    #[test]
-    fn bloom_false_positives_are_counted() {
-        // A tiny filter saturates quickly, so absent digests that pass it
-        // must be counted as false positives, not fast misses.
-        let mut idx = BinIndex::new(BinIndexConfig {
-            bloom_bits_per_entry: 1,
-            bloom_expected_entries: 16,
-            ..BinIndexConfig::default()
-        });
-        for i in 0..500 {
-            idx.insert(digest(i), ChunkRef::new(i, 1));
-        }
-        for i in 1000..2000 {
-            assert!(idx.lookup(&digest(i)).is_none());
-        }
-        let s = idx.stats();
-        assert_eq!(s.bloom_fast_misses + s.bloom_false_positives, 1000);
-        assert!(s.bloom_false_positives > 0, "saturated filter must FP");
     }
 
     #[test]

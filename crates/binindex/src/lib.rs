@@ -41,8 +41,9 @@
 //! assert_eq!(index.lookup(&d), Some(ChunkRef::new(42, 4096)));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bin;
-pub mod bloom;
 pub mod entry;
 pub mod gpu;
 pub mod index;
@@ -53,7 +54,6 @@ pub mod snapshot;
 
 pub use bin::BinHit;
 pub use bin::{Bin, BinKey, FlushEvent};
-pub use bloom::BloomFilter;
 pub use entry::ChunkRef;
 pub use gpu::{
     GpuBinIndex, GpuBinIndexConfig, GpuBinLayout, GpuLookupReport, GpuProbe, ReplacementPolicy,

@@ -11,11 +11,10 @@
 //!   bin table is exactly this byte layout).
 //! * `refs` — the fixed-width [`ChunkRef`] payloads.
 //!
-//! Routed key prefixes are zeroed ([`BinIndex::key_of`]
-//! (crate::BinIndex::key_of)), so heads of co-binned keys still
-//! discriminate on bytes 2..8 — with SHA-1 keys two entries share a head
-//! with probability ~2^-48, which makes the prefilter pay for almost
-//! every non-matching entry.
+//! Routed key prefixes are zeroed ([`crate::BinIndex::key_of`]), so heads
+//! of co-binned keys still discriminate on bytes 2..8 — with SHA-1 keys
+//! two entries share a head with probability ~2^-48, which makes the
+//! prefilter pay for almost every non-matching entry.
 //!
 //! Pages come in two disciplines, both enforced by the caller
 //! ([`Bin`](crate::Bin)): *append-ordered* (the recent-insert buffer,

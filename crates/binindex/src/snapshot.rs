@@ -185,15 +185,11 @@ pub fn restore(bytes: &[u8]) -> Result<BinIndex, SnapshotError> {
         return Err(SnapshotError::Truncated);
     }
 
-    // The Bloom front is a volatile acceleration structure; restores come
-    // up without one (re-enable by rebuilding with a bloom-configured
-    // index and re-inserting, or accept probe-everything behaviour).
     let mut index = BinIndex::new(BinIndexConfig {
         prefix_bytes: prefix,
         bin_buffer_capacity: buffer_capacity,
         max_entries,
         seed,
-        ..BinIndexConfig::default()
     });
 
     restore_columnar(&mut index, body, prefix, count)?;

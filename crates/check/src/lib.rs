@@ -6,7 +6,7 @@
 //! overwrite patterns multiply. `dr-check` drives a real system under
 //! test — the bare [`VolumeManager`](dr_reduction::VolumeManager) or the
 //! multi-node [`Cluster`](dr_cluster::Cluster) — and a trivially-correct
-//! in-memory [`Oracle`](model::Oracle) through seeded op sequences in
+//! in-memory [`Oracle`] through seeded op sequences in
 //! lockstep, checks invariants after every op, shrinks any failing
 //! sequence with delta debugging, and records it as a replayable JSON
 //! artifact. One harness (`harness.rs`) does the driving; each system
@@ -18,6 +18,8 @@
 //!              [--artifact-dir DIR] [--trace-dir DIR]
 //! dr-check replay <artifact.json>
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod artifact;
 pub mod cluster_model;

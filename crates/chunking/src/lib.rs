@@ -4,11 +4,10 @@
 //! into the base units whose redundancy is checked. Primary-storage systems
 //! overwhelmingly use **fixed-size** chunks aligned to the block size (the
 //! paper uses 4 KB for compression experiments and 8 KB for capacity
-//! sizing); this crate provides that chunker plus a content-defined
-//! Rabin-fingerprint chunker as an extension for backup-style streams.
+//! sizing); this crate provides that chunker. Content-defined chunking is
+//! a non-goal (DESIGN.md §17).
 //!
-//! * [`FixedChunker`] — fixed-size, block-aligned chunking (paper default),
-//! * [`RabinChunker`] — content-defined chunking with min/avg/max bounds,
+//! * [`FixedChunker`] — fixed-size, block-aligned chunking,
 //! * [`Chunk`] — a borrowed view of one chunk plus its stream offset.
 //!
 //! # Example
@@ -23,11 +22,11 @@
 //! assert_eq!(chunks[2].data.len(), 10_000 - 2 * 4096);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod fixed;
-pub mod rabin;
 
 pub use fixed::FixedChunker;
-pub use rabin::{RabinChunker, RabinConfig};
 
 /// A single chunk cut from a stream: a borrowed byte window plus where it
 /// came from.
@@ -45,7 +44,7 @@ impl<'a> Chunk<'a> {
         self.data.len()
     }
 
-    /// True when the chunk is empty (never produced by the chunkers).
+    /// True when the chunk is empty (never produced by a chunker).
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
@@ -53,7 +52,7 @@ impl<'a> Chunk<'a> {
 
 /// Something that can cut a byte stream into [`Chunk`]s.
 ///
-/// Both chunkers guarantee: chunks are non-empty, contiguous, in stream
+/// A chunker guarantees: chunks are non-empty, contiguous, in stream
 /// order, and concatenating `chunk.data` in order reproduces the input
 /// exactly (lossless framing).
 pub trait Chunker {

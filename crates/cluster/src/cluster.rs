@@ -351,11 +351,6 @@ impl Cluster {
         self.nodes.keys().copied().collect()
     }
 
-    /// Number of member nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// One node, by id.
     pub fn node(&self, id: NodeId) -> Option<&Node> {
         self.nodes.get(&id)

@@ -24,6 +24,8 @@
 //!   recovery with placement reconciliation, cluster-wide accounting,
 //!   and the merged obs rollup.
 
+#![forbid(unsafe_code)]
+
 pub mod cluster;
 pub mod node;
 pub mod ring;

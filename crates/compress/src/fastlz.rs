@@ -7,7 +7,7 @@
 //! algorithmic class (see `DESIGN.md` §2).
 //!
 //! The greedy matcher runs in two phases over per-thread scratch
-//! ([`Matcher`]). A *slot pass* hashes every position of the input once,
+//! (`Matcher`). A *slot pass* hashes every position of the input once,
 //! a block at a time, with the vectorised [`dr_hashes::lz_slots`]; a
 //! *resolve pass* then walks the input serially, reading each position's
 //! precomputed slot, and makes the match decisions. [`FastLz`] is one
@@ -110,7 +110,7 @@ const EMPTY: u32 = u32::MAX;
 ///
 /// This is the matcher as one plain loop — a fresh table per region, its
 /// history hashed in, one hash per probe, every range check spelled out —
-/// and the reference the differential tests hold [`ChunkScan::region`] to;
+/// and the reference the differential tests hold `ChunkScan::region` to;
 /// nothing on the ingest path materializes the token IR.
 pub fn tokenize_region(input: &[u8], start: usize, end: usize, window: usize) -> Vec<Token> {
     debug_assert!(start <= end && end <= input.len());

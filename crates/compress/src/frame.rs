@@ -14,11 +14,10 @@
 //! ```
 
 use crate::error::CodecError;
-use crate::token::{decode_stream_tallied, encode_tokens, StreamTally, Token};
+use crate::token::{decode_stream_tallied, StreamTally, Token};
 
 const METHOD_RAW: u8 = 0;
 const METHOD_LZ: u8 = 1;
-const METHOD_LZH: u8 = 2;
 const HEADER_LEN: usize = 5;
 
 /// The header's original-length field, checked instead of silently
@@ -37,8 +36,6 @@ pub enum Frame {
     Raw,
     /// The block stores an LZ token stream.
     Lz,
-    /// The block stores a Huffman-coded LZ token stream.
-    LzHuffman,
 }
 
 /// Wraps `tokens` for `original` into a frame, falling back to stored-raw
@@ -96,32 +93,6 @@ pub fn seal_with(original: &[u8], out: &mut Vec<u8>, encode: impl FnOnce(&[u8], 
     }
 }
 
-/// Like [`seal`], but additionally tries a Huffman entropy pass over the
-/// encoded tokens and keeps whichever of {raw, LZ, LZ+Huffman} is
-/// smallest.
-///
-/// # Panics
-///
-/// Panics when `original` exceeds the format's u32 length field.
-pub fn seal_entropy(original: &[u8], tokens: &[Token]) -> Vec<u8> {
-    let header_len = header_len_of(original);
-    let encoded = encode_tokens(tokens);
-    let entropy = crate::huffman::huffman_encode(&encoded);
-    let (method, payload): (u8, &[u8]) =
-        if entropy.len() < encoded.len() && entropy.len() < original.len() {
-            (METHOD_LZH, &entropy)
-        } else if encoded.len() < original.len() {
-            (METHOD_LZ, &encoded)
-        } else {
-            (METHOD_RAW, original)
-        };
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.push(method);
-    out.extend_from_slice(&header_len);
-    out.extend_from_slice(payload);
-    out
-}
-
 /// Wraps `original` as a stored-raw frame unconditionally.
 pub fn seal_raw(original: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + original.len());
@@ -155,7 +126,6 @@ pub fn inspect(block: &[u8]) -> Result<(Frame, usize), CodecError> {
     match block[0] {
         METHOD_RAW => Ok((Frame::Raw, original_len)),
         METHOD_LZ => Ok((Frame::Lz, original_len)),
-        METHOD_LZH => Ok((Frame::LzHuffman, original_len)),
         _ => Err(CodecError::BadHeader),
     }
 }
@@ -209,12 +179,6 @@ pub fn open_with_stats(block: &[u8]) -> Result<(Vec<u8>, FrameStats), CodecError
         Frame::Lz => {
             let mut out = Vec::with_capacity(original_len);
             let tally = decode_stream_tallied(payload, &mut out)?;
-            (out, tally)
-        }
-        Frame::LzHuffman => {
-            let tokens = crate::huffman::huffman_decode(payload)?;
-            let mut out = Vec::with_capacity(original_len);
-            let tally = decode_stream_tallied(&tokens, &mut out)?;
             (out, tally)
         }
     };
@@ -327,8 +291,34 @@ mod tests {
 
     #[test]
     fn unknown_method_rejected() {
-        let block = [9u8, 0, 0, 0, 0];
-        assert_eq!(inspect(&block), Err(CodecError::BadHeader));
+        // Methods 0 and 1 are the whole format: every other byte over an
+        // otherwise valid frame of either kind is a bad header, before any
+        // payload byte is looked at.
+        let original = b"abcabcabcabcabcabcabcabcabc";
+        let lz = seal(
+            original,
+            &[
+                Token::Literals(b"abc".to_vec()),
+                Token::Match {
+                    offset: 3,
+                    len: original.len() - 3,
+                },
+            ],
+        );
+        assert_eq!(inspect(&lz).unwrap().0, Frame::Lz);
+        for valid in [seal_raw(original), lz] {
+            for method in 2..=255u8 {
+                let mut block = valid.clone();
+                block[0] = method;
+                assert_eq!(inspect(&block), Err(CodecError::BadHeader), "{method}");
+                assert_eq!(open(&block), Err(CodecError::BadHeader), "{method}");
+                assert_eq!(
+                    open_with_stats(&block),
+                    Err(CodecError::BadHeader),
+                    "{method}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -370,6 +360,25 @@ mod tests {
     }
 
     #[test]
+    fn protect_catches_a_rewritten_method_byte_before_the_method_is_read() {
+        // The envelope is checked first: a method byte damaged on the
+        // device is a checksum error, whether or not the new value names a
+        // method (0 -> 1 would otherwise decode raw bytes as tokens).
+        let protected = protect(&seal_raw(b"integrity matters"));
+        for method in 1..=255u8 {
+            let mut corrupt = protected.clone();
+            corrupt[PROTECT_OVERHEAD] = method;
+            assert!(
+                matches!(
+                    verify_and_strip(&corrupt),
+                    Err(CodecError::BadChecksum { .. })
+                ),
+                "method {method}"
+            );
+        }
+    }
+
+    #[test]
     fn protect_rejects_truncation() {
         assert!(matches!(
             verify_and_strip(&[1, 2, 3]),
@@ -405,25 +414,6 @@ mod tests {
         assert_eq!(stats.tokens, 1);
         assert_eq!(stats.literal_bytes, 11);
         assert_eq!(stats.match_bytes, 0);
-    }
-
-    #[test]
-    fn open_with_stats_handles_entropy_frames() {
-        // Force an LZH frame: highly repetitive tokens compress under
-        // Huffman too.
-        let original: Vec<u8> = b"aaaabbbb".repeat(64);
-        let tokens = vec![
-            Token::Literals(original[..8].to_vec()),
-            Token::Match {
-                offset: 8,
-                len: original.len() - 8,
-            },
-        ];
-        let block = seal_entropy(&original, &tokens);
-        let (out, stats) = open_with_stats(&block).unwrap();
-        assert_eq!(out, original);
-        assert_eq!(stats.literal_bytes + stats.match_bytes, original.len());
-        assert!(stats.tokens >= 2);
     }
 
     #[test]

@@ -517,7 +517,7 @@ mod tests {
     fn sub_chunk_parallelism_costs_some_ratio() {
         // T private histories can't see as far as one whole-chunk pass:
         // GPU output is allowed to be up to ~2x the CPU codec's, never 10x.
-        let chunk: Vec<u8> = include_str!("lz77.rs").as_bytes()[..4096].to_vec();
+        let chunk: Vec<u8> = include_str!("token.rs").as_bytes()[..4096].to_vec();
         let whole = FastLz::new().compress(&chunk).len();
         let sub = compressor().compress_functional(&chunk).len();
         assert!(sub >= whole / 2, "sub {sub} whole {whole}");

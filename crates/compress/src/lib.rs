@@ -5,18 +5,17 @@
 //!
 //! * **CPU path** — each chunk is handed whole to one worker thread running
 //!   a fast single-pass codec (the paper compares against parallel
-//!   *QuickLZ*; our from-scratch equivalent is [`FastLz`]). A textbook
-//!   windowed matcher, [`Lz77`], is provided as the higher-ratio baseline.
+//!   *QuickLZ*; our from-scratch equivalent is [`FastLz`]).
 //! * **GPU path** — a 4 KB chunk cannot fill a GPU by itself, so the paper
 //!   assigns *multiple threads per chunk*: each thread LZ-compresses its own
 //!   sub-region with a private history/look-ahead buffer, adjacent threads
 //!   overlap by the history size, and the **CPU post-processes** the raw
 //!   per-thread outputs into one valid stream ([`gpu::GpuCompressor`]).
 //!
-//! All codecs share one token IR ([`token`]) and one self-framing container
+//! Both paths share one token IR ([`token`]) and one self-framing container
 //! ([`frame`]) that falls back to stored-raw when compression does not pay,
-//! so every path round-trips bit-exactly — verified by unit and property
-//! tests.
+//! so a frame written by either decodes with the other's decoder — verified
+//! by unit and property tests.
 //!
 //! # Example
 //!
@@ -30,14 +29,13 @@
 //! assert_eq!(codec.decompress(&packed).unwrap(), data);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod fastlz;
 pub mod frame;
 pub mod gpu;
 pub mod gpu_decomp;
-pub mod huffman;
-pub mod lz77;
-pub mod lzhuf;
 pub mod scan;
 pub mod token;
 
@@ -46,9 +44,6 @@ pub use fastlz::FastLz;
 pub use frame::{compression_ratio, Frame, FrameStats};
 pub use gpu::{GpuCompressor, GpuCompressorConfig};
 pub use gpu_decomp::{GpuDecompReport, GpuDecompressor, GpuDecompressorConfig};
-pub use huffman::{huffman_decode, huffman_encode};
-pub use lz77::Lz77;
-pub use lzhuf::LzHuf;
 pub use token::Token;
 
 /// A lossless block codec.

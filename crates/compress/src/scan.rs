@@ -1,10 +1,10 @@
-//! SWAR match scanning shared by the LZ matchers.
+//! SWAR match scanning for the LZ matcher.
 //!
-//! Greedy match extension is the hottest loop in both [`crate::FastLz`]
-//! and [`crate::Lz77`]: every candidate is extended byte-at-a-time until
-//! the first mismatch. [`match_len`] does the same comparison eight bytes
-//! at a time — XOR two `u64` loads and locate the first differing byte
-//! with `trailing_zeros` — falling back to bytes for the tail.
+//! Greedy match extension is the hottest loop in [`crate::FastLz`] and in
+//! each GPU sub-chunk thread: every candidate is extended byte-at-a-time
+//! until the first mismatch. [`match_len`] does the same comparison eight
+//! bytes at a time — XOR two `u64` loads and locate the first differing
+//! byte with `trailing_zeros` — falling back to bytes for the tail.
 //!
 //! This is **decision-identical** to the byte loop, not just
 //! output-compatible: both sides of the comparison read the original

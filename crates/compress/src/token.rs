@@ -1,10 +1,10 @@
 //! The shared LZ token IR and its byte-stream encoding.
 //!
-//! Every matcher in this crate (CPU LZ77, FastLz, each GPU sub-chunk
-//! thread) produces [`Token`]s; one encoder/decoder pair turns token
-//! sequences into bytes. Keeping the IR shared is what makes the GPU path's
-//! CPU *post-processing* simple: merging per-thread outputs is token
-//! surgery, not bit twiddling.
+//! Every matcher in this crate (FastLz, each GPU sub-chunk thread)
+//! produces [`Token`]s; one encoder/decoder pair turns token sequences into
+//! bytes. Keeping the IR shared is what makes the GPU path's CPU
+//! *post-processing* simple: merging per-thread outputs is token surgery,
+//! not bit twiddling.
 //!
 //! # Wire encoding
 //!

@@ -6,8 +6,8 @@ use dr_compress::token::{
     decode_stream, emit_literals, emit_match, MAX_LITERAL_RUN, MAX_MATCH, MIN_MATCH,
 };
 use dr_compress::{
-    huffman_decode, Codec, CodecError, FastLz, FrameStats, GpuCompressor, GpuCompressorConfig,
-    Lz77, LzHuf, Token,
+    Codec, CodecError, FastLz, FrameStats, GpuCompressor, GpuCompressorConfig, GpuDecompressor,
+    GpuDecompressorConfig, Token,
 };
 use dr_des::testkit::{self, Cases};
 use dr_des::SimTime;
@@ -20,16 +20,6 @@ fn fastlz_round_trips() {
     Cases::new("fastlz_round_trips", 0xC02_0001).run(128, |rng| {
         let data = testkit::vec_u8(rng, 0, 8192);
         let codec = FastLz::new();
-        let packed = codec.compress(&data);
-        assert_eq!(codec.decompress(&packed).unwrap(), data);
-    });
-}
-
-#[test]
-fn lz77_round_trips() {
-    Cases::new("lz77_round_trips", 0xC02_0002).run(128, |rng| {
-        let data = testkit::vec_u8(rng, 0, 8192);
-        let codec = Lz77::new();
         let packed = codec.compress(&data);
         assert_eq!(codec.decompress(&packed).unwrap(), data);
     });
@@ -70,7 +60,6 @@ fn expansion_is_bounded() {
         let data = testkit::vec_u8(rng, 0, 4096);
         for packed in [
             FastLz::new().compress(&data),
-            Lz77::new().compress(&data),
             GpuCompressor::new(GpuCompressorConfig::default()).compress_functional(&data),
         ] {
             assert!(packed.len() <= data.len() + 5);
@@ -81,13 +70,55 @@ fn expansion_is_bounded() {
 #[test]
 fn codecs_decode_each_others_frames() {
     Cases::new("codecs_decode_each_others_frames", 0xC02_0006).run(128, |rng| {
-        // All paths share one frame format: FastLz frames decode with Lz77's
-        // decoder and vice versa.
+        // Both write paths share one frame format, which is what lets the
+        // read path pick its decoder without knowing who wrote the chunk:
+        // FastLz frames decode with the GPU codec's decoder and vice versa.
         let data = testkit::vec_u8(rng, 0, 4096);
+        let gpu = GpuCompressor::new(GpuCompressorConfig::default());
         let a = FastLz::new().compress(&data);
-        let b = Lz77::new().compress(&data);
-        assert_eq!(Lz77::new().decompress(&a).unwrap(), data);
+        let b = gpu.compress_functional(&data);
+        assert_eq!(gpu.decompress(&a).unwrap(), data);
         assert_eq!(FastLz::new().decompress(&b).unwrap(), data);
+    });
+}
+
+#[test]
+fn an_unknown_method_byte_fails_its_own_frame_not_the_gpu_batch() {
+    Cases::new(
+        "an_unknown_method_byte_fails_its_own_frame_not_the_gpu_batch",
+        0xC02_000C,
+    )
+    .run(4, |rng| {
+        // One raw and one LZ frame, each re-headed with every byte that
+        // names no method and batched between two intact neighbours.
+        let raw = FastLz::new().compress(&testkit::vec_u8(rng, 64, 4096));
+        let lz = FastLz::new().compress(&testkit::vec_u8_compressible(rng, 1024, 4096));
+        assert_eq!(frame::inspect(&raw).unwrap().0, Frame::Raw);
+        assert_eq!(frame::inspect(&lz).unwrap().0, Frame::Lz);
+        let mut frames = vec![raw.clone()];
+        for valid in [&raw, &lz] {
+            for method in 2..=255u8 {
+                let mut block = valid.clone();
+                block[0] = method;
+                frames.push(block);
+            }
+        }
+        frames.push(lz);
+        let views: Vec<&[u8]> = frames.iter().map(|f| f.as_slice()).collect();
+        let (out, _) = GpuDecompressor::new(GpuDecompressorConfig::default())
+            .decompress_batch(
+                SimTime::ZERO,
+                &mut GpuDevice::new(GpuSpec::radeon_hd_7970()),
+                &views,
+            )
+            .unwrap();
+        let last = out.len() - 1;
+        assert_eq!(out[0], frame::open(views[0]));
+        assert_eq!(out[last], frame::open(views[last]));
+        assert!(out[0].is_ok() && out[last].is_ok());
+        for (i, result) in out[1..last].iter().enumerate() {
+            assert_eq!(*result, Err(CodecError::BadHeader), "frame {}", i + 1);
+        }
     });
 }
 
@@ -432,8 +463,6 @@ fn open_with_stats_matches_open_plus_a_token_rescan() {
         };
         for block in [
             FastLz::new().compress(&data),
-            Lz77::new().compress(&data),
-            LzHuf::new().compress(&data),
             GpuCompressor::new(GpuCompressorConfig::default()).compress_functional(&data),
         ] {
             let out = frame::open(&block).unwrap();
@@ -449,10 +478,6 @@ fn open_with_stats_matches_open_plus_a_token_rescan() {
                     want.literal_bytes = out.len();
                 }
                 Frame::Lz => scan_token_stats(&block[HEADER_LEN..], &mut want),
-                Frame::LzHuffman => {
-                    let tokens = huffman_decode(&block[HEADER_LEN..]).unwrap();
-                    scan_token_stats(&tokens, &mut want);
-                }
             }
             assert_eq!(frame::open_with_stats(&block).unwrap(), (out, want));
         }

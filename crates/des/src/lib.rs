@@ -1,14 +1,14 @@
-//! Discrete-event simulation (DES) kernel for the `inline-dr` project.
+//! Simulated-clock kernel for the `inline-dr` project.
 //!
 //! Every throughput experiment in the paper reproduction runs on a single
 //! *simulated* clock so that results are deterministic and independent of the
 //! host machine. This crate provides the pieces shared by all device models:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
-//! * [`EventQueue`] — a monotonic, FIFO-stable priority queue of events,
 //! * [`Resource`] — a capacity-`c` server used to model CPU cores, GPU
-//!   command queues, PCIe links and SSD channels,
-//! * [`stats`] — counters, histograms and throughput meters,
+//!   command queues, PCIe links and SSD channels; a simulation is a chain
+//!   of its [`Grant`]s, there is no event queue,
+//! * [`backoff`] — the bounded retry schedule device faults are met with,
 //! * [`rng`] — a tiny deterministic RNG (SplitMix64 / xoshiro256**) so device
 //!   models do not need an external dependency for reproducible noise,
 //! * [`testkit`] — a seeded randomized-test harness the workspace's test
@@ -29,17 +29,15 @@
 //! assert_eq!(b.start, a.end);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod backoff;
-pub mod event;
 pub mod resource;
 pub mod rng;
-pub mod stats;
 pub mod testkit;
 pub mod time;
 
 pub use backoff::{ExponentialBackoff, Retried};
-pub use event::{EventQueue, ScheduledEvent};
 pub use resource::{Grant, Resource};
 pub use rng::SplitMix64;
-pub use stats::{Counter, Histogram, ThroughputMeter};
 pub use time::{SimDuration, SimTime};

@@ -11,7 +11,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::stats::Counter;
 use crate::time::{SimDuration, SimTime};
 
 /// The outcome of acquiring a resource slot: when service started and ended.
@@ -54,8 +53,7 @@ pub struct Resource {
     /// Min-heap of the next-free instants of each slot.
     slots: BinaryHeap<Reverse<SimTime>>,
     capacity: usize,
-    busy: Counter,
-    jobs: Counter,
+    jobs: u64,
     busy_time: SimDuration,
     last_end: SimTime,
 }
@@ -76,8 +74,7 @@ impl Resource {
             name: name.into(),
             slots,
             capacity,
-            busy: Counter::new(),
-            jobs: Counter::new(),
+            jobs: 0,
             busy_time: SimDuration::ZERO,
             last_end: SimTime::ZERO,
         }
@@ -100,7 +97,7 @@ impl Resource {
         let start = free_at.max(arrival);
         let end = start + service;
         self.slots.push(Reverse(end));
-        self.jobs.add(1);
+        self.jobs += 1;
         self.busy_time += service;
         self.last_end = self.last_end.max(end);
         Grant { start, end }
@@ -122,7 +119,7 @@ impl Resource {
 
     /// Total number of jobs served so far.
     pub fn jobs_served(&self) -> u64 {
-        self.jobs.get()
+        self.jobs
     }
 
     /// Sum of all service durations granted so far.
@@ -151,8 +148,7 @@ impl Resource {
         for _ in 0..self.capacity {
             self.slots.push(Reverse(SimTime::ZERO));
         }
-        self.busy = Counter::new();
-        self.jobs = Counter::new();
+        self.jobs = 0;
         self.busy_time = SimDuration::ZERO;
         self.last_end = SimTime::ZERO;
     }

@@ -131,11 +131,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// True when the span is empty.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// The larger of two spans.
     #[must_use]
     pub fn max(self, other: SimDuration) -> SimDuration {

@@ -1,28 +1,7 @@
 //! Randomized tests: DES kernel invariants.
 
 use dr_des::testkit::{self, Cases};
-use dr_des::{EventQueue, Histogram, Resource, SimDuration, SimTime};
-
-/// Events always pop in non-decreasing time order, FIFO within ties.
-#[test]
-fn event_queue_orders() {
-    Cases::new("event_queue_orders", 0xD35_0001).run(96, |rng| {
-        let n = testkit::usize_in(rng, 0, 199);
-        let times: Vec<u64> = (0..n).map(|_| testkit::u64_in(rng, 0, 999)).collect();
-        let mut q = EventQueue::new();
-        for (seq, t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_nanos(*t), seq);
-        }
-        let drained = q.drain_ordered();
-        for pair in drained.windows(2) {
-            assert!(pair[0].time <= pair[1].time);
-            if pair[0].time == pair[1].time {
-                assert!(pair[0].payload < pair[1].payload, "FIFO violated");
-            }
-        }
-        assert_eq!(drained.len(), times.len());
-    });
-}
+use dr_des::{Resource, SimDuration, SimTime};
 
 /// A capacity-c resource never runs more than c jobs concurrently,
 /// never idles while work is waiting (work conservation for equal
@@ -53,31 +32,6 @@ fn resource_respects_capacity() {
         assert!(makespan * capacity as u64 >= total);
         assert!(makespan <= total);
         assert_eq!(r.jobs_served(), durations.len() as u64);
-    });
-}
-
-/// Histogram quantiles stay within [min, max] and are monotone in q.
-#[test]
-fn histogram_quantiles_are_sane() {
-    Cases::new("histogram_quantiles_are_sane", 0xD35_0003).run(96, |rng| {
-        let n = testkit::usize_in(rng, 1, 499);
-        let samples: Vec<u64> = (0..n)
-            .map(|_| testkit::u64_in(rng, 0, u32::MAX as u64))
-            .collect();
-        let mut h = Histogram::new();
-        for s in &samples {
-            h.record(*s);
-        }
-        let min = h.min().unwrap();
-        let max = h.max().unwrap();
-        let mut last = 0u64;
-        for q in [0.01, 0.25, 0.5, 0.75, 0.99, 1.0] {
-            let v = h.quantile(q).unwrap();
-            assert!(v >= min && v <= max, "q{q}: {v} outside [{min},{max}]");
-            assert!(v >= last, "quantiles must be monotone");
-            last = v;
-        }
-        assert_eq!(h.count(), samples.len() as u64);
     });
 }
 

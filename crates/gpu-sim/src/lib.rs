@@ -41,6 +41,8 @@
 //! assert!(report.grant.end > grant.end);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod decomp;
 pub mod device;
 pub mod error;

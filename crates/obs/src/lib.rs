@@ -45,6 +45,8 @@
 //! assert!(snap.to_json().contains("\"chunking.sim_ns\""));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod hist;
 pub mod metric;
 pub mod profile;

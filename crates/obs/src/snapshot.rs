@@ -66,7 +66,7 @@ impl Snapshot {
     ///
     /// The serializer is hand-rolled (this crate depends on `std` alone):
     /// counters and gauges become `name: value` maps, histograms become a
-    /// map of summary objects. Metric names pass through [`json_escape`].
+    /// map of summary objects. Metric names pass through `json_escape`.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("{\n  \"name\": \"");

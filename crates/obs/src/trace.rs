@@ -333,11 +333,6 @@ impl Tracer {
         }
     }
 
-    /// A tracer sharing an existing sink.
-    pub fn with_sink(sink: Arc<TraceSink>) -> Self {
-        Tracer { sink: Some(sink) }
-    }
-
     /// True when events are being recorded. Callers building dynamic
     /// event names (e.g. kernel labels) should gate the allocation on
     /// this.

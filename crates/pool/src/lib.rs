@@ -327,11 +327,6 @@ impl WorkerPool {
         }
     }
 
-    /// Creates a pool sized by [`default_workers`].
-    pub fn with_default_workers() -> Self {
-        WorkerPool::new(default_workers())
-    }
-
     /// The number of pool threads (0 for an inline pool).
     pub fn workers(&self) -> usize {
         self.inner.workers

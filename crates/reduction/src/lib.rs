@@ -19,7 +19,7 @@
 //! ```
 //!
 //! Four [`IntegrationMode`]s assign the GPU to neither, one, or both data
-//! reduction operations; [`calibrate`] reproduces the paper's *dummy-I/O*
+//! reduction operations; [`calibrate()`] reproduces the paper's *dummy-I/O*
 //! probe that picks the best mode for the platform at hand.
 //!
 //! Execution is *functionally real* (chunks are hashed with SHA-1,
@@ -56,6 +56,8 @@
 //! #     }
 //! # }
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod background;
 pub mod calibrate;

@@ -523,12 +523,6 @@ impl Pipeline {
         Ok(())
     }
 
-    /// True when this pipeline journals metadata
-    /// ([`PipelineConfig::journal_pages`] > 0).
-    pub fn journal_enabled(&self) -> bool {
-        self.journal.is_some()
-    }
-
     /// The acknowledgement point of the most recent journaled operation:
     /// the grant end of its journal record. For an unjournaled pipeline
     /// this falls back to [`Report::reduction_end`] — the pre-journal ack

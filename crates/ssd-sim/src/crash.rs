@@ -8,12 +8,13 @@
 //! enterprise devices hide it, which is why crash-consistent systems
 //! cannot assume page atomicity.)
 //!
-//! The model is a capture log: once [`SsdDevice::arm_crash_capture`]
-//! (see [`crate::SsdDevice`]) is called, every accepted page write
-//! records its LPN, its service grant `[start, end)`, and what it takes
-//! to bring the page's *previous* contents back. [`SsdDevice::power_cut`]
-//! then replays the log backwards against the functional store,
-//! classifying each write against the cut instant `T`:
+//! The model is a capture log: once
+//! [`crate::SsdDevice::arm_crash_capture`] is called, every accepted page
+//! write records its LPN, its service grant `[start, end)`, and what it
+//! takes to bring the page's *previous* contents back.
+//! [`crate::SsdDevice::power_cut`] then replays the log backwards against
+//! the functional store, classifying each write against the cut instant
+//! `T`:
 //!
 //! * `grant.end <= T` — the program completed: **durable**, left as is.
 //! * `grant.start >= T` — the command never reached the NAND: **reverted**
@@ -30,10 +31,10 @@
 //!
 //! The previous contents are never copied. The write that replaces a
 //! page takes the old buffer out of the store, and the capture either
-//! keeps that buffer ([`Prev::Page`]) or — when the old page is a
+//! keeps that buffer (`Prev::Page`) or — when the old page is a
 //! zero-padded prefix of the new one, which is every re-program of an
 //! append-only tail page (the journal's, the destage log's) — frees it
-//! and keeps the prefix length alone ([`Prev::PrefixOfNew`]). The cut
+//! and keeps the prefix length alone (`Prev::PrefixOfNew`). The cut
 //! rebuilds such a page from the page the write left behind. The
 //! backwards walk has that page at hand: it is what the store holds,
 //! unless a later write to the LPN stayed durable or tore — and then it

@@ -29,6 +29,8 @@
 //! assert_eq!(data, vec![7u8; 4096]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod crash;
 pub mod device;
 pub mod error;

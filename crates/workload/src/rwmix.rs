@@ -1,6 +1,6 @@
 //! Mixed read/write burst workloads, for driving the *read* pipeline.
 //!
-//! The stream and trace generators produce write-only load; exercising the
+//! The stream generator produces write-only load; exercising the
 //! batched read path needs interleaved reads whose targets are valid (only
 //! written blocks are read) and realistically skewed (a hot head absorbs
 //! most re-reads, so the decompressed-chunk cache has something to do).

@@ -2,10 +2,7 @@
 
 use dr_des::testkit::{self, Cases};
 use dr_pool::WorkerPool;
-use dr_workload::{
-    synthesize_block, AccessPattern, StreamConfig, StreamGenerator, TraceConfig, TraceGenerator,
-    WriteOp, ZipfSampler,
-};
+use dr_workload::{synthesize_block, StreamConfig, StreamGenerator, ZipfSampler};
 use std::collections::HashSet;
 
 /// Block synthesis is a pure function of (seed, size, ratio).
@@ -164,59 +161,4 @@ fn stream_blocks_identical_across_pool_widths() {
             "stream bytes diverged on a {workers}-worker pool"
         );
     }
-}
-
-/// Same property for traces: op `i` of a seeded trace is identical no
-/// matter how wide the pool that regenerates it.
-#[test]
-fn trace_ops_identical_across_pool_widths() {
-    let cfg = TraceConfig {
-        ops: 64,
-        working_set_pages: 128,
-        pattern: AccessPattern::Zipf { theta: 0.99 },
-        seed: 0xFACE,
-        ..TraceConfig::default()
-    };
-    let reference: Vec<WriteOp> = TraceGenerator::new(cfg).ops().collect();
-    for workers in [0, 1, 4] {
-        let pool = WorkerPool::new(workers);
-        let parallel: Vec<WriteOp> = pool.map_collect(reference.len(), |i| {
-            TraceGenerator::new(cfg)
-                .ops()
-                .nth(i)
-                .expect("index within op count")
-        });
-        assert_eq!(
-            parallel, reference,
-            "trace ops diverged on a {workers}-worker pool"
-        );
-    }
-}
-
-/// Traces stay inside the working set for every pattern.
-#[test]
-fn trace_addresses_in_range() {
-    Cases::new("trace_addresses_in_range", 0x301_0005).run(48, |rng| {
-        let ops = testkit::u64_in(rng, 1, 1_999);
-        let set = testkit::u64_in(rng, 1, 499);
-        let pattern = [
-            AccessPattern::Sequential,
-            AccessPattern::UniformRandom,
-            AccessPattern::Zipf { theta: 0.9 },
-        ][testkit::usize_in(rng, 0, 2)];
-        let gen = TraceGenerator::new(TraceConfig {
-            ops,
-            working_set_pages: set,
-            pattern,
-            seed: rng.next_u64(),
-            ..TraceConfig::default()
-        });
-        let mut n = 0;
-        for op in gen.ops() {
-            assert!(op.lpn < set);
-            assert_eq!(op.data.len(), 4096);
-            n += 1;
-        }
-        assert_eq!(n, ops);
-    });
 }

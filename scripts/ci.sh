@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Offline CI gate: formatting, lints, release build, full test suite.
+# Offline CI gate: formatting, lints, release build, full test suite, docs.
 #
 # Everything here runs without network access — the workspace has no
 # third-party dependencies (see DESIGN.md §6). Run from anywhere inside
@@ -38,23 +38,30 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
-# Miri leg: dr-pool is where the workspace's thread-facing `unsafe` lives
-# (the lifetime-erased batch closure, the disjoint-slot pointer of
-# `for_each_mut`) beside a hand-rolled spin-then-park wake-up protocol;
-# its unit tests run every one of those paths on real threads, and Miri
-# checks them for undefined behaviour and data races. dr-hashes holds the
-# rest of it: the `std::arch` arms of SHA-1, CRC-32C and LZ slot hashing,
-# whose unit tests call every arm the interpreter reports, at every tail
-# length and load offset, so an out-of-bounds pointer load or store
-# there is Miri's to find. Miri ships with nightly toolchains only;
-# without it the leg is skipped, like clippy.
-if cargo miri --version >/dev/null 2>&1; then
-    echo "==> cargo miri test -p dr-pool --lib"
-    cargo miri test -p dr-pool --lib
-    echo "==> cargo miri test -p dr-hashes --lib"
-    cargo miri test -p dr-hashes --lib
+# Rustdoc gate: every intra-doc link must resolve and no public doc may
+# link a private item, so deleting or renaming an item can never leave a
+# dangling reference behind.
+echo "==> cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
+# AddressSanitizer leg: `unsafe` is confined to two crates (every other
+# library crate is `#![forbid(unsafe_code)]`). dr-pool holds the
+# thread-facing part (the lifetime-erased batch closure, the
+# disjoint-slot pointer of `for_each_mut`) beside a hand-rolled
+# spin-then-park wake-up protocol; its tests run every one of those paths
+# on real threads. dr-hashes holds the rest: the `std::arch` arms of
+# SHA-1, CRC-32C and LZ slot hashing, whose tests call every arm the CPU
+# has, at every tail length and load offset, so an out-of-bounds pointer
+# load or store there is ASan's to find. `-Zsanitizer` needs a nightly
+# toolchain (an explicit --target keeps the flag off build scripts;
+# doctests do not link under it, hence --lib --tests); without one the
+# leg is skipped, like clippy.
+if cargo +nightly --version >/dev/null 2>&1; then
+    echo "==> ASan leg (nightly, dr-hashes + dr-pool unit and integration tests)"
+    RUSTFLAGS=-Zsanitizer=address cargo +nightly test --offline \
+        -p dr-hashes -p dr-pool --lib --tests --target x86_64-unknown-linux-gnu
 else
-    echo "==> cargo miri unavailable; skipping the dr-pool and dr-hashes Miri legs"
+    echo "==> cargo +nightly unavailable; skipping the dr-hashes and dr-pool ASan leg"
 fi
 
 # Benchmark self-tests: the repo benchmark is a package of its own

@@ -9,13 +9,13 @@
 //!
 //! * [`reduction`] — the integrated pipeline (the paper's contribution),
 //! * [`binindex`] — bin-based parallel deduplication index,
-//! * [`compress`] — LZ codecs including the GPU sub-chunk compressor,
-//! * [`chunking`] — fixed-size and content-defined chunkers,
+//! * [`compress`] — the LZ codec and the GPU sub-chunk compressor,
+//! * [`chunking`] — the fixed-size chunker,
 //! * [`hashes`] — SHA-1 and fast hashing,
 //! * [`gpu_sim`] — the simulated GPU device model,
 //! * [`ssd_sim`] — the simulated SSD device model,
 //! * [`workload`] — vdbench-style data stream generation,
-//! * [`des`] — the discrete-event simulation kernel,
+//! * [`des`] — the simulated-clock kernel (time, resources, RNG),
 //! * [`obs`] — zero-dependency observability: counters, gauges, latency
 //!   histograms and JSON metric snapshots for every pipeline stage,
 //! * [`check`] — model-based differential checker: seeded op sequences
@@ -44,6 +44,8 @@
 //! let report = pipeline.run(&stream);
 //! assert!(report.reduction_ratio() > 1.5);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub use dr_binindex as binindex;
 pub use dr_check as check;
