@@ -6,12 +6,15 @@
 //!
 //! * [`Sha1`] — FIPS 180-1 SHA-1 with an incremental API, verified against
 //!   the standard test vectors,
+//! * [`sha1_mb`] — multi-buffer SHA-1: sixteen equal-length messages per
+//!   instruction stream on AVX-512 hosts ([`sha1_digest_many`]),
 //! * [`fast`] — fast non-cryptographic 64-bit hashes for compression match
 //!   tables and bin routing,
 //! * [`lz_hash`] — the LZ match-table slot hash, one key or (vectorised) a
 //!   whole buffer of positions at a time,
-//! * [`parallel`] — order-preserving multi-buffer hashing over a shared
-//!   worker pool (the paper's "hashing has no inter-chunk dependency" stage),
+//! * [`parallel`] — order-preserving hashing of a chunk batch over a shared
+//!   worker pool, a multi-buffer group at a time (the paper's "hashing has
+//!   no inter-chunk dependency" stage),
 //! * [`ChunkDigest`] — the 20-byte chunk fingerprint with prefix extraction
 //!   used by the bin router and by prefix truncation.
 //!
@@ -31,11 +34,13 @@ pub mod fast;
 pub mod lz_hash;
 pub mod parallel;
 pub mod sha1;
+pub mod sha1_mb;
 pub mod simd;
 
 pub use crc32c::{crc32c, Crc32c};
 pub use digest::ChunkDigest;
 pub use fast::{fnv1a64, mix64, FastHasher};
 pub use lz_hash::{lz_slot, lz_slots, LZ_SLOT_BITS};
-pub use parallel::hash_chunks_pooled;
+pub use parallel::{hash_chunks_pooled, hash_chunks_pooled_counted};
 pub use sha1::{sha1_digest, Sha1};
+pub use sha1_mb::sha1_digest_many;

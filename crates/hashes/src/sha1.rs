@@ -9,13 +9,16 @@ use crate::digest::ChunkDigest;
 #[cfg(target_arch = "x86_64")]
 use crate::simd;
 
-const H0: [u32; 5] = [
+pub(crate) const H0: [u32; 5] = [
     0x6745_2301,
     0xEFCD_AB89,
     0x98BA_DCFE,
     0x1032_5476,
     0xC3D2_E1F0,
 ];
+
+/// The round constant of each twenty-round stage.
+pub(crate) const K: [u32; 4] = [0x5A82_7999, 0x6ED9_EBA1, 0x8F1B_BCDC, 0xCA62_C1D6];
 
 /// Incremental SHA-1 hasher.
 ///
@@ -88,24 +91,29 @@ impl Sha1 {
 
     /// Completes the hash and returns the 20-byte digest.
     pub fn finalize(mut self) -> ChunkDigest {
-        let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros up to the last eight bytes of a block, then
+        // the 64-bit big-endian bit length — written straight into the
+        // block buffer, which always has room for the 0x80.
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            // No room left for the length: it goes in a block of its own.
+            compress_blocks(&mut self.state, &self.buf);
+            self.buf = [0; 64];
         }
-        // The length bytes must not be counted in `len`, but `update` already
-        // captured `bit_len` above, so feeding them through `update` is fine.
-        let len_bytes = bit_len.to_be_bytes();
-        self.update(&len_bytes);
-        debug_assert_eq!(self.buf_len, 0);
-
-        let mut out = [0u8; 20];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        ChunkDigest::new(out)
+        self.buf[56..].copy_from_slice(&self.len.wrapping_mul(8).to_be_bytes());
+        compress_blocks(&mut self.state, &self.buf);
+        digest_of(&self.state)
     }
+}
+
+/// The digest a final state stands for: its five words, big-endian.
+pub(crate) fn digest_of(state: &[u32; 5]) -> ChunkDigest {
+    let mut out = [0u8; ChunkDigest::LEN];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    ChunkDigest::new(out)
 }
 
 /// Compresses a run of whole 64-byte blocks into `state`, dispatching to
@@ -160,10 +168,10 @@ pub fn compress_blocks_scalar(state: &mut [u32; 5], blocks: &[u8]) {
                 }
             };
         }
-        rounds!(0..20, 0x5A82_7999u32, (b & c) | (!b & d));
-        rounds!(20..40, 0x6ED9_EBA1u32, b ^ c ^ d);
-        rounds!(40..60, 0x8F1B_BCDCu32, (b & c) | (b & d) | (c & d));
-        rounds!(60..80, 0xCA62_C1D6u32, b ^ c ^ d);
+        rounds!(0..20, K[0], (b & c) | (!b & d));
+        rounds!(20..40, K[1], b ^ c ^ d);
+        rounds!(40..60, K[2], (b & c) | (b & d) | (c & d));
+        rounds!(60..80, K[3], b ^ c ^ d);
 
         state[0] = state[0].wrapping_add(a);
         state[1] = state[1].wrapping_add(b);
@@ -434,8 +442,9 @@ mod tests {
 
     #[test]
     fn message_lengths_around_padding_boundary() {
-        // Lengths 55, 56, 57, 63, 64, 65 exercise every padding branch.
-        for len in [0usize, 1, 55, 56, 57, 63, 64, 65, 119, 120, 121] {
+        // Lengths 55, 56, 57, 63, 64, 65 exercise every padding branch;
+        // every length up to two blocks and a bit leaves none to chance.
+        for len in 0..=130usize {
             let data = vec![0x5Au8; len];
             let d1 = sha1_digest(&data);
             let mut h = Sha1::new();
@@ -443,6 +452,24 @@ mod tests {
                 h.update(std::slice::from_ref(b));
             }
             assert_eq!(h.finalize(), d1, "length {len}");
+        }
+    }
+
+    #[test]
+    fn finalize_pads_as_the_standard_spells_it_out() {
+        // The message, 0x80, zeros to eight short of a block, the bit
+        // length — built byte by byte and compressed by the scalar arm.
+        for len in 0..=130usize {
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let mut padded = data.clone();
+            padded.push(0x80);
+            while padded.len() % 64 != 56 {
+                padded.push(0);
+            }
+            padded.extend_from_slice(&(len as u64 * 8).to_be_bytes());
+            let mut state = H0;
+            compress_blocks_scalar(&mut state, &padded);
+            assert_eq!(sha1_digest(&data), digest_of(&state), "length {len}");
         }
     }
 

@@ -2,11 +2,12 @@
 //!
 //! The SHA-1, CRC-32C and LZ slot-hashing hot loops each have a portable
 //! scalar reference and `std::arch` fast paths (x86_64 SHA extensions for
-//! SHA-1, SSE4.2 `crc32` / aarch64 `crc32c*` for CRC-32C, AVX-512DQ+BW or
-//! AVX2 for [`crate::lz_slots`]). The arms are bit-identical by
-//! construction — the fast paths compute the same FIPS 180-1 /
-//! Castagnoli / `mix64` functions — and are pinned against each other by
-//! differential property tests.
+//! one SHA-1 message, AVX-512F+BW for sixteen at once in
+//! [`crate::sha1_digest_many`], SSE4.2 `crc32` / aarch64 `crc32c*` for
+//! CRC-32C, AVX-512DQ+BW or AVX2 for [`crate::lz_slots`]). The arms are
+//! bit-identical by construction — the fast paths compute the same FIPS
+//! 180-1 / Castagnoli / `mix64` functions — and are pinned against each
+//! other by differential property tests.
 //!
 //! Dispatch is decided **once** per process: CPU feature detection plus
 //! the `DR_SIMD` environment override, cached so the per-call cost is one
@@ -65,6 +66,23 @@ pub fn sha1_hw() -> bool {
                 && is_x86_feature_detected!("sse2")
                 && is_x86_feature_detected!("ssse3")
                 && is_x86_feature_detected!("sse4.1")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    })
+}
+
+/// True when [`crate::sha1_digest_many`] can take its sixteen-lane
+/// multi-buffer arm (32-bit lanes from F, the byte swap's `vpshufb` from
+/// BW).
+pub fn sha1_mb_avx512() -> bool {
+    static STATE: AtomicU8 = AtomicU8::new(0);
+    cached_detect(&STATE, || {
+        #[cfg(target_arch = "x86_64")]
+        {
+            is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw")
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
@@ -156,6 +174,7 @@ mod tests {
     #[test]
     fn detection_is_stable_across_calls() {
         assert_eq!(sha1_hw(), sha1_hw());
+        assert_eq!(sha1_mb_avx512(), sha1_mb_avx512());
         assert_eq!(crc32c_hw(), crc32c_hw());
         assert_eq!(lz_slots_avx512(), lz_slots_avx512());
         assert_eq!(lz_slots_avx2(), lz_slots_avx2());

@@ -15,7 +15,8 @@ use std::sync::Arc;
 use dr_binindex::{BinHit, ChunkRef, FlushEvent, GpuProbe, ProbeKind};
 use dr_compress::{frame, Codec};
 use dr_des::{Grant, SimTime};
-use dr_hashes::{sha1_digest, ChunkDigest};
+use dr_hashes::sha1_mb::SHA1_MB_LANES;
+use dr_hashes::{sha1_digest, sha1_digest_many, ChunkDigest};
 use dr_obs::trace::{trace_args, TraceArgs, Tracer, Track};
 
 use crate::journal::{BatchCommit, ChunkCommit, Record};
@@ -154,10 +155,21 @@ impl<'a> HashedChunks<'a> {
     /// Panics when `chunk_bytes` is zero.
     pub fn hash(data: &'a [u8], chunk_bytes: usize) -> Self {
         assert!(chunk_bytes > 0, "chunk size must be positive");
+        // One multi-buffer group of chunk views at a time, on the stack:
+        // a one-chunk write should not allocate a list of them.
+        let mut digests = vec![ChunkDigest::zero(); data.len().div_ceil(chunk_bytes)];
+        let mut chunks = data.chunks(chunk_bytes);
+        for out in digests.chunks_mut(SHA1_MB_LANES) {
+            let mut views: [&[u8]; SHA1_MB_LANES] = [&[]; SHA1_MB_LANES];
+            for (view, chunk) in views.iter_mut().zip(&mut chunks) {
+                *view = chunk;
+            }
+            sha1_digest_many(&views[..out.len()], out);
+        }
         HashedChunks {
             data,
             chunk_bytes,
-            digests: data.chunks(chunk_bytes).map(sha1_digest).collect(),
+            digests: digests.into(),
         }
     }
 
@@ -191,10 +203,12 @@ impl<'a> HashedChunks<'a> {
         &self.digests
     }
 
-    /// True when the digests are what the constructor would compute now;
-    /// debug builds check it on entry.
+    /// True when every digest is its chunk's, each taken on its own —
+    /// not the way the constructor took them; debug builds check it on
+    /// entry.
     pub(crate) fn verify(&self) -> bool {
-        Self::hash(self.data, self.chunk_bytes).digests == self.digests
+        let one_by_one = self.data.chunks(self.chunk_bytes).map(sha1_digest);
+        one_by_one.eq(self.digests.iter().copied())
     }
 }
 
@@ -315,7 +329,7 @@ impl Pipeline {
                 let mut cost = chunk_cost;
                 if dedup_enabled {
                     let hash_cost = cpu_model.hash_cost(len);
-                    self.obs.hashing.record_sim_ns(hash_cost.as_nanos());
+                    self.obs.hashing.stage.record_sim_ns(hash_cost.as_nanos());
                     cost += hash_cost;
                 }
                 let g = self.cpu.acquire(arrival, cost);
@@ -848,5 +862,29 @@ impl Pipeline {
             self.journal_append(at, &record)
                 .unwrap_or_else(|e| panic!("journal batch-commit append failed: {e}"));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn hashing_a_multi_group_write_with_a_short_last_chunk() {
+        // Two full multi-buffer groups, six chunks of a third and a short
+        // tail — every chunk different, so a digest in the wrong slot
+        // shows.
+        let data: Vec<u8> = (0..(2 * 16 + 6) * 4096 + 1000)
+            .map(|i: usize| (i / 4096 * 37 + i % 251) as u8)
+            .collect();
+        let write = HashedChunks::hash(&data, 4096);
+        let one_by_one: Vec<ChunkDigest> = data.chunks(4096).map(sha1_digest).collect();
+        assert_eq!(write.digests(), one_by_one);
+        assert_eq!(write.digests().len(), 39);
+        assert!(write.verify());
+        let tail = write.slice(30..39);
+        assert_eq!(tail.digests(), &one_by_one[30..]);
+        assert!(tail.verify());
+        assert!(HashedChunks::hash(&[], 4096).digests().is_empty());
     }
 }

@@ -10,7 +10,7 @@ use dr_compress::{
 };
 use dr_des::{Resource, SimTime};
 use dr_gpu_sim::{GpuDevice, GpuSpec};
-use dr_hashes::{hash_chunks_pooled, ChunkDigest};
+use dr_hashes::{hash_chunks_pooled_counted, ChunkDigest};
 use dr_obs::trace::Tracer;
 use dr_obs::{CounterHandle, GaugeHandle, HistogramHandle, ObsHandle, StageObs};
 use dr_pool::WorkerPool;
@@ -198,6 +198,17 @@ impl Default for PipelineConfig {
     }
 }
 
+/// The fingerprint stage's metrics, which travel with a hash job.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct HashingObs {
+    /// `hashing.wall_ns` / `hashing.sim_ns`.
+    pub(crate) stage: StageObs,
+    /// `hashing.multibuffer_chunks`: chunks fingerprinted sixteen at a
+    /// time (`dr_hashes::sha1_digest_many`'s wide arm) rather than one by
+    /// one — full groups of whole-block chunks on an AVX-512 host.
+    pub(crate) multibuffer_chunks: CounterHandle,
+}
+
 /// The pipeline's own interned stage metrics; inert when observability is
 /// disabled. Device- and index-level metrics live with their owners (the
 /// pipeline only distributes the handle to them), the `fault.*` counters
@@ -207,8 +218,7 @@ pub(crate) struct PipelineObs {
     pub(crate) batches: CounterHandle,
     /// `chunking.wall_ns` / `chunking.sim_ns`.
     pub(crate) chunking: StageObs,
-    /// `hashing.wall_ns` / `hashing.sim_ns`.
-    pub(crate) hashing: StageObs,
+    pub(crate) hashing: HashingObs,
     /// `index.probe_wall_ns` / `index.probe_sim_ns` — the dedup lookup
     /// stage as the pipeline sees it (the index's own `index.*` counters
     /// break the probes down by where they resolved).
@@ -245,7 +255,10 @@ impl PipelineObs {
         PipelineObs {
             batches: obs.counter("pipeline.batches"),
             chunking: obs.stage("chunking"),
-            hashing: obs.stage("hashing"),
+            hashing: HashingObs {
+                stage: obs.stage("hashing"),
+                multibuffer_chunks: obs.counter("hashing.multibuffer_chunks"),
+            },
             index_probe: StageObs {
                 wall: obs.histogram("index.probe_wall_ns"),
                 sim: obs.histogram("index.probe_sim_ns"),
@@ -304,9 +317,9 @@ pub(crate) fn power_on_gpu(config: &PipelineConfig) -> (GpuDevice, Option<GpuBin
 /// A batch with its fingerprints, ready for [`Pipeline::process_batch`].
 type HashedBatch = (BatchPayload, Vec<ChunkDigest>);
 
-/// Fingerprints one batch: a `hash_chunks_pooled` fan-out under the
-/// `hashing` wall span, the same whether the submitter calls it or a pool
-/// job does — unless the batch came out of a [`HashedChunks`], whose
+/// Fingerprints one batch: a `hash_chunks_pooled_counted` fan-out under
+/// the `hashing` wall span, the same whether the submitter calls it or a
+/// pool job does — unless the batch came out of a [`HashedChunks`], whose
 /// digests are `supplied` and taken as they are. Fingerprints only exist
 /// on behalf of deduplication — the paper's compression-only experiment
 /// does not hash, so with dedup disabled the digests are zero sentinels,
@@ -314,7 +327,7 @@ type HashedBatch = (BatchPayload, Vec<ChunkDigest>);
 fn fingerprint(
     pool: &WorkerPool,
     dedup_enabled: bool,
-    hashing: &StageObs,
+    obs: &HashingObs,
     payload: BatchPayload,
     supplied: Option<Vec<ChunkDigest>>,
 ) -> HashedBatch {
@@ -323,10 +336,11 @@ fn fingerprint(
     } else if let Some(digests) = supplied {
         digests
     } else {
-        let span = hashing.span();
+        let span = obs.stage.span();
         let views: Vec<&[u8]> = (0..payload.len()).map(|i| payload.view(i)).collect();
-        let digests = hash_chunks_pooled(pool, &views);
+        let (digests, wide) = hash_chunks_pooled_counted(pool, &views);
         span.finish();
+        obs.multibuffer_chunks.add(wide as u64);
         digests
     };
     (payload, digests)
@@ -983,6 +997,30 @@ pub(crate) mod tests {
         };
         assert!(gauge("compress.in_bytes") > gauge("compress.out_bytes"));
         assert!(gauge("compress.out_bytes") > 0);
+    }
+
+    #[test]
+    fn multibuffer_counter_counts_the_chunks_hashed_in_full_groups() {
+        // What takes the wide arm is a property of the batch and the host:
+        // whole groups of sixteen equal whole-block chunks, where
+        // `dr_hashes::simd` finds AVX-512 (nowhere under DR_SIMD=scalar).
+        let wide_host = dr_hashes::simd::sha1_mb_avx512();
+        for (chunks, wide) in [(128usize, 128u64), (15, 0), (40, 32)] {
+            let obs = ObsHandle::enabled("multibuffer-test");
+            let mut cfg = small_config(IntegrationMode::CpuOnly);
+            cfg.obs = obs.clone();
+            let mut p = Pipeline::new(cfg);
+            let report = p.run(&stream()[..chunks * 4096]);
+            assert_eq!(report.chunks, chunks as u64);
+            let snap = obs.snapshot().expect("enabled handle snapshots");
+            let counted = snap
+                .counters
+                .iter()
+                .find(|(n, _)| n == "hashing.multibuffer_chunks")
+                .expect("counter interned at construction")
+                .1;
+            assert_eq!(counted, if wide_host { wide } else { 0 }, "{chunks} chunks");
+        }
     }
 
     #[test]

@@ -38,6 +38,15 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
+# Release-profile tests for the fingerprint path. The test profile is
+# opt-level 1 with debug assertions; what ships has
+# `debug_assert!(HashedChunks::verify())` compiled out — a pre-hashed
+# write is stored under whatever digest it carries, nothing re-hashes it
+# on entry — and the 16-lane SHA-1 arm scheduled and register-allocated
+# at opt-level 3. This runs both crates' tests on that code.
+echo "==> cargo test --release (dr-hashes + dr-reduction, as shipped)"
+cargo test -q --release --offline -p dr-hashes -p dr-reduction --lib --tests
+
 # Rustdoc gate: every intra-doc link must resolve and no public doc may
 # link a private item, so deleting or renaming an item can never leave a
 # dangling reference behind.
@@ -50,12 +59,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # disjoint-slot pointer of `for_each_mut`) beside a hand-rolled
 # spin-then-park wake-up protocol; its tests run every one of those paths
 # on real threads. dr-hashes holds the rest: the `std::arch` arms of
-# SHA-1, CRC-32C and LZ slot hashing, whose tests call every arm the CPU
-# has, at every tail length and load offset, so an out-of-bounds pointer
-# load or store there is ASan's to find. `-Zsanitizer` needs a nightly
-# toolchain (an explicit --target keeps the flag off build scripts;
-# doctests do not link under it, hence --lib --tests); without one the
-# leg is skipped, like clippy.
+# SHA-1 (one message and sixteen at once), CRC-32C and LZ slot hashing,
+# whose tests call every arm the CPU has, at every tail length and load
+# offset (the multi-buffer arm: sixteen lanes at sixteen alignments, the
+# last message ending where its heap block ends), so an out-of-bounds
+# pointer load or store there is ASan's to find. `-Zsanitizer` needs a
+# nightly toolchain (an explicit --target keeps the flag off build
+# scripts; doctests do not link under it, hence --lib --tests); without
+# one the leg is skipped, like clippy.
 if cargo +nightly --version >/dev/null 2>&1; then
     echo "==> ASan leg (nightly, dr-hashes + dr-pool unit and integration tests)"
     RUSTFLAGS=-Zsanitizer=address cargo +nightly test --offline \
@@ -141,7 +152,9 @@ target/release/e8_read_path --parity-check
 # dr-hashes and dr-compress onto its portable fallback (DESIGN.md §13).
 # The differential tests must still pass, and a forced-scalar bench run
 # must leave simulated stdout bit-identical to the hardware-path run
-# above — the accelerated paths are pure speedups, never behaviour.
+# above — the accelerated paths are pure speedups, never behaviour. (e2
+# fingerprints 128-chunk batches, so on an AVX-512 host the run above
+# took the multi-buffer SHA-1 arm for every chunk and this one for none.)
 echo "==> scalar-fallback leg (DR_SIMD=scalar)"
 DR_SIMD=scalar cargo test -q -p dr-hashes -p dr-compress
 DR_SCALE=0.125 DR_SIMD=scalar target/release/e2_dedup_throughput \
