@@ -394,3 +394,33 @@ fn single_node_cluster_is_bit_identical_to_bare_array() {
         );
     }
 }
+
+#[test]
+fn placed_run_acks_strictly_increase_per_node() {
+    // Journaled nodes group-commit each node write: one sync per run, its
+    // grant end the run's ack. Unique and duplicate single-block writes
+    // and multi-block writes split across nodes must all ack strictly
+    // later than the node's previous run.
+    let mut c = cluster(3, true);
+    c.create_volume("v", 64).unwrap();
+    let mut last = std::collections::BTreeMap::new();
+    let mut runs = 0;
+    let writes = (0..24u64)
+        .map(|b| (b, payload(b % 6)))
+        .chain((0..4u64).map(|k| (32 + 8 * k, (0..8).flat_map(|s| payload(k + s)).collect())));
+    for (block, data) in writes {
+        for run in c.write("v", block, &data).unwrap().runs {
+            if let Some(prev) = last.insert(run.node, run.ack) {
+                assert!(
+                    run.ack > prev,
+                    "node {} acked {:?} after {prev:?}",
+                    run.node,
+                    run.ack
+                );
+            }
+            runs += 1;
+        }
+    }
+    assert_eq!(last.len(), 3, "every node took writes");
+    assert!(runs > 28, "multi-block writes split into several runs");
+}

@@ -59,6 +59,9 @@ pub struct Destager {
     buf: Vec<u8>,
     /// Total frame bytes appended (pre-padding).
     appended_bytes: u64,
+    /// Latest grant end of a data-page program: from then on every page
+    /// below `next_data_lpn` is durable.
+    data_end: SimTime,
     /// The SSD as a guarded component. Page writes and page reads retry
     /// transient faults through it (each retry charges its backoff delay
     /// on the simulated clock, and both tally on its one counter); the
@@ -77,6 +80,7 @@ impl Destager {
             next_index_lpn: ssd.logical_pages() - 1,
             buf: Vec::with_capacity(page_bytes),
             appended_bytes: 0,
+            data_end: SimTime::ZERO,
             ssd_write: Guarded::new(&SSD_WRITE, DegradePolicy::default(), &ObsHandle::disabled()),
             obs: DestageObs::default(),
         }
@@ -123,6 +127,14 @@ impl Destager {
         &self.buf
     }
 
+    /// When every data page below the frontier is durable: the latest
+    /// grant end of a data-page program. A journal record carrying the
+    /// frontier must not be programmed before it — once the tail is
+    /// flushed, the record no longer holds those bytes; the page does.
+    pub fn data_end(&self) -> SimTime {
+        self.data_end
+    }
+
     /// Restores the log to a journaled state: frontiers, appended-byte
     /// count, and the buffered tail of the open page. Used only by crash
     /// recovery — the device's pages below the frontiers are assumed to
@@ -137,6 +149,7 @@ impl Destager {
         self.next_data_lpn = next_data_lpn;
         self.next_index_lpn = next_index_lpn;
         self.appended_bytes = appended_bytes;
+        self.data_end = SimTime::ZERO;
         self.buf.clear();
         self.buf.extend_from_slice(tail);
     }
@@ -253,6 +266,7 @@ impl Destager {
             let g = Self::write_page_retrying(&mut self.ssd_write, now, ssd, lpn, page)?;
             self.buf.drain(..self.page_bytes);
             self.next_data_lpn += 1;
+            self.data_end = self.data_end.max(g.end);
             self.obs.data_pages.incr();
             self.obs
                 .stage
@@ -298,6 +312,7 @@ impl Destager {
         let g = written?;
         self.buf.clear();
         self.next_data_lpn += 1;
+        self.data_end = self.data_end.max(g.end);
         self.obs.partial_flushes.incr();
         self.obs.data_pages.incr();
         self.obs

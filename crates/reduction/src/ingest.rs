@@ -19,8 +19,9 @@ use dr_hashes::sha1_mb::SHA1_MB_LANES;
 use dr_hashes::{sha1_digest, sha1_digest_many, ChunkDigest};
 use dr_obs::trace::{trace_args, TraceArgs, Tracer, Track};
 
-use crate::journal::{BatchCommit, ChunkCommit, Record};
+use crate::journal::ChunkCommit;
 use crate::pipeline::Pipeline;
+use crate::recovery::destage_frontier;
 
 /// Unique chunks per participant below which CPU compression stays on the
 /// submitter.
@@ -283,9 +284,6 @@ struct Batch<'a> {
     id: u64,
     payload: &'a BatchPayload,
     chunks: Vec<InFlight>,
-    /// When the batch's last data frame became durable on the device —
-    /// the floor for this batch's journal commit record.
-    data_end: SimTime,
 }
 
 impl Pipeline {
@@ -352,7 +350,6 @@ impl Pipeline {
             id,
             payload,
             chunks,
-            data_end: SimTime::ZERO,
         };
         let args = trace_args(&[("batch", id), ("chunks", batch.chunks.len() as u64)]);
         chunk_win.emit(&self.obs.tracer, Track::Chunk, "chunk", args);
@@ -687,7 +684,6 @@ impl Pipeline {
             let (chunk_ref, grants) = self.destage_frame(sealed, stored);
             for g in grants {
                 self.report.ssd_end = self.report.ssd_end.max(g.end);
-                batch.data_end = batch.data_end.max(g.end);
                 win.cover(g.start, g.end);
             }
             let chunk = &mut batch.chunks[i];
@@ -811,7 +807,8 @@ impl Pipeline {
     }
 
     /// Closes the batch out: every chunk gets its logical-map entry, the
-    /// reduction clock advances, and the batch commit is journaled.
+    /// reduction clock advances, and the batch commit is staged in the
+    /// journal (the call's sync acknowledges it).
     fn map_and_commit(&mut self, batch: &Batch) {
         // Intra-batch duplicates point at the stored copy of their first
         // instance (destaged above).
@@ -833,33 +830,31 @@ impl Pipeline {
             self.report.reduction_end = self.report.reduction_end.max(c.ready_at);
         }
 
-        // Journal the batch commit. The append is scheduled no earlier
-        // than `data_end`, so its record becoming durable implies every
-        // data frame it describes is durable too (write-ahead for the
-        // *metadata*, write-behind for the data it points at). The grant
-        // end is the batch's acknowledgement point.
-        if self.journal.is_some() {
+        // Stage the batch commit, encoded straight into the journal tail.
+        // Its programs — the pages it fills, and the sync that
+        // acknowledges it — start no earlier than the destager's
+        // `data_end`, so the record becoming durable implies every data
+        // page below its frontier is durable too: this batch's, and a
+        // partial page an earlier call flushed out of the tail the record
+        // carries (write-ahead for the *metadata*, write-behind for the
+        // data it points at).
+        if let Some(journal) = self.journal.as_mut() {
             let chunks = batch
                 .chunks
                 .iter()
+                .zip(&self.recipe[base..])
                 .enumerate()
-                .map(|(i, c)| {
-                    let r = self.recipe[base + i];
-                    ChunkCommit {
-                        digest: c.digest,
-                        dup: c.outcome != DedupOutcome::Unique,
-                        addr: r.addr(),
-                        stored_len: r.stored_len(),
-                        orig_len: batch.payload.view(i).len() as u32,
-                    }
-                })
-                .collect();
-            let record = Record::BatchCommit(BatchCommit {
-                frontier: self.frontier(),
-                chunks,
-            });
-            let at = self.report.reduction_end.max(batch.data_end);
-            self.journal_append(at, &record)
+                .map(|(i, (c, r))| ChunkCommit {
+                    digest: c.digest,
+                    dup: c.outcome != DedupOutcome::Unique,
+                    addr: r.addr(),
+                    stored_len: r.stored_len(),
+                    orig_len: batch.payload.view(i).len() as u32,
+                });
+            let at = self.report.reduction_end.max(self.destage.data_end());
+            let frontier = destage_frontier(&self.destage);
+            journal
+                .stage_batch_commit(at, &mut self.ssd, &frontier, chunks)
                 .unwrap_or_else(|e| panic!("journal batch-commit append failed: {e}"));
         }
     }

@@ -8,18 +8,32 @@
 //! Every state transition that a recovery must reproduce — volume
 //! creation, volume-map extension, a batch of reduced chunks committed
 //! to the destage log, an index checkpoint — is serialized as a
-//! CRC-framed record and appended to the journal *on the simulated
-//! device*, charging real program latency. A write is acknowledged only
-//! at the grant end of its journal record, which by construction is
-//! after the data frames it describes became durable (the batch-commit
-//! append is scheduled at the max of the batch's data-write grant ends).
+//! CRC-framed record and written to the journal *on the simulated
+//! device*, charging real program latency.
+//!
+//! Writing a record is two steps. [`Journal::stage`] (and its in-place
+//! twins for the write path's two records) encodes the record into the
+//! open tail and programs only the pages the record *fills*;
+//! [`Journal::sync`] programs the open page, once for everything staged
+//! since the last sync, and is the only thing that moves
+//! [`Journal::ack_end`]. A host write stages its batch commit(s) and its
+//! map update and syncs once — a group commit per write: one open-page
+//! program per acknowledged write, not one per record. A write is
+//! acknowledged only at the grant end of that sync, which by construction
+//! is after the data frames it describes became durable: every page
+//! program, the sync included, starts no earlier than the latest instant
+//! any record was staged at (for a record carrying the destage frontier,
+//! the latest data-page program's grant end), so a page filled by a
+//! record stamped earlier still waits for the records it carries.
+//! [`Journal::append`] is stage + sync, for the records that are
+//! acknowledged alone (volume create, checkpoint).
 //!
 //! # On-device layout
 //!
 //! The journal is a byte stream laid over `pages` logical pages starting
 //! at `region_start`. Records are packed back to back and may span page
 //! boundaries (an index checkpoint is much larger than one page). Each
-//! append rewrites the open tail page — append-only *content* within a
+//! sync rewrites the open tail page — append-only *content* within a
 //! page — so a torn rewrite of the tail page can only damage bytes past
 //! the previously durable prefix: the old records survive byte for byte
 //! whether the page tears or reverts.
@@ -39,9 +53,9 @@
 //! discards. This is the same durable-prefix contract as jbd2: a record
 //! is replayed only when every record before it validated.
 //!
-//! Appends are chained (`at = max(now, last append end)`), so journal
-//! grants are strictly ordered and a power cut can never produce a
-//! durable record *after* a torn one.
+//! Page programs are chained (`at = max(now, last program end)`), so
+//! journal grants are strictly ordered and a power cut can never produce
+//! a durable record *after* a torn one.
 
 use dr_des::{ExponentialBackoff, Grant, Retried, SimDuration, SimTime};
 use dr_hashes::{crc32c, ChunkDigest};
@@ -63,9 +77,11 @@ const KIND_BATCH_COMMIT: u8 = 3;
 const KIND_CHECKPOINT: u8 = 4;
 
 /// Destage-log state carried by state-bearing records, sufficient to
-/// restore [`crate::destage::Destager`] frontiers after a crash.
+/// restore [`crate::destage::Destager`] frontiers after a crash. `T`
+/// holds the tail: owned in a record, borrowed from the destager when
+/// the write path stages a batch commit straight into the journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frontier {
+pub struct Frontier<T = Vec<u8>> {
     /// Next data page to be written (grows up from 0).
     pub next_data_lpn: u64,
     /// Next index page to be written (grows down from the top, minus the
@@ -74,12 +90,24 @@ pub struct Frontier {
     /// Total bytes appended to the destage log.
     pub appended_bytes: u64,
     /// Contents of the open, not-yet-flushed data page.
-    pub tail: Vec<u8>,
+    pub tail: T,
+}
+
+impl Frontier<&[u8]> {
+    /// The frontier with its tail copied out, for an owned record.
+    pub fn into_owned(self) -> Frontier {
+        Frontier {
+            next_data_lpn: self.next_data_lpn,
+            next_index_lpn: self.next_index_lpn,
+            appended_bytes: self.appended_bytes,
+            tail: self.tail.to_vec(),
+        }
+    }
 }
 
 /// One chunk of a committed batch: enough to rebuild the recipe entry
 /// and (for unique chunks) the bin-index insert.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkCommit {
     /// SHA-1 digest of the original chunk contents.
     pub digest: ChunkDigest,
@@ -188,12 +216,13 @@ fn put_name(out: &mut Vec<u8>, name: &str) {
     out.extend_from_slice(name.as_bytes());
 }
 
-fn put_frontier(out: &mut Vec<u8>, f: &Frontier) {
+fn put_frontier(out: &mut Vec<u8>, f: &Frontier<impl AsRef<[u8]>>) {
+    let tail = f.tail.as_ref();
     put_u64(out, f.next_data_lpn);
     put_u64(out, f.next_index_lpn);
     put_u64(out, f.appended_bytes);
-    put_u32(out, f.tail.len() as u32);
-    out.extend_from_slice(&f.tail);
+    put_u32(out, tail.len() as u32);
+    out.extend_from_slice(tail);
 }
 
 /// The payload of a [`Record::MapUpdate`], from its parts.
@@ -202,6 +231,23 @@ fn put_map_update(out: &mut Vec<u8>, name: &str, start_block: u64, nblocks: u64,
     put_u64(out, start_block);
     put_u64(out, nblocks);
     put_u64(out, first);
+}
+
+/// The payload of a [`Record::BatchCommit`], from its parts.
+fn put_batch_commit(
+    out: &mut Vec<u8>,
+    frontier: &Frontier<impl AsRef<[u8]>>,
+    chunks: impl ExactSizeIterator<Item = ChunkCommit>,
+) {
+    put_frontier(out, frontier);
+    put_u32(out, chunks.len() as u32);
+    for c in chunks {
+        out.extend_from_slice(c.digest.as_bytes());
+        out.push(c.dup as u8);
+        put_u64(out, c.addr);
+        put_u32(out, c.stored_len);
+        put_u32(out, c.orig_len);
+    }
 }
 
 fn put_payload(out: &mut Vec<u8>, record: &Record) {
@@ -217,15 +263,7 @@ fn put_payload(out: &mut Vec<u8>, record: &Record) {
             first_recipe,
         } => put_map_update(out, name, *start_block, *nblocks, *first_recipe),
         Record::BatchCommit(batch) => {
-            put_frontier(out, &batch.frontier);
-            put_u32(out, batch.chunks.len() as u32);
-            for c in &batch.chunks {
-                out.extend_from_slice(c.digest.as_bytes());
-                out.push(c.dup as u8);
-                put_u64(out, c.addr);
-                put_u32(out, c.stored_len);
-                put_u32(out, c.orig_len);
-            }
+            put_batch_commit(out, &batch.frontier, batch.chunks.iter().copied())
         }
         Record::Checkpoint(cp) => {
             put_frontier(out, &cp.frontier);
@@ -235,23 +273,25 @@ fn put_payload(out: &mut Vec<u8>, record: &Record) {
     }
 }
 
-/// One CRC frame of `kind` around whatever `payload` writes.
-fn encode_frame(kind: u8, payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut out = Vec::with_capacity(128);
-    put_u32(&mut out, MAGIC);
+/// Appends one CRC frame of `kind` around whatever `payload` writes to
+/// `out`.
+fn put_frame(out: &mut Vec<u8>, kind: u8, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    put_u32(out, MAGIC);
     out.push(kind);
-    put_u32(&mut out, 0); // the length, once the payload is in
-    payload(&mut out);
-    let len = (out.len() - FRAME_HEAD) as u32;
-    out[5..FRAME_HEAD].copy_from_slice(&len.to_le_bytes());
-    let crc = crc32c(&out[4..]);
-    put_u32(&mut out, crc);
-    out
+    put_u32(out, 0); // the length, once the payload is in
+    payload(out);
+    let len = (out.len() - start - FRAME_HEAD) as u32;
+    out[start + 5..start + FRAME_HEAD].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32c(&out[start + 4..]);
+    put_u32(out, crc);
 }
 
 /// Serializes one record with its CRC frame.
 pub fn encode_record(record: &Record) -> Vec<u8> {
-    encode_frame(record.kind(), |out| put_payload(out, record))
+    let mut out = Vec::new();
+    put_frame(&mut out, record.kind(), |out| put_payload(out, record));
+    out
 }
 
 struct Reader<'a> {
@@ -499,6 +539,7 @@ impl From<SsdError> for JournalError {
 #[derive(Debug)]
 struct JournalObs {
     appends: CounterHandle,
+    syncs: CounterHandle,
     bytes: CounterHandle,
     pages_written: CounterHandle,
     checkpoints: CounterHandle,
@@ -512,6 +553,7 @@ impl JournalObs {
     fn new(obs: &ObsHandle) -> Self {
         JournalObs {
             appends: obs.counter("journal.appends"),
+            syncs: obs.counter("journal.syncs"),
             bytes: obs.counter("journal.bytes"),
             pages_written: obs.counter("journal.pages_written"),
             checkpoints: obs.counter("journal.checkpoints"),
@@ -535,19 +577,27 @@ pub struct Replay {
 }
 
 /// The write-ahead journal: owns the reserved LPN region and the append
-/// cursor, and charges every append to the simulated device.
+/// cursor, and charges every page program to the simulated device.
 #[derive(Debug)]
 pub struct Journal {
     region_start: u64,
     pages: u64,
     page_bytes: usize,
-    /// Valid log bytes (everything before this offset is framed records).
+    /// Valid log bytes (everything before this offset is framed records,
+    /// staged or synced).
     written: u64,
     /// Bytes of the open tail page already part of the log.
     tail: Vec<u8>,
-    /// Grant end of the latest append: the ack point, and the floor for
-    /// the next append (appends are chained, never reordered).
+    /// True when the open page holds staged bytes no program carried yet.
+    dirty: bool,
+    /// Latest instant a record was staged at: the floor for the sync that
+    /// carries it.
+    staged_at: SimTime,
+    /// Grant end of the latest page program: the floor for the next one
+    /// (programs are chained, never reordered).
     end: SimTime,
+    /// Grant end of the latest sync: the ack point.
+    ack: SimTime,
     backoff: ExponentialBackoff,
     obs: JournalObs,
 }
@@ -571,7 +621,10 @@ impl Journal {
             page_bytes: page_bytes as usize,
             written: 0,
             tail: Vec::new(),
+            dirty: false,
+            staged_at: SimTime::ZERO,
             end: SimTime::ZERO,
+            ack: SimTime::ZERO,
             backoff: ExponentialBackoff::new(SimDuration::from_micros(50), 2, 8),
             obs: JournalObs::new(&ObsHandle::disabled()),
         }
@@ -597,15 +650,17 @@ impl Journal {
         self.pages * self.page_bytes as u64
     }
 
-    /// Valid log bytes appended so far.
+    /// Valid log bytes appended so far, staged ones included.
     pub fn written_bytes(&self) -> u64 {
         self.written
     }
 
-    /// Grant end of the latest append: the acknowledgement point of the
-    /// most recent journaled operation.
+    /// Grant end of the latest [`Journal::sync`]: the acknowledgement
+    /// point of the most recent journaled operation. Staging never moves
+    /// it, not even when a staged record filled — and so programmed — a
+    /// page.
     pub fn ack_end(&self) -> SimTime {
-        self.end
+        self.ack
     }
 
     /// One journal page command under the journal's own schedule — eight
@@ -626,33 +681,52 @@ impl Journal {
         )
     }
 
-    /// Appends one record, charging serial page programs on `ssd`.
-    /// Returns the grant covering the whole append; its `end` is the
+    /// Appends one record and syncs it: [`Journal::stage`], then
+    /// [`Journal::sync`]. Returns the sync's grant; its `end` is the
     /// record's durability (acknowledgement) point.
     ///
     /// # Errors
     ///
-    /// [`JournalError::Full`] when the region cannot hold the record;
-    /// [`JournalError::Ssd`] when the device fails past the retry
-    /// schedule. Journal state is not rolled back on I/O failure — the
-    /// caller owns that policy (the pipeline treats it as fatal, like a
-    /// failed destage).
+    /// As [`Journal::stage`], then as [`Journal::sync`].
     pub fn append(
         &mut self,
         now: SimTime,
         ssd: &mut SsdDevice,
         record: &Record,
     ) -> Result<Grant, JournalError> {
-        self.append_frame(now, ssd, record.kind(), &encode_record(record))
+        self.stage(now, ssd, record)?;
+        self.sync(now, ssd)
     }
 
-    /// Appends a [`Record::MapUpdate`] — the one record every host write
-    /// adds — encoded straight from a borrowed volume name.
+    /// Stages one record: encodes it into the open tail and programs the
+    /// pages it fills, none before `now` or the instant any earlier record
+    /// was staged at (a filled page carries those records too). The record
+    /// is acknowledged by the next [`Journal::sync`], and until then it is
+    /// durable only if it ended exactly on a page boundary.
     ///
     /// # Errors
     ///
-    /// As [`Journal::append`].
-    pub fn append_map_update(
+    /// [`JournalError::Full`] when the region cannot hold the record
+    /// (nothing is staged); [`JournalError::Ssd`] when a filled page's
+    /// program fails past the retry schedule. Journal state is not
+    /// rolled back on I/O failure — the caller owns that policy (the
+    /// pipeline treats it as fatal, like a failed destage).
+    pub fn stage(
+        &mut self,
+        now: SimTime,
+        ssd: &mut SsdDevice,
+        record: &Record,
+    ) -> Result<(), JournalError> {
+        self.stage_frame(now, ssd, record.kind(), |out| put_payload(out, record))
+    }
+
+    /// Stages a [`Record::MapUpdate`] — the record every host write adds
+    /// — encoded straight from a borrowed volume name.
+    ///
+    /// # Errors
+    ///
+    /// As [`Journal::stage`].
+    pub fn stage_map_update(
         &mut self,
         now: SimTime,
         ssd: &mut SsdDevice,
@@ -660,37 +734,65 @@ impl Journal {
         start_block: u64,
         nblocks: u64,
         first_recipe: u64,
-    ) -> Result<Grant, JournalError> {
-        let frame = encode_frame(KIND_MAP_UPDATE, |out| {
+    ) -> Result<(), JournalError> {
+        self.stage_frame(now, ssd, KIND_MAP_UPDATE, |out| {
             put_map_update(out, name, start_block, nblocks, first_recipe)
-        });
-        self.append_frame(now, ssd, KIND_MAP_UPDATE, &frame)
+        })
     }
 
-    /// Appends one encoded record frame of `kind`.
-    fn append_frame(
+    /// Stages a [`Record::BatchCommit`] encoded straight from its parts:
+    /// the destager's frontier, tail borrowed, and the batch's chunks as
+    /// they are produced — the bytes [`encode_record`] would frame for
+    /// the owned record.
+    ///
+    /// # Errors
+    ///
+    /// As [`Journal::stage`].
+    pub fn stage_batch_commit(
+        &mut self,
+        now: SimTime,
+        ssd: &mut SsdDevice,
+        frontier: &Frontier<&[u8]>,
+        chunks: impl ExactSizeIterator<Item = ChunkCommit>,
+    ) -> Result<(), JournalError> {
+        self.stage_frame(now, ssd, KIND_BATCH_COMMIT, |out| {
+            put_batch_commit(out, frontier, chunks)
+        })
+    }
+
+    /// Frames whatever `payload` writes as a record of `kind` in place at
+    /// the end of the tail, then programs the pages it filled.
+    fn stage_frame(
         &mut self,
         now: SimTime,
         ssd: &mut SsdDevice,
         kind: u8,
-        bytes: &[u8],
-    ) -> Result<Grant, JournalError> {
-        let needed = self.written + bytes.len() as u64;
+        payload: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), JournalError> {
+        let open = self.tail.len();
+        put_frame(&mut self.tail, kind, payload);
+        let bytes = (self.tail.len() - open) as u64;
+        let needed = self.written + bytes;
         if needed > self.capacity_bytes() {
+            self.tail.truncate(open);
             return Err(JournalError::Full {
                 needed,
                 capacity: self.capacity_bytes(),
             });
         }
-        let start = if now > self.end { now } else { self.end };
+        // A filled page carries every record staged before this one too,
+        // so its program waits for the latest of them, like the sync does.
+        self.staged_at = self.staged_at.max(now);
+        let start = self.staged_at.max(self.end);
         let mut at = start;
         let mut lpn = self.region_start + self.written / self.page_bytes as u64;
-        self.tail.extend_from_slice(bytes);
         self.written = needed;
+        // Whatever the record leaves past its last whole page waits for
+        // the sync.
+        self.dirty = !needed.is_multiple_of(self.page_bytes as u64);
         // Pages are programmed straight from the tail buffer — the device
         // takes the one copy. A full page leaves the buffer whether or
-        // not its program succeeded; the open page is padded in place and
-        // cut back to its length on every exit.
+        // not its program succeeded.
         while self.tail.len() >= self.page_bytes {
             let page = &self.tail[..self.page_bytes];
             let written = self.retrying(at, |t| ssd.write_page(t, lpn, page)).result;
@@ -699,19 +801,9 @@ impl Journal {
             lpn += 1;
             self.obs.pages_written.incr();
         }
-        if !self.tail.is_empty() {
-            let len = self.tail.len();
-            self.tail.resize(self.page_bytes, 0);
-            let written = self
-                .retrying(at, |t| ssd.write_page(t, lpn, &self.tail))
-                .result;
-            self.tail.truncate(len);
-            at = written?.end;
-            self.obs.pages_written.incr();
-        }
         self.end = at;
         self.obs.appends.incr();
-        self.obs.bytes.add(bytes.len() as u64);
+        self.obs.bytes.add(bytes);
         if kind == KIND_CHECKPOINT {
             self.obs.checkpoints.incr();
         }
@@ -720,9 +812,53 @@ impl Journal {
             kind_name(kind),
             start.as_nanos(),
             at.as_nanos(),
-            trace_args(&[("bytes", bytes.len() as u64)]),
+            trace_args(&[("bytes", bytes)]),
         );
-        Ok(Grant { start, end: at })
+        Ok(())
+    }
+
+    /// Programs the open page — once, for every record staged since the
+    /// last sync — no earlier than `now` or the instant any of them was
+    /// staged at, and makes the program's grant end the acknowledgement
+    /// point ([`Journal::ack_end`]). A clean tail programs nothing: the
+    /// ack moves to the end of the last program, which carried every
+    /// staged byte already. The open page is padded in place and cut
+    /// back to its length on every exit.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Ssd`] when the program fails past the retry
+    /// schedule; the page stays staged, so the next sync carries it.
+    pub fn sync(&mut self, now: SimTime, ssd: &mut SsdDevice) -> Result<Grant, JournalError> {
+        self.obs.syncs.incr();
+        if !self.dirty {
+            self.ack = self.end;
+            return Ok(Grant {
+                start: self.end,
+                end: self.end,
+            });
+        }
+        let start = now.max(self.staged_at).max(self.end);
+        let lpn = self.region_start + self.written / self.page_bytes as u64;
+        let len = self.tail.len();
+        self.tail.resize(self.page_bytes, 0);
+        let written = self
+            .retrying(start, |t| ssd.write_page(t, lpn, &self.tail))
+            .result;
+        self.tail.truncate(len);
+        let end = written?.end;
+        self.obs.pages_written.incr();
+        self.dirty = false;
+        self.end = end;
+        self.ack = end;
+        self.obs.tracer.sim_span(
+            Track::Journal,
+            "commit",
+            start.as_nanos(),
+            end.as_nanos(),
+            trace_args(&[("bytes", len as u64)]),
+        );
+        Ok(Grant { start, end })
     }
 
     /// Reads the region back page by page (serial, retried) and parses
@@ -758,7 +894,10 @@ impl Journal {
         self.tail.clear();
         self.tail
             .extend_from_slice(&image[page_floor..parsed.valid_bytes]);
+        self.dirty = false;
+        self.staged_at = SimTime::ZERO;
         self.end = at;
+        self.ack = at;
         self.obs.recoveries.incr();
         let torn = matches!(parsed.tail, TailState::Corrupt { .. });
         if torn {
@@ -1012,8 +1151,8 @@ mod tests {
         let (mut ssd, mut twin_ssd) = (small_ssd(), small_ssd());
         let mut journal = Journal::new(ssd.logical_pages(), ssd.spec().page_bytes, 4);
         let mut twin = Journal::new(ssd.logical_pages(), ssd.spec().page_bytes, 4);
-        let g = journal
-            .append_map_update(
+        journal
+            .stage_map_update(
                 SimTime::ZERO,
                 &mut ssd,
                 name,
@@ -1022,6 +1161,7 @@ mod tests {
                 *first_recipe,
             )
             .unwrap();
+        let g = journal.sync(SimTime::ZERO, &mut ssd).unwrap();
         let owned = twin.append(SimTime::ZERO, &mut twin_ssd, &sample_records()[1]);
         assert_eq!(g, owned.unwrap());
         let region = journal.region_start();
@@ -1029,6 +1169,152 @@ mod tests {
             ssd.read_page(g.end, region).unwrap(),
             twin_ssd.read_page(g.end, region).unwrap()
         );
+    }
+
+    #[test]
+    fn records_staged_in_place_are_the_encoded_records() {
+        let records = sample_records();
+        let (Record::BatchCommit(batch), Record::MapUpdate { name, .. }) =
+            (&records[2], &records[1])
+        else {
+            panic!("samples 2 and 1 are the batch commit and the map update");
+        };
+        let mut ssd = small_ssd();
+        let mut journal = Journal::new(ssd.logical_pages(), ssd.spec().page_bytes, 4);
+        let f = &batch.frontier;
+        let frontier = Frontier {
+            next_data_lpn: f.next_data_lpn,
+            next_index_lpn: f.next_index_lpn,
+            appended_bytes: f.appended_bytes,
+            tail: &f.tail[..],
+        };
+        let chunks = batch.chunks.iter().copied();
+        journal
+            .stage_batch_commit(SimTime::ZERO, &mut ssd, &frontier, chunks)
+            .unwrap();
+        journal
+            .stage_map_update(SimTime::ZERO, &mut ssd, name, 3, 2, 17)
+            .unwrap();
+        let want = [encode_record(&records[2]), encode_record(&records[1])].concat();
+        assert_eq!(journal.tail, want);
+        assert_eq!(journal.written_bytes(), want.len() as u64);
+    }
+
+    #[test]
+    fn staged_records_are_durable_only_once_synced() {
+        let mut ssd = small_ssd();
+        let pages = 4;
+        let mut journal = Journal::new(ssd.logical_pages(), ssd.spec().page_bytes, pages);
+        let records = sample_records();
+        let created = journal
+            .append(SimTime::ZERO, &mut ssd, &records[0])
+            .unwrap();
+        let replay = |ssd: &mut SsdDevice| {
+            let mut fresh = Journal::new(ssd.logical_pages(), ssd.spec().page_bytes, pages);
+            fresh.replay(SimTime::ZERO, ssd).unwrap().records
+        };
+        for r in &records[1..3] {
+            journal.stage(SimTime::ZERO, &mut ssd, r).unwrap();
+        }
+        assert_eq!(journal.ack_end(), created.end, "staging never acks");
+        assert_eq!(ssd.stats().writes, 1, "both records fit the open page");
+        assert_eq!(replay(&mut ssd), records[..1], "only the synced prefix");
+
+        let synced = journal.sync(SimTime::ZERO, &mut ssd).unwrap();
+        assert!(synced.start >= created.end && synced.end > created.end);
+        assert_eq!(journal.ack_end(), synced.end);
+        assert_eq!(ssd.stats().writes, 2, "one program for the group");
+        assert_eq!(replay(&mut ssd), records[..3]);
+    }
+
+    #[test]
+    fn a_sync_of_a_clean_tail_programs_nothing() {
+        let mut ssd = small_ssd();
+        let mut journal = Journal::new(ssd.logical_pages(), ssd.spec().page_bytes, 4);
+        let g = journal.sync(SimTime::ZERO, &mut ssd).unwrap();
+        assert_eq!((g.start, g.end), (SimTime::ZERO, SimTime::ZERO));
+        let appended = journal
+            .append(SimTime::ZERO, &mut ssd, &sample_records()[0])
+            .unwrap();
+        let late = appended.end + SimDuration::from_micros(5);
+        let again = journal.sync(late, &mut ssd).unwrap();
+        assert_eq!((again.start, again.end), (appended.end, appended.end));
+        assert_eq!(journal.ack_end(), appended.end);
+        assert_eq!(ssd.stats().writes, 1);
+    }
+
+    #[test]
+    fn a_record_spanning_pages_programs_its_full_pages_at_stage_and_the_open_page_at_sync() {
+        let obs = ObsHandle::enabled("journal-test");
+        let counter = |name: &str| obs.counter(name).get();
+        let mut ssd = small_ssd();
+        let pages = 4;
+        let mut journal = Journal::new(ssd.logical_pages(), ssd.spec().page_bytes, pages);
+        journal.set_obs(&obs);
+        let records = sample_records();
+        let checkpoint_len = encode_record(&records[3]).len();
+        assert!((4096..8192).contains(&checkpoint_len));
+        let not_before = SimTime::from_nanos(1_000);
+        journal.stage(not_before, &mut ssd, &records[3]).unwrap();
+        assert_eq!(ssd.stats().writes, 1, "the filled page, at stage");
+        assert_eq!(journal.ack_end(), SimTime::ZERO, "not acknowledged");
+        journal.stage(SimTime::ZERO, &mut ssd, &records[1]).unwrap();
+        assert_eq!(ssd.stats().writes, 1, "the map update fits the open page");
+        let g = journal.sync(SimTime::ZERO, &mut ssd).unwrap();
+        assert_eq!(ssd.stats().writes, 2, "the open page, once, at sync");
+        assert!(g.start > not_before, "chained after the filled page");
+        assert_eq!(
+            ["journal.appends", "journal.syncs", "journal.pages_written"].map(counter),
+            [2, 1, 2]
+        );
+        let mut fresh = Journal::new(ssd.logical_pages(), ssd.spec().page_bytes, pages);
+        let replay = fresh.replay(SimTime::ZERO, &mut ssd).unwrap();
+        assert_eq!(replay.records, [records[3].clone(), records[1].clone()]);
+    }
+
+    #[test]
+    fn a_page_filled_by_an_earlier_stamped_record_waits_for_the_records_it_carries() {
+        let page = 4096;
+        let first = sample_records()[0].clone();
+        let checkpoint = |snap: usize| {
+            Record::Checkpoint(Checkpoint {
+                frontier: Frontier {
+                    next_data_lpn: 0,
+                    next_index_lpn: 0,
+                    appended_bytes: 0,
+                    tail: Vec::new(),
+                },
+                snapshot: vec![7; snap],
+            })
+        };
+        let fill = page - encode_record(&first).len() - encode_record(&checkpoint(0)).len();
+        let t1 = SimTime::from_nanos(500_000);
+        // Ending exactly on the page boundary (a clean sync acks at the
+        // filled page's program) and crossing it (the sync follows it).
+        for (snap, on_boundary) in [(fill, true), (fill + 100, false)] {
+            let mut ssd = small_ssd();
+            let mut journal = Journal::new(ssd.logical_pages(), ssd.spec().page_bytes, 4);
+            journal.stage(t1, &mut ssd, &first).unwrap();
+            let t0 = SimTime::ZERO;
+            journal.stage(t0, &mut ssd, &checkpoint(snap)).unwrap();
+            assert_eq!(ssd.stats().writes, 1, "the checkpoint filled the page");
+            // The filled page carries the record staged at t1, so its
+            // program is the one an idle twin device starts at t1.
+            let mut twin = small_ssd();
+            let from_t1 = twin
+                .write_page(t1, journal.region_start(), &vec![0; page])
+                .unwrap();
+            assert_eq!(journal.end, from_t1.end, "snapshot of {snap} bytes");
+            let g = journal.sync(t0, &mut ssd).unwrap();
+            if on_boundary {
+                assert_eq!(g.end, from_t1.end);
+                assert_eq!(ssd.stats().writes, 1);
+            } else {
+                assert!(g.start >= from_t1.end);
+                assert_eq!(ssd.stats().writes, 2);
+            }
+            assert_eq!(journal.ack_end(), g.end);
+        }
     }
 
     #[test]

@@ -73,6 +73,12 @@ mod recovery;
 pub mod report;
 pub mod volume;
 
+/// The power-cut sweep of `tests/group_commit_cuts.rs`, here for the unit
+/// test that plants a mutant only the crate can reach.
+#[cfg(test)]
+#[path = "../tests/cut_sweep/mod.rs"]
+mod cut_sweep;
+
 pub use background::{
     compare_endurance, compare_endurance_with_obs, BackgroundReducer, BackgroundReport,
     EnduranceComparison,

@@ -538,9 +538,10 @@ impl Pipeline {
     }
 
     /// The acknowledgement point of the most recent journaled operation:
-    /// the grant end of its journal record. For an unjournaled pipeline
-    /// this falls back to [`Report::reduction_end`] — the pre-journal ack
-    /// semantics, where a write was "done" when reduction finished.
+    /// the grant end of the journal sync that made its records durable
+    /// ([`Journal::ack_end`]). For an unjournaled pipeline this falls back
+    /// to [`Report::reduction_end`] — the pre-journal ack semantics, where
+    /// a write was "done" when reduction finished.
     pub fn last_ack(&self) -> SimTime {
         match &self.journal {
             Some(journal) => journal.ack_end(),
@@ -579,8 +580,12 @@ impl Pipeline {
     ///
     /// The stream is copied into a shared buffer once; every chunk then
     /// travels as a view into that buffer (no per-chunk allocation).
+    /// With journaling on, the call's batch commits are acknowledged by
+    /// one journal sync at its end ([`Pipeline::last_ack`]).
     pub fn run(&mut self, stream: &[u8]) -> Report {
-        self.run_chunks(stream, None)
+        self.ingest(stream, None);
+        self.commit();
+        self.report.clone()
     }
 
     /// [`Pipeline::run`] for a stream fingerprinted upstream: the same
@@ -593,18 +598,34 @@ impl Pipeline {
     /// Panics when `write` was cut at another chunk size than
     /// [`PipelineConfig::chunk_bytes`].
     pub fn run_hashed(&mut self, write: &HashedChunks) -> Report {
-        assert_eq!(
-            write.chunk_bytes(),
-            self.config.chunk_bytes,
-            "pre-hashed write cut at a foreign chunk size"
-        );
-        debug_assert!(write.verify(), "pre-hashed write carries a stale digest");
-        self.run_chunks(write.data(), Some(write.digests()))
+        self.ingest(write.data(), Some(write));
+        self.commit();
+        self.report.clone()
+    }
+
+    /// Runs `stream` — `hashed` when it was fingerprinted upstream —
+    /// through every stage, its batch commits staged in the journal but
+    /// not acknowledged: the caller stages what else the operation
+    /// journals, then calls [`Pipeline::commit`] once.
+    ///
+    /// # Panics
+    ///
+    /// As [`Pipeline::run_hashed`].
+    pub(crate) fn ingest(&mut self, stream: &[u8], hashed: Option<&HashedChunks>) {
+        if let Some(write) = hashed {
+            assert_eq!(
+                write.chunk_bytes(),
+                self.config.chunk_bytes,
+                "pre-hashed write cut at a foreign chunk size"
+            );
+            debug_assert!(write.verify(), "pre-hashed write carries a stale digest");
+        }
+        self.run_chunks(stream, hashed.map(HashedChunks::digests));
     }
 
     /// Cuts `stream` into batches of shared-buffer views, each with its
     /// share of `digests` when the caller brought them.
-    fn run_chunks(&mut self, stream: &[u8], digests: Option<&[ChunkDigest]>) -> Report {
+    fn run_chunks(&mut self, stream: &[u8], digests: Option<&[ChunkDigest]>) {
         let chunker = FixedChunker::new(self.config.chunk_bytes);
         let span = self.obs.chunking.span();
         let buf: Arc<[u8]> = Arc::from(stream);
@@ -631,7 +652,7 @@ impl Pipeline {
             let digests = digests.map(|d| d[chunks].to_vec());
             Some((BatchPayload::Shared { buf, spans }, digests))
         });
-        self.drive(batches)
+        self.drive(batches);
     }
 
     /// Runs pre-chunked blocks through the pipeline and returns the final
@@ -664,7 +685,9 @@ impl Pipeline {
             }
             Some((BatchPayload::Owned(batch), None))
         });
-        self.drive(batches)
+        self.drive(batches);
+        self.commit();
+        self.report.clone()
     }
 
     /// The double-buffered batch loop: while batch N runs its downstream
@@ -679,7 +702,7 @@ impl Pipeline {
     /// and in input order inside [`Pipeline::process_batch`], so where —
     /// or whether — this host hashed a batch changes wall-clock behavior
     /// only: simulated results are bit-identical.
-    fn drive<I>(&mut self, batches: I) -> Report
+    fn drive<I>(&mut self, batches: I)
     where
         I: Iterator<Item = (BatchPayload, Option<Vec<ChunkDigest>>)>,
     {
@@ -707,11 +730,13 @@ impl Pipeline {
         if let Some((payload, digests)) = in_flight {
             self.process_batch(&payload, digests);
         }
-        self.finish()
     }
 
-    /// Flushes the destage log and closes out the report.
-    fn finish(&mut self) -> Report {
+    /// Acknowledges and closes out an operation: one journal sync for
+    /// every record it staged ([`Pipeline::last_ack`]), then the destage
+    /// log's partial-page flush and the report's end-of-run figures.
+    pub(crate) fn commit(&mut self) {
+        self.journal_sync();
         // A refused flush leaves the tail buffered for the next one.
         let _ = self.flush();
         // End-of-run gauge sweep: per-bin occupancy (recorded once).
@@ -724,7 +749,6 @@ impl Pipeline {
         self.report.gpu_busy = self.gpu.stats().kernel_busy;
         self.report.cpu_busy = self.cpu.total_busy_time();
         self.sync_fault_counters();
-        self.report.clone()
     }
 
     /// Folds the device and latch fault tallies into the report — called

@@ -6,6 +6,7 @@ use dr_binindex::{BinIndex, ChunkRef};
 use dr_des::{Grant, SimTime};
 use dr_ssd_sim::{CrashReport, CrashSpec, SsdDevice};
 
+use crate::destage::Destager;
 use crate::ingest::FrameArena;
 use crate::journal::{Checkpoint, Frontier, Journal, JournalError, Record};
 use crate::pipeline::{power_on_gpu, FaultState, Pipeline};
@@ -75,34 +76,35 @@ impl std::fmt::Display for RecoverError {
 
 impl std::error::Error for RecoverError {}
 
-impl Pipeline {
-    /// The destage-log state a state-bearing journal record carries.
-    pub(crate) fn frontier(&self) -> Frontier {
-        let (next_data_lpn, next_index_lpn) = self.destage.frontiers();
-        Frontier {
-            next_data_lpn,
-            next_index_lpn,
-            appended_bytes: self.destage.appended_bytes(),
-            tail: self.destage.tail().to_vec(),
-        }
+/// The destage-log state a state-bearing journal record carries, the
+/// tail borrowed from `destage`.
+pub(crate) fn destage_frontier(destage: &Destager) -> Frontier<&[u8]> {
+    let (next_data_lpn, next_index_lpn) = destage.frontiers();
+    Frontier {
+        next_data_lpn,
+        next_index_lpn,
+        appended_bytes: destage.appended_bytes(),
+        tail: destage.tail(),
     }
+}
 
-    /// Runs one journal append — `append` gets the journal and the device
-    /// — and folds its grant into the device clock; `Ok(None)` when
-    /// journaling is off.
+impl Pipeline {
+    /// Runs one journal operation that ends in a sync — `op` gets the
+    /// journal and the device — and folds its grant into the device
+    /// clock; `Ok(None)` when journaling is off.
     fn journal_with(
         &mut self,
-        append: impl FnOnce(&mut Journal, &mut SsdDevice) -> Result<Grant, JournalError>,
+        op: impl FnOnce(&mut Journal, &mut SsdDevice) -> Result<Grant, JournalError>,
     ) -> Result<Option<Grant>, JournalError> {
         let Some(journal) = self.journal.as_mut() else {
             return Ok(None);
         };
-        let g = append(journal, &mut self.ssd)?;
+        let g = op(journal, &mut self.ssd)?;
         self.report.ssd_end = self.report.ssd_end.max(g.end);
         Ok(Some(g))
     }
 
-    /// Appends `record` to the journal no earlier than `at`.
+    /// Appends `record` to the journal no earlier than `at` and syncs it.
     pub(crate) fn journal_append(
         &mut self,
         at: SimTime,
@@ -118,20 +120,31 @@ impl Pipeline {
             .unwrap_or_else(|e| panic!("journal {} append failed: {e}", record.kind_name()))
     }
 
-    /// [`Pipeline::journal_record`] of a [`Record::MapUpdate`], from the
-    /// caller's borrowed volume name.
+    /// Stages a [`Record::MapUpdate`] from the caller's borrowed volume
+    /// name; the write's [`Pipeline::journal_sync`] acknowledges it. A
+    /// no-op when journaling is disabled.
     pub(crate) fn journal_map_update(
         &mut self,
         name: &str,
         start_block: u64,
         nblocks: u64,
         first_recipe: u64,
-    ) -> Option<Grant> {
+    ) {
         let at = self.report.reduction_end;
-        self.journal_with(|journal, ssd| {
-            journal.append_map_update(at, ssd, name, start_block, nblocks, first_recipe)
-        })
-        .unwrap_or_else(|e| panic!("journal map-update append failed: {e}"))
+        if let Some(journal) = self.journal.as_mut() {
+            journal
+                .stage_map_update(at, &mut self.ssd, name, start_block, nblocks, first_recipe)
+                .unwrap_or_else(|e| panic!("journal map-update append failed: {e}"));
+        }
+    }
+
+    /// Syncs the journal: one program of its open page for every record
+    /// staged since the last sync, whose grant end becomes
+    /// [`Pipeline::last_ack`]. A no-op when journaling is disabled.
+    pub(crate) fn journal_sync(&mut self) {
+        let at = self.report.reduction_end;
+        self.journal_with(|journal, ssd| journal.sync(at, ssd))
+            .unwrap_or_else(|e| panic!("journal sync failed: {e}"));
     }
 
     /// Embeds an index checkpoint in the journal, so a later recovery can
@@ -149,11 +162,11 @@ impl Pipeline {
         let snapshot = self
             .snapshot_index()
             .expect("snapshotting a live index cannot fail");
-        let record = Record::Checkpoint(Checkpoint {
-            frontier: self.frontier(),
-            snapshot,
-        });
-        self.journal_append(self.report.reduction_end, &record)?;
+        let frontier = destage_frontier(&self.destage).into_owned();
+        let record = Record::Checkpoint(Checkpoint { frontier, snapshot });
+        // Like a batch commit, not before the pages below the frontier.
+        let at = self.report.reduction_end.max(self.destage.data_end());
+        self.journal_append(at, &record)?;
         Ok(())
     }
 

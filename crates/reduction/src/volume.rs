@@ -218,11 +218,8 @@ impl VolumeManager {
         }
         let first_recipe = self.pipeline.ingested_chunks();
         // One shared buffer and a span per chunk, never a copy per chunk;
-        // `data` is chunk-aligned, so `run` cuts it at the block bounds.
-        match hashed {
-            Some(write) => self.pipeline.run_hashed(write),
-            None => self.pipeline.run(data),
-        };
+        // `data` is chunk-aligned, so `ingest` cuts it at the block bounds.
+        self.pipeline.ingest(data, hashed);
         // Re-fetched mutably after the pipeline borrow ends; the map was
         // not touched in between, but report the impossible case as a
         // typed error rather than aborting a checker run.
@@ -232,15 +229,16 @@ impl VolumeManager {
         for i in 0..n as usize {
             volume.blocks[start_block as usize + i] = Some(first_recipe + i);
         }
-        // Journal the map update; its grant end is the write's
-        // acknowledgement point ([`Pipeline::last_ack`]). The batch
-        // commits for the write's chunks are already in the journal
-        // (appended by the pipeline), so the map record is the last thing
-        // to become durable — exactly the write-ahead order recovery
+        // Stage the map update behind the write's batch commits, then
+        // commit: one sync programs the journal's open page for all of
+        // them, and its grant end is the write's acknowledgement point
+        // ([`Pipeline::last_ack`]). The map record is the last thing to
+        // become durable — exactly the write-ahead order recovery
         // assumes: an acknowledged write's data, commits, and map are all
         // in the durable prefix.
         self.pipeline
             .journal_map_update(name, start_block, n, first_recipe as u64);
+        self.pipeline.commit();
         Ok(())
     }
 
@@ -649,6 +647,80 @@ mod tests {
             m.write_hashed("v", 1, &HashedChunks::hash(&long, 4096)),
             Err(VolumeError::OutOfRange { .. })
         ));
+    }
+
+    /// A planted mutant of [`VolumeManager::write`]: it syncs the journal
+    /// *before* it stages the map update, so the ack lands ahead of the
+    /// record that makes the write visible.
+    fn sync_before_the_map_update(
+        m: &mut VolumeManager,
+        name: &str,
+        start_block: u64,
+        data: &[u8],
+    ) -> Result<(), VolumeError> {
+        let first_recipe = m.pipeline.ingested_chunks();
+        let n = (data.len() / m.pipeline.config().chunk_bytes) as u64;
+        m.pipeline.ingest(data, None);
+        let volume = m.volumes.get_mut(name).expect("the sweep's volume");
+        for i in 0..n as usize {
+            volume.blocks[start_block as usize + i] = Some(first_recipe + i);
+        }
+        m.pipeline.commit();
+        m.pipeline
+            .journal_map_update(name, start_block, n, first_recipe as u64);
+        Ok(())
+    }
+
+    #[test]
+    fn the_cut_sweep_kills_a_sync_before_the_map_update_is_staged() {
+        let found = crate::cut_sweep::sweep(sync_before_the_map_update)
+            .expect_err("the mutant must not survive the sweep");
+        assert!(found.contains("acknowledged but only"), "{found}");
+    }
+
+    #[test]
+    fn a_duplicate_write_stages_two_records_and_programs_one_page() {
+        let obs = dr_obs::ObsHandle::enabled("volume-test");
+        let mut m = VolumeManager::new(PipelineConfig {
+            mode: IntegrationMode::CpuOnly,
+            journal_pages: 64,
+            obs: obs.clone(),
+            ..PipelineConfig::default()
+        });
+        m.create_volume("v", 4).unwrap();
+        m.write("v", 0, &block(1)).unwrap();
+        let counters = || {
+            ["journal.appends", "journal.syncs", "journal.pages_written"]
+                .map(|name| obs.counter(name).get())
+        };
+        let (before, ack) = (counters(), m.last_ack());
+        m.write("v", 1, &block(1)).unwrap();
+        assert_eq!(m.report().dedup_hits, 1);
+        let after = counters();
+        let added: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+        // A batch commit and a map update, one sync, one program of the
+        // journal's open page — and nothing else on the device.
+        assert_eq!(added, [2, 1, 1]);
+        assert!(m.last_ack() > ack);
+    }
+
+    #[test]
+    fn acks_strictly_increase_write_after_write() {
+        let mut m = journaled_manager();
+        m.create_volume("v", 8).unwrap();
+        let mut last = m.last_ack();
+        let writes = [
+            (0, vec![1]),
+            (1, vec![1]),
+            (2, vec![2, 3, 4]),
+            (5, vec![2, 3, 4]),
+        ];
+        for (start, tags) in writes {
+            let data: Vec<u8> = tags.iter().flat_map(|&t| block(t)).collect();
+            m.write("v", start, &data).unwrap();
+            assert!(m.last_ack() > last, "write at {start} acked no later");
+            last = m.last_ack();
+        }
     }
 
     #[test]

@@ -43,9 +43,11 @@ cargo test --workspace -q
 # `debug_assert!(HashedChunks::verify())` compiled out — a pre-hashed
 # write is stored under whatever digest it carries, nothing re-hashes it
 # on entry — and the 16-lane SHA-1 arm scheduled and register-allocated
-# at opt-level 3. This runs both crates' tests on that code.
-echo "==> cargo test --release (dr-hashes + dr-reduction, as shipped)"
-cargo test -q --release --offline -p dr-hashes -p dr-reduction --lib --tests
+# at opt-level 3. This runs both crates' tests on that code, and
+# dr-cluster's, whose nodes take those pre-hashed writes; dr-reduction's
+# include the group-commit power-cut sweep (`tests/group_commit_cuts.rs`).
+echo "==> cargo test --release (dr-hashes + dr-reduction + dr-cluster, as shipped)"
+cargo test -q --release --offline -p dr-hashes -p dr-reduction -p dr-cluster --lib --tests
 
 # Rustdoc gate: every intra-doc link must resolve and no public doc may
 # link a private item, so deleting or renaming an item can never leave a
