@@ -4,8 +4,12 @@
 //! append-only log of device pages, so unique data reaches the SSD as
 //! *sequential* page writes (and index flushes likewise — the paper adds
 //! the bin buffer precisely to create "the appropriate sequential writes
-//! for the SSD").
+//! for the SSD"). Reads use the device's parallelism the same way:
+//! [`Destager::read_frames`] issues one command per distinct page a read
+//! batch covers, all at once, as [`Destager::drain_full`] issues a
+//! batch's full pages.
 
+use std::ops::Range;
 use std::time::Instant;
 
 use dr_binindex::ChunkRef;
@@ -67,6 +71,11 @@ pub struct Destager {
     /// on the simulated clock, and both tally on its one counter); the
     /// pipeline drives its latch, which sheds compression while open.
     pub(crate) ssd_write: Guarded,
+    /// Scratch of [`Destager::read_frames`], kept so that a read batch
+    /// allocates nothing beyond its output: the batch's frames in address
+    /// order, and the pieces of the page being gathered.
+    read_order: Vec<usize>,
+    read_pieces: Vec<Range<usize>>,
     obs: DestageObs,
 }
 
@@ -82,6 +91,8 @@ impl Destager {
             appended_bytes: 0,
             data_end: SimTime::ZERO,
             ssd_write: Guarded::new(&SSD_WRITE, DegradePolicy::default(), &ObsHandle::disabled()),
+            read_order: Vec::new(),
+            read_pieces: Vec::new(),
             obs: DestageObs::default(),
         }
     }
@@ -358,66 +369,131 @@ impl Destager {
         Ok(grants)
     }
 
-    /// Reads a chunk's frame back, appending exactly its stored bytes to
-    /// `out`. The open partial page is flushed first if the chunk's tail
-    /// still sits in it; page reads are issued serially, each starting
-    /// when the previous one completes, so multi-page frames pay real
-    /// device queueing on the simulated clock.
+    /// Reads a batch of frames back from the log into `out`, every page
+    /// read issued together so the batch pays the device's queue depth,
+    /// not one page read after another:
+    ///
+    /// - the open partial page is flushed once, and only when a frame
+    ///   reaches into it; the read of that page waits for the program's
+    ///   grant to end, every other read is issued at `now`;
+    /// - each distinct page the frames cover is read once — a page two
+    ///   adjacent frames share is one command — in ascending LPN order,
+    ///   so fault draws are deterministic, each through the retry
+    ///   schedule. The device's controller and per-die queues are what
+    ///   bound how many of them overlap.
+    ///
+    /// `out.frames[i]` says where `frames[i]`'s stored bytes sit in
+    /// `out.bytes` (one contiguous run per frame, runs in address order)
+    /// and when the last of its pages was read. Frames are expected to be
+    /// distinct, as a read batch groups them; a repeated one is read
+    /// again.
     ///
     /// # Errors
     ///
-    /// Propagates SSD errors; `out` may then hold part of the frame.
-    pub fn read_chunk(
+    /// Propagates SSD errors; `out.bytes` may then hold part of the
+    /// batch. `out.flush` is set before any page read is issued, so a
+    /// failed batch still reports the page it programmed.
+    pub fn read_frames(
         &mut self,
         now: SimTime,
         ssd: &mut SsdDevice,
-        r: ChunkRef,
-        out: &mut Vec<u8>,
-    ) -> Result<ChunkRead, SsdError> {
+        frames: &[ChunkRef],
+        out: &mut FetchedFrames,
+    ) -> Result<(), SsdError> {
         let page_bytes = self.page_bytes as u64;
-        let start = r.addr();
-        let end = start + r.stored_len() as u64;
-        let written_end = self.next_data_lpn * page_bytes;
-        let mut flush = None;
-        let mut at = now;
-        if end > written_end {
-            flush = self.flush(now, ssd)?;
-            if let Some(g) = &flush {
-                at = g.end;
-            }
+        let end_of = |r: &ChunkRef| r.addr() + r.stored_len() as u64;
+        out.bytes.clear();
+        out.frames.clear();
+        out.pages = 0;
+        out.flush = None;
+        let open_lpn = self.next_data_lpn;
+        if frames.iter().any(|r| end_of(r) > open_lpn * page_bytes) {
+            out.flush = self.flush(now, ssd)?;
         }
-        out.reserve(r.stored_len() as usize);
-        for lpn in start / page_bytes..=(end - 1) / page_bytes {
-            let page_start = lpn * page_bytes;
-            let range = (start.max(page_start) - page_start) as usize
-                ..(end.min(page_start + page_bytes) - page_start) as usize;
+
+        // Lay the frames out in address order; the pieces of each page,
+        // appended in ascending LPN order, then land in their frames' runs.
+        let (order, pieces) = (&mut self.read_order, &mut self.read_pieces);
+        order.clear();
+        order.extend(0..frames.len());
+        order.sort_unstable_by_key(|&i| frames[i].addr());
+        out.frames.resize(frames.len(), FetchedFrame::default());
+        let mut offset = 0;
+        for &i in order.iter() {
+            let len = frames[i].stored_len() as usize;
+            out.frames[i].bytes = offset..offset + len;
+            offset += len;
+        }
+        out.bytes.reserve(offset);
+
+        // Every (frame, page) piece in address order: `k` is the frame's
+        // place in `order`, so the frames that touch one page are a run
+        // of `order`.
+        let pieces_of = |(k, &i): (usize, &usize)| {
+            let (start, end) = (frames[i].addr(), end_of(&frames[i]));
+            (start / page_bytes..=(end - 1) / page_bytes).map(move |lpn| {
+                let page_start = lpn * page_bytes;
+                let piece = (start.max(page_start) - page_start) as usize
+                    ..(end.min(page_start + page_bytes) - page_start) as usize;
+                (k, lpn, piece)
+            })
+        };
+        let mut walk = order.iter().enumerate().flat_map(pieces_of).peekable();
+        pieces.clear();
+        let mut first = 0;
+        while let Some((k, lpn, piece)) = walk.next() {
+            if pieces.is_empty() {
+                first = k;
+            }
+            pieces.push(piece);
+            if walk.peek().is_some_and(|&(_, next, _)| next == lpn) {
+                continue;
+            }
+            let at = match out.flush {
+                Some(g) if lpn == open_lpn => g.end,
+                _ => now,
+            };
             // Retried like a page write, and tallied on the same counter.
             // The grant starts at the *final* (successful) attempt, so
             // retry backoff is visible in the read's simulated latency.
-            let keep = out.len();
-            let read = |at| {
-                out.truncate(keep);
-                ssd.read_page_into(at, lpn, range.clone(), out)
-            };
+            let read = |at| ssd.read_page_into(at, lpn, pieces, &mut out.bytes);
             let retry = Some("ssd-read retry");
             let g = self
                 .ssd_write
                 .retry(retry, at, SsdError::is_transient, read)
                 .result?;
-            at = g.end;
+            out.pages += 1;
+            for &i in &order[first..=k] {
+                let ready = &mut out.frames[i].ready;
+                *ready = (*ready).max(g.end);
+            }
+            pieces.clear();
         }
-        Ok(ChunkRead { done: at, flush })
+        Ok(())
     }
 }
 
-/// When a chunk read back from the log completed, and what it forced.
-#[derive(Debug, Clone, Copy)]
-pub struct ChunkRead {
-    /// When the last page read completed on the simulated clock.
-    pub done: SimTime,
-    /// Grant of the partial-page flush this read forced, if any — the
+/// Frames read back by [`Destager::read_frames`].
+#[derive(Debug, Default)]
+pub struct FetchedFrames {
+    /// The frames' stored bytes, one contiguous run per frame.
+    pub bytes: Vec<u8>,
+    /// One entry per requested frame, in request order.
+    pub frames: Vec<FetchedFrame>,
+    /// Distinct pages read.
+    pub pages: u64,
+    /// Grant of the partial-page flush the batch forced, if any — the
     /// caller folds it into the destage clock (`ssd_end`).
     pub flush: Option<Grant>,
+}
+
+/// One frame of a [`FetchedFrames`].
+#[derive(Debug, Clone, Default)]
+pub struct FetchedFrame {
+    /// Where the frame's stored bytes sit in [`FetchedFrames::bytes`].
+    pub bytes: Range<usize>,
+    /// When the last of its page reads completed on the simulated clock.
+    pub ready: SimTime,
 }
 
 #[cfg(test)]
@@ -435,15 +511,32 @@ mod tests {
         })
     }
 
-    /// Reads `r` back from the start of time into a fresh buffer.
+    /// Reads `frames` back as one batch issued at `now`.
+    fn read_at(
+        log: &mut Destager,
+        dev: &mut SsdDevice,
+        now: SimTime,
+        frames: &[ChunkRef],
+    ) -> Result<FetchedFrames, SsdError> {
+        let mut fetched = FetchedFrames::default();
+        log.read_frames(now, dev, frames, &mut fetched)?;
+        Ok(fetched)
+    }
+
+    /// Reads `r` back alone, from the start of time: its bytes are the
+    /// whole of `bytes`.
     fn read_back(
         log: &mut Destager,
         dev: &mut SsdDevice,
         r: ChunkRef,
-    ) -> Result<(Vec<u8>, ChunkRead), SsdError> {
-        let mut bytes = Vec::new();
-        let read = log.read_chunk(SimTime::ZERO, dev, r, &mut bytes)?;
-        Ok((bytes, read))
+    ) -> Result<FetchedFrames, SsdError> {
+        read_at(log, dev, SimTime::ZERO, &[r])
+    }
+
+    /// One page read's service time on an idle device: controller, then
+    /// the die.
+    fn page_read_ns(dev: &SsdDevice) -> u64 {
+        (dev.spec().t_ctrl + dev.spec().t_read).as_nanos()
     }
 
     #[test]
@@ -477,31 +570,74 @@ mod tests {
         let frame_b: Vec<u8> = (0..3000u32).map(|i| (i % 13) as u8).collect();
         let (ra, _) = log.append(SimTime::ZERO, &mut dev, &frame_a).unwrap();
         let (rb, _) = log.append(SimTime::ZERO, &mut dev, &frame_b).unwrap();
-        assert_eq!(read_back(&mut log, &mut dev, ra).unwrap().0, frame_a);
-        assert_eq!(read_back(&mut log, &mut dev, rb).unwrap().0, frame_b);
+        assert_eq!(read_back(&mut log, &mut dev, ra).unwrap().bytes, frame_a);
+        assert_eq!(read_back(&mut log, &mut dev, rb).unwrap().bytes, frame_b);
     }
 
     #[test]
-    fn reads_take_simulated_time_and_chain_across_pages() {
+    fn pages_on_distinct_dies_are_read_in_parallel() {
         let mut dev = ssd();
         let mut log = Destager::new(&dev);
+        // Three pages, programmed round-robin onto three of the four dies.
         let frame: Vec<u8> = (0..9000u32).map(|i| (i % 251) as u8).collect();
         let (r, _) = log.append(SimTime::ZERO, &mut dev, &frame).unwrap();
-        let (bytes, read) = read_back(&mut log, &mut dev, r).unwrap();
-        assert_eq!(bytes, frame);
-        assert!(read.done > SimTime::ZERO, "page reads must cost sim time");
-        // The frame spans 3 pages read serially (plus the tail-forced
-        // flush), so the total elapsed time must exceed two pure page-read
-        // service times — impossible for a single parallel-issued read.
-        // The probe is issued at `read.done` (device idle) so its grant
-        // start/end bracket the service time alone, free of queueing.
-        let (one_page, g) = dev.read_page(read.done, 0).unwrap();
-        assert_eq!(one_page.len(), 4096);
-        let service = g.end.saturating_duration_since(g.start).as_nanos();
-        assert!(
-            read.done.as_nanos() > 2 * service,
-            "multi-page reads chain serially"
+        log.flush(SimTime::ZERO, &mut dev).unwrap();
+        let idle = log.data_end();
+        let read = read_at(&mut log, &mut dev, idle, &[r]).unwrap();
+        assert_eq!(read.bytes, frame);
+        assert_eq!(read.pages, 3);
+        // The controller takes one command at a time; the dies then read
+        // side by side: three page reads cost two controller slots more
+        // than one, not three page reads.
+        let took = read.frames[0].ready.saturating_duration_since(idle);
+        let t_ctrl = dev.spec().t_ctrl.as_nanos();
+        assert_eq!(took.as_nanos(), page_read_ns(&dev) + 2 * t_ctrl);
+        assert!(took.as_nanos() < 2 * page_read_ns(&dev));
+    }
+
+    #[test]
+    fn pages_on_one_die_queue_behind_each_other() {
+        let mut dev = ssd();
+        let mut log = Destager::new(&dev);
+        // Five one-page frames: pages 0 and 4 share die 0 of four.
+        let mut refs = Vec::new();
+        for f in 0..5u8 {
+            refs.push(log.append(SimTime::ZERO, &mut dev, &[f; 4096]).unwrap().0);
+        }
+        let idle = log.data_end();
+        let read = read_at(&mut log, &mut dev, idle, &[refs[4], refs[0]]).unwrap();
+        assert_eq!(read.bytes[..4096], [0u8; 4096], "address order");
+        assert_eq!(read.frames[0].bytes, 4096..8192, "request order");
+        let (first, second) = (read.frames[1].ready, read.frames[0].ready);
+        assert_eq!(
+            first.saturating_duration_since(idle).as_nanos(),
+            page_read_ns(&dev)
         );
+        assert_eq!(second.saturating_duration_since(first), dev.spec().t_read);
+    }
+
+    #[test]
+    fn a_page_two_frames_share_is_read_once() {
+        let mut dev = ssd();
+        let mut log = Destager::new(&dev);
+        // 3000-byte frames: the second starts in page 0 and ends in page 1.
+        let frames: Vec<Vec<u8>> = (0..3u32)
+            .map(|f| (0..3000u32).map(|i| (i * 3 + f) as u8).collect())
+            .collect();
+        let refs: Vec<ChunkRef> = (frames.iter())
+            .map(|frame| log.append(SimTime::ZERO, &mut dev, frame).unwrap().0)
+            .collect();
+        log.flush(SimTime::ZERO, &mut dev).unwrap();
+        let (reads_before, idle) = (dev.stats().reads, log.data_end());
+        let read = read_at(&mut log, &mut dev, idle, &refs).unwrap();
+        // Pages 0, 1 and 2: three commands for five (frame, page) pieces.
+        assert_eq!(dev.stats().reads - reads_before, 3);
+        assert_eq!(read.pages, 3);
+        for (f, frame) in read.frames.iter().zip(&frames) {
+            assert_eq!(&read.bytes[f.bytes.clone()], frame);
+        }
+        // Frames 0 and 1 share page 0's read; frame 1 also waits for page 1.
+        assert!(read.frames[0].ready < read.frames[1].ready);
     }
 
     #[test]
@@ -510,9 +646,43 @@ mod tests {
         let mut log = Destager::new(&dev);
         let (r, grants) = log.append(SimTime::ZERO, &mut dev, b"small frame").unwrap();
         assert!(grants.is_empty());
-        let (bytes, back) = read_back(&mut log, &mut dev, r).unwrap();
-        assert_eq!(bytes, b"small frame");
+        let back = read_back(&mut log, &mut dev, r).unwrap();
+        assert_eq!(back.bytes, b"small frame");
         assert!(back.flush.is_some(), "reading the open page flushes it");
+        let again = read_back(&mut log, &mut dev, r).unwrap();
+        assert!(again.flush.is_none(), "a written page is not flushed again");
+    }
+
+    #[test]
+    fn the_flushed_page_is_read_only_once_its_program_ends() {
+        use dr_obs::{ObsHandle, Tracer};
+        let tracer = Tracer::enabled();
+        let mut dev = ssd();
+        dev.set_obs(&ObsHandle::enabled("flush-read").with_tracer(tracer.clone()));
+        let mut log = Destager::new(&dev);
+        let (full, _) = log.append(SimTime::ZERO, &mut dev, &[1u8; 4096]).unwrap();
+        let (open, grants) = log.append(SimTime::ZERO, &mut dev, b"small frame").unwrap();
+        assert!(grants.is_empty());
+        let idle = log.data_end();
+        tracer.sink().unwrap().drain();
+        let read = read_at(&mut log, &mut dev, idle, &[open, full]).unwrap();
+        let flush = read.flush.expect("the open page was flushed");
+        assert_eq!(&read.bytes[read.frames[0].bytes.clone()], b"small frame");
+        let events = tracer.sink().unwrap().drain();
+        let started = |lpn: u64| {
+            let span = events
+                .iter()
+                .find(|e| e.name == "read-page" && e.args.contains(&Some(("lpn", lpn))));
+            SimTime::from_nanos(span.expect("page read traced").ts_ns)
+        };
+        assert!(
+            started(1) >= flush.end,
+            "flushed page read before its program"
+        );
+        assert!(
+            started(0) < flush.end,
+            "a written page does not wait for it"
+        );
     }
 
     #[test]
@@ -664,7 +834,7 @@ mod tests {
         // Every data page survives intact.
         for lpn in 0..top {
             let r = ChunkRef::new(lpn * 4096, 4096);
-            assert_eq!(read_back(&mut log, &mut dev, r).unwrap().0, frame);
+            assert_eq!(read_back(&mut log, &mut dev, r).unwrap().bytes, frame);
         }
     }
 
@@ -717,7 +887,7 @@ mod tests {
         );
         assert!(dev.stats().faults_injected > 0);
         for r in refs {
-            assert_eq!(read_back(&mut log, &mut dev, r).unwrap().0, frame);
+            assert_eq!(read_back(&mut log, &mut dev, r).unwrap().bytes, frame);
         }
     }
 
@@ -741,15 +911,36 @@ mod tests {
         // The next frame lands right behind it, and both read back.
         let (r2, _) = log.append(SimTime::ZERO, &mut dev, &frame[..10]).unwrap();
         assert_eq!(r2.addr(), 1000);
-        assert_eq!(read_back(&mut log, &mut dev, r).unwrap().0, frame);
-        assert_eq!(read_back(&mut log, &mut dev, r2).unwrap().0, frame[..10]);
+        assert_eq!(read_back(&mut log, &mut dev, r).unwrap().bytes, frame);
+        assert_eq!(
+            read_back(&mut log, &mut dev, r2).unwrap().bytes,
+            frame[..10]
+        );
     }
 
     #[test]
     fn ranged_page_reads_draw_faults_exactly_like_whole_page_reads() {
         // Silent bit flips and transient read errors both on. `twin` is an
-        // identically seeded device read the way `read_chunk` used to:
-        // whole pages through the retry schedule, concatenated, sliced.
+        // identically seeded device read the plain way: whole pages, each
+        // once, in ascending LPN order, through the retry schedule,
+        // concatenated, sliced.
+        fn whole_pages(
+            log: &mut Destager,
+            dev: &mut SsdDevice,
+            lpns: std::ops::RangeInclusive<u64>,
+        ) -> (Vec<u8>, Vec<SimTime>) {
+            let (mut image, mut ends) = (Vec::new(), Vec::new());
+            for lpn in lpns {
+                let read = |at| dev.read_page(at, lpn);
+                let (page, g) = (log.ssd_write)
+                    .retry(None, SimTime::ZERO, SsdError::is_transient, read)
+                    .result
+                    .unwrap();
+                image.extend_from_slice(&page);
+                ends.push(g.end);
+            }
+            (image, ends)
+        }
         let spec = || {
             let mut spec = SsdSpec {
                 channels: 2,
@@ -778,27 +969,19 @@ mod tests {
         log.flush(SimTime::ZERO, &mut dev).unwrap();
         twin_log.flush(SimTime::ZERO, &mut twin).unwrap();
 
+        let pages_of = |r: &ChunkRef| r.addr() / 4096..=(r.addr() + 2999) / 4096;
+
+        // One frame per batch.
         let (mut two_page, mut flipped) = (0, 0);
         for (r, frame) in refs.iter().zip(&frames) {
-            let (got, read) = read_back(&mut log, &mut dev, *r).unwrap();
-            let (first, last) = (r.addr() / 4096, (r.addr() + 2999) / 4096);
-            let mut whole = Vec::new();
-            let mut at = SimTime::ZERO;
-            for lpn in first..=last {
-                let read = |at| twin.read_page(at, lpn);
-                let (page, g) = twin_log
-                    .ssd_write
-                    .retry(None, at, SsdError::is_transient, read)
-                    .result
-                    .unwrap();
-                whole.extend_from_slice(&page);
-                at = g.end;
-            }
-            let offset = (r.addr() - first * 4096) as usize;
-            assert_eq!(got, whole[offset..offset + 3000], "frame at {}", r.addr());
-            assert_eq!(read.done, at);
-            two_page += (last > first) as u32;
-            flipped += (got != *frame) as u32;
+            let read = read_back(&mut log, &mut dev, *r).unwrap();
+            let (image, ends) = whole_pages(&mut twin_log, &mut twin, pages_of(r));
+            let offset = (r.addr() % 4096) as usize;
+            let want = &image[offset..offset + 3000];
+            assert_eq!(read.bytes, want, "frame at {}", r.addr());
+            assert_eq!(Some(&read.frames[0].ready), ends.iter().max());
+            two_page += (ends.len() > 1) as u32;
+            flipped += (read.bytes != *frame) as u32;
         }
         assert_eq!(dev.stats().faults_injected, twin.stats().faults_injected);
         assert_eq!(log.fault_retries(), twin_log.fault_retries());
@@ -810,6 +993,27 @@ mod tests {
             (dev.stats().faults_injected, log.fault_retries(), flipped),
             (6, 6, 3)
         );
+
+        // Every frame in one batch: each page is read once, so 18 page
+        // reads serve the 41 (frame, page) pieces, drawing faults as the
+        // twin's one ascending pass over the same pages does.
+        let reads_before = dev.stats().reads;
+        let batch = read_at(&mut log, &mut dev, SimTime::ZERO, &refs).unwrap();
+        let last_page = *pages_of(refs.last().unwrap()).end();
+        let (image, ends) = whole_pages(&mut twin_log, &mut twin, 0..=last_page);
+        assert_eq!((batch.pages, dev.stats().reads - reads_before), (18, 18));
+        for (r, f) in refs.iter().zip(&batch.frames) {
+            let addr = r.addr() as usize;
+            assert_eq!(batch.bytes[f.bytes.clone()], image[addr..addr + 3000]);
+            let pages = pages_of(r);
+            let ready = ends[*pages.start() as usize..=*pages.end() as usize]
+                .iter()
+                .max();
+            assert_eq!(Some(&f.ready), ready, "frame at {addr}");
+        }
+        assert_eq!(dev.stats().faults_injected, twin.stats().faults_injected);
+        assert_eq!(log.fault_retries(), twin_log.fault_retries());
+        assert_eq!(dev.stats().reads, twin.stats().reads);
     }
 
     #[test]

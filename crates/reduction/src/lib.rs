@@ -86,7 +86,7 @@ pub use background::{
 pub use calibrate::{calibrate, CalibrationOutcome};
 pub use cpu_model::CpuModel;
 pub use degrade::{ComponentLatch, DegradePolicy};
-pub use destage::{ChunkRead, Destager};
+pub use destage::{Destager, FetchedFrame, FetchedFrames};
 pub use error::ReadError;
 pub use ingest::HashedChunks;
 pub use journal::{Journal, JournalError, Record};

@@ -240,9 +240,13 @@ pub(crate) struct PipelineObs {
     pub(crate) read_cache_entries: GaugeHandle,
     pub(crate) read_gpu_batches: CounterHandle,
     pub(crate) read_latency: HistogramHandle,
+    /// `read.pages`: distinct device pages the cold fetches read — against
+    /// `read.cache_misses` it says how often frames share a page read.
+    pub(crate) read_pages: CounterHandle,
     /// `read.fetch.wall_ns` / `read.fetch.sim_ns` and `read.decode.*`: a
-    /// batch's cold-frame fetch loop and its decompression, one sample
-    /// each per batch that had a cold frame.
+    /// batch's cold-frame fetch (on the simulated clock, the batch fetch
+    /// span: issue to the last page read) and its decompression, one
+    /// sample each per batch that had a cold frame.
     pub(crate) read_fetch: StageObs,
     pub(crate) read_decode: StageObs,
     /// Event tracer (disabled unless the handle carries one): per-batch
@@ -274,6 +278,7 @@ impl PipelineObs {
             read_cache_entries: obs.gauge("read.cache_entries"),
             read_gpu_batches: obs.counter("read.gpu_batches"),
             read_latency: obs.histogram("read.latency_sim_ns"),
+            read_pages: obs.counter("read.pages"),
             read_fetch: obs.stage("read.fetch"),
             read_decode: obs.stage("read.decode"),
             tracer: obs.tracer().clone(),

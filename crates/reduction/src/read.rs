@@ -3,14 +3,15 @@
 //!
 //! Reads are grouped by stored frame, served from a small
 //! capacity-bounded LRU over decompressed chunks (keyed by the chunk's
-//! destage-log address) when resident, and otherwise fetched and
+//! destage-log address) when resident, and otherwise fetched — the whole
+//! batch's page reads at once, one per distinct page
+//! ([`Destager::read_frames`](crate::Destager::read_frames)) — and
 //! decompressed on the CPU or — for bulk cold batches — the GPU. Because
 //! deduplication makes many logical blocks resolve to one stored frame,
 //! even a modest cache absorbs the re-read traffic of hot working sets
 //! (the VDI boot storm the paper targets).
 
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::Arc;
 
 use dr_binindex::ChunkRef;
@@ -18,6 +19,7 @@ use dr_compress::frame;
 use dr_des::SimTime;
 use dr_obs::trace::{trace_args, Track};
 
+use crate::destage::FetchedFrames;
 use crate::error::ReadError;
 use crate::pipeline::Pipeline;
 
@@ -203,7 +205,8 @@ const SCAN_MAX_REQUESTS: usize = 32;
 struct Slot {
     addr: u64,
     /// The decompressed chunk: captured from the cache at batch issue, or
-    /// filled in by the batch's own decode.
+    /// filled in by the batch's own decode — until then, `None` marks the
+    /// slot as one of the batch's cold frames.
     bytes: Option<SharedChunk>,
     /// When this batch's decode of the frame was ready; `None` for a frame
     /// that was cached at batch issue.
@@ -240,18 +243,6 @@ impl Grouped {
     }
 }
 
-/// A cold frame on its way through a read batch.
-struct ColdFrame {
-    /// Index of its [`Slot`].
-    slot: usize,
-    chunk: ChunkRef,
-    /// Where the sealed frame (integrity envelope skipped) sits in the
-    /// batch's fetch buffer.
-    frame: Range<usize>,
-    /// When its last page read completed.
-    fetched_at: SimTime,
-}
-
 impl Pipeline {
     /// Reads a stored chunk back from the SSD and unseals it — the
     /// single-request form of [`Pipeline::read_chunks`].
@@ -277,7 +268,10 @@ impl Pipeline {
     /// through the `gpu_decompress` latch.
     ///
     /// Every read advances the simulated clock: the batch issues at
-    /// `max(read_end, reduction_end)` and [`Report::read_end`](crate::Report::read_end) records
+    /// `max(read_end, reduction_end)`, every page read of its cold frames
+    /// goes to the device at that instant, a CPU decode starts when its
+    /// own frame's pages are in and the GPU kernel when the last frame's
+    /// are, and [`Report::read_end`](crate::Report::read_end) records
     /// when its last request completed. Returned bytes are bit-identical
     /// to looping over [`Pipeline::read_chunk`], whichever way the batch
     /// was routed.
@@ -309,7 +303,8 @@ impl Pipeline {
         // evict them before delivery. Each distinct cold frame is fetched
         // and decompressed exactly once.
         let mut grouped = Grouped::for_requests(refs.len());
-        let mut cold: Vec<ColdFrame> = Vec::new();
+        // The cold frames, in the order of their slots.
+        let mut cold: Vec<ChunkRef> = Vec::new();
         for r in refs {
             if grouped.find(r.addr()).is_some() {
                 continue;
@@ -320,12 +315,7 @@ impl Pipeline {
                     // At most every request not yet grouped is cold.
                     cold.reserve(refs.len() - grouped.slots.len());
                 }
-                cold.push(ColdFrame {
-                    slot: grouped.slots.len(),
-                    chunk: *r,
-                    frame: 0..0,
-                    fetched_at: now,
-                });
+                cold.push(*r);
             }
             grouped.push(Slot {
                 addr: r.addr(),
@@ -336,28 +326,28 @@ impl Pipeline {
 
         let mut at = now;
         if !cold.is_empty() {
-            // Fetch cold frames serially through the destager (page reads
-            // chain on the device clock) into one buffer, verifying each
-            // integrity envelope where it lands.
+            // Fetch every cold frame in one device batch: all page reads
+            // issued at `now`, one per distinct page. Then verify each
+            // integrity envelope where it landed and narrow the frame's
+            // range to the sealed frame behind it.
             let fetch_span = self.obs.read_fetch.span();
-            let stored: usize = cold.iter().map(|c| c.chunk.stored_len() as usize).sum();
-            let mut fetched = Vec::with_capacity(stored);
-            for c in &mut cold {
-                let begin = fetched.len();
-                let read = self
-                    .destage
-                    .read_chunk(at, &mut self.ssd, c.chunk, &mut fetched)?;
-                if let Some(g) = read.flush {
-                    self.report.ssd_end = self.report.ssd_end.max(g.end);
+            let mut fetched = FetchedFrames::default();
+            let read = self
+                .destage
+                .read_frames(now, &mut self.ssd, &cold, &mut fetched);
+            // The flush programmed its page whether or not the reads after
+            // it succeeded.
+            if let Some(g) = fetched.flush {
+                self.report.ssd_end = self.report.ssd_end.max(g.end);
+            }
+            self.obs.read_pages.add(fetched.pages);
+            read?;
+            for f in &mut fetched.frames {
+                if self.config.integrity {
+                    let sealed = frame::verify_and_strip(&fetched.bytes[f.bytes.clone()])?;
+                    f.bytes.start = f.bytes.end - sealed.len();
                 }
-                at = read.done;
-                let sealed = if self.config.integrity {
-                    frame::verify_and_strip(&fetched[begin..])?.len()
-                } else {
-                    fetched.len() - begin
-                };
-                c.frame = fetched.len() - sealed..fetched.len();
-                c.fetched_at = read.done;
+                at = at.max(f.ready);
             }
             self.obs
                 .read_fetch
@@ -373,9 +363,9 @@ impl Pipeline {
                 && cold.len() >= self.config.read.gpu_min_batch
                 && self.fault.gpu_decompress.allow(at);
             let decoded = if use_gpu {
-                self.gpu_decompress_reads(&fetched, &cold, &mut grouped.slots, at)?
+                self.gpu_decompress_reads(&fetched, &mut grouped.slots, at)?
             } else {
-                self.cpu_decompress_reads(&fetched, &cold, &mut grouped.slots, SimTime::ZERO)?
+                self.cpu_decompress_reads(&fetched, &mut grouped.slots, SimTime::ZERO)?
             };
             self.obs
                 .read_decode
@@ -386,8 +376,7 @@ impl Pipeline {
             // them — and only once every frame decoded, so a corrupt
             // frame is re-detected on every re-read.
             if self.config.read.cache_chunks > 0 {
-                for c in &cold {
-                    let slot = &grouped.slots[c.slot];
+                for slot in grouped.slots.iter().filter(|s| s.decoded_at.is_some()) {
                     let bytes = slot.bytes.as_ref().expect("cold frame was decoded");
                     let evicted = self.read_cache.insert(slot.addr, Arc::clone(bytes));
                     if evicted > 0 {
@@ -440,27 +429,27 @@ impl Pipeline {
         Ok(out)
     }
 
-    /// CPU decompression of fetched cold frames: each frame decodes on a
-    /// simulated CPU worker at its fetch-ready instant (or `floor`, when a
-    /// failed GPU attempt handed the batch over — degradation is never
-    /// free). Returns when the last one was ready.
+    /// CPU decompression of fetched cold frames into their slots (the
+    /// slots without bytes, in order): each frame decodes on a simulated
+    /// CPU worker at its fetch-ready instant (or `floor`, when a failed
+    /// GPU attempt handed the batch over — degradation is never free).
+    /// Returns when the last one was ready.
     fn cpu_decompress_reads(
         &mut self,
-        fetched: &[u8],
-        cold: &[ColdFrame],
+        fetched: &FetchedFrames,
         slots: &mut [Slot],
         floor: SimTime,
     ) -> Result<SimTime, ReadError> {
         let cpu_model = self.config.cpu;
         let mut done = floor;
-        for c in cold {
-            let chunk = frame::open(&fetched[c.frame.clone()])?;
-            let g = self.cpu.acquire(
-                c.fetched_at.max(floor),
-                cpu_model.decompress_cost(chunk.len()),
-            );
-            slots[c.slot].bytes = Some(Arc::new(chunk));
-            slots[c.slot].decoded_at = Some(g.end);
+        let cold = slots.iter_mut().filter(|s| s.bytes.is_none());
+        for (slot, f) in cold.zip(&fetched.frames) {
+            let chunk = frame::open(&fetched.bytes[f.bytes.clone()])?;
+            let g = self
+                .cpu
+                .acquire(f.ready.max(floor), cpu_model.decompress_cost(chunk.len()));
+            slot.bytes = Some(Arc::new(chunk));
+            slot.decoded_at = Some(g.end);
             done = done.max(g.end);
         }
         Ok(done)
@@ -474,13 +463,14 @@ impl Pipeline {
     /// Returns when the last chunk was ready.
     fn gpu_decompress_reads(
         &mut self,
-        fetched: &[u8],
-        cold: &[ColdFrame],
+        fetched: &FetchedFrames,
         slots: &mut [Slot],
         batch_ready: SimTime,
     ) -> Result<SimTime, ReadError> {
         let cpu_model = self.config.cpu;
-        let views: Vec<&[u8]> = cold.iter().map(|c| &fetched[c.frame.clone()]).collect();
+        let views: Vec<&[u8]> = (fetched.frames.iter())
+            .map(|f| &fetched.bytes[f.bytes.clone()])
+            .collect();
         let (gpu_decomp, gpu) = (&mut self.gpu_decomp, &mut self.gpu);
         let decompressed = self.fault.gpu_decompress.attempt(
             batch_ready,
@@ -489,12 +479,13 @@ impl Pipeline {
         );
         let (chunks, report) = match decompressed {
             Ok(out) => out,
-            Err(floor) => return self.cpu_decompress_reads(fetched, cold, slots, floor),
+            Err(floor) => return self.cpu_decompress_reads(fetched, slots, floor),
         };
         self.report.gpu_decomp_batches += 1;
         self.obs.read_gpu_batches.incr();
         let mut done = report.gpu_done;
-        for (c, chunk) in cold.iter().zip(chunks) {
+        let cold = slots.iter_mut().filter(|s| s.bytes.is_none());
+        for (slot, chunk) in cold.zip(chunks) {
             let chunk = chunk?;
             // Host-side frame assembly once the kernels and the D2H copy
             // are done: the fixed decode overhead only — the byte work
@@ -502,8 +493,8 @@ impl Pipeline {
             let g = self
                 .cpu
                 .acquire(report.gpu_done, cpu_model.decompress_cost(0));
-            slots[c.slot].bytes = Some(Arc::new(chunk));
-            slots[c.slot].decoded_at = Some(g.end);
+            slot.bytes = Some(Arc::new(chunk));
+            slot.decoded_at = Some(g.end);
             done = done.max(g.end);
         }
         Ok(done)
@@ -854,6 +845,117 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_read_batch_still_reports_the_flush_it_forced() {
+        let mut p = Pipeline::new(small_config(IntegrationMode::CpuOnly));
+        // Ingested but not committed: the open page is not flushed yet.
+        p.ingest(&stream(), None);
+        let last = *p.recipe.last().unwrap();
+        assert!(
+            !p.destage.tail().is_empty(),
+            "the last frame sits in the open page"
+        );
+        let before = p.report().ssd_end;
+        p.set_ssd_faults(dr_ssd_sim::SsdFaultSpec {
+            read_error_rate: 1.0,
+            ..dr_ssd_sim::SsdFaultSpec::default()
+        });
+        assert!(matches!(p.read_chunk(last), Err(ReadError::Device(_))));
+        assert!(p.destage.tail().is_empty(), "the open page was programmed");
+        let flushed = p.destage.data_end();
+        assert!(flushed > before);
+        assert!(
+            p.report().ssd_end >= flushed,
+            "the flush's program is reported"
+        );
+    }
+
+    /// A block whose first half is noise seeded by `content` and whose
+    /// second half is `content`'s byte: equal contents deduplicate.
+    fn block(content: u64) -> Vec<u8> {
+        let mut rng = dr_des::SplitMix64::new(content + 1);
+        let mut block = vec![content as u8; 4096];
+        for b in &mut block[..2048] {
+            *b = rng.next_u64() as u8;
+        }
+        block
+    }
+
+    #[test]
+    fn batched_reads_match_a_serial_loop_over_random_batches() {
+        let mut open_page_batches = 0;
+        for case in 0..24u64 {
+            let mut rng = dr_des::SplitMix64::new(0xBA7C + case);
+            let mode = match case % 2 {
+                0 => IntegrationMode::CpuOnly,
+                _ => IntegrationMode::GpuForCompression,
+            };
+            // Few contents over many blocks: a batch repeats blocks and
+            // blocks share frames. A small cache evicts.
+            let (blocks, contents) = (48 + rng.next_below(80), 8 + rng.next_below(32));
+            let mut data: Vec<u8> = (0..blocks)
+                .flat_map(|_| block(rng.next_below(contents)))
+                .collect();
+            let mut cfg = small_config(mode);
+            cfg.read.cache_chunks = 1 + rng.next_below(24) as usize;
+            let mut batched = Pipeline::new(cfg.clone());
+            let mut serial = Pipeline::new(cfg);
+            // Ingested, not committed: the last frames sit in the open page.
+            batched.ingest(&data, None);
+            serial.ingest(&data, None);
+            // Warm a few blocks on both, so a batch mixes hits and cold
+            // frames; the open page stays open unless one of them is in it.
+            for _ in 0..rng.next_below(4) {
+                let i = rng.next_below(blocks) as usize;
+                batched.read_block(i).unwrap();
+                serial.read_block(i).unwrap();
+            }
+            let random_batch = |rng: &mut dr_des::SplitMix64, blocks: u64| -> Vec<usize> {
+                let len = 1 + rng.next_below(32);
+                (0..len).map(|_| rng.next_below(blocks) as usize).collect()
+            };
+            let open = !batched.destage.tail().is_empty();
+            let batch = random_batch(&mut rng, blocks);
+            let got = batched.read_blocks(&batch).unwrap();
+            for (&i, bytes) in batch.iter().zip(&got) {
+                assert_eq!(
+                    *bytes,
+                    serial.read_block(i).unwrap(),
+                    "case {case} block {i}"
+                );
+                assert_eq!(bytes[..], data[i * 4096..][..4096], "case {case} block {i}");
+            }
+            open_page_batches += (open && batched.destage.tail().is_empty()) as u32;
+            let (at, serial_at) = (batched.report().read_end, serial.report().read_end);
+            assert!(
+                at <= serial_at,
+                "case {case}: batch ends {at:?}, loop {serial_at:?}"
+            );
+            // More batches on the batched side, some after fresh writes
+            // into the open page: the clock only moves on.
+            let (mut blocks, mut last) = (blocks, at);
+            for _ in 0..4 {
+                if rng.next_below(2) == 0 {
+                    let fresh: Vec<u8> = (0..1 + rng.next_below(6))
+                        .flat_map(|_| block(rng.next_below(2 * contents)))
+                        .collect();
+                    batched.ingest(&fresh, None);
+                    data.extend_from_slice(&fresh);
+                    blocks = (data.len() / 4096) as u64;
+                }
+                let batch = random_batch(&mut rng, blocks);
+                let got = batched.read_blocks(&batch).unwrap();
+                for (&i, bytes) in batch.iter().zip(&got) {
+                    assert_eq!(bytes[..], data[i * 4096..][..4096], "case {case} block {i}");
+                }
+                let now = batched.report().read_end;
+                assert!(now >= last, "case {case}: read_end went back");
+                last = now;
+            }
+        }
+        assert!(open_page_batches > 0, "no batch reached into the open page");
+    }
+
+    #[test]
     fn fetch_and_decode_stages_sample_once_per_batch_with_a_cold_frame() {
         let obs = dr_obs::ObsHandle::enabled("t");
         let mut cfg = small_config(IntegrationMode::CpuOnly);
@@ -878,6 +980,29 @@ mod tests {
             assert_eq!(hist.count, 2, "{name}");
             assert!(hist.min > 0, "{name} recorded an empty span");
         }
+    }
+
+    #[test]
+    fn read_pages_counts_each_page_a_batch_fetches_once() {
+        let obs = dr_obs::ObsHandle::enabled("t");
+        let mut cfg = small_config(IntegrationMode::CpuOnly);
+        cfg.obs = obs.clone();
+        let mut p = Pipeline::new(cfg);
+        p.run(&stream());
+        // All 32 distinct frames, about two to a page, in one batch.
+        p.read_blocks(&(0..32).collect::<Vec<_>>()).unwrap();
+        let snap = obs.snapshot().unwrap();
+        let counter = |name: &str| {
+            let found = snap.counters.iter().find(|(n, _)| n == name);
+            found.map_or(0, |(_, v)| *v)
+        };
+        assert_eq!(counter("read.cache_misses"), 32);
+        assert_eq!(counter("read.pages"), counter("ssd.reads"));
+        assert_eq!(counter("read.pages"), p.ssd.stats().reads);
+        assert!(
+            counter("read.pages") < 32,
+            "frames sharing a page share its read"
+        );
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
+use std::slice;
 
 use dr_des::{Grant, Resource, SimDuration, SimTime};
 use dr_obs::trace::{trace_args, Tracer, Track};
@@ -350,15 +351,17 @@ impl SsdDevice {
     pub fn read_page(&mut self, now: SimTime, lpn: u64) -> Result<(Vec<u8>, Grant), SsdError> {
         let page_bytes = self.ftl.spec().page_bytes as usize;
         let mut data = Vec::with_capacity(page_bytes);
-        let grant = self.read_page_into(now, lpn, 0..page_bytes, &mut data)?;
+        let grant = self.read_page_into(now, lpn, slice::from_ref(&(0..page_bytes)), &mut data)?;
         Ok((data, grant))
     }
 
-    /// Reads one page and appends bytes `range` of it to `out` — the page
-    /// read itself, for callers that want part of a page in a buffer they
-    /// already own. The command is a whole-page read whatever the range:
-    /// timing, statistics and fault draws do not depend on it, and an
-    /// injected bit flip that lands outside `range` is simply not seen.
+    /// Reads one page and appends each of `ranges` of it to `out`, in
+    /// order — the page read itself, for callers that want parts of a
+    /// page in a buffer they already own (the frames of a read batch that
+    /// share the page: one command for all of them). The command is a
+    /// whole-page read whatever the ranges: timing, statistics and fault
+    /// draws do not depend on them, and an injected bit flip shows in
+    /// every range that covers it and is simply not seen outside them.
     /// `out` is untouched on error.
     ///
     /// # Errors
@@ -369,12 +372,12 @@ impl SsdDevice {
     ///
     /// # Panics
     ///
-    /// Panics when `range` reaches past the page.
+    /// Panics when a range reaches past the page.
     pub fn read_page_into(
         &mut self,
         now: SimTime,
         lpn: u64,
-        range: Range<usize>,
+        ranges: &[Range<usize>],
         out: &mut Vec<u8>,
     ) -> Result<Grant, SsdError> {
         if let Some(fault) = self.draw_transient_fault(lpn, false) {
@@ -385,19 +388,26 @@ impl SsdDevice {
         let front = self.controller.acquire(now, t_ctrl);
         let end = Self::run_ops(&mut self.dies, self.ftl.spec(), front.end, &[op]);
         let page_bytes = self.ftl.spec().page_bytes as usize;
-        assert!(range.end <= page_bytes, "read range {range:?} exceeds page");
         let at = out.len();
-        match self.store.as_ref().and_then(|store| store.get(&lpn)) {
-            Some(page) => out.extend_from_slice(&page[range.clone()]),
-            None => out.resize(at + range.len(), 0),
+        let page = self.store.as_ref().and_then(|store| store.get(&lpn));
+        for range in ranges {
+            assert!(range.end <= page_bytes, "read range {range:?} exceeds page");
+            match page {
+                Some(page) => out.extend_from_slice(&page[range.clone()]),
+                None => out.resize(out.len() + range.len(), 0),
+            }
         }
         // Uncorrectable-read-error injection: flip one bit of the page.
         let fault_rate = self.ftl.spec().read_fault_rate;
         if fault_rate > 0.0 && self.fault_rng.next_f64() < fault_rate {
             let bit = self.fault_rng.next_below(page_bytes as u64 * 8);
             let byte = (bit / 8) as usize;
-            if range.contains(&byte) {
-                out[at + byte - range.start] ^= 1 << (bit % 8);
+            let mut piece = at;
+            for range in ranges {
+                if range.contains(&byte) {
+                    out[piece + byte - range.start] ^= 1 << (bit % 8);
+                }
+                piece += range.len();
             }
         }
         self.stats.reads += 1;
@@ -532,7 +542,7 @@ mod tests {
         let (_, want) = whole.read_page(SimTime::ZERO, 7).unwrap();
         let mut out = b"kept".to_vec();
         let got = ranged
-            .read_page_into(SimTime::ZERO, 7, 100..1100, &mut out)
+            .read_page_into(SimTime::ZERO, 7, slice::from_ref(&(100..1100)), &mut out)
             .unwrap();
         assert_eq!(got, want);
         assert_eq!(&out[..4], b"kept");
@@ -540,9 +550,49 @@ mod tests {
         assert_eq!(ranged.stats().bytes_read, whole.stats().bytes_read);
         // A failed read leaves the buffer alone.
         assert!(ranged
-            .read_page_into(SimTime::ZERO, 8, 0..16, &mut out)
+            .read_page_into(SimTime::ZERO, 8, slice::from_ref(&(0..16)), &mut out)
             .is_err());
         assert_eq!(out.len(), 1004);
+    }
+
+    #[test]
+    fn several_ranges_of_a_page_are_one_command() {
+        let spec = || SsdSpec {
+            read_fault_rate: 1.0,
+            ..small_device().spec().clone()
+        };
+        let (mut whole, mut pieces) = (SsdDevice::new(spec()), SsdDevice::new(spec()));
+        let page: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
+        whole.write_page(SimTime::ZERO, 3, &page).unwrap();
+        pieces.write_page(SimTime::ZERO, 3, &page).unwrap();
+        let ranges = [0..100, 1000..3000, 4000..4096];
+        let (mut seen, mut unseen) = (0, 0);
+        for _ in 0..64 {
+            // One bit flipped per read, wherever it lands.
+            let (flipped, want) = whole.read_page(SimTime::ZERO, 3).unwrap();
+            let mut out = Vec::new();
+            let got = pieces
+                .read_page_into(SimTime::ZERO, 3, &ranges, &mut out)
+                .unwrap();
+            assert_eq!(got, want);
+            let expected: Vec<u8> = ranges
+                .iter()
+                .flat_map(|r| flipped[r.clone()].to_vec())
+                .collect();
+            assert_eq!(out, expected);
+            let clean: Vec<u8> = ranges
+                .iter()
+                .flat_map(|r| page[r.clone()].to_vec())
+                .collect();
+            if out == clean {
+                unseen += 1;
+            } else {
+                seen += 1;
+            }
+        }
+        assert!(seen > 0 && unseen > 0, "seen {seen}, unseen {unseen}");
+        assert_eq!(pieces.stats().reads, whole.stats().reads);
+        assert_eq!(pieces.stats().bytes_read, whole.stats().bytes_read);
     }
 
     #[test]
@@ -567,7 +617,7 @@ mod tests {
             let (flipped, _) = whole.read_page(SimTime::ZERO, 0).unwrap();
             let mut half = Vec::new();
             ranged
-                .read_page_into(SimTime::ZERO, 0, 2048..4096, &mut half)
+                .read_page_into(SimTime::ZERO, 0, slice::from_ref(&(2048..4096)), &mut half)
                 .unwrap();
             assert_eq!(half, flipped[2048..]);
             if half == page[2048..] {

@@ -95,6 +95,14 @@ cargo test --manifest-path benchmark/Cargo.toml --offline -q
 echo "==> fault matrix (faulted vs fault-free digest diff, table vs golden)"
 cargo run --release -q -p dr-bench --bin fault_matrix | diff crates/bench/fault_matrix.golden -
 
+# Read-clock gate: E8's table is simulated, so deterministic; a change to
+# how reads are fetched, decoded or charged moves it. Like the fault
+# matrix, a PR that moves it on purpose re-records the golden and says
+# why. Run at the default scale, with the metrics path the golden names.
+echo "==> e8 read path (table vs golden)"
+env -u DR_SCALE -u DR_METRICS_OUT target/release/e8_read_path \
+    | diff crates/bench/e8_read_path.golden -
+
 # Differential-checker smoke: seeded op sequences against the in-memory
 # oracle across all 4 integration modes, fault-free and faulted
 # (DESIGN.md §11). DR_CHECK_SEEDS widens the sweep (the scheduled deep
