@@ -169,7 +169,7 @@ impl GpuCompressObs {
 /// and handed back through its last argument — is freed on every exit,
 /// not just success: a buffer leaked on an error path would shrink the
 /// device a little more on each degrade/re-probe cycle.
-pub(crate) fn with_staging_buffer<T>(
+fn with_staging_buffer<T>(
     gpu: &mut GpuDevice,
     now: SimTime,
     in_len: u64,

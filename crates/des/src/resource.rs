@@ -93,14 +93,44 @@ impl Resource {
     /// Assigns a job arriving at `arrival` needing `service` time to the
     /// earliest-free slot, and returns when it started and ended.
     pub fn acquire(&mut self, arrival: SimTime, service: SimDuration) -> Grant {
-        let Reverse(free_at) = self.slots.pop().expect("capacity > 0");
-        let start = free_at.max(arrival);
-        let end = start + service;
-        self.slots.push(Reverse(end));
+        let grant = grant_on(&mut self.slots, arrival, service);
         self.jobs += 1;
         self.busy_time += service;
-        self.last_end = self.last_end.max(end);
-        Grant { start, end }
+        self.last_end = self.last_end.max(grant.end);
+        grant
+    }
+
+    /// What-if: the latest end among the grants that `jobs` —
+    /// `(arrival, service)` pairs, in order — would get if each were
+    /// [`acquire`](Resource::acquire)d now, after every job already
+    /// granted. Acquires nothing; [`SimTime::ZERO`] when `jobs` is empty.
+    /// A single job is answered from the earliest free slot; a longer
+    /// sequence is replayed on a copy of the slot heap.
+    ///
+    /// ```
+    /// use dr_des::{Resource, SimTime, SimDuration};
+    ///
+    /// let mut r = Resource::new("cpu", 2);
+    /// let jobs = [(SimTime::ZERO, SimDuration::from_micros(10)); 3];
+    /// let estimate = r.finish_if(jobs);
+    /// let last = jobs.map(|(at, d)| r.acquire(at, d).end)[2];
+    /// assert_eq!(estimate, last);
+    /// ```
+    pub fn finish_if(&self, jobs: impl IntoIterator<Item = (SimTime, SimDuration)>) -> SimTime {
+        let mut jobs = jobs.into_iter();
+        let Some((arrival, service)) = jobs.next() else {
+            return SimTime::ZERO;
+        };
+        let first = self.earliest_free().max(arrival) + service;
+        let Some(second) = jobs.next() else {
+            return first;
+        };
+        let mut slots = self.slots.clone();
+        *slots.peek_mut().expect("capacity > 0") = Reverse(first);
+        std::iter::once(second)
+            .chain(jobs)
+            .map(|(arrival, service)| grant_on(&mut slots, arrival, service).end)
+            .fold(first, SimTime::max)
     }
 
     /// The earliest instant at which any slot is free.
@@ -154,12 +184,60 @@ impl Resource {
     }
 }
 
+/// Serves one job on the earliest-free of `slots` (a min-heap of next-free
+/// instants) and returns its grant.
+fn grant_on(
+    slots: &mut BinaryHeap<Reverse<SimTime>>,
+    arrival: SimTime,
+    service: SimDuration,
+) -> Grant {
+    let mut earliest = slots.peek_mut().expect("capacity > 0");
+    let start = earliest.0.max(arrival);
+    let end = start + service;
+    *earliest = Reverse(end);
+    Grant { start, end }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn us(n: u64) -> SimDuration {
         SimDuration::from_micros(n)
+    }
+
+    #[test]
+    fn finish_if_is_the_last_grant_of_the_same_acquire_sequence() {
+        let mut rng = crate::SplitMix64::new(0x2E5_0001);
+        for case in 0..400 {
+            let capacity = 1 + rng.next_below(4) as usize;
+            // Two twins with one random history; the what-if on one must
+            // predict what acquiring the same jobs does to the other, and
+            // leave its own timeline untouched.
+            let (mut real, mut twin) = (
+                Resource::new("real", capacity),
+                Resource::new("twin", capacity),
+            );
+            let job = |rng: &mut crate::SplitMix64| {
+                let at = SimTime::from_nanos(rng.next_below(50_000));
+                (at, SimDuration::from_nanos(rng.next_below(20_000)))
+            };
+            for _ in 0..rng.next_below(12) {
+                let (at, d) = job(&mut rng);
+                real.acquire(at, d);
+                twin.acquire(at, d);
+            }
+            let jobs: Vec<_> = (0..rng.next_below(10)).map(|_| job(&mut rng)).collect();
+            let estimate = twin.finish_if(jobs.iter().copied());
+            let grants: Vec<Grant> = jobs.iter().map(|&(at, d)| real.acquire(at, d)).collect();
+            let want = grants.iter().map(|g| g.end).max().unwrap_or(SimTime::ZERO);
+            assert_eq!(estimate, want, "case {case}: capacity {capacity}, {jobs:?}");
+            assert_eq!(twin.jobs_served() + jobs.len() as u64, real.jobs_served());
+            // The twin still grants the next job exactly as the real one did.
+            for (&(at, d), g) in jobs.iter().zip(&grants) {
+                assert_eq!(twin.acquire(at, d), *g, "case {case}");
+            }
+        }
     }
 
     #[test]

@@ -433,17 +433,7 @@ impl GpuDevice {
                 kernel: config.name,
             });
         }
-        let timing = match &config.resources {
-            Some(res) => {
-                let rate = crate::occupancy::occupancy_factor(
-                    &self.spec,
-                    &crate::occupancy::CuBudget::default(),
-                    res,
-                );
-                crate::timing::kernel_timing_with_occupancy(&self.spec, items, rate)
-            }
-            None => kernel_timing(&self.spec, items),
-        };
+        let timing = self.kernel_timing(&config, items);
         let faults = &self.spec.faults;
         if faults.probe_timeout_rate > 0.0 && self.fault_rng.next_f64() < faults.probe_timeout_rate
         {
@@ -482,10 +472,37 @@ impl GpuDevice {
         })
     }
 
+    /// How long a launch of `items` under `config` runs once it starts:
+    /// the timing model, derated by the kernel's occupancy when `config`
+    /// carries a resource footprint.
+    fn kernel_timing(&self, config: &LaunchConfig, items: &[WorkItemCost]) -> KernelTiming {
+        match &config.resources {
+            Some(res) => {
+                let rate = crate::occupancy::occupancy_factor(
+                    &self.spec,
+                    &crate::occupancy::CuBudget::default(),
+                    res,
+                );
+                crate::timing::kernel_timing_with_occupancy(&self.spec, items, rate)
+            }
+            None => kernel_timing(&self.spec, items),
+        }
+    }
+
     /// The earliest instant the compute queue can accept a new kernel;
     /// the scheduler uses this to decide whether the GPU is busy.
     pub fn compute_free_at(&self) -> SimTime {
         self.compute_queue.earliest_free()
+    }
+
+    /// A what-if over the device's queues, as they stand now: see
+    /// [`DryRun`].
+    pub fn dry_run(&self) -> DryRun<'_> {
+        DryRun {
+            device: self,
+            copy_free: self.copy_engine.earliest_free(),
+            compute_free: self.compute_queue.earliest_free(),
+        }
     }
 
     /// Resets queues and statistics (device memory contents are kept).
@@ -493,6 +510,44 @@ impl GpuDevice {
         self.compute_queue.reset();
         self.copy_engine.reset();
         self.stats = GpuStats::default();
+    }
+}
+
+/// A what-if over a [`GpuDevice`]'s copy engine and compute queue
+/// ([`GpuDevice::dry_run`]): the grants a sequence of transfers and
+/// launches would get, each after everything already queued and after
+/// the dry run's own earlier steps, with the timing the device itself
+/// charges. Both queues have one slot, so a copy of each one's next-free
+/// instant is the whole queue state.
+///
+/// A dry run reads the device and nothing else: it draws no fault,
+/// allocates no device memory, records no statistic, metric or trace
+/// event, and cannot fail — a lost device or a full memory shows only
+/// when the work is charged for real.
+#[derive(Debug, Clone, Copy)]
+pub struct DryRun<'a> {
+    device: &'a GpuDevice,
+    copy_free: SimTime,
+    compute_free: SimTime,
+}
+
+impl DryRun<'_> {
+    /// A PCIe transfer of `len` bytes, either direction, from `now`: what
+    /// [`GpuDevice::charge_h2d`] / [`GpuDevice::charge_d2h`] would grant.
+    pub fn transfer(&mut self, now: SimTime, len: u64) -> Grant {
+        let start = self.copy_free.max(now);
+        let end = start + pcie_transfer_time(&self.device.spec, len);
+        self.copy_free = end;
+        Grant { start, end }
+    }
+
+    /// A kernel launch of `items` under `config` from `now`: what a
+    /// fault-free [`GpuDevice::launch`] would grant.
+    pub fn launch(&mut self, now: SimTime, config: &LaunchConfig, items: &[WorkItemCost]) -> Grant {
+        let start = self.compute_free.max(now);
+        let end = start + self.device.kernel_timing(config, items).duration();
+        self.compute_free = end;
+        Grant { start, end }
     }
 }
 
@@ -624,6 +679,43 @@ mod tests {
         );
         assert_eq!(gpu.alloc(8), Err(GpuError::DeviceLost));
         assert!(!gpu.mem.is_backed(buf));
+    }
+
+    #[test]
+    fn a_dry_run_grants_what_the_device_charges_and_touches_nothing() {
+        use crate::occupancy::KernelResources;
+        let mut gpu = device();
+        // Earlier work on both queues, so the dry run starts behind it.
+        let buf = gpu.alloc(1 << 20).unwrap();
+        let busy = vec![WorkItemCost::compute(50_000); 256];
+        gpu.charge_h2d(SimTime::ZERO, buf, 0, 1 << 20).unwrap();
+        gpu.launch(SimTime::ZERO, LaunchConfig::named("busy"), &busy)
+            .unwrap();
+        let config = LaunchConfig::named("k").with_resources(KernelResources {
+            registers_per_item: 32,
+            local_mem_per_group: 4096,
+            items_per_group: 64,
+        });
+        let items = vec![WorkItemCost::streaming(900, 4096); 300];
+        let now = SimTime::from_nanos(7_000);
+
+        let (stats_before, mem_before) = (format!("{:?}", gpu.stats()), gpu.mem_used());
+        let mut dry = gpu.dry_run();
+        let want = [
+            dry.transfer(now, 80_000),
+            dry.launch(now, &config, &items),
+            dry.launch(now, &config, &items),
+            dry.transfer(now, 4096),
+        ];
+        assert_eq!(format!("{:?}", gpu.stats()), stats_before);
+        assert_eq!(gpu.mem_used(), mem_before);
+
+        let h2d = gpu.charge_h2d(now, buf, 0, 80_000).unwrap();
+        let first = gpu.launch(now, config.clone(), &items).unwrap().grant;
+        let second = gpu.launch(now, config, &items).unwrap().grant;
+        let d2h = gpu.charge_d2h(now, buf, 0, 4096).unwrap();
+        assert_eq!(want, [h2d, first, second, d2h]);
+        assert!(second.start == first.end && d2h.start == h2d.end);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod spec;
 pub mod timing;
 
 pub use decomp::{subblock_copy_items, token_split_items, DecompChunkShape};
-pub use device::{GpuDevice, GpuStats, LaunchConfig, LaunchReport};
+pub use device::{DryRun, GpuDevice, GpuStats, LaunchConfig, LaunchReport};
 pub use error::GpuError;
 pub use memory::BufferId;
 pub use occupancy::{occupancy_factor, CuBudget, KernelResources};

@@ -6,7 +6,7 @@
 use dr_binindex::{BinIndex, BinIndexConfig, ChunkRef, GpuBinIndex, GpuBinIndexConfig, RoutingObs};
 use dr_chunking::{Chunker, FixedChunker};
 use dr_compress::{
-    FastLz, GpuCompressor, GpuCompressorConfig, GpuDecompressor, GpuDecompressorConfig,
+    FastLz, FrameStats, GpuCompressor, GpuCompressorConfig, GpuDecompressor, GpuDecompressorConfig,
 };
 use dr_des::{Resource, SimTime};
 use dr_gpu_sim::{GpuDevice, GpuSpec};
@@ -132,8 +132,7 @@ pub struct PipelineConfig {
     pub gpu_compressor: GpuCompressorConfig,
     /// GPU decompression kernel configuration (read path).
     pub gpu_decompressor: GpuDecompressorConfig,
-    /// Read-path configuration: decompressed-chunk cache capacity and the
-    /// CPU/GPU routing threshold for cold batches.
+    /// Read-path configuration: decompressed-chunk cache capacity.
     pub read: ReadConfig,
     /// GPU hardware profile.
     pub gpu_spec: GpuSpec,
@@ -239,6 +238,10 @@ pub(crate) struct PipelineObs {
     pub(crate) read_cache_evictions: CounterHandle,
     pub(crate) read_cache_entries: GaugeHandle,
     pub(crate) read_gpu_batches: CounterHandle,
+    /// `read.route.to_cpu` / `read.route.to_gpu`: where each cold batch's
+    /// decode was charged — the read side's `router.*`.
+    pub(crate) read_route_to_cpu: CounterHandle,
+    pub(crate) read_route_to_gpu: CounterHandle,
     pub(crate) read_latency: HistogramHandle,
     /// `read.pages`: distinct device pages the cold fetches read — against
     /// `read.cache_misses` it says how often frames share a page read.
@@ -277,6 +280,8 @@ impl PipelineObs {
             read_cache_evictions: obs.counter("read.cache_evictions"),
             read_cache_entries: obs.gauge("read.cache_entries"),
             read_gpu_batches: obs.counter("read.gpu_batches"),
+            read_route_to_cpu: obs.counter("read.route.to_cpu"),
+            read_route_to_gpu: obs.counter("read.route.to_gpu"),
             read_latency: obs.histogram("read.latency_sim_ns"),
             read_pages: obs.counter("read.pages"),
             read_fetch: obs.stage("read.fetch"),
@@ -307,16 +312,22 @@ impl FaultState {
 
 /// A powered-on GPU with, when the mode assigns indexing to it, an empty
 /// device-resident index mirror — at start-up and after a power cycle.
-/// Panics when that index does not fit in device memory.
+/// An index that does not fit in device memory is left out: every probe
+/// then runs on the CPU, and the event is counted as
+/// `fault.gpu_index.out_of_memory`.
 pub(crate) fn power_on_gpu(config: &PipelineConfig) -> (GpuDevice, Option<GpuBinIndex>) {
     let mut gpu = GpuDevice::new(config.gpu_spec.clone());
     gpu.set_obs(&config.obs);
-    let gpu_index = (config.mode.gpu_dedup() && config.dedup_enabled).then(|| {
-        let mut cfg = config.gpu_index;
-        cfg.prefix_bytes = config.index.prefix_bytes;
-        GpuBinIndex::new(&mut gpu, cfg).expect("GPU index must fit in device memory")
-    });
-    (gpu, gpu_index)
+    if !(config.mode.gpu_dedup() && config.dedup_enabled) {
+        return (gpu, None);
+    }
+    let mut cfg = config.gpu_index;
+    cfg.prefix_bytes = config.index.prefix_bytes;
+    let gpu_index = GpuBinIndex::new(&mut gpu, cfg);
+    if gpu_index.is_err() {
+        config.obs.counter("fault.gpu_index.out_of_memory").incr();
+    }
+    (gpu, gpu_index.ok())
 }
 
 /// A batch with its fingerprints, ready for [`Pipeline::process_batch`].
@@ -365,6 +376,9 @@ pub struct Pipeline {
     pub(crate) gpu_decomp: GpuDecompressor,
     /// Capacity-bounded LRU of decompressed chunks (read path).
     pub(crate) read_cache: ReadCache,
+    /// The read batch in flight's frame shapes, as its host decode tallied
+    /// them for the GPU cost model; kept so a read reuses the allocation.
+    pub(crate) read_shapes: Vec<FrameStats>,
     pub(crate) codec: FastLz,
     pub(crate) ssd: SsdDevice,
     pub(crate) destage: Destager,
@@ -395,8 +409,7 @@ impl Pipeline {
     /// # Panics
     ///
     /// Panics when the configuration is inconsistent (zero chunk size,
-    /// invalid cost model, or a GPU index that does not fit in device
-    /// memory).
+    /// zero batch size or pool width, invalid cost model).
     pub fn new(config: PipelineConfig) -> Self {
         assert!(config.chunk_bytes > 0, "chunk size must be positive");
         assert!(config.batch_chunks > 0, "batch size must be positive");
@@ -442,6 +455,7 @@ impl Pipeline {
             gpu_comp,
             gpu_decomp,
             read_cache: ReadCache::new(config.read.cache_chunks),
+            read_shapes: Vec::new(),
             codec: FastLz::new(),
             gpu,
             gpu_index,
@@ -949,6 +963,31 @@ pub(crate) mod tests {
         let report = p.run(&data);
         assert!(report.gpu_index_queries > 0);
         assert!(report.gpu_index_hits > 0, "GPU index never hit: {report:?}");
+    }
+
+    #[test]
+    fn a_gpu_index_that_does_not_fit_leaves_every_probe_on_the_cpu() {
+        let obs = ObsHandle::enabled("small-gpu");
+        let mut cfg = small_config(IntegrationMode::GpuForBoth);
+        // The default mirror needs 10 MiB; batches still fit for the codec.
+        cfg.gpu_spec.global_mem_bytes = 4 << 20;
+        cfg.obs = obs.clone();
+        let mut p = Pipeline::new(cfg);
+        let data = stream();
+        let report = p.run(&data);
+        assert_eq!(report.gpu_index_queries, 0);
+        assert!(
+            report.gpu_comp_batches > 0,
+            "compression still uses the GPU"
+        );
+        assert_eq!(obs.counter("fault.gpu_index.out_of_memory").get(), 1);
+        assert_eq!(obs.counter("router.to_gpu").get(), 0);
+        assert_eq!(obs.counter("router.to_cpu").get(), 128);
+        for (i, original) in data.chunks(4096).enumerate() {
+            assert_eq!(p.read_block(i).expect("read_block"), original, "block {i}");
+        }
+        let all: Vec<usize> = (0..128).collect();
+        assert_eq!(p.read_blocks(&all).expect("read_blocks").concat(), data);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! destage-log address) when resident, and otherwise fetched — the whole
 //! batch's page reads at once, one per distinct page
 //! ([`Destager::read_frames`](crate::Destager::read_frames)) — and
-//! decompressed on the CPU or — for bulk cold batches — the GPU. Because
+//! decompressed on the host, with the simulated decode charged to the CPU
+//! or the GPU, whichever finishes the batch first. Because
 //! deduplication makes many logical blocks resolve to one stored frame,
 //! even a modest cache absorbs the re-read traffic of hot working sets
 //! (the VDI boot storm the paper targets).
@@ -15,35 +16,28 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dr_binindex::ChunkRef;
-use dr_compress::frame;
-use dr_des::SimTime;
+use dr_compress::{frame, FrameStats};
+use dr_des::{SimDuration, SimTime};
 use dr_obs::trace::{trace_args, Track};
 
+use crate::cpu_model::CpuModel;
 use crate::destage::FetchedFrames;
 use crate::error::ReadError;
 use crate::pipeline::Pipeline;
 
-/// Read-path tuning knobs.
+/// Read-path tuning knobs. Where a cold batch decodes is not one of
+/// them: the batch goes to whichever of CPU and GPU finishes it first
+/// (see [`Pipeline::read_chunks`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ReadConfig {
     /// Capacity of the decompressed-chunk cache, in chunks. `0` disables
     /// caching: every read fetches and decompresses its frame.
     pub cache_chunks: usize,
-    /// Minimum number of *cold* (uncached, distinct) frames in one batch
-    /// before decompression routes to the GPU, when the integration mode
-    /// assigns compression there. Smaller batches decompress on the CPU —
-    /// a kernel launch cannot amortize over a handful of chunks, the same
-    /// asymmetry that makes CPU indexing beat GPU indexing for small
-    /// batches on the write path.
-    pub gpu_min_batch: usize,
 }
 
 impl Default for ReadConfig {
     fn default() -> Self {
-        ReadConfig {
-            cache_chunks: 256,
-            gpu_min_batch: 16,
-        }
+        ReadConfig { cache_chunks: 256 }
     }
 }
 
@@ -205,12 +199,39 @@ const SCAN_MAX_REQUESTS: usize = 32;
 struct Slot {
     addr: u64,
     /// The decompressed chunk: captured from the cache at batch issue, or
-    /// filled in by the batch's own decode — until then, `None` marks the
-    /// slot as one of the batch's cold frames.
+    /// filled in by the batch's own decode.
     bytes: Option<SharedChunk>,
-    /// When this batch's decode of the frame was ready; `None` for a frame
-    /// that was cached at batch issue.
+    /// `Some` for one of the batch's cold frames — once its decode is
+    /// charged, the instant it was ready; `None` for a frame that was
+    /// cached at batch issue.
     decoded_at: Option<SimTime>,
+}
+
+/// The cold frames among a batch's slots, in the order their frames were
+/// fetched.
+fn cold_slots(slots: &[Slot]) -> impl Iterator<Item = &Slot> {
+    slots.iter().filter(|s| s.decoded_at.is_some())
+}
+
+/// [`cold_slots`], to fill in.
+fn cold_slots_mut(slots: &mut [Slot]) -> impl Iterator<Item = &mut Slot> {
+    slots.iter_mut().filter(|s| s.decoded_at.is_some())
+}
+
+/// The CPU arm's decode jobs for a batch's decoded cold frames, in fetch
+/// order: `(arrival, service)` on a simulated CPU worker, each from its
+/// own frame's fetch-ready instant.
+fn cpu_jobs<'a>(
+    cpu_model: CpuModel,
+    fetched: &'a FetchedFrames,
+    slots: &'a [Slot],
+) -> impl Iterator<Item = (SimTime, SimDuration)> + 'a {
+    cold_slots(slots)
+        .zip(&fetched.frames)
+        .map_while(move |(slot, f)| {
+            let len = slot.bytes.as_ref()?.len();
+            Some((f.ready, cpu_model.decompress_cost(len)))
+        })
 }
 
 /// The distinct frames of a read batch, in first-appearance order.
@@ -260,12 +281,15 @@ impl Pipeline {
     ///
     /// Requests are grouped by stored frame (deduplicated blocks resolve
     /// to one fetch and one decompression), served from the
-    /// decompressed-chunk cache when resident; cold frames decompress on
-    /// the CPU, or — for cold batches of at least
-    /// [`ReadConfig::gpu_min_batch`] frames under a GPU-compression mode —
-    /// through the modeled two-phase GPU decompression kernel, with
-    /// transient faults retried and hard faults degrading to the CPU path
-    /// through the `gpu_decompress` latch.
+    /// decompressed-chunk cache when resident. Cold frames are decoded on
+    /// the host, once each, and the batch's simulated decode is charged
+    /// to whichever arm finishes it first — the paper's co-processor
+    /// rule: the CPU, each frame on a worker as soon as its own pages are
+    /// in, or the modeled two-phase GPU kernel pair from the batch's last
+    /// page plus per-frame host assembly. The GPU is considered only under
+    /// a GPU-compression mode whose `gpu_decompress` latch allows an
+    /// attempt, and must finish strictly first; its transient faults are
+    /// retried and hard faults degrade to the CPU through that latch.
     ///
     /// Every read advances the simulated clock: the batch issues at
     /// `max(read_end, reduction_end)`, every page read of its cold frames
@@ -319,8 +343,8 @@ impl Pipeline {
             }
             grouped.push(Slot {
                 addr: r.addr(),
+                decoded_at: bytes.is_none().then_some(SimTime::ZERO),
                 bytes,
-                decoded_at: None,
             });
         }
 
@@ -354,19 +378,8 @@ impl Pipeline {
                 .record_sim_ns(at.saturating_duration_since(now).as_nanos());
             fetch_span.finish();
 
-            // Route the cold batch: GPU for bulk cold reads when
-            // compression is GPU-assigned and the decompress latch is not
-            // resting; CPU otherwise (a small batch cannot amortize a
-            // kernel launch).
             let decode_span = self.obs.read_decode.span();
-            let use_gpu = self.config.mode.gpu_compression()
-                && cold.len() >= self.config.read.gpu_min_batch
-                && self.fault.gpu_decompress.allow(at);
-            let decoded = if use_gpu {
-                self.gpu_decompress_reads(&fetched, &mut grouped.slots, at)?
-            } else {
-                self.cpu_decompress_reads(&fetched, &mut grouped.slots, SimTime::ZERO)?
-            };
+            let decoded = self.decode_cold(&fetched, &mut grouped.slots, at)?;
             self.obs
                 .read_decode
                 .record_sim_ns(decoded.saturating_duration_since(at).as_nanos());
@@ -376,7 +389,7 @@ impl Pipeline {
             // them — and only once every frame decoded, so a corrupt
             // frame is re-detected on every re-read.
             if self.config.read.cache_chunks > 0 {
-                for slot in grouped.slots.iter().filter(|s| s.decoded_at.is_some()) {
+                for slot in cold_slots(&grouped.slots) {
                     let bytes = slot.bytes.as_ref().expect("cold frame was decoded");
                     let evicted = self.read_cache.insert(slot.addr, Arc::clone(bytes));
                     if evicted > 0 {
@@ -429,9 +442,112 @@ impl Pipeline {
         Ok(out)
     }
 
-    /// CPU decompression of fetched cold frames into their slots (the
-    /// slots without bytes, in order): each frame decodes on a simulated
-    /// CPU worker at its fetch-ready instant (or `floor`, when a failed
+    /// Decodes a batch's fetched cold frames into their slots — on the
+    /// host, once each, whichever arm is charged for it — then charges the
+    /// decode to the arm [`Pipeline::route_cold`] picks. Returns when the
+    /// last frame was ready.
+    ///
+    /// A frame that fails to decode fails the batch: the host met it on
+    /// the CPU, so the frames before it are charged as the CPU arm would
+    /// charge them, and nothing reaches the GPU.
+    fn decode_cold(
+        &mut self,
+        fetched: &FetchedFrames,
+        slots: &mut [Slot],
+        at: SimTime,
+    ) -> Result<SimTime, ReadError> {
+        let gpu_eligible =
+            self.config.mode.gpu_compression() && self.fault.gpu_decompress.allow(at);
+        // The shapes price the GPU arm; a CPU-only batch needs none unless
+        // the route instant is traced.
+        let want_shapes = gpu_eligible || self.obs.tracer.is_enabled();
+        let mut shapes = std::mem::take(&mut self.read_shapes);
+        shapes.clear();
+        let mut failed = None;
+        for (slot, f) in cold_slots_mut(slots).zip(&fetched.frames) {
+            match frame::open_with_stats(&fetched.bytes[f.bytes.clone()]) {
+                Ok((chunk, stats)) => {
+                    slot.bytes = Some(Arc::new(chunk));
+                    if want_shapes {
+                        shapes.push(stats);
+                    }
+                }
+                Err(e) => {
+                    failed = Some(e);
+                    break;
+                }
+            }
+        }
+        let decoded = match failed {
+            Some(e) => {
+                self.cpu_decompress_reads(fetched, slots, SimTime::ZERO);
+                Err(e.into())
+            }
+            None if self.route_cold(fetched, slots, &shapes, at, gpu_eligible) => {
+                Ok(self.gpu_decompress_reads(fetched, slots, &shapes, at))
+            }
+            None => Ok(self.cpu_decompress_reads(fetched, slots, SimTime::ZERO)),
+        };
+        self.read_shapes = shapes;
+        decoded
+    }
+
+    /// The co-processor rule for one decoded cold batch: true when it goes
+    /// to the GPU — allowed (`gpu_eligible`) and finishing strictly before
+    /// the CPU would. Both finishing instants are what-ifs on the models
+    /// the charge runs: the CPU's from [`cpu_jobs`] on the CPU workers,
+    /// the GPU's from [`GpuDecompressor::estimate`] from `at` plus each
+    /// frame's host assembly. When the CPU is done by the GPU's floor
+    /// ([`GpuDecompressor::earliest_done`]) the GPU's work items are never
+    /// built. Counts the pick (`read.route.*`) and, when traced, leaves a
+    /// route instant carrying both estimates.
+    ///
+    /// [`GpuDecompressor::estimate`]: dr_compress::GpuDecompressor::estimate
+    /// [`GpuDecompressor::earliest_done`]: dr_compress::GpuDecompressor::earliest_done
+    fn route_cold(
+        &self,
+        fetched: &FetchedFrames,
+        slots: &[Slot],
+        shapes: &[FrameStats],
+        at: SimTime,
+        gpu_eligible: bool,
+    ) -> bool {
+        let tracing = self.obs.tracer.is_enabled();
+        if !gpu_eligible && !tracing {
+            self.obs.read_route_to_cpu.incr();
+            return false;
+        }
+        let cpu_model = self.config.cpu;
+        let cpu_done = self.cpu.finish_if(cpu_jobs(cpu_model, fetched, slots));
+        let gpu_done = (tracing || cpu_done > self.gpu_decomp.earliest_done(at, &self.gpu, shapes))
+            .then(|| {
+                let gpu_done = self.gpu_decomp.estimate(at, &self.gpu, shapes).gpu_done;
+                let assembly = (gpu_done, cpu_model.decompress_cost(0));
+                self.cpu
+                    .finish_if(std::iter::repeat_n(assembly, shapes.len()))
+            });
+        let use_gpu = gpu_eligible && gpu_done.is_some_and(|gpu_done| gpu_done < cpu_done);
+        let (counter, name) = if use_gpu {
+            (&self.obs.read_route_to_gpu, "read-to-gpu")
+        } else {
+            (&self.obs.read_route_to_cpu, "read-to-cpu")
+        };
+        counter.incr();
+        if let Some(gpu_done) = gpu_done.filter(|_| tracing) {
+            let args = [
+                ("cpu_done_ns", cpu_done.as_nanos()),
+                ("gpu_done_ns", gpu_done.as_nanos()),
+            ];
+            let ts = at.as_nanos();
+            self.obs
+                .tracer
+                .sim_instant(Track::Route, name, ts, trace_args(&args));
+        }
+        use_gpu
+    }
+
+    /// The CPU arm: each decoded cold frame's [`cpu_jobs`] entry acquired
+    /// on a simulated CPU worker, no earlier than `floor` (when a failed
     /// GPU attempt handed the batch over — degradation is never free).
     /// Returns when the last one was ready.
     fn cpu_decompress_reads(
@@ -439,65 +555,56 @@ impl Pipeline {
         fetched: &FetchedFrames,
         slots: &mut [Slot],
         floor: SimTime,
-    ) -> Result<SimTime, ReadError> {
+    ) -> SimTime {
         let cpu_model = self.config.cpu;
         let mut done = floor;
-        let cold = slots.iter_mut().filter(|s| s.bytes.is_none());
-        for (slot, f) in cold.zip(&fetched.frames) {
-            let chunk = frame::open(&fetched.bytes[f.bytes.clone()])?;
-            let g = self
-                .cpu
-                .acquire(f.ready.max(floor), cpu_model.decompress_cost(chunk.len()));
-            slot.bytes = Some(Arc::new(chunk));
+        for (slot, f) in cold_slots_mut(slots).zip(&fetched.frames) {
+            let Some(bytes) = &slot.bytes else { break };
+            let cost = cpu_model.decompress_cost(bytes.len());
+            let g = self.cpu.acquire(f.ready.max(floor), cost);
             slot.decoded_at = Some(g.end);
             done = done.max(g.end);
         }
-        Ok(done)
+        done
     }
 
-    /// GPU decompression of a cold batch: one two-phase kernel pair
-    /// (token split + sub-block copy), then per-chunk host frame assembly.
-    /// Transient launch faults retry with backoff; exhausted retries or a
-    /// hard fault open the `gpu_decompress` latch and the batch falls back
-    /// to [`Pipeline::cpu_decompress_reads`] with the burnt time as floor.
-    /// Returns when the last chunk was ready.
+    /// The GPU arm: one two-phase kernel pair (token split + sub-block
+    /// copy) charged from `batch_ready` for the frames' `shapes`, then
+    /// per-frame host frame assembly. Transient launch faults retry with
+    /// backoff; exhausted retries or a hard fault open the
+    /// `gpu_decompress` latch and the batch falls back to
+    /// [`Pipeline::cpu_decompress_reads`] with the burnt time as floor.
+    /// Returns when the last frame was ready.
     fn gpu_decompress_reads(
         &mut self,
         fetched: &FetchedFrames,
         slots: &mut [Slot],
+        shapes: &[FrameStats],
         batch_ready: SimTime,
-    ) -> Result<SimTime, ReadError> {
-        let cpu_model = self.config.cpu;
-        let views: Vec<&[u8]> = (fetched.frames.iter())
-            .map(|f| &fetched.bytes[f.bytes.clone()])
-            .collect();
-        let (gpu_decomp, gpu) = (&mut self.gpu_decomp, &mut self.gpu);
-        let decompressed = self.fault.gpu_decompress.attempt(
+    ) -> SimTime {
+        let (gpu_decomp, gpu) = (&self.gpu_decomp, &mut self.gpu);
+        let charged = self.fault.gpu_decompress.attempt(
             batch_ready,
-            |at| gpu_decomp.decompress_batch(at, gpu, &views),
-            |(_, report)| report.gpu_done,
+            |at| gpu_decomp.charge(at, gpu, shapes),
+            |report| report.gpu_done,
         );
-        let (chunks, report) = match decompressed {
-            Ok(out) => out,
+        let report = match charged {
+            Ok(report) => report,
             Err(floor) => return self.cpu_decompress_reads(fetched, slots, floor),
         };
         self.report.gpu_decomp_batches += 1;
         self.obs.read_gpu_batches.incr();
+        // Host-side frame assembly once the kernels and the D2H copy are
+        // done: the fixed decode overhead only — the byte work happened on
+        // the device.
+        let assembly = self.config.cpu.decompress_cost(0);
         let mut done = report.gpu_done;
-        let cold = slots.iter_mut().filter(|s| s.bytes.is_none());
-        for (slot, chunk) in cold.zip(chunks) {
-            let chunk = chunk?;
-            // Host-side frame assembly once the kernels and the D2H copy
-            // are done: the fixed decode overhead only — the byte work
-            // happened on the device.
-            let g = self
-                .cpu
-                .acquire(report.gpu_done, cpu_model.decompress_cost(0));
-            slot.bytes = Some(Arc::new(chunk));
+        for slot in cold_slots_mut(slots) {
+            let g = self.cpu.acquire(report.gpu_done, assembly);
             slot.decoded_at = Some(g.end);
             done = done.max(g.end);
         }
-        Ok(done)
+        done
     }
 
     /// Reads back the `index`-th ingested chunk through the logical map —
@@ -543,9 +650,11 @@ mod tests {
 
     #[test]
     fn default_config_enables_cache_and_gpu_routing() {
-        let c = ReadConfig::default();
-        assert!(c.cache_chunks > 0);
-        assert!(c.gpu_min_batch > 1);
+        // The cache is on, and the default mode lets the co-processor rule
+        // route a cold batch to the GPU.
+        let c = crate::PipelineConfig::default();
+        assert!(c.read.cache_chunks > 0);
+        assert!(c.mode.gpu_compression());
     }
 
     #[test]
@@ -710,15 +819,23 @@ mod tests {
         assert_eq!(back, &data[..4096]);
     }
 
+    /// [`small_config`] on a one-worker CPU model: a 32-frame cold batch
+    /// queues deep enough on it that the GPU finishes first.
+    fn one_worker_config(mode: IntegrationMode) -> crate::PipelineConfig {
+        let mut cfg = small_config(mode);
+        cfg.cpu.workers = 1;
+        cfg
+    }
+
     #[test]
     fn batched_reads_are_bit_identical_to_serial_reads_in_both_routing_arms() {
         let data = stream();
         let all: Vec<usize> = (0..128).collect();
         for mode in [IntegrationMode::CpuOnly, IntegrationMode::GpuForCompression] {
-            // Batched pass over everything: 32 distinct cold frames, which
-            // crosses the default gpu_min_batch and exercises the GPU arm
-            // under a GPU-compression mode.
-            let mut batched = Pipeline::new(small_config(mode));
+            // Batched pass over everything: 32 distinct cold frames on one
+            // simulated CPU worker, which the GPU finishes first under a
+            // GPU-compression mode.
+            let mut batched = Pipeline::new(one_worker_config(mode));
             batched.run(&data);
             let got = batched.read_blocks(&all).expect("batched read");
             if mode.gpu_compression() {
@@ -730,7 +847,7 @@ mod tests {
                 assert_eq!(batched.report().gpu_decomp_batches, 0);
             }
             // Serial loop on a fresh pipeline: same bytes, whatever the arm.
-            let mut serial = Pipeline::new(small_config(mode));
+            let mut serial = Pipeline::new(one_worker_config(mode));
             serial.run(&data);
             for (&i, batch_bytes) in all.iter().zip(&got) {
                 let serial_bytes = serial.read_block(i).expect("serial read");
@@ -739,6 +856,137 @@ mod tests {
             }
             assert_eq!(serial.report().gpu_decomp_batches, 0, "singles stay CPU");
         }
+    }
+
+    /// The route instants a traced run left: (name, cpu estimate, gpu
+    /// estimate), in emission order.
+    fn route_instants(tracer: &dr_obs::Tracer) -> Vec<(String, u64, u64)> {
+        let events = tracer.sink().expect("enabled tracer").drain();
+        let routes = events.into_iter().filter(|e| e.track == Track::Route);
+        routes
+            .filter(|e| e.name.starts_with("read-"))
+            .map(|e| {
+                let arg = |key: &str| {
+                    let mut args = e.args.iter().flatten();
+                    args.find(|(k, _)| *k == key).expect(key).1
+                };
+                (e.name.to_string(), arg("cpu_done_ns"), arg("gpu_done_ns"))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn each_cold_batch_decodes_on_the_arm_that_finishes_first() {
+        let data = stream();
+        let batch: Vec<usize> = (0..32).collect(); // 32 distinct frames
+        for (workers, gpu_wins) in [(8, false), (1, true)] {
+            let tracer = dr_obs::Tracer::enabled();
+            let obs = dr_obs::ObsHandle::enabled("route").with_tracer(tracer.clone());
+            let mut cfg = small_config(IntegrationMode::GpuForCompression);
+            cfg.cpu.workers = workers;
+            cfg.obs = obs.clone();
+            let mut p = Pipeline::new(cfg);
+            p.run(&data);
+            tracer.sink().unwrap().drain(); // the write's route instants
+            let got = p.read_blocks(&batch).unwrap();
+            assert_eq!(got.concat(), data[..32 * 4096]);
+            let at = format!("{workers} workers");
+            assert_eq!(p.report().read_cache_hits, 0, "{at}");
+            assert_eq!(p.report().gpu_decomp_batches, gpu_wins as u64, "{at}");
+            assert_eq!(obs.counter("read.route.to_gpu").get(), gpu_wins as u64);
+            assert_eq!(obs.counter("read.route.to_cpu").get(), !gpu_wins as u64);
+            // Fault-free, the chosen arm's estimate is exactly when the
+            // batch's last frame was decoded — its last delivery.
+            let [(ref name, cpu_ns, gpu_ns)] = route_instants(&tracer)[..] else {
+                panic!("{at}: want one route instant");
+            };
+            let read_end = p.report().read_end.as_nanos();
+            if gpu_wins {
+                assert_eq!((name.as_str(), read_end), ("read-to-gpu", gpu_ns), "{at}");
+                assert!(gpu_ns < cpu_ns, "{at}");
+            } else {
+                assert_eq!((name.as_str(), read_end), ("read-to-cpu", cpu_ns), "{at}");
+                assert!(cpu_ns <= gpu_ns, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_route_is_the_same_traced_or_not_and_a_single_frame_stays_on_the_cpu() {
+        // The GPU floor lets an untraced run skip the GPU estimate; a
+        // traced run computes both. Neither may change a pick or a time.
+        let data = stream();
+        let mut outcomes = Vec::new();
+        for traced in [false, true] {
+            let tracer = match traced {
+                true => dr_obs::Tracer::enabled(),
+                false => dr_obs::Tracer::disabled(),
+            };
+            let obs = dr_obs::ObsHandle::enabled("route").with_tracer(tracer.clone());
+            let mut cfg = small_config(IntegrationMode::GpuForCompression);
+            cfg.read.cache_chunks = 0;
+            cfg.cpu.workers = 2;
+            cfg.obs = obs.clone();
+            let mut p = Pipeline::new(cfg);
+            p.run(&data);
+            for len in [1, 4, 12, 32, 1, 32, 2] {
+                p.read_blocks(&(0..len).collect::<Vec<_>>()).unwrap();
+            }
+            p.read_block(3).unwrap();
+            let routes = (
+                obs.counter("read.route.to_cpu").get(),
+                obs.counter("read.route.to_gpu").get(),
+            );
+            if traced {
+                let instants = route_instants(&tracer);
+                assert_eq!(instants.len(), 8);
+                for single in [0, 4, 7] {
+                    let (name, cpu_ns, gpu_ns) = &instants[single];
+                    assert_eq!(name, "read-to-cpu");
+                    assert!(cpu_ns < gpu_ns);
+                }
+            }
+            outcomes.push((p.report().clone(), routes));
+        }
+        assert_eq!(outcomes[0], outcomes[1]);
+        let (report, (to_cpu, to_gpu)) = &outcomes[0];
+        assert_eq!(to_cpu + to_gpu, 8);
+        assert_eq!(report.gpu_decomp_batches, *to_gpu);
+        assert!(*to_gpu > 0, "two workers never fell behind the GPU");
+    }
+
+    #[test]
+    fn a_frame_that_fails_to_decode_fails_its_batch_before_any_routing() {
+        // No integrity envelope and a bit flipped in every page read: some
+        // frames still decode (to other bytes), others fail the host's one
+        // decode. A batch holding one must fail without counting a route or
+        // touching the GPU — on one worker the GPU would otherwise win it.
+        let obs = dr_obs::ObsHandle::enabled("corrupt");
+        let mut cfg = one_worker_config(IntegrationMode::GpuForCompression);
+        cfg.verify = false;
+        cfg.read.cache_chunks = 0;
+        cfg.ssd_spec.read_fault_rate = 1.0;
+        cfg.obs = obs.clone();
+        let mut p = Pipeline::new(cfg);
+        p.run(&stream());
+        let routed = || {
+            let routes = ["read.route.to_cpu", "read.route.to_gpu"];
+            routes.map(|name| obs.counter(name).get())
+        };
+        let mut failed = 0;
+        for round in 0..8 {
+            let before = (routed(), p.report().gpu_decomp_batches);
+            match p.read_blocks(&(0..32).collect::<Vec<_>>()) {
+                Err(ReadError::Frame(_)) => {
+                    failed += 1;
+                    let after = (routed(), p.report().gpu_decomp_batches);
+                    assert_eq!(after, before, "round {round}");
+                }
+                Ok(_) => {}
+                Err(other) => panic!("round {round}: {other}"),
+            }
+        }
+        assert!(failed > 0, "no flip ever broke a decode");
     }
 
     #[test]

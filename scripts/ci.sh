@@ -154,7 +154,9 @@ fi
 # Read-path parity smoke: batched reads must return bit-identical bytes
 # to a serial read loop, for every pool width and both decompression
 # routing arms, with a pool-width-independent read clock (DESIGN.md §14).
-# The bin exits non-zero on any divergence.
+# The GPU arm is reached on one simulated CPU worker, where the GPU
+# finishes a cold batch first. The bin exits non-zero on any divergence,
+# or when that arm decoded no batch on the GPU.
 echo "==> read-path parity smoke (batched vs serial, pool widths, cpu+gpu)"
 target/release/e8_read_path --parity-check
 

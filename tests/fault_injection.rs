@@ -34,6 +34,15 @@ fn config(mode: IntegrationMode) -> PipelineConfig {
     }
 }
 
+/// [`config`] on a one-worker CPU model, where a cold batch of the
+/// stream's 48 distinct frames queues long enough that the GPU finishes
+/// it first: every such batch is routed to the GPU decompressor.
+fn gpu_read_config(mode: IntegrationMode) -> PipelineConfig {
+    let mut cfg = config(mode);
+    cfg.cpu.workers = 1;
+    cfg
+}
+
 /// Runs `cfg` over the stream and returns the pipeline plus every
 /// logically-reconstructed block.
 fn run_and_read_back(cfg: PipelineConfig, data: &[u8]) -> (Pipeline, Vec<Vec<u8>>) {
@@ -237,7 +246,7 @@ fn gpu_decompress_faults_latch_open_and_batched_reads_fall_back_to_cpu() {
     // finishes on the CPU — bytes must still match, and while the latch
     // is open later batches must not touch the GPU at all.
     let data = stream();
-    let mut p = Pipeline::new(config(IntegrationMode::GpuForCompression));
+    let mut p = Pipeline::new(gpu_read_config(IntegrationMode::GpuForCompression));
     p.run(&data);
     p.set_gpu_faults(GpuFaultSpec {
         launch_failure_rate: 1.0,
@@ -485,7 +494,7 @@ fn gpu_compress_fault_track_matches_counters_and_report() {
 
 #[test]
 fn gpu_decompress_fault_track_matches_counters_and_report() {
-    let mut cfg = config(IntegrationMode::GpuForCompression);
+    let mut cfg = gpu_read_config(IntegrationMode::GpuForCompression);
     cfg.degrade = quick_reprobe();
     cfg.read.cache_chunks = 0; // every batch is cold: every batch routes
     let data = stream();
