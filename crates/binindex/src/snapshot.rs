@@ -26,7 +26,7 @@
 //!               in append order)
 //!   addr col    count × LE u64
 //!   len col     count × LE u32
-//! trailer       CRC-32C of every preceding byte, LE u32
+//! seal          CRC-32C of every preceding byte, LE u32 (dr_hashes::seal)
 //! ```
 //!
 //! The per-bin groups mirror the in-memory SoA pages ([`crate::page`]):
@@ -42,7 +42,7 @@
 use std::error::Error;
 use std::fmt;
 
-use dr_hashes::crc32c;
+use dr_hashes::{open, seal, SEAL_LEN};
 
 use crate::bin::BinKey;
 use crate::entry::ChunkRef;
@@ -50,10 +50,9 @@ use crate::index::{BinIndex, BinIndexConfig};
 use crate::page::KEY_BYTES;
 
 const MAGIC: &[u8; 4] = b"DRIX";
-/// The one readable revision: columnar per-bin groups + CRC-32C trailer.
+/// The one readable revision: columnar per-bin groups + CRC-32C seal.
 const VERSION: u8 = 3;
 const HEADER_LEN: usize = 34;
-const TRAILER_LEN: usize = 4;
 
 /// Errors when building or restoring a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,7 +63,7 @@ pub enum SnapshotError {
     BadHeader,
     /// A field held an impossible value (e.g. prefix length 9).
     BadField(&'static str),
-    /// The entry region does not match its CRC-32C trailer.
+    /// The blob does not match its CRC-32C seal.
     Corrupt,
 }
 
@@ -94,7 +93,7 @@ pub fn snapshot(index: &BinIndex) -> Result<Vec<u8>, SnapshotError> {
     let buffer_capacity = u32::try_from(config.bin_buffer_capacity)
         .map_err(|_| SnapshotError::BadField("bin_buffer_capacity"))?;
     let mut out = Vec::with_capacity(
-        HEADER_LEN + index.len() as usize * (prefix + suffix_len + 12) + TRAILER_LEN,
+        HEADER_LEN + index.len() as usize * (prefix + suffix_len + 12) + SEAL_LEN,
     );
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
@@ -132,14 +131,14 @@ pub fn snapshot(index: &BinIndex) -> Result<Vec<u8>, SnapshotError> {
             }
         }
     }
-    out.extend_from_slice(&crc32c(&out).to_le_bytes());
+    seal(&mut out, 0);
     Ok(out)
 }
 
 /// Rebuilds an index from a [`snapshot`] blob.
 ///
 /// Nothing is trusted before the magic, the version and the CRC-32C
-/// trailer have checked out, and the declared entry count is validated
+/// seal have checked out, and the declared entry count is validated
 /// against the actual blob length — with overflow-checked arithmetic —
 /// *before* any allocation is sized from it.
 ///
@@ -148,18 +147,14 @@ pub fn snapshot(index: &BinIndex) -> Result<Vec<u8>, SnapshotError> {
 /// Any [`SnapshotError`] for malformed input; a version other than 3 is
 /// [`SnapshotError::BadHeader`].
 pub fn restore(bytes: &[u8]) -> Result<BinIndex, SnapshotError> {
-    if bytes.len() < HEADER_LEN + TRAILER_LEN {
+    if bytes.len() < HEADER_LEN + SEAL_LEN {
         return Err(SnapshotError::Truncated);
     }
     if &bytes[..4] != MAGIC || bytes[4] != VERSION {
         return Err(SnapshotError::BadHeader);
     }
-    // The trailer protects header + entries against bit rot.
-    let body_end = bytes.len() - TRAILER_LEN;
-    let declared = u32::from_le_bytes(bytes[body_end..].try_into().expect("4 bytes"));
-    if crc32c(&bytes[..body_end]) != declared {
-        return Err(SnapshotError::Corrupt);
-    }
+    // The seal protects header + entries against bit rot.
+    let bytes = open(bytes).map_err(|_| SnapshotError::Corrupt)?;
     let prefix = bytes[5] as usize;
     if !(1..=3).contains(&prefix) {
         return Err(SnapshotError::BadField("prefix_bytes"));
@@ -180,7 +175,7 @@ pub fn restore(bytes: &[u8]) -> Result<BinIndex, SnapshotError> {
     let need = count
         .checked_mul(entry_len)
         .ok_or(SnapshotError::BadField("entry_count"))?;
-    let body = &bytes[HEADER_LEN..body_end];
+    let body = &bytes[HEADER_LEN..];
     if body.len() < need {
         return Err(SnapshotError::Truncated);
     }
@@ -265,12 +260,11 @@ mod tests {
         index
     }
 
-    /// Re-stamps the CRC-32C trailer after a deliberate body edit, so a
-    /// test can reach the semantic validators behind the integrity check.
-    fn fix_crc(blob: &mut [u8]) {
-        let crc_start = blob.len() - TRAILER_LEN;
-        let crc = crc32c(&blob[..crc_start]);
-        blob[crc_start..].copy_from_slice(&crc.to_le_bytes());
+    /// Re-seals the blob after a deliberate body edit, so a test can reach
+    /// the semantic validators behind the integrity check.
+    fn fix_crc(blob: &mut Vec<u8>) {
+        blob.truncate(blob.len() - SEAL_LEN);
+        seal(blob, 0);
     }
 
     #[test]
@@ -307,7 +301,7 @@ mod tests {
     fn truncation_detected() {
         let blob = snapshot(&populated(100)).unwrap();
         assert!(restore(&blob[..blob.len() - 3]).is_err());
-        for short in [0, 20, HEADER_LEN, HEADER_LEN + TRAILER_LEN - 1] {
+        for short in [0, 20, HEADER_LEN, HEADER_LEN + SEAL_LEN - 1] {
             assert!(matches!(
                 restore(&blob[..short]),
                 Err(SnapshotError::Truncated)
@@ -372,7 +366,7 @@ mod tests {
     #[test]
     fn entry_flip_is_reported_as_corrupt() {
         let mut blob = snapshot(&populated(64)).unwrap();
-        let mid = HEADER_LEN + (blob.len() - HEADER_LEN - TRAILER_LEN) / 2;
+        let mid = HEADER_LEN + (blob.len() - HEADER_LEN - SEAL_LEN) / 2;
         blob[mid] ^= 0x01;
         assert!(matches!(restore(&blob), Err(SnapshotError::Corrupt)));
     }

@@ -41,7 +41,7 @@ use std::collections::BTreeMap;
 
 use dr_binindex::BinRouter;
 use dr_des::{SimTime, SplitMix64};
-use dr_hashes::{crc32c, sha1_digest, ChunkDigest};
+use dr_hashes::{open, seal, sha1_digest, ChunkDigest};
 use dr_obs::{merge_snapshots, CounterHandle, HistogramHandle, ObsHandle, Snapshot};
 use dr_reduction::{HashedChunks, PipelineConfig, RecoveryOutcome, Report, VolumeError};
 use dr_ssd_sim::CrashSpec;
@@ -697,9 +697,9 @@ impl Cluster {
         Ok(outcome)
     }
 
-    /// Moves one block: source read (source clock), CRC-sealed transfer,
-    /// destination validation + write (destination clock + journal), map
-    /// flip.
+    /// Moves one block: source read (source clock), sealed transfer,
+    /// destination open + write (destination clock + journal), map flip.
+    /// A wire that does not open is sent again.
     fn migrate(
         &mut self,
         name: &str,
@@ -708,18 +708,19 @@ impl Cluster {
         to: NodeId,
         crc_resends: &mut u64,
     ) -> Result<MovedBlock, ClusterError> {
-        let data = self.read_with_retries(from, name, block)?;
-        let seal = crc32c(&data);
+        let mut sealed = self.read_with_retries(from, name, block)?;
+        let len = sealed.len() as u64;
+        seal(&mut sealed, 0);
         let mut attempts = 0usize;
         let ack = loop {
-            let mut wire = data.clone();
+            let mut wire = sealed.clone();
             if self.corrupt_next_handoff {
                 self.corrupt_next_handoff = false;
                 wire[0] ^= 0xFF;
             }
-            if crc32c(&wire) == seal {
+            if let Ok(data) = open(&wire) {
                 let dest = self.nodes.get_mut(&to).expect("ring routes to members");
-                dest.vm.write(name, block, &wire)?;
+                dest.vm.write(name, block, data)?;
                 break dest.vm.last_ack();
             }
             *crc_resends += 1;
@@ -735,8 +736,8 @@ impl Cluster {
         };
         self.obs
             .counter("rebalance.transfer_sim_ns")
-            .add(data.len() as u64 * self.config.transfer_ns_per_byte);
-        self.obs.counter("rebalance.bytes").add(data.len() as u64);
+            .add(len * self.config.transfer_ns_per_byte);
+        self.obs.counter("rebalance.bytes").add(len);
         self.entry_mut(name, block).node = to;
         Ok(MovedBlock {
             name: name.to_owned(),

@@ -24,13 +24,6 @@ pub enum CodecError {
         /// Length actually produced by decoding.
         got: usize,
     },
-    /// An integrity envelope's checksum did not match (device corruption).
-    BadChecksum {
-        /// Checksum stored in the envelope.
-        stored: u32,
-        /// Checksum computed over the payload.
-        actual: u32,
-    },
 }
 
 impl fmt::Display for CodecError {
@@ -44,12 +37,6 @@ impl fmt::Display for CodecError {
             ),
             CodecError::LengthMismatch { expected, got } => {
                 write!(f, "decoded {got} bytes but header declared {expected}")
-            }
-            CodecError::BadChecksum { stored, actual } => {
-                write!(
-                    f,
-                    "checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
-                )
             }
         }
     }

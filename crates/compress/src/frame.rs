@@ -204,40 +204,6 @@ pub fn compression_ratio(original_len: usize, block: &[u8]) -> f64 {
     original_len as f64 / block.len() as f64
 }
 
-/// Wraps a sealed frame with a CRC-32C integrity envelope (4-byte
-/// little-endian checksum over the frame), for destage paths that must
-/// detect device corruption.
-pub fn protect(frame: &[u8]) -> Vec<u8> {
-    let crc = dr_hashes::crc32c(frame);
-    let mut out = Vec::with_capacity(frame.len() + 4);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(frame);
-    out
-}
-
-/// Verifies and strips a [`protect`] envelope, returning the inner frame.
-///
-/// # Errors
-///
-/// [`CodecError::Truncated`] when shorter than the envelope;
-/// [`CodecError::BadChecksum`] when the stored CRC does not match the
-/// frame bytes (device corruption).
-pub fn verify_and_strip(block: &[u8]) -> Result<&[u8], CodecError> {
-    if block.len() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    let stored = u32::from_le_bytes(block[..4].try_into().expect("4 bytes"));
-    let frame = &block[4..];
-    let actual = dr_hashes::crc32c(frame);
-    if stored != actual {
-        return Err(CodecError::BadChecksum { stored, actual });
-    }
-    Ok(frame)
-}
-
-/// [`protect`] envelope overhead in bytes.
-pub const PROTECT_OVERHEAD: usize = 4;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,12 +300,21 @@ mod tests {
         ));
     }
 
+    /// The integrity envelope destage writes: the frame, then its
+    /// CRC-32C trailer.
+    fn protect(frame: &[u8]) -> Vec<u8> {
+        let mut envelope = frame.to_vec();
+        dr_hashes::seal(&mut envelope, 0);
+        envelope
+    }
+
     #[test]
     fn protect_round_trips() {
         let frame = seal_raw(b"some frame");
         let protected = protect(&frame);
-        assert_eq!(protected.len(), frame.len() + PROTECT_OVERHEAD);
-        assert_eq!(verify_and_strip(&protected).unwrap(), frame.as_slice());
+        assert_eq!(protected.len(), frame.len() + dr_hashes::SEAL_LEN);
+        assert_eq!(protected[..frame.len()], frame[..]);
+        assert_eq!(dr_hashes::open(&protected), Ok(frame.as_slice()));
     }
 
     #[test]
@@ -351,8 +326,8 @@ mod tests {
             corrupt[byte] ^= 0x40;
             assert!(
                 matches!(
-                    verify_and_strip(&corrupt),
-                    Err(CodecError::BadChecksum { .. })
+                    dr_hashes::open(&corrupt),
+                    Err(dr_hashes::SealError::Mismatch { .. })
                 ),
                 "flip at byte {byte} not detected"
             );
@@ -367,11 +342,11 @@ mod tests {
         let protected = protect(&seal_raw(b"integrity matters"));
         for method in 1..=255u8 {
             let mut corrupt = protected.clone();
-            corrupt[PROTECT_OVERHEAD] = method;
+            corrupt[0] = method;
             assert!(
                 matches!(
-                    verify_and_strip(&corrupt),
-                    Err(CodecError::BadChecksum { .. })
+                    dr_hashes::open(&corrupt),
+                    Err(dr_hashes::SealError::Mismatch { .. })
                 ),
                 "method {method}"
             );
@@ -380,10 +355,22 @@ mod tests {
 
     #[test]
     fn protect_rejects_truncation() {
-        assert!(matches!(
-            verify_and_strip(&[1, 2, 3]),
-            Err(CodecError::Truncated)
-        ));
+        let protected = protect(&seal_raw(b"integrity matters"));
+        for len in 0..dr_hashes::SEAL_LEN {
+            assert_eq!(
+                dr_hashes::open(&protected[..len]),
+                Err(dr_hashes::SealError::Truncated)
+            );
+        }
+        for len in dr_hashes::SEAL_LEN..protected.len() {
+            assert!(
+                matches!(
+                    dr_hashes::open(&protected[..len]),
+                    Err(dr_hashes::SealError::Mismatch { .. })
+                ),
+                "a {len}-byte prefix must be rejected"
+            );
+        }
     }
 
     #[test]

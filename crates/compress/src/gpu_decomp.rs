@@ -6,7 +6,7 @@
 //! kernel replays them — literal runs as coalesced copies, match
 //! back-references as uncoalesced gathers (see `dr_gpu_sim::decomp` for
 //! the cost model). A 4 KB frame cannot fill a GPU alone, so frames are
-//! batched and each contributes `subblocks_per_chunk` phase-2 work items.
+//! batched and each contributes `SUBBLOCKS_PER_CHUNK` phase-2 work items.
 //!
 //! As everywhere in this workspace, the kernels run *functionally on the
 //! host*: the caller decodes each frame once with
@@ -31,31 +31,9 @@ use dr_obs::{CounterHandle, HistogramHandle, ObsHandle};
 
 use crate::frame::FrameStats;
 
-/// Parameters of the GPU decompression kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GpuDecompressorConfig {
-    /// Sub-blocks (phase-2 work items) assigned to each frame.
-    pub subblocks_per_chunk: usize,
-}
-
-impl Default for GpuDecompressorConfig {
-    /// 8 sub-blocks per 4 KB frame, matching the write path's
-    /// threads-per-chunk.
-    fn default() -> Self {
-        GpuDecompressorConfig {
-            subblocks_per_chunk: 8,
-        }
-    }
-}
-
-impl GpuDecompressorConfig {
-    fn validate(&self) {
-        assert!(
-            self.subblocks_per_chunk > 0,
-            "need at least one sub-block per chunk"
-        );
-    }
-}
+/// Sub-blocks (phase-2 work items) assigned to each frame: 8 per 4 KB
+/// frame, matching the write path's threads-per-chunk.
+const SUBBLOCKS_PER_CHUNK: usize = 8;
 
 /// The device side of one batch: when each of its four steps ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,7 +187,7 @@ fn byte_totals(frames: &[FrameStats]) -> (u64, u64) {
 /// # Example
 ///
 /// ```
-/// use dr_compress::{frame, Codec, FastLz, GpuDecompressor, GpuDecompressorConfig};
+/// use dr_compress::{frame, Codec, FastLz, GpuDecompressor};
 /// use dr_gpu_sim::{GpuDevice, GpuSpec};
 /// use dr_des::SimTime;
 ///
@@ -218,7 +196,7 @@ fn byte_totals(frames: &[FrameStats]) -> (u64, u64) {
 /// // The host decodes; the kernels are priced from what that decode saw.
 /// let (decoded, stats) = frame::open_with_stats(&FastLz::new().compress(&chunk)).unwrap();
 /// assert_eq!(decoded, chunk);
-/// let d = GpuDecompressor::new(GpuDecompressorConfig::default());
+/// let d = GpuDecompressor::default();
 /// let estimate = d.estimate(SimTime::ZERO, &gpu, &[stats]);
 /// let report = d.charge(SimTime::ZERO, &mut gpu, &[stats]).unwrap();
 /// assert_eq!(report, estimate);
@@ -226,33 +204,22 @@ fn byte_totals(frames: &[FrameStats]) -> (u64, u64) {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GpuDecompressor {
-    config: GpuDecompressorConfig,
     split: LaunchConfig,
     copy: LaunchConfig,
     obs: GpuDecompObs,
 }
 
-impl GpuDecompressor {
-    /// Creates the decompressor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` is inconsistent.
-    pub fn new(config: GpuDecompressorConfig) -> Self {
-        config.validate();
+impl Default for GpuDecompressor {
+    fn default() -> Self {
         GpuDecompressor {
-            config,
             split: LaunchConfig::named("lz-token-split").with_resources(RESOURCES),
             copy: LaunchConfig::named("lz-subblock-copy").with_resources(RESOURCES),
             obs: GpuDecompObs::default(),
         }
     }
+}
 
-    /// The kernel parameters.
-    pub fn config(&self) -> GpuDecompressorConfig {
-        self.config
-    }
-
+impl GpuDecompressor {
     /// Wires metrics into `obs` under the `decompress.*` namespace.
     pub fn set_obs(&mut self, obs: &ObsHandle) {
         self.obs = GpuDecompObs::new(obs);
@@ -271,7 +238,7 @@ impl GpuDecompressor {
         let (stored, decoded) = byte_totals(frames);
         let h2d = queues.h2d(now, stored)?;
         let split = queues.launch(h2d.end, &self.split, &token_split_items(&shapes))?;
-        let sub_blocks = subblock_copy_items(&shapes, self.config.subblocks_per_chunk);
+        let sub_blocks = subblock_copy_items(&shapes, SUBBLOCKS_PER_CHUNK);
         let copy = queues.launch(split.end, &self.copy, &sub_blocks)?;
         let d2h = queues.d2h(copy.end, decoded.max(1))?;
         Ok(GpuDecompReport {
@@ -350,7 +317,7 @@ mod tests {
     }
 
     fn decompressor() -> GpuDecompressor {
-        GpuDecompressor::new(GpuDecompressorConfig::default())
+        GpuDecompressor::default()
     }
 
     /// What the host's one decode of `chunk`'s frame tallies.
@@ -493,13 +460,5 @@ mod tests {
         );
         assert_eq!(counter("decompress.gpu_in_bytes"), stats.frame_bytes as u64);
         assert_eq!(counter("decompress.gpu_out_bytes"), chunk.len() as u64);
-    }
-
-    #[test]
-    #[should_panic(expected = "sub-block")]
-    fn zero_subblocks_rejected() {
-        GpuDecompressor::new(GpuDecompressorConfig {
-            subblocks_per_chunk: 0,
-        });
     }
 }

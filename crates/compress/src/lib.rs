@@ -43,7 +43,7 @@ pub use error::CodecError;
 pub use fastlz::FastLz;
 pub use frame::{compression_ratio, Frame, FrameStats};
 pub use gpu::{GpuCompressor, GpuCompressorConfig};
-pub use gpu_decomp::{GpuDecompReport, GpuDecompressor, GpuDecompressorConfig};
+pub use gpu_decomp::{GpuDecompReport, GpuDecompressor};
 pub use token::Token;
 
 /// A lossless block codec.

@@ -1,8 +1,9 @@
 //! CRC-32C (Castagnoli), table-driven with SWAR/SIMD fast paths.
 //!
 //! Storage systems checksum what they destage; CRC-32C is the industry
-//! polynomial (iSCSI, ext4, Btrfs). Used by the destage path's integrity
-//! option, the snapshot trailer, and available standalone.
+//! polynomial (iSCSI, ext4, Btrfs). Every persisted or shipped record is
+//! sealed with it through [`crate::seal()`]; it is also available
+//! standalone.
 //!
 //! Three implementation arms, all bit-identical:
 //!

@@ -16,7 +16,9 @@
 //!   worker pool, a multi-buffer group at a time (the paper's "hashing has
 //!   no inter-chunk dependency" stage),
 //! * [`ChunkDigest`] — the 20-byte chunk fingerprint with prefix extraction
-//!   used by the bin router and by prefix truncation.
+//!   used by the bin router and by prefix truncation,
+//! * [`seal()`] / [`open()`] — the CRC-32C trailer every persisted or shipped
+//!   record carries.
 //!
 //! # Example
 //!
@@ -33,6 +35,7 @@ pub mod digest;
 pub mod fast;
 pub mod lz_hash;
 pub mod parallel;
+pub mod seal;
 pub mod sha1;
 pub mod sha1_mb;
 pub mod simd;
@@ -42,5 +45,6 @@ pub use digest::ChunkDigest;
 pub use fast::{fnv1a64, mix64, FastHasher};
 pub use lz_hash::{lz_slot, lz_slots, LZ_SLOT_BITS};
 pub use parallel::{hash_chunks_pooled, hash_chunks_pooled_counted};
+pub use seal::{open, seal, SealError, SEAL_LEN};
 pub use sha1::{sha1_digest, Sha1};
 pub use sha1_mb::sha1_digest_many;

@@ -60,5 +60,5 @@ pub use profile::{profile, ProfileReport, TrackStat, WorkerStat};
 pub use registry::{
     CounterHandle, GaugeHandle, HistogramHandle, ObsHandle, Registry, Span, StageObs,
 };
-pub use snapshot::{merge_snapshots, snapshots_to_json, HistogramSummary, Snapshot};
+pub use snapshot::{json_escape, merge_snapshots, snapshots_to_json, HistogramSummary, Snapshot};
 pub use trace::{chrome_trace_json, trace_args, TraceEvent, TraceSink, Tracer, Track, WallSpan};

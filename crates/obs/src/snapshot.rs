@@ -208,8 +208,9 @@ pub fn snapshots_to_json(snapshots: &[Snapshot]) -> String {
 }
 
 /// Appends `s` to `out` with JSON string escaping (quotes, backslashes,
-/// and control characters). Shared with the trace writer.
-pub(crate) fn json_escape(s: &str, out: &mut String) {
+/// and control characters). Shared with the trace writer and the
+/// checker's replay artifacts.
+pub fn json_escape(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

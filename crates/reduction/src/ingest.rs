@@ -664,7 +664,7 @@ impl Pipeline {
     /// the index (a full bin buffer spills to the SSD and the GPU mirror).
     fn destage(&mut self, batch: &mut Batch, frames: Vec<Frame>) {
         let mut win = Window::default();
-        for (i, frame_bytes, sealed) in frames {
+        for (i, mut frame_bytes, sealed) in frames {
             if self.config.verify {
                 let back = frame::open(&frame_bytes).expect("self-check: frame must decode");
                 assert_eq!(
@@ -673,15 +673,13 @@ impl Pipeline {
                     "self-check: chunk round-trip failed"
                 );
             }
-            let protected;
-            let stored: &[u8] = if self.config.integrity {
-                protected = frame::protect(&frame_bytes);
-                &protected
-            } else {
-                &frame_bytes
-            };
-            self.report.stored_bytes += stored.len() as u64;
-            let (chunk_ref, grants) = self.destage_frame(sealed, stored);
+            if self.config.integrity {
+                // The integrity envelope: the frame's CRC-32C behind it, in
+                // the frame's own buffer.
+                dr_hashes::seal(&mut frame_bytes, 0);
+            }
+            self.report.stored_bytes += frame_bytes.len() as u64;
+            let (chunk_ref, grants) = self.destage_frame(sealed, &frame_bytes);
             for g in grants {
                 self.report.ssd_end = self.report.ssd_end.max(g.end);
                 win.cover(g.start, g.end);

@@ -44,7 +44,8 @@
 //! magic "DRJL" (u32 LE) | kind (u8) | len (u32 LE) | payload | crc32c (u32 LE)
 //! ```
 //!
-//! with the CRC covering `kind | len | payload`. Replay parses the
+//! with the CRC covering `kind | len | payload`: the record is sealed with
+//! [`dr_hashes::seal()`] from the kind byte on. Replay parses the
 //! region from the start and stops at the first frame that fails to
 //! validate: four zero bytes where a magic should be mean a clean end
 //! (NAND reads back erased/unwritten space as zeros); anything else —
@@ -58,7 +59,7 @@
 //! a durable record *after* a torn one.
 
 use dr_des::{ExponentialBackoff, Grant, Retried, SimDuration, SimTime};
-use dr_hashes::{crc32c, ChunkDigest};
+use dr_hashes::{open, seal, ChunkDigest, SEAL_LEN};
 use dr_obs::trace::{trace_args, Tracer, Track};
 use dr_obs::{CounterHandle, ObsHandle};
 use dr_ssd_sim::{SsdDevice, SsdError};
@@ -67,9 +68,9 @@ use std::fmt;
 
 /// Record-frame magic: `b"DRJL"` little-endian.
 const MAGIC: u32 = u32::from_le_bytes(*b"DRJL");
-/// Frame overhead: magic + kind + len before the payload, CRC after.
+/// Frame header before the payload: magic + kind + len. The seal follows
+/// the payload.
 const FRAME_HEAD: usize = 4 + 1 + 4;
-const FRAME_TAIL: usize = 4;
 
 const KIND_VOLUME_CREATE: u8 = 1;
 const KIND_MAP_UPDATE: u8 = 2;
@@ -273,7 +274,7 @@ fn put_payload(out: &mut Vec<u8>, record: &Record) {
     }
 }
 
-/// Appends one CRC frame of `kind` around whatever `payload` writes to
+/// Appends one sealed frame of `kind` around whatever `payload` writes to
 /// `out`.
 fn put_frame(out: &mut Vec<u8>, kind: u8, payload: impl FnOnce(&mut Vec<u8>)) {
     let start = out.len();
@@ -283,8 +284,7 @@ fn put_frame(out: &mut Vec<u8>, kind: u8, payload: impl FnOnce(&mut Vec<u8>)) {
     payload(out);
     let len = (out.len() - start - FRAME_HEAD) as u32;
     out[start + 5..start + FRAME_HEAD].copy_from_slice(&len.to_le_bytes());
-    let crc = crc32c(&out[start + 4..]);
-    put_u32(out, crc);
+    seal(out, start + 4);
 }
 
 /// Serializes one record with its CRC frame.
@@ -446,7 +446,7 @@ pub fn parse_log(buf: &[u8]) -> ParsedLog {
             break TailState::Clean;
         }
         let frame_ok = (|| {
-            if rest.len() < FRAME_HEAD + FRAME_TAIL {
+            if rest.len() < FRAME_HEAD {
                 return None;
             }
             let magic = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
@@ -455,20 +455,10 @@ pub fn parse_log(buf: &[u8]) -> ParsedLog {
             }
             let kind = rest[4];
             let len = u32::from_le_bytes([rest[5], rest[6], rest[7], rest[8]]) as usize;
-            let total = FRAME_HEAD.checked_add(len)?.checked_add(FRAME_TAIL)?;
-            if rest.len() < total {
-                return None;
-            }
-            let stored = u32::from_le_bytes([
-                rest[FRAME_HEAD + len],
-                rest[FRAME_HEAD + len + 1],
-                rest[FRAME_HEAD + len + 2],
-                rest[FRAME_HEAD + len + 3],
-            ]);
-            if crc32c(&rest[4..FRAME_HEAD + len]) != stored {
-                return None;
-            }
-            let record = decode_payload(kind, &rest[FRAME_HEAD..FRAME_HEAD + len])?;
+            let total = FRAME_HEAD.checked_add(len)?.checked_add(SEAL_LEN)?;
+            // The seal covers kind | len | payload, not the magic.
+            let sealed = open(rest.get(4..total)?).ok()?;
+            let record = decode_payload(kind, &sealed[FRAME_HEAD - 4..])?;
             Some((record, total))
         })();
         match frame_ok {

@@ -5,9 +5,7 @@
 
 use dr_binindex::{BinIndex, BinIndexConfig, ChunkRef, GpuBinIndex, GpuBinIndexConfig, RoutingObs};
 use dr_chunking::{Chunker, FixedChunker};
-use dr_compress::{
-    FastLz, FrameStats, GpuCompressor, GpuCompressorConfig, GpuDecompressor, GpuDecompressorConfig,
-};
+use dr_compress::{FastLz, FrameStats, GpuCompressor, GpuCompressorConfig, GpuDecompressor};
 use dr_des::{Resource, SimTime};
 use dr_gpu_sim::{GpuDevice, GpuSpec};
 use dr_hashes::{hash_chunks_pooled_counted, ChunkDigest};
@@ -130,8 +128,6 @@ pub struct PipelineConfig {
     pub gpu_index: GpuBinIndexConfig,
     /// GPU compression kernel configuration.
     pub gpu_compressor: GpuCompressorConfig,
-    /// GPU decompression kernel configuration (read path).
-    pub gpu_decompressor: GpuDecompressorConfig,
     /// Read-path configuration: decompressed-chunk cache capacity.
     pub read: ReadConfig,
     /// GPU hardware profile.
@@ -182,7 +178,6 @@ impl Default for PipelineConfig {
             index: BinIndexConfig::default(),
             gpu_index: GpuBinIndexConfig::default(),
             gpu_compressor: GpuCompressorConfig::default(),
-            gpu_decompressor: GpuDecompressorConfig::default(),
             read: ReadConfig::default(),
             gpu_spec: GpuSpec::radeon_hd_7970(),
             ssd_spec: SsdSpec::samsung_830_256g(),
@@ -447,7 +442,7 @@ impl Pipeline {
         index.set_obs(&config.obs);
         let mut gpu_comp = GpuCompressor::new(config.gpu_compressor);
         gpu_comp.set_obs(&config.obs);
-        let mut gpu_decomp = GpuDecompressor::new(config.gpu_decompressor);
+        let mut gpu_decomp = GpuDecompressor::default();
         gpu_decomp.set_obs(&config.obs);
         Pipeline {
             cpu: Resource::new("cpu-workers", config.cpu.workers),
@@ -910,6 +905,15 @@ pub(crate) mod tests {
                 &data[i * 4096..(i + 1) * 4096]
             );
         }
+        // On the device the envelope is the frame, then its CRC-32C.
+        let mut fetched = crate::FetchedFrames::default();
+        let (r, now) = (checked.recipe[0], checked.report.read_end);
+        let (destage, ssd) = (&mut checked.destage, &mut checked.ssd);
+        destage.read_frames(now, ssd, &[r], &mut fetched).unwrap();
+        let stored = &fetched.bytes[fetched.frames[0].bytes.clone()];
+        let (frame, crc) = stored.split_at(stored.len() - 4);
+        assert_eq!(crc, dr_hashes::crc32c(frame).to_le_bytes());
+        assert_eq!(dr_compress::frame::open(frame).unwrap(), &data[..4096]);
     }
 
     #[test]
@@ -929,7 +933,7 @@ pub(crate) mod tests {
                 assert!(
                     matches!(
                         e,
-                        ReadError::Frame(dr_compress::CodecError::BadChecksum { .. })
+                        ReadError::Integrity(dr_hashes::SealError::Mismatch { .. })
                     ),
                     "unexpected error: {e}"
                 );

@@ -271,7 +271,8 @@ impl Pipeline {
     /// # Errors
     ///
     /// [`ReadError::Device`] when the device read fails after retries,
-    /// [`ReadError::Frame`] when the frame decode or integrity check fails.
+    /// [`ReadError::Integrity`] when the integrity envelope does not open,
+    /// [`ReadError::Frame`] when the frame does not decode.
     pub fn read_chunk(&mut self, r: ChunkRef) -> Result<Vec<u8>, ReadError> {
         let mut out = self.read_chunks(&[r])?;
         Ok(out.pop().expect("one result per request"))
@@ -303,8 +304,9 @@ impl Pipeline {
     /// # Errors
     ///
     /// The first failing request aborts the batch: [`ReadError::Device`]
-    /// when a device read fails after retries, [`ReadError::Frame`] when a
-    /// frame decode or integrity check fails.
+    /// when a device read fails after retries, [`ReadError::Integrity`]
+    /// when an integrity envelope does not open, [`ReadError::Frame`] when
+    /// a frame does not decode.
     pub fn read_chunks(&mut self, refs: &[ChunkRef]) -> Result<Vec<Vec<u8>>, ReadError> {
         if refs.is_empty() {
             return Ok(Vec::new());
@@ -351,9 +353,9 @@ impl Pipeline {
         let mut at = now;
         if !cold.is_empty() {
             // Fetch every cold frame in one device batch: all page reads
-            // issued at `now`, one per distinct page. Then verify each
+            // issued at `now`, one per distinct page. Then open each
             // integrity envelope where it landed and narrow the frame's
-            // range to the sealed frame behind it.
+            // range to the frame in front of its seal.
             let fetch_span = self.obs.read_fetch.span();
             let mut fetched = FetchedFrames::default();
             let read = self
@@ -368,8 +370,8 @@ impl Pipeline {
             read?;
             for f in &mut fetched.frames {
                 if self.config.integrity {
-                    let sealed = frame::verify_and_strip(&fetched.bytes[f.bytes.clone()])?;
-                    f.bytes.start = f.bytes.end - sealed.len();
+                    let body = dr_hashes::open(&fetched.bytes[f.bytes.clone()])?;
+                    f.bytes.end = f.bytes.start + body.len();
                 }
                 at = at.max(f.ready);
             }

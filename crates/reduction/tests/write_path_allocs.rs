@@ -8,7 +8,9 @@
 //! Everything else it allocates is lists of one element. This test pins
 //! that with a counting global allocator, so an encoded-record buffer, a
 //! cloned tail page or a copy of the page a write displaced fails here
-//! rather than in a benchmark run.
+//! rather than in a benchmark run. The integrity envelope is sealed in the
+//! frame's own buffer, so a unique write costs no more bytes with it than
+//! without it.
 //!
 //! Kept to a single `#[test]` on purpose: the libtest harness runs tests
 //! in one process, and a sibling test allocating concurrently would make
@@ -63,6 +65,38 @@ fn allocated_during(f: impl FnOnce()) -> (u64, u64) {
     )
 }
 
+/// Bytes allocated by the ninth of nine unique single-block writes into a
+/// fresh, unjournaled array.
+fn unique_write_bytes(integrity: bool) -> u64 {
+    let mut array = VolumeManager::new(PipelineConfig {
+        mode: IntegrationMode::CpuOnly,
+        integrity,
+        ..PipelineConfig::default()
+    });
+    array.create_volume("v", 64).unwrap();
+    // Incompressible, and different every block: each one is a unique
+    // chunk stored as a raw frame.
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut block = || -> Vec<u8> {
+        (0..4096)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect()
+    };
+    for b in 0..8 {
+        array.write("v", b, &block()).unwrap();
+    }
+    let last = block();
+    let unique = array.report().unique_chunks;
+    let (_, bytes) = allocated_during(|| array.write("v", 8, &last).unwrap());
+    assert_eq!(array.report().unique_chunks, unique + 1);
+    bytes
+}
+
 #[test]
 fn a_small_journaled_write_allocates_two_pages_and_change() {
     let mut array = VolumeManager::new(PipelineConfig {
@@ -93,4 +127,10 @@ fn a_small_journaled_write_allocates_two_pages_and_change() {
     assert!(pages <= 2, "pre-hashed write: {pages} page-sized buffers");
     assert!(bytes <= 9 * 1024, "pre-hashed write: {bytes} bytes");
     assert_eq!(array.read("v", 10).unwrap(), block);
+
+    let (sealed, plain) = (unique_write_bytes(true), unique_write_bytes(false));
+    assert!(
+        sealed <= plain,
+        "a unique write allocates {sealed} bytes with the integrity envelope, {plain} without"
+    );
 }
