@@ -92,7 +92,6 @@ fn run_cluster(
         nodes,
         max_nodes: nodes,
         node,
-        ..ClusterConfig::default()
     });
     cluster.create_volume(VOL, blocks).expect("fresh volume");
     for w in writes {

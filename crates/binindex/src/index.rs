@@ -222,8 +222,8 @@ impl BinIndex {
 
     /// Whether a digest is present, without touching lookup statistics or
     /// obs counters. This is a metadata audit probe
-    /// (cluster shard directories cross-check their contents against node
-    /// indexes with it); the hot path must keep using
+    /// (the cluster's integrity check cross-checks its placement map
+    /// against node indexes with it); the hot path must keep using
     /// [`BinIndex::lookup`] so hit/miss accounting stays truthful.
     pub fn contains(&self, digest: &ChunkDigest) -> bool {
         let bin = self.router.route(digest);

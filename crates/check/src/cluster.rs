@@ -15,7 +15,7 @@
 //!    had nothing acknowledged and may only revert a block to bytes it
 //!    durably wrote, never below the latest acknowledged version.
 //! 4. **Structural integrity** — [`Cluster::check_integrity`] (placement
-//!    map ↔ ring ↔ shard directories ↔ node indexes ↔ per-node destage
+//!    map ↔ ring ↔ refcount directory ↔ node indexes ↔ per-node destage
 //!    conservation) and chunk conservation against the model, after
 //!    every op.
 //!
@@ -34,8 +34,7 @@ use crate::model::{ModelError, Oracle};
 use crate::ops::Op;
 
 /// Initial member count for checker clusters. Two nodes, not one: the
-/// routing, shard-mirror, and migration machinery must all be live from
-/// op zero.
+/// routing and migration machinery must both be live from op zero.
 const CLUSTER_NODES: usize = 2;
 
 /// Join cap for checker clusters — small enough that generated
@@ -66,7 +65,6 @@ impl ClusterSut {
                 obs: ObsHandle::enabled("dr-check"),
                 ..PipelineConfig::default()
             },
-            ..ClusterConfig::default()
         };
         ClusterSut {
             system: Cluster::new(config),

@@ -9,16 +9,18 @@
 //! the bin rendezvous-routes to its home node ([`Ring`]). Routing by
 //! *content* rather than by address is what makes per-node dedup
 //! cluster-wide for free: two clients writing the same bytes anywhere in
-//! the namespace land on the same node's dedup domain. The cluster keeps
-//! an authoritative placement map (`(volume, block) → node`) and a
-//! refcounted per-bin digest directory ([`ShardSet`]) that answers the
-//! cluster-level dedup question and counts each stored chunk exactly
-//! once, no matter which node's pipeline physically admitted it.
+//! the namespace land on the same node's dedup domain. The cluster's
+//! metadata is the placement map (`(volume, block) → node, digest`), the
+//! one source of truth, plus a `digest → refcount` directory derived
+//! from it that answers the cluster-level dedup question and counts each
+//! stored chunk exactly once, no matter which node's pipeline physically
+//! admitted it. A block's bin and home node are recomputed from its
+//! digest, never stored.
 //!
 //! # Membership
 //!
 //! Join and leave trigger incremental rebalancing: entries whose bin
-//! re-homed are migrated in bounded batches — source read (charging the
+//! re-homed are migrated one at a time — source read (charging the
 //! source node's simulated clock), CRC-32C sealed handoff validated at
 //! the destination (re-sent on mismatch, bounded retries), destination
 //! write (charging the destination's clock and journaling the update),
@@ -34,8 +36,8 @@
 //! (it does not crash); reconciliation walks the crashed node's entries
 //! and keeps what the node durably holds — possibly an *older* version
 //! of a block, when the newer map record missed the durable prefix —
-//! and drops what it lost. Shards homed on the crashed node rebuild
-//! from their mirrors plus the surviving map.
+//! and drops what it lost. The refcount directory is then recounted from
+//! the surviving map.
 
 use std::collections::BTreeMap;
 
@@ -48,14 +50,24 @@ use dr_ssd_sim::CrashSpec;
 
 use crate::node::Node;
 use crate::ring::{NodeId, Ring};
-use crate::shard::ShardSet;
 
 /// Transient read failures (seeded device/GPU faults) are retried this
 /// many times during migration and reconciliation, matching the checker's
 /// tolerance on the ordinary read path.
 const TRANSIENT_RETRIES: usize = 10;
 
-/// Cluster construction and tuning knobs.
+/// Digest-prefix width for bin ids (the single-node convention; 2 bytes
+/// = 65 536 bins).
+const PREFIX_BYTES: usize = 2;
+
+/// Modeled network cost of a migrated byte, accounted on the `router`
+/// obs registry as `rebalance.transfer_sim_ns`.
+const TRANSFER_NS_PER_BYTE: u64 = 1;
+
+/// Re-send attempts when a handoff fails destination CRC validation.
+const CRC_RETRIES: usize = 3;
+
+/// Cluster construction knobs.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Initial node count.
@@ -66,17 +78,6 @@ pub struct ClusterConfig {
     /// state is inherited, but each node gets its own registry named
     /// `node{id}`.
     pub node: PipelineConfig,
-    /// Digest-prefix width for bin ids (the single-node convention; 2
-    /// bytes = 65 536 bins).
-    pub prefix_bytes: usize,
-    /// Maximum migrations in flight per rebalance round — the bound on
-    /// incremental rebalancing.
-    pub rebalance_batch: usize,
-    /// Modeled network cost of a migrated byte, accounted on the
-    /// `router` obs registry as `rebalance.transfer_sim_ns`.
-    pub transfer_ns_per_byte: u64,
-    /// Re-send attempts when a handoff fails destination CRC validation.
-    pub crc_retries: usize,
 }
 
 impl Default for ClusterConfig {
@@ -85,10 +86,6 @@ impl Default for ClusterConfig {
             nodes: 3,
             max_nodes: 8,
             node: PipelineConfig::default(),
-            prefix_bytes: 2,
-            rebalance_batch: 8,
-            transfer_ns_per_byte: 1,
-            crc_retries: 3,
         }
     }
 }
@@ -155,12 +152,36 @@ impl From<VolumeError> for ClusterError {
 /// One placement-map entry: where a logical block lives and what it holds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MapEntry {
-    /// Home node (always the ring home of `bin` between operations).
+    /// Home node (always the ring home of `digest`'s bin between
+    /// operations).
     pub node: NodeId,
-    /// Bin id of `digest`.
-    pub bin: u64,
     /// Digest of the block's content.
     pub digest: ChunkDigest,
+}
+
+/// Digest → number of placement entries holding it: the cluster's one
+/// dedup directory. A digest is live while its count is nonzero.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Refcounts(BTreeMap<ChunkDigest, u32>);
+
+impl Refcounts {
+    /// Takes a reference; `true` when the digest is new cluster-wide.
+    fn acquire(&mut self, digest: ChunkDigest) -> bool {
+        let count = self.0.entry(digest).or_insert(0);
+        *count += 1;
+        *count == 1
+    }
+
+    /// Drops a reference, and the digest with its last one.
+    fn release(&mut self, digest: &ChunkDigest) {
+        match self.0.get_mut(digest) {
+            Some(1) => {
+                self.0.remove(digest);
+            }
+            Some(n) => *n -= 1,
+            None => panic!("released a digest the directory never held"),
+        }
+    }
 }
 
 /// One volume's cluster-level metadata (durable; it does not crash).
@@ -213,8 +234,6 @@ pub struct MovedBlock {
 pub struct RebalanceOutcome {
     /// Completed migrations, in placement-map order.
     pub moves: Vec<MovedBlock>,
-    /// Bounded-batch rounds the pass took.
-    pub rounds: u64,
     /// Handoffs that needed a CRC re-send.
     pub crc_resends: u64,
 }
@@ -244,9 +263,9 @@ pub struct ClusterReport {
     /// Chunks ingested through the cluster front-end (not counting
     /// migrations or recovery re-reads).
     pub chunks: u64,
-    /// Chunks that were new to their bin when written.
+    /// Chunks that were new to the cluster when written.
     pub unique_chunks: u64,
-    /// Chunks deduplicated against a bin directory.
+    /// Chunks deduplicated against the cluster directory.
     pub dedup_hits: u64,
     /// Digests currently referenced by at least one placement entry.
     pub live_digests: u64,
@@ -282,7 +301,8 @@ pub struct Cluster {
     /// placement entries in (name, block) order, which rebalance and
     /// reconciliation rely on.
     volumes: BTreeMap<String, VolumeMap>,
-    shards: ShardSet,
+    /// Derived from `volumes`; [`Cluster::check_integrity`] recounts it.
+    refs: Refcounts,
     chunks: u64,
     unique_chunks: u64,
     dedup_hits: u64,
@@ -297,8 +317,8 @@ pub struct Cluster {
     /// still reads "host ns spent fingerprinting". Wall side only — the
     /// simulated hash cost stays the node's to charge.
     hashing_wall: HistogramHandle,
-    /// `(bin, home node)` per chunk of the write in progress (reused).
-    routed: Vec<(u64, NodeId)>,
+    /// Home node per chunk of the write in progress (reused).
+    routed: Vec<NodeId>,
     /// Test hook: corrupt the next handoff in transit, forcing the
     /// destination's CRC validation to reject and re-request it.
     pub corrupt_next_handoff: bool,
@@ -327,12 +347,12 @@ impl Cluster {
         }
         let ring = Ring::new(&nodes.keys().copied().collect::<Vec<_>>());
         Cluster {
-            router: BinRouter::new(config.prefix_bytes),
+            router: BinRouter::new(PREFIX_BYTES),
             ring,
             next_node: nodes.len() as NodeId,
             nodes,
             volumes: BTreeMap::new(),
-            shards: ShardSet::default(),
+            refs: Refcounts::default(),
             chunks: 0,
             unique_chunks: 0,
             dedup_hits: 0,
@@ -385,6 +405,20 @@ impl Cluster {
             .get_mut(name)
             .and_then(|volume| volume.placed.get_mut(&block))
             .expect("a mapped block")
+    }
+
+    /// The node a digest lives on: its bin's ring home.
+    fn home(&self, digest: &ChunkDigest) -> NodeId {
+        self.ring.route(self.router.route(digest) as u64)
+    }
+
+    /// The refcount directory the placement map derives.
+    fn recount(&self) -> Refcounts {
+        let mut refs = Refcounts::default();
+        for (_, _, entry) in self.entries() {
+            refs.acquire(entry.digest);
+        }
+        refs
     }
 
     /// Creates a volume on every node (and on every future joiner), so
@@ -455,28 +489,25 @@ impl Cluster {
         span.finish();
         let mut routed = std::mem::take(&mut self.routed);
         routed.clear();
-        routed.extend(write.digests().iter().map(|digest| {
-            let bin = self.router.route(digest) as u64;
-            (bin, self.ring.route(bin))
-        }));
+        routed.extend(write.digests().iter().map(|digest| self.home(digest)));
         let outcome = self.write_runs(name, start_block, &write, &routed);
         self.routed = routed;
         outcome
     }
 
     /// Hands each run of consecutive same-node chunks of `write` to its
-    /// node; `routed` is every chunk's `(bin, home node)`.
+    /// node; `routed` is every chunk's home node.
     fn write_runs(
         &mut self,
         name: &str,
         start_block: u64,
         write: &HashedChunks,
-        routed: &[(u64, NodeId)],
+        routed: &[NodeId],
     ) -> Result<WriteOutcome, ClusterError> {
         let mut outcome = WriteOutcome::default();
         let mut first = 0usize;
-        for run in routed.chunk_by(|a, b| a.1 == b.1) {
-            let (chunks, node_id) = (first..first + run.len(), run[0].1);
+        for run in routed.chunk_by(|a, b| a == b) {
+            let (chunks, node_id) = (first..first + run.len(), run[0]);
             let run_start = start_block + first as u64;
             let node = self
                 .nodes
@@ -485,9 +516,9 @@ impl Cluster {
             node.vm
                 .write_hashed(name, run_start, &write.slice(chunks.clone()))?;
             let ack = node.vm.last_ack();
-            for (k, (bin, _)) in chunks.zip(run) {
+            for k in chunks {
                 let digest = write.digests()[k];
-                self.account_write(name, start_block + k as u64, digest, *bin, node_id);
+                self.account_write(name, start_block + k as u64, digest, node_id);
             }
             outcome.runs.push(PlacedRun {
                 start_block: run_start,
@@ -500,20 +531,13 @@ impl Cluster {
         Ok(outcome)
     }
 
-    /// Updates the placement map, shard directory, and dedup accounting
+    /// Updates the placement map, refcount directory, and dedup accounting
     /// for one written chunk. Acquire-before-release so that rewriting a
     /// block with its own content counts as the dedup hit the node also
     /// sees, not a release-to-zero plus a fresh unique.
-    fn account_write(
-        &mut self,
-        name: &str,
-        block: u64,
-        digest: ChunkDigest,
-        bin: u64,
-        node: NodeId,
-    ) {
+    fn account_write(&mut self, name: &str, block: u64, digest: ChunkDigest, node: NodeId) {
         self.chunks += 1;
-        if self.shards.shard_mut(bin, &self.ring).acquire(digest) {
+        if self.refs.acquire(digest) {
             self.unique_chunks += 1;
             self.ingest_unique.incr();
         } else {
@@ -521,11 +545,8 @@ impl Cluster {
             self.ingest_dedup_hits.incr();
         }
         let volume = self.volumes.get_mut(name).expect("write validated it");
-        let prev = volume.placed.insert(block, MapEntry { node, bin, digest });
-        if let Some(prev) = prev {
-            self.shards
-                .shard_mut(prev.bin, &self.ring)
-                .release(&prev.digest);
+        if let Some(prev) = volume.placed.insert(block, MapEntry { node, digest }) {
+            self.refs.release(&prev.digest);
         }
     }
 
@@ -586,8 +607,7 @@ impl Cluster {
     }
 
     /// Flushes every node (pipeline flush, journal checkpoint when
-    /// journaled) and syncs every shard mirror — the mirror's freshness
-    /// boundary.
+    /// journaled).
     ///
     /// # Errors
     ///
@@ -606,8 +626,6 @@ impl Cluster {
                     .map_err(|e| ClusterError::Recovery(e.to_string()))?;
             }
         }
-        let synced = self.shards.sync_mirrors();
-        self.obs.counter("shard.mirror_syncs").add(synced);
         Ok(())
     }
 
@@ -633,7 +651,6 @@ impl Cluster {
         }
         self.nodes.insert(id, node);
         self.ring.add(id);
-        self.shards.reassign(&self.ring);
         let rebalance = self.rebalance()?;
         self.obs.counter("membership.joins").incr();
         Ok((id, rebalance))
@@ -654,7 +671,6 @@ impl Cluster {
             return Err(ClusterError::LastNode);
         }
         self.ring.remove(id);
-        self.shards.reassign(&self.ring);
         let rebalance = self.rebalance()?;
         debug_assert!(
             self.entries().all(|(_, _, e)| e.node != id),
@@ -665,35 +681,28 @@ impl Cluster {
         Ok(rebalance)
     }
 
-    /// Migrates every placement entry whose bin re-homed, in bounded
-    /// batches, then re-syncs shard mirrors. Dedup accounting is
-    /// untouched: moving a block changes where it lives, not what the
-    /// cluster stores.
+    /// Migrates every placement entry whose bin re-homed, one at a time.
+    /// Dedup accounting is untouched: moving a block changes where it
+    /// lives, not what the cluster stores.
     fn rebalance(&mut self) -> Result<RebalanceOutcome, ClusterError> {
         let moves: Vec<(String, u64, NodeId, NodeId)> = self
             .entries()
             .filter_map(|(name, block, entry)| {
-                let home = self.ring.route(entry.bin);
+                let home = self.home(&entry.digest);
                 (home != entry.node).then(|| (name.to_owned(), block, entry.node, home))
             })
             .collect();
         let mut outcome = RebalanceOutcome::default();
-        for batch in moves.chunks(self.config.rebalance_batch.max(1)) {
-            for (name, block, from, to) in batch {
-                let moved = self.migrate(name, *block, *from, *to, &mut outcome.crc_resends)?;
-                outcome.moves.push(moved);
-            }
-            outcome.rounds += 1;
+        for (name, block, from, to) in moves {
+            let moved = self.migrate(&name, block, from, to, &mut outcome.crc_resends)?;
+            outcome.moves.push(moved);
         }
         self.obs
             .counter("rebalance.moves")
             .add(outcome.moves.len() as u64);
-        self.obs.counter("rebalance.rounds").add(outcome.rounds);
         self.obs
             .counter("rebalance.crc_resends")
             .add(outcome.crc_resends);
-        let synced = self.shards.sync_mirrors();
-        self.obs.counter("shard.mirror_syncs").add(synced);
         Ok(outcome)
     }
 
@@ -725,7 +734,7 @@ impl Cluster {
             }
             *crc_resends += 1;
             attempts += 1;
-            if attempts > self.config.crc_retries {
+            if attempts > CRC_RETRIES {
                 return Err(ClusterError::Handoff {
                     name: name.to_owned(),
                     block,
@@ -736,7 +745,7 @@ impl Cluster {
         };
         self.obs
             .counter("rebalance.transfer_sim_ns")
-            .add(len * self.config.transfer_ns_per_byte);
+            .add(len * TRANSFER_NS_PER_BYTE);
         self.obs.counter("rebalance.bytes").add(len);
         self.entry_mut(name, block).node = to;
         Ok(MovedBlock {
@@ -770,7 +779,7 @@ impl Cluster {
     /// recovers it from its journal, and reconciles the cluster around
     /// it: map entries the node durably holds stay (updating their digest
     /// when the node reverted to an older version), lost entries leave
-    /// the map, shards homed on the node rebuild from mirror + map, and a
+    /// the map, the refcount directory is recounted from the map, and a
     /// final rebalance re-homes any reverted entry whose digest now
     /// routes elsewhere.
     ///
@@ -836,11 +845,9 @@ impl Cluster {
             }
             let data = self.read_with_retries(id, &name, block)?;
             let digest = sha1_digest(&data);
-            let bin = self.router.route(&digest) as u64;
             let entry = self.entry_mut(&name, block);
             if digest != entry.digest {
                 entry.digest = digest;
-                entry.bin = bin;
                 reverted.push((name, block));
             }
         }
@@ -848,67 +855,14 @@ impl Cluster {
         self.obs
             .counter("reconcile.reverted")
             .add(reverted.len() as u64);
-        // Rebuild shard directories. Authoritative refcounts come from
-        // the surviving map; shards homed on the crashed node rebuild
-        // from mirror + map (counting mirror staleness), shards merely
-        // *mirrored* on it resync from their intact primaries, and other
-        // shards pick up reverted-entry reference moves directly.
-        let mut auth: BTreeMap<u64, BTreeMap<ChunkDigest, u32>> = BTreeMap::new();
-        for (_, _, entry) in self.entries() {
-            *auth
-                .entry(entry.bin)
-                .or_default()
-                .entry(entry.digest)
-                .or_insert(0) += 1;
-        }
-        let bins: Vec<u64> = self.shards.iter().map(|(b, _)| b).collect();
-        let mut rebuilt = 0u64;
-        let mut stale = 0u64;
-        for bin in bins {
-            let shard = self.shards.shard_mut(bin, &self.ring);
-            let truth = auth.remove(&bin).unwrap_or_default();
-            if shard.primary == id {
-                stale += shard.rebuild_from_mirror(truth);
-                rebuilt += 1;
-            } else {
-                // Primary survived the crash intact, but a reverted
-                // entry's older digest may route into this bin — acquire
-                // any references the surviving map derives that the
-                // directory does not hold yet. (References never vanish
-                // from surviving shards: lost and overwritten entries
-                // all lived on the crashed node's bins.)
-                for (digest, count) in truth {
-                    let have = shard
-                        .live()
-                        .find(|(d, _)| **d == digest)
-                        .map_or(0, |(_, n)| n);
-                    for _ in have..count {
-                        shard.acquire(digest);
-                    }
-                }
-                if shard.mirror == Some(id) {
-                    shard.sync_mirror();
-                }
-            }
-        }
-        // Bins that gained their first reference through a revert (the
-        // older version's digest had no shard yet).
-        for (bin, truth) in auth {
-            let shard = self.shards.shard_mut(bin, &self.ring);
-            for (digest, count) in truth {
-                for _ in 0..count {
-                    shard.acquire(digest);
-                }
-            }
-            shard.sync_mirror();
-        }
-        self.obs.counter("shard.rebuilds").add(rebuilt);
-        self.obs.counter("shard.mirror_stale").add(stale);
+        // Lost and reverted entries released references and reverted ones
+        // took older digests back: recount from the surviving map.
+        self.refs = self.recount();
         self.obs.counter("membership.crashes").incr();
         self.nodes.get_mut(&id).expect("still a member").reanchor();
         // Reverted digests may route elsewhere under the (unchanged)
-        // ring; restore the entry.node == ring.route(entry.bin)
-        // invariant before the next operation.
+        // ring; restore the entry.node == home(entry.digest) invariant
+        // before the next operation.
         let rebalance = self.rebalance()?;
         Ok(NodeRecovery {
             node: id,
@@ -926,7 +880,7 @@ impl Cluster {
             chunks: self.chunks,
             unique_chunks: self.unique_chunks,
             dedup_hits: self.dedup_hits,
-            live_digests: self.shards.live_digests(),
+            live_digests: self.refs.0.len() as u64,
             nodes: self
                 .nodes
                 .iter()
@@ -946,9 +900,10 @@ impl Cluster {
         merge_snapshots("cluster", &parts)
     }
 
-    /// Structural self-audit: placement, shard directories, accounting,
-    /// and per-node conservation all agree. The checker calls this after
-    /// every op; it is `Err` with a description on the first violation.
+    /// Structural self-audit: placement, the refcount directory,
+    /// accounting, and per-node conservation all agree. The checker calls
+    /// this after every op; it is `Err` with a description on the first
+    /// violation.
     ///
     /// # Errors
     ///
@@ -960,22 +915,17 @@ impl Cluster {
                 self.chunks, self.unique_chunks, self.dedup_hits
             ));
         }
-        let mut auth: BTreeMap<u64, BTreeMap<ChunkDigest, u32>> = BTreeMap::new();
         for (name, block, entry) in self.entries() {
             let node = self
                 .nodes
                 .get(&entry.node)
                 .ok_or_else(|| format!("{name}/{block}: placed on dead node {}", entry.node))?;
-            if self.ring.route(entry.bin) != entry.node {
+            let home = self.home(&entry.digest);
+            if home != entry.node {
                 return Err(format!(
-                    "{name}/{block}: on node {} but bin {} homes on {}",
-                    entry.node,
-                    entry.bin,
-                    self.ring.route(entry.bin)
+                    "{name}/{block}: on node {} but its bin homes on {home}",
+                    entry.node
                 ));
-            }
-            if self.router.route(&entry.digest) as u64 != entry.bin {
-                return Err(format!("{name}/{block}: bin does not match digest prefix"));
             }
             if node.vm.is_written(name, block) != Ok(true) {
                 return Err(format!(
@@ -990,31 +940,13 @@ impl Cluster {
                     entry.node
                 ));
             }
-            *auth
-                .entry(entry.bin)
-                .or_default()
-                .entry(entry.digest)
-                .or_insert(0) += 1;
         }
-        for (bin, shard) in self.shards.iter() {
-            let (primary, mirror) = self.ring.ranked(bin);
-            if shard.primary != primary || shard.mirror != mirror {
-                return Err(format!("shard {bin}: placement disagrees with ring"));
-            }
-            let truth = auth.remove(&bin).unwrap_or_default();
-            let live: BTreeMap<ChunkDigest, u32> = shard.live().map(|(d, n)| (*d, n)).collect();
-            if live != truth {
-                return Err(format!(
-                    "shard {bin}: directory has {} digests, map derives {}",
-                    live.len(),
-                    truth.len()
-                ));
-            }
-        }
-        if !auth.is_empty() {
+        let derived = self.recount();
+        if self.refs != derived {
             return Err(format!(
-                "{} bins referenced by map but have no shard",
-                auth.len()
+                "refcounts: directory has {} digests, map derives {}",
+                self.refs.0.len(),
+                derived.0.len()
             ));
         }
         for (id, node) in &self.nodes {
@@ -1023,5 +955,31 @@ impl Cluster {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn digest(i: u64) -> ChunkDigest {
+        sha1_digest(&i.to_le_bytes())
+    }
+
+    #[test]
+    fn acquire_release_refcounts() {
+        let mut refs = Refcounts::default();
+        assert!(refs.acquire(digest(1)), "first reference is unique");
+        assert!(!refs.acquire(digest(1)), "second reference is a dup");
+        refs.release(&digest(1));
+        assert!(refs.0.contains_key(&digest(1)), "one reference remains");
+        refs.release(&digest(1));
+        assert_eq!(refs, Refcounts::default(), "last release drops the digest");
+    }
+
+    #[test]
+    #[should_panic(expected = "never held")]
+    fn release_of_unknown_digest_panics() {
+        Refcounts::default().release(&digest(9));
     }
 }

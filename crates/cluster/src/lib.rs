@@ -7,8 +7,8 @@
 //! GPU sim, and journal) with a rendezvous-hash router from bin ids to
 //! nodes. Chunks route by *content* — digest prefix picks the bin, the
 //! ring picks the node — which makes per-node deduplication cluster-wide
-//! by construction, with a refcounted shard directory counting every
-//! stored chunk exactly once.
+//! by construction, with one refcounted digest directory, derived from
+//! the placement map, counting every stored chunk exactly once.
 //!
 //! The pieces:
 //!
@@ -16,11 +16,8 @@
 //!   near-uniform and provably minimal-movement under membership change.
 //! - [`Node`]: one cluster member wrapping a
 //!   [`VolumeManager`](dr_reduction::VolumeManager) and its obs registry.
-//! - [`ShardSet`] / [`BinShard`]: per-bin digest directories with a
-//!   primary/mirror replica scheme (the PR 3 best-effort-mirror contract,
-//!   generalized).
 //! - [`Cluster`]: the front-end — volume namespace, placement map,
-//!   join/leave with bounded CRC-validated migration, per-node power-cut
+//!   join/leave with CRC-validated migration, per-node power-cut
 //!   recovery with placement reconciliation, cluster-wide accounting,
 //!   and the merged obs rollup.
 
@@ -29,7 +26,6 @@
 pub mod cluster;
 pub mod node;
 pub mod ring;
-pub mod shard;
 
 pub use cluster::{
     Cluster, ClusterConfig, ClusterError, ClusterReport, MapEntry, MovedBlock, NodeRecovery,
@@ -37,4 +33,3 @@ pub use cluster::{
 };
 pub use node::Node;
 pub use ring::{NodeId, Ring};
-pub use shard::{BinShard, ShardSet};

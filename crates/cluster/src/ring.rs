@@ -15,6 +15,8 @@
 //! explicitly unspecified across releases — unusable for replayable
 //! artifacts).
 
+use std::cmp::Reverse;
+
 use dr_hashes::mix64;
 
 /// Identifies one cluster node. Ids are assigned by the cluster in join
@@ -103,40 +105,22 @@ impl Ring {
         mix64(key ^ mix64(u64::from(node) ^ RING_SALT))
     }
 
-    /// Routes a key (bin id) to its home node.
+    /// Routes a key (bin id) to its home node: the member with the highest
+    /// score.
     ///
     /// # Panics
     ///
     /// Panics on an empty ring — routing with no members is a cluster
     /// logic bug, not a recoverable condition.
     pub fn route(&self, key: u64) -> NodeId {
-        self.ranked(key).0
-    }
-
-    /// The top-two nodes for a key: `(primary, mirror)`. The mirror is
-    /// `None` on a single-node ring. Primary and mirror are always
-    /// distinct nodes, so a shard's replica never lives with its primary.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty ring.
-    pub fn ranked(&self, key: u64) -> (NodeId, Option<NodeId>) {
-        assert!(!self.nodes.is_empty(), "routing over an empty ring");
-        let mut best: Option<(u64, NodeId)> = None;
-        let mut second: Option<(u64, NodeId)> = None;
-        for &node in &self.nodes {
-            let s = Self::score(key, node);
-            // Scores are 64-bit mixes of distinct (key, node) pairs;
-            // ties are astronomically unlikely but break toward the
-            // smaller id deterministically via the strict comparison.
-            if best.is_none_or(|(bs, _)| s > bs) {
-                second = best;
-                best = Some((s, node));
-            } else if second.is_none_or(|(ss, _)| s > ss) {
-                second = Some((s, node));
-            }
-        }
-        (best.expect("non-empty").1, second.map(|(_, n)| n))
+        // Scores are 64-bit mixes of distinct (key, node) pairs; ties are
+        // astronomically unlikely, but `min_by_key` keeps the first of
+        // equals, so one breaks toward the smaller id deterministically.
+        self.nodes
+            .iter()
+            .copied()
+            .min_by_key(|&node| Reverse(Self::score(key, node)))
+            .expect("routing over an empty ring")
     }
 }
 
@@ -152,17 +136,6 @@ mod tests {
             assert!(ring.contains(a));
             assert_eq!(a, ring.route(key));
         }
-    }
-
-    #[test]
-    fn ranked_nodes_are_distinct() {
-        let ring = Ring::new(&[0, 1, 2]);
-        for key in 0..512 {
-            let (p, m) = ring.ranked(key);
-            assert_ne!(Some(p), m);
-        }
-        let solo = Ring::new(&[7]);
-        assert_eq!(solo.ranked(9), (7, None));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! End-to-end cluster behavior: loss-free membership change, cross-node
 //! dedup accounting, crash reconciliation, CRC-validated handoff, the
-//! obs rollup, and single-node bit-identity with the bare array.
+//! obs rollup and its `router.*` names, and single-node bit-identity
+//! with the bare array.
 
 use dr_cluster::{Cluster, ClusterConfig, ClusterError};
 use dr_obs::ObsHandle;
@@ -154,21 +155,6 @@ fn join_and_leave_lose_nothing_and_keep_accounting() {
 }
 
 #[test]
-fn rebalance_is_batched() {
-    let mut c = Cluster::new(ClusterConfig {
-        nodes: 2,
-        rebalance_batch: 4,
-        node: node_config(false, true),
-        ..ClusterConfig::default()
-    });
-    c.create_volume("v", 40).unwrap();
-    fill(&mut c, "v", 40);
-    let (_, outcome) = c.join().unwrap();
-    let expected_rounds = outcome.moves.len().div_ceil(4) as u64;
-    assert_eq!(outcome.rounds, expected_rounds, "bounded in-flight batches");
-}
-
-#[test]
 fn corrupted_handoff_is_detected_and_resent() {
     let mut c = cluster(2, false);
     c.create_volume("v", 32).unwrap();
@@ -188,7 +174,6 @@ fn membership_errors_are_typed() {
         nodes: 1,
         max_nodes: 1,
         node: node_config(false, false),
-        ..ClusterConfig::default()
     });
     assert!(matches!(c.join(), Err(ClusterError::Full { max: 1 })));
     assert!(matches!(c.leave(9), Err(ClusterError::UnknownNode(9))));
@@ -273,6 +258,90 @@ fn crash_at_full_ack_horizon_loses_nothing() {
         assert_eq!(&c.read("v", b as u64).unwrap(), want);
     }
     c.check_integrity().unwrap();
+}
+
+#[test]
+fn a_crash_reverts_an_overwrite_and_re_homes_the_older_version() {
+    // payload(1) homes on node 0 of {0, 1} and on the joiner of
+    // {0, 1, 2}; payload(3) homes on node 0 of {0, 1, 2}. So node 0
+    // durably holds the old bytes, the join migrates them away, and the
+    // overwrite lands back on node 0.
+    let (old, new) = (payload(1), payload(3));
+    let mut c = cluster(2, true);
+    c.create_volume("v", 16).unwrap();
+    fill(&mut c, "v", 8);
+    let first = c.write("v", 12, &old).unwrap().runs[0].clone();
+    assert_eq!(first.node, 0);
+    let (joined, _) = c.join().unwrap();
+    assert_eq!(c.locate("v", 12).unwrap().node, joined);
+    let second = c.write("v", 12, &new).unwrap().runs[0].clone();
+    assert_eq!(second.node, 0);
+    let horizon = c.node(0).unwrap().vm.last_ack();
+    assert_eq!(horizon, second.ack, "the overwrite is node 0's last ack");
+    // Cut at the first ack itself, inside [first ack, second ack): a
+    // journal sync never starts before the previous one ended, so the
+    // overwrite's record cannot be in flight (and torn intact) there.
+    let seed = (0..u64::MAX)
+        .find(|&s| {
+            dr_des::SplitMix64::new(s).next_below(horizon.as_nanos() + 1) == first.ack.as_nanos()
+        })
+        .unwrap();
+
+    let recovery = c.crash_node(0, seed).unwrap();
+    assert!(recovery.lost.is_empty());
+    assert_eq!(recovery.reverted, vec![("v".to_owned(), 12)]);
+    assert_eq!(c.read("v", 12).unwrap(), old);
+    let distinct: std::collections::BTreeSet<_> = (0..16)
+        .filter_map(|b| c.locate("v", b))
+        .map(|e| e.digest)
+        .collect();
+    let r = c.report();
+    assert_eq!(r.live_digests, distinct.len() as u64);
+    c.check_integrity().unwrap();
+    // The older digest homes on the joiner, so the revert re-homes it.
+    let moves: Vec<_> = recovery
+        .rebalance
+        .moves
+        .iter()
+        .map(|m| (m.name.as_str(), m.block, m.from, m.to, m.ack.as_nanos()))
+        .collect();
+    assert_eq!(moves, [("v", 12, 0, joined, 1_698_000)]);
+    let counts = (r.chunks, r.unique_chunks, r.dedup_hits, r.live_digests);
+    assert_eq!(counts, (10, 10, 0, 9));
+}
+
+#[test]
+fn router_metric_names_are_a_contract() {
+    let mut c = cluster(3, true);
+    c.create_volume("v", 32).unwrap();
+    fill(&mut c, "v", 24);
+    let (joined, _) = c.join().unwrap();
+    c.leave(1).unwrap();
+    c.crash_node(joined, 7).unwrap();
+    let roll = c.rollup();
+    let mut names: Vec<&str> = roll
+        .counters
+        .iter()
+        .map(|(n, _)| n.as_str())
+        .filter(|n| n.starts_with("router."))
+        .collect();
+    names.sort_unstable();
+    assert_eq!(
+        names,
+        [
+            "router.ingest.dedup_hits",
+            "router.ingest.unique",
+            "router.membership.crashes",
+            "router.membership.joins",
+            "router.membership.leaves",
+            "router.rebalance.bytes",
+            "router.rebalance.crc_resends",
+            "router.rebalance.moves",
+            "router.rebalance.transfer_sim_ns",
+            "router.reconcile.lost",
+            "router.reconcile.reverted",
+        ]
+    );
 }
 
 #[test]

@@ -108,6 +108,13 @@ echo "==> e8 read path (table vs golden)"
 env -u DR_SCALE -u DR_METRICS_OUT target/release/e8_read_path \
     | diff crates/bench/e8_read_path.golden -
 
+# Cluster gate: E9's table, read-back digest and 1-node parity lines are
+# simulated, so deterministic; a change to routing, rebalancing or the
+# cluster's dedup accounting moves them. Same rules as the e8 golden.
+echo "==> e9 cluster (table vs golden)"
+env -u DR_SCALE -u DR_METRICS_OUT target/release/e9_cluster \
+    | diff crates/bench/e9_cluster.golden -
+
 # Differential-checker smoke: seeded op sequences against the in-memory
 # oracle across all 4 integration modes, fault-free and faulted
 # (DESIGN.md §11). DR_CHECK_SEEDS widens the sweep (the scheduled deep
