@@ -21,15 +21,18 @@ use dr_reduction::{IntegrationMode, Pipeline, PipelineConfig};
 use dr_workload::{StreamConfig, StreamGenerator};
 use std::collections::HashSet;
 
-fn stream(total_bytes: u64, dedup: f64, comp: f64) -> Vec<Vec<u8>> {
+/// The stream's block (and the pipeline's chunk) size.
+const BLOCK: usize = 4096;
+
+fn stream(total_bytes: u64, dedup: f64, comp: f64) -> Vec<u8> {
     StreamGenerator::new(StreamConfig {
         total_bytes,
         dedup_ratio: dedup,
         compression_ratio: comp,
+        block_bytes: BLOCK,
         ..StreamConfig::default()
     })
-    .blocks()
-    .collect()
+    .generate()
 }
 
 fn prefix_truncation() {
@@ -52,7 +55,7 @@ fn prefix_truncation() {
 
 fn bin_buffer_capacity(snapshots: &mut Vec<Snapshot>) {
     println!("A2: bin-buffer capacity — hit locality vs flush traffic\n");
-    let blocks = stream(8 << 20, 3.0, 2.0);
+    let data = stream(8 << 20, 3.0, 2.0);
     let mut rows = Vec::new();
     for cap in [2usize, 8, 32, 128] {
         let obs = ObsHandle::enabled(format!("a2/buffer-cap-{cap}"));
@@ -67,8 +70,8 @@ fn bin_buffer_capacity(snapshots: &mut Vec<Snapshot>) {
             ..PipelineConfig::default()
         });
         // Two passes: the re-write pass shows where duplicates resolve.
-        p.run_blocks(blocks.clone());
-        let r = p.run_blocks(blocks.clone());
+        p.run(&data);
+        let r = p.run(&data);
         snapshots.push(obs.snapshot().expect("enabled"));
         rows.push(vec![
             cap.to_string(),
@@ -120,11 +123,11 @@ fn gpu_kernel_shape() {
 
 fn in_memory_budget() {
     println!("A4: in-memory-only index budget vs missed duplicates\n");
-    let blocks = stream(8 << 20, 2.0, 2.0);
-    let total = blocks.len() as u64;
-    let true_unique = blocks
-        .iter()
-        .map(|b| sha1_digest(b))
+    let data = stream(8 << 20, 2.0, 2.0);
+    let total = (data.len() / BLOCK) as u64;
+    let true_unique = data
+        .chunks(BLOCK)
+        .map(sha1_digest)
         .collect::<HashSet<_>>()
         .len() as u64;
     let mut rows = Vec::new();
@@ -137,7 +140,7 @@ fn in_memory_budget() {
             },
             ..PipelineConfig::default()
         });
-        let r = p.run_blocks(blocks.clone());
+        let r = p.run(&data);
         let missed = r.unique_chunks - true_unique;
         rows.push(vec![
             if budget == u64::MAX {
@@ -162,7 +165,7 @@ fn in_memory_budget() {
 
 fn replacement_policy(snapshots: &mut Vec<Snapshot>) {
     println!("A5: GPU bin replacement policy vs GPU hit rate\n");
-    let blocks = stream(8 << 20, 2.0, 2.0);
+    let data = stream(8 << 20, 2.0, 2.0);
     let mut rows = Vec::new();
     for policy in [
         ReplacementPolicy::Random,
@@ -186,8 +189,8 @@ fn replacement_policy(snapshots: &mut Vec<Snapshot>) {
             ..PipelineConfig::default()
         });
         // Two passes: populate, then measure re-write hits.
-        p.run_blocks(blocks.clone());
-        let r = p.run_blocks(blocks.clone());
+        p.run(&data);
+        let r = p.run(&data);
         snapshots.push(obs.snapshot().expect("enabled"));
         let rate = if r.gpu_index_queries == 0 {
             0.0
@@ -210,14 +213,14 @@ fn replacement_policy(snapshots: &mut Vec<Snapshot>) {
 
 fn operation_order() {
     println!("A6: dedup-before-compression vs compression-before-dedup\n");
-    let blocks = stream(8 << 20, 2.0, 2.0);
+    let data = stream(8 << 20, 2.0, 2.0);
     let codec = FastLz::new();
 
     // Dedup-first (the paper's order): compress only unique chunks.
     let mut seen = HashSet::new();
     let mut dedup_first_bytes = 0u64;
     let mut dedup_first_compressions = 0u64;
-    for b in &blocks {
+    for b in data.chunks(BLOCK) {
         if seen.insert(sha1_digest(b)) {
             dedup_first_bytes += codec.compress(b).len() as u64;
             dedup_first_compressions += 1;
@@ -227,15 +230,15 @@ fn operation_order() {
     // Compression-first: compress everything, dedup the compressed frames.
     let mut seen_c = HashSet::new();
     let mut comp_first_bytes = 0u64;
-    let comp_first_compressions = blocks.len() as u64;
-    for b in &blocks {
+    let comp_first_compressions = (data.len() / BLOCK) as u64;
+    for b in data.chunks(BLOCK) {
         let f = codec.compress(b);
         if seen_c.insert(sha1_digest(&f)) {
             comp_first_bytes += f.len() as u64;
         }
     }
 
-    let raw: u64 = blocks.iter().map(|b| b.len() as u64).sum();
+    let raw = data.len() as u64;
     let rows = vec![
         vec![
             "dedup -> compress".into(),
@@ -372,8 +375,7 @@ fn degradation_policy(snapshots: &mut Vec<Snapshot>) {
     use dr_ssd_sim::SsdFaultSpec;
 
     println!("A10: fault injection — graceful degradation (DESIGN.md section 10)\n");
-    let blocks = stream(8 << 20, 2.0, 2.0);
-    let flat: Vec<u8> = blocks.iter().flatten().copied().collect();
+    let flat = stream(8 << 20, 2.0, 2.0);
     let scenarios: &[(&str, SsdFaultSpec, GpuFaultSpec)] = &[
         (
             "fault-free",
@@ -418,7 +420,7 @@ fn degradation_policy(snapshots: &mut Vec<Snapshot>) {
         let mut p = Pipeline::new(cfg);
         let r = p.run(&flat);
         let intact = (0..p.ingested_chunks())
-            .all(|i| p.read_block(i).ok().as_deref() == flat.chunks(4096).nth(i));
+            .all(|i| p.read_block(i).ok().as_deref() == flat.chunks(BLOCK).nth(i));
         snapshots.push(obs.snapshot().expect("enabled"));
         rows.push(vec![
             (*label).into(),

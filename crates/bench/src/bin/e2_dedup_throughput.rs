@@ -42,11 +42,12 @@ fn run_mode(mode: IntegrationMode, stream_bytes: u64, tracer: Tracer) -> (f64, f
         compression_ratio: 2.0,
         ..StreamConfig::default()
     });
+    let stream = generator.generate();
     let mut pipeline = Pipeline::new(config);
     // Warm-up pass: populate index + GPU bins.
-    let warm = pipeline.run_blocks(generator.blocks());
+    let warm = pipeline.run(&stream);
     // Measured pass: a re-write of the same working set.
-    let report = pipeline.run_blocks(generator.blocks());
+    let report = pipeline.run(&stream);
     let pass_chunks = report.chunks - warm.chunks;
     let pass_secs = report
         .reduction_end

@@ -37,7 +37,7 @@ fn run_mode(
         ..StreamConfig::default()
     });
     let mut pipeline = Pipeline::new(config);
-    let report = pipeline.run_blocks(generator.blocks());
+    let report = pipeline.run(&generator.generate());
     (
         report.iops(),
         report.compression_ratio(),

@@ -45,7 +45,7 @@ fn run_mode(
         ..StreamConfig::default()
     });
     let mut pipeline = Pipeline::new(config);
-    let iops = pipeline.run_blocks(generator.blocks()).iops();
+    let iops = pipeline.run(&generator.generate()).iops();
     (iops, obs.snapshot().expect("enabled handle snapshots"))
 }
 

@@ -35,7 +35,7 @@ fn main() {
             obs: obs.clone(),
             ..PipelineConfig::default()
         });
-        let report = pipeline.run_blocks(generator.blocks());
+        let report = pipeline.run(&generator.generate());
         snapshots.push(obs.snapshot().expect("enabled handle snapshots"));
         let memory = MemoryModel::new(4 << 40, chunk_bytes as u64, 2);
         rows.push(vec![

@@ -102,7 +102,10 @@ impl Oracle {
             .volumes
             .get_mut(name)
             .ok_or(ModelError::UnknownVolume)?;
-        if start_block + n > volume.size {
+        if start_block
+            .checked_add(n)
+            .is_none_or(|end| end > volume.size)
+        {
             return Err(ModelError::OutOfRange);
         }
         for (i, chunk) in data.chunks(self.chunk_bytes).enumerate() {
@@ -162,6 +165,13 @@ mod tests {
         assert_eq!(m.write("v", 0, &[1, 2, 3]), Err(ModelError::Misaligned));
         assert_eq!(m.write("x", 0, &[0; 4]), Err(ModelError::UnknownVolume));
         assert_eq!(m.write("v", 1, &[0; 8]), Err(ModelError::OutOfRange));
+        // A range whose end overflows is out of range, and stores nothing.
+        assert_eq!(m.write("v", u64::MAX, &[0; 4]), Err(ModelError::OutOfRange));
+        assert_eq!(
+            m.write("v", u64::MAX - 1, &[0; 8]),
+            Err(ModelError::OutOfRange)
+        );
+        assert_eq!(m.written_blocks().count(), 0);
         assert_eq!(m.write("v", 0, &[7; 8]), Ok(()));
         assert_eq!(m.read("v", 1), Ok(&[7u8; 4][..]));
         assert_eq!(m.read("v", 2), Err(ModelError::OutOfRange));

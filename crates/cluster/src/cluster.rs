@@ -475,9 +475,9 @@ impl Cluster {
             .get(name)
             .ok_or_else(|| VolumeError::UnknownVolume(name.to_owned()))?
             .size;
-        if start_block + n > size {
+        if start_block.checked_add(n).is_none_or(|end| end > size) {
             return Err(VolumeError::OutOfRange {
-                block: start_block + n - 1,
+                block: start_block.saturating_add(n - 1),
                 size,
             }
             .into());

@@ -195,6 +195,17 @@ fn membership_errors_are_typed() {
         c.read("v", 9),
         Err(ClusterError::Volume(VolumeError::OutOfRange { .. }))
     ));
+    // A range whose end overflows is out of range, refused before routing.
+    for (start, blocks) in [(u64::MAX, 1), (u64::MAX - 1, 2)] {
+        assert!(matches!(
+            c.write("v", start, &payload(1).repeat(blocks)),
+            Err(ClusterError::Volume(VolumeError::OutOfRange {
+                block: u64::MAX,
+                size: 4
+            }))
+        ));
+    }
+    assert_eq!(c.report().chunks, 0);
 }
 
 #[test]

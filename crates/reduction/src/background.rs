@@ -199,7 +199,8 @@ impl EnduranceComparison {
     }
 }
 
-/// Runs `blocks` through all three systems on identical SSD profiles.
+/// Runs `blocks`, 4 KiB each, through all three systems on identical SSD
+/// profiles.
 pub fn compare_endurance(blocks: &[Vec<u8>], ssd_spec: &SsdSpec) -> EnduranceComparison {
     compare_endurance_with_obs(blocks, ssd_spec, &dr_obs::ObsHandle::disabled())
 }
@@ -218,12 +219,12 @@ pub fn compare_endurance_with_obs(
         obs: obs.clone(),
         ..PipelineConfig::default()
     });
-    let inline_report = inline_pipeline.run_blocks(blocks.to_vec());
+    inline_pipeline.run(&blocks.concat());
 
     // Background.
     let mut background = BackgroundReducer::new(ssd_spec.clone(), CpuModel::default(), 4096);
     background.ingest(blocks);
-    let bg_report = background.reduce_when_idle();
+    background.reduce_when_idle();
 
     // No reduction.
     let mut raw = SsdDevice::new(ssd_spec.clone());
@@ -233,8 +234,6 @@ pub fn compare_endurance_with_obs(
             .expect("raw write");
     }
 
-    let _ = inline_report;
-    let _ = bg_report;
     EnduranceComparison {
         inline_nand_writes: inline_pipeline.ssd_ftl_stats().nand_writes,
         background_nand_writes: background.ssd.ftl_stats().nand_writes,

@@ -68,7 +68,7 @@ impl DegradePolicy {
 /// `reprobe_successes` consecutive clean probes the latch closes. A
 /// failure at any point re-opens it and restarts the rest timer.
 #[derive(Debug, Clone)]
-pub struct ComponentLatch {
+pub(crate) struct ComponentLatch {
     policy: DegradePolicy,
     degraded: bool,
     /// Earliest sim time the next probe may run (only while degraded).

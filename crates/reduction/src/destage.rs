@@ -171,11 +171,13 @@ impl Destager {
     }
 
     /// Data pages written so far (excluding the open partial page).
+    #[cfg(test)]
     pub fn data_pages_written(&self) -> u64 {
         self.next_data_lpn
     }
 
     /// Retries spent on transient SSD faults (reads and writes) so far.
+    #[cfg(test)]
     pub fn fault_retries(&self) -> u64 {
         self.ssd_write.retries()
     }
@@ -215,6 +217,7 @@ impl Destager {
     /// changes, so a failed append leaves the log exactly as it was.
     /// Transient injected faults are retried with the backoff schedule;
     /// only a fault that survives every retry propagates.
+    #[cfg(test)]
     pub fn append(
         &mut self,
         now: SimTime,

@@ -69,38 +69,23 @@ struct InFlight {
 
 /// Chunk payloads for one batch.
 ///
-/// [`Pipeline::run`] copies the ingest stream into a shared buffer *once*
-/// and carries every chunk as a `(offset, len)` view into it — no
-/// per-chunk allocation anywhere on the ingest→hash→compress path.
-/// [`Pipeline::run_blocks`] callers hand over already-owned vectors, which
-/// are kept as-is.
-pub(crate) enum BatchPayload {
-    /// Caller-owned blocks (pre-chunked ingest).
-    Owned(Vec<Vec<u8>>),
-    /// Views into one shared stream buffer.
-    Shared {
-        buf: Arc<[u8]>,
-        /// `(offset, len)` of each chunk within `buf`.
-        spans: Vec<(usize, usize)>,
-    },
+/// Every write copies its stream into a shared buffer *once* and carries
+/// every chunk as an `(offset, len)` view into it — no per-chunk
+/// allocation anywhere on the ingest→hash→compress path.
+pub(crate) struct BatchPayload {
+    pub(crate) buf: Arc<[u8]>,
+    /// `(offset, len)` of each chunk within `buf`.
+    pub(crate) spans: Vec<(usize, usize)>,
 }
 
 impl BatchPayload {
     pub(crate) fn len(&self) -> usize {
-        match self {
-            BatchPayload::Owned(blocks) => blocks.len(),
-            BatchPayload::Shared { spans, .. } => spans.len(),
-        }
+        self.spans.len()
     }
 
     pub(crate) fn view(&self, i: usize) -> &[u8] {
-        match self {
-            BatchPayload::Owned(blocks) => &blocks[i],
-            BatchPayload::Shared { buf, spans } => {
-                let (offset, len) = spans[i];
-                &buf[offset..offset + len]
-            }
-        }
+        let (offset, len) = self.spans[i];
+        &self.buf[offset..offset + len]
     }
 }
 
@@ -111,8 +96,8 @@ impl BatchPayload {
 /// the cluster routes by content — builds one of these, routes from
 /// [`digests`](Self::digests), and hands each node its
 /// [`slice`](Self::slice) through
-/// [`VolumeManager::write_hashed`](crate::VolumeManager::write_hashed) or
-/// [`Pipeline::run_hashed`], which then skip their own hashing pass.
+/// [`VolumeManager::write_hashed`](crate::VolumeManager::write_hashed),
+/// which then skips its own hashing pass.
 ///
 /// ```
 /// use dr_hashes::sha1_digest;

@@ -78,7 +78,7 @@ const KIND_BATCH_COMMIT: u8 = 3;
 const KIND_CHECKPOINT: u8 = 4;
 
 /// Destage-log state carried by state-bearing records, sufficient to
-/// restore [`crate::destage::Destager`] frontiers after a crash. `T`
+/// restore the destage log's frontiers after a crash. `T`
 /// holds the tail: owned in a record, borrowed from the destager when
 /// the write path stages a batch commit straight into the journal.
 #[derive(Debug, Clone, PartialEq, Eq)]

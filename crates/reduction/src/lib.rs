@@ -63,7 +63,7 @@ pub mod background;
 pub mod calibrate;
 pub mod cpu_model;
 pub mod degrade;
-pub mod destage;
+mod destage;
 pub mod error;
 mod ingest;
 pub mod journal;
@@ -85,8 +85,7 @@ pub use background::{
 };
 pub use calibrate::{calibrate, CalibrationOutcome};
 pub use cpu_model::CpuModel;
-pub use degrade::{ComponentLatch, DegradePolicy};
-pub use destage::{Destager, FetchedFrame, FetchedFrames};
+pub use degrade::DegradePolicy;
 pub use error::ReadError;
 pub use ingest::HashedChunks;
 pub use journal::{Journal, JournalError, Record};

@@ -14,7 +14,6 @@ use dr_obs::{CounterHandle, GaugeHandle, HistogramHandle, ObsHandle, StageObs};
 use dr_pool::WorkerPool;
 use dr_ssd_sim::{SsdDevice, SsdSpec};
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::cpu_model::CpuModel;
 use crate::degrade::{DegradePolicy, Guarded, GPU_COMPRESS, GPU_DECOMPRESS, GPU_DEDUP};
@@ -602,29 +601,18 @@ impl Pipeline {
         self.report.clone()
     }
 
-    /// [`Pipeline::run`] for a stream fingerprinted upstream: the same
-    /// batches through the same stages, the hashing pass skipped. The
-    /// simulated chunk+hash cost is charged all the same — the array
-    /// being modeled hashes what it ingests, wherever this host did.
+    /// Runs `stream` through every stage, its batch commits staged in the
+    /// journal but not acknowledged: the caller stages what else the
+    /// operation journals, then calls [`Pipeline::commit`] once.
+    ///
+    /// A stream `hashed` upstream skips the hashing pass. Its simulated
+    /// chunk+hash cost is charged all the same: the array being modeled
+    /// hashes what it ingests, wherever this host did.
     ///
     /// # Panics
     ///
-    /// Panics when `write` was cut at another chunk size than
+    /// Panics when `hashed` was cut at another chunk size than
     /// [`PipelineConfig::chunk_bytes`].
-    pub fn run_hashed(&mut self, write: &HashedChunks) -> Report {
-        self.ingest(write.data(), Some(write));
-        self.commit();
-        self.report.clone()
-    }
-
-    /// Runs `stream` — `hashed` when it was fingerprinted upstream —
-    /// through every stage, its batch commits staged in the journal but
-    /// not acknowledged: the caller stages what else the operation
-    /// journals, then calls [`Pipeline::commit`] once.
-    ///
-    /// # Panics
-    ///
-    /// As [`Pipeline::run_hashed`].
     pub(crate) fn ingest(&mut self, stream: &[u8], hashed: Option<&HashedChunks>) {
         if let Some(write) = hashed {
             assert_eq!(
@@ -634,77 +622,20 @@ impl Pipeline {
             );
             debug_assert!(write.verify(), "pre-hashed write carries a stale digest");
         }
-        self.run_chunks(stream, hashed.map(HashedChunks::digests));
-    }
-
-    /// Cuts `stream` into batches of shared-buffer views, each with its
-    /// share of `digests` when the caller brought them.
-    fn run_chunks(&mut self, stream: &[u8], digests: Option<&[ChunkDigest]>) {
         let chunker = FixedChunker::new(self.config.chunk_bytes);
         let span = self.obs.chunking.span();
         let buf: Arc<[u8]> = Arc::from(stream);
-        let mut spans: Vec<(usize, usize)> = chunker
+        let spans: Vec<(usize, usize)> = chunker
             .chunk(stream)
             .map(|c| (c.offset as usize, c.data.len()))
             .collect();
         span.finish();
-        let (total, batch_chunks) = (spans.len(), self.config.batch_chunks);
-        let mut next = 0;
-        let batches = std::iter::from_fn(move || {
-            let chunks = next..(next + batch_chunks).min(total);
-            if chunks.is_empty() {
-                return None;
-            }
-            next = chunks.end;
-            // A call that is one batch hands its span list over whole.
-            let spans = if chunks.len() == total {
-                std::mem::take(&mut spans)
-            } else {
-                spans[chunks.clone()].to_vec()
-            };
-            let buf = Arc::clone(&buf);
-            let digests = digests.map(|d| d[chunks].to_vec());
-            Some((BatchPayload::Shared { buf, spans }, digests))
-        });
-        self.drive(batches);
+        self.drive(buf, spans, hashed.map(HashedChunks::digests));
     }
 
-    /// Runs pre-chunked blocks through the pipeline and returns the final
-    /// report. May be called repeatedly; state (index, SSD contents, the
-    /// simulated clock) persists across calls.
-    pub fn run_blocks<I>(&mut self, blocks: I) -> Report
-    where
-        I: IntoIterator<Item = Vec<u8>>,
-    {
-        let batch_chunks = self.config.batch_chunks;
-        let chunking_wall = self.obs.chunking.wall.clone();
-        let mut blocks = blocks.into_iter();
-        let batches = std::iter::from_fn(move || {
-            // This path's "chunking" is batch assembly; time it so the
-            // pre-chunked path reports the same chunking.wall_ns /
-            // chunking.sim_ns pair as `run` does.
-            let start = chunking_wall.is_live().then(Instant::now);
-            let mut batch: Vec<Vec<u8>> = Vec::with_capacity(batch_chunks);
-            while batch.len() < batch_chunks {
-                match blocks.next() {
-                    Some(block) => batch.push(block),
-                    None => break,
-                }
-            }
-            if batch.is_empty() {
-                return None;
-            }
-            if let Some(start) = start {
-                chunking_wall.record(start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-            }
-            Some((BatchPayload::Owned(batch), None))
-        });
-        self.drive(batches);
-        self.commit();
-        self.report.clone()
-    }
-
-    /// The double-buffered batch loop: while batch N runs its downstream
+    /// The double-buffered batch loop. `spans` is cut into batches of
+    /// views into `buf`, each with its share of `digests` when the caller
+    /// brought them. While batch N runs its downstream
     /// stages (dedup, compression, destage) on the calling thread, batch
     /// N+1 is being fingerprinted by a pool job. A job is spawned only to
     /// overlap with a batch in flight: the first batch of a call — for a
@@ -716,13 +647,28 @@ impl Pipeline {
     /// and in input order inside [`Pipeline::process_batch`], so where —
     /// or whether — this host hashed a batch changes wall-clock behavior
     /// only: simulated results are bit-identical.
-    fn drive<I>(&mut self, batches: I)
-    where
-        I: Iterator<Item = (BatchPayload, Option<Vec<ChunkDigest>>)>,
-    {
+    fn drive(
+        &mut self,
+        buf: Arc<[u8]>,
+        mut spans: Vec<(usize, usize)>,
+        digests: Option<&[ChunkDigest]>,
+    ) {
         let dedup_enabled = self.config.dedup_enabled;
+        let (total, batch_chunks) = (spans.len(), self.config.batch_chunks);
         let mut in_flight: Option<HashedBatch> = None;
-        for (payload, supplied) in batches {
+        for start in (0..total).step_by(batch_chunks) {
+            let chunks = start..(start + batch_chunks).min(total);
+            // A call that is one batch hands its span list over whole.
+            let spans = if chunks.len() == total {
+                std::mem::take(&mut spans)
+            } else {
+                spans[chunks.clone()].to_vec()
+            };
+            let payload = BatchPayload {
+                buf: Arc::clone(&buf),
+                spans,
+            };
+            let supplied = digests.map(|d| d[chunks].to_vec());
             in_flight = Some(match in_flight {
                 Some((prev, digests)) if supplied.is_none() => {
                     let (pool, hashing) = (self.pool.clone(), self.obs.hashing.clone());
@@ -906,7 +852,7 @@ pub(crate) mod tests {
             );
         }
         // On the device the envelope is the frame, then its CRC-32C.
-        let mut fetched = crate::FetchedFrames::default();
+        let mut fetched = crate::destage::FetchedFrames::default();
         let (r, now) = (checked.recipe[0], checked.report.read_end);
         let (destage, ssd) = (&mut checked.destage, &mut checked.ssd);
         destage.read_frames(now, ssd, &[r], &mut fetched).unwrap();
@@ -1158,26 +1104,6 @@ pub(crate) mod tests {
         let all: Vec<usize> = (0..p.ingested_chunks()).collect();
         let blocks = p.read_blocks(&all).expect("read-back");
         (p.report().clone(), blocks)
-    }
-
-    #[test]
-    fn shared_views_and_owned_blocks_are_simulated_identically() {
-        // `run` carries zero-copy views into one shared buffer;
-        // `run_blocks` carries caller-owned vectors. Both must produce the
-        // exact same simulated timeline, stored bytes and read-back, in
-        // every integration mode.
-        let data = stream();
-        for mode in IntegrationMode::ALL {
-            let mut shared = Pipeline::new(small_config(mode));
-            shared.run(&data);
-            let mut owned = Pipeline::new(small_config(mode));
-            owned.run_blocks(data.chunks(4096).map(|c| c.to_vec()));
-            let (rs, bs) = simulated_outcome(&mut shared);
-            let (ro, bo) = simulated_outcome(&mut owned);
-            assert_eq!(rs, ro, "{mode}");
-            assert_eq!(bs, bo, "{mode}");
-            assert_eq!(bs.concat(), data, "{mode}");
-        }
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! The read path: configuration, the decompressed-chunk cache, and the
-//! batched read pipeline ([`Pipeline::read_chunks`]).
+//! batched read pipeline ([`Pipeline::read_blocks`]).
 //!
 //! Reads are grouped by stored frame, served from a small
 //! capacity-bounded LRU over decompressed chunks (keyed by the chunk's
 //! destage-log address) when resident, and otherwise fetched — the whole
-//! batch's page reads at once, one per distinct page
-//! ([`Destager::read_frames`](crate::Destager::read_frames)) — and
+//! batch's page reads at once, one per distinct page — and
 //! decompressed on the host, with the simulated decode charged to the CPU
 //! or the GPU, whichever finishes the batch first. Because
 //! deduplication makes many logical blocks resolve to one stored frame,
@@ -27,7 +26,7 @@ use crate::pipeline::Pipeline;
 
 /// Read-path tuning knobs. Where a cold batch decodes is not one of
 /// them: the batch goes to whichever of CPU and GPU finishes it first
-/// (see [`Pipeline::read_chunks`]).
+/// (see [`Pipeline::read_blocks`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ReadConfig {
     /// Capacity of the decompressed-chunk cache, in chunks. `0` disables
@@ -265,20 +264,9 @@ impl Grouped {
 }
 
 impl Pipeline {
-    /// Reads a stored chunk back from the SSD and unseals it — the
-    /// single-request form of [`Pipeline::read_chunks`].
-    ///
-    /// # Errors
-    ///
-    /// [`ReadError::Device`] when the device read fails after retries,
-    /// [`ReadError::Integrity`] when the integrity envelope does not open,
-    /// [`ReadError::Frame`] when the frame does not decode.
-    pub fn read_chunk(&mut self, r: ChunkRef) -> Result<Vec<u8>, ReadError> {
-        let mut out = self.read_chunks(&[r])?;
-        Ok(out.pop().expect("one result per request"))
-    }
-
-    /// Reads a batch of stored chunks — the read pipeline.
+    /// Reads back a batch of ingested chunks through the logical map in
+    /// one read-pipeline pass — duplicates resolve to their shared stored
+    /// copy, so a dedup-heavy batch fetches far fewer frames than blocks.
     ///
     /// Requests are grouped by stored frame (deduplicated blocks resolve
     /// to one fetch and one decompression), served from the
@@ -298,16 +286,44 @@ impl Pipeline {
     /// own frame's pages are in and the GPU kernel when the last frame's
     /// are, and [`Report::read_end`](crate::Report::read_end) records
     /// when its last request completed. Returned bytes are bit-identical
-    /// to looping over [`Pipeline::read_chunk`], whichever way the batch
+    /// to looping over [`Pipeline::read_block`], whichever way the batch
     /// was routed.
     ///
     /// # Errors
     ///
-    /// The first failing request aborts the batch: [`ReadError::Device`]
-    /// when a device read fails after retries, [`ReadError::Integrity`]
-    /// when an integrity envelope does not open, [`ReadError::Frame`] when
-    /// a frame does not decode.
-    pub fn read_chunks(&mut self, refs: &[ChunkRef]) -> Result<Vec<Vec<u8>>, ReadError> {
+    /// [`ReadError::UnknownBlock`] when any index is out of range, checked
+    /// before any device work is issued. Otherwise the first failing
+    /// request aborts the batch: [`ReadError::Device`] when a device read
+    /// fails after retries, [`ReadError::Integrity`] when an integrity
+    /// envelope does not open, [`ReadError::Frame`] when a frame does not
+    /// decode.
+    pub fn read_blocks(&mut self, indices: &[usize]) -> Result<Vec<Vec<u8>>, ReadError> {
+        let mut refs = Vec::with_capacity(indices.len());
+        for &index in indices {
+            let r = self.recipe.get(index);
+            refs.push(*r.ok_or(ReadError::UnknownBlock { index })?);
+        }
+        self.read_chunks(&refs)
+    }
+
+    /// Reads back the `index`-th ingested chunk — the single-request form
+    /// of [`Pipeline::read_blocks`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Pipeline::read_blocks`].
+    pub fn read_block(&mut self, index: usize) -> Result<Vec<u8>, ReadError> {
+        let r = *self
+            .recipe
+            .get(index)
+            .ok_or(ReadError::UnknownBlock { index })?;
+        let mut out = self.read_chunks(&[r])?;
+        Ok(out.pop().expect("one result per request"))
+    }
+
+    /// Reads a batch of stored chunks through the read pipeline, then
+    /// folds the faults it met into the report, failed or not.
+    fn read_chunks(&mut self, refs: &[ChunkRef]) -> Result<Vec<Vec<u8>>, ReadError> {
         if refs.is_empty() {
             return Ok(Vec::new());
         }
@@ -608,39 +624,6 @@ impl Pipeline {
         }
         done
     }
-
-    /// Reads back the `index`-th ingested chunk through the logical map —
-    /// the single-request form of [`Pipeline::read_blocks`].
-    ///
-    /// # Errors
-    ///
-    /// [`ReadError::UnknownBlock`] when `index` is out of range, otherwise
-    /// whatever [`Pipeline::read_chunks`] reports.
-    pub fn read_block(&mut self, index: usize) -> Result<Vec<u8>, ReadError> {
-        let r = *self
-            .recipe
-            .get(index)
-            .ok_or(ReadError::UnknownBlock { index })?;
-        self.read_chunk(r)
-    }
-
-    /// Reads back a batch of ingested chunks through the logical map in
-    /// one read-pipeline pass — duplicates resolve to their shared stored
-    /// copy, so a dedup-heavy batch fetches far fewer frames than blocks.
-    ///
-    /// # Errors
-    ///
-    /// [`ReadError::UnknownBlock`] when any index is out of range (checked
-    /// before any device work is issued), otherwise whatever
-    /// [`Pipeline::read_chunks`] reports.
-    pub fn read_blocks(&mut self, indices: &[usize]) -> Result<Vec<Vec<u8>>, ReadError> {
-        let mut refs = Vec::with_capacity(indices.len());
-        for &index in indices {
-            let r = self.recipe.get(index);
-            refs.push(*r.ok_or(ReadError::UnknownBlock { index })?);
-        }
-        self.read_chunks(&refs)
-    }
 }
 
 #[cfg(test)]
@@ -817,8 +800,8 @@ mod tests {
             let key = p.index().key_of(&digest);
             p.index().bin(bin).lookup(&key).expect("chunk indexed").0
         };
-        let back = p.read_chunk(r).expect("read path failed");
-        assert_eq!(back, &data[..4096]);
+        let back = p.read_chunks(&[r]).expect("read path failed");
+        assert_eq!(back, [&data[..4096]]);
     }
 
     /// [`small_config`] on a one-worker CPU model: a 32-frame cold batch
@@ -1109,7 +1092,7 @@ mod tests {
             read_error_rate: 1.0,
             ..dr_ssd_sim::SsdFaultSpec::default()
         });
-        assert!(matches!(p.read_chunk(last), Err(ReadError::Device(_))));
+        assert!(matches!(p.read_chunks(&[last]), Err(ReadError::Device(_))));
         assert!(p.destage.tail().is_empty(), "the open page was programmed");
         let flushed = p.destage.data_end();
         assert!(flushed > before);
@@ -1257,8 +1240,25 @@ mod tests {
 
     #[test]
     fn read_block_out_of_range_errors() {
-        let mut p = Pipeline::new(small_config(IntegrationMode::CpuOnly));
+        // An index past the recipe fails typed, before the batch reaches
+        // the device or the read clock — also when it follows a good one.
+        let obs = dr_obs::ObsHandle::enabled("t");
+        let mut cfg = small_config(IntegrationMode::CpuOnly);
+        cfg.obs = obs.clone();
+        let mut p = Pipeline::new(cfg);
         p.run(&stream());
-        assert!(p.read_block(10_000).is_err());
+        let n = p.ingested_chunks();
+        let untouched = |p: &Pipeline| {
+            let counters = ["read.batches", "read.pages"].map(|name| obs.counter(name).get());
+            (p.report().reads, p.report().read_end, counters)
+        };
+        let before = untouched(&p);
+        let unknown = Err(ReadError::UnknownBlock { index: n });
+        assert_eq!(p.read_block(n), unknown);
+        assert_eq!(p.read_blocks(&[0, n]), unknown.map(|b| vec![b]));
+        assert_eq!(untouched(&p), before);
+        let block = p.read_blocks(&[0]).expect("a good read still succeeds");
+        assert_eq!(block, [&stream()[..4096]]);
+        assert_ne!(untouched(&p), before);
     }
 }

@@ -178,7 +178,8 @@ impl VolumeManager {
     ///
     /// # Panics
     ///
-    /// As [`Pipeline::run_hashed`].
+    /// Panics when `write` was cut at another chunk size than
+    /// [`PipelineConfig::chunk_bytes`].
     pub fn write_hashed(
         &mut self,
         name: &str,
@@ -209,9 +210,9 @@ impl VolumeManager {
                 .get(name)
                 .ok_or_else(|| VolumeError::UnknownVolume(name.to_owned()))?;
             let size = volume.blocks.len() as u64;
-            if start_block + n > size {
+            if start_block.checked_add(n).is_none_or(|end| end > size) {
                 return Err(VolumeError::OutOfRange {
-                    block: start_block + n - 1,
+                    block: start_block.saturating_add(n - 1),
                     size,
                 });
             }
@@ -308,20 +309,24 @@ impl VolumeManager {
     /// [`VolumeError::UnknownVolume`] / [`VolumeError::OutOfRange`] /
     /// [`VolumeError::Unwritten`] / [`VolumeError::ReadFailed`].
     pub fn read(&mut self, name: &str, block: u64) -> Result<Vec<u8>, VolumeError> {
-        let recipe_idx = {
-            let volume = self
-                .volumes
-                .get(name)
-                .ok_or_else(|| VolumeError::UnknownVolume(name.to_owned()))?;
-            let size = volume.blocks.len() as u64;
-            if block >= size {
-                return Err(VolumeError::OutOfRange { block, size });
-            }
-            volume.blocks[block as usize].ok_or(VolumeError::Unwritten { block })?
-        };
+        let recipe_idx = self.resolve(name, block)?;
         self.pipeline
             .read_block(recipe_idx)
             .map_err(VolumeError::ReadFailed)
+    }
+
+    /// Validates a block address — volume, range, then written — and
+    /// resolves it to its index in the pipeline's recipe.
+    fn resolve(&self, name: &str, block: u64) -> Result<usize, VolumeError> {
+        let volume = self
+            .volumes
+            .get(name)
+            .ok_or_else(|| VolumeError::UnknownVolume(name.to_owned()))?;
+        let size = volume.blocks.len() as u64;
+        if block >= size {
+            return Err(VolumeError::OutOfRange { block, size });
+        }
+        volume.blocks[block as usize].ok_or(VolumeError::Unwritten { block })
     }
 
     /// Whether a block currently maps to stored data — a metadata-only
@@ -334,15 +339,10 @@ impl VolumeManager {
     ///
     /// [`VolumeError::UnknownVolume`] / [`VolumeError::OutOfRange`].
     pub fn is_written(&self, name: &str, block: u64) -> Result<bool, VolumeError> {
-        let volume = self
-            .volumes
-            .get(name)
-            .ok_or_else(|| VolumeError::UnknownVolume(name.to_owned()))?;
-        let size = volume.blocks.len() as u64;
-        if block >= size {
-            return Err(VolumeError::OutOfRange { block, size });
+        match self.resolve(name, block) {
+            Err(VolumeError::Unwritten { .. }) => Ok(false),
+            resolved => resolved.map(|_| true),
         }
-        Ok(volume.blocks[block as usize].is_some())
     }
 
     /// Reads a batch of blocks in one read-pipeline pass: requests are
@@ -359,22 +359,10 @@ impl VolumeManager {
     /// [`VolumeError::UnknownVolume`] / [`VolumeError::OutOfRange`] /
     /// [`VolumeError::Unwritten`] / [`VolumeError::ReadFailed`].
     pub fn read_batch(&mut self, name: &str, blocks: &[u64]) -> Result<Vec<Vec<u8>>, VolumeError> {
-        let recipe_idxs = {
-            let volume = self
-                .volumes
-                .get(name)
-                .ok_or_else(|| VolumeError::UnknownVolume(name.to_owned()))?;
-            let size = volume.blocks.len() as u64;
-            blocks
-                .iter()
-                .map(|&block| {
-                    if block >= size {
-                        return Err(VolumeError::OutOfRange { block, size });
-                    }
-                    volume.blocks[block as usize].ok_or(VolumeError::Unwritten { block })
-                })
-                .collect::<Result<Vec<_>, _>>()?
-        };
+        let recipe_idxs = blocks
+            .iter()
+            .map(|&block| self.resolve(name, block))
+            .collect::<Result<Vec<_>, _>>()?;
         self.pipeline
             .read_blocks(&recipe_idxs)
             .map_err(VolumeError::ReadFailed)
@@ -464,6 +452,19 @@ mod tests {
             m.write("v", 1, &[block(0), block(1)].concat()),
             Err(VolumeError::OutOfRange { .. })
         ));
+        // A range whose end overflows is out of range too, and refused
+        // before anything is ingested.
+        let chunks = m.report().chunks;
+        for (start, blocks) in [(u64::MAX, 1), (u64::MAX - 1, 2)] {
+            assert_eq!(
+                m.write("v", start, &block(0).repeat(blocks)),
+                Err(VolumeError::OutOfRange {
+                    block: u64::MAX,
+                    size: 2
+                })
+            );
+        }
+        assert_eq!(m.report().chunks, chunks);
         assert!(matches!(
             m.read("v", 9),
             Err(VolumeError::OutOfRange { .. })

@@ -48,10 +48,10 @@ fn main() {
         dedup_ratio: 2.0,
         ..StreamConfig::default()
     });
-    let blocks: Vec<Vec<u8>> = generator.blocks().collect();
-    let true_unique = blocks
-        .iter()
-        .map(|b| sha1_digest(b))
+    let stream = generator.generate();
+    let true_unique = stream
+        .chunks(4096)
+        .map(sha1_digest)
         .collect::<HashSet<_>>()
         .len() as u64;
 
@@ -70,7 +70,7 @@ fn main() {
             },
             ..PipelineConfig::default()
         });
-        let report = pipeline.run_blocks(blocks.clone());
+        let report = pipeline.run(&stream);
         let missed = report.unique_chunks - true_unique;
         println!(
             "{:>12} | {:>12} | {:>9.1}%",

@@ -7,7 +7,7 @@
 //! Generates a vdbench-style stream (dedup ratio 2.0, compression ratio
 //! 2.0 — the paper's defaults), pushes it through the pipeline with the
 //! GPU assigned to compression (the paper's best integration), prints the
-//! report, and reads one chunk back through the index to show the full
+//! report, and reads one chunk back to show the full
 //! write→dedupe→compress→destage→read loop is lossless.
 
 use inline_dr::hashes::sha1_digest;
@@ -37,21 +37,16 @@ fn main() {
     let report = pipeline.run(&stream);
     println!("{report}\n");
 
-    // 3. Read the very first chunk back through the dedup index.
+    // 3. Read the very first chunk back: the dedup index knows it, and the
+    //    logical map leads to its stored copy.
     let digest = sha1_digest(&stream[..4096]);
-    let bin = pipeline.index().router().route(&digest);
-    let key = pipeline.index().key_of(&digest);
-    let (location, _) = pipeline
-        .index()
-        .bin(bin)
-        .lookup(&key)
-        .expect("first chunk must be indexed");
-    let chunk = pipeline.read_chunk(location).expect("read path failed");
-    assert_eq!(chunk, &stream[..4096], "read-back must match the original");
-    println!(
-        "read chunk back from {location}: {} bytes, bit-exact ✓",
-        chunk.len()
+    assert!(
+        pipeline.index().contains(&digest),
+        "first chunk must be indexed"
     );
+    let chunk = pipeline.read_block(0).expect("read path failed");
+    assert_eq!(chunk, &stream[..4096], "read-back must match the original");
+    println!("read block 0 back: {} bytes, bit-exact ✓", chunk.len());
     println!(
         "space saved: {:.1}% (reduction ratio {:.2}x)",
         (1.0 - 1.0 / report.reduction_ratio()) * 100.0,

@@ -100,20 +100,20 @@ cargo test --manifest-path benchmark/Cargo.toml --offline -q
 echo "==> fault matrix (faulted vs fault-free digest diff, table vs golden)"
 cargo run --release -q -p dr-bench --bin fault_matrix | diff crates/bench/fault_matrix.golden -
 
-# Read-clock gate: E8's table is simulated, so deterministic; a change to
-# how reads are fetched, decoded or charged moves it. Like the fault
-# matrix, a PR that moves it on purpose re-records the golden and says
-# why. Run at the default scale, with the metrics path the golden names.
-echo "==> e8 read path (table vs golden)"
-env -u DR_SCALE -u DR_METRICS_OUT target/release/e8_read_path \
-    | diff crates/bench/e8_read_path.golden -
-
-# Cluster gate: E9's table, read-back digest and 1-node parity lines are
-# simulated, so deterministic; a change to routing, rebalancing or the
-# cluster's dedup accounting moves them. Same rules as the e8 golden.
-echo "==> e9 cluster (table vs golden)"
-env -u DR_SCALE -u DR_METRICS_OUT target/release/e9_cluster \
-    | diff crates/bench/e9_cluster.golden -
+# Simulated-table gate: every E-table and the ablation report is
+# simulated, so deterministic. E8 moves when reads are fetched, decoded
+# or charged differently; E9 (table, read-back digest, 1-node parity)
+# when routing, rebalancing or cluster dedup accounting change; the rest
+# when the write path's stages or cost models do. Like the fault matrix,
+# a PR that moves one on purpose re-records its golden and says why. Run
+# at the default scale, with the metrics path the goldens name.
+for bin in e1_indexing_cpu_vs_gpu e2_dedup_throughput e3_compress_throughput \
+    e4_fig2_integration e5_calibration e6_endurance e7_chunk_size_sweep \
+    e8_read_path e9_cluster ablation_report; do
+    echo "==> ${bin} (table vs golden)"
+    env -u DR_SCALE -u DR_METRICS_OUT "target/release/${bin}" \
+        | diff "crates/bench/${bin}.golden" -
+done
 
 # Differential-checker smoke: seeded op sequences against the in-memory
 # oracle across all 4 integration modes, fault-free and faulted

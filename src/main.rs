@@ -114,7 +114,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         obs: obs.clone(),
         ..PipelineConfig::default()
     });
-    let report = pipeline.run_blocks(generator.blocks());
+    let report = pipeline.run(&generator.generate());
     println!("{report}");
     if let Some(snap) = obs.snapshot() {
         print!("\n{snap}");

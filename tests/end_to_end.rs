@@ -5,7 +5,7 @@ use inline_dr::reduction::{IntegrationMode, Pipeline, PipelineConfig};
 use inline_dr::workload::{StreamConfig, StreamGenerator};
 use std::collections::HashSet;
 
-fn stream(total: u64, dedup: f64, comp: f64, seed: u64) -> Vec<Vec<u8>> {
+fn stream(total: u64, dedup: f64, comp: f64, seed: u64) -> Vec<u8> {
     StreamGenerator::new(StreamConfig {
         total_bytes: total,
         dedup_ratio: dedup,
@@ -13,20 +13,19 @@ fn stream(total: u64, dedup: f64, comp: f64, seed: u64) -> Vec<Vec<u8>> {
         seed,
         ..StreamConfig::default()
     })
-    .blocks()
-    .collect()
+    .generate()
 }
 
 #[test]
 fn measured_ratios_track_workload_knobs() {
-    let blocks = stream(8 << 20, 2.0, 2.0, 1);
+    let data = stream(8 << 20, 2.0, 2.0, 1);
     let mut p = Pipeline::new(PipelineConfig::default());
-    let r = p.run_blocks(blocks.clone());
+    let r = p.run(&data);
 
     // Dedup ratio: the pipeline must find exactly the true duplicates.
-    let true_unique = blocks
-        .iter()
-        .map(|b| sha1_digest(b))
+    let true_unique = data
+        .chunks(4096)
+        .map(sha1_digest)
         .collect::<HashSet<_>>()
         .len() as u64;
     assert_eq!(r.unique_chunks, true_unique);
@@ -53,37 +52,31 @@ fn every_mode_round_trips_every_chunk() {
     // Small stream, verify=true: the pipeline itself asserts each frame
     // decodes to the original chunk; additionally read a sample back
     // through the index at the end.
-    let blocks = stream(1 << 20, 2.0, 2.0, 2);
+    let data = stream(1 << 20, 2.0, 2.0, 2);
     for mode in IntegrationMode::ALL {
         let mut p = Pipeline::new(PipelineConfig {
             mode,
             verify: true,
             ..PipelineConfig::default()
         });
-        p.run_blocks(blocks.clone());
-        for sample in blocks.iter().step_by(37) {
-            let digest = sha1_digest(sample);
-            let bin = p.index().router().route(&digest);
-            let key = p.index().key_of(&digest);
-            let (location, _) = p
-                .index()
-                .bin(bin)
-                .lookup(&key)
-                .unwrap_or_else(|| panic!("chunk not indexed in mode {mode}"));
-            let back = p.read_chunk(location).expect("read path");
-            assert_eq!(&back, sample, "round-trip failed in mode {mode}");
+        p.run(&data);
+        for (i, sample) in data.chunks(4096).enumerate().step_by(37) {
+            let indexed = p.index().contains(&sha1_digest(sample));
+            assert!(indexed, "chunk not indexed in mode {mode}");
+            let back = p.read_block(i).expect("read path");
+            assert_eq!(back, sample, "round-trip failed in mode {mode}");
         }
     }
 }
 
 #[test]
 fn incompressible_dedup_free_stream_is_stored_whole() {
-    let blocks = stream(2 << 20, 1.0, 1.0, 3);
+    let data = stream(2 << 20, 1.0, 1.0, 3);
     let mut p = Pipeline::new(PipelineConfig {
         verify: true,
         ..PipelineConfig::default()
     });
-    let r = p.run_blocks(blocks);
+    let r = p.run(&data);
     assert_eq!(r.dedup_hits, 0);
     // Raw fallback: stored = input + 5-byte headers.
     assert_eq!(r.stored_bytes, r.bytes_in + 5 * r.unique_chunks);
@@ -92,12 +85,12 @@ fn incompressible_dedup_free_stream_is_stored_whole() {
 
 #[test]
 fn highly_redundant_stream_reduces_hard() {
-    let blocks = stream(4 << 20, 8.0, 4.0, 4);
+    let data = stream(4 << 20, 8.0, 4.0, 4);
     let mut p = Pipeline::new(PipelineConfig {
         verify: true,
         ..PipelineConfig::default()
     });
-    let r = p.run_blocks(blocks);
+    let r = p.run(&data);
     assert!(r.dedup_ratio() > 5.0, "dedup {}", r.dedup_ratio());
     assert!(
         r.reduction_ratio() > 12.0,
@@ -111,14 +104,14 @@ fn functional_results_identical_across_modes() {
     // Unique/duplicate decisions are made by the same ground-truth index
     // in all modes (GPU results only short-circuit timing paths), so the
     // stored byte counts must agree when no flush staleness is possible.
-    let blocks = stream(2 << 20, 2.0, 2.0, 5);
+    let data = stream(2 << 20, 2.0, 2.0, 5);
     let mut stored = Vec::new();
     for mode in IntegrationMode::ALL {
         let mut p = Pipeline::new(PipelineConfig {
             mode,
             ..PipelineConfig::default()
         });
-        let r = p.run_blocks(blocks.clone());
+        let r = p.run(&data);
         stored.push((mode, r.unique_chunks, r.dedup_hits));
     }
     for w in stored.windows(2) {
@@ -129,9 +122,9 @@ fn functional_results_identical_across_modes() {
 
 #[test]
 fn write_amplification_stays_sane() {
-    let blocks = stream(8 << 20, 2.0, 2.0, 6);
+    let data = stream(8 << 20, 2.0, 2.0, 6);
     let mut p = Pipeline::new(PipelineConfig::default());
-    let r = p.run_blocks(blocks);
+    let r = p.run(&data);
     // An append-only destage log should barely amplify.
     assert!(
         (1.0..1.5).contains(&r.write_amplification),

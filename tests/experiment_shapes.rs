@@ -26,7 +26,7 @@ fn run(mode: IntegrationMode, dedup: bool, compress: bool, total: u64, comp_rati
         ..StreamConfig::default()
     });
     let mut pipeline = Pipeline::new(config);
-    pipeline.run_blocks(generator.blocks()).iops()
+    pipeline.run(&generator.generate()).iops()
 }
 
 fn ssd_baseline() -> f64 {

@@ -9,7 +9,7 @@ use inline_dr::binindex::BinIndexConfig;
 use inline_dr::reduction::{IntegrationMode, Pipeline, PipelineConfig};
 use inline_dr::workload::{StreamConfig, StreamGenerator};
 
-fn blocks(total: u64, dedup: f64) -> Vec<Vec<u8>> {
+fn stream(total: u64, dedup: f64) -> Vec<u8> {
     StreamGenerator::new(StreamConfig {
         total_bytes: total,
         dedup_ratio: dedup,
@@ -17,8 +17,7 @@ fn blocks(total: u64, dedup: f64) -> Vec<Vec<u8>> {
         locality: 0.8,
         ..StreamConfig::default()
     })
-    .blocks()
-    .collect()
+    .generate()
 }
 
 #[test]
@@ -35,7 +34,7 @@ fn duplicates_resolve_in_buffer_before_tree() {
         },
         ..PipelineConfig::default()
     });
-    let r = p.run_blocks(blocks(4 << 20, 2.0));
+    let r = p.run(&stream(4 << 20, 2.0));
     assert!(r.dedup_hits > 0);
     assert_eq!(r.tree_hits, 0, "nothing ever flushed to trees");
     assert_eq!(r.buffer_hits, r.dedup_hits);
@@ -52,10 +51,10 @@ fn flushes_move_hits_to_the_tree_and_write_sequentially() {
         },
         ..PipelineConfig::default()
     });
-    let data = blocks(4 << 20, 1.0); // all unique: fills buffers fast
-    p.run_blocks(data.clone());
+    let data = stream(4 << 20, 1.0); // all unique: fills buffers fast
+    p.run(&data);
     // Re-write the same data: now everything is a duplicate, found in trees.
-    let r = p.run_blocks(data);
+    let r = p.run(&data);
     assert!(r.bin_flushes > 0, "tiny buffers must flush");
     assert!(
         r.tree_hits > r.buffer_hits,
@@ -79,12 +78,12 @@ fn gpu_first_then_cpu_fallback() {
         ..PipelineConfig::default()
     };
     let mut p = Pipeline::new(cfg);
-    let data = blocks(4 << 20, 1.0);
-    let first = p.run_blocks(data.clone());
+    let data = stream(4 << 20, 1.0);
+    let first = p.run(&data);
     // First pass: every chunk was queried on the GPU (workflow order).
     assert_eq!(first.gpu_index_queries, first.chunks);
     // Second pass: flushed bins are GPU-resident, so re-writes hit there.
-    let second = p.run_blocks(data);
+    let second = p.run(&data);
     assert!(
         second.gpu_index_hits > first.gpu_index_hits,
         "GPU bins never produced hits: {second:?}"
@@ -103,7 +102,7 @@ fn unique_chunks_flow_through_compression_to_the_ssd() {
         verify: true,
         ..PipelineConfig::default()
     });
-    let r = p.run_blocks(blocks(4 << 20, 2.0));
+    let r = p.run(&stream(4 << 20, 2.0));
     assert!(r.gpu_comp_batches > 0, "GPU compression never launched");
     assert!(
         r.compression_ratio() > 1.5,
@@ -126,7 +125,7 @@ fn timeline_is_causally_ordered() {
         },
         ..PipelineConfig::default()
     });
-    let r = p.run_blocks(blocks(2 << 20, 2.0));
+    let r = p.run(&stream(2 << 20, 2.0));
     assert!(r.reduction_end > inline_dr::des::SimTime::ZERO);
     // Destage writes can only finish at or after reduction produced them.
     assert!(r.ssd_end >= inline_dr::des::SimTime::ZERO);

@@ -94,12 +94,16 @@ fn index_snapshotted_after_a_faulty_run_still_recovers() {
     let blob = snapshot(pipeline.index()).expect("snapshot");
     let mut recovered = restore(&blob).expect("restore");
     assert_eq!(recovered.len(), report.unique_chunks);
-    // Every stored chunk the recovered index points at reads back as the
-    // original bytes through the surviving pipeline's device.
+    // The recovered index points every chunk at the stored copy the live
+    // one does, and that copy reads back as the original bytes through
+    // the surviving pipeline's device.
     for (i, block) in data.chunks(4096).enumerate().step_by(37) {
         let d = sha1_digest(block);
-        let r = recovered.lookup(&d).expect("chunk indexed");
-        let back = pipeline.read_chunk(r).expect("read path");
+        let index = pipeline.index();
+        let bin = index.bin(index.router().route(&d));
+        let (live, _) = bin.lookup(&index.key_of(&d)).expect("chunk indexed");
+        assert_eq!(recovered.lookup(&d), Some(live), "chunk {i} re-pointed");
+        let back = pipeline.read_block(i).expect("read path");
         assert_eq!(back, block, "chunk {i} corrupted");
     }
 }

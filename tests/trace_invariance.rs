@@ -8,7 +8,7 @@ use inline_dr::obs::{ObsHandle, Tracer, Track};
 use inline_dr::reduction::{IntegrationMode, Pipeline, PipelineConfig, Report};
 use inline_dr::workload::{StreamConfig, StreamGenerator};
 
-fn blocks(seed: u64) -> Vec<Vec<u8>> {
+fn stream(seed: u64) -> Vec<u8> {
     StreamGenerator::new(StreamConfig {
         total_bytes: 2 << 20,
         dedup_ratio: 2.0,
@@ -16,8 +16,7 @@ fn blocks(seed: u64) -> Vec<Vec<u8>> {
         seed,
         ..StreamConfig::default()
     })
-    .blocks()
-    .collect()
+    .generate()
 }
 
 fn run(mode: IntegrationMode, pool_workers: usize, tracer: Tracer) -> Report {
@@ -28,7 +27,7 @@ fn run(mode: IntegrationMode, pool_workers: usize, tracer: Tracer) -> Report {
         obs,
         ..PipelineConfig::default()
     });
-    pipeline.run_blocks(blocks(11))
+    pipeline.run(&stream(11))
 }
 
 /// The full report (every counter, every sim timestamp) must match with
@@ -72,7 +71,7 @@ fn batched_reads_are_trace_invariant_and_advance_the_clock() {
             obs,
             ..PipelineConfig::default()
         });
-        pipeline.run_blocks(blocks(11));
+        pipeline.run(&stream(11));
         let total = pipeline.ingested_chunks();
         let mut ends = Vec::new();
         for start in (0..total).step_by(64) {
