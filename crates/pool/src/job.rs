@@ -67,17 +67,36 @@ impl<T> JobHandle<T> {
     ///
     /// Re-raises the job's panic, if it panicked.
     pub fn join(self) -> T {
-        self.slot.done.wait();
-        let result = self.slot.result.lock().expect("job slot lock").take();
-        match result.expect("a completed job stored its result") {
+        match self.wait_result() {
             Ok(v) => v,
             Err(payload) => std::panic::resume_unwind(payload),
         }
     }
 
+    /// Blocks until the job finished and takes its result, panic or not,
+    /// out of the slot on the calling thread.
+    pub(crate) fn wait_result(&self) -> ThreadResult<T> {
+        self.slot.done.wait();
+        let result = self.slot.result.lock().expect("job slot lock").take();
+        result.expect("a completed job stored its result")
+    }
+
     /// True once the job finished (join will not block).
     pub fn is_finished(&self) -> bool {
         self.slot.done.is_set()
+    }
+}
+
+/// The job half of `WorkerPool::join`, which borrows from the caller's
+/// frame: dropping the guard — on the way out of `join`, by return or by
+/// unwind — waits for the job and drops its result on this thread.
+pub(crate) struct JoinOnDrop<T>(pub(crate) Option<JobHandle<T>>);
+
+impl<T> Drop for JoinOnDrop<T> {
+    fn drop(&mut self) {
+        if let Some(job) = self.0.take() {
+            drop(job.wait_result());
+        }
     }
 }
 

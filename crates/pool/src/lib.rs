@@ -22,11 +22,16 @@
 //!   below two grains is a plain loop on the caller. The pipeline's stages
 //!   all fan out through it, so a small write never touches another
 //!   thread and costs the same whenever it arrives.
-//! * [`WorkerPool::spawn`] — a fire-and-forget job with a joinable
-//!   [`JobHandle`], used by the pipeline to hash batch *N+1* while batch
-//!   *N* compresses and destages (double buffering). A hand-off to
-//!   another thread is worth it only when the submitter has something
-//!   else to do meanwhile; the pipeline spawns a job only then.
+//! * [`WorkerPool::spawn`] — a fire-and-forget `'static` job with a
+//!   joinable [`JobHandle`].
+//! * [`WorkerPool::join`] — a scoped job: `a` runs on a pool thread while
+//!   the caller runs `b`, and `a` may borrow the caller's data because
+//!   `join` waits for it on every way out, unwinding included. The
+//!   pipeline hashes batch *N+1* this way, straight from the caller's
+//!   write buffer, while batch *N* compresses and destages (double
+//!   buffering). A hand-off to another thread is worth it only when the
+//!   submitter has something else to do meanwhile; the pipeline joins
+//!   only then.
 //!
 //! A pool with **zero workers** degrades to inline execution on the caller
 //! thread — no threads, deterministic, and useful for tests and
@@ -54,9 +59,9 @@
 //!   includes the worker (which gets the notify): no lost wake-up, and no
 //!   `futex` call at all while the workers are awake.
 //! * The submitter's own waits — `map_batch` for the tail of the batch,
-//!   [`JobHandle::join`] for the job — spin the same window on a
-//!   completion flag before parking, and the finishing thread notifies
-//!   only a parked waiter.
+//!   [`JobHandle::join`] and [`WorkerPool::join`] for the job — spin the
+//!   same window on a completion flag before parking, and the finishing
+//!   thread notifies only a parked waiter.
 //!
 //! Instrumentation (all through `dr-obs`, inert unless enabled): a
 //! `pool.queue_depth` gauge, `pool.tasks` / `pool.steals` / `pool.batches`
@@ -80,6 +85,7 @@ pub use park::SPIN_WINDOW;
 use batch::BatchCore;
 use dr_obs::trace::{Tracer, Track};
 use dr_obs::{CounterHandle, GaugeHandle, HistogramHandle, ObsHandle};
+use job::JoinOnDrop;
 use park::spin_until;
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -499,16 +505,73 @@ impl WorkerPool {
         if self.inner.workers == 0 {
             return JobHandle::ready(std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)));
         }
-        let (handle, completer) = JobHandle::pending();
-        let job: Box<dyn FnOnce() + Send> = Box::new(move || {
-            completer.complete(std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)));
-        });
+        let (handle, job) = boxed_job(f);
+        self.queue_job(obs, job);
+        handle
+    }
+
+    /// Runs `a` as a pool job and `b` on the caller, and returns both
+    /// results. Unlike a [`WorkerPool::spawn`]ed job, `a` may borrow from
+    /// the caller's frame: `join` neither returns nor unwinds before `a`
+    /// has finished. On an inline pool it is `a()` then `b()`. `a` needs a
+    /// free pool thread, so from inside a pool job `join` waits for
+    /// another worker to take it.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic from either half once both have finished — `b`'s
+    /// when both panicked.
+    pub fn join<RA, RB, A, B>(&self, a: A, b: B) -> (RA, RB)
+    where
+        A: FnOnce() -> RA + Send,
+        RA: Send,
+        B: FnOnce() -> RB,
+    {
+        let obs = self.inner.obs();
+        obs.jobs.incr();
+        if self.inner.workers == 0 {
+            let ra = a();
+            return (ra, b());
+        }
+        let (handle, job) = boxed_job(a);
+        // SAFETY: the job's borrows are erased to 'static so a pool thread
+        // can run it, but `join` only returns — or unwinds out of `b` —
+        // after the job completed (`JoinOnDrop` waits on either way out),
+        // and the job's result is taken out of the shared slot on this
+        // thread, so the worker's last reference drops an empty slot. No
+        // thread touches anything `a` borrowed after this frame is gone —
+        // the `map_batch` argument.
+        let job = unsafe {
+            std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Box<dyn FnOnce() + Send>>(job)
+        };
+        self.queue_job(obs, job);
+        // Armed once the job is queued: a guard waiting on a job that was
+        // never queued would wait forever.
+        let mut job_half = JoinOnDrop(Some(handle));
+        let rb = b();
+        let ra = job_half.0.take().expect("joined once").join();
+        (ra, rb)
+    }
+
+    /// Queues a job for the next free worker.
+    fn queue_job(&self, obs: &PoolObs, job: Box<dyn FnOnce() + Send>) {
         self.inner.publish(false, |st| {
             st.jobs.push_back(job);
             obs.queue_depth.set(st.queue_depth());
         });
-        handle
     }
+}
+
+/// `f` as a pool job, and the handle it resolves with `f`'s result — or
+/// its panic.
+fn boxed_job<'f, T: Send + 'f>(
+    f: impl FnOnce() -> T + Send + 'f,
+) -> (JobHandle<T>, Box<dyn FnOnce() + Send + 'f>) {
+    let (handle, completer) = JobHandle::pending();
+    let job = Box::new(move || {
+        completer.complete(std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)));
+    });
+    (handle, job)
 }
 
 /// Blocks until there is something for this worker to do. An idle worker
@@ -647,6 +710,91 @@ mod tests {
         let handles: Vec<_> = (0..8).map(|i| pool.spawn(move || i * i)).collect();
         let got: Vec<usize> = handles.into_iter().map(|h| h.join()).collect();
         assert_eq!(got, (0..8).map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_joined_job_reads_and_writes_the_callers_stack() {
+        let pool = WorkerPool::new(2);
+        let me = std::thread::current().id();
+        let input: Vec<u64> = (1..=1000).collect();
+        let mut out = [0u64; 2];
+        let (ran_on, local) = pool.join(
+            || {
+                out[0] = input.iter().sum();
+                out[1] = input[999];
+                std::thread::current().id()
+            },
+            || input.len(),
+        );
+        assert_ne!(ran_on, me, "the job half runs on a pool thread");
+        assert_eq!(out, [500_500, 1000]);
+        assert_eq!(local, 1000);
+    }
+
+    /// The message of a caught panic.
+    fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+        payload.downcast_ref::<&str>().copied().unwrap_or_default()
+    }
+
+    #[test]
+    fn a_panic_in_the_joined_job_is_re_raised_after_both_halves_finish() {
+        use std::sync::atomic::AtomicBool;
+        let pool = WorkerPool::new(2);
+        let caller_done = AtomicBool::new(false);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.join(
+                || panic!("job failure"),
+                || {
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                    caller_done.store(true, Ordering::Release);
+                },
+            )
+        }));
+        let payload = result.expect_err("the job's panic reaches the caller");
+        assert_eq!(panic_message(&*payload), "job failure");
+        assert!(caller_done.load(Ordering::Acquire));
+        assert_eq!(pool.join(|| 1, || 2), (1, 2), "the pool survives");
+    }
+
+    #[test]
+    fn a_panic_in_the_callers_half_still_waits_for_the_job() {
+        use std::sync::atomic::AtomicBool;
+        let pool = WorkerPool::new(1);
+        let job_done = AtomicBool::new(false);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.join(
+                || {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    job_done.store(true, Ordering::Release);
+                },
+                || panic!("caller failure"),
+            )
+        }));
+        let payload = result.expect_err("the caller's panic propagates");
+        assert_eq!(panic_message(&*payload), "caller failure");
+        assert!(
+            job_done.load(Ordering::Acquire),
+            "join unwound before its job finished"
+        );
+    }
+
+    #[test]
+    fn join_on_an_inline_pool_runs_the_job_then_the_callers_half() {
+        let pool = WorkerPool::new(0);
+        let me = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        let (ran_on, b) = pool.join(
+            || {
+                order.lock().unwrap().push("a");
+                std::thread::current().id()
+            },
+            || {
+                order.lock().unwrap().push("b");
+                7
+            },
+        );
+        assert_eq!((ran_on, b), (me, 7));
+        assert_eq!(*order.lock().unwrap(), ["a", "b"]);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
-use std::sync::Arc;
 
 use dr_binindex::{BinHit, ChunkRef, FlushEvent, GpuProbe, ProbeKind};
 use dr_compress::{frame, Codec};
@@ -54,8 +53,9 @@ enum DedupOutcome {
 }
 
 /// One chunk moving through the pipeline. Payload bytes are *not* carried
-/// here: they live in the batch's [`BatchPayload`] and are accessed by
-/// index, so a chunk never owns a copy of its data.
+/// here: they stay in the caller's write buffer and are reached through
+/// the batch's [`BatchPayload`] by index, so a chunk never owns a copy of
+/// its data.
 struct InFlight {
     digest: ChunkDigest,
     /// When the chunk's last completed stage finished.
@@ -67,25 +67,27 @@ struct InFlight {
     stored: Option<ChunkRef>,
 }
 
-/// Chunk payloads for one batch.
+/// Chunk payloads for one batch: a view of the caller's own write buffer,
+/// cut at `chunk_bytes` (the last chunk may be short).
 ///
-/// Every write copies its stream into a shared buffer *once* and carries
-/// every chunk as an `(offset, len)` view into it — no per-chunk
-/// allocation anywhere on the ingest→hash→compress path.
-pub(crate) struct BatchPayload {
-    pub(crate) buf: Arc<[u8]>,
-    /// `(offset, len)` of each chunk within `buf`.
-    pub(crate) spans: Vec<(usize, usize)>,
+/// Nothing on the ingest→hash→compress path copies a write: every stage,
+/// and the pool job that fingerprints the next batch meanwhile (borrowing
+/// through [`dr_pool::WorkerPool::join`]), reads the caller's slice.
+#[derive(Clone, Copy)]
+pub(crate) struct BatchPayload<'a> {
+    pub(crate) data: &'a [u8],
+    pub(crate) chunk_bytes: usize,
 }
 
-impl BatchPayload {
-    pub(crate) fn len(&self) -> usize {
-        self.spans.len()
+impl<'a> BatchPayload<'a> {
+    pub(crate) fn len(self) -> usize {
+        self.data.len().div_ceil(self.chunk_bytes)
     }
 
-    pub(crate) fn view(&self, i: usize) -> &[u8] {
-        let (offset, len) = self.spans[i];
-        &self.buf[offset..offset + len]
+    /// The `i`-th chunk.
+    pub(crate) fn view(self, i: usize) -> &'a [u8] {
+        let start = i * self.chunk_bytes;
+        &self.data[start..(start + self.chunk_bytes).min(self.data.len())]
     }
 }
 
@@ -267,7 +269,7 @@ type Frame = (usize, Vec<u8>, SimTime);
 struct Batch<'a> {
     /// Monotonic batch id, stamped onto trace events.
     id: u64,
-    payload: &'a BatchPayload,
+    payload: BatchPayload<'a>,
     chunks: Vec<InFlight>,
 }
 
@@ -277,7 +279,7 @@ impl Pipeline {
     /// precomputed (possibly overlapped with the previous batch); the
     /// simulated chunk+hash costs are charged here, serially and in input
     /// order, so the timeline is identical to a fully serial pipeline.
-    pub(crate) fn process_batch(&mut self, payload: &BatchPayload, digests: Vec<ChunkDigest>) {
+    pub(crate) fn process_batch(&mut self, payload: BatchPayload, digests: &[ChunkDigest]) {
         let mut batch = self.chunk_and_hash(payload, digests);
         if self.config.dedup_enabled {
             self.probe_index(&mut batch);
@@ -292,8 +294,8 @@ impl Pipeline {
     /// compression-only experiment does not hash.
     fn chunk_and_hash<'a>(
         &mut self,
-        payload: &'a BatchPayload,
-        digests: Vec<ChunkDigest>,
+        payload: BatchPayload<'a>,
+        digests: &[ChunkDigest],
     ) -> Batch<'a> {
         let cpu_model = self.config.cpu;
         let arrival = SimTime::ZERO; // closed loop: input is never the bottleneck
@@ -303,7 +305,8 @@ impl Pipeline {
         self.obs.batches.incr();
         let (mut chunk_win, mut hash_win) = (Window::default(), Window::default());
         let chunks: Vec<InFlight> = digests
-            .into_iter()
+            .iter()
+            .copied()
             .enumerate()
             .map(|(i, digest)| {
                 let len = payload.view(i).len();
@@ -340,9 +343,7 @@ impl Pipeline {
         chunk_win.emit(&self.obs.tracer, Track::Chunk, "chunk", args);
         hash_win.emit(&self.obs.tracer, Track::Hash, "hash", args);
         self.report.chunks += batch.chunks.len() as u64;
-        self.report.bytes_in += (0..payload.len())
-            .map(|i| payload.view(i).len() as u64)
-            .sum::<u64>();
+        self.report.bytes_in += payload.data.len() as u64;
         batch
     }
 

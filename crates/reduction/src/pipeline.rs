@@ -4,7 +4,6 @@
 //! recovery in `recovery.rs`.
 
 use dr_binindex::{BinIndex, BinIndexConfig, ChunkRef, GpuBinIndex, GpuBinIndexConfig, RoutingObs};
-use dr_chunking::{Chunker, FixedChunker};
 use dr_compress::{FastLz, FrameStats, GpuCompressor, GpuCompressorConfig, GpuDecompressor};
 use dr_des::{Resource, SimTime};
 use dr_gpu_sim::{GpuDevice, GpuSpec};
@@ -13,7 +12,7 @@ use dr_obs::trace::Tracer;
 use dr_obs::{CounterHandle, GaugeHandle, HistogramHandle, ObsHandle, StageObs};
 use dr_pool::WorkerPool;
 use dr_ssd_sim::{SsdDevice, SsdSpec};
-use std::sync::Arc;
+use std::borrow::Cow;
 
 use crate::cpu_model::CpuModel;
 use crate::degrade::{DegradePolicy, Guarded, GPU_COMPRESS, GPU_DECOMPRESS, GPU_DEDUP};
@@ -325,33 +324,33 @@ pub(crate) fn power_on_gpu(config: &PipelineConfig) -> (GpuDevice, Option<GpuBin
 }
 
 /// A batch with its fingerprints, ready for [`Pipeline::process_batch`].
-type HashedBatch = (BatchPayload, Vec<ChunkDigest>);
+type HashedBatch<'a> = (BatchPayload<'a>, Cow<'a, [ChunkDigest]>);
 
 /// Fingerprints one batch: a `hash_chunks_pooled_counted` fan-out under
 /// the `hashing` wall span, the same whether the submitter calls it or a
 /// pool job does — unless the batch came out of a [`HashedChunks`], whose
-/// digests are `supplied` and taken as they are. Fingerprints only exist
-/// on behalf of deduplication — the paper's compression-only experiment
-/// does not hash, so with dedup disabled the digests are zero sentinels,
-/// supplied or not, and no SHA-1 is computed at all.
-fn fingerprint(
+/// digests are `supplied` and borrowed as they are. Fingerprints only
+/// exist on behalf of deduplication — the paper's compression-only
+/// experiment does not hash, so with dedup disabled the digests are zero
+/// sentinels, supplied or not, and no SHA-1 is computed at all.
+fn fingerprint<'a>(
     pool: &WorkerPool,
     dedup_enabled: bool,
     obs: &HashingObs,
-    payload: BatchPayload,
-    supplied: Option<Vec<ChunkDigest>>,
-) -> HashedBatch {
+    payload: BatchPayload<'a>,
+    supplied: Option<&'a [ChunkDigest]>,
+) -> HashedBatch<'a> {
     let digests = if !dedup_enabled {
-        vec![ChunkDigest::zero(); payload.len()]
+        Cow::Owned(vec![ChunkDigest::zero(); payload.len()])
     } else if let Some(digests) = supplied {
-        digests
+        Cow::Borrowed(digests)
     } else {
         let span = obs.stage.span();
         let views: Vec<&[u8]> = (0..payload.len()).map(|i| payload.view(i)).collect();
         let (digests, wide) = hash_chunks_pooled_counted(pool, &views);
         span.finish();
         obs.multibuffer_chunks.add(wide as u64);
-        digests
+        Cow::Owned(digests)
     };
     (payload, digests)
 }
@@ -591,10 +590,9 @@ impl Pipeline {
     /// Runs a byte stream through the pipeline (chunked at
     /// [`PipelineConfig::chunk_bytes`]) and returns the final report.
     ///
-    /// The stream is copied into a shared buffer once; every chunk then
-    /// travels as a view into that buffer (no per-chunk allocation).
-    /// With journaling on, the call's batch commits are acknowledged by
-    /// one journal sync at its end ([`Pipeline::last_ack`]).
+    /// The stream is never copied: every stage reads its chunks straight
+    /// out of `stream`. With journaling on, the call's batch commits are
+    /// acknowledged by one journal sync at its end ([`Pipeline::last_ack`]).
     pub fn run(&mut self, stream: &[u8]) -> Report {
         self.ingest(stream, None);
         self.commit();
@@ -622,22 +620,16 @@ impl Pipeline {
             );
             debug_assert!(write.verify(), "pre-hashed write carries a stale digest");
         }
-        let chunker = FixedChunker::new(self.config.chunk_bytes);
-        let span = self.obs.chunking.span();
-        let buf: Arc<[u8]> = Arc::from(stream);
-        let spans: Vec<(usize, usize)> = chunker
-            .chunk(stream)
-            .map(|c| (c.offset as usize, c.data.len()))
-            .collect();
-        span.finish();
-        self.drive(buf, spans, hashed.map(HashedChunks::digests));
+        self.drive(stream, hashed.map(HashedChunks::digests));
     }
 
-    /// The double-buffered batch loop. `spans` is cut into batches of
-    /// views into `buf`, each with its share of `digests` when the caller
-    /// brought them. While batch N runs its downstream
-    /// stages (dedup, compression, destage) on the calling thread, batch
-    /// N+1 is being fingerprinted by a pool job. A job is spawned only to
+    /// The double-buffered batch loop. `stream` is cut into batches of
+    /// `batch_chunks` chunks, each a view of the caller's bytes with its
+    /// share of `digests` when the caller brought them. While batch N runs
+    /// its downstream stages (dedup, compression, destage) on the calling
+    /// thread, batch N+1 is fingerprinted by a pool job that borrows its
+    /// bytes through [`WorkerPool::join`], which does not return (or
+    /// unwind) before the job has finished. A job is started only to
     /// overlap with a batch in flight: the first batch of a call — for a
     /// small write the only one — has nothing to hide behind, so handing
     /// it to another thread and sleeping until it comes back would buy
@@ -647,40 +639,29 @@ impl Pipeline {
     /// and in input order inside [`Pipeline::process_batch`], so where —
     /// or whether — this host hashed a batch changes wall-clock behavior
     /// only: simulated results are bit-identical.
-    fn drive(
-        &mut self,
-        buf: Arc<[u8]>,
-        mut spans: Vec<(usize, usize)>,
-        digests: Option<&[ChunkDigest]>,
-    ) {
+    fn drive(&mut self, stream: &[u8], digests: Option<&[ChunkDigest]>) {
+        let (chunk_bytes, batch_chunks) = (self.config.chunk_bytes, self.config.batch_chunks);
         let dedup_enabled = self.config.dedup_enabled;
-        let (total, batch_chunks) = (spans.len(), self.config.batch_chunks);
+        // Chunks sit at fixed offsets, so the cut is arithmetic on `stream`.
+        let span = self.obs.chunking.span();
+        let batches = stream.chunks(chunk_bytes * batch_chunks);
+        span.finish();
         let mut in_flight: Option<HashedBatch> = None;
-        for start in (0..total).step_by(batch_chunks) {
-            let chunks = start..(start + batch_chunks).min(total);
-            // A call that is one batch hands its span list over whole.
-            let spans = if chunks.len() == total {
-                std::mem::take(&mut spans)
-            } else {
-                spans[chunks.clone()].to_vec()
-            };
-            let payload = BatchPayload {
-                buf: Arc::clone(&buf),
-                spans,
-            };
-            let supplied = digests.map(|d| d[chunks].to_vec());
+        for (b, data) in batches.enumerate() {
+            let payload = BatchPayload { data, chunk_bytes };
+            let supplied = digests.map(|d| &d[b * batch_chunks..][..payload.len()]);
             in_flight = Some(match in_flight {
                 Some((prev, digests)) if supplied.is_none() => {
                     let (pool, hashing) = (self.pool.clone(), self.obs.hashing.clone());
-                    let next = self
-                        .pool
-                        .spawn(move || fingerprint(&pool, dedup_enabled, &hashing, payload, None));
-                    self.process_batch(&prev, digests);
-                    next.join()
+                    let (next, ()) = pool.join(
+                        || fingerprint(&pool, dedup_enabled, &hashing, payload, None),
+                        || self.process_batch(prev, &digests),
+                    );
+                    next
                 }
                 waiting => {
                     if let Some((prev, digests)) = waiting {
-                        self.process_batch(&prev, digests);
+                        self.process_batch(prev, &digests);
                     }
                     let hashing = &self.obs.hashing;
                     fingerprint(&self.pool, dedup_enabled, hashing, payload, supplied)
@@ -688,7 +669,7 @@ impl Pipeline {
             });
         }
         if let Some((payload, digests)) = in_flight {
-            self.process_batch(&payload, digests);
+            self.process_batch(payload, &digests);
         }
     }
 
@@ -1185,7 +1166,7 @@ pub(crate) mod tests {
 
     #[test]
     fn a_run_of_k_batches_spawns_k_minus_one_hash_jobs() {
-        // A job is spawned only to overlap with a batch in flight, so the
+        // A job is started only to overlap with a batch in flight, so the
         // first batch of every `run` call is hashed on the submitter.
         let data = stream(); // 128 chunks
         for (batch_chunks, batches) in [(128usize, 1u64), (64, 2), (48, 3), (4, 32)] {

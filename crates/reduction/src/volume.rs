@@ -218,8 +218,8 @@ impl VolumeManager {
             }
         }
         let first_recipe = self.pipeline.ingested_chunks();
-        // One shared buffer and a span per chunk, never a copy per chunk;
-        // `data` is chunk-aligned, so `ingest` cuts it at the block bounds.
+        // Every stage reads `data` in place, never a copy; it is
+        // chunk-aligned, so `ingest` cuts it at the block bounds.
         self.pipeline.ingest(data, hashed);
         // Re-fetched mutably after the pipeline borrow ends; the map was
         // not touched in between, but report the impossible case as a

@@ -1,16 +1,19 @@
-//! Allocation budget of the small-write path.
+//! Allocation budget of the write path.
 //!
-//! A single-chunk write into a journaled array encodes its two journal
-//! records (its batch commit and its map update) straight into the
-//! journal's tail, programs the tail page once — the sync that
-//! acknowledges it — and copies the stream into the batch's shared
-//! buffer: two page-sized buffers, of which the device keeps one.
-//! Everything else it allocates is lists of one element. This test pins
-//! that with a counting global allocator, so an encoded-record buffer, a
-//! cloned tail page or a copy of the page a write displaced fails here
-//! rather than in a benchmark run. The integrity envelope is sealed in the
-//! frame's own buffer, so a unique write costs no more bytes with it than
-//! without it.
+//! No stage copies a write: chunking, hashing (also when the next batch is
+//! fingerprinted on a pool thread meanwhile), the index probe and
+//! compression all read the caller's slice. A single-chunk write into a
+//! journaled array encodes its two journal records (its batch commit and
+//! its map update) straight into the journal's tail and programs the tail
+//! page once — the sync that acknowledges it: one page-sized buffer, which
+//! the device keeps. Everything else it allocates is lists of one element.
+//! A 1 MiB duplicate write — two full batches, the second hashed while the
+//! first runs its stages — allocates per-batch lists and no more. This test
+//! pins both with a counting global allocator, so a copy of the stream, an
+//! encoded-record buffer, a cloned tail page or a copy of the page a write
+//! displaced fails here rather than in a benchmark run. The integrity
+//! envelope is sealed in the frame's own buffer, so a unique write costs
+//! no more bytes with it than without it.
 //!
 //! Kept to a single `#[test]` on purpose: the libtest harness runs tests
 //! in one process, and a sibling test allocating concurrently would make
@@ -97,8 +100,30 @@ fn unique_write_bytes(integrity: bool) -> u64 {
     bytes
 }
 
+/// Bytes allocated by the third of three identical 1 MiB writes (two full
+/// batches, 256 different chunks) into a journaled array.
+fn two_batch_duplicate_write_bytes() -> u64 {
+    let mut array = VolumeManager::new(PipelineConfig {
+        mode: IntegrationMode::CpuOnly,
+        journal_pages: 256,
+        ..PipelineConfig::default()
+    });
+    array.create_volume("v", 256).unwrap();
+    let data: Vec<u8> = (0..1usize << 20)
+        .map(|i| (i / 4096 * 31 + i % 241) as u8)
+        .collect();
+    // Steady state: every chunk is stored and the scratch lists have grown.
+    for _ in 0..2 {
+        array.write("v", 0, &data).unwrap();
+    }
+    let dedup_hits = array.report().dedup_hits;
+    let (_, bytes) = allocated_during(|| array.write("v", 0, &data).unwrap());
+    assert_eq!(array.report().dedup_hits, dedup_hits + 256);
+    bytes
+}
+
 #[test]
-fn a_small_journaled_write_allocates_two_pages_and_change() {
+fn a_journaled_write_allocates_no_copy_of_its_data() {
     let mut array = VolumeManager::new(PipelineConfig {
         mode: IntegrationMode::CpuOnly,
         journal_pages: 256,
@@ -116,17 +141,21 @@ fn a_small_journaled_write_allocates_two_pages_and_change() {
 
     let (pages, bytes) = allocated_during(|| array.write("v", 9, &block).unwrap());
     assert_eq!(array.report().dedup_hits, dedup_hits + 1);
-    assert!(pages <= 2, "duplicate write: {pages} page-sized buffers");
-    assert!(bytes <= 9 * 1024, "duplicate write: {bytes} bytes");
+    assert!(pages <= 1, "duplicate write: {pages} page-sized buffers");
+    assert!(bytes <= 5 * 1024, "duplicate write: {bytes} bytes");
 
     // Fingerprinted upstream: the same budget (the digest list is the
     // caller's).
     let write = HashedChunks::hash(&block, 4096);
     let (pages, bytes) = allocated_during(|| array.write_hashed("v", 10, &write).unwrap());
     assert_eq!(array.report().dedup_hits, dedup_hits + 2);
-    assert!(pages <= 2, "pre-hashed write: {pages} page-sized buffers");
-    assert!(bytes <= 9 * 1024, "pre-hashed write: {bytes} bytes");
+    assert!(pages <= 1, "pre-hashed write: {pages} page-sized buffers");
+    assert!(bytes <= 5 * 1024, "pre-hashed write: {bytes} bytes");
     assert_eq!(array.read("v", 10).unwrap(), block);
+
+    // A copy of the stream alone would be 1 MiB.
+    let big = two_batch_duplicate_write_bytes();
+    assert!(big < 128 * 1024, "1 MiB duplicate write: {big} bytes");
 
     let (sealed, plain) = (unique_write_bytes(true), unique_write_bytes(false));
     assert!(

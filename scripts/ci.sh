@@ -46,12 +46,16 @@ cargo test --workspace -q
 # at opt-level 3. This runs both crates' tests on that code, and
 # dr-cluster's, whose nodes take those pre-hashed writes; dr-reduction's
 # include the group-commit power-cut sweep (`tests/group_commit_cuts.rs`).
+# dr-pool's run here too: the lifetime-erased closures of `map_batch` and
+# of `WorkerPool::join` (whose pool job borrows a write's bytes while the
+# submitter processes the batch before it) run as shipped, not only under
+# the ASan leg's debug build.
 #
 # The root corruption sweep runs as shipped too: release drops overflow
 # checks, so a record reader whose offset arithmetic wraps instead of
 # panicking meets every flipped, truncated and spliced record here.
-echo "==> cargo test --release (dr-hashes + dr-reduction + dr-cluster, as shipped)"
-cargo test -q --release --offline -p dr-hashes -p dr-reduction -p dr-cluster --lib --tests
+echo "==> cargo test --release (dr-hashes + dr-pool + dr-reduction + dr-cluster, as shipped)"
+cargo test -q --release --offline -p dr-hashes -p dr-pool -p dr-reduction -p dr-cluster --lib --tests
 cargo test -q --release --offline --test corruption
 
 # Rustdoc gate: every intra-doc link must resolve and no public doc may
