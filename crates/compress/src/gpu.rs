@@ -47,20 +47,20 @@ use crate::frame;
 const KERNEL_CYCLES_PER_BYTE: u64 = 16;
 
 /// Chunks per participant below which the kernel's host emulation stays
-/// on the calling thread.
+/// on the calling thread: two, so a batch of four chunks fans out.
 ///
-/// Measured on the 2-core reference host (one worker thread beside the
-/// caller, each pinned to its CPU, paper-profile 4 KiB chunks at about
-/// 6.9 µs each; `compress_batch` serial / fanned out to a spinning worker
-/// / to a parked one, µs). A quiet host: 8 chunks 59.7 / 31.0 / 59.4,
-/// 12 chunks 83.5 / 45.3 / 76.3, 16 chunks 113 / 59.5 / 89.4, 24 chunks
-/// 167 / 86.2 / 124. The same host in a noisy period, when a wake-up costs
-/// 50 µs and more instead of one `dr_pool::SPIN_WINDOW`: 12 chunks 84 /
-/// 48.0 / 96.8, 16 chunks 111 / 80.9 / 117, 24 chunks 169 / 102 / 154. A
-/// wake-up is six to eight chunks' worth, so from eight chunks per
-/// participant the fan-out wins or ties whichever state the worker is in;
-/// at six it wins only while the host is quiet.
-const KERNEL_FANOUT_GRAIN: usize = 8;
+/// A participant's share must outweigh a hand-off to a worker that is
+/// already awake (about 3 µs), not a wake-up: in the write path the hash
+/// fan-out before this stage has just woken the worker, or the previous
+/// write left it spinning. Measured on the 2-core reference host (one
+/// worker thread beside the caller, each pinned to its CPU, paper-profile
+/// 4 KiB chunks; `compress_batch` on an inline pool / fanned out to a
+/// spinning worker / fanned out after a 2 ms sleep, µs, medians of 500,
+/// median of three runs): 4 chunks 59.1 / 37.2 / 75.3, 6 chunks 96.1 /
+/// 51.8 / 97.4, 8 chunks 81.5 / 59.5 / 116, 12 chunks 154 / 90.8 / 139.
+/// Two chunks are worth several hand-offs; DESIGN.md §9 has the
+/// write-level table that the rule answers to.
+const KERNEL_FANOUT_GRAIN: usize = 2;
 
 /// Parameters of the GPU compression kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -477,6 +477,37 @@ mod tests {
         }
         assert!(report.raw_token_bytes > 0);
         assert!(report.gpu_done >= report.kernel.grant.end);
+    }
+
+    #[test]
+    fn a_fanned_out_batch_reports_what_an_inline_one_does() {
+        // Four chunks are two kernel grains: on a 1-worker pool the
+        // emulation fans out, yet frames and every charged figure are
+        // derived in chunk order and match the inline pool's.
+        let chunks: Vec<Vec<u8>> = (0..4)
+            .map(|i| format!("chunk {i} / ").into_bytes().repeat(512)[..4096].to_vec())
+            .collect();
+        let views: Vec<&[u8]> = chunks.iter().map(|c| c.as_slice()).collect();
+        let c = compressor();
+        let run = |pool: &WorkerPool| {
+            let mut frames = vec![Vec::new(); views.len()];
+            let report = c
+                .compress_batch(SimTime::ZERO, &mut gpu(), pool, &views, &mut frames)
+                .unwrap();
+            (frames, report)
+        };
+        let (inline_frames, inline) = run(&WorkerPool::new(0));
+        let threaded = WorkerPool::new(1);
+        for _ in 0..8 {
+            let (frames, report) = run(&threaded);
+            assert_eq!(frames, inline_frames);
+            assert_eq!(report.work_items, inline.work_items);
+            assert_eq!(report.raw_token_bytes, inline.raw_token_bytes);
+            assert_eq!(
+                (report.h2d, report.kernel.grant, report.d2h, report.gpu_done),
+                (inline.h2d, inline.kernel.grant, inline.d2h, inline.gpu_done)
+            );
+        }
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! arm hashes in one instruction stream, and fans the groups out over a
 //! caller-owned persistent [`WorkerPool`] — worker threads are created
 //! once, not per batch, and idle workers steal from busy ones instead of
-//! relying on static partitioning. A batch too small to repay waking a
-//! worker (`HASH_FANOUT_GRAIN`) is hashed on the caller. Digests always
-//! come back in input order.
+//! relying on static partitioning. A batch of fewer than two whole groups
+//! (`HASH_FANOUT_GRAIN`) is hashed on the caller. Digests always come back
+//! in input order.
 
 use crate::digest::ChunkDigest;
 use crate::sha1::sha1_digest;
@@ -62,23 +62,23 @@ pub fn hash_chunks_pooled_counted<T: AsRef<[u8]> + Sync>(
 }
 
 /// Groups of [`SHA1_MB_LANES`] chunks per participant below which
-/// [`hash_chunks_pooled`] stays on the caller.
+/// [`hash_chunks_pooled`] stays on the caller: one, so any batch of two
+/// whole groups (32 chunks) fans out.
 ///
-/// Measured on the 2-core reference host (AVX-512; one worker thread
-/// beside the caller, pinned to the other CPU as the benchmark pins them;
-/// groups of sixteen 4 KiB chunks at 9–11 µs each; serial / fanned out to
-/// a spinning worker / fanned out to a parked one, µs, medians of 500 over
-/// three runs): 2 groups 20–25 / 12–16 / 43–44, 4 groups 41–51 / 24–42 /
-/// 63–64, 6 groups 61–76 / 37–42 / 85–88, 8 groups 89–95 / 48 / 90–111,
-/// 12 groups 132–138 / 70–89 / 127–154, 16 groups 182–191 / 86–94 /
-/// 142–181. A group costs what five single digests did, so waking a
-/// parked worker — one `dr_pool::SPIN_WINDOW` and more — now outweighs
-/// four of them: below four groups per participant a parked worker makes
-/// the call slower than the serial loop by 10–25 µs, from four it costs
-/// what it saves and a spinning one halves the call. The default
-/// 128-chunk batch is exactly two grains; a 32-chunk write (two groups)
-/// stays on the caller, where it takes 20 µs, not 43.
-const HASH_FANOUT_GRAIN: usize = 4;
+/// The rule is that a participant's share must outweigh a hand-off to a
+/// worker that is already awake, about 3 µs — not a wake-up. In a stream
+/// of writes the worker is still spinning from the previous fan-out; after
+/// an idle gap this fan-out is the one that wakes it, and the write's
+/// compression fan-out then finds it awake. Measured on the 2-core
+/// reference host (AVX-512; one worker thread beside the caller, pinned
+/// to the other CPU as the benchmark pins them; serial / fanned out to a
+/// spinning worker / fanned out after a 2 ms sleep, µs, medians of 500,
+/// median of three runs): 2 groups 28.7 / 16.7 / 47.0, 3 groups 60.5 /
+/// 30.6 / 61.7, 4 groups 57.6 / 48.0 / 76.1, 8 groups 119 / 62.6 / 110. A
+/// group (14 µs) is worth several hand-offs, so a spinning worker wins
+/// from two groups. Against a parked one the stage alone loses, but the
+/// write as a whole does not: DESIGN.md §9 has the write-level table.
+const HASH_FANOUT_GRAIN: usize = 1;
 
 #[cfg(test)]
 mod tests {

@@ -20,8 +20,8 @@
 //!   know what an item costs: it involves
 //!   [`WorkerPool::fan_out_width`]`(n, grain)` participants, and a batch
 //!   below two grains is a plain loop on the caller. The pipeline's stages
-//!   all fan out through it, so a small write never touches another
-//!   thread and costs the same whenever it arrives.
+//!   all fan out through it, so a write of up to three chunks never
+//!   touches another thread.
 //! * [`WorkerPool::spawn`] — a fire-and-forget `'static` job with a
 //!   joinable [`JobHandle`].
 //! * [`WorkerPool::join`] — a scoped job: `a` runs on a pool thread while
@@ -39,9 +39,9 @@
 //!
 //! # Wake-up protocol
 //!
-//! The units handed over are small (a 16-chunk hash is 40 µs, an 8-chunk
-//! compression the same), so a wake-up is a large part of what a hand-off
-//! costs. Every wait in the pool is therefore **spin-then-park**:
+//! The units handed over are small (a 16-chunk hash group is 14 µs, two
+//! 4 KiB compressions about 10), so a wake-up is a large part of what a
+//! hand-off costs. Every wait in the pool is therefore **spin-then-park**:
 //!
 //! * An idle worker spins for one [`SPIN_WINDOW`] (40 µs, one park/unpark
 //!   round trip as measured — see `park.rs`) on a publish epoch, an
@@ -65,7 +65,10 @@
 //!
 //! Instrumentation (all through `dr-obs`, inert unless enabled): a
 //! `pool.queue_depth` gauge, `pool.tasks` / `pool.steals` / `pool.batches`
-//! / `pool.jobs` counters, and a `pool.batch_wall_ns` latency histogram.
+//! / `pool.fan_outs` / `pool.jobs` counters, and a `pool.batch_wall_ns`
+//! latency histogram. `pool.batches` counts every `map_batch` call,
+//! `pool.fan_outs` the ones that left the caller — how many stage calls
+//! used a worker, without opening a trace.
 //!
 //! ```
 //! use dr_pool::WorkerPool;
@@ -143,6 +146,7 @@ struct PoolObs {
     tasks: CounterHandle,
     steals: CounterHandle,
     batches: CounterHandle,
+    fan_outs: CounterHandle,
     jobs: CounterHandle,
     batch_wall_ns: HistogramHandle,
     tracer: Tracer,
@@ -346,6 +350,7 @@ impl WorkerPool {
             tasks: obs.counter("pool.tasks"),
             steals: obs.counter("pool.steals"),
             batches: obs.counter("pool.batches"),
+            fan_outs: obs.counter("pool.fan_outs"),
             jobs: obs.counter("pool.jobs"),
             batch_wall_ns: obs.histogram("pool.batch_wall_ns"),
             tracer: obs.tracer().clone(),
@@ -357,13 +362,13 @@ impl WorkerPool {
     /// many pool threads as that leaves work for, `1` (the caller alone)
     /// when there is not enough for two.
     ///
-    /// Handing work to another thread costs up to one wake-up round trip
-    /// ([`SPIN_WINDOW`]) when that thread is parked, and whether it is
-    /// parked depends on how long ago the caller last used the pool — so a
-    /// fan-out that only pays off with a spinning worker makes the same
-    /// call fast or slow by timing alone. Callers therefore pick `grain`
-    /// so that one participant's share outweighs a wake-up, and batches
-    /// below two grains never leave the calling thread.
+    /// Handing work to a thread that is still spinning costs about 3 µs;
+    /// one that has parked needs a wake-up round trip ([`SPIN_WINDOW`])
+    /// first. Callers pick `grain` so that one participant's share
+    /// outweighs a hand-off to a worker that is awake. In a stream of
+    /// calls the worker stays awake from one fan-out to the next; after an
+    /// idle gap the first fan-out wakes it and the ones after it find it
+    /// spinning. Batches below two grains never leave the calling thread.
     pub fn fan_out_width(&self, n: usize, grain: usize) -> usize {
         (self.inner.workers + 1).min(n / grain.max(1)).max(1)
     }
@@ -411,6 +416,7 @@ impl WorkerPool {
             obs.batch_wall_ns.record(start.elapsed().as_nanos() as u64);
             return;
         }
+        obs.fan_outs.incr();
 
         // SAFETY: the closure reference is erased to 'static so pool
         // threads can see it, but `map_batch` only returns after the batch
@@ -463,8 +469,8 @@ impl WorkerPool {
 
     /// [`WorkerPool::for_each_mut`] that leaves the calling thread only
     /// when [`WorkerPool::fan_out_width`]`(items.len(), grain)` is two or
-    /// more; `grain` is the number of items whose cost outweighs waking a
-    /// parked worker.
+    /// more; `grain` is the number of items whose cost outweighs a
+    /// hand-off to a worker that is awake.
     pub fn for_each_mut_grained<T, F>(&self, items: &mut [T], grain: usize, f: F)
     where
         T: Send,
@@ -826,6 +832,8 @@ mod tests {
         let pool = WorkerPool::new(2);
         pool.set_obs(&obs);
         pool.map_batch(10, |_| {});
+        // Under two grains: a batch that never leaves the caller.
+        pool.for_each_mut_grained(&mut [0u8; 7], 4, |_, _| {});
         pool.spawn(|| ()).join();
         let snap = obs.snapshot().unwrap();
         let counter = |name: &str| {
@@ -834,8 +842,9 @@ mod tests {
                 .find(|(n, _)| n == name)
                 .map_or(0, |(_, v)| *v)
         };
-        assert_eq!(counter("pool.tasks"), 10);
-        assert_eq!(counter("pool.batches"), 1);
+        assert_eq!(counter("pool.tasks"), 17);
+        assert_eq!(counter("pool.batches"), 2);
+        assert_eq!(counter("pool.fan_outs"), 1);
         assert_eq!(counter("pool.jobs"), 1);
     }
 }

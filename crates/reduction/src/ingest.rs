@@ -23,21 +23,21 @@ use crate::pipeline::Pipeline;
 use crate::recovery::destage_frontier;
 
 /// Unique chunks per participant below which CPU compression stays on the
-/// submitter.
+/// submitter: two, so a write with four unique chunks fans out.
 ///
+/// A participant's share must outweigh a hand-off to a worker that is
+/// already awake (about 3 µs), not a wake-up: the write's hash fan-out
+/// has just woken the worker, or the previous write left it spinning.
 /// Measured on the 2-core reference host (one worker thread beside the
-/// submitter, each pinned to its CPU, `FastLz::compress_to` on 4 KiB
-/// chunks at about 4.9 µs each for paper-profile data and 4.0 µs for VDI;
-/// serial / fanned out to a spinning worker / to a parked one, µs). Paper
-/// profile: 16 chunks 79.1 / 55.8 / 80.1, 20 chunks 98.9 / 70.9 / 93.5,
-/// 24 chunks 119 / 82.8 / 109, 32 chunks 158 / 111 / 111. VDI: 16 chunks
-/// 64.3 / 44.3 / 64.7, 24 chunks 101 / 52.0 / 90.2, 32 chunks 125 / 65.1 /
-/// 91.2. In a noisy period of the same host (a wake-up at 50 µs and more
-/// instead of one `dr_pool::SPIN_WINDOW`): 20 chunks 100 / 69.1 / 108,
-/// 24 chunks 122 / 76.7 / 129, 32 chunks 160 / 108 / 158. A wake-up is ten
-/// to twelve chunks' worth, so from twelve chunks per participant the
-/// fan-out wins or ties whichever state the worker is in.
-const CPU_COMPRESS_FANOUT_GRAIN: usize = 12;
+/// submitter, each pinned to its CPU, `FastLz::compress_to` on unique
+/// 4 KiB VDI chunks; serial / fanned out to a spinning worker / fanned
+/// out after a 2 ms sleep, µs, medians of 500, median of three runs):
+/// 2 chunks 9.2 / 10.7 / 28.2, 3 chunks 24.3 / 18.1 / 39.7, 4 chunks
+/// 32.4 / 19.4 / 46.3, 8 chunks 67.1 / 29.7 / 71.3, 16 chunks 152 /
+/// 76.3 / 112. One chunk per participant does not repay the hand-off;
+/// two do. DESIGN.md §9 has the write-level table that the rule answers
+/// to.
+const CPU_COMPRESS_FANOUT_GRAIN: usize = 2;
 
 /// How deduplication resolved one chunk.
 #[derive(PartialEq)]

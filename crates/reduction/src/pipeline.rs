@@ -1138,6 +1138,45 @@ pub(crate) mod tests {
                     }
                 }
             }
+            // 128 KiB array writes, where both fan-outs are at work: the
+            // stream as it is (32 unique chunks in the first write, none
+            // after), then overwritten with every fourth block changed (8
+            // unique chunks a write).
+            let varied: Vec<u8> = data
+                .chunks(chunk)
+                .enumerate()
+                .flat_map(|(i, block)| {
+                    let mut block = block.to_vec();
+                    if i % 4 == 0 {
+                        block[0] ^= 0xA5;
+                        block[1] = i as u8;
+                    }
+                    block
+                })
+                .collect();
+            let mut baseline = None;
+            for pool_workers in [1usize, 2, 4] {
+                let mut cfg = small_config(mode);
+                cfg.pool_workers = pool_workers;
+                let mut array = crate::VolumeManager::new(cfg);
+                array.create_volume("v", 128).unwrap();
+                for pass in [&data, &varied] {
+                    for (i, write) in pass.chunks(32 * chunk).enumerate() {
+                        array.write("v", (i * 32) as u64, write).unwrap();
+                    }
+                }
+                let all: Vec<u64> = (0..128).collect();
+                let blocks = array.read_batch("v", &all).expect("read-back");
+                assert_eq!(blocks.concat(), varied, "{mode}");
+                let outcome = (array.report().clone(), blocks);
+                match &baseline {
+                    None => baseline = Some(outcome),
+                    Some(b) => assert_eq!(
+                        *b, outcome,
+                        "{mode}, array writes, pool_workers={pool_workers}"
+                    ),
+                }
+            }
         }
     }
 
@@ -1190,10 +1229,12 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_write_below_every_fan_out_grain_stays_on_the_submitter() {
-        // Seven chunks are under two grains of every stage (32 hashes, 24
-        // CPU compressions, 16 kernel-emulation chunks), so no pool thread
-        // is ever handed anything — whatever the gaps between the calls.
+    fn a_call_of_up_to_three_chunks_stays_on_the_submitter() {
+        // Three chunks are under two grains of every stage (32 hashes, 4
+        // CPU compressions, 4 kernel-emulation chunks, 2 048 probes), so
+        // no pool thread is ever handed anything — whatever the gaps
+        // between the calls. The stream's first 32 blocks are all unique,
+        // so the first calls compress three chunks each.
         use dr_obs::trace::{Tracer, Track};
         let data = stream();
         for mode in IntegrationMode::ALL {
@@ -1201,10 +1242,12 @@ pub(crate) mod tests {
             let mut cfg = small_config(mode);
             cfg.pool_workers = 4;
             cfg.obs = ObsHandle::enabled("small-write-test").with_tracer(tracer.clone());
+            let obs = cfg.obs.clone();
             let mut p = Pipeline::new(cfg);
-            for call in data.chunks(7 * 4096) {
+            for call in data.chunks(3 * 4096) {
                 p.run(call);
             }
+            assert_eq!(obs.counter("pool.fan_outs").get(), 0, "{mode}");
             let events = tracer.sink().expect("enabled tracer").drain();
             assert!(events.iter().any(|e| e.track == Track::Driver));
             let on_workers: Vec<_> = events
@@ -1212,6 +1255,87 @@ pub(crate) mod tests {
                 .filter(|e| matches!(e.track, Track::Worker(_)))
                 .collect();
             assert!(on_workers.is_empty(), "{mode}: {on_workers:?}");
+        }
+    }
+
+    #[test]
+    fn a_128_kib_write_fans_hashing_and_compression_out() {
+        // 32 chunks are two multi-buffer groups, and eight of them are new
+        // each write: both stages are at two grains or more, so every
+        // write publishes both to the pool. Whether the one worker thread
+        // gets to an item before the submitter has drained the batch is up
+        // to the scheduler, so the writes go on until it has helped each
+        // stage at least once.
+        use dr_obs::trace::{TraceEvent, Tracer, Track};
+        const WRITES: u64 = 200;
+        let block = |seed: u64| -> Vec<u8> {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            (0..4096)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state as u8
+                })
+                .collect()
+        };
+        let common = block(0);
+        for mode in [IntegrationMode::CpuOnly, IntegrationMode::GpuForCompression] {
+            let tracer = Tracer::enabled();
+            let mut cfg = small_config(mode);
+            cfg.pool_workers = 2;
+            cfg.obs = ObsHandle::enabled("fan-out-test").with_tracer(tracer.clone());
+            let obs = cfg.obs.clone();
+            let mut array = crate::VolumeManager::new(cfg);
+            array.create_volume("v", 32).unwrap();
+            let mut helped = (false, false);
+            let mut writes = 0;
+            while writes < WRITES && helped != (true, true) {
+                // Every fourth chunk is new; the rest repeat one block.
+                let data: Vec<u8> = (0..32u64)
+                    .flat_map(|i| match i % 4 {
+                        0 => block(writes * 32 + i + 1),
+                        _ => common.clone(),
+                    })
+                    .collect();
+                array.write("v", 0, &data).unwrap();
+                writes += 1;
+                // Each write's two pool batches: the hash stage's (two
+                // groups), then the compression stage's (8 or 9 chunks).
+                let events = tracer.sink().expect("enabled tracer").drain();
+                let items = |e: &TraceEvent| {
+                    e.args
+                        .iter()
+                        .flatten()
+                        .find_map(|&(key, n)| (key == "items").then_some(n))
+                };
+                for batch in events
+                    .iter()
+                    .filter(|e| e.track == Track::Driver && e.name == "batch")
+                {
+                    let (start, end) = (batch.ts_ns, batch.ts_ns + batch.dur_ns.unwrap());
+                    let worker_joined = events.iter().any(|e| {
+                        matches!(e.track, Track::Worker(_))
+                            && e.name == "batch-help"
+                            && (start..end).contains(&e.ts_ns)
+                    });
+                    match items(batch) {
+                        Some(2) => helped.0 |= worker_joined,
+                        _ => helped.1 |= worker_joined,
+                    }
+                }
+            }
+            assert_eq!(
+                obs.counter("pool.fan_outs").get(),
+                2 * writes,
+                "{mode}: every write fans out twice"
+            );
+            assert_eq!(
+                helped,
+                (true, true),
+                "{mode}: (hash, compress) after {writes} writes"
+            );
+            assert_eq!(array.read("v", 0).unwrap(), block(writes * 32 - 31));
         }
     }
 

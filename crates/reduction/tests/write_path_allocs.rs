@@ -13,7 +13,9 @@
 //! encoded-record buffer, a cloned tail page or a copy of the page a write
 //! displaced fails here rather than in a benchmark run. The integrity
 //! envelope is sealed in the frame's own buffer, so a unique write costs
-//! no more bytes with it than without it.
+//! no more bytes with it than without it. A 128 KiB unique write hashes
+//! and compresses on two threads; fanning out costs a few allocations per
+//! stage, never one per chunk.
 //!
 //! Kept to a single `#[test]` on purpose: the libtest harness runs tests
 //! in one process, and a sibling test allocating concurrently would make
@@ -26,10 +28,12 @@ use dr_reduction::{HashedChunks, IntegrationMode, PipelineConfig, VolumeManager}
 
 struct CountingAlloc;
 
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 static PAGE_SIZED: AtomicU64 = AtomicU64::new(0);
 
 fn count(size: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
     BYTES.fetch_add(size as u64, Ordering::Relaxed);
     if size >= 4096 {
         PAGE_SIZED.fetch_add(1, Ordering::Relaxed);
@@ -100,6 +104,37 @@ fn unique_write_bytes(integrity: bool) -> u64 {
     bytes
 }
 
+/// Allocations made by the last of ten `chunks`-chunk writes of unique
+/// blocks into a fresh, unjournaled cpu-only array on `pool_workers`
+/// participants.
+fn unique_write_allocs(pool_workers: usize, chunks: usize) -> u64 {
+    const WRITES: usize = 10;
+    let mut array = VolumeManager::new(PipelineConfig {
+        mode: IntegrationMode::CpuOnly,
+        pool_workers,
+        ..PipelineConfig::default()
+    });
+    array.create_volume("v", (WRITES * chunks) as u64).unwrap();
+    // Every block different: its number in its first bytes.
+    let block = |n: usize| -> Vec<u8> {
+        let mut block: Vec<u8> = (0..4096).map(|i| (i as u8).wrapping_mul(31)).collect();
+        block[..8].copy_from_slice(&(n as u64).to_le_bytes());
+        block
+    };
+    let write = |w: usize| -> Vec<u8> { (w * chunks..(w + 1) * chunks).flat_map(block).collect() };
+    for w in 0..WRITES - 1 {
+        array.write("v", (w * chunks) as u64, &write(w)).unwrap();
+    }
+    let last = write(WRITES - 1);
+    let unique = array.report().unique_chunks;
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let start = ((WRITES - 1) * chunks) as u64;
+    array.write("v", start, &last).unwrap();
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(array.report().unique_chunks, unique + chunks as u64);
+    allocs
+}
+
 /// Bytes allocated by the third of three identical 1 MiB writes (two full
 /// batches, 256 different chunks) into a journaled array.
 fn two_batch_duplicate_write_bytes() -> u64 {
@@ -162,4 +197,22 @@ fn a_journaled_write_allocates_no_copy_of_its_data() {
         sealed <= plain,
         "a unique write allocates {sealed} bytes with the integrity envelope, {plain} without"
     );
+
+    // A 128 KiB unique write fans its hashing and its compression out to
+    // the pool's one worker thread. What that adds over the same write on
+    // an inline pool is the batch state of two fan-outs, and at twice the
+    // chunks it adds no more.
+    for chunks in [32, 64] {
+        let inline = unique_write_allocs(1, chunks);
+        let fanned = unique_write_allocs(2, chunks);
+        assert!(
+            fanned <= inline + 2 * PER_FAN_OUT,
+            "{chunks}-chunk unique write: {fanned} allocations fanned out, {inline} inline"
+        );
+    }
 }
+
+/// Allocations one fan-out adds: its batch state (the shared core and its
+/// range table), with room for one thread-local scratch buffer the worker
+/// may take the first time it meets a stage.
+const PER_FAN_OUT: u64 = 3;

@@ -49,13 +49,15 @@ cargo test --workspace -q
 # dr-pool's run here too: the lifetime-erased closures of `map_batch` and
 # of `WorkerPool::join` (whose pool job borrows a write's bytes while the
 # submitter processes the batch before it) run as shipped, not only under
-# the ASan leg's debug build.
+# the ASan leg's debug build. dr-compress's run here too: its kernel
+# emulation fans out over the pool from four chunks, and that path is
+# tested as it ships.
 #
 # The root corruption sweep runs as shipped too: release drops overflow
 # checks, so a record reader whose offset arithmetic wraps instead of
 # panicking meets every flipped, truncated and spliced record here.
-echo "==> cargo test --release (dr-hashes + dr-pool + dr-reduction + dr-cluster, as shipped)"
-cargo test -q --release --offline -p dr-hashes -p dr-pool -p dr-reduction -p dr-cluster --lib --tests
+echo "==> cargo test --release (dr-hashes + dr-pool + dr-compress + dr-reduction + dr-cluster, as shipped)"
+cargo test -q --release --offline -p dr-hashes -p dr-pool -p dr-compress -p dr-reduction -p dr-cluster --lib --tests
 cargo test -q --release --offline --test corruption
 
 # Rustdoc gate: every intra-doc link must resolve and no public doc may
