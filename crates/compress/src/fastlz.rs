@@ -33,13 +33,25 @@ const TABLE_SIZE: usize = 1 << LZ_SLOT_BITS;
 
 /// Positions the slot block holds: a whole 4 KiB chunk, so the kernel
 /// emulation hashes each chunk exactly once however many regions look
-/// back into it, while a long [`FastLz`] input keeps the scratch at 24 KiB.
+/// back into it, while a long [`FastLz`] input keeps the scratch at 24.5 KiB.
 const SLOT_BLOCK: usize = 4096;
 
 /// Positions one call of the slot pass hashes: far enough ahead to keep
 /// the vector kernel in its main loop, not so far that a long match
 /// skips much of what was hashed.
 const SLOT_STEP: usize = 256;
+
+/// Positions the slot pass hashes first on a block that starts mid-input.
+const FIRST_SLOT_STEP: usize = 32;
+
+/// Positions a match inserts into the table past its first one.
+const MATCH_INSERTS: usize = 8;
+
+/// Ranges of skipped positions one region can hand to the next: a match
+/// leaves a range only when it is longer than `MATCH_INSERTS + 1`, so a
+/// region of up to 640 bytes never fills this, and one that does makes
+/// the next region seed its whole window.
+const SKIPPED_CAP: usize = 64;
 
 /// The fast single-pass codec.
 ///
@@ -152,7 +164,7 @@ pub fn tokenize_region(input: &[u8], start: usize, end: usize, window: usize) ->
             // Insert a few positions inside the match so later data can
             // reference it (bounded to keep the pass single-speed).
             let insert_end = (pos + matched).min(end.saturating_sub(MIN_MATCH - 1));
-            for p in (pos + 1..insert_end).take(8) {
+            for p in (pos + 1..insert_end).take(MATCH_INSERTS) {
                 table[hash_key(three_bytes(input, p))] = p as u32;
             }
             pos += matched;
@@ -167,8 +179,9 @@ pub fn tokenize_region(input: &[u8], start: usize, end: usize, window: usize) ->
     tokens
 }
 
-/// Per-thread scratch of the two-phase matcher: the match table and one
-/// block of precomputed slots. 24 KiB, allocated once per OS thread.
+/// Per-thread scratch of the two-phase matcher: the match table, one
+/// block of precomputed slots and the positions the last region left out
+/// of the table. 24.5 KiB, allocated once per OS thread.
 pub(crate) struct Matcher {
     /// Most recent position inserted per slot, or [`EMPTY`].
     table: [u32; TABLE_SIZE],
@@ -177,6 +190,15 @@ pub(crate) struct Matcher {
     slots: [u16; SLOT_BLOCK],
     base: usize,
     filled: usize,
+    /// `[from, to)` ranges, ascending, of positions the last region scanned
+    /// neither probed nor inserted and its successor has to seed; the
+    /// first `skipped_len` are live, and `SKIPPED_CAP + 1` means the
+    /// region left out more than the list holds.
+    skipped: [(u32, u32); SKIPPED_CAP],
+    skipped_len: usize,
+    /// History positions stored by seeding, over the matcher's life.
+    #[cfg(test)]
+    seeded: usize,
 }
 
 thread_local! {
@@ -195,6 +217,10 @@ impl Matcher {
             slots: [0; SLOT_BLOCK],
             base: 0,
             filled: 0,
+            skipped: [(0, 0); SKIPPED_CAP],
+            skipped_len: 0,
+            #[cfg(test)]
+            seeded: 0,
         })
     }
 
@@ -207,6 +233,7 @@ impl Matcher {
             matcher: self,
             input,
             scanned_to: 0,
+            carry: None,
         }
     }
 }
@@ -215,21 +242,45 @@ impl Matcher {
 /// are scanned **in ascending order** — all of them sharing the table.
 ///
 /// Why one table is decision-identical to [`tokenize_region`]'s fresh
-/// table per region: seeding region `r` stores, in ascending order, every
-/// position of its history `[hist_start, start)`, so a slot with any
-/// occupant inside the window holds the same (newest) position a fresh
-/// table would. A slot without one holds `EMPTY` or a stale position of
-/// an earlier region, below `hist_start`; `EMPTY` fails the distance
-/// filter as it would in a fresh table, and a stale position is more
-/// than `window` behind every position of the region, so the filter
-/// refuses it too (when `start < window`, `hist_start` is 0 and nothing
-/// lies below it). From there both designs make the same inserts. The
-/// filter thereby also covers the reference's `candidate >= hist_start`.
+/// table per region. Call a position *represented* when its slot holds
+/// it or a newer position. Seeding region `r` leaves every position of
+/// its history `[hist_start, start)` represented while the table holds
+/// nothing at or past `start`, so a slot with any occupant inside the
+/// window holds the same (newest) position a fresh table would. A slot
+/// without one holds `EMPTY` or a stale position below `hist_start`;
+/// `EMPTY` fails the distance filter as it would in a fresh table, and a
+/// stale position is more than `window` behind every position of the
+/// region, so the filter refuses it too (when `start < window`,
+/// `hist_start` is 0 and nothing lies below it). From there both designs
+/// make the same inserts. The filter thereby also covers the reference's
+/// `candidate >= hist_start`.
+///
+/// Seeding stores only what the table lacks. The scan of region `r − 1`
+/// stores, newer over older, every position it probes and the first
+/// `MATCH_INSERTS` of each match; it records the rest — each match's body
+/// past those, and the `MIN_MATCH − 1` positions at its end that are never
+/// probed. When `r` starts where `r − 1` ended and its window starts no
+/// earlier, every position of `r`'s window is represented except these,
+/// and seeding stores the recorded ones inside the window, newest-wins (a
+/// store never replaces a newer position, which the scan may have put in
+/// the same slot). Of a match body with offset `d` ending at `e` only the
+/// last `d + MIN_MATCH − 1` positions are recorded: every earlier position
+/// has the 3-byte key of the one `d` bytes later, inside the same match,
+/// and is represented once that one is. Any other region — the first, one
+/// not adjacent to the last region scanned, one after a region that did
+/// not scan or recorded more than `SKIPPED_CAP` ranges — seeds its whole
+/// window in ascending order. A region that ends the input records
+/// nothing: no region follows it, and [`FastLz`]'s one region is such a
+/// region.
 pub(crate) struct ChunkScan<'a> {
     matcher: &'a mut Matcher,
     input: &'a [u8],
     /// End of the last region scanned, for the ordering assertion.
     scanned_to: usize,
+    /// `(hist_start, end)` of the last region scanned when every position
+    /// of `[hist_start, end)` is represented but for the matcher's
+    /// `skipped` ranges.
+    carry: Option<(usize, usize)>,
 }
 
 impl ChunkScan<'_> {
@@ -241,7 +292,9 @@ impl ChunkScan<'_> {
     /// so a chunk that fits it is hashed once however many regions look
     /// back into it; a scan that leaves the block — a match that jumped
     /// far ahead, an input longer than the block — starts a new one at
-    /// `pos` and hashes nothing it skipped.
+    /// `pos` and hashes nothing it skipped. A block that starts mid-input
+    /// hashes `FIRST_SLOT_STEP` positions first: the scan has just jumped
+    /// a match, and in repetitive data the next one starts close by.
     #[inline]
     fn cover(&mut self, pos: usize) -> usize {
         let m = &mut *self.matcher;
@@ -250,7 +303,14 @@ impl ChunkScan<'_> {
                 m.base = pos;
                 m.filled = 0;
             }
-            let room = &mut m.slots[m.filled..m.filled + SLOT_STEP];
+            // A region inside a long run needs one slot before its first
+            // match jumps to the region's end.
+            let step = if m.filled == 0 && pos > 0 {
+                FIRST_SLOT_STEP
+            } else {
+                SLOT_STEP
+            };
+            let room = &mut m.slots[m.filled..m.filled + step];
             let hashed = lz_slots(&self.input[pos..], room);
             debug_assert!(hashed > 0, "position {pos} has no 3-byte key");
             m.filled += hashed;
@@ -284,14 +344,61 @@ impl ChunkScan<'_> {
         }
     }
 
+    /// Seeds the history `[hist_start, start)` of a region that follows
+    /// the last one scanned (see [`ChunkScan`]): stores the recorded
+    /// positions inside it, each only over an older occupant of its slot.
+    fn seed_skipped(&mut self, hist_start: usize) {
+        let input = self.input;
+        let m = &mut *self.matcher;
+        let block = &m.slots[..m.filled];
+        let base = m.base;
+        for &(from, to) in &m.skipped[..m.skipped_len] {
+            for pos in (from as usize).max(hist_start)..to as usize {
+                // The slot block holds most of them; a match that jumped
+                // past the block left the rest unhashed.
+                let slot = match block.get(pos.wrapping_sub(base)) {
+                    Some(&slot) => slot as usize % TABLE_SIZE,
+                    None => hash_key(three_bytes(input, pos)),
+                };
+                // `EMPTY` wraps to 0, below every position plus one.
+                // Whether the occupant is newer is a coin flip on text,
+                // so the pick must not become a branch.
+                let occupant = m.table[slot];
+                let newer = occupant.wrapping_add(1) > pos as u32;
+                m.table[slot] = select_unpredictable(newer, occupant, pos as u32);
+                #[cfg(test)]
+                {
+                    m.seeded += 1;
+                }
+            }
+        }
+    }
+
+    /// Records `[from, to)` for the next region to seed. One range past
+    /// `SKIPPED_CAP` marks the list incomplete, and the next region seeds
+    /// its whole window.
+    #[inline]
+    fn skip(&mut self, from: usize, to: usize) {
+        let m = &mut *self.matcher;
+        if m.skipped_len < SKIPPED_CAP {
+            // Most matches on text leave nothing: write the range anyway
+            // and keep it only when it is not empty, without a branch.
+            m.skipped[m.skipped_len] = (from as u32, to as u32);
+            m.skipped_len += usize::from(from < to);
+        } else if from < to {
+            m.skipped_len = SKIPPED_CAP + 1;
+        }
+    }
+
     /// A match at `at` against `candidate` inside a region ending at `end`:
     /// extends it, emits the literals pending since `literal_start` and
-    /// the match, and inserts its first positions. Returns its length.
+    /// the match, and inserts its first positions; with `RECORD`, records
+    /// what of its body the next region must seed. Returns its length.
     ///
     /// Out of line so that its calls do not cost [`ChunkScan::region`]'s
     /// literal-run loop its registers.
     #[inline(never)]
-    fn take_match(
+    fn take_match<const RECORD: bool>(
         &mut self,
         literal_start: usize,
         at: usize,
@@ -305,21 +412,33 @@ impl ChunkScan<'_> {
         if literal_start < at {
             emit_literals(out, &input[literal_start..at]);
         }
-        emit_match(out, at - candidate, matched);
+        let offset = at - candidate;
+        emit_match(out, offset, matched);
         // Insert a few positions inside the match so later data can
         // reference it (bounded to keep the pass single-speed).
-        let insert_end = (at + matched).min(end - (MIN_MATCH - 1));
-        self.insert(at + 1, insert_end.min(at + 9));
+        let body_end = at + matched;
+        let insert_end = body_end.min(end - (MIN_MATCH - 1));
+        let inserted_end = insert_end.min(at + 1 + MATCH_INSERTS);
+        self.insert(at + 1, inserted_end);
+        if RECORD {
+            // The rest of the body: a position there has the key of the
+            // one `offset` bytes later while that one's key lies inside
+            // the match, so only the last `offset + MIN_MATCH - 1` are not
+            // dominated.
+            let undominated = body_end.saturating_sub(offset + MIN_MATCH - 1);
+            self.skip(inserted_end.max(undominated), insert_end);
+        }
         matched
     }
 
-    /// Resolve pass over `input[start..end]`: scans exactly as
-    /// [`tokenize_region`] does, but appends the wire encoding of the
-    /// tokens straight to `out`. Returns the raw-token bytes the GPU cost
-    /// model charges for the stream a kernel thread writes out — `len + 1`
-    /// per literal token and 3 per match token; per *token*, not per wire
-    /// piece: a run longer than `MAX_LITERAL_RUN` or a match longer than
-    /// `MAX_MATCH` splits on the wire but is one token to the kernel.
+    /// Scans region `input[start..end]`, whose matches reach back at most
+    /// `window` bytes, exactly as [`tokenize_region`] does, but appends
+    /// the wire encoding of the tokens straight to `out`. Returns the
+    /// raw-token bytes the GPU cost model charges for the stream a kernel
+    /// thread writes out — `len + 1` per literal token and 3 per match
+    /// token; per *token*, not per wire piece: a run longer than
+    /// `MAX_LITERAL_RUN` or a match longer than `MAX_MATCH` splits on the
+    /// wire but is one token to the kernel.
     pub(crate) fn region(
         &mut self,
         start: usize,
@@ -330,38 +449,81 @@ impl ChunkScan<'_> {
         let input = self.input;
         debug_assert!(self.scanned_to <= start && start <= end && end <= input.len());
         self.scanned_to = end;
-        let mut raw_token_bytes = 0u64;
-        let mut literal_start = start;
+        let hist_start = start.saturating_sub(window);
+        let follows = self
+            .carry
+            .take()
+            .is_some_and(|(prev_hist, prev_end)| prev_end == start && prev_hist <= hist_start);
         // Positions below `scan_end` have their 3-byte key inside the
         // region. A match needs a position behind it as well, so a region
         // ending before the input's fourth byte is all literals.
         let scan_end = end.saturating_sub(MIN_MATCH - 1);
-        if start < scan_end && end > MIN_MATCH {
-            // Seed the table with the visible history window so the first
-            // bytes of the region can match backwards into it.
-            self.insert(start.saturating_sub(window), start);
-
-            let reach = window.min(MAX_OFFSET) as u64;
-            let mut pos = start;
-            while pos < scan_end {
-                // Literal run: step until a match starts or the block ends.
-                let run_end = self.cover(pos).min(scan_end);
-                let m = &mut *self.matcher;
-                let slots = &m.slots[pos - m.base..run_end - m.base];
-                let Some((at, candidate)) = find_match(&mut m.table, slots, input, pos, reach)
-                else {
-                    pos = run_end;
-                    continue;
-                };
-
-                if literal_start < at {
-                    raw_token_bytes += (at - literal_start) as u64 + 1;
-                }
-                raw_token_bytes += 3;
-                let matched = self.take_match(literal_start, at, candidate, end, out);
-                pos = at + matched;
-                literal_start = pos;
+        if start >= scan_end || end <= MIN_MATCH {
+            if start == end {
+                return 0;
             }
+            emit_literals(out, &input[start..end]);
+            return (end - start) as u64 + 1;
+        }
+        // Seed the table with the visible history window so the first
+        // bytes of the region can match backwards into it.
+        if follows {
+            self.seed_skipped(hist_start);
+        } else {
+            self.insert(hist_start, start);
+            #[cfg(test)]
+            {
+                self.matcher.seeded += start - hist_start;
+            }
+        }
+        self.matcher.skipped_len = 0;
+        if end == input.len() {
+            // No region follows: nothing to record.
+            return self.resolve::<false>(start, end, window, out);
+        }
+        let raw_token_bytes = self.resolve::<true>(start, end, window, out);
+        // The last `MIN_MATCH - 1` positions are never probed.
+        self.skip(scan_end, end);
+        if self.matcher.skipped_len <= SKIPPED_CAP {
+            self.carry = Some((hist_start, end));
+        }
+        raw_token_bytes
+    }
+
+    /// The resolve pass of [`ChunkScan::region`], its history seeded; with
+    /// `RECORD`, records the match bodies it leaves out of the table. A
+    /// const parameter, so that [`FastLz`]'s one region runs the loop as
+    /// if recording did not exist.
+    fn resolve<const RECORD: bool>(
+        &mut self,
+        start: usize,
+        end: usize,
+        window: usize,
+        out: &mut Vec<u8>,
+    ) -> u64 {
+        let input = self.input;
+        let scan_end = end - (MIN_MATCH - 1);
+        let reach = window.min(MAX_OFFSET) as u64;
+        let mut raw_token_bytes = 0u64;
+        let mut literal_start = start;
+        let mut pos = start;
+        while pos < scan_end {
+            // Literal run: step until a match starts or the block ends.
+            let run_end = self.cover(pos).min(scan_end);
+            let m = &mut *self.matcher;
+            let slots = &m.slots[pos - m.base..run_end - m.base];
+            let Some((at, candidate)) = find_match(&mut m.table, slots, input, pos, reach) else {
+                pos = run_end;
+                continue;
+            };
+
+            if literal_start < at {
+                raw_token_bytes += (at - literal_start) as u64 + 1;
+            }
+            raw_token_bytes += 3;
+            let matched = self.take_match::<RECORD>(literal_start, at, candidate, end, out);
+            pos = at + matched;
+            literal_start = pos;
         }
         if literal_start < end {
             emit_literals(out, &input[literal_start..end]);
@@ -625,6 +787,7 @@ mod tests {
             matcher: &mut used,
             input: &b,
             scanned_to: 0,
+            carry: None,
         };
         scan.region(0, b.len(), usize::MAX, &mut wire);
         assert_ne!(wire, want.0, "the pair no longer exercises a stale slot");
@@ -653,6 +816,44 @@ mod tests {
                 .sum();
             assert_eq!(raw, want_raw, "{start}..{end}");
         }
+    }
+
+    /// History positions seeding stores over the default kernel's scan of
+    /// `chunk`: 8 regions, 512 bytes of history each.
+    fn seeded_on(chunk: &[u8]) -> usize {
+        let mut matcher = Matcher::new();
+        scan_on(&mut matcher, chunk, 8, 512);
+        matcher.seeded
+    }
+
+    #[test]
+    fn seeding_stores_only_what_the_table_lacks() {
+        // Whole windows would be 7 × 512 = 3 584 stores per 4 KiB chunk.
+        // A paper-profile block is a noise head, then one period-16
+        // match per region: its last 18 positions and the region's tail.
+        for seed in 0..32 {
+            let block = dr_workload::synthesize_block(seed, 4096, 2.0);
+            let seeded = seeded_on(&block);
+            assert!(seeded <= 64, "seed {seed}: {seeded} positions seeded");
+        }
+        // Noise has no match long enough to skip anything: each of the
+        // seven boundaries hands over the two unprobed positions.
+        assert_eq!(seeded_on(&noise(4096, 5)), 14);
+    }
+
+    #[test]
+    fn a_region_that_does_not_follow_the_last_one_seeds_its_whole_window() {
+        let data = include_bytes!("fastlz.rs");
+        let mut matcher = Matcher::new();
+        let mut scan = matcher.chunk(&data[..4096]);
+        let mut wire = Vec::new();
+        scan.region(0, 512, 512, &mut wire);
+        // Region 1 is never scanned; region 2 cannot know what it left out.
+        wire.clear();
+        scan.region(1024, 1536, 512, &mut wire);
+        let tokens = tokenize_region(&data[..4096], 1024, 1536, 512);
+        assert_eq!(wire, crate::token::encode_tokens(&tokens));
+        assert_eq!(matcher.seeded, 512);
     }
 
     #[test]

@@ -21,8 +21,11 @@
 //! with no token IR in between. A chunk's threads are emulated one after
 //! another over the two-phase matcher of [`crate::fastlz`]: the chunk's
 //! positions are hashed once, in a vector pass, and the regions are
-//! resolved in ascending order over one match table, each seeding its
-//! private history from the precomputed slots — decision for decision
+//! resolved in ascending order over one match table. The table already
+//! holds most of a region's private history when its turn comes (the
+//! region before it just scanned that history), so each region stores
+//! only what its predecessor left out — the bodies of long matches and
+//! the few positions at its end — newest-wins: decision for decision
 //! what `T` threads with a fresh table each would emit. The
 //! [`dr_gpu_sim`] timing model charges transfer, launch and SIMT time as
 //! if they were separate: the kernel for the raw per-thread streams, the
@@ -56,10 +59,11 @@ const KERNEL_CYCLES_PER_BYTE: u64 = 16;
 /// worker thread beside the caller, each pinned to its CPU, paper-profile
 /// 4 KiB chunks; `compress_batch` on an inline pool / fanned out to a
 /// spinning worker / fanned out after a 2 ms sleep, µs, medians of 500,
-/// median of three runs): 4 chunks 59.1 / 37.2 / 75.3, 6 chunks 96.1 /
-/// 51.8 / 97.4, 8 chunks 81.5 / 59.5 / 116, 12 chunks 154 / 90.8 / 139.
-/// Two chunks are worth several hand-offs; DESIGN.md §9 has the
-/// write-level table that the rule answers to.
+/// median of three runs): 4 chunks 49.2 / 29.9 / 63.7, 6 chunks 80.5 /
+/// 48.1 / 85.1, 8 chunks 81.0 / 53.7 / 97.4, 12 chunks 157 / 90.7 / 125.
+/// Two chunks are worth several hand-offs, also now that history seeding
+/// stores only what the table lacks and a chunk costs about a fifth
+/// less; DESIGN.md §9 has the write-level table that the rule answers to.
 const KERNEL_FANOUT_GRAIN: usize = 2;
 
 /// Parameters of the GPU compression kernel.

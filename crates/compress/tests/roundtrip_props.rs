@@ -223,8 +223,9 @@ fn pooled_single_pass_kernel_matches_the_token_ir_reference() {
 
 /// `len` bytes of each data class the matcher treats differently: nothing
 /// to find, one unbroken offset-1 match, matches that tile at period 16,
-/// many short matches, and the benchmark's own block shape — a noise head
-/// and a period-16 tail — from incompressible to nearly all match.
+/// many short matches, the benchmark's own block shape — a noise head and
+/// a period-16 tail — from incompressible to nearly all match, and
+/// periodic runs broken by noise (what one region hands the next).
 fn differential_inputs(len: usize, rng: &mut dr_des::SplitMix64) -> Vec<(String, Vec<u8>)> {
     let cycled = |bytes: &[u8]| -> Vec<u8> { bytes.iter().copied().cycle().take(len).collect() };
     let mut inputs = vec![
@@ -242,6 +243,18 @@ fn differential_inputs(len: usize, rng: &mut dr_des::SplitMix64) -> Vec<(String,
             _ => synthesize_block(rng.next_u64(), len, ratio),
         };
         inputs.push((format!("synthesize_block ratio {ratio}"), block));
+    }
+    // A periodic run broken mid-region by a noise burst: the region after
+    // the break sees what seeding handed over from the run's end. The run
+    // resumes in the phase of the break's second-last byte, whose key
+    // only the positions just before the run's final period still hold.
+    for period in [1usize, 16, 300] {
+        let pattern = testkit::vec_u8(rng, period, period);
+        let mut data = cycled(&pattern);
+        let brk = len * 5 / 9;
+        let resume = (brk + 286usize.next_multiple_of(period) - 2).min(len);
+        rng.fill_bytes(&mut data[brk..resume]);
+        inputs.push((format!("period-{period} run, noise, run"), data));
     }
     inputs
 }

@@ -191,11 +191,13 @@ DR_SCALE=0.125 DR_SIMD=scalar target/release/e2_dedup_throughput \
     > target/ci-e2-scalar.out
 diff target/ci-e2-plain.out target/ci-e2-scalar.out
 # e2 never compresses; e3 runs both codecs — the CPU one and the GPU
-# kernel emulation — through the matcher whose slot pass is vectorised.
-DR_SCALE=0.125 target/release/e3_compress_throughput > target/ci-e3-plain.out
-DR_SCALE=0.125 DR_SIMD=scalar target/release/e3_compress_throughput \
-    > target/ci-e3-scalar.out
-diff target/ci-e3-plain.out target/ci-e3-scalar.out
+# kernel emulation — and e4 runs the kernel emulation inside the write
+# path, both through the matcher whose slot pass is vectorised. At full
+# scale they must match the goldens the plain runs above were held to.
+for bin in e3_compress_throughput e4_fig2_integration; do
+    env -u DR_SCALE -u DR_METRICS_OUT DR_SIMD=scalar "target/release/${bin}" \
+        | diff "crates/bench/${bin}.golden" -
+done
 echo "    scalar arm OK (stdout bit-identical)"
 
 echo "CI gate passed."
