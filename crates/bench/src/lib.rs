@@ -14,7 +14,7 @@
 //! | `e5_calibration` | dummy-I/O probe picks the best mode |
 //! | `e6_endurance` | background reduction wears the SSD more than none (the case for inline) |
 //! | `e7_chunk_size_sweep` | chunk size vs throughput, dedup fineness and index RAM |
-//! | `e8_read_path` | batched cold reads via GPU decompression, hot re-reads from the chunk cache |
+//! | `e8_read_path` | batched cold reads decoded on the CPU workers, hot re-reads from the chunk cache |
 //! | `e9_cluster` | 1/2/4/8 nodes read back bit-identically; throughput scales out |
 //! | `ablation_report` | the `DESIGN.md` §5 design-choice ablations |
 //! | `fault_matrix` | injected / retried / degraded per mode × fault scenario, diffed against `fault_matrix.golden` |

@@ -14,7 +14,7 @@
 //! ```
 
 use crate::error::CodecError;
-use crate::token::{decode_stream_tallied, StreamTally, Token};
+use crate::token::{decode_stream, Token};
 
 const METHOD_RAW: u8 = 0;
 const METHOD_LZ: u8 = 1;
@@ -137,49 +137,14 @@ pub fn inspect(block: &[u8]) -> Result<(Frame, usize), CodecError> {
 /// Any [`CodecError`]: truncation, corruption, or a length mismatch between
 /// the header and the decoded payload.
 pub fn open(block: &[u8]) -> Result<Vec<u8>, CodecError> {
-    open_with_stats(block).map(|(out, _)| out)
-}
-
-/// Token-level shape of a decoded frame — what a GPU decompression kernel
-/// would see after its token-split phase, so the simulator can price the
-/// two phases (Sitaridi-style split + sub-block copy) per chunk.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FrameStats {
-    /// Stored frame size, header included.
-    pub frame_bytes: usize,
-    /// Decompressed output size.
-    pub output_bytes: usize,
-    /// Control tokens in the wire payload (1 for a raw frame).
-    pub tokens: usize,
-    /// Output bytes produced by literal runs (coalesced copies).
-    pub literal_bytes: usize,
-    /// Output bytes produced by back-reference matches (gather copies).
-    pub match_bytes: usize,
-}
-
-/// [`open`], additionally returning the token-level [`FrameStats`] the
-/// GPU decompression model prices, gathered in the decode's own walk over
-/// the tokens.
-///
-/// # Errors
-///
-/// Exactly the errors [`open`] reports.
-pub fn open_with_stats(block: &[u8]) -> Result<(Vec<u8>, FrameStats), CodecError> {
     let (method, original_len) = inspect(block)?;
     let payload = &block[HEADER_LEN..];
-    let (out, tally) = match method {
-        Frame::Raw => {
-            let tally = StreamTally {
-                tokens: 1,
-                literal_bytes: payload.len(),
-                match_bytes: 0,
-            };
-            (payload.to_vec(), tally)
-        }
+    let out = match method {
+        Frame::Raw => payload.to_vec(),
         Frame::Lz => {
             let mut out = Vec::with_capacity(original_len);
-            let tally = decode_stream_tallied(payload, &mut out)?;
-            (out, tally)
+            decode_stream(payload, &mut out)?;
+            out
         }
     };
     if out.len() != original_len {
@@ -188,14 +153,7 @@ pub fn open_with_stats(block: &[u8]) -> Result<(Vec<u8>, FrameStats), CodecError
             got: out.len(),
         });
     }
-    let stats = FrameStats {
-        frame_bytes: block.len(),
-        output_bytes: out.len(),
-        tokens: tally.tokens,
-        literal_bytes: tally.literal_bytes,
-        match_bytes: tally.match_bytes,
-    };
-    Ok((out, stats))
+    Ok(out)
 }
 
 /// `original / compressed` size ratio of a sealed block; > 1 means the
@@ -278,11 +236,6 @@ mod tests {
                 block[0] = method;
                 assert_eq!(inspect(&block), Err(CodecError::BadHeader), "{method}");
                 assert_eq!(open(&block), Err(CodecError::BadHeader), "{method}");
-                assert_eq!(
-                    open_with_stats(&block),
-                    Err(CodecError::BadHeader),
-                    "{method}"
-                );
             }
         }
     }
@@ -371,36 +324,6 @@ mod tests {
                 "a {len}-byte prefix must be rejected"
             );
         }
-    }
-
-    #[test]
-    fn open_with_stats_matches_open_and_accounts_every_byte() {
-        let original = b"abcabcabcabcabcabcabcabcabc";
-        let tokens = vec![
-            Token::Literals(b"abc".to_vec()),
-            Token::Match {
-                offset: 3,
-                len: original.len() - 3,
-            },
-        ];
-        let block = seal(original, &tokens);
-        let (out, stats) = open_with_stats(&block).unwrap();
-        assert_eq!(out, open(&block).unwrap());
-        assert_eq!(stats.frame_bytes, block.len());
-        assert_eq!(stats.output_bytes, original.len());
-        assert_eq!(stats.tokens, 2);
-        assert_eq!(stats.literal_bytes, 3);
-        assert_eq!(stats.match_bytes, original.len() - 3);
-    }
-
-    #[test]
-    fn open_with_stats_on_raw_frame_is_one_literal_token() {
-        let block = seal_raw(b"plain bytes");
-        let (out, stats) = open_with_stats(&block).unwrap();
-        assert_eq!(out, b"plain bytes");
-        assert_eq!(stats.tokens, 1);
-        assert_eq!(stats.literal_bytes, 11);
-        assert_eq!(stats.match_bytes, 0);
     }
 
     #[test]

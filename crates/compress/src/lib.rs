@@ -35,15 +35,13 @@ pub mod error;
 pub mod fastlz;
 pub mod frame;
 pub mod gpu;
-pub mod gpu_decomp;
 pub mod scan;
 pub mod token;
 
 pub use error::CodecError;
 pub use fastlz::FastLz;
-pub use frame::{compression_ratio, Frame, FrameStats};
+pub use frame::{compression_ratio, Frame};
 pub use gpu::{GpuCompressor, GpuCompressorConfig};
-pub use gpu_decomp::{GpuDecompReport, GpuDecompressor};
 pub use token::Token;
 
 /// A lossless block codec.

@@ -5,9 +5,7 @@ use dr_compress::frame::{self, Frame};
 use dr_compress::token::{
     decode_stream, emit_literals, emit_match, MAX_LITERAL_RUN, MAX_MATCH, MIN_MATCH,
 };
-use dr_compress::{
-    Codec, CodecError, FastLz, FrameStats, GpuCompressor, GpuCompressorConfig, Token,
-};
+use dr_compress::{Codec, CodecError, FastLz, GpuCompressor, GpuCompressorConfig, Token};
 use dr_des::testkit::{self, Cases};
 use dr_des::SimTime;
 use dr_gpu_sim::{GpuDevice, GpuSpec, MemAccess, WorkItemCost};
@@ -399,59 +397,5 @@ fn span_copy_decoder_matches_the_bytewise_reference() {
         assert_decoders_agree(&prefix, &damaged);
         wire.truncate(testkit::usize_in(rng, 0, wire.len()));
         assert_decoders_agree(&prefix, &wire);
-    });
-}
-
-/// The second walk `open_with_stats` used to make over a decoded frame's
-/// wire payload, kept as the oracle for the single-walk tally.
-fn scan_token_stats(payload: &[u8], stats: &mut FrameStats) {
-    let mut i = 0;
-    while i < payload.len() {
-        let control = payload[i];
-        stats.tokens += 1;
-        if control & 0x80 == 0 {
-            let run = control as usize + 1;
-            stats.literal_bytes += run;
-            i += 1 + run;
-        } else {
-            stats.match_bytes += (control & 0x7F) as usize + MIN_MATCH;
-            i += 3;
-        }
-    }
-}
-
-#[test]
-fn open_with_stats_matches_open_plus_a_token_rescan() {
-    const HEADER_LEN: usize = 5;
-    Cases::new(
-        "open_with_stats_matches_open_plus_a_token_rescan",
-        0xC02_000A,
-    )
-    .run(128, |rng| {
-        let data = if rng.next_u64() % 2 == 0 {
-            testkit::vec_u8(rng, 0, 8192)
-        } else {
-            testkit::vec_u8_compressible(rng, 0, 8192)
-        };
-        for block in [
-            FastLz::new().compress(&data),
-            GpuCompressor::new(GpuCompressorConfig::default()).compress_functional(&data),
-        ] {
-            let out = frame::open(&block).unwrap();
-            assert_eq!(out, data);
-            let mut want = FrameStats {
-                frame_bytes: block.len(),
-                output_bytes: out.len(),
-                ..FrameStats::default()
-            };
-            match frame::inspect(&block).unwrap().0 {
-                Frame::Raw => {
-                    want.tokens = 1;
-                    want.literal_bytes = out.len();
-                }
-                Frame::Lz => scan_token_stats(&block[HEADER_LEN..], &mut want),
-            }
-            assert_eq!(frame::open_with_stats(&block).unwrap(), (out, want));
-        }
     });
 }

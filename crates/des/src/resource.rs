@@ -107,6 +107,10 @@ impl Resource {
     /// A single job is answered from the earliest free slot; a longer
     /// sequence is replayed on a copy of the slot heap.
     ///
+    /// No pipeline stage calls it yet. Its caller to come is the write
+    /// path's co-processor rule (ROADMAP item 7): the CPU side of routing
+    /// an index-probe batch to whichever of CPU and GPU finishes it first.
+    ///
     /// ```
     /// use dr_des::{Resource, SimTime, SimDuration};
     ///

@@ -497,6 +497,10 @@ impl GpuDevice {
 
     /// A what-if over the device's queues, as they stand now: see
     /// [`DryRun`].
+    ///
+    /// No pipeline stage calls it yet. Its caller to come is the write
+    /// path's co-processor rule (ROADMAP item 7): the GPU side of routing
+    /// an index-probe batch to whichever of CPU and GPU finishes it first.
     pub fn dry_run(&self) -> DryRun<'_> {
         DryRun {
             device: self,

@@ -43,7 +43,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod decomp;
 pub mod device;
 pub mod error;
 pub mod memory;
@@ -51,7 +50,6 @@ pub mod occupancy;
 pub mod spec;
 pub mod timing;
 
-pub use decomp::{subblock_copy_items, token_split_items, DecompChunkShape};
 pub use device::{DryRun, GpuDevice, GpuStats, LaunchConfig, LaunchReport};
 pub use error::GpuError;
 pub use memory::BufferId;

@@ -161,13 +161,6 @@ pub(crate) const GPU_COMPRESS: ComponentNames = ComponentNames {
     latch_open: "gpu-compress latch open",
     latch_close: "gpu-compress latch close",
 };
-pub(crate) const GPU_DECOMPRESS: ComponentNames = ComponentNames {
-    retries: "fault.gpu_decompress.retries",
-    degraded_transitions: "fault.gpu_decompress.degraded_transitions",
-    retry: "gpu-decompress retry",
-    latch_open: "gpu-decompress latch open",
-    latch_close: "gpu-decompress latch close",
-};
 pub(crate) const SSD_WRITE: ComponentNames = ComponentNames {
     retries: "fault.ssd_write.retries",
     degraded_transitions: "fault.ssd_write.degraded_transitions",

@@ -4,7 +4,7 @@
 //! recovery in `recovery.rs`.
 
 use dr_binindex::{BinIndex, BinIndexConfig, ChunkRef, GpuBinIndex, GpuBinIndexConfig, RoutingObs};
-use dr_compress::{FastLz, FrameStats, GpuCompressor, GpuCompressorConfig, GpuDecompressor};
+use dr_compress::{FastLz, GpuCompressor, GpuCompressorConfig};
 use dr_des::{Resource, SimTime};
 use dr_gpu_sim::{GpuDevice, GpuSpec};
 use dr_hashes::{hash_chunks_pooled_counted, ChunkDigest};
@@ -15,7 +15,7 @@ use dr_ssd_sim::{SsdDevice, SsdSpec};
 use std::borrow::Cow;
 
 use crate::cpu_model::CpuModel;
-use crate::degrade::{DegradePolicy, Guarded, GPU_COMPRESS, GPU_DECOMPRESS, GPU_DEDUP};
+use crate::degrade::{DegradePolicy, Guarded, GPU_COMPRESS, GPU_DEDUP};
 use crate::destage::Destager;
 use crate::error::ReadError;
 use crate::ingest::{BatchPayload, FrameArena, HashedChunks};
@@ -230,11 +230,6 @@ pub(crate) struct PipelineObs {
     pub(crate) read_cache_misses: CounterHandle,
     pub(crate) read_cache_evictions: CounterHandle,
     pub(crate) read_cache_entries: GaugeHandle,
-    pub(crate) read_gpu_batches: CounterHandle,
-    /// `read.route.to_cpu` / `read.route.to_gpu`: where each cold batch's
-    /// decode was charged — the read side's `router.*`.
-    pub(crate) read_route_to_cpu: CounterHandle,
-    pub(crate) read_route_to_gpu: CounterHandle,
     pub(crate) read_latency: HistogramHandle,
     /// `read.pages`: distinct device pages the cold fetches read — against
     /// `read.cache_misses` it says how often frames share a page read.
@@ -272,9 +267,6 @@ impl PipelineObs {
             read_cache_misses: obs.counter("read.cache_misses"),
             read_cache_evictions: obs.counter("read.cache_evictions"),
             read_cache_entries: obs.gauge("read.cache_entries"),
-            read_gpu_batches: obs.counter("read.gpu_batches"),
-            read_route_to_cpu: obs.counter("read.route.to_cpu"),
-            read_route_to_gpu: obs.counter("read.route.to_gpu"),
             read_latency: obs.histogram("read.latency_sim_ns"),
             read_pages: obs.counter("read.pages"),
             read_fetch: obs.stage("read.fetch"),
@@ -284,13 +276,12 @@ impl PipelineObs {
     }
 }
 
-/// The GPU's three guarded components. The fourth, the SSD, lives with
+/// The GPU's two guarded components. The third, the SSD, lives with
 /// the [`Destager`] whose page I/O retries through it.
 #[derive(Debug)]
 pub(crate) struct FaultState {
     pub(crate) gpu_dedup: Guarded,
     pub(crate) gpu_compress: Guarded,
-    pub(crate) gpu_decompress: Guarded,
 }
 
 impl FaultState {
@@ -298,7 +289,6 @@ impl FaultState {
         FaultState {
             gpu_dedup: Guarded::new(&GPU_DEDUP, policy, obs),
             gpu_compress: Guarded::new(&GPU_COMPRESS, policy, obs),
-            gpu_decompress: Guarded::new(&GPU_DECOMPRESS, policy, obs),
         }
     }
 }
@@ -366,12 +356,8 @@ pub struct Pipeline {
     pub(crate) gpu: GpuDevice,
     pub(crate) gpu_index: Option<GpuBinIndex>,
     pub(crate) gpu_comp: GpuCompressor,
-    pub(crate) gpu_decomp: GpuDecompressor,
     /// Capacity-bounded LRU of decompressed chunks (read path).
     pub(crate) read_cache: ReadCache,
-    /// The read batch in flight's frame shapes, as its host decode tallied
-    /// them for the GPU cost model; kept so a read reuses the allocation.
-    pub(crate) read_shapes: Vec<FrameStats>,
     pub(crate) codec: FastLz,
     pub(crate) ssd: SsdDevice,
     pub(crate) destage: Destager,
@@ -440,15 +426,11 @@ impl Pipeline {
         index.set_obs(&config.obs);
         let mut gpu_comp = GpuCompressor::new(config.gpu_compressor);
         gpu_comp.set_obs(&config.obs);
-        let mut gpu_decomp = GpuDecompressor::default();
-        gpu_decomp.set_obs(&config.obs);
         Pipeline {
             cpu: Resource::new("cpu-workers", config.cpu.workers),
             index,
             gpu_comp,
-            gpu_decomp,
             read_cache: ReadCache::new(config.read.cache_chunks),
-            read_shapes: Vec::new(),
             codec: FastLz::new(),
             gpu,
             gpu_index,
@@ -700,7 +682,7 @@ impl Pipeline {
         self.report.faults_injected =
             self.ssd.stats().faults_injected + self.gpu.stats().faults_injected;
         let (gpu, ssd) = (&self.fault, &self.destage.ssd_write);
-        let guarded = [&gpu.gpu_dedup, &gpu.gpu_compress, &gpu.gpu_decompress, ssd];
+        let guarded = [&gpu.gpu_dedup, &gpu.gpu_compress, ssd];
         self.report.fault_retries = guarded.iter().map(|g| g.retries()).sum();
         self.report.degraded_transitions = guarded.iter().map(|g| g.latch().transitions()).sum();
     }

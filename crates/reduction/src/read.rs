@@ -5,8 +5,8 @@
 //! capacity-bounded LRU over decompressed chunks (keyed by the chunk's
 //! destage-log address) when resident, and otherwise fetched — the whole
 //! batch's page reads at once, one per distinct page — and
-//! decompressed on the host, with the simulated decode charged to the CPU
-//! or the GPU, whichever finishes the batch first. Because
+//! decompressed on the host, with the simulated decode charged to the
+//! simulated CPU workers. Because
 //! deduplication makes many logical blocks resolve to one stored frame,
 //! even a modest cache absorbs the re-read traffic of hot working sets
 //! (the VDI boot storm the paper targets).
@@ -15,18 +15,17 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dr_binindex::ChunkRef;
-use dr_compress::{frame, FrameStats};
-use dr_des::{SimDuration, SimTime};
+use dr_compress::frame;
+use dr_des::SimTime;
 use dr_obs::trace::{trace_args, Track};
 
-use crate::cpu_model::CpuModel;
 use crate::destage::FetchedFrames;
 use crate::error::ReadError;
 use crate::pipeline::Pipeline;
 
 /// Read-path tuning knobs. Where a cold batch decodes is not one of
-/// them: the batch goes to whichever of CPU and GPU finishes it first
-/// (see [`Pipeline::read_blocks`]).
+/// them: it always decodes on the simulated CPU workers (see
+/// [`Pipeline::read_blocks`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ReadConfig {
     /// Capacity of the decompressed-chunk cache, in chunks. `0` disables
@@ -217,22 +216,6 @@ fn cold_slots_mut(slots: &mut [Slot]) -> impl Iterator<Item = &mut Slot> {
     slots.iter_mut().filter(|s| s.decoded_at.is_some())
 }
 
-/// The CPU arm's decode jobs for a batch's decoded cold frames, in fetch
-/// order: `(arrival, service)` on a simulated CPU worker, each from its
-/// own frame's fetch-ready instant.
-fn cpu_jobs<'a>(
-    cpu_model: CpuModel,
-    fetched: &'a FetchedFrames,
-    slots: &'a [Slot],
-) -> impl Iterator<Item = (SimTime, SimDuration)> + 'a {
-    cold_slots(slots)
-        .zip(&fetched.frames)
-        .map_while(move |(slot, f)| {
-            let len = slot.bytes.as_ref()?.len();
-            Some((f.ready, cpu_model.decompress_cost(len)))
-        })
-}
-
 /// The distinct frames of a read batch, in first-appearance order.
 struct Grouped {
     slots: Vec<Slot>,
@@ -271,23 +254,16 @@ impl Pipeline {
     /// Requests are grouped by stored frame (deduplicated blocks resolve
     /// to one fetch and one decompression), served from the
     /// decompressed-chunk cache when resident. Cold frames are decoded on
-    /// the host, once each, and the batch's simulated decode is charged
-    /// to whichever arm finishes it first — the paper's co-processor
-    /// rule: the CPU, each frame on a worker as soon as its own pages are
-    /// in, or the modeled two-phase GPU kernel pair from the batch's last
-    /// page plus per-frame host assembly. The GPU is considered only under
-    /// a GPU-compression mode whose `gpu_decompress` latch allows an
-    /// attempt, and must finish strictly first; its transient faults are
-    /// retried and hard faults degrade to the CPU through that latch.
+    /// the host, once each, and each frame's simulated decode is charged
+    /// to a CPU worker as soon as its own pages are in, in every mode.
     ///
     /// Every read advances the simulated clock: the batch issues at
     /// `max(read_end, reduction_end)`, every page read of its cold frames
-    /// goes to the device at that instant, a CPU decode starts when its
-    /// own frame's pages are in and the GPU kernel when the last frame's
-    /// are, and [`Report::read_end`](crate::Report::read_end) records
-    /// when its last request completed. Returned bytes are bit-identical
-    /// to looping over [`Pipeline::read_block`], whichever way the batch
-    /// was routed.
+    /// goes to the device at that instant, a decode starts when its own
+    /// frame's pages are in, and
+    /// [`Report::read_end`](crate::Report::read_end) records when its last
+    /// request completed. Returned bytes are bit-identical to looping over
+    /// [`Pipeline::read_block`].
     ///
     /// # Errors
     ///
@@ -397,7 +373,7 @@ impl Pipeline {
             fetch_span.finish();
 
             let decode_span = self.obs.read_decode.span();
-            let decoded = self.decode_cold(&fetched, &mut grouped.slots, at)?;
+            let decoded = self.decode_cold(&fetched, &mut grouped.slots)?;
             self.obs
                 .read_decode
                 .record_sim_ns(decoded.saturating_duration_since(at).as_nanos());
@@ -460,169 +436,29 @@ impl Pipeline {
         Ok(out)
     }
 
-    /// Decodes a batch's fetched cold frames into their slots — on the
-    /// host, once each, whichever arm is charged for it — then charges the
-    /// decode to the arm [`Pipeline::route_cold`] picks. Returns when the
-    /// last frame was ready.
+    /// Decodes a batch's fetched cold frames into their slots, on the
+    /// host, once each, and charges each decode to a simulated CPU worker
+    /// from its own frame's fetch-ready instant. Returns when the last
+    /// frame was ready.
     ///
-    /// A frame that fails to decode fails the batch: the host met it on
-    /// the CPU, so the frames before it are charged as the CPU arm would
-    /// charge them, and nothing reaches the GPU.
+    /// A frame that fails to decode fails the batch; the frames before it
+    /// stay charged.
     fn decode_cold(
         &mut self,
         fetched: &FetchedFrames,
         slots: &mut [Slot],
-        at: SimTime,
     ) -> Result<SimTime, ReadError> {
-        let gpu_eligible =
-            self.config.mode.gpu_compression() && self.fault.gpu_decompress.allow(at);
-        // The shapes price the GPU arm; a CPU-only batch needs none unless
-        // the route instant is traced.
-        let want_shapes = gpu_eligible || self.obs.tracer.is_enabled();
-        let mut shapes = std::mem::take(&mut self.read_shapes);
-        shapes.clear();
-        let mut failed = None;
-        for (slot, f) in cold_slots_mut(slots).zip(&fetched.frames) {
-            match frame::open_with_stats(&fetched.bytes[f.bytes.clone()]) {
-                Ok((chunk, stats)) => {
-                    slot.bytes = Some(Arc::new(chunk));
-                    if want_shapes {
-                        shapes.push(stats);
-                    }
-                }
-                Err(e) => {
-                    failed = Some(e);
-                    break;
-                }
-            }
-        }
-        let decoded = match failed {
-            Some(e) => {
-                self.cpu_decompress_reads(fetched, slots, SimTime::ZERO);
-                Err(e.into())
-            }
-            None if self.route_cold(fetched, slots, &shapes, at, gpu_eligible) => {
-                Ok(self.gpu_decompress_reads(fetched, slots, &shapes, at))
-            }
-            None => Ok(self.cpu_decompress_reads(fetched, slots, SimTime::ZERO)),
-        };
-        self.read_shapes = shapes;
-        decoded
-    }
-
-    /// The co-processor rule for one decoded cold batch: true when it goes
-    /// to the GPU — allowed (`gpu_eligible`) and finishing strictly before
-    /// the CPU would. Both finishing instants are what-ifs on the models
-    /// the charge runs: the CPU's from [`cpu_jobs`] on the CPU workers,
-    /// the GPU's from [`GpuDecompressor::estimate`] from `at` plus each
-    /// frame's host assembly. When the CPU is done by the GPU's floor
-    /// ([`GpuDecompressor::earliest_done`]) the GPU's work items are never
-    /// built. Counts the pick (`read.route.*`) and, when traced, leaves a
-    /// route instant carrying both estimates.
-    ///
-    /// [`GpuDecompressor::estimate`]: dr_compress::GpuDecompressor::estimate
-    /// [`GpuDecompressor::earliest_done`]: dr_compress::GpuDecompressor::earliest_done
-    fn route_cold(
-        &self,
-        fetched: &FetchedFrames,
-        slots: &[Slot],
-        shapes: &[FrameStats],
-        at: SimTime,
-        gpu_eligible: bool,
-    ) -> bool {
-        let tracing = self.obs.tracer.is_enabled();
-        if !gpu_eligible && !tracing {
-            self.obs.read_route_to_cpu.incr();
-            return false;
-        }
         let cpu_model = self.config.cpu;
-        let cpu_done = self.cpu.finish_if(cpu_jobs(cpu_model, fetched, slots));
-        let gpu_done = (tracing || cpu_done > self.gpu_decomp.earliest_done(at, &self.gpu, shapes))
-            .then(|| {
-                let gpu_done = self.gpu_decomp.estimate(at, &self.gpu, shapes).gpu_done;
-                let assembly = (gpu_done, cpu_model.decompress_cost(0));
-                self.cpu
-                    .finish_if(std::iter::repeat_n(assembly, shapes.len()))
-            });
-        let use_gpu = gpu_eligible && gpu_done.is_some_and(|gpu_done| gpu_done < cpu_done);
-        let (counter, name) = if use_gpu {
-            (&self.obs.read_route_to_gpu, "read-to-gpu")
-        } else {
-            (&self.obs.read_route_to_cpu, "read-to-cpu")
-        };
-        counter.incr();
-        if let Some(gpu_done) = gpu_done.filter(|_| tracing) {
-            let args = [
-                ("cpu_done_ns", cpu_done.as_nanos()),
-                ("gpu_done_ns", gpu_done.as_nanos()),
-            ];
-            let ts = at.as_nanos();
-            self.obs
-                .tracer
-                .sim_instant(Track::Route, name, ts, trace_args(&args));
-        }
-        use_gpu
-    }
-
-    /// The CPU arm: each decoded cold frame's [`cpu_jobs`] entry acquired
-    /// on a simulated CPU worker, no earlier than `floor` (when a failed
-    /// GPU attempt handed the batch over — degradation is never free).
-    /// Returns when the last one was ready.
-    fn cpu_decompress_reads(
-        &mut self,
-        fetched: &FetchedFrames,
-        slots: &mut [Slot],
-        floor: SimTime,
-    ) -> SimTime {
-        let cpu_model = self.config.cpu;
-        let mut done = floor;
+        let mut done = SimTime::ZERO;
         for (slot, f) in cold_slots_mut(slots).zip(&fetched.frames) {
-            let Some(bytes) = &slot.bytes else { break };
-            let cost = cpu_model.decompress_cost(bytes.len());
-            let g = self.cpu.acquire(f.ready.max(floor), cost);
+            let chunk = frame::open(&fetched.bytes[f.bytes.clone()])?;
+            let cost = cpu_model.decompress_cost(chunk.len());
+            let g = self.cpu.acquire(f.ready, cost);
+            slot.bytes = Some(Arc::new(chunk));
             slot.decoded_at = Some(g.end);
             done = done.max(g.end);
         }
-        done
-    }
-
-    /// The GPU arm: one two-phase kernel pair (token split + sub-block
-    /// copy) charged from `batch_ready` for the frames' `shapes`, then
-    /// per-frame host frame assembly. Transient launch faults retry with
-    /// backoff; exhausted retries or a hard fault open the
-    /// `gpu_decompress` latch and the batch falls back to
-    /// [`Pipeline::cpu_decompress_reads`] with the burnt time as floor.
-    /// Returns when the last frame was ready.
-    fn gpu_decompress_reads(
-        &mut self,
-        fetched: &FetchedFrames,
-        slots: &mut [Slot],
-        shapes: &[FrameStats],
-        batch_ready: SimTime,
-    ) -> SimTime {
-        let (gpu_decomp, gpu) = (&self.gpu_decomp, &mut self.gpu);
-        let charged = self.fault.gpu_decompress.attempt(
-            batch_ready,
-            |at| gpu_decomp.charge(at, gpu, shapes),
-            |report| report.gpu_done,
-        );
-        let report = match charged {
-            Ok(report) => report,
-            Err(floor) => return self.cpu_decompress_reads(fetched, slots, floor),
-        };
-        self.report.gpu_decomp_batches += 1;
-        self.obs.read_gpu_batches.incr();
-        // Host-side frame assembly once the kernels and the D2H copy are
-        // done: the fixed decode overhead only — the byte work happened on
-        // the device.
-        let assembly = self.config.cpu.decompress_cost(0);
-        let mut done = report.gpu_done;
-        for slot in cold_slots_mut(slots) {
-            let g = self.cpu.acquire(report.gpu_done, assembly);
-            slot.decoded_at = Some(g.end);
-            done = done.max(g.end);
-        }
-        done
+        Ok(done)
     }
 }
 
@@ -635,8 +471,8 @@ mod tests {
 
     #[test]
     fn default_config_enables_cache_and_gpu_routing() {
-        // The cache is on, and the default mode lets the co-processor rule
-        // route a cold batch to the GPU.
+        // The cache is on, and the default mode routes compression to the
+        // GPU; its cold reads still decode on the CPU.
         let c = crate::PipelineConfig::default();
         assert!(c.read.cache_chunks > 0);
         assert!(c.mode.gpu_compression());
@@ -804,8 +640,8 @@ mod tests {
         assert_eq!(back, [&data[..4096]]);
     }
 
-    /// [`small_config`] on a one-worker CPU model: a 32-frame cold batch
-    /// queues deep enough on it that the GPU finishes first.
+    /// [`small_config`] on a one-worker CPU model, where a 32-frame cold
+    /// batch queues deep.
     fn one_worker_config(mode: IntegrationMode) -> crate::PipelineConfig {
         let mut cfg = small_config(mode);
         cfg.cpu.workers = 1;
@@ -813,158 +649,24 @@ mod tests {
     }
 
     #[test]
-    fn batched_reads_are_bit_identical_to_serial_reads_in_both_routing_arms() {
-        let data = stream();
-        let all: Vec<usize> = (0..128).collect();
-        for mode in [IntegrationMode::CpuOnly, IntegrationMode::GpuForCompression] {
-            // Batched pass over everything: 32 distinct cold frames on one
-            // simulated CPU worker, which the GPU finishes first under a
-            // GPU-compression mode.
-            let mut batched = Pipeline::new(one_worker_config(mode));
-            batched.run(&data);
-            let got = batched.read_blocks(&all).expect("batched read");
-            if mode.gpu_compression() {
-                assert!(
-                    batched.report().gpu_decomp_batches > 0,
-                    "bulk cold batch must route to the GPU in mode {mode}"
-                );
-            } else {
-                assert_eq!(batched.report().gpu_decomp_batches, 0);
-            }
-            // Serial loop on a fresh pipeline: same bytes, whatever the arm.
-            let mut serial = Pipeline::new(one_worker_config(mode));
-            serial.run(&data);
-            for (&i, batch_bytes) in all.iter().zip(&got) {
-                let serial_bytes = serial.read_block(i).expect("serial read");
-                assert_eq!(batch_bytes, &serial_bytes, "block {i} in mode {mode}");
-                assert_eq!(batch_bytes, &data[i * 4096..(i + 1) * 4096]);
-            }
-            assert_eq!(serial.report().gpu_decomp_batches, 0, "singles stay CPU");
-        }
-    }
-
-    /// The route instants a traced run left: (name, cpu estimate, gpu
-    /// estimate), in emission order.
-    fn route_instants(tracer: &dr_obs::Tracer) -> Vec<(String, u64, u64)> {
-        let events = tracer.sink().expect("enabled tracer").drain();
-        let routes = events.into_iter().filter(|e| e.track == Track::Route);
-        routes
-            .filter(|e| e.name.starts_with("read-"))
-            .map(|e| {
-                let arg = |key: &str| {
-                    let mut args = e.args.iter().flatten();
-                    args.find(|(k, _)| *k == key).expect(key).1
-                };
-                (e.name.to_string(), arg("cpu_done_ns"), arg("gpu_done_ns"))
-            })
-            .collect()
-    }
-
-    #[test]
-    fn each_cold_batch_decodes_on_the_arm_that_finishes_first() {
-        let data = stream();
-        let batch: Vec<usize> = (0..32).collect(); // 32 distinct frames
-        for (workers, gpu_wins) in [(8, false), (1, true)] {
-            let tracer = dr_obs::Tracer::enabled();
-            let obs = dr_obs::ObsHandle::enabled("route").with_tracer(tracer.clone());
-            let mut cfg = small_config(IntegrationMode::GpuForCompression);
-            cfg.cpu.workers = workers;
-            cfg.obs = obs.clone();
-            let mut p = Pipeline::new(cfg);
-            p.run(&data);
-            tracer.sink().unwrap().drain(); // the write's route instants
-            let got = p.read_blocks(&batch).unwrap();
-            assert_eq!(got.concat(), data[..32 * 4096]);
-            let at = format!("{workers} workers");
-            assert_eq!(p.report().read_cache_hits, 0, "{at}");
-            assert_eq!(p.report().gpu_decomp_batches, gpu_wins as u64, "{at}");
-            assert_eq!(obs.counter("read.route.to_gpu").get(), gpu_wins as u64);
-            assert_eq!(obs.counter("read.route.to_cpu").get(), !gpu_wins as u64);
-            // Fault-free, the chosen arm's estimate is exactly when the
-            // batch's last frame was decoded — its last delivery.
-            let [(ref name, cpu_ns, gpu_ns)] = route_instants(&tracer)[..] else {
-                panic!("{at}: want one route instant");
-            };
-            let read_end = p.report().read_end.as_nanos();
-            if gpu_wins {
-                assert_eq!((name.as_str(), read_end), ("read-to-gpu", gpu_ns), "{at}");
-                assert!(gpu_ns < cpu_ns, "{at}");
-            } else {
-                assert_eq!((name.as_str(), read_end), ("read-to-cpu", cpu_ns), "{at}");
-                assert!(cpu_ns <= gpu_ns, "{at}");
-            }
-        }
-    }
-
-    #[test]
-    fn the_route_is_the_same_traced_or_not_and_a_single_frame_stays_on_the_cpu() {
-        // The GPU floor lets an untraced run skip the GPU estimate; a
-        // traced run computes both. Neither may change a pick or a time.
-        let data = stream();
-        let mut outcomes = Vec::new();
-        for traced in [false, true] {
-            let tracer = match traced {
-                true => dr_obs::Tracer::enabled(),
-                false => dr_obs::Tracer::disabled(),
-            };
-            let obs = dr_obs::ObsHandle::enabled("route").with_tracer(tracer.clone());
-            let mut cfg = small_config(IntegrationMode::GpuForCompression);
-            cfg.read.cache_chunks = 0;
-            cfg.cpu.workers = 2;
-            cfg.obs = obs.clone();
-            let mut p = Pipeline::new(cfg);
-            p.run(&data);
-            for len in [1, 4, 12, 32, 1, 32, 2] {
-                p.read_blocks(&(0..len).collect::<Vec<_>>()).unwrap();
-            }
-            p.read_block(3).unwrap();
-            let routes = (
-                obs.counter("read.route.to_cpu").get(),
-                obs.counter("read.route.to_gpu").get(),
-            );
-            if traced {
-                let instants = route_instants(&tracer);
-                assert_eq!(instants.len(), 8);
-                for single in [0, 4, 7] {
-                    let (name, cpu_ns, gpu_ns) = &instants[single];
-                    assert_eq!(name, "read-to-cpu");
-                    assert!(cpu_ns < gpu_ns);
-                }
-            }
-            outcomes.push((p.report().clone(), routes));
-        }
-        assert_eq!(outcomes[0], outcomes[1]);
-        let (report, (to_cpu, to_gpu)) = &outcomes[0];
-        assert_eq!(to_cpu + to_gpu, 8);
-        assert_eq!(report.gpu_decomp_batches, *to_gpu);
-        assert!(*to_gpu > 0, "two workers never fell behind the GPU");
-    }
-
-    #[test]
-    fn a_frame_that_fails_to_decode_fails_its_batch_before_any_routing() {
+    fn a_frame_that_fails_to_decode_fails_its_batch() {
         // No integrity envelope and a bit flipped in every page read: some
         // frames still decode (to other bytes), others fail the host's one
-        // decode. A batch holding one must fail without counting a route or
-        // touching the GPU — on one worker the GPU would otherwise win it.
-        let obs = dr_obs::ObsHandle::enabled("corrupt");
+        // decode. A batch holding one fails whole — no request delivered —
+        // and, like every read, launches nothing on the GPU.
         let mut cfg = one_worker_config(IntegrationMode::GpuForCompression);
         cfg.verify = false;
         cfg.read.cache_chunks = 0;
         cfg.ssd_spec.read_fault_rate = 1.0;
-        cfg.obs = obs.clone();
         let mut p = Pipeline::new(cfg);
         p.run(&stream());
-        let routed = || {
-            let routes = ["read.route.to_cpu", "read.route.to_gpu"];
-            routes.map(|name| obs.counter(name).get())
-        };
         let mut failed = 0;
         for round in 0..8 {
-            let before = (routed(), p.report().gpu_decomp_batches);
+            let before = (p.report().reads, p.gpu.stats().kernels);
             match p.read_blocks(&(0..32).collect::<Vec<_>>()) {
                 Err(ReadError::Frame(_)) => {
                     failed += 1;
-                    let after = (routed(), p.report().gpu_decomp_batches);
+                    let after = (p.report().reads, p.gpu.stats().kernels);
                     assert_eq!(after, before, "round {round}");
                 }
                 Ok(_) => {}
@@ -1041,22 +743,32 @@ mod tests {
 
     #[test]
     fn pool_width_does_not_change_read_results() {
+        // In both modes and at every pool width, one batch over the whole
+        // stream (32 distinct cold frames, queued deep on one simulated
+        // CPU worker) returns the stream, equals a serial loop on a fresh
+        // pipeline, ends at the same simulated instant, and launches
+        // nothing on the GPU: cold frames decode on the CPU in every mode.
         let data = stream();
         let all: Vec<usize> = (0..128).collect();
-        let mut baseline: Option<(SimTime, Vec<Vec<u8>>)> = None;
-        for pool_workers in [1usize, 2, 4] {
-            let mut cfg = small_config(IntegrationMode::GpuForCompression);
-            cfg.pool_workers = pool_workers;
-            let mut p = Pipeline::new(cfg);
-            p.run(&data);
-            let got = p.read_blocks(&all).expect("batched read");
-            let key = (p.report().read_end, got);
-            match &baseline {
-                None => baseline = Some(key),
-                Some(b) => {
-                    assert_eq!(b.0, key.0, "pool_workers={pool_workers} shifted read_end");
-                    assert_eq!(b.1, key.1, "pool_workers={pool_workers} changed bytes");
+        for mode in [IntegrationMode::CpuOnly, IntegrationMode::GpuForCompression] {
+            let mut baseline = None;
+            for pool_workers in [1usize, 2, 4] {
+                let at = format!("mode {mode}, pool_workers={pool_workers}");
+                let mut cfg = one_worker_config(mode);
+                cfg.pool_workers = pool_workers;
+                let mut batched = Pipeline::new(cfg.clone());
+                batched.run(&data);
+                let kernels = batched.gpu.stats().kernels;
+                let got = batched.read_blocks(&all).expect("batched read");
+                assert_eq!(batched.gpu.stats().kernels, kernels, "{at}");
+                let mut serial = Pipeline::new(cfg);
+                serial.run(&data);
+                for (&i, bytes) in all.iter().zip(&got) {
+                    assert_eq!(bytes, &serial.read_block(i).unwrap(), "{at}: block {i}");
+                    assert_eq!(bytes[..], data[i * 4096..][..4096], "{at}: block {i}");
                 }
+                let read_end = batched.report().read_end;
+                assert_eq!(*baseline.get_or_insert(read_end), read_end, "{at}");
             }
         }
     }

@@ -46,7 +46,9 @@ pub struct Report {
     pub read_bytes: u64,
     /// Reads served from the decompressed-chunk cache.
     pub read_cache_hits: u64,
-    /// GPU decompression batches launched on the read path.
+    /// Always 0: cold reads decode on the CPU in every mode, so no read
+    /// batch runs on the GPU. Kept only because the repository's
+    /// benchmark package still reads it; it goes once that read does.
     pub gpu_decomp_batches: u64,
     /// When the last GPU bin mirror finished syncing.
     pub gpu_index_sync_end: SimTime,
@@ -203,12 +205,10 @@ impl std::fmt::Display for Report {
         if self.reads > 0 {
             write!(
                 f,
-                "\n  reads: {} ({:.1} MB), {} cache hits, {} gpu decomp batches, \
-                 read_end {:.3} sim-s",
+                "\n  reads: {} ({:.1} MB), {} cache hits, read_end {:.3} sim-s",
                 self.reads,
                 self.read_bytes as f64 / 1e6,
                 self.read_cache_hits,
-                self.gpu_decomp_batches,
                 self.read_end.as_secs_f64(),
             )?;
         }
@@ -283,7 +283,7 @@ mod tests {
         r.read_cache_hits = 2;
         assert!(r
             .to_string()
-            .contains("reads: 5 (0.0 MB), 2 cache hits, 0 gpu decomp batches"));
+            .contains("reads: 5 (0.0 MB), 2 cache hits, read_end 0.000 sim-s"));
     }
 
     #[test]

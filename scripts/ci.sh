@@ -170,12 +170,11 @@ else
 fi
 
 # Read-path parity smoke: batched reads must return bit-identical bytes
-# to a serial read loop, for every pool width and both decompression
-# routing arms, with a pool-width-independent read clock (DESIGN.md §14).
-# The GPU arm is reached on one simulated CPU worker, where the GPU
-# finishes a cold batch first. The bin exits non-zero on any divergence,
-# or when that arm decoded no batch on the GPU.
-echo "==> read-path parity smoke (batched vs serial, pool widths, cpu+gpu)"
+# to a serial read loop at pool widths 1/2/4, in cpu-only and
+# gpu-compression mode (different frames, one read path: cold frames
+# decode on the CPU in every mode), with a pool-width-independent read
+# clock (DESIGN.md §14). The bin exits non-zero on any divergence.
+echo "==> read-path parity smoke (batched vs serial, pool widths, both modes)"
 target/release/e8_read_path --parity-check
 
 # Scalar-fallback leg: DR_SIMD=scalar forces every SWAR/SIMD dispatch in
