@@ -337,8 +337,8 @@ fn gpu_bin_layout() {
         idx.install_bin(SimTime::ZERO, &mut device, bin, &table)
             .expect("install");
         let queries = vec![d0; 4096];
-        let (_, report) = idx
-            .lookup_batch(SimTime::ZERO, &mut device, &queries)
+        let report = idx
+            .lookup_batch(SimTime::ZERO, &mut device, &queries, &mut Vec::new())
             .expect("lookup");
         report.kernel.timing.duration().as_secs_f64() * 1e6
     };

@@ -78,8 +78,8 @@ fn main() {
 
         // GPU: one batched kernel; execution time from the device model.
         gpu.reset_timeline();
-        let (_, report) = gpu_index
-            .lookup_batch(SimTime::ZERO, &mut gpu, &queries)
+        let report = gpu_index
+            .lookup_batch(SimTime::ZERO, &mut gpu, &queries, &mut Vec::new())
             .expect("lookup");
         let gpu_us = report.done.as_secs_f64() * 1e6;
 

@@ -150,6 +150,8 @@ pub struct GpuBinIndex {
     used_at: Vec<u64>,
     tick: u64,
     rng: SplitMix64,
+    /// The lookup kernel's work items (reused by every lookup).
+    items: Vec<WorkItemCost>,
 }
 
 impl GpuBinIndex {
@@ -179,6 +181,7 @@ impl GpuBinIndex {
             used_at: vec![0; config.bin_slots],
             tick: 0,
             rng: SplitMix64::new(config.seed),
+            items: Vec::new(),
             config,
         })
     }
@@ -331,33 +334,56 @@ impl GpuBinIndex {
     /// Every query becomes one work item that scans its bin's linear table;
     /// non-resident bins cost a slot-table probe and report "not resident"
     /// (the caller falls back to the CPU path, as in the paper's Fig. 1
-    /// workflow). Results index into host-side metadata.
+    /// workflow). Results index into host-side metadata: `probes` is
+    /// cleared and refilled with one outcome per digest, in order. Keep it
+    /// between calls and a lookup allocates nothing on the host — the
+    /// query upload is charged, not copied (the kernel runs on the host,
+    /// against `digests`), and the work-item list is the index's own.
     ///
     /// # Errors
     ///
-    /// Propagates device transfer errors and injected launch faults
+    /// [`GpuError::OutOfMemory`] when the query or result buffer does not
+    /// fit beside what the device holds; propagates injected launch faults
     /// ([`GpuError::LaunchFailed`], [`GpuError::ProbeTimeout`],
-    /// [`GpuError::DeviceLost`]); staged buffers are freed first, so the
-    /// caller may retry or fall back to the CPU index.
+    /// [`GpuError::DeviceLost`]). Both buffers are freed on every exit, so
+    /// the caller may retry or fall back to the CPU index; `probes` then
+    /// holds no meaningful data.
     pub fn lookup_batch(
         &mut self,
         now: SimTime,
         gpu: &mut GpuDevice,
         digests: &[ChunkDigest],
-    ) -> Result<(Vec<GpuProbe>, GpuLookupReport), GpuError> {
+        probes: &mut Vec<GpuProbe>,
+    ) -> Result<GpuLookupReport, GpuError> {
         self.tick += 1;
-        // Stage the query digests.
-        let query_bytes: Vec<u8> = digests
-            .iter()
-            .flat_map(|d| d.as_bytes().iter().copied())
-            .collect();
-        let query_buf = gpu.alloc(query_bytes.len().max(1) as u64)?;
-        let h2d = gpu.write_buffer(now, query_buf, 0, &query_bytes)?;
+        let query_len = (digests.len() * ChunkDigest::LEN) as u64;
+        // Return (index, hit) pairs: 8 bytes per query.
+        let result_len = (digests.len() * 8).max(1) as u64;
+        gpu.with_buffer(query_len.max(1), |gpu, query_buf| {
+            let h2d = gpu.charge_h2d(now, query_buf, 0, query_len)?;
+            let (resident_queries, hits) = self.scan(digests, probes);
+            let kernel = gpu.launch(h2d.end, LaunchConfig::named("bin-lookup"), &self.items)?;
+            let d2h = gpu.with_buffer(result_len, |gpu, result_buf| {
+                gpu.charge_d2h(kernel.grant.end, result_buf, 0, result_len)
+            })?;
+            Ok(GpuLookupReport {
+                h2d_end: h2d.end,
+                done: d2h.end,
+                kernel,
+                queries: digests.len(),
+                resident_queries,
+                hits,
+            })
+        })
+    }
 
-        // Kernel: scan linear tables (functional work on host-side meta,
-        // which mirrors the device buffer byte-for-byte).
-        let mut results = Vec::with_capacity(digests.len());
-        let mut items = Vec::with_capacity(digests.len());
+    /// The lookup kernel's functional work: scans the linear tables
+    /// (host-side meta, which mirrors the device buffer byte-for-byte)
+    /// into `probes`, and prices every query as a work item into
+    /// `self.items`. Returns `(resident queries, hits)`.
+    fn scan(&mut self, digests: &[ChunkDigest], probes: &mut Vec<GpuProbe>) -> (usize, usize) {
+        probes.clear();
+        self.items.clear();
         let mut resident_queries = 0usize;
         let mut hits = 0usize;
         for d in digests {
@@ -375,7 +401,7 @@ impl GpuBinIndex {
                     // entry wins, as the device linear scan would report);
                     // the cost model is not.
                     let found = table.find(&key).map(|i| table.ref_at(i));
-                    results.push(match found {
+                    probes.push(match found {
                         Some(r) => {
                             hits += 1;
                             GpuProbe::Hit(r)
@@ -383,7 +409,7 @@ impl GpuBinIndex {
                         None if self.complete[slot] => GpuProbe::AuthoritativeMiss,
                         None => GpuProbe::NeedsCpu,
                     });
-                    items.push(match self.config.layout {
+                    self.items.push(match self.config.layout {
                         // Linear scan: the whole table is always read
                         // (fixed-length loops avoid divergence), coalesced.
                         GpuBinLayout::Linear => WorkItemCost {
@@ -407,45 +433,15 @@ impl GpuBinIndex {
                     });
                 }
                 None => {
-                    results.push(GpuProbe::NeedsCpu);
-                    items.push(WorkItemCost {
+                    probes.push(GpuProbe::NeedsCpu);
+                    self.items.push(WorkItemCost {
                         cycles: CYCLES_NON_RESIDENT,
                         mem: MemAccess::coalesced(20),
                     });
                 }
             }
         }
-        let kernel = match gpu.launch(h2d.end, LaunchConfig::named("bin-lookup"), &items) {
-            Ok(report) => report,
-            Err(e) => {
-                // Release the staged queries so the CPU-fallback retry does
-                // not leak device memory (ignore a failing free on a lost
-                // device).
-                let _ = gpu.free(query_buf);
-                return Err(e);
-            }
-        };
-
-        // Return (index, hit) pairs: 8 bytes per query.
-        let result_buf = gpu.alloc((digests.len() * 8).max(1) as u64)?;
-        let d2h = gpu.charge_d2h(
-            kernel.grant.end,
-            result_buf,
-            0,
-            (digests.len() * 8).max(1) as u64,
-        )?;
-        gpu.free(query_buf)?;
-        gpu.free(result_buf)?;
-
-        let report = GpuLookupReport {
-            h2d_end: h2d.end,
-            done: d2h.end,
-            kernel,
-            queries: digests.len(),
-            resident_queries,
-            hits,
-        };
-        Ok((results, report))
+        (resident_queries, hits)
     }
 }
 
@@ -457,6 +453,19 @@ mod tests {
 
     fn gpu() -> GpuDevice {
         GpuDevice::new(GpuSpec::radeon_hd_7970())
+    }
+
+    /// One lookup at time zero, its probes and report.
+    fn lookup(
+        idx: &mut GpuBinIndex,
+        device: &mut GpuDevice,
+        digests: &[ChunkDigest],
+    ) -> (Vec<GpuProbe>, GpuLookupReport) {
+        let mut probes = Vec::new();
+        let report = idx
+            .lookup_batch(SimTime::ZERO, device, digests, &mut probes)
+            .unwrap();
+        (probes, report)
     }
 
     fn config() -> GpuBinIndexConfig {
@@ -489,7 +498,7 @@ mod tests {
             &[(key, ChunkRef::new(5, 9))],
         )
         .unwrap();
-        let (results, report) = idx.lookup_batch(SimTime::ZERO, &mut device, &[d]).unwrap();
+        let (results, report) = lookup(&mut idx, &mut device, &[d]);
         assert_eq!(results, vec![GpuProbe::Hit(ChunkRef::new(5, 9))]);
         assert_eq!(report.hits, 1);
         assert_eq!(report.resident_queries, 1);
@@ -500,7 +509,7 @@ mod tests {
         let mut device = gpu();
         let mut idx = GpuBinIndex::new(&mut device, config()).unwrap();
         let (d, _, _) = keyed(7, 2);
-        let (results, report) = idx.lookup_batch(SimTime::ZERO, &mut device, &[d]).unwrap();
+        let (results, report) = lookup(&mut idx, &mut device, &[d]);
         assert_eq!(results, vec![GpuProbe::NeedsCpu]);
         assert_eq!(report.resident_queries, 0);
         assert_eq!(report.hits, 0);
@@ -522,7 +531,7 @@ mod tests {
             },
         )
         .unwrap();
-        let (results, _) = idx.lookup_batch(SimTime::ZERO, &mut device, &[d]).unwrap();
+        let (results, _) = lookup(&mut idx, &mut device, &[d]);
         assert_eq!(results, vec![GpuProbe::Hit(ChunkRef::new(1, 1))]);
     }
 
@@ -547,9 +556,7 @@ mod tests {
             }
             i += 1;
         };
-        let (results, _) = idx
-            .lookup_batch(SimTime::ZERO, &mut device, &[other])
-            .unwrap();
+        let (results, _) = lookup(&mut idx, &mut device, &[other]);
         assert_eq!(results, vec![GpuProbe::AuthoritativeMiss]);
     }
 
@@ -591,9 +598,7 @@ mod tests {
             }
             i += 1;
         };
-        let (results, _) = idx
-            .lookup_batch(SimTime::ZERO, &mut device, &[other])
-            .unwrap();
+        let (results, _) = lookup(&mut idx, &mut device, &[other]);
         assert_eq!(results, vec![GpuProbe::NeedsCpu]);
     }
 
@@ -710,8 +715,7 @@ mod tests {
             digests.push(d);
         }
         // Touch bin 0 so bin 1 becomes LRU.
-        idx.lookup_batch(SimTime::ZERO, &mut device, &[digests[0]])
-            .unwrap();
+        lookup(&mut idx, &mut device, &[digests[0]]);
         // Installing bin 2 must evict bin 1.
         idx.install_bin(SimTime::ZERO, &mut device, bins[2], &[])
             .unwrap();
@@ -732,7 +736,7 @@ mod tests {
             &[(key, ChunkRef::new(0, 0))],
         )
         .unwrap();
-        let (_, report) = idx.lookup_batch(SimTime::ZERO, &mut device, &[d]).unwrap();
+        let (_, report) = lookup(&mut idx, &mut device, &[d]);
         assert!(report.h2d_end <= report.kernel.grant.start);
         assert!(report.kernel.grant.end <= report.done);
         assert_eq!(report.queries, 1);
@@ -757,8 +761,8 @@ mod tests {
             .unwrap();
         tree.install_bin(SimTime::ZERO, &mut dt, bin, &[(key, ChunkRef::new(3, 4))])
             .unwrap();
-        let (rl, _) = linear.lookup_batch(SimTime::ZERO, &mut dl, &[d]).unwrap();
-        let (rt, _) = tree.lookup_batch(SimTime::ZERO, &mut dt, &[d]).unwrap();
+        let (rl, _) = lookup(&mut linear, &mut dl, &[d]);
+        let (rt, _) = lookup(&mut tree, &mut dt, &[d]);
         assert_eq!(rl, rt);
     }
 
@@ -789,9 +793,7 @@ mod tests {
                 .unwrap();
             // A big uniform batch of queries routed to that bin.
             let queries = vec![d0; 4096];
-            let (_, report) = idx
-                .lookup_batch(SimTime::ZERO, &mut device, &queries)
-                .unwrap();
+            let (_, report) = lookup(&mut idx, &mut device, &queries);
             report.kernel.timing.duration().as_nanos()
         };
         let small_linear = kernel_time(GpuBinLayout::Linear, 48);
@@ -814,5 +816,45 @@ mod tests {
         let idx = GpuBinIndex::new(&mut device, config()).unwrap();
         assert_eq!(idx.device_bytes(), (4 * 8 * 20) as u64);
         assert_eq!(device.mem_used(), idx.device_bytes());
+    }
+
+    #[test]
+    fn a_failed_lookup_frees_what_it_staged() {
+        // Room for the table and one query's 20-byte upload, one byte
+        // short of its 8-byte result buffer.
+        let table = (4 * 8 * 20) as u64;
+        let mut device = GpuDevice::new(GpuSpec {
+            global_mem_bytes: table + 20 + 7,
+            ..GpuSpec::radeon_hd_7970()
+        });
+        let mut idx = GpuBinIndex::new(&mut device, config()).unwrap();
+        let (d, key, bin) = keyed(1, 2);
+        idx.install_bin(
+            SimTime::ZERO,
+            &mut device,
+            bin,
+            &[(key, ChunkRef::new(5, 9))],
+        )
+        .unwrap();
+        let mut probes = Vec::new();
+        for _ in 0..3 {
+            let err = idx
+                .lookup_batch(SimTime::ZERO, &mut device, &[d], &mut probes)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                GpuError::OutOfMemory {
+                    requested: 8,
+                    available: 7
+                }
+            );
+            assert_eq!(device.mem_used(), table, "the query buffer leaked");
+        }
+        // A successful lookup leaves the device as full as it found it.
+        let mut device = gpu();
+        let mut idx = GpuBinIndex::new(&mut device, config()).unwrap();
+        let (probes, _) = lookup(&mut idx, &mut device, &[d, d]);
+        assert_eq!(probes, vec![GpuProbe::NeedsCpu; 2]);
+        assert_eq!(device.mem_used(), table);
     }
 }

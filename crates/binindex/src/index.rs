@@ -290,22 +290,36 @@ impl BinIndex {
     /// when every range holds at least `PROBE_FANOUT_GRAIN` (1 024)
     /// queries; anything smaller — every batch of the default 128-chunk
     /// configuration — is a serial scan on the caller that allocates
-    /// nothing but the result.
+    /// nothing but the result ([`BinIndex::probe_batch_into`] not even
+    /// that).
     pub fn probe_batch_on(
         &self,
         pool: &WorkerPool,
         queries: &[(ChunkDigest, ProbeKind)],
     ) -> Vec<Option<(ChunkRef, BinHit)>> {
+        let mut results = Vec::new();
+        self.probe_batch_into(pool, queries, &mut results);
+        results
+    }
+
+    /// [`BinIndex::probe_batch_on`] into `results`, cleared and refilled
+    /// with one answer per query; its capacity is reused, so a caller
+    /// that keeps it allocates nothing per serial batch.
+    pub fn probe_batch_into(
+        &self,
+        pool: &WorkerPool,
+        queries: &[(ChunkDigest, ProbeKind)],
+        results: &mut Vec<Option<(ChunkRef, BinHit)>>,
+    ) {
+        results.clear();
         let shards = pool.fan_out_width(queries.len(), PROBE_FANOUT_GRAIN);
         if shards < 2 {
-            return queries
-                .iter()
-                .map(|(d, kind)| self.probe_one(d, *kind))
-                .collect();
+            results.extend(queries.iter().map(|(d, kind)| self.probe_one(d, *kind)));
+            return;
         }
 
         let per_shard = queries.len().div_ceil(shards);
-        let mut results = vec![None; queries.len()];
+        results.resize(queries.len(), None);
         let mut parts: Vec<_> = queries
             .chunks(per_shard)
             .zip(results.chunks_mut(per_shard))
@@ -315,7 +329,6 @@ impl BinIndex {
                 *slot = self.probe_one(d, *kind);
             }
         });
-        results
     }
 
     /// One stats-free probe of the digest's bin.

@@ -39,7 +39,7 @@
 //! and drops what it lost. The refcount directory is then recounted from
 //! the surviving map.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use dr_binindex::BinRouter;
 use dr_des::{SimTime, SplitMix64};
@@ -160,9 +160,10 @@ pub struct MapEntry {
 }
 
 /// Digest → number of placement entries holding it: the cluster's one
-/// dedup directory. A digest is live while its count is nonzero.
+/// dedup directory. A digest is live while its count is nonzero. Only
+/// looked up and counted, never walked, so it is a hash map.
 #[derive(Debug, Default, PartialEq, Eq)]
-struct Refcounts(BTreeMap<ChunkDigest, u32>);
+struct Refcounts(HashMap<ChunkDigest, u32>);
 
 impl Refcounts {
     /// Takes a reference; `true` when the digest is new cluster-wide.
@@ -187,10 +188,27 @@ impl Refcounts {
 /// One volume's cluster-level metadata (durable; it does not crash).
 #[derive(Debug)]
 struct VolumeMap {
+    /// Placement per block, `None` while unwritten: one slot per block
+    /// of the volume, like each node's own block map.
+    placed: Vec<Option<MapEntry>>,
+}
+
+impl VolumeMap {
     /// Size in blocks.
-    size: u64,
-    /// Block → placement, for every written block.
-    placed: BTreeMap<u64, MapEntry>,
+    fn size(&self) -> u64 {
+        self.placed.len() as u64
+    }
+
+    /// Where `block` lives, if it is written.
+    fn get(&self, block: u64) -> Option<&MapEntry> {
+        self.placed.get(block as usize)?.as_ref()
+    }
+
+    /// The written blocks and their placements, in block order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &MapEntry)> {
+        let slots = self.placed.iter().enumerate();
+        slots.filter_map(|(block, entry)| Some((block as u64, entry.as_ref()?)))
+    }
 }
 
 /// One contiguous slice of a write as placed on a single node.
@@ -317,6 +335,8 @@ pub struct Cluster {
     /// still reads "host ns spent fingerprinting". Wall side only — the
     /// simulated hash cost stays the node's to charge.
     hashing_wall: HistogramHandle,
+    /// Digest per chunk of the write in progress (reused).
+    digests: Vec<ChunkDigest>,
     /// Home node per chunk of the write in progress (reused).
     routed: Vec<NodeId>,
     /// Test hook: corrupt the next handoff in transit, forcing the
@@ -359,6 +379,7 @@ impl Cluster {
             ingest_unique: obs.counter("ingest.unique"),
             ingest_dedup_hits: obs.counter("ingest.dedup_hits"),
             hashing_wall: obs.histogram("hashing.wall_ns"),
+            digests: Vec::new(),
             routed: Vec::new(),
             obs,
             corrupt_next_handoff: false,
@@ -389,21 +410,21 @@ impl Cluster {
 
     /// Where a block currently lives (`None` when unwritten).
     pub fn locate(&self, name: &str, block: u64) -> Option<&MapEntry> {
-        self.volumes.get(name)?.placed.get(&block)
+        self.volumes.get(name)?.get(block)
     }
 
     /// Every placement entry, in (name, block) order.
     fn entries(&self) -> impl Iterator<Item = (&str, u64, &MapEntry)> {
         self.volumes.iter().flat_map(|(name, volume)| {
-            let placed = volume.placed.iter();
-            placed.map(move |(block, entry)| (name.as_str(), *block, entry))
+            let placed = volume.iter();
+            placed.map(move |(block, entry)| (name.as_str(), block, entry))
         })
     }
 
     fn entry_mut(&mut self, name: &str, block: u64) -> &mut MapEntry {
         self.volumes
             .get_mut(name)
-            .and_then(|volume| volume.placed.get_mut(&block))
+            .and_then(|volume| volume.placed.get_mut(block as usize)?.as_mut())
             .expect("a mapped block")
     }
 
@@ -435,8 +456,7 @@ impl Cluster {
             node.vm.create_volume(name, blocks)?;
         }
         let volume = VolumeMap {
-            size: blocks,
-            placed: BTreeMap::new(),
+            placed: vec![None; blocks as usize],
         };
         self.volumes.insert(name.to_owned(), volume);
         Ok(())
@@ -474,7 +494,7 @@ impl Cluster {
             .volumes
             .get(name)
             .ok_or_else(|| VolumeError::UnknownVolume(name.to_owned()))?
-            .size;
+            .size();
         if start_block.checked_add(n).is_none_or(|end| end > size) {
             return Err(VolumeError::OutOfRange {
                 block: start_block.saturating_add(n - 1),
@@ -484,14 +504,17 @@ impl Cluster {
         }
         // Fingerprint the write — the one hashing pass it gets: the nodes
         // take these digests as their own — and route every chunk by it.
+        let (mut digests, mut routed) = (
+            std::mem::take(&mut self.digests),
+            std::mem::take(&mut self.routed),
+        );
         let span = self.hashing_wall.span();
-        let write = HashedChunks::hash(data, chunk_bytes);
+        let write = HashedChunks::hash(data, chunk_bytes, &mut digests);
         span.finish();
-        let mut routed = std::mem::take(&mut self.routed);
         routed.clear();
         routed.extend(write.digests().iter().map(|digest| self.home(digest)));
         let outcome = self.write_runs(name, start_block, &write, &routed);
-        self.routed = routed;
+        (self.digests, self.routed) = (digests, routed);
         outcome
     }
 
@@ -545,7 +568,8 @@ impl Cluster {
             self.ingest_dedup_hits.incr();
         }
         let volume = self.volumes.get_mut(name).expect("write validated it");
-        if let Some(prev) = volume.placed.insert(block, MapEntry { node, digest }) {
+        let slot = &mut volume.placed[block as usize];
+        if let Some(prev) = slot.replace(MapEntry { node, digest }) {
             self.refs.release(&prev.digest);
         }
     }
@@ -557,13 +581,13 @@ impl Cluster {
             .volumes
             .get(name)
             .ok_or_else(|| VolumeError::UnknownVolume(name.to_owned()))?;
-        if block >= volume.size {
+        if block >= volume.size() {
             return Err(VolumeError::OutOfRange {
                 block,
-                size: volume.size,
+                size: volume.size(),
             });
         }
-        match volume.placed.get(&block) {
+        match volume.get(block) {
             Some(entry) => Ok(entry.node),
             None => Err(VolumeError::Unwritten { block }),
         }
@@ -646,7 +670,7 @@ impl Cluster {
         let mut node = Node::new(id, &self.config.node);
         for (name, volume) in &self.volumes {
             node.vm
-                .create_volume(name, volume.size)
+                .create_volume(name, volume.size())
                 .expect("fresh node has no volumes");
         }
         self.nodes.insert(id, node);
@@ -819,7 +843,7 @@ impl Cluster {
         for (name, volume) in &self.volumes {
             if !present.iter().any(|p| p == name) {
                 node.vm
-                    .create_volume(name, volume.size)
+                    .create_volume(name, volume.size())
                     .expect("recovered node lacks this volume");
             }
         }
@@ -839,7 +863,7 @@ impl Cluster {
                 .expect("volume exists and block was in range");
             if !written {
                 let volume = self.volumes.get_mut(&name).expect("entry's volume");
-                volume.placed.remove(&block);
+                volume.placed[block as usize] = None;
                 lost.push((name, block));
                 continue;
             }

@@ -35,8 +35,7 @@
 
 use dr_des::{Grant, SimTime};
 use dr_gpu_sim::{
-    BufferId, GpuDevice, GpuError, KernelResources, LaunchConfig, LaunchReport, MemAccess,
-    WorkItemCost,
+    GpuDevice, GpuError, KernelResources, LaunchConfig, LaunchReport, MemAccess, WorkItemCost,
 };
 use dr_obs::{CounterHandle, HistogramHandle, ObsHandle};
 use dr_pool::WorkerPool;
@@ -164,34 +163,6 @@ impl GpuCompressObs {
     }
 }
 
-/// Stages a batch of `in_len` bytes onto the device from `now` and runs
-/// `body` with the H2D transfer's grant. The staging buffer and the
-/// transfer are charged, not backed by host bytes: the kernels run on the
-/// host, against the caller's slices.
-///
-/// The staging buffer — and the output buffer `body` may have allocated
-/// and handed back through its last argument — is freed on every exit,
-/// not just success: a buffer leaked on an error path would shrink the
-/// device a little more on each degrade/re-probe cycle.
-fn with_staging_buffer<T>(
-    gpu: &mut GpuDevice,
-    now: SimTime,
-    in_len: u64,
-    body: impl FnOnce(&mut GpuDevice, Grant, &mut Option<BufferId>) -> Result<T, GpuError>,
-) -> Result<T, GpuError> {
-    let in_buf = gpu.alloc(in_len.max(1))?;
-    let mut out_buf = None;
-    let outcome = gpu
-        .charge_h2d(now, in_buf, 0, in_len)
-        .and_then(|h2d| body(gpu, h2d, &mut out_buf));
-    // On a lost device the free can fail too, which is fine to ignore.
-    let _ = gpu.free(in_buf);
-    if let Some(out_buf) = out_buf {
-        let _ = gpu.free(out_buf);
-    }
-    outcome
-}
-
 /// One chunk's slot in the kernel fan-out: where its frame goes, where its
 /// threads report their costs, and what they tallied.
 struct ChunkSlot<'a> {
@@ -261,9 +232,13 @@ impl GpuCompressor {
         assert_eq!(chunks.len(), frames.len(), "one frame buffer per chunk");
         let total_in: usize = chunks.iter().map(|c| c.len()).sum();
 
-        // The batch is staged into one contiguous device buffer.
-        let report = with_staging_buffer(gpu, now, total_in as u64, |gpu, h2d, out_buf| {
-            self.run_staged(gpu, pool, h2d, out_buf, chunks, frames)
+        // The batch is staged into one contiguous device buffer, charged
+        // but not backed: the kernel runs on the host, against the
+        // caller's slices.
+        let in_len = total_in as u64;
+        let report = gpu.with_buffer(in_len.max(1), |gpu, in_buf| {
+            let h2d = gpu.charge_h2d(now, in_buf, 0, in_len)?;
+            self.run_staged(gpu, pool, h2d, chunks, frames)
         })?;
 
         self.obs.batches.incr();
@@ -276,14 +251,13 @@ impl GpuCompressor {
         Ok(report)
     }
 
-    /// The body of [`GpuCompressor::compress_batch`] inside
-    /// [`with_staging_buffer`], after its H2D: kernel, D2H.
+    /// The body of [`GpuCompressor::compress_batch`] after its H2D, while
+    /// the staging buffer is held: kernel, D2H.
     fn run_staged(
         &self,
         gpu: &mut GpuDevice,
         pool: &WorkerPool,
         h2d: Grant,
-        out_buf: &mut Option<BufferId>,
         chunks: &[&[u8]],
         frames: &mut [Vec<u8>],
     ) -> Result<GpuBatchReport, GpuError> {
@@ -328,9 +302,10 @@ impl GpuCompressor {
         )?;
 
         // Return raw streams to the host.
-        let out = gpu.alloc(raw_token_bytes.max(1))?;
-        *out_buf = Some(out);
-        let d2h = gpu.charge_d2h(kernel.grant.end, out, 0, raw_token_bytes.max(1))?;
+        let out_len = raw_token_bytes.max(1);
+        let d2h = gpu.with_buffer(out_len, |gpu, out| {
+            gpu.charge_d2h(kernel.grant.end, out, 0, out_len)
+        })?;
 
         Ok(GpuBatchReport {
             h2d,

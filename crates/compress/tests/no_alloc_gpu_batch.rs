@@ -54,11 +54,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocations one steady-state batch makes, whatever its chunk count.
-/// Three on an inline pool: the work-item cost list, the fan-out slot list
-/// and the kernel's name — the two device buffers are charged, not
-/// backed, and each thread's matcher scratch dates from its first chunk. A
-/// threaded pool adds its batch state and range table.
-const PER_BATCH_BOUND: u64 = 5;
+/// Two on an inline pool: the work-item cost list and the fan-out slot
+/// list — the kernel's name is a literal, the two device buffers are
+/// charged, not backed, and each thread's matcher scratch dates from its
+/// first chunk. A threaded pool adds its batch state and range table.
+const PER_BATCH_BOUND: u64 = 4;
 
 /// Bytes those allocations may add up to for the 128-chunk batch below:
 /// the cost list is 24 KiB (1 024 work items) and the slot list 4 KiB.

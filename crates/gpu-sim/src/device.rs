@@ -1,5 +1,7 @@
 //! The GPU device: memory, copy engine, compute queue and statistics.
 
+use std::borrow::Cow;
+
 use dr_des::{Grant, Resource, SimDuration, SimTime};
 use dr_obs::trace::{trace_args, Tracer, Track};
 use dr_obs::{CounterHandle, HistogramHandle, ObsHandle};
@@ -12,8 +14,9 @@ use crate::timing::{kernel_timing, pcie_transfer_time, KernelTiming, WorkItemCos
 /// Per-launch identification and tuning knobs.
 #[derive(Debug, Clone)]
 pub struct LaunchConfig {
-    /// Kernel name, for statistics and reports.
-    pub name: String,
+    /// Kernel name, for statistics and reports: a literal costs no
+    /// allocation per launch.
+    pub name: Cow<'static, str>,
     /// Resource footprint for occupancy derating; `None` assumes a light
     /// kernel running at full rate.
     pub resources: Option<crate::occupancy::KernelResources>,
@@ -21,7 +24,7 @@ pub struct LaunchConfig {
 
 impl LaunchConfig {
     /// A launch configuration with just a kernel name.
-    pub fn named(name: impl Into<String>) -> Self {
+    pub fn named(name: impl Into<Cow<'static, str>>) -> Self {
         LaunchConfig {
             name: name.into(),
             resources: None,
@@ -40,7 +43,7 @@ impl LaunchConfig {
 #[derive(Debug, Clone)]
 pub struct LaunchReport {
     /// Kernel name echoed from the [`LaunchConfig`].
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Queue grant: when the kernel started and finished on the device.
     pub grant: Grant,
     /// The detailed timing model output.
@@ -214,6 +217,29 @@ impl GpuDevice {
     /// [`GpuError::InvalidBuffer`] when `id` is not live.
     pub fn free(&mut self, id: BufferId) -> Result<(), GpuError> {
         self.mem.free(id)
+    }
+
+    /// Runs `body` with a transient buffer of `len` bytes — a batch's
+    /// staging or result buffer — and frees it on every exit, not just
+    /// success: a buffer leaked on an error path would shrink the device
+    /// a little more on each degrade/re-probe cycle. The buffer is
+    /// charged against device memory from the allocation on, so `body`
+    /// sees the device as full as it is; it is backed by host bytes only
+    /// if `body` reads or writes them.
+    ///
+    /// # Errors
+    ///
+    /// As [`GpuDevice::alloc`], then whatever `body` returns.
+    pub fn with_buffer<T>(
+        &mut self,
+        len: u64,
+        body: impl FnOnce(&mut GpuDevice, BufferId) -> Result<T, GpuError>,
+    ) -> Result<T, GpuError> {
+        let id = self.alloc(len)?;
+        let outcome = body(self, id);
+        // Freeing needs no working device: a lost one still releases it.
+        let _ = self.free(id);
+        outcome
     }
 
     /// Copies `data` into buffer `id` at `offset`, charging PCIe time from
@@ -430,7 +456,7 @@ impl GpuDevice {
         {
             self.record_fault();
             return Err(GpuError::LaunchFailed {
-                kernel: config.name,
+                kernel: config.name.into_owned(),
             });
         }
         let timing = self.kernel_timing(&config, items);
@@ -443,7 +469,7 @@ impl GpuDevice {
             self.stats.kernel_busy += timing.duration();
             self.record_fault();
             return Err(GpuError::ProbeTimeout {
-                kernel: config.name,
+                kernel: config.name.into_owned(),
             });
         }
         let grant = self.compute_queue.acquire(now, timing.duration());
@@ -455,8 +481,8 @@ impl GpuDevice {
             .record(timing.duration().as_nanos());
         self.obs.kernel_items.record(items.len() as u64);
         if self.obs.tracer.is_enabled() {
-            // The kernel name is a String; clone it for the event only
-            // when someone is actually tracing.
+            // An owned kernel name is cloned for the event only when
+            // someone is actually tracing.
             self.obs.tracer.sim_span(
                 Track::GpuCompute,
                 config.name.clone(),

@@ -9,7 +9,6 @@
 //! staging buffers: their kernels run on the host, against host memory)
 //! costs the host nothing.
 
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use crate::error::GpuError;
@@ -37,7 +36,11 @@ pub(crate) struct DeviceMemory {
     capacity: u64,
     used: u64,
     next_id: u64,
-    buffers: HashMap<BufferId, Buffer>,
+    /// The live buffers, in id order: ids only grow, so an allocation
+    /// appends, and a device holds a handful of buffers at a time (a
+    /// resident table, a batch's staging and result buffers), so a
+    /// binary search beats hashing the id.
+    buffers: Vec<(BufferId, Buffer)>,
 }
 
 impl DeviceMemory {
@@ -46,8 +49,14 @@ impl DeviceMemory {
             capacity,
             used: 0,
             next_id: 0,
-            buffers: HashMap::new(),
+            buffers: Vec::new(),
         }
+    }
+
+    fn find(&self, id: BufferId) -> Result<usize, GpuError> {
+        self.buffers
+            .binary_search_by_key(&id, |(live, _)| *live)
+            .map_err(|_| GpuError::InvalidBuffer(id))
     }
 
     #[cfg(test)]
@@ -69,47 +78,33 @@ impl DeviceMemory {
         }
         let id = BufferId(self.next_id);
         self.next_id += 1;
-        self.buffers.insert(
-            id,
-            Buffer {
-                len,
-                bytes: OnceLock::new(),
-            },
-        );
+        let buffer = Buffer {
+            len,
+            bytes: OnceLock::new(),
+        };
+        self.buffers.push((id, buffer));
         self.used += len;
         Ok(id)
     }
 
     pub(crate) fn free(&mut self, id: BufferId) -> Result<(), GpuError> {
-        match self.buffers.remove(&id) {
-            Some(buf) => {
-                self.used -= buf.len;
-                Ok(())
-            }
-            None => Err(GpuError::InvalidBuffer(id)),
-        }
+        let (_, buf) = self.buffers.remove(self.find(id)?);
+        self.used -= buf.len;
+        Ok(())
     }
 
     /// Size of a live buffer, without backing it.
     pub(crate) fn len(&self, id: BufferId) -> Result<u64, GpuError> {
-        self.buffers
-            .get(&id)
-            .map(|buf| buf.len)
-            .ok_or(GpuError::InvalidBuffer(id))
+        Ok(self.buffers[self.find(id)?].1.len)
     }
 
     pub(crate) fn get(&self, id: BufferId) -> Result<&[u8], GpuError> {
-        self.buffers
-            .get(&id)
-            .map(Buffer::bytes)
-            .ok_or(GpuError::InvalidBuffer(id))
+        Ok(self.buffers[self.find(id)?].1.bytes())
     }
 
     pub(crate) fn get_mut(&mut self, id: BufferId) -> Result<&mut [u8], GpuError> {
-        let buf = self
-            .buffers
-            .get_mut(&id)
-            .ok_or(GpuError::InvalidBuffer(id))?;
+        let at = self.find(id)?;
+        let buf = &mut self.buffers[at].1;
         buf.bytes();
         Ok(buf.bytes.get_mut().expect("backed just above"))
     }
@@ -117,9 +112,8 @@ impl DeviceMemory {
     /// True once a live buffer's bytes exist on the host.
     #[cfg(test)]
     pub(crate) fn is_backed(&self, id: BufferId) -> bool {
-        self.buffers
-            .get(&id)
-            .is_some_and(|buf| buf.bytes.get().is_some())
+        self.find(id)
+            .is_ok_and(|at| self.buffers[at].1.bytes.get().is_some())
     }
 }
 

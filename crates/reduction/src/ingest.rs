@@ -7,8 +7,8 @@
 //! through its [`Guarded`](crate::degrade::Guarded) component and falls
 //! back to the CPU arm with the burnt time as its floor.
 
-use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::ops::Range;
 
 use dr_binindex::{BinHit, ChunkRef, FlushEvent, GpuProbe, ProbeKind};
@@ -40,31 +40,49 @@ use crate::recovery::destage_frontier;
 const CPU_COMPRESS_FANOUT_GRAIN: usize = 2;
 
 /// How deduplication resolved one chunk.
-#[derive(PartialEq)]
+#[derive(Debug, PartialEq)]
 enum DedupOutcome {
     /// No duplicate found anywhere: the chunk is unique.
     Unique,
     /// Duplicate of an already-stored chunk.
     Duplicate,
-    /// Duplicate of an earlier chunk in the *same* batch, which has not
-    /// been destaged yet (index lookups by digest resolve it once the
-    /// first instance lands).
-    IntraBatchDuplicate,
+    /// Duplicate of the earlier chunk `first` of the *same* batch, which
+    /// has not been destaged yet; the chunk is stored where `first` is.
+    IntraBatchDuplicate { first: usize },
 }
 
-/// One chunk moving through the pipeline. Payload bytes are *not* carried
-/// here: they stay in the caller's write buffer and are reached through
-/// the batch's [`BatchPayload`] by index, so a chunk never owns a copy of
-/// its data.
+/// One chunk moving through the pipeline. Neither its bytes nor its
+/// digest are carried here: they stay in the caller's write buffer and
+/// the batch's digest list, and are reached through the [`Batch`] by
+/// index, so a chunk never owns a copy of its data.
+#[derive(Debug)]
 struct InFlight {
-    digest: ChunkDigest,
     /// When the chunk's last completed stage finished.
     ready_at: SimTime,
     /// Dedup resolution.
     outcome: DedupOutcome,
+    /// What the CPU index still has to search for the chunk once the GPU
+    /// pass has run: `None` where the GPU found the duplicate.
+    cpu_probe: Option<ProbeKind>,
     /// Where the chunk's bytes are stored: known at once for a duplicate,
     /// after destage for a unique chunk.
     stored: Option<ChunkRef>,
+}
+
+/// The write path's per-batch lists, kept by the pipeline and reused by
+/// every batch, so a batch's stages allocate nothing once they have seen
+/// a batch as large.
+#[derive(Debug, Default)]
+pub(crate) struct BatchScratch {
+    /// The chunks of the batch in flight.
+    chunks: Vec<InFlight>,
+    /// The GPU index's answer per chunk.
+    gpu_probes: Vec<GpuProbe>,
+    /// The CPU index probes, and their answers.
+    cpu_queries: Vec<(ChunkDigest, ProbeKind)>,
+    cpu_hits: Vec<Option<(ChunkRef, BinHit)>>,
+    /// Digest of each unique chunk so far in the batch → its index.
+    firsts: HashMap<ChunkDigest, usize>,
 }
 
 /// Chunk payloads for one batch: a view of the caller's own write buffer,
@@ -106,7 +124,8 @@ impl<'a> BatchPayload<'a> {
 /// use dr_reduction::HashedChunks;
 ///
 /// let data = vec![7u8; 8192];
-/// let write = HashedChunks::hash(&data, 4096);
+/// let mut digests = Vec::new();
+/// let write = HashedChunks::hash(&data, 4096, &mut digests);
 /// assert_eq!(write.digests(), [sha1_digest(&data[..4096]); 2]);
 /// assert_eq!(write.slice(1..2).data(), &data[4096..]);
 /// ```
@@ -125,27 +144,31 @@ impl<'a> BatchPayload<'a> {
 /// let forged = HashedChunks {
 ///     data: &data,
 ///     chunk_bytes: 4096,
-///     digests: vec![sha1_digest(b"other bytes")].into(),
+///     digests: &[sha1_digest(b"other bytes")],
 /// };
 /// ```
 #[derive(Debug, Clone)]
 pub struct HashedChunks<'a> {
     data: &'a [u8],
     chunk_bytes: usize,
-    digests: Cow<'a, [ChunkDigest]>,
+    digests: &'a [ChunkDigest],
 }
 
 impl<'a> HashedChunks<'a> {
-    /// Fingerprints `data` chunk by chunk (the last chunk may be short).
+    /// Fingerprints `data` chunk by chunk (the last chunk may be short)
+    /// into `digests`, cleared and refilled — a front-end that keeps the
+    /// list fingerprints every write without allocating — and views the
+    /// bytes with them.
     ///
     /// # Panics
     ///
     /// Panics when `chunk_bytes` is zero.
-    pub fn hash(data: &'a [u8], chunk_bytes: usize) -> Self {
+    pub fn hash(data: &'a [u8], chunk_bytes: usize, digests: &'a mut Vec<ChunkDigest>) -> Self {
         assert!(chunk_bytes > 0, "chunk size must be positive");
+        digests.clear();
+        digests.resize(data.len().div_ceil(chunk_bytes), ChunkDigest::zero());
         // One multi-buffer group of chunk views at a time, on the stack:
         // a one-chunk write should not allocate a list of them.
-        let mut digests = vec![ChunkDigest::zero(); data.len().div_ceil(chunk_bytes)];
         let mut chunks = data.chunks(chunk_bytes);
         for out in digests.chunks_mut(SHA1_MB_LANES) {
             let mut views: [&[u8]; SHA1_MB_LANES] = [&[]; SHA1_MB_LANES];
@@ -157,7 +180,7 @@ impl<'a> HashedChunks<'a> {
         HashedChunks {
             data,
             chunk_bytes,
-            digests: digests.into(),
+            digests,
         }
     }
 
@@ -166,13 +189,13 @@ impl<'a> HashedChunks<'a> {
     /// # Panics
     ///
     /// Panics when the range reaches past the last chunk.
-    pub fn slice(&self, chunks: Range<usize>) -> HashedChunks<'_> {
+    pub fn slice(&self, chunks: Range<usize>) -> HashedChunks<'a> {
         let bytes =
             chunks.start * self.chunk_bytes..(chunks.end * self.chunk_bytes).min(self.data.len());
         HashedChunks {
             data: &self.data[bytes],
             chunk_bytes: self.chunk_bytes,
-            digests: Cow::Borrowed(&self.digests[chunks]),
+            digests: &self.digests[chunks],
         }
     }
 
@@ -187,8 +210,8 @@ impl<'a> HashedChunks<'a> {
     }
 
     /// One digest per chunk, in order.
-    pub fn digests(&self) -> &[ChunkDigest] {
-        &self.digests
+    pub fn digests(&self) -> &'a [ChunkDigest] {
+        self.digests
     }
 
     /// True when every digest is its chunk's, each taken on its own —
@@ -270,6 +293,9 @@ struct Batch<'a> {
     /// Monotonic batch id, stamped onto trace events.
     id: u64,
     payload: BatchPayload<'a>,
+    /// One fingerprint per chunk, in order.
+    digests: &'a [ChunkDigest],
+    /// The pipeline's reused [`BatchScratch::chunks`], one per chunk.
     chunks: Vec<InFlight>,
 }
 
@@ -287,6 +313,7 @@ impl Pipeline {
         let frames = self.compress(&batch);
         self.destage(&mut batch, frames);
         self.map_and_commit(&batch);
+        self.scratch.chunks = batch.chunks;
     }
 
     /// Stages 1+2: chunking and hashing (CPU, per chunk, no dependencies).
@@ -295,7 +322,7 @@ impl Pipeline {
     fn chunk_and_hash<'a>(
         &mut self,
         payload: BatchPayload<'a>,
-        digests: &[ChunkDigest],
+        digests: &'a [ChunkDigest],
     ) -> Batch<'a> {
         let cpu_model = self.config.cpu;
         let arrival = SimTime::ZERO; // closed loop: input is never the bottleneck
@@ -304,39 +331,37 @@ impl Pipeline {
         self.batch_seq += 1;
         self.obs.batches.incr();
         let (mut chunk_win, mut hash_win) = (Window::default(), Window::default());
-        let chunks: Vec<InFlight> = digests
-            .iter()
-            .copied()
-            .enumerate()
-            .map(|(i, digest)| {
-                let len = payload.view(i).len();
-                let chunk_cost = cpu_model.chunk_cost(len) + cpu_model.overhead_cost();
-                self.obs.chunking.record_sim_ns(chunk_cost.as_nanos());
-                let mut cost = chunk_cost;
-                if dedup_enabled {
-                    let hash_cost = cpu_model.hash_cost(len);
-                    self.obs.hashing.stage.record_sim_ns(hash_cost.as_nanos());
-                    cost += hash_cost;
-                }
-                let g = self.cpu.acquire(arrival, cost);
-                // One CPU grant covers chunk-then-hash; split it at the
-                // chunk/hash cost boundary for the per-stage tracks.
-                let split = g.start + chunk_cost;
-                chunk_win.cover(g.start, split);
-                if dedup_enabled {
-                    hash_win.cover(split, g.end);
-                }
-                InFlight {
-                    digest,
-                    ready_at: g.end,
-                    outcome: DedupOutcome::Unique,
-                    stored: None,
-                }
-            })
-            .collect();
+        let mut chunks = std::mem::take(&mut self.scratch.chunks);
+        chunks.clear();
+        chunks.extend((0..digests.len()).map(|i| {
+            let len = payload.view(i).len();
+            let chunk_cost = cpu_model.chunk_cost(len) + cpu_model.overhead_cost();
+            self.obs.chunking.record_sim_ns(chunk_cost.as_nanos());
+            let mut cost = chunk_cost;
+            if dedup_enabled {
+                let hash_cost = cpu_model.hash_cost(len);
+                self.obs.hashing.stage.record_sim_ns(hash_cost.as_nanos());
+                cost += hash_cost;
+            }
+            let g = self.cpu.acquire(arrival, cost);
+            // One CPU grant covers chunk-then-hash; split it at the
+            // chunk/hash cost boundary for the per-stage tracks.
+            let split = g.start + chunk_cost;
+            chunk_win.cover(g.start, split);
+            if dedup_enabled {
+                hash_win.cover(split, g.end);
+            }
+            InFlight {
+                ready_at: g.end,
+                outcome: DedupOutcome::Unique,
+                cpu_probe: Some(ProbeKind::Full),
+                stored: None,
+            }
+        }));
         let batch = Batch {
             id,
             payload,
+            digests,
             chunks,
         };
         let args = trace_args(&[("batch", id), ("chunks", batch.chunks.len() as u64)]);
@@ -354,8 +379,8 @@ impl Pipeline {
         let mut win = Window::default();
         win.cover_all(batch.chunks.iter().map(|c| c.ready_at));
         let probe_span = self.obs.index_probe.span();
-        let plan = self.gpu_probe(batch);
-        self.cpu_probe(batch, &plan);
+        self.gpu_probe(batch);
+        self.cpu_probe(batch);
         probe_span.finish();
         self.resolve_intra_batch(batch);
         win.cover_all(batch.chunks.iter().map(|c| c.ready_at));
@@ -364,11 +389,10 @@ impl Pipeline {
     }
 
     /// GPU indexing first, when assigned and not latched degraded (batch
-    /// barrier at hash end). Returns what is left for the CPU per chunk:
-    /// `None` where the GPU found the duplicate.
-    fn gpu_probe(&mut self, batch: &mut Batch) -> Vec<Option<ProbeKind>> {
+    /// barrier at hash end). Narrows each chunk's [`InFlight::cpu_probe`]
+    /// to what is left for the CPU.
+    fn gpu_probe(&mut self, batch: &mut Batch) {
         let chunks = &mut batch.chunks;
-        let mut plan = vec![Some(ProbeKind::Full); chunks.len()];
         let batch_ready = chunks
             .iter()
             .map(|c| c.ready_at)
@@ -389,27 +413,26 @@ impl Pipeline {
             trace_args(&[("batch", batch.id), ("chunks", chunks.len() as u64)]),
         );
         if !use_gpu {
-            return plan;
+            return;
         }
         let gpu_index = self.gpu_index.as_mut().expect("use_gpu implies an index");
-        let gpu = &mut self.gpu;
-        let digests: Vec<_> = chunks.iter().map(|c| c.digest).collect();
+        let (gpu, probes) = (&mut self.gpu, &mut self.scratch.gpu_probes);
         let looked_up = self.fault.gpu_dedup.attempt(
             batch_ready,
-            |at| gpu_index.lookup_batch(at, gpu, &digests),
-            |(_, report)| report.done,
+            |at| gpu_index.lookup_batch(at, gpu, batch.digests, probes),
+            |report| report.done,
         );
         match looked_up {
-            Ok((probes, report)) => {
+            Ok(report) => {
                 self.report.gpu_index_queries += report.queries as u64;
                 self.report.gpu_index_hits += report.hits as u64;
-                for ((chunk, probe), p) in chunks.iter_mut().zip(probes).zip(plan.iter_mut()) {
-                    match probe {
+                for (chunk, probe) in chunks.iter_mut().zip(probes.iter()) {
+                    match *probe {
                         GpuProbe::Hit(r) => {
                             chunk.outcome = DedupOutcome::Duplicate;
                             chunk.stored = Some(r);
                             chunk.ready_at = report.done;
-                            *p = None;
+                            chunk.cpu_probe = None;
                             routing.gpu_hits.incr();
                         }
                         GpuProbe::AuthoritativeMiss => {
@@ -417,7 +440,7 @@ impl Pipeline {
                             // can still live in the CPU bin buffer — Fig. 1's
                             // "bin buffer is checked first" still applies.
                             chunk.ready_at = report.done;
-                            *p = Some(ProbeKind::BufferOnly);
+                            chunk.cpu_probe = Some(ProbeKind::BufferOnly);
                             routing.gpu_authoritative_misses.incr();
                         }
                         GpuProbe::NeedsCpu => {
@@ -438,7 +461,6 @@ impl Pipeline {
                 }
             }
         }
-        plan
     }
 
     /// CPU path: bin buffer first, then (when unsettled) the bin tree.
@@ -446,17 +468,22 @@ impl Pipeline {
     /// flat bin pages (disjoint bin shards, no locking); the simulated
     /// cost accounting below stays serial and in input order, so pool
     /// scheduling never affects simulated results.
-    fn cpu_probe(&mut self, batch: &mut Batch, plan: &[Option<ProbeKind>]) {
+    fn cpu_probe(&mut self, batch: &mut Batch) {
         let cpu_model = self.config.cpu;
-        let queries: Vec<(ChunkDigest, ProbeKind)> = batch
-            .chunks
-            .iter()
-            .zip(plan)
-            .filter_map(|(chunk, kind)| kind.map(|kind| (chunk.digest, kind)))
-            .collect();
-        let mut probed = self.index.probe_batch_on(&self.pool, &queries).into_iter();
-        for (i, (chunk, kind)) in batch.chunks.iter_mut().zip(plan).enumerate() {
-            if let Some(kind) = kind {
+        let BatchScratch {
+            cpu_queries: queries,
+            cpu_hits: hits,
+            ..
+        } = &mut self.scratch;
+        queries.clear();
+        queries.extend(
+            (batch.chunks.iter().zip(batch.digests))
+                .filter_map(|(chunk, digest)| chunk.cpu_probe.map(|kind| (*digest, kind))),
+        );
+        self.index.probe_batch_into(&self.pool, queries, hits);
+        let mut probed = hits.iter().copied();
+        for (i, chunk) in batch.chunks.iter_mut().enumerate() {
+            if let Some(kind) = chunk.cpu_probe {
                 let hit = probed.next().expect("one probe per planned chunk");
                 // Tree probes always pay the buffer scan first; a
                 // buffer-only probe never reaches the tree.
@@ -488,26 +515,32 @@ impl Pipeline {
     /// Intra-batch duplicates: an earlier chunk of this batch may cover a
     /// later one. In the paper's per-chunk pipeline the index is updated
     /// before the next probe; batching must not lose those hits, so
-    /// resolve them against a pending set.
+    /// resolve them against the batch's unique chunks so far.
     fn resolve_intra_batch(&mut self, batch: &mut Batch) {
         let probe_cost = self.config.cpu.buffer_probe_cost();
-        let mut pending: HashSet<ChunkDigest> = HashSet::new();
+        let firsts = &mut self.scratch.firsts;
+        firsts.clear();
         for (i, chunk) in batch.chunks.iter_mut().enumerate() {
             if chunk.outcome != DedupOutcome::Unique {
                 continue;
             }
-            if pending.contains(&chunk.digest) {
-                // Found in the bin buffer, where the first instance's
-                // insert will have just landed.
-                self.obs.index_probe.record_sim_ns(probe_cost.as_nanos());
-                let g = self.cpu.acquire(chunk.ready_at, probe_cost);
-                chunk.ready_at = g.end;
-                chunk.outcome = DedupOutcome::IntraBatchDuplicate;
-                self.report.dedup_hits += 1;
-                self.report.buffer_hits += 1;
-                self.report.bytes_deduped += batch.payload.view(i).len() as u64;
-            } else {
-                pending.insert(chunk.digest);
+            match firsts.entry(batch.digests[i]) {
+                Entry::Occupied(first) => {
+                    // Found in the bin buffer, where the first instance's
+                    // insert will have just landed.
+                    self.obs.index_probe.record_sim_ns(probe_cost.as_nanos());
+                    let g = self.cpu.acquire(chunk.ready_at, probe_cost);
+                    chunk.ready_at = g.end;
+                    chunk.outcome = DedupOutcome::IntraBatchDuplicate {
+                        first: *first.get(),
+                    };
+                    self.report.dedup_hits += 1;
+                    self.report.buffer_hits += 1;
+                    self.report.bytes_deduped += batch.payload.view(i).len() as u64;
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(i);
+                }
             }
         }
     }
@@ -673,7 +706,7 @@ impl Pipeline {
             let chunk = &mut batch.chunks[i];
             chunk.stored = Some(chunk_ref);
             chunk.ready_at = if self.config.dedup_enabled {
-                self.index_insert(chunk.digest, chunk_ref, sealed)
+                self.index_insert(batch.digests[i], chunk_ref, sealed)
             } else {
                 sealed
             };
@@ -796,16 +829,14 @@ impl Pipeline {
     fn map_and_commit(&mut self, batch: &Batch) {
         // Intra-batch duplicates point at the stored copy of their first
         // instance (destaged above).
-        let firsts: HashMap<ChunkDigest, ChunkRef> = batch
-            .chunks
-            .iter()
-            .filter(|c| c.outcome == DedupOutcome::Unique)
-            .filter_map(|c| Some((c.digest, c.stored?)))
-            .collect();
         let base = self.recipe.len();
         self.recipe.extend(batch.chunks.iter().map(|c| {
-            c.stored
-                .or_else(|| firsts.get(&c.digest).copied())
+            let owner = match c.outcome {
+                DedupOutcome::IntraBatchDuplicate { first } => &batch.chunks[first],
+                _ => c,
+            };
+            owner
+                .stored
                 .expect("every chunk resolves to a stored location")
         }));
 
@@ -829,7 +860,7 @@ impl Pipeline {
                 .zip(&self.recipe[base..])
                 .enumerate()
                 .map(|(i, (c, r))| ChunkCommit {
-                    digest: c.digest,
+                    digest: batch.digests[i],
                     dup: c.outcome != DedupOutcome::Unique,
                     addr: r.addr(),
                     stored_len: r.stored_len(),
@@ -856,7 +887,8 @@ mod tests {
         let data: Vec<u8> = (0..(2 * 16 + 6) * 4096 + 1000)
             .map(|i: usize| (i / 4096 * 37 + i % 251) as u8)
             .collect();
-        let write = HashedChunks::hash(&data, 4096);
+        let mut digests = Vec::new();
+        let write = HashedChunks::hash(&data, 4096, &mut digests);
         let one_by_one: Vec<ChunkDigest> = data.chunks(4096).map(sha1_digest).collect();
         assert_eq!(write.digests(), one_by_one);
         assert_eq!(write.digests().len(), 39);
@@ -864,6 +896,8 @@ mod tests {
         let tail = write.slice(30..39);
         assert_eq!(tail.digests(), &one_by_one[30..]);
         assert!(tail.verify());
-        assert!(HashedChunks::hash(&[], 4096).digests().is_empty());
+        assert!(HashedChunks::hash(&[], 4096, &mut digests)
+            .digests()
+            .is_empty());
     }
 }

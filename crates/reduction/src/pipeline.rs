@@ -18,7 +18,7 @@ use crate::cpu_model::CpuModel;
 use crate::degrade::{DegradePolicy, Guarded, GPU_COMPRESS, GPU_DEDUP};
 use crate::destage::Destager;
 use crate::error::ReadError;
-use crate::ingest::{BatchPayload, FrameArena, HashedChunks};
+use crate::ingest::{BatchPayload, BatchScratch, FrameArena, HashedChunks};
 use crate::journal::Journal;
 use crate::read::{ReadCache, ReadConfig};
 use crate::report::Report;
@@ -369,6 +369,8 @@ pub struct Pipeline {
     pub(crate) pool: WorkerPool,
     /// Recycled compression output buffers.
     pub(crate) arena: FrameArena,
+    /// The write path's reused per-batch lists.
+    pub(crate) scratch: BatchScratch,
     /// The GPU's guarded components (sticky degraded mode with timed
     /// re-probes).
     pub(crate) fault: FaultState,
@@ -439,6 +441,7 @@ impl Pipeline {
             journal,
             pool,
             arena: FrameArena::new(config.batch_chunks),
+            scratch: BatchScratch::default(),
             fault: FaultState::new(config.degrade, &config.obs),
             obs: PipelineObs::new(&config.obs),
             batch_seq: 0,

@@ -204,31 +204,24 @@ impl VolumeManager {
             });
         }
         let n = (data.len() / chunk_bytes) as u64;
-        {
-            let volume = self
-                .volumes
-                .get(name)
-                .ok_or_else(|| VolumeError::UnknownVolume(name.to_owned()))?;
-            let size = volume.blocks.len() as u64;
-            if start_block.checked_add(n).is_none_or(|end| end > size) {
-                return Err(VolumeError::OutOfRange {
-                    block: start_block.saturating_add(n - 1),
-                    size,
-                });
-            }
+        let volume = self
+            .volumes
+            .get_mut(name)
+            .ok_or_else(|| VolumeError::UnknownVolume(name.to_owned()))?;
+        let size = volume.blocks.len() as u64;
+        if start_block.checked_add(n).is_none_or(|end| end > size) {
+            return Err(VolumeError::OutOfRange {
+                block: start_block.saturating_add(n - 1),
+                size,
+            });
         }
         let first_recipe = self.pipeline.ingested_chunks();
         // Every stage reads `data` in place, never a copy; it is
         // chunk-aligned, so `ingest` cuts it at the block bounds.
         self.pipeline.ingest(data, hashed);
-        // Re-fetched mutably after the pipeline borrow ends; the map was
-        // not touched in between, but report the impossible case as a
-        // typed error rather than aborting a checker run.
-        let Some(volume) = self.volumes.get_mut(name) else {
-            return Err(VolumeError::UnknownVolume(name.to_owned()));
-        };
-        for i in 0..n as usize {
-            volume.blocks[start_block as usize + i] = Some(first_recipe + i);
+        let mapped = &mut volume.blocks[start_block as usize..][..n as usize];
+        for (i, slot) in mapped.iter_mut().enumerate() {
+            *slot = Some(first_recipe + i);
         }
         // Stage the map update behind the write's batch commits, then
         // commit: one sync programs the journal's open page for all of
@@ -347,9 +340,9 @@ impl VolumeManager {
 
     /// Reads a batch of blocks in one read-pipeline pass: requests are
     /// grouped by stored frame, served from the decompressed-chunk cache
-    /// when resident, and cold frames route to the CPU or GPU
-    /// decompression path. Bytes are identical to looping over
-    /// [`VolumeManager::read`].
+    /// when resident, and cold frames are fetched and decoded on the
+    /// simulated CPU workers, whatever the integration mode. Bytes are
+    /// identical to looping over [`VolumeManager::read`].
     ///
     /// Every index is validated *before* any device work is issued, so a
     /// bad request fails typed without advancing the simulated clock.
@@ -602,9 +595,10 @@ mod tests {
                 );
                 plain.create_volume("v", 32).unwrap();
                 hashed.create_volume("v", 32).unwrap();
+                let mut digests = Vec::new();
                 for (start, data) in &writes {
                     plain.write("v", *start, data).unwrap();
-                    let view = HashedChunks::hash(data, 4096);
+                    let view = HashedChunks::hash(data, 4096, &mut digests);
                     hashed.write_hashed("v", *start, &view).unwrap();
                     assert_eq!(plain.report(), hashed.report(), "{what}");
                     assert_eq!(plain.last_ack(), hashed.last_ack(), "{what}");
@@ -638,14 +632,14 @@ mod tests {
         // same way.
         let mut m = manager();
         m.create_volume("v", 2).unwrap();
-        let short = [1u8, 2, 3];
+        let (short, mut digests) = ([1u8, 2, 3], Vec::new());
         assert!(matches!(
-            m.write_hashed("v", 0, &HashedChunks::hash(&short, 4096)),
+            m.write_hashed("v", 0, &HashedChunks::hash(&short, 4096, &mut digests)),
             Err(VolumeError::Misaligned { .. })
         ));
         let long = block_run(&[1, 2]);
         assert!(matches!(
-            m.write_hashed("v", 1, &HashedChunks::hash(&long, 4096)),
+            m.write_hashed("v", 1, &HashedChunks::hash(&long, 4096, &mut digests)),
             Err(VolumeError::OutOfRange { .. })
         ));
     }

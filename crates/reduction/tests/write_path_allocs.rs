@@ -5,10 +5,13 @@
 //! compression all read the caller's slice. A single-chunk write into a
 //! journaled array encodes its two journal records (its batch commit and
 //! its map update) straight into the journal's tail and programs the tail
-//! page once — the sync that acknowledges it: one page-sized buffer, which
-//! the device keeps. Everything else it allocates is lists of one element.
-//! A 1 MiB duplicate write — two full batches, the second hashed while the
-//! first runs its stages — allocates per-batch lists and no more. This test
+//! page once — the sync that acknowledges it — into the buffer the device
+//! already holds for that page. Its stages run on the pipeline's reused
+//! per-batch lists, and in gpu-both mode the GPU-index probe adds no
+//! allocation either: a duplicate write allocates nothing but amortized
+//! growth. A 1 MiB duplicate write — two full batches, the second hashed
+//! while the first runs its stages — allocates its fingerprint lists and
+//! no more. This test
 //! pins both with a counting global allocator, so a copy of the stream, an
 //! encoded-record buffer, a cloned tail page or a copy of the page a write
 //! displaced fails here rather than in a benchmark run. The integrity
@@ -157,6 +160,31 @@ fn two_batch_duplicate_write_bytes() -> u64 {
     bytes
 }
 
+/// Allocations of the ninth pre-hashed single-block duplicate write into
+/// a fresh journaled array in `mode`, and how many GPU-index queries it
+/// made.
+fn duplicate_write_allocs(mode: IntegrationMode) -> (u64, u64) {
+    let mut array = VolumeManager::new(PipelineConfig {
+        mode,
+        journal_pages: 256,
+        ..PipelineConfig::default()
+    });
+    array.create_volume("v", 64).unwrap();
+    let mut block = vec![0xA5u8; 4096];
+    block[..4].copy_from_slice(b"dupe");
+    for b in 0..8 {
+        array.write("v", b, &block).unwrap();
+    }
+    let mut digests = Vec::new();
+    let write = HashedChunks::hash(&block, 4096, &mut digests);
+    let (queries, dedup_hits) = (array.report().gpu_index_queries, array.report().dedup_hits);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    array.write_hashed("v", 8, &write).unwrap();
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(array.report().dedup_hits, dedup_hits + 1);
+    (allocs, array.report().gpu_index_queries - queries)
+}
+
 #[test]
 fn a_journaled_write_allocates_no_copy_of_its_data() {
     let mut array = VolumeManager::new(PipelineConfig {
@@ -181,12 +209,30 @@ fn a_journaled_write_allocates_no_copy_of_its_data() {
 
     // Fingerprinted upstream: the same budget (the digest list is the
     // caller's).
-    let write = HashedChunks::hash(&block, 4096);
+    let mut digests = Vec::new();
+    let write = HashedChunks::hash(&block, 4096, &mut digests);
     let (pages, bytes) = allocated_during(|| array.write_hashed("v", 10, &write).unwrap());
     assert_eq!(array.report().dedup_hits, dedup_hits + 2);
     assert!(pages <= 1, "pre-hashed write: {pages} page-sized buffers");
     assert!(bytes <= 5 * 1024, "pre-hashed write: {bytes} bytes");
     assert_eq!(array.read("v", 10).unwrap(), block);
+
+    // The GPU-index probe of a one-chunk batch allocates nothing: its
+    // query upload is charged, not staged in host bytes, and its lists
+    // are the pipeline's and the index's own. A duplicate write costs
+    // as much in gpu-both mode as in cpu-only mode, which has no GPU
+    // pass: at most the amortized growth of the recipe and of the
+    // device's crash-capture log.
+    let (cpu_allocs, cpu_queries) = duplicate_write_allocs(IntegrationMode::CpuOnly);
+    let (gpu_allocs, gpu_queries) = duplicate_write_allocs(IntegrationMode::GpuForBoth);
+    assert_eq!((cpu_queries, gpu_queries), (0, 1));
+    assert_eq!(
+        gpu_allocs,
+        cpu_allocs,
+        "the GPU-index probe allocated {} times",
+        gpu_allocs as i64 - cpu_allocs as i64
+    );
+    assert!(cpu_allocs <= 2, "duplicate write: {cpu_allocs} allocations");
 
     // A copy of the stream alone would be 1 MiB.
     let big = two_batch_duplicate_write_bytes();

@@ -29,22 +29,25 @@
 //!
 //! # What a capture keeps
 //!
-//! The previous contents are never copied. The write that replaces a
-//! page takes the old buffer out of the store, and the capture either
-//! keeps that buffer (`Prev::Page`) or — when the old page is a
-//! zero-padded prefix of the new one, which is every re-program of an
-//! append-only tail page (the journal's, the destage log's) — frees it
-//! and keeps the prefix length alone (`Prev::PrefixOfNew`). The cut
-//! rebuilds such a page from the page the write left behind. The
-//! backwards walk has that page at hand: it is what the store holds,
-//! unless a later write to the LPN stayed durable or tore — and then it
-//! is that capture's previous contents, which the walk has just rebuilt
-//! and sets aside for exactly this.
+//! The previous contents are never copied. When the old page is a
+//! zero-padded prefix of the new one — every re-program of an
+//! append-only tail page (the journal's, the destage log's) — the write
+//! grows the stored buffer in place and the capture keeps the prefix
+//! length alone (`Prev::PrefixOfNew`); telling that case apart costs a
+//! scan of the old page's zero tail and one comparison of what precedes
+//! it. Otherwise the write takes the old buffer out of the store and the
+//! capture keeps it (`Prev::Page`). The cut rebuilds a `PrefixOfNew`
+//! page from the page the write left behind. The backwards walk has that
+//! page at hand: it is what the store holds, unless a later write to the
+//! LPN stayed durable or tore — and then it is that capture's previous
+//! contents, which the walk has just rebuilt and sets aside for exactly
+//! this.
 //!
 //! Timing is untouched — a cut changes *contents*, never grants — so a
 //! run that arms capture but never cuts is bit-identical to one that
 //! does neither.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 use dr_des::{Grant, SimTime, SplitMix64};
@@ -83,18 +86,6 @@ pub(crate) enum Prev {
 }
 
 impl Prev {
-    /// Classifies the page a write displaced: `old` came out of the
-    /// store, `new` went in.
-    pub(crate) fn displaced(old: Option<Vec<u8>>, new: &[u8]) -> Prev {
-        match old {
-            None => Prev::Erased,
-            Some(old) => match zero_padded_prefix_len(&old, new) {
-                Some(len) => Prev::PrefixOfNew(len),
-                None => Prev::Page(old),
-            },
-        }
-    }
-
     /// Heap bytes this capture holds on to.
     pub(crate) fn retained_bytes(&self) -> usize {
         match self {
@@ -104,29 +95,58 @@ impl Prev {
     }
 }
 
-/// The `len` for which `old` is `new[..len]` followed by zeros, if there
-/// is one. Runs once per captured overwrite, so it compares 64-byte
-/// blocks (a `memcmp` each) and zero-tests a word at a time.
-fn zero_padded_prefix_len(old: &[u8], new: &[u8]) -> Option<usize> {
-    const BLOCK: usize = 64;
-    debug_assert_eq!(old.len(), new.len(), "pages of one device");
-    let mut len = old
-        .chunks(BLOCK)
-        .zip(new.chunks(BLOCK))
-        .position(|(o, n)| o != n)
-        .map_or(old.len(), |block| block * BLOCK);
-    while len < old.len() && old[len] == new[len] {
-        len += 1;
+/// Programs `new` into `store` at `lpn` and, when capture is `armed`,
+/// returns what bringing the displaced page back takes. The displaced
+/// page's buffer takes the new contents in place unless the capture has
+/// to keep it; a first write is the only other allocation.
+pub(crate) fn program(
+    store: &mut HashMap<u64, Vec<u8>>,
+    lpn: u64,
+    new: &[u8],
+    armed: bool,
+) -> Option<Prev> {
+    let page = match store.entry(lpn) {
+        Entry::Vacant(slot) => {
+            slot.insert(new.to_vec());
+            return armed.then_some(Prev::Erased);
+        }
+        Entry::Occupied(slot) => slot.into_mut(),
+    };
+    if !armed {
+        page.copy_from_slice(new);
+        return None;
     }
-    let rest = &old[len..];
-    let (head, words) = rest.split_at(rest.len() % 8);
-    let zero = head.iter().all(|&b| b == 0)
-        && words
-            .chunks_exact(8)
-            .map(|w| u64::from_ne_bytes(w.try_into().expect("8-byte chunk")))
-            .fold(0, |acc, w| acc | w)
-            == 0;
-    zero.then_some(len)
+    let used = nonzero_len(page);
+    Some(if page[..used] == new[..used] {
+        // The old page is `new[..used]` then zeros: grow it in place.
+        page[used..].copy_from_slice(&new[used..]);
+        Prev::PrefixOfNew(used)
+    } else {
+        Prev::Page(std::mem::replace(page, new.to_vec()))
+    })
+}
+
+/// The length of `page` without its trailing zero bytes. Runs once per
+/// captured overwrite, so it reads the page from the end as 8-byte
+/// words, zero-testing a run of them (an OR, no branch) per step before
+/// it looks at single words and bytes.
+fn nonzero_len(page: &[u8]) -> usize {
+    const RUN: usize = 32;
+    let (head, words) = page.as_rchunks::<8>();
+    let word = |w: &[u8; 8]| u64::from_le_bytes(*w);
+    let mut end = words.len();
+    while end >= RUN && words[end - RUN..end].iter().fold(0, |acc, w| acc | word(w)) == 0 {
+        end -= RUN;
+    }
+    while end > 0 && word(&words[end - 1]) == 0 {
+        end -= 1;
+    }
+    match end {
+        0 => head.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1),
+        // Little-endian: the word's last non-zero byte is its most
+        // significant one.
+        _ => head.len() + end * 8 - (word(&words[end - 1]).leading_zeros() / 8) as usize,
+    }
 }
 
 /// One armed-capture record: enough to undo or tear the write later.
@@ -382,5 +402,22 @@ mod tests {
         let report = apply_power_cut(&mut store, log, 4, cut_at(0));
         assert_eq!(report.reverted, 1);
         assert!(store.is_empty());
+    }
+
+    #[test]
+    fn nonzero_len_is_the_last_nonzero_byte_plus_one() {
+        for len in (0usize..=130).chain([200, 4096]) {
+            for last in (0..len).step_by(7).chain([len.saturating_sub(1)]) {
+                let mut page = vec![0u8; len];
+                if len > 0 {
+                    page[last] = 0x80;
+                    // Zeros and non-zeros before it change nothing.
+                    page[..last].iter_mut().step_by(3).for_each(|b| *b = 1);
+                }
+                let want = page.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+                assert_eq!(nonzero_len(&page), want, "{len}-byte page, last at {last}");
+            }
+            assert_eq!(nonzero_len(&vec![0u8; len]), 0);
+        }
     }
 }

@@ -9,7 +9,7 @@ use dr_obs::trace::{trace_args, Tracer, Track};
 use dr_obs::{CounterHandle, GaugeHandle, HistogramHandle, ObsHandle};
 
 use crate::crash::{
-    apply_power_cut, Capture, CaptureLog, CrashReport, CrashSpec, Prev, WriteCapture,
+    self, apply_power_cut, Capture, CaptureLog, CrashReport, CrashSpec, WriteCapture,
 };
 use crate::error::SsdError;
 use crate::ftl::{Ftl, FtlStats, NandOp};
@@ -310,17 +310,14 @@ impl SsdDevice {
         let front = self.controller.acquire(now, t_ctrl);
         let end = Self::run_ops(&mut self.dies, self.ftl.spec(), front.end, &self.ops);
         if let Some(store) = &mut self.store {
-            // The one copy of the page; the page it displaces comes out
-            // of the store with it.
-            let old = store.insert(lpn, data.to_vec());
-            let grant = Grant {
-                start: front.start,
-                end,
-            };
-            self.capture(|| {
-                let prev = Prev::displaced(old, data);
-                Capture::Write(WriteCapture { lpn, grant, prev })
-            });
+            let armed = self.crash_log.is_some();
+            if let Some(prev) = crash::program(store, lpn, data, armed) {
+                let grant = Grant {
+                    start: front.start,
+                    end,
+                };
+                self.capture(|| Capture::Write(WriteCapture { lpn, grant, prev }));
+            }
         }
         self.stats.writes += 1;
         self.stats.bytes_written += data.len() as u64;
@@ -860,8 +857,8 @@ mod tests {
     #[test]
     fn power_cuts_match_the_clone_everything_capture() {
         use dr_des::testkit::Cases;
-        // 200-byte pages: not a multiple of the comparison's 64-byte block
-        // nor of its 8-byte word, so both remainders are exercised.
+        // 200-byte pages: not a multiple of the zero scan's 64-byte block,
+        // so its partial head block is exercised.
         for page_bytes in [200usize, 4096] {
             Cases::new("power-cut-differential", 0xD1FF).run(150, |rng| {
                 let mut ssd = SsdDevice::new(SsdSpec {
@@ -935,6 +932,85 @@ mod tests {
                     assert_eq!(ssd.crash_log.as_ref().unwrap().retained_bytes, 0);
                 }
             });
+        }
+
+        // The journal tail's pattern, cut before, inside and after every
+        // program: records (zero bytes, trailing ones too) grow one LPN's
+        // used prefix, each followed by a program of the open page padded
+        // with zeros, and a page that fills is programmed whole before
+        // the next LPN starts from empty. The programs chain, as the
+        // journal issues them, or all start at once, so re-programs of
+        // one LPN overlap on different dies.
+        for page_bytes in [200usize, 4096] {
+            let mut rng = dr_des::SplitMix64::new(page_bytes as u64);
+            let (mut log, mut full, mut programs) = (Vec::new(), 0usize, Vec::new());
+            while programs.len() < 24 {
+                let mut record = vec![0u8; 1 + rng.next_below(page_bytes as u64 / 3) as usize];
+                rng.fill_bytes(&mut record);
+                let len = record.len();
+                record[len / 2..].iter_mut().step_by(2).for_each(|b| *b = 0);
+                log.extend_from_slice(&record);
+                while log.len() >= (full + 1) * page_bytes {
+                    programs.push((full as u64, log[full * page_bytes..][..page_bytes].to_vec()));
+                    full += 1;
+                }
+                let mut open = log[full * page_bytes..].to_vec();
+                if !open.is_empty() {
+                    open.resize(page_bytes, 0);
+                    programs.push((full as u64, open));
+                }
+            }
+            for chained in [true, false] {
+                let run = |cut: Option<SimTime>| {
+                    let mut ssd = SsdDevice::new(SsdSpec {
+                        channels: 2,
+                        dies_per_channel: 2,
+                        blocks_per_die: 16,
+                        pages_per_block: 8,
+                        page_bytes: page_bytes as u32,
+                        ..SsdSpec::samsung_830_256g()
+                    });
+                    ssd.arm_crash_capture();
+                    let mut model = CloneEverything::default();
+                    let mut grants = Vec::new();
+                    let mut now = SimTime::ZERO;
+                    for (lpn, page) in &programs {
+                        let g = ssd.write_page(now, *lpn, page).unwrap();
+                        model.write(*lpn, g, page);
+                        grants.push(g);
+                        if chained {
+                            now = g.end;
+                        }
+                    }
+                    let per_record = std::mem::size_of::<Capture>();
+                    assert_eq!(
+                        ssd.crash_log.as_ref().unwrap().retained_bytes,
+                        programs.len() * per_record,
+                        "a tail re-program kept a page"
+                    );
+                    if let Some(at) = cut {
+                        let spec = CrashSpec {
+                            at,
+                            torn_seed: at.as_nanos(),
+                        };
+                        assert_eq!(ssd.power_cut(spec), model.power_cut(page_bytes, spec));
+                        assert_eq!(ssd.store.as_ref().unwrap(), &model.store, "cut at {at:?}");
+                    }
+                    grants
+                };
+                for g in run(None) {
+                    let (start, end) = (g.start.as_nanos(), g.end.as_nanos());
+                    for at in [
+                        start.saturating_sub(1),
+                        start,
+                        (start + end) / 2,
+                        end - 1,
+                        end,
+                    ] {
+                        run(Some(SimTime::from_nanos(at)));
+                    }
+                }
+            }
         }
     }
 

@@ -51,13 +51,17 @@ cargo test --workspace -q
 # submitter processes the batch before it) run as shipped, not only under
 # the ASan leg's debug build. dr-compress's run here too: its kernel
 # emulation fans out over the pool from four chunks, and that path is
-# tested as it ships.
+# tested as it ships. So do the device models every write goes through —
+# dr-binindex's GPU-index lookup, dr-gpu-sim's transient buffers, and
+# dr-ssd-sim's in-place page programs with their crash capture, whose
+# power-cut differential tests then run on the optimized zero scan.
 #
 # The root corruption sweep runs as shipped too: release drops overflow
 # checks, so a record reader whose offset arithmetic wraps instead of
 # panicking meets every flipped, truncated and spliced record here.
-echo "==> cargo test --release (dr-hashes + dr-pool + dr-compress + dr-reduction + dr-cluster, as shipped)"
-cargo test -q --release --offline -p dr-hashes -p dr-pool -p dr-compress -p dr-reduction -p dr-cluster --lib --tests
+echo "==> cargo test --release (dr-hashes + dr-pool + dr-compress + dr-binindex + dr-gpu-sim + dr-ssd-sim + dr-reduction + dr-cluster, as shipped)"
+cargo test -q --release --offline -p dr-hashes -p dr-pool -p dr-compress -p dr-binindex \
+    -p dr-gpu-sim -p dr-ssd-sim -p dr-reduction -p dr-cluster --lib --tests
 cargo test -q --release --offline --test corruption
 
 # Rustdoc gate: every intra-doc link must resolve and no public doc may
