@@ -134,14 +134,15 @@ pub struct GpuLookupReport {
 pub struct GpuBinIndex {
     config: GpuBinIndexConfig,
     router: BinRouter,
-    /// Device buffer holding `bin_slots × entries_per_bin` 20-byte keys.
+    /// Device buffer sized for `bin_slots × entries_per_bin` 20-byte keys:
+    /// it holds the tables' capacity and takes each slot's upload.
     table: BufferId,
     /// bin id → slot.
     slot_of_bin: HashMap<usize, usize>,
     /// slot → bin id.
     bin_of_slot: Vec<Option<usize>>,
     /// Host-side metadata, parallel to the device linear tables: one SoA
-    /// page per slot whose key column is byte-identical to the device copy.
+    /// page per slot whose key column is the device table's byte layout.
     meta: Vec<EntryPage>,
     /// Whether each slot mirrors its bin completely (authoritative misses).
     complete: Vec<bool>,
@@ -235,21 +236,22 @@ impl GpuBinIndex {
         }
     }
 
-    /// Writes a slot's host-side entries into its device linear table.
+    /// Uploads a slot's host-side entries into its device linear table.
     fn sync_slot(
         &self,
         now: SimTime,
         gpu: &mut GpuDevice,
         slot: usize,
     ) -> Result<SimTime, GpuError> {
-        // The page's key column is already the device byte layout — the
-        // upload is one contiguous copy, no per-entry re-packing.
-        let bytes = self.meta[slot].key_bytes();
-        if bytes.is_empty() {
+        // The page's key column is the device byte layout, so the upload
+        // is one contiguous transfer. It is charged, not copied: the lookup
+        // kernel runs on the host and scans the page itself.
+        let len = self.meta[slot].key_bytes().len() as u64;
+        if len == 0 {
             return Ok(now);
         }
         let offset = (slot * self.config.entries_per_bin * 20) as u64;
-        let grant = gpu.write_buffer(now, self.table, offset, bytes)?;
+        let grant = gpu.charge_h2d(now, self.table, offset, len)?;
         Ok(grant.end)
     }
 
@@ -378,7 +380,7 @@ impl GpuBinIndex {
     }
 
     /// The lookup kernel's functional work: scans the linear tables
-    /// (host-side meta, which mirrors the device buffer byte-for-byte)
+    /// (host-side meta, whose key columns are what each slot uploaded)
     /// into `probes`, and prices every query as a work item into
     /// `self.items`. Returns `(resident queries, hits)`.
     fn scan(&mut self, digests: &[ChunkDigest], probes: &mut Vec<GpuProbe>) -> (usize, usize) {

@@ -9,6 +9,8 @@
 //!   CPU indexing beats GPU indexing 4.16–5.45× for small batches,
 //! * **PCIe transfers** — data must be staged into device memory through a
 //!   copy engine with latency + bandwidth costs,
+//! * **device-memory capacity** — every buffer is charged against the
+//!   card's global memory from allocation to free,
 //! * **SIMT lockstep execution** — wavefronts pay for their slowest lane,
 //!   and divergent branching adds a reconvergence penalty; the reason the
 //!   paper lays GPU bins out as *linear tables* instead of trees,
@@ -17,10 +19,13 @@
 //! * **massive parallelism** — compute time scales down with compute units
 //!   until the roofline (memory bandwidth) is hit.
 //!
-//! Kernels *execute functionally on the host* — their results are bit-exact
-//! real computations — while the model charges simulated time on the
-//! [`dr_des`] timeline. Kernel implementations live with their subsystems
-//! (`dr-binindex`, `dr-compress`); this crate provides the device.
+//! Kernels *execute functionally on the host*, against host memory — their
+//! results are bit-exact real computations — while the model charges
+//! simulated time on the [`dr_des`] timeline. Device memory is therefore a
+//! ledger of buffer sizes, not a byte store: a transfer is charged
+//! ([`GpuDevice::charge_h2d`], [`GpuDevice::charge_d2h`]), never copied.
+//! Kernel implementations live with their subsystems (`dr-binindex`,
+//! `dr-compress`); this crate provides the device.
 //!
 //! # Example
 //!
@@ -30,7 +35,7 @@
 //!
 //! let mut gpu = GpuDevice::new(GpuSpec::radeon_hd_7970());
 //! let buf = gpu.alloc(4096).unwrap();
-//! let grant = gpu.write_buffer(SimTime::ZERO, buf, 0, &[1u8; 4096]).unwrap();
+//! let grant = gpu.charge_h2d(SimTime::ZERO, buf, 0, 4096).unwrap();
 //!
 //! // Launch 1024 uniform work items of 100 cycles each.
 //! let report = gpu.launch(

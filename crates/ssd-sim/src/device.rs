@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::slice;
 
-use dr_des::{Grant, Resource, SimDuration, SimTime};
+use dr_des::{Grant, Resource, SimTime};
 use dr_obs::trace::{trace_args, Tracer, Track};
 use dr_obs::{CounterHandle, GaugeHandle, HistogramHandle, ObsHandle};
 
@@ -218,12 +218,6 @@ impl SsdDevice {
     /// NAND-side statistics (write amplification, erases, migrations).
     pub fn ftl_stats(&self) -> FtlStats {
         self.ftl.stats()
-    }
-
-    /// Per-die diagnostics (free blocks, full blocks, min valid, valid
-    /// pages) — see [`Ftl::die_summaries`].
-    pub fn die_summaries(&self) -> Vec<(usize, usize, u32, u64)> {
-        self.ftl.die_summaries()
     }
 
     /// Fraction of rated P/E cycles consumed on the most-worn block.
@@ -494,17 +488,6 @@ impl SsdDevice {
         }
         count as f64 / last_end.duration_since(start).as_secs_f64()
     }
-}
-
-/// Convenience: the duration a batch of page writes occupies the device.
-pub fn batch_span(grants: &[Grant]) -> SimDuration {
-    let start = grants
-        .iter()
-        .map(|g| g.start)
-        .min()
-        .unwrap_or(SimTime::ZERO);
-    let end = grants.iter().map(|g| g.end).max().unwrap_or(SimTime::ZERO);
-    end.saturating_duration_since(start)
 }
 
 #[cfg(test)]
@@ -1035,11 +1018,6 @@ mod tests {
         // Two captures keep a page: the rewrites with a zeroed page.
         assert_eq!(retained, 10_000 * per_record + 2 * 4096);
         assert!(per_record <= 64, "a capture record is {per_record} bytes");
-    }
-
-    #[test]
-    fn batch_span_of_empty_is_zero() {
-        assert_eq!(batch_span(&[]), SimDuration::ZERO);
     }
 
     #[test]

@@ -227,27 +227,6 @@ impl Ftl {
         self.max_erase_count() as f64 / self.spec.pe_cycle_limit as f64
     }
 
-    /// Per-die diagnostic summary: (free blocks, full blocks, min valid
-    /// count among full non-active blocks, total valid pages).
-    pub fn die_summaries(&self) -> Vec<(usize, usize, u32, u64)> {
-        let ppb = self.spec.pages_per_block;
-        self.dies
-            .iter()
-            .map(|die| {
-                let full: Vec<&Block> = die
-                    .blocks
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, b)| *i as u32 != die.active && b.is_full(ppb))
-                    .map(|(_, b)| b)
-                    .collect();
-                let min_valid = full.iter().map(|b| b.valid_count).min().unwrap_or(0);
-                let valid_total: u64 = die.blocks.iter().map(|b| b.valid_count as u64).sum();
-                (die.free.len(), full.len(), min_valid, valid_total)
-            })
-            .collect()
-    }
-
     /// Where `lpn` currently lives, if written.
     pub fn lookup(&self, lpn: u64) -> Result<Option<Ppa>, SsdError> {
         self.map
