@@ -320,6 +320,7 @@ fn gpu_bin_layout() {
                 layout,
                 ..GpuBinIndexConfig::default()
             },
+            2,
         )
         .expect("table fits");
         let d0 = sha1_digest(b"probe");

@@ -16,11 +16,10 @@ use dr_des::SimTime;
 use dr_gpu_sim::{GpuDevice, GpuSpec};
 use dr_hashes::{sha1_digest, ChunkDigest};
 use dr_obs::ObsHandle;
-use dr_reduction::CpuModel;
 
 fn main() {
     let entries_per_bin = 512usize;
-    let cpu_model = CpuModel::default();
+    let cpu_model = dr_reduction::CpuModel::I7_3770K;
     let obs = ObsHandle::enabled("e1");
 
     // Identical entry populations on both devices (the paper's condition).
@@ -36,9 +35,9 @@ fn main() {
         GpuBinIndexConfig {
             entries_per_bin,
             bin_slots: 256,
-            prefix_bytes: 1,
             ..GpuBinIndexConfig::default()
         },
+        cpu_index.router().prefix_bytes(),
     )
     .expect("GPU table fits");
 

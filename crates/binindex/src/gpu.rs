@@ -31,6 +31,8 @@ use crate::router::BinRouter;
 const CYCLES_PER_COMPARE: u64 = 6;
 /// Cycles for a work item whose bin is not resident (slot-table probe only).
 const CYCLES_NON_RESIDENT: u64 = 12;
+/// Seed of the victim RNG for [`ReplacementPolicy::Random`].
+const VICTIM_SEED: u64 = 0xBEEF;
 /// Cycles per binary-search step in the tree layout: compare + branch +
 /// pointer chase (GCN branch + scalar unit round trip).
 const CYCLES_PER_TREE_STEP: u64 = 40;
@@ -74,10 +76,6 @@ pub struct GpuBinIndexConfig {
     pub bin_slots: usize,
     /// Victim selection policy.
     pub policy: ReplacementPolicy,
-    /// RNG seed for [`ReplacementPolicy::Random`].
-    pub seed: u64,
-    /// Digest routing (must match the CPU index).
-    pub prefix_bytes: usize,
     /// Device memory layout of resident bins.
     pub layout: GpuBinLayout,
 }
@@ -88,8 +86,6 @@ impl Default for GpuBinIndexConfig {
             entries_per_bin: 512,
             bin_slots: 1024,
             policy: ReplacementPolicy::Random,
-            seed: 0xBEEF,
-            prefix_bytes: 2,
             layout: GpuBinLayout::Linear,
         }
     }
@@ -156,7 +152,8 @@ pub struct GpuBinIndex {
 }
 
 impl GpuBinIndex {
-    /// Allocates the device-resident table.
+    /// Allocates the device-resident table, routing digests by their
+    /// first `prefix_bytes` bytes (as the CPU index does).
     ///
     /// # Errors
     ///
@@ -164,11 +161,16 @@ impl GpuBinIndex {
     ///
     /// # Panics
     ///
-    /// Panics on a zero-sized configuration.
-    pub fn new(gpu: &mut GpuDevice, config: GpuBinIndexConfig) -> Result<Self, GpuError> {
+    /// Panics on a zero-sized configuration or a `prefix_bytes` that
+    /// [`BinRouter::new`] refuses.
+    pub fn new(
+        gpu: &mut GpuDevice,
+        config: GpuBinIndexConfig,
+        prefix_bytes: usize,
+    ) -> Result<Self, GpuError> {
         assert!(config.entries_per_bin > 0, "bins need at least one entry");
         assert!(config.bin_slots > 0, "need at least one bin slot");
-        let router = BinRouter::new(config.prefix_bytes);
+        let router = BinRouter::new(prefix_bytes);
         let bytes = (config.bin_slots * config.entries_per_bin * 20) as u64;
         let table = gpu.alloc(bytes)?;
         Ok(GpuBinIndex {
@@ -181,15 +183,10 @@ impl GpuBinIndex {
             installed_at: vec![0; config.bin_slots],
             used_at: vec![0; config.bin_slots],
             tick: 0,
-            rng: SplitMix64::new(config.seed),
+            rng: SplitMix64::new(VICTIM_SEED),
             items: Vec::new(),
             config,
         })
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> GpuBinIndexConfig {
-        self.config
     }
 
     /// Number of bins currently resident.
@@ -391,7 +388,7 @@ impl GpuBinIndex {
         for d in digests {
             let bin = self.router.route(d);
             let mut key = *d.as_bytes();
-            for b in key.iter_mut().take(self.config.prefix_bytes) {
+            for b in key.iter_mut().take(self.router.prefix_bytes()) {
                 *b = 0;
             }
             match self.slot_of_bin.get(&bin) {
@@ -491,7 +488,7 @@ mod tests {
     #[test]
     fn install_then_lookup_hits() {
         let mut device = gpu();
-        let mut idx = GpuBinIndex::new(&mut device, config()).unwrap();
+        let mut idx = GpuBinIndex::new(&mut device, config(), 2).unwrap();
         let (d, key, bin) = keyed(1, 2);
         idx.install_bin(
             SimTime::ZERO,
@@ -509,7 +506,7 @@ mod tests {
     #[test]
     fn non_resident_bin_misses_cheaply() {
         let mut device = gpu();
-        let mut idx = GpuBinIndex::new(&mut device, config()).unwrap();
+        let mut idx = GpuBinIndex::new(&mut device, config(), 2).unwrap();
         let (d, _, _) = keyed(7, 2);
         let (results, report) = lookup(&mut idx, &mut device, &[d]);
         assert_eq!(results, vec![GpuProbe::NeedsCpu]);
@@ -520,7 +517,7 @@ mod tests {
     #[test]
     fn flush_updates_resident_bin() {
         let mut device = gpu();
-        let mut idx = GpuBinIndex::new(&mut device, config()).unwrap();
+        let mut idx = GpuBinIndex::new(&mut device, config(), 2).unwrap();
         let (d, key, bin) = keyed(3, 2);
         idx.install_bin(SimTime::ZERO, &mut device, bin, &[])
             .unwrap();
@@ -540,7 +537,7 @@ mod tests {
     #[test]
     fn complete_bin_gives_authoritative_miss() {
         let mut device = gpu();
-        let mut idx = GpuBinIndex::new(&mut device, config()).unwrap();
+        let mut idx = GpuBinIndex::new(&mut device, config(), 2).unwrap();
         let (_, key, bin) = keyed(1, 2);
         idx.install_bin(
             SimTime::ZERO,
@@ -570,7 +567,7 @@ mod tests {
             bin_slots: 1,
             ..GpuBinIndexConfig::default()
         };
-        let mut idx = GpuBinIndex::new(&mut device, cfg).unwrap();
+        let mut idx = GpuBinIndex::new(&mut device, cfg, 2).unwrap();
         let (_, k1, bin) = keyed(1, 2);
         idx.install_bin(
             SimTime::ZERO,
@@ -607,7 +604,7 @@ mod tests {
     #[test]
     fn flush_to_non_resident_bin_is_noop() {
         let mut device = gpu();
-        let mut idx = GpuBinIndex::new(&mut device, config()).unwrap();
+        let mut idx = GpuBinIndex::new(&mut device, config(), 2).unwrap();
         let (_, key, bin) = keyed(3, 2);
         let t = idx
             .apply_flush(
@@ -626,7 +623,7 @@ mod tests {
     #[test]
     fn slot_eviction_when_full() {
         let mut device = gpu();
-        let mut idx = GpuBinIndex::new(&mut device, config()).unwrap();
+        let mut idx = GpuBinIndex::new(&mut device, config(), 2).unwrap();
         // Install 5 distinct bins into 4 slots.
         let mut installed = Vec::new();
         let mut i = 0u64;
@@ -657,7 +654,7 @@ mod tests {
             policy: ReplacementPolicy::Fifo,
             ..GpuBinIndexConfig::default()
         };
-        let mut idx = GpuBinIndex::new(&mut device, cfg).unwrap();
+        let mut idx = GpuBinIndex::new(&mut device, cfg, 2).unwrap();
         let (_, k1, bin) = keyed(1, 2);
         idx.install_bin(
             SimTime::ZERO,
@@ -693,7 +690,7 @@ mod tests {
             policy: ReplacementPolicy::Lru,
             ..GpuBinIndexConfig::default()
         };
-        let mut idx = GpuBinIndex::new(&mut device, cfg).unwrap();
+        let mut idx = GpuBinIndex::new(&mut device, cfg, 2).unwrap();
         // Two distinct bins.
         let mut bins = Vec::new();
         let mut digests = Vec::new();
@@ -729,7 +726,7 @@ mod tests {
     #[test]
     fn timing_is_sequenced() {
         let mut device = gpu();
-        let mut idx = GpuBinIndex::new(&mut device, config()).unwrap();
+        let mut idx = GpuBinIndex::new(&mut device, config(), 2).unwrap();
         let (d, key, bin) = keyed(11, 2);
         idx.install_bin(
             SimTime::ZERO,
@@ -748,13 +745,14 @@ mod tests {
     fn tree_layout_is_functionally_identical() {
         let mut dl = gpu();
         let mut dt = gpu();
-        let mut linear = GpuBinIndex::new(&mut dl, config()).unwrap();
+        let mut linear = GpuBinIndex::new(&mut dl, config(), 2).unwrap();
         let mut tree = GpuBinIndex::new(
             &mut dt,
             GpuBinIndexConfig {
                 layout: GpuBinLayout::Tree,
                 ..config()
             },
+            2,
         )
         .unwrap();
         let (d, key, bin) = keyed(1, 2);
@@ -782,7 +780,7 @@ mod tests {
                 layout,
                 ..GpuBinIndexConfig::default()
             };
-            let mut idx = GpuBinIndex::new(&mut device, cfg).unwrap();
+            let mut idx = GpuBinIndex::new(&mut device, cfg, 2).unwrap();
             let (d0, key, bin) = keyed(1, 2);
             let entries_vec: Vec<_> = (0..entries as u64)
                 .map(|i| {
@@ -815,7 +813,7 @@ mod tests {
     #[test]
     fn device_memory_matches_config() {
         let mut device = gpu();
-        let idx = GpuBinIndex::new(&mut device, config()).unwrap();
+        let idx = GpuBinIndex::new(&mut device, config(), 2).unwrap();
         assert_eq!(idx.device_bytes(), (4 * 8 * 20) as u64);
         assert_eq!(device.mem_used(), idx.device_bytes());
     }
@@ -829,7 +827,7 @@ mod tests {
             global_mem_bytes: table + 20 + 7,
             ..GpuSpec::radeon_hd_7970()
         });
-        let mut idx = GpuBinIndex::new(&mut device, config()).unwrap();
+        let mut idx = GpuBinIndex::new(&mut device, config(), 2).unwrap();
         let (d, key, bin) = keyed(1, 2);
         idx.install_bin(
             SimTime::ZERO,
@@ -854,7 +852,7 @@ mod tests {
         }
         // A successful lookup leaves the device as full as it found it.
         let mut device = gpu();
-        let mut idx = GpuBinIndex::new(&mut device, config()).unwrap();
+        let mut idx = GpuBinIndex::new(&mut device, config(), 2).unwrap();
         let (probes, _) = lookup(&mut idx, &mut device, &[d, d]);
         assert_eq!(probes, vec![GpuProbe::NeedsCpu; 2]);
         assert_eq!(device.mem_used(), table);

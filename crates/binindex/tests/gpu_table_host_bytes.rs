@@ -55,14 +55,14 @@ fn allocated_bytes() -> u64 {
 
 #[test]
 fn the_resident_table_costs_no_host_memory() {
-    let config = GpuBinIndexConfig::default();
+    let (config, prefix_bytes) = (GpuBinIndexConfig::default(), 2);
     let mut gpu = GpuDevice::new(GpuSpec::radeon_hd_7970());
     // A full bin: one real digest's key (the digest with the routing
     // prefix zeroed) and 511 more keys in the same bin.
     let digest = sha1_digest(b"resident");
-    let bin = BinRouter::new(config.prefix_bytes).route(&digest);
+    let bin = BinRouter::new(prefix_bytes).route(&digest);
     let mut key: BinKey = *digest.as_bytes();
-    key[..config.prefix_bytes].fill(0);
+    key[..prefix_bytes].fill(0);
     let variant = |i: u16| {
         let mut k = key;
         for (b, x) in k[18..].iter_mut().zip(i.to_le_bytes()) {
@@ -80,7 +80,7 @@ fn the_resident_table_costs_no_host_memory() {
     let mut probes = Vec::with_capacity(1);
 
     let before = allocated_bytes();
-    let mut index = GpuBinIndex::new(&mut gpu, config).unwrap();
+    let mut index = GpuBinIndex::new(&mut gpu, config, prefix_bytes).unwrap();
     let installed = index
         .install_bin(SimTime::ZERO, &mut gpu, bin, &entries)
         .unwrap();

@@ -78,6 +78,7 @@ pub(crate) fn volume_kind(e: &VolumeError) -> Option<ModelError> {
     match e {
         VolumeError::UnknownVolume(_) => Some(ModelError::UnknownVolume),
         VolumeError::AlreadyExists(_) => Some(ModelError::AlreadyExists),
+        VolumeError::NameTooLong { .. } => Some(ModelError::NameTooLong),
         VolumeError::OutOfRange { .. } => Some(ModelError::OutOfRange),
         VolumeError::Unwritten { .. } => Some(ModelError::Unwritten),
         VolumeError::Misaligned { .. } => Some(ModelError::Misaligned),

@@ -22,6 +22,8 @@ pub enum ModelError {
     UnknownVolume,
     /// A volume with that name already exists.
     AlreadyExists,
+    /// The volume name is too long.
+    NameTooLong,
     /// The block index is outside the volume.
     OutOfRange,
     /// The block was never written.
@@ -35,6 +37,7 @@ impl std::fmt::Display for ModelError {
         let name = match self {
             ModelError::UnknownVolume => "unknown-volume",
             ModelError::AlreadyExists => "already-exists",
+            ModelError::NameTooLong => "name-too-long",
             ModelError::OutOfRange => "out-of-range",
             ModelError::Unwritten => "unwritten",
             ModelError::Misaligned => "misaligned",
@@ -72,8 +75,11 @@ impl Oracle {
     ///
     /// # Errors
     ///
-    /// [`ModelError::AlreadyExists`].
+    /// [`ModelError::NameTooLong`] / [`ModelError::AlreadyExists`].
     pub fn create_volume(&mut self, name: &str, blocks: u64) -> Result<(), ModelError> {
+        if name.len() > dr_reduction::VolumeManager::MAX_NAME_BYTES {
+            return Err(ModelError::NameTooLong);
+        }
         if self.volumes.contains_key(name) {
             return Err(ModelError::AlreadyExists);
         }
@@ -162,6 +168,9 @@ mod tests {
         let mut m = Oracle::new(4);
         assert_eq!(m.create_volume("v", 2), Ok(()));
         assert_eq!(m.create_volume("v", 2), Err(ModelError::AlreadyExists));
+        let long = "v".repeat(dr_reduction::VolumeManager::MAX_NAME_BYTES + 1);
+        assert_eq!(m.create_volume(&long, 2), Err(ModelError::NameTooLong));
+        assert_eq!(m.volume_size(&long), None);
         assert_eq!(m.write("v", 0, &[1, 2, 3]), Err(ModelError::Misaligned));
         assert_eq!(m.write("x", 0, &[0; 4]), Err(ModelError::UnknownVolume));
         assert_eq!(m.write("v", 1, &[0; 8]), Err(ModelError::OutOfRange));

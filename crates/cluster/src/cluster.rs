@@ -447,7 +447,8 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// [`VolumeError::AlreadyExists`].
+    /// [`VolumeError::AlreadyExists`] / [`VolumeError::NameTooLong`]
+    /// (refused by the first node, before any node changed).
     pub fn create_volume(&mut self, name: &str, blocks: u64) -> Result<(), ClusterError> {
         if self.volumes.contains_key(name) {
             return Err(VolumeError::AlreadyExists(name.to_owned()).into());

@@ -209,6 +209,34 @@ fn membership_errors_are_typed() {
 }
 
 #[test]
+fn an_over_long_volume_name_is_refused_on_every_node() {
+    let mut c = cluster(3, true);
+    let name = "n".repeat(VolumeManager::MAX_NAME_BYTES + 1);
+    assert_eq!(
+        c.create_volume(&name, 4),
+        Err(ClusterError::Volume(VolumeError::NameTooLong {
+            len: name.len()
+        }))
+    );
+    for id in c.node_ids() {
+        assert!(
+            c.node(id).unwrap().vm.volume_names().is_empty(),
+            "node {id}"
+        );
+    }
+    assert!(matches!(
+        c.write(&name, 0, &payload(1)),
+        Err(ClusterError::Volume(VolumeError::UnknownVolume(_)))
+    ));
+    // A joiner replicates the (empty) volume set, and the cluster goes on.
+    c.join().unwrap();
+    c.create_volume("v", 4).unwrap();
+    c.write("v", 0, &payload(1)).unwrap();
+    assert_eq!(c.read("v", 0).unwrap(), payload(1));
+    c.check_integrity().unwrap();
+}
+
+#[test]
 fn node_crash_keeps_acked_blocks_and_drops_unacked_tail() {
     let mut c = cluster(3, true);
     c.create_volume("v", 32).unwrap();

@@ -32,16 +32,10 @@ pub struct ExponentialBackoff {
     pub factor: u64,
     /// Retries allowed after the initial attempt.
     pub max_retries: u32,
-    /// Total sim-time the schedule may spend waiting across one
-    /// operation's retries; `None` = bounded only by `max_retries`. A
-    /// budget caps pathological schedules (a latched-open device under a
-    /// crash loop) that a pure retry count cannot: see
-    /// [`ExponentialBackoff::permits`].
-    pub budget: Option<SimDuration>,
 }
 
 impl ExponentialBackoff {
-    /// Creates a schedule with no sim-time budget.
+    /// Creates a schedule.
     ///
     /// # Panics
     ///
@@ -52,15 +46,6 @@ impl ExponentialBackoff {
             base,
             factor,
             max_retries,
-            budget: None,
-        }
-    }
-
-    /// Adds a total sim-time budget to the schedule.
-    pub fn with_budget(self, budget: SimDuration) -> Self {
-        ExponentialBackoff {
-            budget: Some(budget),
-            ..self
         }
     }
 
@@ -88,33 +73,10 @@ impl ExponentialBackoff {
         SimDuration::from_nanos(total)
     }
 
-    /// Cumulative wait charged once retry number `retry` is taken:
-    /// `delay(0) + … + delay(retry)`, saturating.
-    pub fn spent_through(&self, retry: u32) -> SimDuration {
-        let mut total: u64 = 0;
-        for r in 0..=retry {
-            total = total.saturating_add(self.delay(r).as_nanos());
-        }
-        SimDuration::from_nanos(total)
-    }
-
     /// True when retry number `retry` (zero-based) is allowed: it is
-    /// within `max_retries` *and* taking it would not push the cumulative
-    /// wait past the budget. Retry loops should gate on this instead of
-    /// comparing against `max_retries` directly.
+    /// within `max_retries`.
     pub fn permits(&self, retry: u32) -> bool {
         retry < self.max_retries
-            && match self.budget {
-                None => true,
-                Some(budget) => self.spent_through(retry) <= budget,
-            }
-    }
-
-    /// True when `retry` was refused *because of the budget* — the retry
-    /// count still had room. Callers use this to count budget exhaustion
-    /// separately from ordinary retry exhaustion.
-    pub fn budget_exhausted(&self, retry: u32) -> bool {
-        retry < self.max_retries && !self.permits(retry)
     }
 
     /// Runs `op` under this schedule — the one retry loop every
@@ -132,7 +94,6 @@ impl ExponentialBackoff {
     ) -> Retried<T, E> {
         let mut at = start;
         let mut retries = 0u32;
-        let mut budget_exhausted = false;
         let result = loop {
             match op(at) {
                 Err(e) if is_transient(&e) && self.permits(retries) => {
@@ -140,18 +101,13 @@ impl ExponentialBackoff {
                     retries += 1;
                     on_retry(at, retries);
                 }
-                Err(e) => {
-                    budget_exhausted = is_transient(&e) && self.budget_exhausted(retries);
-                    break Err(e);
-                }
-                ok => break ok,
+                other => break other,
             }
         };
         Retried {
             result,
             at,
             retries,
-            budget_exhausted,
         }
     }
 }
@@ -166,9 +122,6 @@ pub struct Retried<T, E> {
     pub at: SimTime,
     /// Retries spent (attempts after the first).
     pub retries: u32,
-    /// True when the sim-time budget — not the retry count — refused the
-    /// retry a transient error was still owed.
-    pub budget_exhausted: bool,
 }
 
 #[cfg(test)]
@@ -215,32 +168,6 @@ mod tests {
         assert!(b.permits(0));
         assert!(b.permits(2));
         assert!(!b.permits(3), "retry count still bounds");
-        assert!(
-            !b.budget_exhausted(3),
-            "count exhaustion is not budget exhaustion"
-        );
-    }
-
-    #[test]
-    fn budget_cuts_the_schedule_short() {
-        // Delays 10, 20, 40us; a 25us budget allows retry 0 (10us spent)
-        // but not retry 1 (30us would exceed it).
-        let b = ExponentialBackoff::new(SimDuration::from_micros(10), 2, 3)
-            .with_budget(SimDuration::from_micros(25));
-        assert!(b.permits(0));
-        assert!(!b.permits(1));
-        assert!(b.budget_exhausted(1));
-        assert!(!b.budget_exhausted(0));
-    }
-
-    #[test]
-    fn budget_larger_than_total_delay_never_binds() {
-        let b = ExponentialBackoff::new(SimDuration::from_micros(10), 2, 3);
-        let capped = b.with_budget(b.total_delay());
-        for retry in 0..4 {
-            assert_eq!(b.permits(retry), capped.permits(retry));
-            assert!(!capped.budget_exhausted(retry));
-        }
     }
 
     /// An op that fails transiently (`Err(true)`) `failures` times, then
@@ -274,18 +201,13 @@ mod tests {
         let start = SimTime::ZERO + SimDuration::from_micros(7);
         for k in 0..=3u32 {
             let (out, seen) = flaky(&b, start, k);
-            let reached = if k == 0 {
-                start
-            } else {
-                start + b.spent_through(k - 1)
-            };
+            // Retry r (one-based) waits delay(0) + … + delay(r - 1).
+            let spent = |r: u32| (0..r).map(|i| b.delay(i)).fold(start, |at, d| at + d);
+            let reached = spent(k);
             assert_eq!(out.result, Ok(reached), "op ran at the reached instant");
             assert_eq!(out.at, reached);
             assert_eq!(out.retries, k);
-            assert!(!out.budget_exhausted);
-            let expected: Vec<(SimTime, u32)> = (1..=k)
-                .map(|r| (start + b.spent_through(r - 1), r))
-                .collect();
+            let expected: Vec<(SimTime, u32)> = (1..=k).map(|r| (spent(r), r)).collect();
             assert_eq!(seen, expected, "one on_retry per retry, at its instant");
         }
     }
@@ -305,7 +227,6 @@ mod tests {
         );
         assert_eq!(out.result, Err(false));
         assert_eq!((out.at, out.retries), (SimTime::ZERO, 0));
-        assert!(!out.budget_exhausted);
         assert_eq!(calls, 1);
     }
 
@@ -317,26 +238,5 @@ mod tests {
         assert_eq!(out.at, SimTime::ZERO + b.total_delay());
         assert_eq!(out.retries, 3);
         assert_eq!(seen.len(), 3);
-        assert!(!out.budget_exhausted, "the count ran out, not the budget");
-    }
-
-    #[test]
-    fn retry_stops_early_when_the_budget_binds() {
-        // Delays 10, 20, 40us under a 25us budget: one retry, then refusal.
-        let b = ExponentialBackoff::new(SimDuration::from_micros(10), 2, 3)
-            .with_budget(SimDuration::from_micros(25));
-        let (out, seen) = flaky(&b, SimTime::ZERO, u32::MAX);
-        assert_eq!(out.result, Err(true));
-        assert_eq!(out.at, SimTime::ZERO + SimDuration::from_micros(10));
-        assert_eq!(out.retries, 1);
-        assert_eq!(seen.len(), 1);
-        assert!(out.budget_exhausted);
-    }
-
-    #[test]
-    fn spent_through_accumulates_delays() {
-        let b = ExponentialBackoff::new(SimDuration::from_micros(10), 2, 3);
-        assert_eq!(b.spent_through(0), SimDuration::from_micros(10));
-        assert_eq!(b.spent_through(2), SimDuration::from_micros(70));
     }
 }

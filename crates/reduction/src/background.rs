@@ -58,7 +58,6 @@ impl BackgroundReport {
 /// The background-reduction strawman system.
 #[derive(Debug)]
 pub struct BackgroundReducer {
-    cpu: CpuModel,
     ssd: SsdDevice,
     staged: Vec<(u64, usize)>, // (first lpn, chunk len) of each raw chunk
     chunk_bytes: usize,
@@ -73,7 +72,7 @@ impl BackgroundReducer {
     /// # Panics
     ///
     /// Panics if `chunk_bytes` is not a multiple of the device page size.
-    pub fn new(ssd_spec: SsdSpec, cpu: CpuModel, chunk_bytes: usize) -> Self {
+    pub fn new(ssd_spec: SsdSpec, chunk_bytes: usize) -> Self {
         assert_eq!(
             chunk_bytes % ssd_spec.page_bytes as usize,
             0,
@@ -81,7 +80,6 @@ impl BackgroundReducer {
         );
         let ssd = SsdDevice::new(ssd_spec);
         BackgroundReducer {
-            cpu,
             ssd,
             staged: Vec::new(),
             chunk_bytes,
@@ -148,14 +146,13 @@ impl BackgroundReducer {
                 now = now.max(g.end);
             }
             data.truncate(len);
-            now += self.cpu.hash_cost(data.len());
+            now += CpuModel::I7_3770K.hash_cost(data.len());
             let digest = sha1_digest(&data);
 
             // Dedup; unique chunks get compressed and rewritten.
             if index.lookup(&digest).is_none() {
                 let ratio_frame = codec.compress(&data);
-                now += self
-                    .cpu
+                now += CpuModel::I7_3770K
                     .compress_cost(data.len(), data.len() as f64 / ratio_frame.len() as f64);
                 // Rewrite into the reduced log (extra NAND wear — the
                 // paper's point). The log grows from the top via the
@@ -222,7 +219,7 @@ pub fn compare_endurance_with_obs(
     inline_pipeline.run(&blocks.concat());
 
     // Background.
-    let mut background = BackgroundReducer::new(ssd_spec.clone(), CpuModel::default(), 4096);
+    let mut background = BackgroundReducer::new(ssd_spec.clone(), 4096);
     background.ingest(blocks);
     background.reduce_when_idle();
 
@@ -268,7 +265,7 @@ mod tests {
 
     #[test]
     fn ingest_writes_everything_verbatim() {
-        let mut bg = BackgroundReducer::new(spec(), CpuModel::default(), 4096);
+        let mut bg = BackgroundReducer::new(spec(), 4096);
         let data = blocks(32);
         bg.ingest(&data);
         assert_eq!(bg.report.chunks, 32);
@@ -277,7 +274,7 @@ mod tests {
 
     #[test]
     fn idle_pass_reduces_and_trims() {
-        let mut bg = BackgroundReducer::new(spec(), CpuModel::default(), 4096);
+        let mut bg = BackgroundReducer::new(spec(), 4096);
         let data = blocks(32); // 8 unique patterns
         bg.ingest(&data);
         let report = bg.reduce_when_idle();
@@ -309,6 +306,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "whole pages")]
     fn non_page_multiple_chunks_rejected() {
-        BackgroundReducer::new(spec(), CpuModel::default(), 1000);
+        BackgroundReducer::new(spec(), 1000);
     }
 }

@@ -57,45 +57,25 @@ pub struct CpuModel {
     pub read_hit_ns: u64,
 }
 
-impl Default for CpuModel {
-    fn default() -> Self {
-        CpuModel {
-            workers: 8,
-            chunk_ns_per_byte: 0.15,
-            hash_ns_per_byte: 4.5,
-            buffer_probe_ns: 1_500,
-            tree_probe_ns: 5_000,
-            insert_ns: 2_000,
-            chunk_overhead_ns: 6_000,
-            compress_ns_per_byte: 40.0,
-            compress_ratio_floor: 0.6,
-            post_process_fixed_ns: 40_000,
-            post_process_ns_per_byte: 8.0,
-            decompress_ns_per_byte: 8.0,
-            frame_decode_fixed_ns: 3_000,
-            read_hit_ns: 1_500,
-        }
-    }
-}
-
 impl CpuModel {
-    /// Sanity-checks the parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-physical values.
-    pub fn validate(&self) {
-        assert!(self.workers > 0, "need at least one worker");
-        assert!(self.hash_ns_per_byte > 0.0, "hash cost must be positive");
-        assert!(
-            (0.0..=1.0).contains(&self.compress_ratio_floor),
-            "ratio floor must be in [0,1]"
-        );
-        assert!(
-            self.decompress_ns_per_byte >= 0.0,
-            "decompress cost must be non-negative"
-        );
-    }
+    /// The paper's testbed CPU, calibrated: the one model every pipeline
+    /// runs.
+    pub const I7_3770K: CpuModel = CpuModel {
+        workers: 8,
+        chunk_ns_per_byte: 0.15,
+        hash_ns_per_byte: 4.5,
+        buffer_probe_ns: 1_500,
+        tree_probe_ns: 5_000,
+        insert_ns: 2_000,
+        chunk_overhead_ns: 6_000,
+        compress_ns_per_byte: 40.0,
+        compress_ratio_floor: 0.6,
+        post_process_fixed_ns: 40_000,
+        post_process_ns_per_byte: 8.0,
+        decompress_ns_per_byte: 8.0,
+        frame_decode_fixed_ns: 3_000,
+        read_hit_ns: 1_500,
+    };
 
     /// Cost of chunking `bytes` of stream data.
     pub fn chunk_cost(&self, bytes: usize) -> SimDuration {
@@ -163,16 +143,28 @@ impl CpuModel {
 mod tests {
     use super::*;
 
+    /// The model every pipeline runs by default — the only one — is
+    /// physical.
     #[test]
     fn default_is_valid() {
-        CpuModel::default().validate();
+        let m = CpuModel::I7_3770K;
+        assert!(m.workers > 0, "need at least one worker");
+        assert!(m.hash_ns_per_byte > 0.0, "hash cost must be positive");
+        assert!(
+            (0.0..=1.0).contains(&m.compress_ratio_floor),
+            "ratio floor must be in [0,1]"
+        );
+        assert!(
+            m.decompress_ns_per_byte >= 0.0,
+            "decompress cost must be non-negative"
+        );
     }
 
     #[test]
     fn calibration_compression_iops_band() {
         // 8 workers compressing 4 KB chunks at ratio 1.0 must land near the
         // paper's "about 50 K IOPS" for the CPU codec.
-        let m = CpuModel::default();
+        let m = CpuModel::I7_3770K;
         let per_chunk = m.compress_cost(4096, 1.0).as_secs_f64();
         let iops = m.workers as f64 / per_chunk;
         assert!(
@@ -187,7 +179,7 @@ mod tests {
         // The raw stage-cost gap sits above the paper's +88.3% because the
         // end-to-end pipeline adds per-chunk overheads and GPU batch
         // latency that pull the measured gain down to ≈ +90% (E3).
-        let m = CpuModel::default();
+        let m = CpuModel::I7_3770K;
         let cpu = m.compress_cost(4096, 1.0).as_secs_f64();
         let gpu = m.post_process_cost(4128).as_secs_f64();
         let gain = cpu / gpu - 1.0;
@@ -196,7 +188,7 @@ mod tests {
 
     #[test]
     fn compression_cost_falls_with_ratio() {
-        let m = CpuModel::default();
+        let m = CpuModel::I7_3770K;
         let r1 = m.compress_cost(4096, 1.0);
         let r2 = m.compress_cost(4096, 2.0);
         let r4 = m.compress_cost(4096, 4.0);
@@ -210,7 +202,7 @@ mod tests {
     fn dedup_stage_cost_supports_3x_ssd() {
         // hash + avg probe + overhead per 4 KB chunk across 8 workers must
         // exceed ~3x the SSD's ~85 K IOPS ceiling.
-        let m = CpuModel::default();
+        let m = CpuModel::I7_3770K;
         let per_chunk = m.hash_cost(4096)
             + m.buffer_probe_cost()
             + m.tree_probe_cost() / 2 // half the probes stop at the buffer
@@ -225,7 +217,7 @@ mod tests {
         // Read-side decode is a single-pass token copy: it must undercut
         // ratio-1.0 compression by a wide margin, and a cache hit must
         // undercut even that.
-        let m = CpuModel::default();
+        let m = CpuModel::I7_3770K;
         let decomp = m.decompress_cost(4096);
         let comp = m.compress_cost(4096, 1.0);
         assert!(
@@ -237,17 +229,7 @@ mod tests {
 
     #[test]
     fn sub_unity_ratio_clamped() {
-        let m = CpuModel::default();
+        let m = CpuModel::I7_3770K;
         assert_eq!(m.compress_cost(4096, 0.1), m.compress_cost(4096, 1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "worker")]
-    fn zero_workers_rejected() {
-        CpuModel {
-            workers: 0,
-            ..CpuModel::default()
-        }
-        .validate();
     }
 }

@@ -14,50 +14,37 @@ use dr_gpu_sim::GpuError;
 use dr_obs::trace::{trace_args, Tracer, Track};
 use dr_obs::{CounterHandle, ObsHandle};
 
-/// Tunable knobs of the degradation policy.
+/// The degradation policy's knobs. The pipeline runs one policy,
+/// [`DEGRADE`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegradePolicy {
+pub(crate) struct DegradePolicy {
     /// Retries allowed per operation before the component latches degraded.
-    pub max_retries: u32,
+    max_retries: u32,
     /// Backoff before the first retry.
-    pub backoff_base: SimDuration,
+    backoff_base: SimDuration,
     /// Backoff multiplier per subsequent retry.
-    pub backoff_factor: u64,
+    backoff_factor: u64,
     /// How long a degraded component rests before the next probe attempt.
-    pub reprobe_interval: SimDuration,
+    reprobe_interval: SimDuration,
     /// Consecutive probe successes required to close the latch again
     /// (hysteresis: one lucky probe must not flap the pipeline back).
-    pub reprobe_successes: u32,
-    /// Total sim-time one operation may spend waiting across its
-    /// retries. A second bound on top of `max_retries`: under a
-    /// crash-loop a latched-open device is re-probed forever, and each
-    /// probe runs a fresh retry schedule — the budget caps the wait even
-    /// if the count limit is raised. The default (10 ms) never binds the
-    /// default schedule (350 µs total), so it changes no simulated
-    /// results; refusals are counted as `fault.retry_budget_exhausted`.
-    pub retry_budget: SimDuration,
+    reprobe_successes: u32,
 }
 
-impl Default for DegradePolicy {
-    /// Three retries at 50 µs doubling, 10 ms rest, two clean probes to
-    /// recover, 10 ms retry budget (non-binding for that schedule).
-    fn default() -> Self {
-        DegradePolicy {
-            max_retries: 3,
-            backoff_base: SimDuration::from_micros(50),
-            backoff_factor: 2,
-            reprobe_interval: SimDuration::from_millis(10),
-            reprobe_successes: 2,
-            retry_budget: SimDuration::from_millis(10),
-        }
-    }
-}
+/// The pipeline's degradation policy: three retries at 50 µs doubling
+/// (350 µs of backoff at most), 10 ms rest, two clean probes to recover.
+const DEGRADE: DegradePolicy = DegradePolicy {
+    max_retries: 3,
+    backoff_base: SimDuration::from_micros(50),
+    backoff_factor: 2,
+    reprobe_interval: SimDuration::from_millis(10),
+    reprobe_successes: 2,
+};
 
 impl DegradePolicy {
     /// The retry schedule this policy prescribes.
-    pub fn backoff(&self) -> ExponentialBackoff {
+    pub(crate) fn backoff(&self) -> ExponentialBackoff {
         ExponentialBackoff::new(self.backoff_base, self.backoff_factor, self.max_retries)
-            .with_budget(self.retry_budget)
     }
 }
 
@@ -182,26 +169,19 @@ pub(crate) struct Guarded {
     retries: u64,
     retries_counter: CounterHandle,
     degraded_counter: CounterHandle,
-    /// `fault.retry_budget_exhausted`, shared by every component.
-    budget_exhausted: CounterHandle,
     tracer: Tracer,
 }
 
 impl Guarded {
-    /// A healthy component under `policy`, recording into `obs`.
-    pub(crate) fn new(
-        names: &'static ComponentNames,
-        policy: DegradePolicy,
-        obs: &ObsHandle,
-    ) -> Self {
+    /// A healthy component under [`DEGRADE`], recording into `obs`.
+    pub(crate) fn new(names: &'static ComponentNames, obs: &ObsHandle) -> Self {
         let mut guarded = Guarded {
             names,
-            latch: ComponentLatch::new(policy),
-            backoff: policy.backoff(),
+            latch: ComponentLatch::new(DEGRADE),
+            backoff: DEGRADE.backoff(),
             retries: 0,
             retries_counter: CounterHandle::default(),
             degraded_counter: CounterHandle::default(),
-            budget_exhausted: CounterHandle::default(),
             tracer: Tracer::disabled(),
         };
         guarded.set_obs(obs);
@@ -212,15 +192,24 @@ impl Guarded {
     pub(crate) fn set_obs(&mut self, obs: &ObsHandle) {
         self.retries_counter = obs.counter(self.names.retries);
         self.degraded_counter = obs.counter(self.names.degraded_transitions);
-        self.budget_exhausted = obs.counter("fault.retry_budget_exhausted");
         self.tracer = obs.tracer().clone();
     }
 
-    /// Puts the component under `policy` with a closed latch — also what a
-    /// restart does to it. The retry tally is kept.
-    pub(crate) fn set_policy(&mut self, policy: DegradePolicy) {
+    /// Closes the latch, as a restart does. The retry tally is kept.
+    pub(crate) fn reset(&mut self) {
+        self.latch = ComponentLatch::new(self.latch.policy);
+    }
+
+    /// Puts the component under `policy` with a closed latch.
+    #[cfg(test)]
+    fn set_policy(&mut self, policy: DegradePolicy) {
         self.latch = ComponentLatch::new(policy);
         self.backoff = policy.backoff();
+    }
+
+    /// How long the component rests once degraded.
+    pub(crate) fn reprobe_interval(&self) -> SimDuration {
+        self.latch.policy.reprobe_interval
     }
 
     /// The latch, to read its state.
@@ -242,8 +231,7 @@ impl Guarded {
     /// Runs `op` under the retry schedule without touching the latch.
     /// Each retry is tallied, counted, and left on the fault track as
     /// `instant` (by default the component's own `retry` name; a second
-    /// loop on the same counter passes its own); a budget refusal is
-    /// counted.
+    /// loop on the same counter passes its own).
     pub(crate) fn retry<T, E>(
         &mut self,
         instant: Option<&'static str>,
@@ -259,11 +247,7 @@ impl Guarded {
             self.tracer
                 .sim_instant(Track::Fault, instant, at.as_nanos(), args);
         };
-        let run = self.backoff.retry(at, is_transient, on_retry, op);
-        if run.budget_exhausted {
-            self.budget_exhausted.incr();
-        }
-        run
+        self.backoff.retry(at, is_transient, on_retry, op)
     }
 
     /// The whole policy for one GPU operation: skipped while the latch
@@ -329,7 +313,7 @@ mod tests {
         DegradePolicy {
             reprobe_interval: SimDuration::from_millis(1),
             reprobe_successes: 2,
-            ..DegradePolicy::default()
+            ..DEGRADE
         }
     }
 
@@ -414,44 +398,19 @@ mod tests {
 
     #[test]
     fn policy_backoff_matches_knobs() {
-        let p = DegradePolicy::default();
-        let b = p.backoff();
+        let b = DEGRADE.backoff();
         assert_eq!(b.base, SimDuration::from_micros(50));
         assert_eq!(b.delay(1), SimDuration::from_micros(100));
         assert_eq!(b.max_attempts(), 4);
-    }
-
-    #[test]
-    fn default_retry_budget_never_binds_the_default_schedule() {
-        let b = DegradePolicy::default().backoff();
-        assert_eq!(b.budget, Some(SimDuration::from_millis(10)));
-        for retry in 0..4 {
-            assert!(
-                !b.budget_exhausted(retry),
-                "default budget must not change existing retry behavior"
-            );
-        }
-    }
-
-    #[test]
-    fn tight_retry_budget_cuts_the_schedule() {
-        let p = DegradePolicy {
-            retry_budget: SimDuration::from_micros(60),
-            ..DegradePolicy::default()
-        };
-        let b = p.backoff();
-        // Delays are 50, 100, 200 µs; a 60 µs budget permits only the
-        // first retry.
-        assert!(b.permits(0));
-        assert!(!b.permits(1));
-        assert!(b.budget_exhausted(1));
     }
 
     /// A guarded GPU component recording into a fresh registry and trace.
     fn guarded() -> (Guarded, ObsHandle, Tracer) {
         let tracer = Tracer::enabled();
         let obs = ObsHandle::enabled("guarded-test").with_tracer(tracer.clone());
-        (Guarded::new(&GPU_COMPRESS, policy(), &obs), obs, tracer)
+        let mut g = Guarded::new(&GPU_COMPRESS, &obs);
+        g.set_policy(policy());
+        (g, obs, tracer)
     }
 
     fn counter(obs: &ObsHandle, name: &str) -> u64 {
@@ -540,10 +499,10 @@ mod tests {
         let burnt = start + policy().backoff().total_delay();
         assert_eq!(floor, Err(burnt));
         assert_eq!(g.retries(), 3);
+        assert_eq!(counter(&obs, "fault.gpu_compress.retries"), 3);
         assert!(g.latch().is_degraded());
         assert!(!g.allow(burnt), "the rest starts at the burnt instant");
         assert!(g.allow(burnt + policy().reprobe_interval));
-        assert_eq!(counter(&obs, "fault.retry_budget_exhausted"), 0);
 
         // A hard fault is not retried at all.
         let (mut g, _, _) = guarded();
@@ -568,20 +527,265 @@ mod tests {
     }
 
     #[test]
-    fn a_binding_budget_is_counted_and_set_policy_keeps_the_tally() {
-        let tight = DegradePolicy {
-            retry_budget: SimDuration::from_micros(60),
-            ..policy()
-        };
-        let obs = ObsHandle::enabled("guarded-budget");
-        let mut g = Guarded::new(&SSD_WRITE, tight, &obs);
+    fn reset_closes_the_latch_and_keeps_the_tally() {
+        let (mut g, _, _) = guarded();
         let run = g.retry(None, SimTime::ZERO, |_: &()| true, |_| Err::<(), ()>(()));
-        assert!(run.budget_exhausted);
-        assert_eq!(g.retries(), 1, "60 us buys the 50 us retry only");
-        assert_eq!(counter(&obs, "fault.retry_budget_exhausted"), 1);
+        assert_eq!(run.retries, 3);
         g.failed(run.at);
-        g.set_policy(policy());
+        assert!(g.latch().is_degraded());
+        g.reset();
         assert!(!g.latch().is_degraded(), "a restart closes the latch");
-        assert_eq!(g.retries(), 1, "and keeps the tally");
+        assert_eq!(g.retries(), 3, "and keeps the tally");
+        assert_eq!(g.reprobe_interval(), policy().reprobe_interval);
+    }
+
+    /// Fault-track conformance: for every guarded component the fault-track
+    /// instants, the `fault.*` counters and the report tallies must tell the
+    /// same story, and tracing must not perturb a faulted run. The scenarios
+    /// put the pipeline's components under a short rest through
+    /// [`Guarded::set_policy`], so latches re-probe and close again inside
+    /// one run.
+    mod fault_track {
+        use super::*;
+        use crate::{IntegrationMode, Pipeline, PipelineConfig, Report};
+        use dr_gpu_sim::GpuFaultSpec;
+        use dr_ssd_sim::SsdFaultSpec;
+
+        /// A dedup-able, compressible stream: 192 blocks over 48 patterns, half
+        /// of each block pseudo-random so compression has real work to do.
+        fn stream() -> Vec<u8> {
+            let mut out = Vec::new();
+            for i in 0..192u32 {
+                let tag = (i % 48) as u8;
+                let mut block = vec![tag; 4096];
+                let mut state = (i % 48) as u64 + 1;
+                for b in block[..2048].iter_mut() {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    *b = (state >> 33) as u8;
+                }
+                out.extend_from_slice(&block);
+            }
+            out
+        }
+
+        fn config(mode: IntegrationMode) -> PipelineConfig {
+            PipelineConfig {
+                mode,
+                ..PipelineConfig::default()
+            }
+        }
+
+        /// The degradation policy with a rest of `reprobe_interval`.
+        fn resting(reprobe_interval: SimDuration) -> DegradePolicy {
+            DegradePolicy {
+                reprobe_interval,
+                ..DEGRADE
+            }
+        }
+
+        /// What one faulted scenario left behind, traced.
+        struct FaultedRun {
+            report: Report,
+            /// Fault-track event names, in emission order.
+            fault_track: Vec<String>,
+            counters: Vec<(String, u64)>,
+        }
+
+        impl FaultedRun {
+            fn counter(&self, name: &str) -> u64 {
+                self.counters
+                    .iter()
+                    .find(|(n, _)| n == name)
+                    .map_or(0, |(_, v)| *v)
+            }
+
+            fn instants(&self, name: &str) -> u64 {
+                self.fault_track.iter().filter(|n| *n == name).count() as u64
+            }
+        }
+
+        /// Drives `cfg`, every guarded component under `policy`, through `drive`
+        /// twice — tracer off, tracer on — requires the two reports to be equal,
+        /// and returns the traced run.
+        fn run_faulted_traced(
+            cfg: &PipelineConfig,
+            policy: DegradePolicy,
+            drive: impl Fn(&mut Pipeline),
+        ) -> FaultedRun {
+            let run = |tracer: Tracer| {
+                let obs = ObsHandle::enabled("fault-track").with_tracer(tracer);
+                let mut p = Pipeline::new(PipelineConfig {
+                    obs: obs.clone(),
+                    ..cfg.clone()
+                });
+                p.fault.gpu_dedup.set_policy(policy);
+                p.fault.gpu_compress.set_policy(policy);
+                p.destage.ssd_write.set_policy(policy);
+                drive(&mut p);
+                (
+                    p.report().clone(),
+                    obs.snapshot().expect("enabled").counters,
+                )
+            };
+            let (untraced, _) = run(Tracer::disabled());
+            let tracer = Tracer::enabled();
+            let (report, counters) = run(tracer.clone());
+            assert_eq!(
+                format!("{report:?}"),
+                format!("{untraced:?}"),
+                "tracing changed a faulted run's report"
+            );
+            // Every fault instant is emitted by the driving thread, so the drain
+            // preserves emission order within the fault track.
+            let fault_track = tracer
+                .sink()
+                .expect("enabled tracer has a sink")
+                .drain()
+                .into_iter()
+                .filter(|e| e.track == Track::Fault)
+                .map(|e| e.name.into_owned())
+                .collect();
+            FaultedRun {
+                report,
+                fault_track,
+                counters,
+            }
+        }
+
+        /// The per-component contract. `track` is the fault-track prefix
+        /// (`gpu-dedup`), `metric` the counter infix (`gpu_dedup`), and
+        /// `retry_instants` every instant name that tallies on the component's
+        /// retry counter. The scenario must fault this component only, so its
+        /// share of the report tallies is the whole of them.
+        fn assert_component_conforms(
+            run: &FaultedRun,
+            track: &str,
+            metric: &str,
+            retry_instants: &[&str],
+        ) {
+            let retries: u64 = retry_instants.iter().map(|n| run.instants(n)).sum();
+            assert!(retries > 0, "{track}: scenario never retried");
+            assert_eq!(
+                retries,
+                run.counter(&format!("fault.{metric}.retries")),
+                "{track}: retry instants vs counter"
+            );
+            assert_eq!(
+                retries, run.report.fault_retries,
+                "{track}: retry instants vs Report::fault_retries"
+            );
+            let (open, close) = (
+                format!("{track} latch open"),
+                format!("{track} latch close"),
+            );
+            assert_eq!(
+                run.instants(&open),
+                run.counter(&format!("fault.{metric}.degraded_transitions")),
+                "{track}: latch-open instants vs counter"
+            );
+            assert_eq!(
+                run.instants(&open),
+                run.report.degraded_transitions,
+                "{track}: latch-open instants vs Report::degraded_transitions"
+            );
+            // Opens and closes alternate, starting with an open.
+            let mut is_open = false;
+            for name in &run.fault_track {
+                if *name == open {
+                    assert!(!is_open, "{track}: latch opened twice without a close");
+                    is_open = true;
+                } else if *name == close {
+                    assert!(is_open, "{track}: latch closed while closed");
+                    is_open = false;
+                }
+            }
+        }
+
+        #[test]
+        fn gpu_dedup_fault_track_matches_counters_and_report() {
+            let mut cfg = config(IntegrationMode::GpuForDedup);
+            cfg.batch_chunks = 4;
+            cfg.compress_enabled = false;
+            cfg.index.bin_buffer_capacity = 1;
+            cfg.index.prefix_bytes = 1;
+            cfg.gpu_spec.faults = GpuFaultSpec {
+                launch_failure_rate: 0.55,
+                seed: 3,
+                ..GpuFaultSpec::default()
+            };
+            let data = stream();
+            let quick = resting(SimDuration::from_micros(200));
+            let run = run_faulted_traced(&cfg, quick, |p| {
+                p.run(&data);
+                p.run(&data);
+            });
+            assert_component_conforms(&run, "gpu-dedup", "gpu_dedup", &["gpu-dedup retry"]);
+            assert!(run.instants("gpu-dedup latch open") > 0, "never opened");
+            assert!(run.instants("gpu-dedup latch close") > 0, "never closed");
+        }
+
+        #[test]
+        fn gpu_compress_fault_track_matches_counters_and_report() {
+            let mut cfg = config(IntegrationMode::GpuForCompression);
+            cfg.batch_chunks = 4;
+            cfg.gpu_spec.faults = GpuFaultSpec {
+                launch_failure_rate: 0.55,
+                seed: 5,
+                ..GpuFaultSpec::default()
+            };
+            let data = stream();
+            let quick = resting(SimDuration::from_micros(200));
+            let run = run_faulted_traced(&cfg, quick, |p| {
+                p.run(&data);
+            });
+            assert_component_conforms(
+                &run,
+                "gpu-compress",
+                "gpu_compress",
+                &["gpu-compress retry"],
+            );
+            assert!(run.instants("gpu-compress latch open") > 0, "never opened");
+            assert!(run.instants("gpu-compress latch close") > 0, "never closed");
+        }
+
+        #[test]
+        fn ssd_fault_track_matches_counters_and_report() {
+            // One counter, two loops: page-read retries tally on
+            // `fault.ssd_write.retries` next to the page-write ones.
+            let mut cfg = config(IntegrationMode::CpuOnly);
+            cfg.compress_enabled = false;
+            cfg.dedup_enabled = false; // every block is a page write
+            cfg.batch_chunks = 8;
+            cfg.ssd_spec.faults = SsdFaultSpec {
+                write_error_rate: 0.45,
+                seed: 4,
+                ..SsdFaultSpec::default()
+            };
+            let data = stream();
+            // The whole ingest is ~160 simulated µs of CPU time, so the latch
+            // must rest far less than that to re-probe and close inside it.
+            let quick = resting(SimDuration::from_micros(5));
+            let run = run_faulted_traced(&cfg, quick, |p| {
+                p.run(&data);
+                p.set_ssd_faults(SsdFaultSpec {
+                    read_error_rate: 0.1,
+                    seed: 21,
+                    ..SsdFaultSpec::default()
+                });
+                let all: Vec<usize> = (0..p.ingested_chunks()).collect();
+                let blocks = p.read_blocks(&all).expect("faulted batch read");
+                assert_eq!(blocks.concat(), data);
+            });
+            assert_component_conforms(
+                &run,
+                "ssd-write",
+                "ssd_write",
+                &["ssd-write retry", "ssd-read retry"],
+            );
+            assert!(run.instants("ssd-write retry") > 0, "no write retries");
+            assert!(run.instants("ssd-read retry") > 0, "no read retries");
+            assert!(run.instants("ssd-write latch open") > 0, "never opened");
+            assert!(run.instants("ssd-write latch close") > 0, "never closed");
+        }
     }
 }

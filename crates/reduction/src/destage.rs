@@ -17,7 +17,7 @@ use dr_des::{Grant, SimTime};
 use dr_obs::{CounterHandle, ObsHandle, StageObs};
 use dr_ssd_sim::{SsdDevice, SsdError};
 
-use crate::degrade::{DegradePolicy, Guarded, SSD_WRITE};
+use crate::degrade::{Guarded, SSD_WRITE};
 
 /// Interned `destage.*` metrics; inert by default.
 #[derive(Debug, Clone, Default)]
@@ -90,7 +90,7 @@ impl Destager {
             buf: Vec::with_capacity(page_bytes),
             appended_bytes: 0,
             data_end: SimTime::ZERO,
-            ssd_write: Guarded::new(&SSD_WRITE, DegradePolicy::default(), &ObsHandle::disabled()),
+            ssd_write: Guarded::new(&SSD_WRITE, &ObsHandle::disabled()),
             read_order: Vec::new(),
             read_pieces: Vec::new(),
             obs: DestageObs::default(),

@@ -18,6 +18,7 @@ use dr_hashes::sha1_mb::SHA1_MB_LANES;
 use dr_hashes::{sha1_digest, sha1_digest_many, ChunkDigest};
 use dr_obs::trace::{trace_args, TraceArgs, Tracer, Track};
 
+use crate::cpu_model::CpuModel;
 use crate::journal::ChunkCommit;
 use crate::pipeline::Pipeline;
 use crate::recovery::destage_frontier;
@@ -324,7 +325,6 @@ impl Pipeline {
         payload: BatchPayload<'a>,
         digests: &'a [ChunkDigest],
     ) -> Batch<'a> {
-        let cpu_model = self.config.cpu;
         let arrival = SimTime::ZERO; // closed loop: input is never the bottleneck
         let dedup_enabled = self.config.dedup_enabled;
         let id = self.batch_seq;
@@ -335,11 +335,12 @@ impl Pipeline {
         chunks.clear();
         chunks.extend((0..digests.len()).map(|i| {
             let len = payload.view(i).len();
-            let chunk_cost = cpu_model.chunk_cost(len) + cpu_model.overhead_cost();
+            let chunk_cost =
+                CpuModel::I7_3770K.chunk_cost(len) + CpuModel::I7_3770K.overhead_cost();
             self.obs.chunking.record_sim_ns(chunk_cost.as_nanos());
             let mut cost = chunk_cost;
             if dedup_enabled {
-                let hash_cost = cpu_model.hash_cost(len);
+                let hash_cost = CpuModel::I7_3770K.hash_cost(len);
                 self.obs.hashing.stage.record_sim_ns(hash_cost.as_nanos());
                 cost += hash_cost;
             }
@@ -469,7 +470,6 @@ impl Pipeline {
     /// cost accounting below stays serial and in input order, so pool
     /// scheduling never affects simulated results.
     fn cpu_probe(&mut self, batch: &mut Batch) {
-        let cpu_model = self.config.cpu;
         let BatchScratch {
             cpu_queries: queries,
             cpu_hits: hits,
@@ -489,9 +489,12 @@ impl Pipeline {
                 // buffer-only probe never reaches the tree.
                 let cost = match (kind, hit) {
                     (ProbeKind::BufferOnly, _) | (_, Some((_, BinHit::Buffer))) => {
-                        cpu_model.buffer_probe_cost()
+                        CpuModel::I7_3770K.buffer_probe_cost()
                     }
-                    _ => cpu_model.buffer_probe_cost() + cpu_model.tree_probe_cost(),
+                    _ => {
+                        CpuModel::I7_3770K.buffer_probe_cost()
+                            + CpuModel::I7_3770K.tree_probe_cost()
+                    }
                 };
                 self.obs.index_probe.record_sim_ns(cost.as_nanos());
                 chunk.ready_at = self.cpu.acquire(chunk.ready_at, cost).end;
@@ -517,7 +520,7 @@ impl Pipeline {
     /// before the next probe; batching must not lose those hits, so
     /// resolve them against the batch's unique chunks so far.
     fn resolve_intra_batch(&mut self, batch: &mut Batch) {
-        let probe_cost = self.config.cpu.buffer_probe_cost();
+        let probe_cost = CpuModel::I7_3770K.buffer_probe_cost();
         let firsts = &mut self.scratch.firsts;
         firsts.clear();
         for (i, chunk) in batch.chunks.iter_mut().enumerate() {
@@ -601,7 +604,6 @@ impl Pipeline {
     /// failed GPU attempt handed the batch over when degrading.
     fn cpu_compress(&mut self, batch: &Batch, unique: &[usize], floor: SimTime) -> Vec<Frame> {
         let (payload, chunks) = (batch.payload, &batch.chunks);
-        let cpu_model = self.config.cpu;
         let codec = self.codec;
         let mut outs: Vec<(usize, Vec<u8>)> =
             unique.iter().map(|&i| (i, self.arena.take())).collect();
@@ -613,7 +615,7 @@ impl Pipeline {
             .map(|(i, frame_bytes)| {
                 let len = payload.view(i).len();
                 let ratio = len as f64 / frame_bytes.len() as f64;
-                let cost = cpu_model.compress_cost(len, ratio);
+                let cost = CpuModel::I7_3770K.compress_cost(len, ratio);
                 self.obs.compress.record_sim_ns(cost.as_nanos());
                 let g = self.cpu.acquire(chunks[i].ready_at.max(floor), cost);
                 (i, frame_bytes, g.end)
@@ -633,7 +635,6 @@ impl Pipeline {
             return Vec::new();
         }
         let (payload, chunks) = (batch.payload, &batch.chunks);
-        let cpu_model = self.config.cpu;
         let batch_ready = unique
             .iter()
             .map(|&i| chunks[i].ready_at)
@@ -668,7 +669,7 @@ impl Pipeline {
                 let start = report.gpu_done.max(chunks[i].ready_at);
                 let g = self
                     .cpu
-                    .acquire(start, cpu_model.post_process_cost(per_chunk_raw));
+                    .acquire(start, CpuModel::I7_3770K.post_process_cost(per_chunk_raw));
                 // Per-chunk stage latency: kernel wait + CPU refinement
                 // (batch-ready to frame-sealed on the simulated clock).
                 self.obs
@@ -747,7 +748,7 @@ impl Pipeline {
             }
             Err(e) if e.is_transient() => {
                 self.destage.ssd_write.failed(ready);
-                let rest = ready + self.config.degrade.reprobe_interval;
+                let rest = ready + self.destage.ssd_write.reprobe_interval();
                 let grants = self
                     .destage
                     .drain_full(rest, &mut self.ssd)
@@ -768,7 +769,7 @@ impl Pipeline {
         chunk_ref: ChunkRef,
         sealed: SimTime,
     ) -> SimTime {
-        let g = self.cpu.acquire(sealed, self.config.cpu.insert_cost());
+        let g = self.cpu.acquire(sealed, CpuModel::I7_3770K.insert_cost());
         if let Some(flush) = self.index.insert(digest, chunk_ref) {
             self.report.bin_flushes += 1;
             // Sequential index write to the SSD. The spill is best-effort

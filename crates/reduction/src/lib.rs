@@ -62,13 +62,13 @@
 pub mod background;
 pub mod calibrate;
 pub mod cpu_model;
-pub mod degrade;
+mod degrade;
 mod destage;
 pub mod error;
 mod ingest;
 pub mod journal;
 pub mod pipeline;
-pub mod read;
+mod read;
 mod recovery;
 pub mod report;
 pub mod volume;
@@ -85,13 +85,11 @@ pub use background::{
 };
 pub use calibrate::{calibrate, CalibrationOutcome};
 pub use cpu_model::CpuModel;
-pub use degrade::DegradePolicy;
 pub use error::ReadError;
 pub use ingest::HashedChunks;
 pub use journal::{Journal, JournalError, Record};
 pub use pipeline::{
     IntegrationMode, Pipeline, PipelineConfig, RecoverError, RecoveryOutcome, VolumeRecord,
 };
-pub use read::ReadConfig;
 pub use report::Report;
 pub use volume::{VolumeError, VolumeManager};

@@ -1,6 +1,6 @@
 //! The integrated pipeline: configuration, construction, the batch driver.
 //! Its paths live in one file each: the write path's stages in
-//! `ingest.rs`, the read path in [`crate::read`], journaling and crash
+//! `ingest.rs`, the read path in `read.rs`, journaling and crash
 //! recovery in `recovery.rs`.
 
 use dr_binindex::{BinIndex, BinIndexConfig, ChunkRef, GpuBinIndex, GpuBinIndexConfig, RoutingObs};
@@ -15,12 +15,12 @@ use dr_ssd_sim::{SsdDevice, SsdSpec};
 use std::borrow::Cow;
 
 use crate::cpu_model::CpuModel;
-use crate::degrade::{DegradePolicy, Guarded, GPU_COMPRESS, GPU_DEDUP};
+use crate::degrade::{Guarded, GPU_COMPRESS, GPU_DEDUP};
 use crate::destage::Destager;
 use crate::error::ReadError;
 use crate::ingest::{BatchPayload, BatchScratch, FrameArena, HashedChunks};
 use crate::journal::Journal;
-use crate::read::{ReadCache, ReadConfig};
+use crate::read::{ReadCache, READ_CACHE_CHUNKS};
 use crate::report::Report;
 
 pub use crate::recovery::{RecoverError, RecoveryOutcome, VolumeRecord};
@@ -114,20 +114,16 @@ pub struct PipelineConfig {
     /// Host worker threads for the persistent execution pool that runs
     /// hashing and CPU compression (includes the calling thread). Defaults
     /// to the machine's available parallelism, clamped — see
-    /// [`dr_pool::default_workers`]. Distinct from [`CpuModel::workers`],
-    /// which models the *simulated* array's CPUs; this knob only affects
-    /// host wall-clock speed, never simulated results.
+    /// [`dr_pool::default_workers`]. Distinct from the workers of
+    /// [`CpuModel::I7_3770K`], which models the *simulated* array's CPUs;
+    /// this knob only affects host wall-clock speed, never simulated
+    /// results.
     pub pool_workers: usize,
-    /// CPU cost model.
-    pub cpu: CpuModel,
     /// CPU-side index configuration.
     pub index: BinIndexConfig,
-    /// GPU-resident index configuration.
+    /// GPU-resident index configuration. Its digest routing is the CPU
+    /// index's `prefix_bytes`.
     pub gpu_index: GpuBinIndexConfig,
-    /// GPU compression kernel configuration.
-    pub gpu_compressor: GpuCompressorConfig,
-    /// Read-path configuration: decompressed-chunk cache capacity.
-    pub read: ReadConfig,
     /// GPU hardware profile.
     pub gpu_spec: GpuSpec,
     /// SSD hardware profile.
@@ -143,11 +139,6 @@ pub struct PipelineConfig {
     /// verify it on reads, so device corruption is detected instead of
     /// silently decompressed.
     pub integrity: bool,
-    /// Degradation policy applied when device models inject faults:
-    /// bounded retry with backoff, then reroute to the CPU path (GPU
-    /// faults) or shed reduction effort (SSD write faults), with a
-    /// sim-time re-probe timer. Inert while no faults are injected.
-    pub degrade: DegradePolicy,
     /// Pages reserved at the top of the LPN space for the write-ahead
     /// metadata journal (see [`crate::journal`]). Zero (the default)
     /// disables journaling entirely — no reservation, no extra device
@@ -172,18 +163,14 @@ impl Default for PipelineConfig {
             chunk_bytes: 4096,
             batch_chunks: 128,
             pool_workers: dr_pool::default_workers(),
-            cpu: CpuModel::default(),
             index: BinIndexConfig::default(),
             gpu_index: GpuBinIndexConfig::default(),
-            gpu_compressor: GpuCompressorConfig::default(),
-            read: ReadConfig::default(),
             gpu_spec: GpuSpec::radeon_hd_7970(),
             ssd_spec: SsdSpec::samsung_830_256g(),
             dedup_enabled: true,
             compress_enabled: true,
             verify: false,
             integrity: false,
-            degrade: DegradePolicy::default(),
             journal_pages: 0,
             obs: ObsHandle::disabled(),
         }
@@ -285,10 +272,10 @@ pub(crate) struct FaultState {
 }
 
 impl FaultState {
-    pub(crate) fn new(policy: DegradePolicy, obs: &ObsHandle) -> Self {
+    pub(crate) fn new(obs: &ObsHandle) -> Self {
         FaultState {
-            gpu_dedup: Guarded::new(&GPU_DEDUP, policy, obs),
-            gpu_compress: Guarded::new(&GPU_COMPRESS, policy, obs),
+            gpu_dedup: Guarded::new(&GPU_DEDUP, obs),
+            gpu_compress: Guarded::new(&GPU_COMPRESS, obs),
         }
     }
 }
@@ -304,9 +291,7 @@ pub(crate) fn power_on_gpu(config: &PipelineConfig) -> (GpuDevice, Option<GpuBin
     if !(config.mode.gpu_dedup() && config.dedup_enabled) {
         return (gpu, None);
     }
-    let mut cfg = config.gpu_index;
-    cfg.prefix_bytes = config.index.prefix_bytes;
-    let gpu_index = GpuBinIndex::new(&mut gpu, cfg);
+    let gpu_index = GpuBinIndex::new(&mut gpu, config.gpu_index, config.index.prefix_bytes);
     if gpu_index.is_err() {
         config.obs.counter("fault.gpu_index.out_of_memory").incr();
     }
@@ -390,7 +375,7 @@ impl Pipeline {
     /// # Panics
     ///
     /// Panics when the configuration is inconsistent (zero chunk size,
-    /// zero batch size or pool width, invalid cost model).
+    /// zero batch size or pool width).
     pub fn new(config: PipelineConfig) -> Self {
         assert!(config.chunk_bytes > 0, "chunk size must be positive");
         assert!(config.batch_chunks > 0, "batch size must be positive");
@@ -398,7 +383,6 @@ impl Pipeline {
             config.pool_workers > 0,
             "pool worker count must be positive"
         );
-        config.cpu.validate();
         // The calling thread participates in every batch, so the pool
         // itself carries one thread fewer than the configured width.
         let pool = WorkerPool::new(config.pool_workers - 1);
@@ -408,7 +392,6 @@ impl Pipeline {
         ssd.set_obs(&config.obs);
         let mut destage = Destager::new(&ssd);
         destage.set_obs(&config.obs);
-        destage.ssd_write.set_policy(config.degrade);
         let journal = if config.journal_pages > 0 {
             let mut journal = Journal::new(
                 ssd.logical_pages(),
@@ -426,13 +409,13 @@ impl Pipeline {
         };
         let mut index = BinIndex::new(config.index);
         index.set_obs(&config.obs);
-        let mut gpu_comp = GpuCompressor::new(config.gpu_compressor);
+        let mut gpu_comp = GpuCompressor::new(GpuCompressorConfig::default());
         gpu_comp.set_obs(&config.obs);
         Pipeline {
-            cpu: Resource::new("cpu-workers", config.cpu.workers),
+            cpu: Resource::new("cpu-workers", CpuModel::I7_3770K.workers),
             index,
             gpu_comp,
-            read_cache: ReadCache::new(config.read.cache_chunks),
+            read_cache: ReadCache::new(READ_CACHE_CHUNKS),
             codec: FastLz::new(),
             gpu,
             gpu_index,
@@ -442,7 +425,7 @@ impl Pipeline {
             pool,
             arena: FrameArena::new(config.batch_chunks),
             scratch: BatchScratch::default(),
-            fault: FaultState::new(config.degrade, &config.obs),
+            fault: FaultState::new(&config.obs),
             obs: PipelineObs::new(&config.obs),
             batch_seq: 0,
             report: Report::new(config.mode),
@@ -1340,5 +1323,52 @@ pub(crate) mod tests {
             chunk_bytes: 0,
             ..PipelineConfig::default()
         });
+    }
+
+    #[test]
+    fn the_gpu_holds_exactly_the_resident_index_across_runs_faults_and_recovery() {
+        let data = stream();
+        let faults = [
+            dr_gpu_sim::GpuFaultSpec::default(),
+            dr_gpu_sim::GpuFaultSpec {
+                launch_failure_rate: 0.4,
+                seed: 3,
+                ..dr_gpu_sim::GpuFaultSpec::default()
+            },
+            dr_gpu_sim::GpuFaultSpec {
+                probe_timeout_rate: 0.4,
+                seed: 5,
+                ..dr_gpu_sim::GpuFaultSpec::default()
+            },
+        ];
+        for mode in IntegrationMode::ALL {
+            for (f, spec) in faults.iter().cloned().enumerate() {
+                let mut cfg = small_config(mode);
+                cfg.batch_chunks = 8;
+                cfg.journal_pages = 64;
+                cfg.gpu_spec.faults = spec;
+                let mut p = Pipeline::new(cfg);
+                // Device memory is the index table and nothing else: every
+                // transient kernel buffer was freed, faulted launch or not.
+                let conserved = |p: &Pipeline, step: &str| {
+                    let index = p.gpu_index.as_ref().map_or(0, GpuBinIndex::device_bytes);
+                    assert_eq!(p.gpu.mem_used(), index, "{mode}, faults {f}: {step}");
+                    assert_eq!(index > 0, mode.gpu_dedup(), "{mode}: {step}");
+                };
+                p.run(&data);
+                conserved(&p, "first run");
+                p.run(&data);
+                conserved(&p, "second run");
+                if f > 0 && mode != IntegrationMode::CpuOnly {
+                    assert!(p.report().faults_injected > 0, "{mode}, faults {f}");
+                }
+                let at = p.report().ssd_end;
+                p.power_cut_and_recover(dr_ssd_sim::CrashSpec { at, torn_seed: 9 })
+                    .expect("recovery");
+                conserved(&p, "recovery");
+                p.run(&data);
+                conserved(&p, "run after recovery");
+            }
+        }
     }
 }

@@ -1,5 +1,5 @@
-//! The read path: configuration, the decompressed-chunk cache, and the
-//! batched read pipeline ([`Pipeline::read_blocks`]).
+//! The read path: the decompressed-chunk cache and the batched read
+//! pipeline ([`Pipeline::read_blocks`]).
 //!
 //! Reads are grouped by stored frame, served from a small
 //! capacity-bounded LRU over decompressed chunks (keyed by the chunk's
@@ -19,25 +19,13 @@ use dr_compress::frame;
 use dr_des::SimTime;
 use dr_obs::trace::{trace_args, Track};
 
+use crate::cpu_model::CpuModel;
 use crate::destage::FetchedFrames;
 use crate::error::ReadError;
 use crate::pipeline::Pipeline;
 
-/// Read-path tuning knobs. Where a cold batch decodes is not one of
-/// them: it always decodes on the simulated CPU workers (see
-/// [`Pipeline::read_blocks`]).
-#[derive(Debug, Clone, Copy)]
-pub struct ReadConfig {
-    /// Capacity of the decompressed-chunk cache, in chunks. `0` disables
-    /// caching: every read fetches and decompresses its frame.
-    pub cache_chunks: usize,
-}
-
-impl Default for ReadConfig {
-    fn default() -> Self {
-        ReadConfig { cache_chunks: 256 }
-    }
-}
+/// Capacity of the pipeline's decompressed-chunk cache, in chunks.
+pub(crate) const READ_CACHE_CHUNKS: usize = 256;
 
 /// A decompressed chunk as the cache holds it and a batch borrows it:
 /// shared, never copied, until the one copy into the caller's `Vec`.
@@ -76,6 +64,7 @@ pub(crate) struct ReadCache {
 }
 
 impl ReadCache {
+    /// An empty cache of `cap` chunks; `cap` must be positive.
     pub(crate) fn new(cap: usize) -> Self {
         ReadCache {
             cap,
@@ -155,9 +144,6 @@ impl ReadCache {
     /// Inserts (or refreshes) a decompressed chunk, evicting the
     /// least-recently-used one when full. Returns the number of evictions.
     pub(crate) fn insert(&mut self, addr: u64, bytes: SharedChunk) -> u64 {
-        if self.cap == 0 {
-            return 0;
-        }
         if let Some(&i) = self.map.get(&addr) {
             // Refresh: promote without growing.
             self.slab[i].bytes = bytes;
@@ -312,7 +298,6 @@ impl Pipeline {
 
     /// The body of [`Pipeline::read_chunks`] for a non-empty batch.
     fn read_batch(&mut self, refs: &[ChunkRef]) -> Result<Vec<Vec<u8>>, ReadError> {
-        let cpu_model = self.config.cpu;
         let now = self.report.read_end.max(self.report.reduction_end);
         self.obs.read_batches.incr();
 
@@ -382,13 +367,11 @@ impl Pipeline {
             // Fresh decodes enter the cache — the batch keeps sharing
             // them — and only once every frame decoded, so a corrupt
             // frame is re-detected on every re-read.
-            if self.config.read.cache_chunks > 0 {
-                for slot in cold_slots(&grouped.slots) {
-                    let bytes = slot.bytes.as_ref().expect("cold frame was decoded");
-                    let evicted = self.read_cache.insert(slot.addr, Arc::clone(bytes));
-                    if evicted > 0 {
-                        self.obs.read_cache_evictions.add(evicted);
-                    }
+            for slot in cold_slots(&grouped.slots) {
+                let bytes = slot.bytes.as_ref().expect("cold frame was decoded");
+                let evicted = self.read_cache.insert(slot.addr, Arc::clone(bytes));
+                if evicted > 0 {
+                    self.obs.read_cache_evictions.add(evicted);
                 }
             }
         }
@@ -410,7 +393,7 @@ impl Pipeline {
                     ready
                 }
                 None => {
-                    let g = self.cpu.acquire(now, cpu_model.read_hit_cost());
+                    let g = self.cpu.acquire(now, CpuModel::I7_3770K.read_hit_cost());
                     self.report.read_cache_hits += 1;
                     self.obs.read_cache_hits.incr();
                     g.end
@@ -448,11 +431,10 @@ impl Pipeline {
         fetched: &FetchedFrames,
         slots: &mut [Slot],
     ) -> Result<SimTime, ReadError> {
-        let cpu_model = self.config.cpu;
         let mut done = SimTime::ZERO;
         for (slot, f) in cold_slots_mut(slots).zip(&fetched.frames) {
             let chunk = frame::open(&fetched.bytes[f.bytes.clone()])?;
-            let cost = cpu_model.decompress_cost(chunk.len());
+            let cost = CpuModel::I7_3770K.decompress_cost(chunk.len());
             let g = self.cpu.acquire(f.ready, cost);
             slot.bytes = Some(Arc::new(chunk));
             slot.decoded_at = Some(g.end);
@@ -467,15 +449,16 @@ mod tests {
     use super::*;
     use crate::pipeline::tests::{small_config, stream};
     use crate::pipeline::IntegrationMode;
+    use dr_des::Resource;
     use dr_hashes::sha1_digest;
 
     #[test]
     fn default_config_enables_cache_and_gpu_routing() {
         // The cache is on, and the default mode routes compression to the
         // GPU; its cold reads still decode on the CPU.
-        let c = crate::PipelineConfig::default();
-        assert!(c.read.cache_chunks > 0);
-        assert!(c.mode.gpu_compression());
+        let p = Pipeline::new(crate::PipelineConfig::default());
+        assert_eq!(p.read_cache.cap, READ_CACHE_CHUNKS);
+        assert!(p.config().mode.gpu_compression());
     }
 
     #[test]
@@ -530,15 +513,6 @@ mod tests {
         assert!(cache.contains(3));
     }
 
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let mut cache = ReadCache::new(0);
-        assert_eq!(cache.insert(1, Arc::new(vec![1])), 0);
-        assert!(!cache.contains(1));
-        assert_eq!(cache.get(1), None);
-        assert_eq!(cache.len(), 0);
-    }
-
     /// The `HashMap` + `VecDeque` LRU the slab-linked one replaced, kept
     /// as its model: recency by O(n) scan, eviction from the front.
     struct ModelLru {
@@ -557,9 +531,6 @@ mod tests {
         }
 
         fn insert(&mut self, addr: u64, tag: u8) -> u64 {
-            if self.cap == 0 {
-                return 0;
-            }
             if self.map.insert(addr, tag).is_some() {
                 let pos = self.order.iter().position(|&a| a == addr).unwrap();
                 self.order.remove(pos);
@@ -579,7 +550,7 @@ mod tests {
 
     #[test]
     fn slab_lru_matches_the_scan_based_model_step_for_step() {
-        for cap in [0usize, 1, 2, 256] {
+        for cap in [1usize, 2, 256] {
             let mut rng = dr_des::SplitMix64::new(0x1A2_0000 + cap as u64);
             let mut cache = ReadCache::new(cap);
             let mut model = ModelLru {
@@ -620,7 +591,7 @@ mod tests {
                 assert_eq!(cache.len(), model.map.len());
                 assert_eq!(cache.map.len(), cache.slab.len());
             }
-            assert!(cap == 0 || evictions > 0, "cap {cap} never evicted");
+            assert!(evictions > 0, "cap {cap} never evicted");
         }
     }
 
@@ -640,12 +611,11 @@ mod tests {
         assert_eq!(back, [&data[..4096]]);
     }
 
-    /// [`small_config`] on a one-worker CPU model, where a 32-frame cold
-    /// batch queues deep.
-    fn one_worker_config(mode: IntegrationMode) -> crate::PipelineConfig {
-        let mut cfg = small_config(mode);
-        cfg.cpu.workers = 1;
-        cfg
+    /// `p` on one simulated CPU worker, where a 32-frame cold batch
+    /// queues deep.
+    fn on_one_worker(mut p: Pipeline) -> Pipeline {
+        p.cpu = Resource::new("cpu-workers", 1);
+        p
     }
 
     #[test]
@@ -654,14 +624,15 @@ mod tests {
         // frames still decode (to other bytes), others fail the host's one
         // decode. A batch holding one fails whole — no request delivered —
         // and, like every read, launches nothing on the GPU.
-        let mut cfg = one_worker_config(IntegrationMode::GpuForCompression);
+        let mut cfg = small_config(IntegrationMode::GpuForCompression);
         cfg.verify = false;
-        cfg.read.cache_chunks = 0;
         cfg.ssd_spec.read_fault_rate = 1.0;
-        let mut p = Pipeline::new(cfg);
+        let mut p = on_one_worker(Pipeline::new(cfg));
         p.run(&stream());
         let mut failed = 0;
         for round in 0..8 {
+            // Every round reads cold.
+            p.read_cache.clear();
             let before = (p.report().reads, p.gpu.stats().kernels);
             match p.read_blocks(&(0..32).collect::<Vec<_>>()) {
                 Err(ReadError::Frame(_)) => {
@@ -696,27 +667,17 @@ mod tests {
     }
 
     #[test]
-    fn read_cache_absorbs_repeats_and_can_be_disabled() {
+    fn read_cache_absorbs_repeats() {
         let data = stream();
         let mut cached = Pipeline::new(small_config(IntegrationMode::CpuOnly));
         cached.run(&data);
         // Blocks 0 and 32 share one stored frame (same pattern tag): the
         // first read warms the cache, everything after hits it.
         for _ in 0..3 {
-            cached.read_block(0).unwrap();
+            assert_eq!(cached.read_block(0).unwrap(), &data[..4096]);
             cached.read_block(32).unwrap();
         }
         assert_eq!(cached.report().read_cache_hits, 5);
-
-        let mut cfg = small_config(IntegrationMode::CpuOnly);
-        cfg.read.cache_chunks = 0;
-        let mut cold = Pipeline::new(cfg);
-        cold.run(&data);
-        for _ in 0..3 {
-            cold.read_block(0).unwrap();
-        }
-        assert_eq!(cold.report().read_cache_hits, 0, "cache disabled");
-        assert_eq!(cold.read_block(0).unwrap(), &data[..4096]);
     }
 
     #[test]
@@ -725,9 +686,8 @@ mod tests {
         // the batch's own cold decodes before delivery; its bytes must be
         // captured at issue, not re-fetched from the cache.
         let data = stream();
-        let mut cfg = small_config(IntegrationMode::CpuOnly);
-        cfg.read.cache_chunks = 4;
-        let mut p = Pipeline::new(cfg);
+        let mut p = Pipeline::new(small_config(IntegrationMode::CpuOnly));
+        p.read_cache = ReadCache::new(4);
         p.run(&data);
         p.read_block(0).unwrap(); // warm the cache with block 0's frame
         let batch = p.read_blocks(&[0, 1, 2, 3, 4, 5]).expect("batched read");
@@ -754,14 +714,14 @@ mod tests {
             let mut baseline = None;
             for pool_workers in [1usize, 2, 4] {
                 let at = format!("mode {mode}, pool_workers={pool_workers}");
-                let mut cfg = one_worker_config(mode);
+                let mut cfg = small_config(mode);
                 cfg.pool_workers = pool_workers;
-                let mut batched = Pipeline::new(cfg.clone());
+                let mut batched = on_one_worker(Pipeline::new(cfg.clone()));
                 batched.run(&data);
                 let kernels = batched.gpu.stats().kernels;
                 let got = batched.read_blocks(&all).expect("batched read");
                 assert_eq!(batched.gpu.stats().kernels, kernels, "{at}");
-                let mut serial = Pipeline::new(cfg);
+                let mut serial = on_one_worker(Pipeline::new(cfg));
                 serial.run(&data);
                 for (&i, bytes) in all.iter().zip(&got) {
                     assert_eq!(bytes, &serial.read_block(i).unwrap(), "{at}: block {i}");
@@ -840,10 +800,11 @@ mod tests {
             let mut data: Vec<u8> = (0..blocks)
                 .flat_map(|_| block(rng.next_below(contents)))
                 .collect();
-            let mut cfg = small_config(mode);
-            cfg.read.cache_chunks = 1 + rng.next_below(24) as usize;
-            let mut batched = Pipeline::new(cfg.clone());
-            let mut serial = Pipeline::new(cfg);
+            let capacity = 1 + rng.next_below(24) as usize;
+            let mut batched = Pipeline::new(small_config(mode));
+            let mut serial = Pipeline::new(small_config(mode));
+            batched.read_cache = ReadCache::new(capacity);
+            serial.read_cache = ReadCache::new(capacity);
             // Ingested, not committed: the last frames sit in the open page.
             batched.ingest(&data, None);
             serial.ingest(&data, None);

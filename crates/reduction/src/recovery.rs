@@ -325,8 +325,8 @@ impl Pipeline {
         // frame arena, a power-cycled GPU with an empty index mirror.
         self.read_cache.clear();
         self.obs.read_cache_entries.set(0);
-        self.fault = FaultState::new(self.config.degrade, &self.config.obs);
-        self.destage.ssd_write.set_policy(self.config.degrade);
+        self.fault = FaultState::new(&self.config.obs);
+        self.destage.ssd_write.reset();
         self.arena = FrameArena::new(self.config.batch_chunks);
         (self.gpu, self.gpu_index) = power_on_gpu(&self.config);
 

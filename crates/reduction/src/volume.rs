@@ -27,6 +27,11 @@ pub enum VolumeError {
     UnknownVolume(String),
     /// A volume with that name already exists.
     AlreadyExists(String),
+    /// The name is longer than [`VolumeManager::MAX_NAME_BYTES`].
+    NameTooLong {
+        /// The name's length in bytes.
+        len: usize,
+    },
     /// The block index is outside the volume.
     OutOfRange {
         /// Offending block index.
@@ -55,6 +60,11 @@ impl std::fmt::Display for VolumeError {
         match self {
             VolumeError::UnknownVolume(name) => write!(f, "unknown volume '{name}'"),
             VolumeError::AlreadyExists(name) => write!(f, "volume '{name}' already exists"),
+            VolumeError::NameTooLong { len } => write!(
+                f,
+                "volume name of {len} bytes is longer than {} bytes",
+                VolumeManager::MAX_NAME_BYTES
+            ),
             VolumeError::OutOfRange { block, size } => {
                 write!(f, "block {block} outside volume of {size} blocks")
             }
@@ -105,6 +115,10 @@ pub struct VolumeManager {
 }
 
 impl VolumeManager {
+    /// The longest volume name, in bytes: the journal records a name's
+    /// length in 16 bits.
+    pub const MAX_NAME_BYTES: usize = u16::MAX as usize;
+
     /// Creates an empty array with a fresh pipeline.
     pub fn new(config: PipelineConfig) -> Self {
         VolumeManager {
@@ -140,8 +154,11 @@ impl VolumeManager {
     ///
     /// # Errors
     ///
-    /// [`VolumeError::AlreadyExists`].
+    /// [`VolumeError::NameTooLong`] / [`VolumeError::AlreadyExists`].
     pub fn create_volume(&mut self, name: &str, blocks: u64) -> Result<(), VolumeError> {
+        if name.len() > Self::MAX_NAME_BYTES {
+            return Err(VolumeError::NameTooLong { len: name.len() });
+        }
         if self.volumes.contains_key(name) {
             return Err(VolumeError::AlreadyExists(name.to_owned()));
         }
@@ -562,6 +579,34 @@ mod tests {
             journal_pages: 64,
             ..PipelineConfig::default()
         })
+    }
+
+    #[test]
+    fn an_over_long_name_is_refused_before_anything_changes() {
+        let longest = "n".repeat(VolumeManager::MAX_NAME_BYTES);
+        let too_long = format!("{longest}n");
+        for (mut m, journaled) in [(manager(), false), (journaled_manager(), true)] {
+            let before = (m.report().clone(), m.last_ack());
+            assert_eq!(
+                m.create_volume(&too_long, 4),
+                Err(VolumeError::NameTooLong {
+                    len: VolumeManager::MAX_NAME_BYTES + 1
+                })
+            );
+            assert!(m.volume_names().is_empty());
+            assert_eq!(
+                format!("{:?}", (m.report(), m.last_ack())),
+                format!("{before:?}")
+            );
+            // The longest name is a volume like any other, journaled or not.
+            m.create_volume(&longest, 4).unwrap();
+            m.write(&longest, 0, &block(1)).unwrap();
+            if journaled {
+                let at = m.last_ack();
+                m.crash_and_recover(CrashSpec { at, torn_seed: 3 }).unwrap();
+            }
+            assert_eq!(m.read(&longest, 0).unwrap(), block(1));
+        }
     }
 
     #[test]

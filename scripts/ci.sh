@@ -11,6 +11,13 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+# Doc-name gate: every Rust-looking name README.md and DESIGN.md put in
+# backticks (DESIGN.md §17, the list of things not in the tree, aside)
+# must occur in the code, so deleting or renaming an item cannot leave
+# the docs naming something that is gone.
+echo "==> doc identifiers (README.md + DESIGN.md vs the code)"
+scripts/doc_idents.sh
+
 # Clippy is optional on minimal toolchains; when present, warnings fail.
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy (deny warnings)"

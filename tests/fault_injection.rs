@@ -4,10 +4,9 @@
 //! with faults disabled the simulated results must be bit-identical to a
 //! build without the fault layer at all.
 
-use inline_dr::des::SimDuration;
 use inline_dr::gpu_sim::GpuFaultSpec;
-use inline_dr::obs::{ObsHandle, Tracer, Track};
-use inline_dr::reduction::{DegradePolicy, IntegrationMode, Pipeline, PipelineConfig, Report};
+use inline_dr::obs::ObsHandle;
+use inline_dr::reduction::{IntegrationMode, Pipeline, PipelineConfig};
 use inline_dr::ssd_sim::SsdFaultSpec;
 
 /// A dedup-able, compressible stream: 192 blocks over 48 patterns, half of
@@ -231,15 +230,13 @@ fn faults_cost_simulated_time() {
 
 #[test]
 fn cold_reads_decode_on_the_cpu_even_when_the_gpu_fails_every_launch() {
-    // A GPU-compression mode on one simulated CPU worker: a cold batch of
-    // the stream's 48 distinct frames queues deep on the CPU, where an
-    // idle GPU would finish it first. Cold reads decode on the CPU in
-    // every mode, so a GPU that fails every launch costs them no retry,
-    // no latch transition and no device work.
+    // Cold reads decode on the CPU in every mode, so in a GPU-compression
+    // mode a GPU that fails every launch costs a cold batch of the
+    // stream's 48 distinct frames no retry, no latch transition and no
+    // device work.
     let data = stream();
     let obs = ObsHandle::enabled("cold-reads");
     let mut cfg = config(IntegrationMode::GpuForCompression);
-    cfg.cpu.workers = 1;
     cfg.obs = obs.clone();
     let mut p = Pipeline::new(cfg);
     p.run(&data);
@@ -313,213 +310,4 @@ fn zero_fault_config_is_bit_identical_to_default() {
         // The printed report is also byte-identical (no fault line).
         assert_eq!(rb.to_string(), re.to_string(), "{mode}");
     }
-}
-
-// ---------------------------------------------------------------------------
-// Fault-track conformance: for every guarded component the fault-track
-// instants, the `fault.*` counters and the report tallies must tell the
-// same story, and tracing must not perturb a faulted run.
-
-/// What one faulted scenario left behind, traced.
-struct FaultedRun {
-    report: Report,
-    /// Fault-track event names, in emission order.
-    fault_track: Vec<String>,
-    counters: Vec<(String, u64)>,
-}
-
-impl FaultedRun {
-    fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
-    }
-
-    fn instants(&self, name: &str) -> u64 {
-        self.fault_track.iter().filter(|n| *n == name).count() as u64
-    }
-}
-
-/// Drives `cfg` through `drive` twice — tracer off, tracer on — requires
-/// the two reports to be equal, and returns the traced run.
-fn run_faulted_traced(cfg: &PipelineConfig, drive: impl Fn(&mut Pipeline)) -> FaultedRun {
-    let run = |tracer: Tracer| {
-        let obs = ObsHandle::enabled("fault-track").with_tracer(tracer);
-        let mut p = Pipeline::new(PipelineConfig {
-            obs: obs.clone(),
-            ..cfg.clone()
-        });
-        drive(&mut p);
-        (
-            p.report().clone(),
-            obs.snapshot().expect("enabled").counters,
-        )
-    };
-    let (untraced, _) = run(Tracer::disabled());
-    let tracer = Tracer::enabled();
-    let (report, counters) = run(tracer.clone());
-    assert_eq!(
-        format!("{report:?}"),
-        format!("{untraced:?}"),
-        "tracing changed a faulted run's report"
-    );
-    // Every fault instant is emitted by the driving thread, so the drain
-    // preserves emission order within the fault track.
-    let fault_track = tracer
-        .sink()
-        .expect("enabled tracer has a sink")
-        .drain()
-        .into_iter()
-        .filter(|e| e.track == Track::Fault)
-        .map(|e| e.name.into_owned())
-        .collect();
-    FaultedRun {
-        report,
-        fault_track,
-        counters,
-    }
-}
-
-/// The per-component contract. `track` is the fault-track prefix
-/// (`gpu-dedup`), `metric` the counter infix (`gpu_dedup`), and
-/// `retry_instants` every instant name that tallies on the component's
-/// retry counter. The scenario must fault this component only, so its
-/// share of the report tallies is the whole of them.
-fn assert_component_conforms(run: &FaultedRun, track: &str, metric: &str, retry_instants: &[&str]) {
-    let retries: u64 = retry_instants.iter().map(|n| run.instants(n)).sum();
-    assert!(retries > 0, "{track}: scenario never retried");
-    assert_eq!(
-        retries,
-        run.counter(&format!("fault.{metric}.retries")),
-        "{track}: retry instants vs counter"
-    );
-    assert_eq!(
-        retries, run.report.fault_retries,
-        "{track}: retry instants vs Report::fault_retries"
-    );
-    let (open, close) = (
-        format!("{track} latch open"),
-        format!("{track} latch close"),
-    );
-    assert_eq!(
-        run.instants(&open),
-        run.counter(&format!("fault.{metric}.degraded_transitions")),
-        "{track}: latch-open instants vs counter"
-    );
-    assert_eq!(
-        run.instants(&open),
-        run.report.degraded_transitions,
-        "{track}: latch-open instants vs Report::degraded_transitions"
-    );
-    // Opens and closes alternate, starting with an open.
-    let mut is_open = false;
-    for name in &run.fault_track {
-        if *name == open {
-            assert!(!is_open, "{track}: latch opened twice without a close");
-            is_open = true;
-        } else if *name == close {
-            assert!(is_open, "{track}: latch closed while closed");
-            is_open = false;
-        }
-    }
-}
-
-/// A degrade policy whose rest interval is short against these runs, so
-/// latches re-probe and close again inside one scenario.
-fn quick_reprobe() -> DegradePolicy {
-    DegradePolicy {
-        reprobe_interval: SimDuration::from_micros(200),
-        ..DegradePolicy::default()
-    }
-}
-
-#[test]
-fn gpu_dedup_fault_track_matches_counters_and_report() {
-    let mut cfg = config(IntegrationMode::GpuForDedup);
-    cfg.batch_chunks = 4;
-    cfg.compress_enabled = false;
-    cfg.degrade = quick_reprobe();
-    cfg.index.bin_buffer_capacity = 1;
-    cfg.index.prefix_bytes = 1;
-    cfg.gpu_spec.faults = GpuFaultSpec {
-        launch_failure_rate: 0.55,
-        seed: 3,
-        ..GpuFaultSpec::default()
-    };
-    let data = stream();
-    let run = run_faulted_traced(&cfg, |p| {
-        p.run(&data);
-        p.run(&data);
-    });
-    assert_component_conforms(&run, "gpu-dedup", "gpu_dedup", &["gpu-dedup retry"]);
-    assert!(run.instants("gpu-dedup latch open") > 0, "never opened");
-    assert!(run.instants("gpu-dedup latch close") > 0, "never closed");
-}
-
-#[test]
-fn gpu_compress_fault_track_matches_counters_and_report() {
-    let mut cfg = config(IntegrationMode::GpuForCompression);
-    cfg.batch_chunks = 4;
-    cfg.degrade = quick_reprobe();
-    cfg.gpu_spec.faults = GpuFaultSpec {
-        launch_failure_rate: 0.55,
-        seed: 5,
-        ..GpuFaultSpec::default()
-    };
-    let data = stream();
-    let run = run_faulted_traced(&cfg, |p| {
-        p.run(&data);
-    });
-    assert_component_conforms(
-        &run,
-        "gpu-compress",
-        "gpu_compress",
-        &["gpu-compress retry"],
-    );
-    assert!(run.instants("gpu-compress latch open") > 0, "never opened");
-    assert!(run.instants("gpu-compress latch close") > 0, "never closed");
-}
-
-#[test]
-fn ssd_fault_track_matches_counters_and_report() {
-    // One counter, two loops: page-read retries tally on
-    // `fault.ssd_write.retries` next to the page-write ones.
-    let mut cfg = config(IntegrationMode::CpuOnly);
-    cfg.compress_enabled = false;
-    cfg.dedup_enabled = false; // every block is a page write
-    cfg.batch_chunks = 8;
-    // The whole ingest is ~160 simulated µs of CPU time, so the latch
-    // must rest far less than that to re-probe and close inside it.
-    cfg.degrade = DegradePolicy {
-        reprobe_interval: SimDuration::from_micros(5),
-        ..DegradePolicy::default()
-    };
-    cfg.ssd_spec.faults = SsdFaultSpec {
-        write_error_rate: 0.45,
-        seed: 4,
-        ..SsdFaultSpec::default()
-    };
-    let data = stream();
-    let run = run_faulted_traced(&cfg, |p| {
-        p.run(&data);
-        p.set_ssd_faults(SsdFaultSpec {
-            read_error_rate: 0.1,
-            seed: 21,
-            ..SsdFaultSpec::default()
-        });
-        let all: Vec<usize> = (0..p.ingested_chunks()).collect();
-        let blocks = p.read_blocks(&all).expect("faulted batch read");
-        assert_eq!(blocks.concat(), data);
-    });
-    assert_component_conforms(
-        &run,
-        "ssd-write",
-        "ssd_write",
-        &["ssd-write retry", "ssd-read retry"],
-    );
-    assert!(run.instants("ssd-write retry") > 0, "no write retries");
-    assert!(run.instants("ssd-read retry") > 0, "no read retries");
-    assert!(run.instants("ssd-write latch open") > 0, "never opened");
-    assert!(run.instants("ssd-write latch close") > 0, "never closed");
 }
