@@ -55,17 +55,6 @@ pub struct IndexStats {
     pub flushes: u64,
 }
 
-impl IndexStats {
-    /// Fraction of lookups that hit, `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            (self.buffer_hits + self.tree_hits) as f64 / self.lookups as f64
-        }
-    }
-}
-
 /// Interned metric handles for the `index.*` namespace. Inert (all
 /// `None`) until [`BinIndex::set_obs`] wires a live registry in.
 #[derive(Debug, Clone, Default)]
@@ -483,7 +472,6 @@ mod tests {
         assert_eq!(s.buffer_hits, 1);
         assert_eq!(s.tree_hits, 1);
         assert_eq!(s.flushes, 1);
-        assert!((s.hit_rate() - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -343,6 +343,7 @@ impl Sut for ArraySut {
                 busy_rate: *busy_milli as f64 / 1000.0,
                 read_error_rate: *read_milli as f64 / 1000.0,
                 seed: *seed,
+                ..SsdFaultSpec::default()
             }),
             Op::SetGpuFaults {
                 launch_milli,

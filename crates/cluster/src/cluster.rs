@@ -45,7 +45,7 @@ use dr_binindex::BinRouter;
 use dr_des::{SimTime, SplitMix64};
 use dr_hashes::{open, seal, sha1_digest, ChunkDigest};
 use dr_obs::{merge_snapshots, CounterHandle, HistogramHandle, ObsHandle, Snapshot};
-use dr_reduction::{HashedChunks, PipelineConfig, RecoveryOutcome, Report, VolumeError};
+use dr_reduction::{HashedChunks, PipelineConfig, RecoveryOutcome, Report, VolumeError, Volumes};
 use dr_ssd_sim::CrashSpec;
 
 use crate::node::Node;
@@ -185,32 +185,6 @@ impl Refcounts {
     }
 }
 
-/// One volume's cluster-level metadata (durable; it does not crash).
-#[derive(Debug)]
-struct VolumeMap {
-    /// Placement per block, `None` while unwritten: one slot per block
-    /// of the volume, like each node's own block map.
-    placed: Vec<Option<MapEntry>>,
-}
-
-impl VolumeMap {
-    /// Size in blocks.
-    fn size(&self) -> u64 {
-        self.placed.len() as u64
-    }
-
-    /// Where `block` lives, if it is written.
-    fn get(&self, block: u64) -> Option<&MapEntry> {
-        self.placed.get(block as usize)?.as_ref()
-    }
-
-    /// The written blocks and their placements, in block order.
-    fn iter(&self) -> impl Iterator<Item = (u64, &MapEntry)> {
-        let slots = self.placed.iter().enumerate();
-        slots.filter_map(|(block, entry)| Some((block as u64, entry.as_ref()?)))
-    }
-}
-
 /// One contiguous slice of a write as placed on a single node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlacedRun {
@@ -315,10 +289,12 @@ pub struct Cluster {
     ring: Ring,
     nodes: BTreeMap<NodeId, Node>,
     next_node: NodeId,
-    /// Volume name → size and placement map. Iterating it visits
+    /// The placement map: one slot per block of every volume, the same
+    /// directory type each node keeps its block map in. Cluster-level
+    /// metadata, durable: it does not crash. Iterating it visits
     /// placement entries in (name, block) order, which rebalance and
     /// reconciliation rely on.
-    volumes: BTreeMap<String, VolumeMap>,
+    volumes: Volumes<MapEntry>,
     /// Derived from `volumes`; [`Cluster::check_integrity`] recounts it.
     refs: Refcounts,
     chunks: u64,
@@ -371,7 +347,7 @@ impl Cluster {
             ring,
             next_node: nodes.len() as NodeId,
             nodes,
-            volumes: BTreeMap::new(),
+            volumes: Volumes::default(),
             refs: Refcounts::default(),
             chunks: 0,
             unique_chunks: 0,
@@ -410,22 +386,12 @@ impl Cluster {
 
     /// Where a block currently lives (`None` when unwritten).
     pub fn locate(&self, name: &str, block: u64) -> Option<&MapEntry> {
-        self.volumes.get(name)?.get(block)
-    }
-
-    /// Every placement entry, in (name, block) order.
-    fn entries(&self) -> impl Iterator<Item = (&str, u64, &MapEntry)> {
-        self.volumes.iter().flat_map(|(name, volume)| {
-            let placed = volume.iter();
-            placed.map(move |(block, entry)| (name.as_str(), block, entry))
-        })
+        self.volumes.resolve(name, block).ok()
     }
 
     fn entry_mut(&mut self, name: &str, block: u64) -> &mut MapEntry {
-        self.volumes
-            .get_mut(name)
-            .and_then(|volume| volume.placed.get_mut(block as usize)?.as_mut())
-            .expect("a mapped block")
+        let slot = self.volumes.slot_mut(name, block);
+        slot.and_then(Option::as_mut).expect("a mapped block")
     }
 
     /// The node a digest lives on: its bin's ring home.
@@ -436,7 +402,7 @@ impl Cluster {
     /// The refcount directory the placement map derives.
     fn recount(&self) -> Refcounts {
         let mut refs = Refcounts::default();
-        for (_, _, entry) in self.entries() {
+        for (_, _, entry) in self.volumes.iter() {
             refs.acquire(entry.digest);
         }
         refs
@@ -447,19 +413,13 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// [`VolumeError::AlreadyExists`] / [`VolumeError::NameTooLong`]
-    /// (refused by the first node, before any node changed).
+    /// [`VolumeError::NameTooLong`] / [`VolumeError::AlreadyExists`]
+    /// (refused by the placement map, before any node is asked).
     pub fn create_volume(&mut self, name: &str, blocks: u64) -> Result<(), ClusterError> {
-        if self.volumes.contains_key(name) {
-            return Err(VolumeError::AlreadyExists(name.to_owned()).into());
-        }
+        self.volumes.create(name, blocks)?;
         for node in self.nodes.values_mut() {
             node.vm.create_volume(name, blocks)?;
         }
-        let volume = VolumeMap {
-            placed: vec![None; blocks as usize],
-        };
-        self.volumes.insert(name.to_owned(), volume);
         Ok(())
     }
 
@@ -475,7 +435,8 @@ impl Cluster {
     /// # Errors
     ///
     /// [`VolumeError::Misaligned`] / [`VolumeError::UnknownVolume`] /
-    /// [`VolumeError::OutOfRange`], in the single-node order.
+    /// [`VolumeError::OutOfRange`], refused by the placement map before
+    /// anything is routed.
     pub fn write(
         &mut self,
         name: &str,
@@ -483,26 +444,8 @@ impl Cluster {
         data: &[u8],
     ) -> Result<WriteOutcome, ClusterError> {
         let chunk_bytes = self.chunk_bytes();
-        if data.is_empty() || !data.len().is_multiple_of(chunk_bytes) {
-            return Err(VolumeError::Misaligned {
-                len: data.len(),
-                chunk_bytes,
-            }
-            .into());
-        }
-        let n = (data.len() / chunk_bytes) as u64;
-        let size = self
-            .volumes
-            .get(name)
-            .ok_or_else(|| VolumeError::UnknownVolume(name.to_owned()))?
-            .size();
-        if start_block.checked_add(n).is_none_or(|end| end > size) {
-            return Err(VolumeError::OutOfRange {
-                block: start_block.saturating_add(n - 1),
-                size,
-            }
-            .into());
-        }
+        self.volumes
+            .extent(name, start_block, data.len(), chunk_bytes)?;
         // Fingerprint the write — the one hashing pass it gets: the nodes
         // take these digests as their own — and route every chunk by it.
         let (mut digests, mut routed) = (
@@ -568,29 +511,12 @@ impl Cluster {
             self.dedup_hits += 1;
             self.ingest_dedup_hits.incr();
         }
-        let volume = self.volumes.get_mut(name).expect("write validated it");
-        let slot = &mut volume.placed[block as usize];
+        let slot = self
+            .volumes
+            .slot_mut(name, block)
+            .expect("write validated it");
         if let Some(prev) = slot.replace(MapEntry { node, digest }) {
             self.refs.release(&prev.digest);
-        }
-    }
-
-    /// Validates a read target against cluster metadata, mirroring the
-    /// single-node error order, and resolves its placement.
-    fn resolve(&self, name: &str, block: u64) -> Result<NodeId, VolumeError> {
-        let volume = self
-            .volumes
-            .get(name)
-            .ok_or_else(|| VolumeError::UnknownVolume(name.to_owned()))?;
-        if block >= volume.size() {
-            return Err(VolumeError::OutOfRange {
-                block,
-                size: volume.size(),
-            });
-        }
-        match volume.get(block) {
-            Some(entry) => Ok(entry.node),
-            None => Err(VolumeError::Unwritten { block }),
         }
     }
 
@@ -601,7 +527,7 @@ impl Cluster {
     /// [`VolumeError::UnknownVolume`] / [`VolumeError::OutOfRange`] /
     /// [`VolumeError::Unwritten`] / [`VolumeError::ReadFailed`].
     pub fn read(&mut self, name: &str, block: u64) -> Result<Vec<u8>, ClusterError> {
-        let node_id = self.resolve(name, block)?;
+        let node_id = self.volumes.resolve(name, block)?.node;
         let node = self.nodes.get_mut(&node_id).expect("map points at members");
         Ok(node.vm.read(name, block)?)
     }
@@ -616,7 +542,7 @@ impl Cluster {
     pub fn read_batch(&mut self, name: &str, blocks: &[u64]) -> Result<Vec<Vec<u8>>, ClusterError> {
         let mut groups: BTreeMap<NodeId, Vec<(usize, u64)>> = BTreeMap::new();
         for (pos, &block) in blocks.iter().enumerate() {
-            let node_id = self.resolve(name, block)?;
+            let node_id = self.volumes.resolve(name, block)?.node;
             groups.entry(node_id).or_default().push((pos, block));
         }
         let mut out = vec![Vec::new(); blocks.len()];
@@ -640,10 +566,7 @@ impl Cluster {
     /// device past retries.
     pub fn flush(&mut self) -> Result<(), ClusterError> {
         for node in self.nodes.values_mut() {
-            node.vm
-                .pipeline_mut()
-                .flush()
-                .map_err(|e| ClusterError::Volume(VolumeError::ReadFailed(e)))?;
+            node.vm.pipeline_mut().flush().map_err(VolumeError::from)?;
             if node.vm.pipeline().config().journal_pages > 0 {
                 node.vm
                     .pipeline_mut()
@@ -669,9 +592,9 @@ impl Cluster {
         let id = self.next_node;
         self.next_node += 1;
         let mut node = Node::new(id, &self.config.node);
-        for (name, volume) in &self.volumes {
+        for (name, blocks) in self.volumes.sizes() {
             node.vm
-                .create_volume(name, volume.size())
+                .create_volume(name, blocks)
                 .expect("fresh node has no volumes");
         }
         self.nodes.insert(id, node);
@@ -698,7 +621,7 @@ impl Cluster {
         self.ring.remove(id);
         let rebalance = self.rebalance()?;
         debug_assert!(
-            self.entries().all(|(_, _, e)| e.node != id),
+            self.volumes.iter().all(|(_, _, e)| e.node != id),
             "rebalance must drain a leaving node"
         );
         self.nodes.remove(&id);
@@ -711,7 +634,8 @@ impl Cluster {
     /// lives, not what the cluster stores.
     fn rebalance(&mut self) -> Result<RebalanceOutcome, ClusterError> {
         let moves: Vec<(String, u64, NodeId, NodeId)> = self
-            .entries()
+            .volumes
+            .iter()
             .filter_map(|(name, block, entry)| {
                 let home = self.home(&entry.digest);
                 (home != entry.node).then(|| (name.to_owned(), block, entry.node, home))
@@ -841,16 +765,17 @@ impl Cluster {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        for (name, volume) in &self.volumes {
+        for (name, blocks) in self.volumes.sizes() {
             if !present.iter().any(|p| p == name) {
                 node.vm
-                    .create_volume(name, volume.size())
+                    .create_volume(name, blocks)
                     .expect("recovered node lacks this volume");
             }
         }
         // Reconcile placement entries homed on the crashed node.
         let mine: Vec<(String, u64)> = self
-            .entries()
+            .volumes
+            .iter()
             .filter(|(_, _, e)| e.node == id)
             .map(|(name, block, _)| (name.to_owned(), block))
             .collect();
@@ -863,8 +788,7 @@ impl Cluster {
                 .is_written(&name, block)
                 .expect("volume exists and block was in range");
             if !written {
-                let volume = self.volumes.get_mut(&name).expect("entry's volume");
-                volume.placed[block as usize] = None;
+                *self.volumes.slot_mut(&name, block).expect("entry's slot") = None;
                 lost.push((name, block));
                 continue;
             }
@@ -940,7 +864,7 @@ impl Cluster {
                 self.chunks, self.unique_chunks, self.dedup_hits
             ));
         }
-        for (name, block, entry) in self.entries() {
+        for (name, block, entry) in self.volumes.iter() {
             let node = self
                 .nodes
                 .get(&entry.node)

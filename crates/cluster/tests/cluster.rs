@@ -205,7 +205,88 @@ fn membership_errors_are_typed() {
             }))
         ));
     }
+    // Every malformed request is refused alike by the cluster and by a
+    // bare array, with the same error.
+    let mut array = VolumeManager::new(node_config(false, false));
+    array.create_volume("v", 4).unwrap();
+    let long = "n".repeat(VolumeManager::MAX_NAME_BYTES + 1);
+    let unknown = || Err(VolumeError::UnknownVolume("nope".to_owned()));
+    let table = [
+        (Request::Write("nope", 0, payload(1)), unknown()),
+        (Request::Read("nope", 0), unknown()),
+        (Request::ReadBatch("nope", vec![0]), unknown()),
+        (Request::ReadBatch("nope", vec![]), Ok(vec![])),
+        (
+            Request::Write("v", u64::MAX, payload(1)),
+            Err(VolumeError::OutOfRange {
+                block: u64::MAX,
+                size: 4,
+            }),
+        ),
+        (
+            Request::Write("v", 0, vec![1, 2, 3]),
+            Err(VolumeError::Misaligned {
+                len: 3,
+                chunk_bytes: CHUNK,
+            }),
+        ),
+        (
+            Request::Read("v", 4),
+            Err(VolumeError::OutOfRange { block: 4, size: 4 }),
+        ),
+        (
+            Request::Read("v", 0),
+            Err(VolumeError::Unwritten { block: 0 }),
+        ),
+        (
+            Request::Create(&long),
+            Err(VolumeError::NameTooLong { len: long.len() }),
+        ),
+        (
+            Request::Create("v"),
+            Err(VolumeError::AlreadyExists("v".to_owned())),
+        ),
+    ];
+    for (request, want) in table {
+        let what = format!("{request:?}");
+        assert_eq!(request.send_to_cluster(&mut c), want, "cluster: {what}");
+        assert_eq!(request.send_to_array(&mut array), want, "array: {what}");
+    }
     assert_eq!(c.report().chunks, 0);
+    assert_eq!(array.report().chunks, 0);
+}
+
+/// One volume request, sent alike to a cluster and to a bare array.
+#[derive(Debug)]
+enum Request<'a> {
+    Create(&'a str),
+    Write(&'a str, u64, Vec<u8>),
+    Read(&'a str, u64),
+    ReadBatch(&'a str, Vec<u64>),
+}
+
+impl Request<'_> {
+    fn send_to_array(&self, array: &mut VolumeManager) -> Result<Vec<Vec<u8>>, VolumeError> {
+        match self {
+            Request::Create(name) => array.create_volume(name, 4).map(|()| vec![]),
+            Request::Write(name, start, data) => array.write(name, *start, data).map(|()| vec![]),
+            Request::Read(name, block) => array.read(name, *block).map(|data| vec![data]),
+            Request::ReadBatch(name, blocks) => array.read_batch(name, blocks),
+        }
+    }
+
+    fn send_to_cluster(&self, c: &mut Cluster) -> Result<Vec<Vec<u8>>, VolumeError> {
+        let got = match self {
+            Request::Create(name) => c.create_volume(name, 4).map(|()| vec![]),
+            Request::Write(name, start, data) => c.write(name, *start, data).map(|_| vec![]),
+            Request::Read(name, block) => c.read(name, *block).map(|data| vec![data]),
+            Request::ReadBatch(name, blocks) => c.read_batch(name, blocks),
+        };
+        got.map_err(|e| match e {
+            ClusterError::Volume(e) => e,
+            other => panic!("not a volume error: {other}"),
+        })
+    }
 }
 
 #[test]

@@ -22,13 +22,6 @@ pub struct Grant {
     pub end: SimTime,
 }
 
-impl Grant {
-    /// Time spent waiting in the queue before service began.
-    pub fn queue_delay(&self, arrival: SimTime) -> SimDuration {
-        self.start.saturating_duration_since(arrival)
-    }
-}
-
 /// A FIFO, non-preemptive server with a fixed number of identical slots.
 ///
 /// # Examples
@@ -269,7 +262,6 @@ mod tests {
         let arrival = SimTime::from_nanos(5_000_000);
         let g = r.acquire(arrival, us(1));
         assert_eq!(g.start, arrival);
-        assert_eq!(g.queue_delay(arrival), SimDuration::ZERO);
     }
 
     #[test]
@@ -277,7 +269,8 @@ mod tests {
         let mut r = Resource::new("cpu", 1);
         r.acquire(SimTime::ZERO, us(100));
         let g = r.acquire(SimTime::ZERO + us(10), us(1));
-        assert_eq!(g.queue_delay(SimTime::ZERO + us(10)), us(90));
+        let queued = g.start.saturating_duration_since(SimTime::ZERO + us(10));
+        assert_eq!(queued, us(90));
     }
 
     #[test]

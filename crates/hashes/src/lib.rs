@@ -42,7 +42,7 @@ pub mod simd;
 
 pub use crc32c::{crc32c, Crc32c};
 pub use digest::ChunkDigest;
-pub use fast::{fnv1a64, mix64, FastHasher};
+pub use fast::mix64;
 pub use lz_hash::{lz_slot, lz_slots, LZ_SLOT_BITS};
 pub use parallel::{hash_chunks_pooled, hash_chunks_pooled_counted};
 pub use seal::{open, seal, SealError, SEAL_LEN};

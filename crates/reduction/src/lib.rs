@@ -92,4 +92,4 @@ pub use pipeline::{
     IntegrationMode, Pipeline, PipelineConfig, RecoverError, RecoveryOutcome, VolumeRecord,
 };
 pub use report::Report;
-pub use volume::{VolumeError, VolumeManager};
+pub use volume::{VolumeError, VolumeManager, Volumes};

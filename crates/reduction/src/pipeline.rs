@@ -816,7 +816,7 @@ pub(crate) mod tests {
         let mut cfg = small_config(IntegrationMode::CpuOnly);
         cfg.integrity = true;
         cfg.verify = false;
-        cfg.ssd_spec.read_fault_rate = 1.0; // every read corrupts one bit
+        cfg.ssd_spec.faults.bit_flip_rate = 1.0; // every read corrupts one bit
         let mut p = Pipeline::new(cfg);
         let data = stream();
         p.run(&data);

@@ -626,7 +626,7 @@ mod tests {
         // and, like every read, launches nothing on the GPU.
         let mut cfg = small_config(IntegrationMode::GpuForCompression);
         cfg.verify = false;
-        cfg.ssd_spec.read_fault_rate = 1.0;
+        cfg.ssd_spec.faults.bit_flip_rate = 1.0;
         let mut p = on_one_worker(Pipeline::new(cfg));
         p.run(&stream());
         let mut failed = 0;

@@ -4,13 +4,15 @@
 //! *across* them (the VDI win: every desktop's OS image deduplicates
 //! against every other's). [`VolumeManager`] keeps one [`Pipeline`] as the
 //! shared reduction domain and a per-volume logical block map on top of
-//! the pipeline's chunk recipe.
+//! the pipeline's chunk recipe, in a [`Volumes`] directory — the type the
+//! cluster's placement map is kept in too, and the one that refuses a
+//! malformed volume request for both.
 //!
 //! Overwrites remap the logical block to the new stored chunk; the old
 //! chunk stays in the destage log (space reclamation of the append-only
 //! log is out of scope, as it is for the paper).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use dr_ssd_sim::CrashSpec;
 
@@ -89,10 +91,125 @@ impl std::error::Error for VolumeError {
     }
 }
 
+impl From<ReadError> for VolumeError {
+    fn from(e: ReadError) -> Self {
+        VolumeError::ReadFailed(e)
+    }
+}
+
+/// A volume directory: per volume name, one slot per block, `None` while
+/// the block is unwritten. It is the one place the volume refusals live
+/// — name length, duplicate create, write alignment, unknown volume,
+/// block range, unwritten block — so [`VolumeManager`] (a slot holds a
+/// recipe index) and a cluster front-end (a slot holds a placement)
+/// refuse alike. Names are kept in order: [`Volumes::iter`] visits the
+/// written blocks in (name, block) order.
 #[derive(Debug)]
-struct VolumeState {
-    /// Logical block → index into the pipeline's chunk recipe.
-    blocks: Vec<Option<usize>>,
+pub struct Volumes<T>(BTreeMap<String, Vec<Option<T>>>);
+
+impl<T> Default for Volumes<T> {
+    fn default() -> Self {
+        Volumes(BTreeMap::new())
+    }
+}
+
+impl<T: Clone> Volumes<T> {
+    /// Adds a volume of `blocks` unwritten blocks.
+    ///
+    /// # Errors
+    ///
+    /// [`VolumeError::NameTooLong`] / [`VolumeError::AlreadyExists`].
+    pub fn create(&mut self, name: &str, blocks: u64) -> Result<(), VolumeError> {
+        if name.len() > VolumeManager::MAX_NAME_BYTES {
+            return Err(VolumeError::NameTooLong { len: name.len() });
+        }
+        if self.0.contains_key(name) {
+            return Err(VolumeError::AlreadyExists(name.to_owned()));
+        }
+        self.0.insert(name.to_owned(), vec![None; blocks as usize]);
+        Ok(())
+    }
+
+    /// Validates a write of `len` bytes at `start_block` — whole chunks of
+    /// `chunk_bytes`, then the volume, then the range — and returns the
+    /// slots it covers.
+    ///
+    /// # Errors
+    ///
+    /// [`VolumeError::Misaligned`] / [`VolumeError::UnknownVolume`] /
+    /// [`VolumeError::OutOfRange`].
+    pub fn extent(
+        &mut self,
+        name: &str,
+        start_block: u64,
+        len: usize,
+        chunk_bytes: usize,
+    ) -> Result<&mut [Option<T>], VolumeError> {
+        if len == 0 || !len.is_multiple_of(chunk_bytes) {
+            return Err(VolumeError::Misaligned { len, chunk_bytes });
+        }
+        let n = (len / chunk_bytes) as u64;
+        let slots = self
+            .0
+            .get_mut(name)
+            .ok_or_else(|| VolumeError::UnknownVolume(name.to_owned()))?;
+        let size = slots.len() as u64;
+        if start_block.checked_add(n).is_none_or(|end| end > size) {
+            return Err(VolumeError::OutOfRange {
+                block: start_block.saturating_add(n - 1),
+                size,
+            });
+        }
+        Ok(&mut slots[start_block as usize..][..n as usize])
+    }
+
+    /// Validates a block address — volume, range, then written — and
+    /// returns what its slot holds.
+    ///
+    /// # Errors
+    ///
+    /// [`VolumeError::UnknownVolume`] / [`VolumeError::OutOfRange`] /
+    /// [`VolumeError::Unwritten`].
+    pub fn resolve(&self, name: &str, block: u64) -> Result<&T, VolumeError> {
+        let slots = self
+            .0
+            .get(name)
+            .ok_or_else(|| VolumeError::UnknownVolume(name.to_owned()))?;
+        let size = slots.len() as u64;
+        if block >= size {
+            return Err(VolumeError::OutOfRange { block, size });
+        }
+        slots[block as usize]
+            .as_ref()
+            .ok_or(VolumeError::Unwritten { block })
+    }
+
+    /// One block's slot; `None` when the volume or the block does not
+    /// exist.
+    pub fn slot_mut(&mut self, name: &str, block: u64) -> Option<&mut Option<T>> {
+        self.0.get_mut(name)?.get_mut(block as usize)
+    }
+
+    /// Every volume's name and size in blocks, in name order.
+    pub fn sizes(&self) -> impl Iterator<Item = (&str, u64)> {
+        let volumes = self.0.iter();
+        volumes.map(|(name, slots)| (name.as_str(), slots.len() as u64))
+    }
+
+    /// Every written block and its slot, in (name, block) order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, u64, &T)> {
+        self.0.iter().flat_map(|(name, slots)| {
+            let written = slots.iter().enumerate();
+            written.filter_map(move |(block, slot)| {
+                Some((name.as_str(), block as u64, slot.as_ref()?))
+            })
+        })
+    }
+
+    /// Drops every volume.
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
 }
 
 /// A set of logical volumes sharing one deduplication domain.
@@ -111,7 +228,8 @@ struct VolumeState {
 #[derive(Debug)]
 pub struct VolumeManager {
     pipeline: Pipeline,
-    volumes: HashMap<String, VolumeState>,
+    /// Logical block → index into the pipeline's chunk recipe.
+    volumes: Volumes<usize>,
 }
 
 impl VolumeManager {
@@ -123,7 +241,7 @@ impl VolumeManager {
     pub fn new(config: PipelineConfig) -> Self {
         VolumeManager {
             pipeline: Pipeline::new(config),
-            volumes: HashMap::new(),
+            volumes: Volumes::default(),
         }
     }
 
@@ -145,9 +263,9 @@ impl VolumeManager {
         self.pipeline.report()
     }
 
-    /// Names of existing volumes, unordered.
+    /// Names of existing volumes, in order.
     pub fn volume_names(&self) -> Vec<&str> {
-        self.volumes.keys().map(String::as_str).collect()
+        self.volumes.sizes().map(|(name, _)| name).collect()
     }
 
     /// Creates a volume of `blocks` chunks.
@@ -156,18 +274,7 @@ impl VolumeManager {
     ///
     /// [`VolumeError::NameTooLong`] / [`VolumeError::AlreadyExists`].
     pub fn create_volume(&mut self, name: &str, blocks: u64) -> Result<(), VolumeError> {
-        if name.len() > Self::MAX_NAME_BYTES {
-            return Err(VolumeError::NameTooLong { len: name.len() });
-        }
-        if self.volumes.contains_key(name) {
-            return Err(VolumeError::AlreadyExists(name.to_owned()));
-        }
-        self.volumes.insert(
-            name.to_owned(),
-            VolumeState {
-                blocks: vec![None; blocks as usize],
-            },
-        );
+        self.volumes.create(name, blocks)?;
         self.pipeline.journal_record(Record::VolumeCreate {
             name: name.to_owned(),
             blocks,
@@ -214,32 +321,15 @@ impl VolumeManager {
         hashed: Option<&HashedChunks>,
     ) -> Result<(), VolumeError> {
         let chunk_bytes = self.pipeline.config().chunk_bytes;
-        if data.is_empty() || !data.len().is_multiple_of(chunk_bytes) {
-            return Err(VolumeError::Misaligned {
-                len: data.len(),
-                chunk_bytes,
-            });
-        }
-        let n = (data.len() / chunk_bytes) as u64;
-        let volume = self
+        let slots = self
             .volumes
-            .get_mut(name)
-            .ok_or_else(|| VolumeError::UnknownVolume(name.to_owned()))?;
-        let size = volume.blocks.len() as u64;
-        if start_block.checked_add(n).is_none_or(|end| end > size) {
-            return Err(VolumeError::OutOfRange {
-                block: start_block.saturating_add(n - 1),
-                size,
-            });
-        }
+            .extent(name, start_block, data.len(), chunk_bytes)?;
         let first_recipe = self.pipeline.ingested_chunks();
         // Every stage reads `data` in place, never a copy; it is
         // chunk-aligned, so `ingest` cuts it at the block bounds.
         self.pipeline.ingest(data, hashed);
-        let mapped = &mut volume.blocks[start_block as usize..][..n as usize];
-        for (i, slot) in mapped.iter_mut().enumerate() {
-            *slot = Some(first_recipe + i);
-        }
+        map_blocks(slots, first_recipe);
+        let n = slots.len() as u64;
         // Stage the map update behind the write's batch commits, then
         // commit: one sync programs the journal's open page for all of
         // them, and its grant end is the write's acknowledgement point
@@ -271,16 +361,13 @@ impl VolumeManager {
     pub fn crash_and_recover(&mut self, spec: CrashSpec) -> Result<RecoveryOutcome, RecoverError> {
         let outcome = self.pipeline.power_cut_and_recover(spec)?;
         self.volumes.clear();
-        let recovered_chunks = outcome.chunks_recovered;
+        let (recovered_chunks, chunk_bytes) =
+            (outcome.chunks_recovered, self.pipeline.config().chunk_bytes);
         for record in &outcome.volume_records {
             match record {
                 VolumeRecord::Create { name, blocks } => {
-                    self.volumes.insert(
-                        name.clone(),
-                        VolumeState {
-                            blocks: vec![None; *blocks as usize],
-                        },
-                    );
+                    let created = self.volumes.create(name, *blocks);
+                    created.expect("a durable create record names a new volume")
                 }
                 VolumeRecord::Map {
                     name,
@@ -288,18 +375,15 @@ impl VolumeManager {
                     nblocks,
                     first_recipe,
                 } => {
-                    let volume = self
-                        .volumes
-                        .get_mut(name)
-                        .expect("map records follow their volume's create record");
                     assert!(
                         first_recipe + nblocks <= recovered_chunks,
                         "a durable map record must only reference journaled chunks \
                          ({first_recipe}+{nblocks} > {recovered_chunks})"
                     );
-                    for i in 0..*nblocks as usize {
-                        volume.blocks[*start_block as usize + i] = Some(*first_recipe as usize + i);
-                    }
+                    let len = *nblocks as usize * chunk_bytes;
+                    let slots = self.volumes.extent(name, *start_block, len, chunk_bytes);
+                    let slots = slots.expect("map records follow their volume's create record");
+                    map_blocks(slots, *first_recipe as usize);
                 }
             }
         }
@@ -319,24 +403,8 @@ impl VolumeManager {
     /// [`VolumeError::UnknownVolume`] / [`VolumeError::OutOfRange`] /
     /// [`VolumeError::Unwritten`] / [`VolumeError::ReadFailed`].
     pub fn read(&mut self, name: &str, block: u64) -> Result<Vec<u8>, VolumeError> {
-        let recipe_idx = self.resolve(name, block)?;
-        self.pipeline
-            .read_block(recipe_idx)
-            .map_err(VolumeError::ReadFailed)
-    }
-
-    /// Validates a block address — volume, range, then written — and
-    /// resolves it to its index in the pipeline's recipe.
-    fn resolve(&self, name: &str, block: u64) -> Result<usize, VolumeError> {
-        let volume = self
-            .volumes
-            .get(name)
-            .ok_or_else(|| VolumeError::UnknownVolume(name.to_owned()))?;
-        let size = volume.blocks.len() as u64;
-        if block >= size {
-            return Err(VolumeError::OutOfRange { block, size });
-        }
-        volume.blocks[block as usize].ok_or(VolumeError::Unwritten { block })
+        let recipe_idx = *self.volumes.resolve(name, block)?;
+        Ok(self.pipeline.read_block(recipe_idx)?)
     }
 
     /// Whether a block currently maps to stored data — a metadata-only
@@ -349,7 +417,7 @@ impl VolumeManager {
     ///
     /// [`VolumeError::UnknownVolume`] / [`VolumeError::OutOfRange`].
     pub fn is_written(&self, name: &str, block: u64) -> Result<bool, VolumeError> {
-        match self.resolve(name, block) {
+        match self.volumes.resolve(name, block) {
             Err(VolumeError::Unwritten { .. }) => Ok(false),
             resolved => resolved.map(|_| true),
         }
@@ -371,11 +439,17 @@ impl VolumeManager {
     pub fn read_batch(&mut self, name: &str, blocks: &[u64]) -> Result<Vec<Vec<u8>>, VolumeError> {
         let recipe_idxs = blocks
             .iter()
-            .map(|&block| self.resolve(name, block))
+            .map(|&block| self.volumes.resolve(name, block).copied())
             .collect::<Result<Vec<_>, _>>()?;
-        self.pipeline
-            .read_blocks(&recipe_idxs)
-            .map_err(VolumeError::ReadFailed)
+        Ok(self.pipeline.read_blocks(&recipe_idxs)?)
+    }
+}
+
+/// Maps `slots`, a write's blocks, to consecutive recipe indexes from
+/// `first_recipe`.
+fn map_blocks(slots: &mut [Option<usize>], first_recipe: usize) {
+    for (slot, recipe_idx) in slots.iter_mut().zip(first_recipe..) {
+        *slot = Some(recipe_idx);
     }
 }
 
@@ -698,13 +772,15 @@ mod tests {
         start_block: u64,
         data: &[u8],
     ) -> Result<(), VolumeError> {
-        let first_recipe = m.pipeline.ingested_chunks();
-        let n = (data.len() / m.pipeline.config().chunk_bytes) as u64;
+        let (first_recipe, chunk_bytes) = (
+            m.pipeline.ingested_chunks(),
+            m.pipeline.config().chunk_bytes,
+        );
         m.pipeline.ingest(data, None);
-        let volume = m.volumes.get_mut(name).expect("the sweep's volume");
-        for i in 0..n as usize {
-            volume.blocks[start_block as usize + i] = Some(first_recipe + i);
-        }
+        let slots = m.volumes.extent(name, start_block, data.len(), chunk_bytes);
+        let slots = slots.expect("the sweep's volume");
+        map_blocks(slots, first_recipe);
+        let n = slots.len() as u64;
         m.pipeline.commit();
         m.pipeline
             .journal_map_update(name, start_block, n, first_recipe as u64);

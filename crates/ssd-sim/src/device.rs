@@ -13,7 +13,7 @@ use crate::crash::{
 };
 use crate::error::SsdError;
 use crate::ftl::{Ftl, FtlStats, NandOp};
-use crate::spec::SsdSpec;
+use crate::spec::{SsdFaultSpec, SsdSpec};
 
 /// Cumulative device statistics (host-visible side; see [`FtlStats`] for
 /// the NAND-side numbers).
@@ -93,12 +93,9 @@ pub struct SsdDevice {
     controller: Resource,
     /// Functional page store (only when `spec.store_data`).
     store: Option<HashMap<u64, Vec<u8>>>,
-    /// Deterministic generator for read-fault injection.
+    /// The fault schedule's stream ([`SsdFaultSpec`]): transient errors
+    /// and silent bit flips, each drawn only while its rate is nonzero.
     fault_rng: dr_des::SplitMix64,
-    /// Dedicated stream for the transient-fault schedule ([`SsdFaultSpec`]),
-    /// kept separate from `fault_rng` so enabling one class of faults does
-    /// not perturb the other's schedule.
-    transient_rng: dr_des::SplitMix64,
     /// Armed power-cut capture: every accepted write is recorded so
     /// [`SsdDevice::power_cut`] can tear or revert it. `None` = disarmed.
     crash_log: Option<CaptureLog>,
@@ -122,8 +119,7 @@ impl SsdDevice {
         let controller = Resource::new(format!("{}-ctrl", spec.name), 1);
         let store = spec.store_data.then(HashMap::new);
         SsdDevice {
-            fault_rng: dr_des::SplitMix64::new(spec.fault_seed),
-            transient_rng: dr_des::SplitMix64::new(spec.faults.seed),
+            fault_rng: dr_des::SplitMix64::new(spec.faults.seed),
             ftl: Ftl::new(spec),
             dies,
             controller,
@@ -147,12 +143,12 @@ impl SsdDevice {
         self.ftl.spec()
     }
 
-    /// Replaces the transient-fault schedule mid-run and reseeds the
-    /// dedicated fault stream, so a toggle at sim-time T is deterministic
-    /// regardless of how many draws happened before it. Stored data, FTL
-    /// state, and timing are untouched.
-    pub fn set_faults(&mut self, faults: crate::spec::SsdFaultSpec) {
-        self.transient_rng = dr_des::SplitMix64::new(faults.seed);
+    /// Replaces the fault schedule mid-run and reseeds its stream, so a
+    /// toggle at sim-time T is deterministic regardless of how many draws
+    /// happened before it. Stored data, FTL state, and timing are
+    /// untouched.
+    pub fn set_faults(&mut self, faults: SsdFaultSpec) {
+        self.fault_rng = dr_des::SplitMix64::new(faults.seed);
         self.ftl.set_faults(faults);
     }
 
@@ -261,9 +257,9 @@ impl SsdDevice {
         } else {
             faults.read_error_rate
         };
-        let fault = if busy_rate > 0.0 && self.transient_rng.next_f64() < busy_rate {
+        let fault = if busy_rate > 0.0 && self.fault_rng.next_f64() < busy_rate {
             Some(SsdError::Busy)
-        } else if error_rate > 0.0 && self.transient_rng.next_f64() < error_rate {
+        } else if error_rate > 0.0 && self.fault_rng.next_f64() < error_rate {
             Some(if is_write {
                 SsdError::WriteFault { lpn }
             } else {
@@ -389,8 +385,8 @@ impl SsdDevice {
             }
         }
         // Uncorrectable-read-error injection: flip one bit of the page.
-        let fault_rate = self.ftl.spec().read_fault_rate;
-        if fault_rate > 0.0 && self.fault_rng.next_f64() < fault_rate {
+        let flip_rate = self.ftl.spec().faults.bit_flip_rate;
+        if flip_rate > 0.0 && self.fault_rng.next_f64() < flip_rate {
             let bit = self.fault_rng.next_below(page_bytes as u64 * 8);
             let byte = (bit / 8) as usize;
             let mut piece = at;
@@ -432,42 +428,6 @@ impl SsdDevice {
             self.capture(|| Capture::Trimmed { lpn, page });
         }
         Ok(())
-    }
-
-    /// Measures sustained sequential-write bandwidth: writes `count` pages
-    /// at ascending LPNs and returns MB (10^6 bytes) per simulated second.
-    pub fn measure_seq_write_mbps(&mut self, count: u64) -> f64 {
-        let payload = vec![0u8; self.ftl.spec().page_bytes as usize];
-        let pages = self.logical_pages();
-        let mut last_end = SimTime::ZERO;
-        for i in 0..count {
-            let g = self
-                .write_page(SimTime::ZERO, i % pages, &payload)
-                .expect("measurement write failed");
-            last_end = last_end.max(g.end);
-        }
-        count as f64 * payload.len() as f64 / 1e6 / last_end.as_secs_f64()
-    }
-
-    /// Measures random-read throughput over previously written pages:
-    /// returns IOPS on the simulated clock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `span` pages have been written at LPNs
-    /// `0..span`.
-    pub fn measure_read_iops(&mut self, count: u64, span: u64, seed: u64) -> f64 {
-        assert!(span > 0, "need a non-empty read span");
-        let mut rng = dr_des::SplitMix64::new(seed);
-        let mut last_end = SimTime::ZERO;
-        for _ in 0..count {
-            let lpn = rng.next_below(span);
-            let (_, g) = self
-                .read_page(SimTime::ZERO, lpn)
-                .expect("measurement read failed (write the span first)");
-            last_end = last_end.max(g.end);
-        }
-        count as f64 / last_end.as_secs_f64()
     }
 
     /// Measures sustained random-write throughput: writes `count` pages at
@@ -538,7 +498,10 @@ mod tests {
     #[test]
     fn several_ranges_of_a_page_are_one_command() {
         let spec = || SsdSpec {
-            read_fault_rate: 1.0,
+            faults: SsdFaultSpec {
+                bit_flip_rate: 1.0,
+                ..SsdFaultSpec::default()
+            },
             ..small_device().spec().clone()
         };
         let (mut whole, mut pieces) = (SsdDevice::new(spec()), SsdDevice::new(spec()));
@@ -585,7 +548,10 @@ mod tests {
             dies_per_channel: 2,
             blocks_per_die: 16,
             pages_per_block: 8,
-            read_fault_rate: 1.0,
+            faults: SsdFaultSpec {
+                bit_flip_rate: 1.0,
+                ..SsdFaultSpec::default()
+            },
             ..SsdSpec::samsung_830_256g()
         };
         let (mut whole, mut ranged) = (SsdDevice::new(spec()), SsdDevice::new(spec()));
@@ -687,6 +653,31 @@ mod tests {
         );
     }
 
+    /// Sustained sequential-write bandwidth: writes `count` pages at
+    /// ascending LPNs and returns MB (10^6 bytes) per simulated second.
+    fn measure_seq_write_mbps(ssd: &mut SsdDevice, count: u64) -> f64 {
+        let payload = vec![0u8; ssd.ftl.spec().page_bytes as usize];
+        let pages = ssd.logical_pages();
+        let mut last_end = SimTime::ZERO;
+        for i in 0..count {
+            let g = ssd.write_page(SimTime::ZERO, i % pages, &payload).unwrap();
+            last_end = last_end.max(g.end);
+        }
+        count as f64 * payload.len() as f64 / 1e6 / last_end.as_secs_f64()
+    }
+
+    /// Random-read throughput over pages already written at LPNs
+    /// `0..span`: IOPS on the simulated clock.
+    fn measure_read_iops(ssd: &mut SsdDevice, count: u64, span: u64, seed: u64) -> f64 {
+        let mut rng = dr_des::SplitMix64::new(seed);
+        let mut last_end = SimTime::ZERO;
+        for _ in 0..count {
+            let (_, g) = ssd.read_page(SimTime::ZERO, rng.next_below(span)).unwrap();
+            last_end = last_end.max(g.end);
+        }
+        count as f64 / last_end.as_secs_f64()
+    }
+
     #[test]
     fn sequential_write_bandwidth_near_spec() {
         // 24 dies x 4 KB / 280 us ≈ 350 MB/s ceiling; sustained lands close
@@ -695,7 +686,7 @@ mod tests {
             store_data: false,
             ..SsdSpec::samsung_830_256g()
         });
-        let mbps = ssd.measure_seq_write_mbps(20_000);
+        let mbps = measure_seq_write_mbps(&mut ssd, 20_000);
         assert!((250.0..400.0).contains(&mbps), "seq write {mbps} MB/s");
     }
 
@@ -709,7 +700,7 @@ mod tests {
         for lpn in 0..4096 {
             ssd.write_page(SimTime::ZERO, lpn, &page).unwrap();
         }
-        let read_iops = ssd.measure_read_iops(20_000, 4096, 3);
+        let read_iops = measure_read_iops(&mut ssd, 20_000, 4096, 3);
         // t_read 60us vs t_prog 280us: reads are several times faster
         // than the ~85K-IOPS write ceiling (queueing skew across the die
         // array keeps sustained reads below the 400K analytic bound).

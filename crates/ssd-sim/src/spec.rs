@@ -6,9 +6,10 @@ use dr_des::SimDuration;
 ///
 /// All rates are probabilities in `[0, 1]` and default to zero; a device
 /// with the default spec draws nothing from the fault stream and behaves
-/// bit-identically to a device without the fault layer. Injected faults
+/// bit-identically to a device without the fault layer. Injected errors
 /// are *transient* — the command fails without touching FTL state or
-/// charging device time, so a retry is always safe.
+/// charging device time, so a retry is always safe; an injected bit flip
+/// instead corrupts what a read returns, silently.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SsdFaultSpec {
     /// Probability a host page write fails with [`SsdError::WriteFault`].
@@ -22,12 +23,16 @@ pub struct SsdFaultSpec {
     pub busy_rate: f64,
     /// Probability a host page read fails with [`SsdError::ReadFault`]
     /// (media error the controller reports rather than silently passing
-    /// through — contrast [`SsdSpec::read_fault_rate`], which flips a bit
-    /// *silently* for integrity testing).
+    /// through — contrast [`SsdFaultSpec::bit_flip_rate`]).
     ///
     /// [`SsdError::ReadFault`]: crate::SsdError::ReadFault
     pub read_error_rate: f64,
-    /// Seed for the dedicated fault-schedule RNG stream.
+    /// Probability a host page read that succeeds returns the page with
+    /// one bit flipped, *silently* (a post-ECC uncorrectable error, for
+    /// integrity testing). Unlike the rates above it is not transient: the
+    /// read is charged and counted like any other.
+    pub bit_flip_rate: f64,
+    /// Seed for the fault schedule's one RNG stream.
     pub seed: u64,
 }
 
@@ -37,6 +42,7 @@ impl Default for SsdFaultSpec {
             write_error_rate: 0.0,
             busy_rate: 0.0,
             read_error_rate: 0.0,
+            bit_flip_rate: 0.0,
             seed: 0x55D_FA17,
         }
     }
@@ -45,7 +51,10 @@ impl Default for SsdFaultSpec {
 impl SsdFaultSpec {
     /// True when every rate is zero (the fault stream is never drawn).
     pub fn is_inert(&self) -> bool {
-        self.write_error_rate == 0.0 && self.busy_rate == 0.0 && self.read_error_rate == 0.0
+        self.write_error_rate == 0.0
+            && self.busy_rate == 0.0
+            && self.read_error_rate == 0.0
+            && self.bit_flip_rate == 0.0
     }
 
     fn validate(&self) {
@@ -53,6 +62,7 @@ impl SsdFaultSpec {
             ("write_error_rate", self.write_error_rate),
             ("busy_rate", self.busy_rate),
             ("read_error_rate", self.read_error_rate),
+            ("bit_flip_rate", self.bit_flip_rate),
         ] {
             assert!(
                 (0.0..=1.0).contains(&rate),
@@ -95,13 +105,8 @@ pub struct SsdSpec {
     pub pe_cycle_limit: u32,
     /// Keep page contents for functional read-back (costs host RAM).
     pub store_data: bool,
-    /// Probability that a host read returns a page with one flipped bit
-    /// (post-ECC uncorrectable error injection for integrity testing).
-    pub read_fault_rate: f64,
-    /// Seed for deterministic fault injection.
-    pub fault_seed: u64,
-    /// Transient-fault injection (write/read errors, busy); defaults to
-    /// all-zero rates, i.e. no faults.
+    /// Fault injection (write/read errors, busy, silent bit flips);
+    /// defaults to all-zero rates, i.e. no faults.
     pub faults: SsdFaultSpec,
 }
 
@@ -124,8 +129,6 @@ impl SsdSpec {
             t_ctrl: SimDuration::from_micros(2),
             pe_cycle_limit: 3000,
             store_data: true,
-            read_fault_rate: 0.0,
-            fault_seed: 0xFA17,
             faults: SsdFaultSpec::default(),
         }
     }
@@ -143,14 +146,6 @@ impl SsdSpec {
     /// Total dies (the device's internal parallelism).
     pub fn total_dies(&self) -> u32 {
         self.channels * self.dies_per_channel
-    }
-
-    /// Physical capacity in bytes.
-    pub fn physical_bytes(&self) -> u64 {
-        self.total_dies() as u64
-            * self.blocks_per_die as u64
-            * self.pages_per_block as u64
-            * self.page_bytes as u64
     }
 
     /// Logical (host-visible) capacity in pages, after over-provisioning.
@@ -176,10 +171,6 @@ impl SsdSpec {
             "over-provisioning must be in [0,1)"
         );
         assert!(self.pe_cycle_limit > 0, "endurance budget must be positive");
-        assert!(
-            (0.0..=1.0).contains(&self.read_fault_rate),
-            "fault rate must be a probability"
-        );
         self.faults.validate();
     }
 }
@@ -199,7 +190,6 @@ mod tests {
         let spec = SsdSpec::samsung_830_256g();
         assert_eq!(spec.total_dies(), 24);
         let physical_pages = 24u64 * 256 * 128;
-        assert_eq!(spec.physical_bytes(), physical_pages * 4096);
         assert!(spec.logical_pages() < physical_pages);
         assert!(spec.logical_pages() > physical_pages * 85 / 100);
     }
@@ -236,6 +226,19 @@ mod tests {
         spec.faults.read_error_rate = 0.01;
         spec.validate();
         assert!(!spec.faults.is_inert());
+        let flips = SsdFaultSpec {
+            bit_flip_rate: 0.5,
+            ..SsdFaultSpec::default()
+        };
+        assert!(!flips.is_inert());
+    }
+
+    #[test]
+    #[should_panic(expected = "bit_flip_rate")]
+    fn out_of_range_bit_flip_rate_rejected() {
+        let mut spec = SsdSpec::samsung_830_256g();
+        spec.faults.bit_flip_rate = -0.5;
+        spec.validate();
     }
 
     #[test]

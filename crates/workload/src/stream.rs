@@ -55,31 +55,6 @@ impl StreamConfig {
         }
     }
 
-    /// A file-server profile: moderate duplication (shared documents),
-    /// text-like compressibility, weaker locality.
-    pub fn file_server(total_bytes: u64) -> Self {
-        StreamConfig {
-            total_bytes,
-            dedup_ratio: 1.8,
-            compression_ratio: 2.2,
-            locality: 0.4,
-            ..StreamConfig::default()
-        }
-    }
-
-    /// A database profile: little block-level duplication, modest page
-    /// compressibility, hot-page locality.
-    pub fn database(total_bytes: u64) -> Self {
-        StreamConfig {
-            total_bytes,
-            dedup_ratio: 1.1,
-            compression_ratio: 1.7,
-            locality: 0.7,
-            locality_window: 64,
-            ..StreamConfig::default()
-        }
-    }
-
     fn validate(&self) {
         assert!(self.block_bytes > 0, "block size must be positive");
         assert!(
@@ -321,8 +296,13 @@ mod tests {
     fn presets_hit_their_ratio_targets() {
         for (cfg, target) in [
             (StreamConfig::vdi(8 << 20), 4.0f64),
-            (StreamConfig::file_server(8 << 20), 1.8),
-            (StreamConfig::database(8 << 20), 1.1),
+            (
+                StreamConfig {
+                    total_bytes: 8 << 20,
+                    ..StreamConfig::default()
+                },
+                2.0,
+            ),
         ] {
             let gen = StreamGenerator::new(cfg);
             let mut counts: HashMap<Vec<u8>, u64> = HashMap::new();

@@ -42,6 +42,14 @@ fi
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+# The examples are runnable documentation, and two of them assert:
+# `quickstart` and `vdi_server` read every block back and fail on a
+# byte that differs. Each runs in well under a second in release.
+echo "==> examples (release)"
+for example in capacity_planning device_lab quickstart vdi_server; do
+    cargo run --release -q --offline --example "${example}" > /dev/null
+done
+
 echo "==> cargo test"
 cargo test --workspace -q
 

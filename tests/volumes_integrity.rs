@@ -186,7 +186,7 @@ fn integrity_catches_corruption_behind_volumes() {
         integrity: true,
         ..PipelineConfig::default()
     };
-    config.ssd_spec.read_fault_rate = 1.0;
+    config.ssd_spec.faults.bit_flip_rate = 1.0;
     let mut array = VolumeManager::new(config);
     array.create_volume("v", 64).unwrap();
     let blocks: Vec<Vec<u8>> = (0..64u64).map(|i| synthesize_block(i, 4096, 1.0)).collect();
