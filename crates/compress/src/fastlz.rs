@@ -9,8 +9,10 @@
 //! The greedy matcher runs in two phases over per-thread scratch
 //! (`Matcher`). A *slot pass* hashes every position of the input once,
 //! a block at a time, with the vectorised [`dr_hashes::lz_slots`]; a
-//! *resolve pass* then walks the input serially, reading each position's
-//! precomputed slot, and makes the match decisions. [`FastLz`] is one
+//! *resolve pass* then walks the input in order, probing each position's
+//! precomputed slot with [`dr_hashes::lz_find_match`] (sixteen positions
+//! a step on AVX-512 hosts, decision for decision the one-position loop),
+//! and makes the match decisions. [`FastLz`] is one
 //! region over the whole input; the GPU sub-chunk kernel's host emulation
 //! ([`crate::gpu`]) walks a chunk's regions over the same scratch.
 //! [`tokenize_region`] keeps the plain one-pass loop — fresh table, one
@@ -20,7 +22,7 @@
 use std::cell::RefCell;
 use std::hint::select_unpredictable;
 
-use dr_hashes::{lz_slot, lz_slots, LZ_SLOT_BITS};
+use dr_hashes::{lz_find_match, lz_slot, lz_slots, LZ_SLOT_BITS};
 
 use crate::error::CodecError;
 use crate::frame;
@@ -503,7 +505,7 @@ impl ChunkScan<'_> {
     ) -> u64 {
         let input = self.input;
         let scan_end = end - (MIN_MATCH - 1);
-        let reach = window.min(MAX_OFFSET) as u64;
+        let reach = window.min(MAX_OFFSET) as u32;
         let mut raw_token_bytes = 0u64;
         let mut literal_start = start;
         let mut pos = start;
@@ -512,7 +514,8 @@ impl ChunkScan<'_> {
             let run_end = self.cover(pos).min(scan_end);
             let m = &mut *self.matcher;
             let slots = &m.slots[pos - m.base..run_end - m.base];
-            let Some((at, candidate)) = find_match(&mut m.table, slots, input, pos, reach) else {
+            let Some((at, candidate)) = lz_find_match(&mut m.table, slots, input, pos, reach)
+            else {
                 pos = run_end;
                 continue;
             };
@@ -531,54 +534,6 @@ impl ChunkScan<'_> {
         }
         raw_token_bytes
     }
-}
-
-/// The resolve pass's inner loop: probes positions `first..` — one per
-/// entry of `slots`, their precomputed table slots — inserting each, until
-/// one has a candidate within `reach` that agrees with it in the first
-/// `MIN_MATCH` bytes. Returns that position and its candidate.
-///
-/// `input` must be at least four bytes long and every probed position must
-/// have a full 3-byte key.
-#[inline]
-fn find_match(
-    table: &mut [u32; TABLE_SIZE],
-    slots: &[u16],
-    input: &[u8],
-    first: usize,
-    reach: u64,
-) -> Option<(usize, usize)> {
-    if slots.is_empty() {
-        return None;
-    }
-    // The 3-byte key at each position, rolled forward a byte at a time.
-    let mut key = (input[first] as u32) << 8 | (input[first + 1] as u32) << 16;
-    for (p, (&slot, &newest)) in (first..).zip(slots.iter().zip(&input[first + 2..])) {
-        key = key >> 8 | (newest as u32) << 16;
-        let slot = slot as usize % TABLE_SIZE;
-        let candidate = table[slot];
-        table[slot] = p as u32;
-        // A candidate is in range when `1 <= p - candidate <= reach`. In
-        // wrapping arithmetic wider than the table's u32 that is one
-        // compare, and it refuses `EMPTY`, `p` itself and anything ahead.
-        let distance = (p as u64).wrapping_sub(candidate as u64);
-        let in_range = distance.wrapping_sub(1) < reach;
-        // A candidate disagreeing in the first MIN_MATCH bytes can never
-        // reach MIN_MATCH, and sub-minimum lengths never emit. Slot
-        // occupancy is a coin flip for most of a chunk, so the range test
-        // must not become a branch: a refused candidate loads from the
-        // start of the input (always in bounds; an accepted one ends
-        // before `p + 3`) and is told apart by a flag or-ed into the key
-        // difference, leaving "a match starts here" as the loop's only
-        // data-dependent branch.
-        let probe_at = select_unpredictable(in_range, candidate as usize, 0);
-        let there = u32::from_le_bytes(input[probe_at..probe_at + 4].try_into().unwrap());
-        let differs = (there ^ key) << 8;
-        if differs | u32::from(!in_range) == 0 {
-            return Some((p, candidate as usize));
-        }
-    }
-    None
 }
 
 impl Codec for FastLz {

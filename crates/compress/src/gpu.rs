@@ -58,11 +58,18 @@ const KERNEL_CYCLES_PER_BYTE: u64 = 16;
 /// worker thread beside the caller, each pinned to its CPU, paper-profile
 /// 4 KiB chunks; `compress_batch` on an inline pool / fanned out to a
 /// spinning worker / fanned out after a 2 ms sleep, µs, medians of 500,
-/// median of three runs): 4 chunks 49.2 / 29.9 / 63.7, 6 chunks 80.5 /
-/// 48.1 / 85.1, 8 chunks 81.0 / 53.7 / 97.4, 12 chunks 157 / 90.7 / 125.
-/// Two chunks are worth several hand-offs, also now that history seeding
-/// stores only what the table lacks and a chunk costs about a fifth
-/// less; DESIGN.md §9 has the write-level table that the rule answers to.
+/// median of three runs): 4 chunks 29.2 / 19.7 / 47.1, 6 chunks 37.0 /
+/// 21.7 / 63.7, 8 chunks 54.9 / 32.8 / 76.4, 12 chunks 53.7 / 42.9 /
+/// 91.6 (the three runs spread by up to 40 % on the inline column). That
+/// is with the matcher's sixteen-lane probe step, at about half the cost
+/// per chunk of the one-position loop, where the same table read 49.2 /
+/// 29.9 / 63.7, 80.5 / 48.1 / 85.1, 81.0 / 53.7 / 97.4 and 157 / 90.7 /
+/// 125. A hand-off to a spinning worker still wins from four chunks on;
+/// one that has to wake a parked worker now loses up to twelve, where it
+/// used to break even at eight. Two chunks stay the grain, because the
+/// rule is judged per write, where the hash fan-out before this stage
+/// has just woken the worker; DESIGN.md §9 has the write-level table
+/// that the rule answers to, and a new grain needs that table re-measured.
 const KERNEL_FANOUT_GRAIN: usize = 2;
 
 /// Parameters of the GPU compression kernel.

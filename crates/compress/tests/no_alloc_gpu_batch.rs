@@ -94,9 +94,16 @@ fn steady_state_batches_do_not_allocate_per_chunk() {
     let mut frames = vec![Vec::new(); CHUNKS];
 
     for pool in [WorkerPool::new(0), WorkerPool::new(1)] {
-        // Warm-up: frame buffers grow to their steady capacity, the pool
-        // and the device settle their one-time allocations, every thread
-        // that scans a chunk gets its matcher scratch.
+        // Warm-up: every participant of the batch — the caller and the
+        // pool's one thread — scans a chunk and gets its matcher scratch.
+        // A warm-up batch alone does not promise that: the caller can
+        // claim every chunk before the worker wakes, and the worker's
+        // first scan then lands in the counted batch. `join` runs its
+        // first half on a pool thread (on the caller for an inline pool).
+        let scan = || drop(comp.compress_functional(views[0]));
+        pool.join(scan, scan);
+        // Frame buffers grow to their steady capacity, the pool and the
+        // device settle their one-time allocations.
         for _ in 0..2 {
             comp.compress_batch(SimTime::ZERO, &mut gpu, &pool, &views, &mut frames)
                 .unwrap();

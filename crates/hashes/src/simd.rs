@@ -1,13 +1,15 @@
 //! Runtime SIMD dispatch policy for the hash kernels.
 //!
-//! The SHA-1, CRC-32C and LZ slot-hashing hot loops each have a portable
-//! scalar reference and `std::arch` fast paths (x86_64 SHA extensions for
-//! one SHA-1 message, AVX-512F+BW for sixteen at once in
+//! The SHA-1, CRC-32C, LZ slot-hashing and LZ match-probing hot loops each
+//! have a portable scalar reference and `std::arch` fast paths (x86_64 SHA
+//! extensions for one SHA-1 message, AVX-512F+BW for sixteen at once in
 //! [`crate::sha1_digest_many`], SSE4.2 `crc32` / aarch64 `crc32c*` for
-//! CRC-32C, AVX-512DQ+BW or AVX2 for [`crate::lz_slots`]). The arms are
+//! CRC-32C, AVX-512DQ+BW or AVX2 for [`crate::lz_slots`],
+//! AVX-512F+CD+BW+VBMI for [`crate::lz_find_match`]). The arms are
 //! bit-identical by construction — the fast paths compute the same FIPS
-//! 180-1 / Castagnoli / `mix64` functions — and are pinned against each
-//! other by differential property tests.
+//! 180-1 / Castagnoli / `mix64` functions and make the same match
+//! decisions in the same order — and are pinned against each other by
+//! differential property tests.
 //!
 //! Dispatch is decided **once** per process: CPU feature detection plus
 //! the `DR_SIMD` environment override, cached so the per-call cost is one
@@ -145,6 +147,26 @@ pub fn lz_slots_avx2() -> bool {
     })
 }
 
+/// True when [`crate::lz_find_match`] can take its sixteen-lane arm (the
+/// gathers and scatter from F, `vpconflictd` / `vplzcntd` from CD,
+/// `vpermb` from VBMI and its byte mask from BW).
+pub fn lz_match_avx512() -> bool {
+    static STATE: AtomicU8 = AtomicU8::new(0);
+    cached_detect(&STATE, || {
+        #[cfg(target_arch = "x86_64")]
+        {
+            is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512cd")
+                && is_x86_feature_detected!("avx512bw")
+                && is_x86_feature_detected!("avx512vbmi")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    })
+}
+
 /// Caches a detection result (1 = no, 2 = yes) and folds in the policy:
 /// a `Scalar` policy reports every fast path as unavailable.
 fn cached_detect(state: &AtomicU8, detect: impl FnOnce() -> bool) -> bool {
@@ -178,5 +200,6 @@ mod tests {
         assert_eq!(crc32c_hw(), crc32c_hw());
         assert_eq!(lz_slots_avx512(), lz_slots_avx512());
         assert_eq!(lz_slots_avx2(), lz_slots_avx2());
+        assert_eq!(lz_match_avx512(), lz_match_avx512());
     }
 }

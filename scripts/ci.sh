@@ -91,11 +91,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # disjoint-slot pointer of `for_each_mut`) beside a hand-rolled
 # spin-then-park wake-up protocol; its tests run every one of those paths
 # on real threads. dr-hashes holds the rest: the `std::arch` arms of
-# SHA-1 (one message and sixteen at once), CRC-32C and LZ slot hashing,
-# whose tests call every arm the CPU has, at every tail length and load
-# offset (the multi-buffer arm: sixteen lanes at sixteen alignments, the
-# last message ending where its heap block ends), so an out-of-bounds
-# pointer load or store there is ASan's to find. `-Zsanitizer` needs a
+# SHA-1 (one message and sixteen at once), CRC-32C, LZ slot hashing and
+# LZ match probing, whose tests call every arm the CPU has, at every tail
+# length and load offset (the multi-buffer arm: sixteen lanes at sixteen
+# alignments, the last message ending where its heap block ends; the
+# probe arm: key loads that end at the input's last byte), so an
+# out-of-bounds pointer load or store there is ASan's to find. `-Zsanitizer` needs a
 # nightly toolchain (an explicit --target keeps the flag off build
 # scripts; doctests do not link under it, hence --lib --tests); without
 # one the leg is skipped, like clippy.
@@ -145,7 +146,8 @@ done
 # (DESIGN.md §11). DR_CHECK_SEEDS widens the sweep (the scheduled deep
 # job uses 500); the default 25 stays well under two minutes.
 echo "==> dr-check smoke (${DR_CHECK_SEEDS:-25} seeds x 4 modes x 2 scenarios)"
-cargo run --release -q -p dr-check -- run --mode all --scenario both
+cargo run --release -q -p dr-check -- run --mode all --scenario both \
+    | tee target/ci-check-both.out
 
 # Crash-consistency smoke: seeded sequences with power-cut ops, run with
 # the metadata journal enabled. After every cut the checker recovers from
@@ -163,6 +165,25 @@ cargo run --release -q -p dr-check -- run --mode all --scenario crash
 # dr-check unit test).
 echo "==> dr-check cluster smoke (${DR_CHECK_SEEDS:-25} seeds x 4 modes)"
 cargo run --release -q -p dr-check -- run --mode all --scenario cluster
+
+# Pool-width leg: the host pool's width (DR_POOL_WORKERS; by default
+# the host's core count) decides which thread runs a chunk, never what
+# the simulation charges or stores (DESIGN.md §7). Every golden, the
+# fault matrix and the dr-check sweep must print the same bytes with one
+# pool thread and with four as they did at the default width above.
+for workers in 1 4; do
+    echo "==> pool-width leg (DR_POOL_WORKERS=${workers}: goldens, fault matrix, dr-check)"
+    for bin in e1_indexing_cpu_vs_gpu e2_dedup_throughput e3_compress_throughput \
+        e4_fig2_integration e5_calibration e6_endurance e7_chunk_size_sweep \
+        e8_read_path e9_cluster ablation_report; do
+        env -u DR_SCALE -u DR_METRICS_OUT DR_POOL_WORKERS="${workers}" \
+            "target/release/${bin}" | diff "crates/bench/${bin}.golden" -
+    done
+    DR_POOL_WORKERS="${workers}" target/release/fault_matrix \
+        | diff crates/bench/fault_matrix.golden -
+    DR_POOL_WORKERS="${workers}" target/release/dr-check run --mode all --scenario both \
+        | diff target/ci-check-both.out -
+done
 
 # Trace smoke: a traced bench run must exit cleanly, leave stdout
 # bit-identical to an untraced run (DESIGN.md §12), and write a
