@@ -15,9 +15,9 @@
 //!    had nothing acknowledged and may only revert a block to bytes it
 //!    durably wrote, never below the latest acknowledged version.
 //! 4. **Structural integrity** — [`Cluster::check_integrity`] (placement
-//!    map ↔ ring ↔ refcount directory ↔ node indexes ↔ per-node destage
-//!    conservation) and chunk conservation against the model, after
-//!    every op.
+//!    map ↔ ring ↔ refcount directory ↔ node indexes ↔ each node's own
+//!    conservation check) and chunk conservation against the model,
+//!    after every op.
 //!
 //! Its own ops are `NodeJoin`, `NodeLeave` and `NodeCrash`. They are rare
 //! and violent, so each one asks the harness for a full read-back sweep —
@@ -29,7 +29,7 @@ use dr_obs::ObsHandle;
 use dr_reduction::{IntegrationMode, PipelineConfig};
 
 use crate::cluster_model::{ClusterModel, CrashFate};
-use crate::harness::{fail, volume_kind, Failure, Sut, CHUNK_BYTES, JOURNAL_PAGES};
+use crate::harness::{fail, node_config, volume_kind, Failure, Sut, CHUNK_BYTES};
 use crate::model::{ModelError, Oracle};
 use crate::ops::Op;
 
@@ -52,18 +52,13 @@ impl ClusterSut {
             nodes: CLUSTER_NODES,
             max_nodes: CLUSTER_MAX_NODES,
             node: PipelineConfig {
-                mode,
-                batch_chunks: 8,
-                integrity: true,
                 // One worker per node: N nodes already multiply the
                 // simulated stacks, and checker throughput comes from
                 // sequence count, not per-node parallel grind.
                 pool_workers: 1,
                 // Always journaled — node power cuts are in the alphabet
                 // and recovery without a journal is a panic by design.
-                journal_pages: JOURNAL_PAGES,
-                obs: ObsHandle::enabled("dr-check"),
-                ..PipelineConfig::default()
+                ..node_config(mode, true, ObsHandle::enabled("dr-check"))
             },
         };
         ClusterSut {

@@ -26,7 +26,8 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dr_cluster::PlacedRun;
-use dr_reduction::VolumeError;
+use dr_obs::ObsHandle;
+use dr_reduction::{IntegrationMode, PipelineConfig, VolumeError};
 use dr_workload::{synthesize_block, StreamConfig, StreamGenerator, ZipfSampler};
 
 use crate::model::{ModelError, Oracle};
@@ -41,7 +42,25 @@ pub(crate) const TRANSIENT_RETRIES: usize = 10;
 
 /// Journal region size for journaled runs (top of the logical space):
 /// single-node sequences that can cut power, and every cluster run.
-pub(crate) const JOURNAL_PAGES: u64 = 1024;
+const JOURNAL_PAGES: u64 = 1024;
+
+/// The pipeline every checked system runs, a bare array or each cluster
+/// node: batches of eight, the integrity envelope on, the metadata
+/// journal when `journaled`, metrics and traces into `obs`.
+pub(crate) fn node_config(
+    mode: IntegrationMode,
+    journaled: bool,
+    obs: ObsHandle,
+) -> PipelineConfig {
+    PipelineConfig {
+        mode,
+        batch_chunks: 8,
+        integrity: true,
+        journal_pages: if journaled { JOURNAL_PAGES } else { 0 },
+        obs,
+        ..PipelineConfig::default()
+    }
+}
 
 /// One invariant violation, pinned to the op that exposed it.
 #[derive(Debug, Clone, PartialEq, Eq)]

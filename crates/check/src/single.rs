@@ -3,8 +3,10 @@
 //! On top of the harness's byte identity and error mirroring, a single
 //! array adds:
 //!
-//! 1. **Counter conservation** — `chunks = unique_chunks + dedup_hits`,
-//!    and the obs `destage.appends` counter agrees with `unique_chunks`.
+//! 1. **Conservation** — the array's own
+//!    [`Pipeline::check_conservation`](dr_reduction::Pipeline::check_conservation):
+//!    `chunks = unique_chunks + dedup_hits`, and the destage log holds
+//!    exactly the stored frame bytes.
 //! 2. **Reduction-ratio sanity** — stored bytes never exceed the unique
 //!    byte volume plus a bounded per-chunk envelope overhead, and dedup
 //!    never "removes" more bytes than came in.
@@ -21,14 +23,12 @@
 use dr_cluster::PlacedRun;
 use dr_des::{SimTime, SplitMix64};
 use dr_gpu_sim::GpuFaultSpec;
-use dr_obs::{CounterHandle, ObsHandle, Tracer};
-use dr_reduction::{
-    IntegrationMode, PipelineConfig, ReadError, Report, VolumeError, VolumeManager, VolumeRecord,
-};
+use dr_obs::{ObsHandle, Tracer};
+use dr_reduction::{IntegrationMode, ReadError, Record, Report, VolumeError, VolumeManager};
 use dr_ssd_sim::{CrashSpec, SsdFaultSpec};
 
 use crate::harness::{
-    fail, volume_kind, Failure, Sut, CHUNK_BYTES, JOURNAL_PAGES, TRANSIENT_RETRIES,
+    fail, node_config, volume_kind, Failure, Sut, CHUNK_BYTES, TRANSIENT_RETRIES,
 };
 use crate::model::{ModelError, Oracle};
 use crate::ops::Op;
@@ -61,8 +61,6 @@ pub(crate) struct ArraySut {
     system: VolumeManager,
     oracle: Oracle,
     obs: ObsHandle,
-    /// The pipeline's `destage.appends` counter.
-    appends: CounterHandle,
     /// Watermarks of the report's `reduction_end`, `ssd_end`, `read_end`.
     clocks: [SimTime; 3],
     /// Journal enabled (crash-scenario run)?
@@ -70,13 +68,6 @@ pub(crate) struct ArraySut {
     /// Acknowledged state changes with their ack instants, in journal
     /// order. Only populated when `journaled`.
     actions: Vec<(Action, SimTime)>,
-    /// `destage.appends` obs-counter value at the last recovery. The obs
-    /// registry survives a crash (counters are cumulative across power
-    /// cycles) while the recovered report counts only durable work, so
-    /// conservation is checked on deltas from the last recovery point.
-    appends_base: u64,
-    /// `report.unique_chunks` as recovery rebuilt it.
-    unique_base: u64,
 }
 
 impl ArraySut {
@@ -86,24 +77,13 @@ impl ArraySut {
     pub(crate) fn new(mode: IntegrationMode, tracer: Tracer, ops: &[Op]) -> Self {
         let journaled = ops.iter().any(|op| matches!(op, Op::Crash { .. }));
         let obs = ObsHandle::enabled("dr-check").with_tracer(tracer);
-        let config = PipelineConfig {
-            mode,
-            batch_chunks: 8,
-            integrity: true,
-            obs: obs.clone(),
-            journal_pages: if journaled { JOURNAL_PAGES } else { 0 },
-            ..PipelineConfig::default()
-        };
         ArraySut {
-            system: VolumeManager::new(config),
+            system: VolumeManager::new(node_config(mode, journaled, obs.clone())),
             oracle: Oracle::new(CHUNK_BYTES),
-            appends: obs.counter("destage.appends"),
             obs,
             clocks: [SimTime::ZERO; 3],
             journaled,
             actions: Vec::new(),
-            appends_base: 0,
-            unique_base: 0,
         }
     }
 
@@ -163,7 +143,14 @@ impl ArraySut {
                 torn_seed: seed,
             })
             .map_err(|e| fail(idx, "recovery", format!("recovery failed: {e}")))?;
-        let survived = outcome.volume_records.len();
+        // The pipeline's own records (batch commits, checkpoints) have
+        // no op of their own in the action log.
+        let volume_records: Vec<&Record> = outcome
+            .records
+            .iter()
+            .filter(|r| matches!(r, Record::VolumeCreate { .. } | Record::MapUpdate { .. }))
+            .collect();
+        let survived = volume_records.len();
         if survived < acked {
             return Err(fail(
                 idx,
@@ -186,19 +173,19 @@ impl ArraySut {
                 ),
             ));
         }
-        for (i, record) in outcome.volume_records.iter().enumerate() {
+        for (i, record) in volume_records.into_iter().enumerate() {
             let (action, _) = &self.actions[i];
             let agrees = match (action, record) {
                 (
                     Action::Create { name, blocks },
-                    VolumeRecord::Create {
+                    Record::VolumeCreate {
                         name: r_name,
                         blocks: r_blocks,
                     },
                 ) => name == r_name && blocks == r_blocks,
                 (
                     Action::Write { name, block, data },
-                    VolumeRecord::Map {
+                    Record::MapUpdate {
                         name: r_name,
                         start_block,
                         nblocks,
@@ -237,12 +224,10 @@ impl ArraySut {
             }
         }
         // Recovery starts a fresh report (clocks restart at the replay
-        // horizon, read clock at zero) and only durable work is counted;
-        // re-anchor the monotonicity watermarks and conservation bases.
+        // horizon, read clock at zero); re-anchor the monotonicity
+        // watermarks.
         let r = self.system.report();
         self.clocks = [r.reduction_end, r.ssd_end, r.read_end];
-        self.unique_base = r.unique_chunks;
-        self.appends_base = self.appends.get();
         Ok(())
     }
 }
@@ -371,29 +356,9 @@ impl Sut for ArraySut {
 
     /// Invariants 1–3.
     fn after_op(&mut self, idx: usize) -> Result<(), Failure> {
+        let books = self.system.pipeline().check_conservation();
+        books.map_err(|detail| fail(idx, "conservation", detail))?;
         let r: Report = self.system.report().clone();
-        if r.chunks != r.unique_chunks + r.dedup_hits {
-            return Err(fail(
-                idx,
-                "conservation",
-                format!(
-                    "chunks {} != unique {} + deduped {}",
-                    r.chunks, r.unique_chunks, r.dedup_hits
-                ),
-            ));
-        }
-        let appends = self.appends.get() - self.appends_base;
-        if appends != r.unique_chunks - self.unique_base {
-            return Err(fail(
-                idx,
-                "conservation",
-                format!(
-                    "obs destage.appends {appends} (since recovery) != report \
-                     unique_chunks {} - recovered base {}",
-                    r.unique_chunks, self.unique_base
-                ),
-            ));
-        }
         if r.bytes_deduped > r.bytes_in {
             return Err(fail(
                 idx,

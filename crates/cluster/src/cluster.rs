@@ -808,7 +808,6 @@ impl Cluster {
         // took older digests back: recount from the surviving map.
         self.refs = self.recount();
         self.obs.counter("membership.crashes").incr();
-        self.nodes.get_mut(&id).expect("still a member").reanchor();
         // Reverted digests may route elsewhere under the (unchanged)
         // ring; restore the entry.node == home(entry.digest) invariant
         // before the next operation.
@@ -899,9 +898,8 @@ impl Cluster {
             ));
         }
         for (id, node) in &self.nodes {
-            if !node.destage_conserved() {
-                return Err(format!("node {id}: destage conservation violated"));
-            }
+            let books = node.vm.pipeline().check_conservation();
+            books.map_err(|e| format!("node {id}: conservation: {e}"))?;
         }
         Ok(())
     }

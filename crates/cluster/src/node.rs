@@ -1,7 +1,7 @@
 //! One cluster node: a full single-node reduction stack plus the node's
-//! obs registry and crash-conservation anchors.
+//! obs registry.
 
-use dr_obs::{CounterHandle, ObsHandle, Snapshot};
+use dr_obs::{ObsHandle, Snapshot};
 use dr_reduction::{PipelineConfig, VolumeManager};
 
 use crate::ring::NodeId;
@@ -19,14 +19,6 @@ pub struct Node {
     pub vm: VolumeManager,
     /// The node's metric registry, named `node{id}`.
     pub obs: ObsHandle,
-    /// The node pipeline's `destage.appends` counter.
-    appends: CounterHandle,
-    /// `unique_chunks` at the node's last recovery; destage conservation
-    /// is checked on deltas since this anchor because the physical log
-    /// retains pre-crash appends while the recovered report restarts.
-    pub unique_base: u64,
-    /// `destage.appends` at the node's last recovery.
-    pub appends_base: u64,
 }
 
 impl Node {
@@ -45,33 +37,12 @@ impl Node {
         Node {
             id,
             vm: VolumeManager::new(config),
-            appends: obs.counter("destage.appends"),
             obs,
-            unique_base: 0,
-            appends_base: 0,
         }
     }
 
     /// The node's current metric snapshot (empty when obs is disabled).
     pub fn snapshot(&self) -> Snapshot {
         self.obs.snapshot().unwrap_or_default()
-    }
-
-    /// Re-anchors the conservation baselines after a recovery.
-    pub fn reanchor(&mut self) {
-        self.unique_base = self.vm.report().unique_chunks;
-        self.appends_base = self.appends.get();
-    }
-
-    /// Destage conservation since the last recovery: every unique chunk
-    /// the node admitted became exactly one destage-log append. Vacuously
-    /// true when obs is disabled (no counter to compare).
-    pub fn destage_conserved(&self) -> bool {
-        if !self.obs.is_enabled() {
-            return true;
-        }
-        let unique = self.vm.report().unique_chunks - self.unique_base;
-        let appends = self.appends.get() - self.appends_base;
-        unique == appends
     }
 }

@@ -6,6 +6,7 @@
 use dr_cluster::{Cluster, ClusterConfig, ClusterError};
 use dr_obs::ObsHandle;
 use dr_reduction::{IntegrationMode, PipelineConfig, VolumeError, VolumeManager};
+use dr_ssd_sim::SsdFaultSpec;
 use dr_workload::synthesize_block;
 
 const CHUNK: usize = 4096;
@@ -612,4 +613,54 @@ fn placed_run_acks_strictly_increase_per_node() {
     }
     assert_eq!(last.len(), 3, "every node took writes");
     assert!(runs > 28, "multi-block writes split into several runs");
+}
+
+/// Every node checks its own books, so they hold with observability off —
+/// the default — through writes that outlive their device retries, a
+/// join, a leave and a node crash.
+#[test]
+fn every_node_keeps_its_books_with_observability_off() {
+    let mut c = Cluster::new(ClusterConfig {
+        node: PipelineConfig {
+            journal_pages: 1024,
+            ..PipelineConfig::default()
+        },
+        ..ClusterConfig::default()
+    });
+    let check = |c: &Cluster, step: &str| {
+        c.check_integrity()
+            .unwrap_or_else(|e| panic!("after {step}: {e}"));
+    };
+    c.create_volume("v", 160).unwrap();
+    fill(&mut c, "v", 16);
+    check(&c, "clean writes");
+    let set_faults = |c: &mut Cluster, write_error_rate| {
+        for id in c.node_ids() {
+            let pipeline = c.node_mut(id).unwrap().vm.pipeline_mut();
+            pipeline.set_ssd_faults(SsdFaultSpec {
+                write_error_rate,
+                seed: u64::from(id) + 30,
+                ..SsdFaultSpec::default()
+            });
+        }
+    };
+    set_faults(&mut c, 0.6);
+    for b in 16..112 {
+        c.write("v", b, &payload(2000 + b)).unwrap();
+        check(&c, "a faulted write");
+    }
+    let report = c.report();
+    let latched = report.nodes.iter().map(|(_, r)| r.degraded_transitions);
+    assert!(latched.sum::<u64>() > 0, "a drain outlived its retries");
+    set_faults(&mut c, 0.0);
+    let (joined, _) = c.join().unwrap();
+    check(&c, "the join");
+    c.leave(joined - 1).unwrap();
+    check(&c, "the leave");
+    c.crash_node(joined, 3).unwrap();
+    check(&c, "the node crash");
+    for b in 112..128 {
+        c.write("v", b, &payload(3000 + b)).unwrap();
+        check(&c, "a write after the crash");
+    }
 }

@@ -7,6 +7,7 @@
 //! through its [`Guarded`](crate::degrade::Guarded) component and falls
 //! back to the CPU arm with the burnt time as its floor.
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -19,9 +20,9 @@ use dr_hashes::{sha1_digest, sha1_digest_many, ChunkDigest};
 use dr_obs::trace::{trace_args, TraceArgs, Tracer, Track};
 
 use crate::cpu_model::CpuModel;
-use crate::journal::ChunkCommit;
+use crate::journal::{BatchCommit, ChunkCommit, Record};
 use crate::pipeline::Pipeline;
-use crate::recovery::destage_frontier;
+use crate::recovery::{destage_frontier, stage_record};
 
 /// Unique chunks per participant below which CPU compression stays on the
 /// submitter: two, so a write with four unique chunks fans out.
@@ -84,6 +85,8 @@ pub(crate) struct BatchScratch {
     cpu_hits: Vec<Option<(ChunkRef, BinHit)>>,
     /// Digest of each unique chunk so far in the batch → its index.
     firsts: HashMap<ChunkDigest, usize>,
+    /// The batch's chunk commits, for its journal record.
+    commits: Vec<ChunkCommit>,
 }
 
 /// Chunk payloads for one batch: a view of the caller's own write buffer,
@@ -854,24 +857,29 @@ impl Pipeline {
         // partial page an earlier call flushed out of the tail the record
         // carries (write-ahead for the *metadata*, write-behind for the
         // data it points at).
-        if let Some(journal) = self.journal.as_mut() {
-            let chunks = batch
-                .chunks
-                .iter()
-                .zip(&self.recipe[base..])
-                .enumerate()
-                .map(|(i, (c, r))| ChunkCommit {
-                    digest: batch.digests[i],
-                    dup: c.outcome != DedupOutcome::Unique,
-                    addr: r.addr(),
-                    stored_len: r.stored_len(),
-                    orig_len: batch.payload.view(i).len() as u32,
-                });
+        if self.journal.is_some() {
+            let commits = &mut self.scratch.commits;
+            commits.clear();
+            commits.extend(
+                batch
+                    .chunks
+                    .iter()
+                    .zip(&self.recipe[base..])
+                    .enumerate()
+                    .map(|(i, (c, r))| ChunkCommit {
+                        digest: batch.digests[i],
+                        dup: c.outcome != DedupOutcome::Unique,
+                        addr: r.addr(),
+                        stored_len: r.stored_len(),
+                        orig_len: batch.payload.view(i).len() as u32,
+                    }),
+            );
             let at = self.report.reduction_end.max(self.destage.data_end());
-            let frontier = destage_frontier(&self.destage);
-            journal
-                .stage_batch_commit(at, &mut self.ssd, &frontier, chunks)
-                .unwrap_or_else(|e| panic!("journal batch-commit append failed: {e}"));
+            let record = Record::BatchCommit(BatchCommit {
+                frontier: destage_frontier(&self.destage),
+                chunks: Cow::Borrowed(commits),
+            });
+            stage_record(self.journal.as_mut(), &mut self.ssd, at, &record);
         }
     }
 }

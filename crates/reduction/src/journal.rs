@@ -11,9 +11,11 @@
 //! CRC-framed record and written to the journal *on the simulated
 //! device*, charging real program latency.
 //!
-//! Writing a record is two steps. [`Journal::stage`] (and its in-place
-//! twins for the write path's two records) encodes the record into the
-//! open tail and programs only the pages the record *fills*;
+//! Writing a record is two steps. [`Journal::stage`] encodes a
+//! [`Record`] — which borrows what it carries, so the write path frames
+//! the volume name, the destager's tail and the batch's commit list
+//! without copying them first — into the open tail and programs only the
+//! pages the record *fills*;
 //! [`Journal::sync`] programs the open page, once for everything staged
 //! since the last sync, and is the only thing that moves
 //! [`Journal::ack_end`]. A host write stages its batch commit(s) and its
@@ -63,6 +65,7 @@ use dr_hashes::{open, seal, ChunkDigest, SEAL_LEN};
 use dr_obs::trace::{trace_args, Tracer, Track};
 use dr_obs::{CounterHandle, ObsHandle};
 use dr_ssd_sim::{SsdDevice, SsdError};
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -78,11 +81,9 @@ const KIND_BATCH_COMMIT: u8 = 3;
 const KIND_CHECKPOINT: u8 = 4;
 
 /// Destage-log state carried by state-bearing records, sufficient to
-/// restore the destage log's frontiers after a crash. `T`
-/// holds the tail: owned in a record, borrowed from the destager when
-/// the write path stages a batch commit straight into the journal.
+/// restore the destage log's frontiers after a crash.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frontier<T = Vec<u8>> {
+pub struct Frontier<'a> {
     /// Next data page to be written (grows up from 0).
     pub next_data_lpn: u64,
     /// Next index page to be written (grows down from the top, minus the
@@ -91,19 +92,7 @@ pub struct Frontier<T = Vec<u8>> {
     /// Total bytes appended to the destage log.
     pub appended_bytes: u64,
     /// Contents of the open, not-yet-flushed data page.
-    pub tail: T,
-}
-
-impl Frontier<&[u8]> {
-    /// The frontier with its tail copied out, for an owned record.
-    pub fn into_owned(self) -> Frontier {
-        Frontier {
-            next_data_lpn: self.next_data_lpn,
-            next_index_lpn: self.next_index_lpn,
-            appended_bytes: self.appended_bytes,
-            tail: self.tail.to_vec(),
-        }
-    }
+    pub tail: Cow<'a, [u8]>,
 }
 
 /// One chunk of a committed batch: enough to rebuild the recipe entry
@@ -124,30 +113,33 @@ pub struct ChunkCommit {
 
 /// A batch of reduced chunks whose data frames are durable.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchCommit {
+pub struct BatchCommit<'a> {
     /// Destage frontier *after* the batch.
-    pub frontier: Frontier,
+    pub frontier: Frontier<'a>,
     /// Per-chunk commits in recipe order.
-    pub chunks: Vec<ChunkCommit>,
+    pub chunks: Cow<'a, [ChunkCommit]>,
 }
 
 /// A bin-index snapshot embedded in the journal so recovery can skip
 /// re-inserting every pre-checkpoint chunk.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Checkpoint {
+pub struct Checkpoint<'a> {
     /// Destage frontier at the checkpoint.
-    pub frontier: Frontier,
+    pub frontier: Frontier<'a>,
     /// Serialized index snapshot (`dr_binindex::snapshot` format).
-    pub snapshot: Vec<u8>,
+    pub snapshot: Cow<'a, [u8]>,
 }
 
-/// One journal record.
+/// One journal record. It borrows what it carries, so the write path
+/// stages a record straight from the volume name, the destager's tail and
+/// the batch's commit list; a decoded record owns its data
+/// (`Record<'static>`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Record {
+pub enum Record<'a> {
     /// A volume came into existence.
     VolumeCreate {
         /// Volume name.
-        name: String,
+        name: Cow<'a, str>,
         /// Volume capacity in blocks.
         blocks: u64,
     },
@@ -155,7 +147,7 @@ pub enum Record {
     /// `first_recipe..first_recipe + nblocks`.
     MapUpdate {
         /// Volume name.
-        name: String,
+        name: Cow<'a, str>,
         /// First volume block written.
         start_block: u64,
         /// Number of blocks written.
@@ -164,15 +156,20 @@ pub enum Record {
         first_recipe: u64,
     },
     /// A reduced batch is durable on the destage log.
-    BatchCommit(BatchCommit),
+    BatchCommit(BatchCommit<'a>),
     /// An index snapshot is embedded at this point of the log.
-    Checkpoint(Checkpoint),
+    Checkpoint(Checkpoint<'a>),
 }
 
-impl Record {
+impl Record<'_> {
     /// Short name for traces and error messages.
     pub fn kind_name(&self) -> &'static str {
-        kind_name(self.kind())
+        match self {
+            Record::VolumeCreate { .. } => "volume-create",
+            Record::MapUpdate { .. } => "map-update",
+            Record::BatchCommit(_) => "batch-commit",
+            Record::Checkpoint(_) => "checkpoint",
+        }
     }
 
     fn kind(&self) -> u8 {
@@ -182,17 +179,6 @@ impl Record {
             Record::BatchCommit(_) => KIND_BATCH_COMMIT,
             Record::Checkpoint(_) => KIND_CHECKPOINT,
         }
-    }
-}
-
-/// Short name of a record kind byte.
-fn kind_name(kind: u8) -> &'static str {
-    match kind {
-        KIND_VOLUME_CREATE => "volume-create",
-        KIND_MAP_UPDATE => "map-update",
-        KIND_BATCH_COMMIT => "batch-commit",
-        KIND_CHECKPOINT => "checkpoint",
-        _ => "unknown",
     }
 }
 
@@ -217,38 +203,12 @@ fn put_name(out: &mut Vec<u8>, name: &str) {
     out.extend_from_slice(name.as_bytes());
 }
 
-fn put_frontier(out: &mut Vec<u8>, f: &Frontier<impl AsRef<[u8]>>) {
-    let tail = f.tail.as_ref();
+fn put_frontier(out: &mut Vec<u8>, f: &Frontier) {
     put_u64(out, f.next_data_lpn);
     put_u64(out, f.next_index_lpn);
     put_u64(out, f.appended_bytes);
-    put_u32(out, tail.len() as u32);
-    out.extend_from_slice(tail);
-}
-
-/// The payload of a [`Record::MapUpdate`], from its parts.
-fn put_map_update(out: &mut Vec<u8>, name: &str, start_block: u64, nblocks: u64, first: u64) {
-    put_name(out, name);
-    put_u64(out, start_block);
-    put_u64(out, nblocks);
-    put_u64(out, first);
-}
-
-/// The payload of a [`Record::BatchCommit`], from its parts.
-fn put_batch_commit(
-    out: &mut Vec<u8>,
-    frontier: &Frontier<impl AsRef<[u8]>>,
-    chunks: impl ExactSizeIterator<Item = ChunkCommit>,
-) {
-    put_frontier(out, frontier);
-    put_u32(out, chunks.len() as u32);
-    for c in chunks {
-        out.extend_from_slice(c.digest.as_bytes());
-        out.push(c.dup as u8);
-        put_u64(out, c.addr);
-        put_u32(out, c.stored_len);
-        put_u32(out, c.orig_len);
-    }
+    put_u32(out, f.tail.len() as u32);
+    out.extend_from_slice(&f.tail);
 }
 
 fn put_payload(out: &mut Vec<u8>, record: &Record) {
@@ -262,9 +222,22 @@ fn put_payload(out: &mut Vec<u8>, record: &Record) {
             start_block,
             nblocks,
             first_recipe,
-        } => put_map_update(out, name, *start_block, *nblocks, *first_recipe),
+        } => {
+            put_name(out, name);
+            put_u64(out, *start_block);
+            put_u64(out, *nblocks);
+            put_u64(out, *first_recipe);
+        }
         Record::BatchCommit(batch) => {
-            put_batch_commit(out, &batch.frontier, batch.chunks.iter().copied())
+            put_frontier(out, &batch.frontier);
+            put_u32(out, batch.chunks.len() as u32);
+            for c in batch.chunks.iter() {
+                out.extend_from_slice(c.digest.as_bytes());
+                out.push(c.dup as u8);
+                put_u64(out, c.addr);
+                put_u32(out, c.stored_len);
+                put_u32(out, c.orig_len);
+            }
         }
         Record::Checkpoint(cp) => {
             put_frontier(out, &cp.frontier);
@@ -274,14 +247,13 @@ fn put_payload(out: &mut Vec<u8>, record: &Record) {
     }
 }
 
-/// Appends one sealed frame of `kind` around whatever `payload` writes to
-/// `out`.
-fn put_frame(out: &mut Vec<u8>, kind: u8, payload: impl FnOnce(&mut Vec<u8>)) {
+/// Appends `record`, sealed in its frame, to `out`.
+fn put_frame(out: &mut Vec<u8>, record: &Record) {
     let start = out.len();
     put_u32(out, MAGIC);
-    out.push(kind);
+    out.push(record.kind());
     put_u32(out, 0); // the length, once the payload is in
-    payload(out);
+    put_payload(out, record);
     let len = (out.len() - start - FRAME_HEAD) as u32;
     out[start + 5..start + FRAME_HEAD].copy_from_slice(&len.to_le_bytes());
     seal(out, start + 4);
@@ -290,7 +262,7 @@ fn put_frame(out: &mut Vec<u8>, kind: u8, payload: impl FnOnce(&mut Vec<u8>)) {
 /// Serializes one record with its CRC frame.
 pub fn encode_record(record: &Record) -> Vec<u8> {
     let mut out = Vec::new();
-    put_frame(&mut out, record.kind(), |out| put_payload(out, record));
+    put_frame(&mut out, record);
     out
 }
 
@@ -327,18 +299,18 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn name(&mut self) -> Option<String> {
+    fn name(&mut self) -> Option<Cow<'static, str>> {
         let len = self.u16()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).ok()
+        String::from_utf8(bytes.to_vec()).ok().map(Cow::Owned)
     }
 
-    fn frontier(&mut self) -> Option<Frontier> {
+    fn frontier(&mut self) -> Option<Frontier<'static>> {
         let next_data_lpn = self.u64()?;
         let next_index_lpn = self.u64()?;
         let appended_bytes = self.u64()?;
         let tail_len = self.u32()? as usize;
-        let tail = self.take(tail_len)?.to_vec();
+        let tail = Cow::Owned(self.take(tail_len)?.to_vec());
         Some(Frontier {
             next_data_lpn,
             next_index_lpn,
@@ -352,7 +324,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn decode_payload(kind: u8, payload: &[u8]) -> Option<Record> {
+fn decode_payload(kind: u8, payload: &[u8]) -> Option<Record<'static>> {
     let mut r = Reader {
         buf: payload,
         pos: 0,
@@ -389,12 +361,15 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Option<Record> {
                     orig_len: r.u32()?,
                 });
             }
-            Record::BatchCommit(BatchCommit { frontier, chunks })
+            Record::BatchCommit(BatchCommit {
+                frontier,
+                chunks: Cow::Owned(chunks),
+            })
         }
         KIND_CHECKPOINT => {
             let frontier = r.frontier()?;
             let snap_len = r.u32()? as usize;
-            let snapshot = r.take(snap_len)?.to_vec();
+            let snapshot = Cow::Owned(r.take(snap_len)?.to_vec());
             Record::Checkpoint(Checkpoint { frontier, snapshot })
         }
         _ => return None,
@@ -425,7 +400,7 @@ pub enum TailState {
 #[derive(Debug, Clone)]
 pub struct ParsedLog {
     /// Every record that validated, in append order.
-    pub records: Vec<Record>,
+    pub records: Vec<Record<'static>>,
     /// Bytes of the region covered by `records`; appends resume here.
     pub valid_bytes: usize,
     /// Whether anything past the valid prefix was discarded.
@@ -559,7 +534,7 @@ impl JournalObs {
 #[derive(Debug, Clone)]
 pub struct Replay {
     /// The durable record prefix, in append order.
-    pub records: Vec<Record>,
+    pub records: Vec<Record<'static>>,
     /// True when a torn/corrupt tail was discarded.
     pub torn: bool,
     /// Sim time when the recovery reads finished.
@@ -707,60 +682,9 @@ impl Journal {
         ssd: &mut SsdDevice,
         record: &Record,
     ) -> Result<(), JournalError> {
-        self.stage_frame(now, ssd, record.kind(), |out| put_payload(out, record))
-    }
-
-    /// Stages a [`Record::MapUpdate`] — the record every host write adds
-    /// — encoded straight from a borrowed volume name.
-    ///
-    /// # Errors
-    ///
-    /// As [`Journal::stage`].
-    pub fn stage_map_update(
-        &mut self,
-        now: SimTime,
-        ssd: &mut SsdDevice,
-        name: &str,
-        start_block: u64,
-        nblocks: u64,
-        first_recipe: u64,
-    ) -> Result<(), JournalError> {
-        self.stage_frame(now, ssd, KIND_MAP_UPDATE, |out| {
-            put_map_update(out, name, start_block, nblocks, first_recipe)
-        })
-    }
-
-    /// Stages a [`Record::BatchCommit`] encoded straight from its parts:
-    /// the destager's frontier, tail borrowed, and the batch's chunks as
-    /// they are produced — the bytes [`encode_record`] would frame for
-    /// the owned record.
-    ///
-    /// # Errors
-    ///
-    /// As [`Journal::stage`].
-    pub fn stage_batch_commit(
-        &mut self,
-        now: SimTime,
-        ssd: &mut SsdDevice,
-        frontier: &Frontier<&[u8]>,
-        chunks: impl ExactSizeIterator<Item = ChunkCommit>,
-    ) -> Result<(), JournalError> {
-        self.stage_frame(now, ssd, KIND_BATCH_COMMIT, |out| {
-            put_batch_commit(out, frontier, chunks)
-        })
-    }
-
-    /// Frames whatever `payload` writes as a record of `kind` in place at
-    /// the end of the tail, then programs the pages it filled.
-    fn stage_frame(
-        &mut self,
-        now: SimTime,
-        ssd: &mut SsdDevice,
-        kind: u8,
-        payload: impl FnOnce(&mut Vec<u8>),
-    ) -> Result<(), JournalError> {
+        // Framed in place at the end of the tail.
         let open = self.tail.len();
-        put_frame(&mut self.tail, kind, payload);
+        put_frame(&mut self.tail, record);
         let bytes = (self.tail.len() - open) as u64;
         let needed = self.written + bytes;
         if needed > self.capacity_bytes() {
@@ -794,12 +718,12 @@ impl Journal {
         self.end = at;
         self.obs.appends.incr();
         self.obs.bytes.add(bytes);
-        if kind == KIND_CHECKPOINT {
+        if let Record::Checkpoint(_) = record {
             self.obs.checkpoints.incr();
         }
         self.obs.tracer.sim_span(
             Track::Journal,
-            kind_name(kind),
+            record.kind_name(),
             start.as_nanos(),
             at.as_nanos(),
             trace_args(&[("bytes", bytes)]),
@@ -916,14 +840,14 @@ mod tests {
     use super::*;
     use dr_ssd_sim::SsdSpec;
 
-    fn sample_records() -> Vec<Record> {
+    fn sample_records() -> Vec<Record<'static>> {
         vec![
             Record::VolumeCreate {
-                name: "vol0".to_owned(),
+                name: "vol0".into(),
                 blocks: 48,
             },
             Record::MapUpdate {
-                name: "vol0".to_owned(),
+                name: "vol0".into(),
                 start_block: 3,
                 nblocks: 2,
                 first_recipe: 17,
@@ -933,9 +857,9 @@ mod tests {
                     next_data_lpn: 2,
                     next_index_lpn: 9_000,
                     appended_bytes: 8_192,
-                    tail: vec![0xAB; 77],
+                    tail: vec![0xAB; 77].into(),
                 },
-                chunks: vec![
+                chunks: Cow::Owned(vec![
                     ChunkCommit {
                         digest: ChunkDigest::new([1; 20]),
                         dup: false,
@@ -950,14 +874,14 @@ mod tests {
                         stored_len: 4096,
                         orig_len: 4096,
                     },
-                ],
+                ]),
             }),
             Record::Checkpoint(Checkpoint {
                 frontier: Frontier {
                     next_data_lpn: 2,
                     next_index_lpn: 9_000,
                     appended_bytes: 8_192,
-                    tail: Vec::new(),
+                    tail: Cow::Borrowed(&[]),
                 },
                 snapshot: (0u16..2_500).flat_map(|v| v.to_le_bytes()).collect(),
             }),
@@ -1068,7 +992,7 @@ mod tests {
 
         // And appends keep working after a replay.
         let extra = Record::VolumeCreate {
-            name: "post".to_owned(),
+            name: "post".into(),
             blocks: 1,
         };
         fresh.append(replay.done, &mut ssd, &extra).unwrap();
@@ -1127,33 +1051,51 @@ mod tests {
         assert_eq!(replay.records, records[..3]);
     }
 
+    /// `record` with every field it carries borrowed from `record`.
+    fn borrowed<'a>(record: &'a Record) -> Record<'a> {
+        let frontier = |f: &'a Frontier| Frontier {
+            tail: Cow::Borrowed(&f.tail[..]),
+            ..*f
+        };
+        match record {
+            Record::VolumeCreate { name, blocks } => Record::VolumeCreate {
+                name: Cow::Borrowed(name),
+                blocks: *blocks,
+            },
+            Record::MapUpdate {
+                name,
+                start_block,
+                nblocks,
+                first_recipe,
+            } => Record::MapUpdate {
+                name: Cow::Borrowed(name),
+                start_block: *start_block,
+                nblocks: *nblocks,
+                first_recipe: *first_recipe,
+            },
+            Record::BatchCommit(b) => Record::BatchCommit(BatchCommit {
+                frontier: frontier(&b.frontier),
+                chunks: Cow::Borrowed(&b.chunks[..]),
+            }),
+            Record::Checkpoint(cp) => Record::Checkpoint(Checkpoint {
+                frontier: frontier(&cp.frontier),
+                snapshot: Cow::Borrowed(&cp.snapshot[..]),
+            }),
+        }
+    }
+
     #[test]
     fn a_map_update_from_a_borrowed_name_is_the_owned_record() {
-        let Record::MapUpdate {
-            name,
-            start_block,
-            nblocks,
-            first_recipe,
-        } = &sample_records()[1]
-        else {
-            panic!("sample 1 is the map update");
-        };
+        let owned = &sample_records()[1];
         let (mut ssd, mut twin_ssd) = (small_ssd(), small_ssd());
         let mut journal = Journal::new(ssd.logical_pages(), ssd.spec().page_bytes, 4);
         let mut twin = Journal::new(ssd.logical_pages(), ssd.spec().page_bytes, 4);
         journal
-            .stage_map_update(
-                SimTime::ZERO,
-                &mut ssd,
-                name,
-                *start_block,
-                *nblocks,
-                *first_recipe,
-            )
+            .stage(SimTime::ZERO, &mut ssd, &borrowed(owned))
             .unwrap();
         let g = journal.sync(SimTime::ZERO, &mut ssd).unwrap();
-        let owned = twin.append(SimTime::ZERO, &mut twin_ssd, &sample_records()[1]);
-        assert_eq!(g, owned.unwrap());
+        let appended = twin.append(SimTime::ZERO, &mut twin_ssd, owned);
+        assert_eq!(g, appended.unwrap());
         let region = journal.region_start();
         assert_eq!(
             ssd.read_page(g.end, region).unwrap(),
@@ -1163,31 +1105,31 @@ mod tests {
 
     #[test]
     fn records_staged_in_place_are_the_encoded_records() {
-        let records = sample_records();
-        let (Record::BatchCommit(batch), Record::MapUpdate { name, .. }) =
-            (&records[2], &records[1])
-        else {
-            panic!("samples 2 and 1 are the batch commit and the map update");
-        };
-        let mut ssd = small_ssd();
-        let mut journal = Journal::new(ssd.logical_pages(), ssd.spec().page_bytes, 4);
-        let f = &batch.frontier;
-        let frontier = Frontier {
-            next_data_lpn: f.next_data_lpn,
-            next_index_lpn: f.next_index_lpn,
-            appended_bytes: f.appended_bytes,
-            tail: &f.tail[..],
-        };
-        let chunks = batch.chunks.iter().copied();
-        journal
-            .stage_batch_commit(SimTime::ZERO, &mut ssd, &frontier, chunks)
-            .unwrap();
-        journal
-            .stage_map_update(SimTime::ZERO, &mut ssd, name, 3, 2, 17)
-            .unwrap();
-        let want = [encode_record(&records[2]), encode_record(&records[1])].concat();
-        assert_eq!(journal.tail, want);
-        assert_eq!(journal.written_bytes(), want.len() as u64);
+        // Each kind staged from borrowed parts frames the bytes
+        // `encode_record` frames for the record replay decodes from them.
+        for record in &sample_records() {
+            let mut ssd = small_ssd();
+            let mut journal = Journal::new(ssd.logical_pages(), ssd.spec().page_bytes, 4);
+            journal
+                .stage(SimTime::ZERO, &mut ssd, &borrowed(record))
+                .unwrap();
+            let page_bytes = ssd.spec().page_bytes as usize;
+            let filled = journal.written_bytes() as usize / page_bytes;
+            let mut staged = Vec::new();
+            for lpn in 0..filled as u64 {
+                let page = ssd.read_page(SimTime::ZERO, journal.region_start() + lpn);
+                staged.extend_from_slice(&page.unwrap().0);
+            }
+            staged.extend_from_slice(&journal.tail);
+            let decoded = parse_log(&staged).records;
+            assert_eq!(
+                decoded,
+                std::slice::from_ref(record),
+                "{}",
+                record.kind_name()
+            );
+            assert_eq!(staged, encode_record(&decoded[0]), "{}", record.kind_name());
+        }
     }
 
     #[test]
@@ -1272,9 +1214,9 @@ mod tests {
                     next_data_lpn: 0,
                     next_index_lpn: 0,
                     appended_bytes: 0,
-                    tail: Vec::new(),
+                    tail: Cow::Borrowed(&[]),
                 },
-                snapshot: vec![7; snap],
+                snapshot: vec![7; snap].into(),
             })
         };
         let fill = page - encode_record(&first).len() - encode_record(&checkpoint(0)).len();
@@ -1316,9 +1258,9 @@ mod tests {
                 next_data_lpn: 0,
                 next_index_lpn: 0,
                 appended_bytes: 0,
-                tail: Vec::new(),
+                tail: Cow::Borrowed(&[]),
             },
-            snapshot: vec![7; 8_192],
+            snapshot: vec![7; 8_192].into(),
         });
         match journal.append(SimTime::ZERO, &mut ssd, &big) {
             Err(JournalError::Full { needed, capacity }) => {

@@ -88,8 +88,6 @@ pub use cpu_model::CpuModel;
 pub use error::ReadError;
 pub use ingest::HashedChunks;
 pub use journal::{Journal, JournalError, Record};
-pub use pipeline::{
-    IntegrationMode, Pipeline, PipelineConfig, RecoverError, RecoveryOutcome, VolumeRecord,
-};
+pub use pipeline::{IntegrationMode, Pipeline, PipelineConfig, RecoverError, RecoveryOutcome};
 pub use report::Report;
 pub use volume::{VolumeError, VolumeManager, Volumes};

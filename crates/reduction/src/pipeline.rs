@@ -23,7 +23,7 @@ use crate::journal::Journal;
 use crate::read::{ReadCache, READ_CACHE_CHUNKS};
 use crate::report::Report;
 
-pub use crate::recovery::{RecoverError, RecoveryOutcome, VolumeRecord};
+pub use crate::recovery::{RecoverError, RecoveryOutcome};
 
 /// Which data reduction operations the GPU is assigned to — the paper's
 /// four integration options (Section 4(3), Figure 2).
@@ -553,6 +553,35 @@ impl Pipeline {
     /// Number of chunks ingested so far (the recipe length).
     pub fn ingested_chunks(&self) -> usize {
         self.recipe.len()
+    }
+
+    /// Checks that the store's books balance: every ingested chunk was
+    /// stored or deduplicated (`chunks == unique_chunks + dedup_hits`),
+    /// and the destage log holds exactly the stored frames
+    /// (`Destager::appended_bytes() == Report::stored_bytes`), so a frame
+    /// appended twice or never shows. Both hold across a power cut with
+    /// no anchor to keep: every journaled frontier carries the first
+    /// figure, and recovery rebuilds the second from the chunk commits.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first book that does not balance.
+    pub fn check_conservation(&self) -> Result<(), String> {
+        let r = &self.report;
+        if r.chunks != r.unique_chunks + r.dedup_hits {
+            return Err(format!(
+                "chunks {} != unique {} + deduped {}",
+                r.chunks, r.unique_chunks, r.dedup_hits
+            ));
+        }
+        let appended = self.destage.appended_bytes();
+        if appended != r.stored_bytes {
+            return Err(format!(
+                "destage log holds {appended} frame bytes, report stored {}",
+                r.stored_bytes
+            ));
+        }
+        Ok(())
     }
 
     /// Runs a byte stream through the pipeline (chunked at

@@ -2,6 +2,8 @@
 //! on-device log): the records it appends, and [`Pipeline::recover`],
 //! which rebuilds every volatile structure from the durable prefix.
 
+use std::borrow::Cow;
+
 use dr_binindex::{BinIndex, ChunkRef};
 use dr_des::{Grant, SimTime};
 use dr_ssd_sim::{CrashReport, CrashSpec, SsdDevice};
@@ -11,32 +13,6 @@ use crate::ingest::FrameArena;
 use crate::journal::{Checkpoint, Frontier, Journal, JournalError, Record};
 use crate::pipeline::{power_on_gpu, FaultState, Pipeline};
 use crate::report::Report;
-
-/// A volume-visible journal record surfaced by [`Pipeline::recover`], in
-/// append order, so the volume layer can rebuild its block maps from the
-/// same durable prefix the pipeline recovered.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum VolumeRecord {
-    /// A volume existed when its create record became durable.
-    Create {
-        /// Volume name.
-        name: String,
-        /// Volume capacity in blocks.
-        blocks: u64,
-    },
-    /// An acknowledged host write: `nblocks` blocks at `start_block` map
-    /// to recipe entries `first_recipe..first_recipe + nblocks`.
-    Map {
-        /// Volume name.
-        name: String,
-        /// First volume block written.
-        start_block: u64,
-        /// Number of blocks written.
-        nblocks: u64,
-        /// Recipe index of the first block's chunk.
-        first_recipe: u64,
-    },
-}
 
 /// What [`Pipeline::recover`] rebuilt from the journal.
 #[derive(Debug, Clone)]
@@ -50,8 +26,9 @@ pub struct RecoveryOutcome {
     pub torn_discarded: bool,
     /// Recipe entries (stored-chunk references) reconstructed.
     pub chunks_recovered: u64,
-    /// Volume create/map records, in append order.
-    pub volume_records: Vec<VolumeRecord>,
+    /// The durable record prefix, in append order: the volume layer
+    /// rebuilds its block maps from the create and map records in it.
+    pub records: Vec<Record<'static>>,
     /// Sim time when recovery finished (the journal region re-read).
     pub recovered_end: SimTime,
 }
@@ -78,13 +55,34 @@ impl std::error::Error for RecoverError {}
 
 /// The destage-log state a state-bearing journal record carries, the
 /// tail borrowed from `destage`.
-pub(crate) fn destage_frontier(destage: &Destager) -> Frontier<&[u8]> {
+pub(crate) fn destage_frontier(destage: &Destager) -> Frontier<'_> {
     let (next_data_lpn, next_index_lpn) = destage.frontiers();
     Frontier {
         next_data_lpn,
         next_index_lpn,
         appended_bytes: destage.appended_bytes(),
-        tail: destage.tail(),
+        tail: Cow::Borrowed(destage.tail()),
+    }
+}
+
+/// Stages a write-path record — a batch commit or a map update — in
+/// `journal`, when there is one, no earlier than `at`; the operation's
+/// [`Pipeline::commit`] acknowledges it.
+///
+/// # Panics
+///
+/// Panics when the journal refuses the record: the write path has no
+/// error to return it through yet.
+pub(crate) fn stage_record(
+    journal: Option<&mut Journal>,
+    ssd: &mut SsdDevice,
+    at: SimTime,
+    record: &Record,
+) {
+    if let Some(journal) = journal {
+        journal
+            .stage(at, ssd, record)
+            .unwrap_or_else(|e| panic!("journal {} append failed: {e}", record.kind_name()));
     }
 }
 
@@ -104,38 +102,12 @@ impl Pipeline {
         Ok(Some(g))
     }
 
-    /// Appends `record` to the journal no earlier than `at` and syncs it.
-    pub(crate) fn journal_append(
-        &mut self,
-        at: SimTime,
-        record: &Record,
-    ) -> Result<Option<Grant>, JournalError> {
-        self.journal_with(|journal, ssd| journal.append(at, ssd, record))
-    }
-
-    /// Appends a volume-level record to the journal (no-op when
-    /// journaling is disabled) and returns its durability grant.
-    pub(crate) fn journal_record(&mut self, record: Record) -> Option<Grant> {
-        self.journal_append(self.report.reduction_end, &record)
-            .unwrap_or_else(|e| panic!("journal {} append failed: {e}", record.kind_name()))
-    }
-
-    /// Stages a [`Record::MapUpdate`] from the caller's borrowed volume
-    /// name; the write's [`Pipeline::journal_sync`] acknowledges it. A
-    /// no-op when journaling is disabled.
-    pub(crate) fn journal_map_update(
-        &mut self,
-        name: &str,
-        start_block: u64,
-        nblocks: u64,
-        first_recipe: u64,
-    ) {
+    /// Appends a volume-level record to the journal and syncs it (no-op
+    /// when journaling is disabled); returns its durability grant.
+    pub(crate) fn journal_record(&mut self, record: &Record) -> Option<Grant> {
         let at = self.report.reduction_end;
-        if let Some(journal) = self.journal.as_mut() {
-            journal
-                .stage_map_update(at, &mut self.ssd, name, start_block, nblocks, first_recipe)
-                .unwrap_or_else(|e| panic!("journal map-update append failed: {e}"));
-        }
+        self.journal_with(|journal, ssd| journal.append(at, ssd, record))
+            .unwrap_or_else(|e| panic!("journal {} append failed: {e}", record.kind_name()))
     }
 
     /// Syncs the journal: one program of its open page for every record
@@ -156,17 +128,19 @@ impl Pipeline {
     /// [`JournalError::Full`] when the region cannot hold the snapshot,
     /// [`JournalError::Ssd`] when the device fails past retries.
     pub fn journal_checkpoint(&mut self) -> Result<(), JournalError> {
-        if self.journal.is_none() {
+        let Some(journal) = self.journal.as_mut() else {
             return Ok(());
-        }
-        let snapshot = self
-            .snapshot_index()
-            .expect("snapshotting a live index cannot fail");
-        let frontier = destage_frontier(&self.destage).into_owned();
-        let record = Record::Checkpoint(Checkpoint { frontier, snapshot });
+        };
+        let snapshot =
+            dr_binindex::snapshot(&self.index).expect("snapshotting a live index cannot fail");
         // Like a batch commit, not before the pages below the frontier.
         let at = self.report.reduction_end.max(self.destage.data_end());
-        self.journal_append(at, &record)?;
+        let record = Record::Checkpoint(Checkpoint {
+            frontier: destage_frontier(&self.destage),
+            snapshot: Cow::Owned(snapshot),
+        });
+        let g = journal.append(at, &mut self.ssd, &record)?;
+        self.report.ssd_end = self.report.ssd_end.max(g.end);
         Ok(())
     }
 
@@ -231,51 +205,26 @@ impl Pipeline {
         let last_cp = replay
             .records
             .iter()
-            .enumerate()
-            .rev()
-            .find_map(|(pos, r)| {
-                let Record::Checkpoint(cp) = r else {
-                    return None;
-                };
-                Some((pos, cp))
-            });
-        let mut index = match last_cp {
-            Some((_, cp)) => {
+            .rposition(|r| matches!(r, Record::Checkpoint(_)));
+        let mut index = match last_cp.map(|pos| &replay.records[pos]) {
+            Some(Record::Checkpoint(cp)) => {
                 dr_binindex::restore(&cp.snapshot).map_err(RecoverError::Checkpoint)?
             }
-            None => BinIndex::new(self.config.index),
+            _ => BinIndex::new(self.config.index),
         };
         index.set_obs(&self.config.obs);
 
         let mut report = Report::new(self.config.mode);
         let mut recipe: Vec<ChunkRef> = Vec::new();
-        let mut volume_records = Vec::new();
-        let mut frontier: Option<Frontier> = None;
+        let mut frontier = None;
         for (pos, record) in replay.records.iter().enumerate() {
             match record {
-                Record::VolumeCreate { name, blocks } => {
-                    volume_records.push(VolumeRecord::Create {
-                        name: name.clone(),
-                        blocks: *blocks,
-                    });
-                }
-                Record::MapUpdate {
-                    name,
-                    start_block,
-                    nblocks,
-                    first_recipe,
-                } => {
-                    volume_records.push(VolumeRecord::Map {
-                        name: name.clone(),
-                        start_block: *start_block,
-                        nblocks: *nblocks,
-                        first_recipe: *first_recipe,
-                    });
-                }
+                // The volume layer's records: see `VolumeManager`.
+                Record::VolumeCreate { .. } | Record::MapUpdate { .. } => {}
                 Record::BatchCommit(batch) => {
-                    frontier = Some(batch.frontier.clone());
-                    let past_checkpoint = last_cp.is_none_or(|(cp, _)| pos > cp);
-                    for c in &batch.chunks {
+                    frontier = Some(&batch.frontier);
+                    let past_checkpoint = last_cp.is_none_or(|cp| pos > cp);
+                    for c in batch.chunks.iter() {
                         report.chunks += 1;
                         report.bytes_in += c.orig_len as u64;
                         let r = ChunkRef::new(c.addr, c.stored_len);
@@ -299,15 +248,13 @@ impl Pipeline {
                         }
                     }
                 }
-                Record::Checkpoint(cp) => {
-                    frontier = Some(cp.frontier.clone());
-                }
+                Record::Checkpoint(cp) => frontier = Some(&cp.frontier),
             }
         }
 
         // Destage frontier: from the last state-bearing record, else the
         // empty-log initial state (below the journal reservation).
-        match &frontier {
+        match frontier {
             Some(f) => self.destage.restore_state(
                 f.next_data_lpn,
                 f.next_index_lpn,
@@ -343,7 +290,7 @@ impl Pipeline {
             records_replayed: replay.records.len() as u64,
             torn_discarded: replay.torn,
             chunks_recovered,
-            volume_records,
+            records: replay.records,
             recovered_end: replay.done,
         })
     }

@@ -19,7 +19,8 @@ use dr_ssd_sim::CrashSpec;
 use crate::error::ReadError;
 use crate::ingest::HashedChunks;
 use crate::journal::Record;
-use crate::pipeline::{Pipeline, PipelineConfig, RecoverError, RecoveryOutcome, VolumeRecord};
+use crate::pipeline::{Pipeline, PipelineConfig, RecoverError, RecoveryOutcome};
+use crate::recovery::stage_record;
 use crate::report::Report;
 
 /// Errors from volume operations.
@@ -275,8 +276,8 @@ impl VolumeManager {
     /// [`VolumeError::NameTooLong`] / [`VolumeError::AlreadyExists`].
     pub fn create_volume(&mut self, name: &str, blocks: u64) -> Result<(), VolumeError> {
         self.volumes.create(name, blocks)?;
-        self.pipeline.journal_record(Record::VolumeCreate {
-            name: name.to_owned(),
+        self.pipeline.journal_record(&Record::VolumeCreate {
+            name: name.into(),
             blocks,
         });
         Ok(())
@@ -329,7 +330,6 @@ impl VolumeManager {
         // chunk-aligned, so `ingest` cuts it at the block bounds.
         self.pipeline.ingest(data, hashed);
         map_blocks(slots, first_recipe);
-        let n = slots.len() as u64;
         // Stage the map update behind the write's batch commits, then
         // commit: one sync programs the journal's open page for all of
         // them, and its grant end is the write's acknowledgement point
@@ -337,9 +337,20 @@ impl VolumeManager {
         // become durable — exactly the write-ahead order recovery
         // assumes: an acknowledged write's data, commits, and map are all
         // in the durable prefix.
-        self.pipeline
-            .journal_map_update(name, start_block, n, first_recipe as u64);
-        self.pipeline.commit();
+        let record = Record::MapUpdate {
+            name: name.into(),
+            start_block,
+            nblocks: slots.len() as u64,
+            first_recipe: first_recipe as u64,
+        };
+        let p = &mut self.pipeline;
+        stage_record(
+            p.journal.as_mut(),
+            &mut p.ssd,
+            p.report.reduction_end,
+            &record,
+        );
+        p.commit();
         Ok(())
     }
 
@@ -363,13 +374,13 @@ impl VolumeManager {
         self.volumes.clear();
         let (recovered_chunks, chunk_bytes) =
             (outcome.chunks_recovered, self.pipeline.config().chunk_bytes);
-        for record in &outcome.volume_records {
+        for record in &outcome.records {
             match record {
-                VolumeRecord::Create { name, blocks } => {
+                Record::VolumeCreate { name, blocks } => {
                     let created = self.volumes.create(name, *blocks);
                     created.expect("a durable create record names a new volume")
                 }
-                VolumeRecord::Map {
+                Record::MapUpdate {
                     name,
                     start_block,
                     nblocks,
@@ -385,6 +396,8 @@ impl VolumeManager {
                     let slots = slots.expect("map records follow their volume's create record");
                     map_blocks(slots, *first_recipe as usize);
                 }
+                // The pipeline's own records: it has replayed them.
+                Record::BatchCommit(_) | Record::Checkpoint(_) => {}
             }
         }
         Ok(outcome)
@@ -780,10 +793,20 @@ mod tests {
         let slots = m.volumes.extent(name, start_block, data.len(), chunk_bytes);
         let slots = slots.expect("the sweep's volume");
         map_blocks(slots, first_recipe);
-        let n = slots.len() as u64;
-        m.pipeline.commit();
-        m.pipeline
-            .journal_map_update(name, start_block, n, first_recipe as u64);
+        let record = Record::MapUpdate {
+            name: name.into(),
+            start_block,
+            nblocks: slots.len() as u64,
+            first_recipe: first_recipe as u64,
+        };
+        let p = &mut m.pipeline;
+        p.commit();
+        stage_record(
+            p.journal.as_mut(),
+            &mut p.ssd,
+            p.report.reduction_end,
+            &record,
+        );
         Ok(())
     }
 
@@ -836,6 +859,50 @@ mod tests {
             m.write("v", start, &data).unwrap();
             assert!(m.last_ack() > last, "write at {start} acked no later");
             last = m.last_ack();
+        }
+    }
+
+    /// The store keeps its own books: with observability off — the
+    /// default, so no metric is read — writes that outlive their device
+    /// retries, a flush, a power cut and the writes after it leave them
+    /// balanced at every step.
+    #[test]
+    fn the_books_balance_with_observability_off() {
+        let mut m = journaled_manager();
+        assert!(!m.pipeline().obs().is_enabled());
+        let noise = |seed: u64| {
+            let mut rng = dr_des::SplitMix64::new(seed);
+            (0..4096).map(|_| rng.next_u64() as u8).collect::<Vec<u8>>()
+        };
+        let books = |m: &VolumeManager, step: &str| {
+            let checked = m.pipeline().check_conservation();
+            checked.unwrap_or_else(|e| panic!("after {step}: {e}"));
+        };
+        m.create_volume("v", 96).unwrap();
+        for b in 0..16 {
+            m.write("v", b, &noise(b % 12)).unwrap();
+            books(&m, "a clean write");
+        }
+        m.pipeline_mut().set_ssd_faults(dr_ssd_sim::SsdFaultSpec {
+            write_error_rate: 0.5,
+            seed: 2,
+            ..Default::default()
+        });
+        for b in 16..64 {
+            m.write("v", b, &noise(b % 40)).unwrap();
+            books(&m, "a faulted write");
+        }
+        let r = m.report();
+        assert!(r.degraded_transitions > 0, "a drain outlived its retries");
+        m.pipeline_mut().set_ssd_faults(Default::default());
+        m.pipeline_mut().flush().unwrap();
+        books(&m, "the flush");
+        let at = m.last_ack();
+        m.crash_and_recover(CrashSpec { at, torn_seed: 5 }).unwrap();
+        books(&m, "the recovery");
+        for b in 64..80 {
+            m.write("v", b, &noise(b % 50)).unwrap();
+            books(&m, "a write after the recovery");
         }
     }
 

@@ -30,7 +30,7 @@ use dr_obs::trace::{Tracer, Track};
 use dr_obs::ObsHandle;
 use dr_ssd_sim::CrashSpec;
 
-use super::{IntegrationMode, PipelineConfig, VolumeError, VolumeManager};
+use super::{IntegrationMode, PipelineConfig, Record, VolumeError, VolumeManager};
 
 /// A volume write: the array's own, or a planted mutant of it.
 pub type WriteFn = fn(&mut VolumeManager, &str, u64, &[u8]) -> Result<(), VolumeError>;
@@ -188,7 +188,11 @@ fn check_cut(
         .filter(|(op, _)| !matches!(op, Op::Checkpoint))
         .collect();
     let acked = visible.iter().filter(|(_, ack)| *ack <= at).count();
-    let survived = outcome.volume_records.len();
+    let survived = outcome
+        .records
+        .iter()
+        .filter(|r| matches!(r, Record::VolumeCreate { .. } | Record::MapUpdate { .. }))
+        .count();
     if survived < acked {
         return Err(format!(
             "cut at {at:?}: {acked} operations were acknowledged but only {survived} survived"

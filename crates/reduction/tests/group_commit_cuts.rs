@@ -6,7 +6,7 @@
 
 mod cut_sweep;
 
-use dr_reduction::{IntegrationMode, PipelineConfig, VolumeError, VolumeManager};
+use dr_reduction::{IntegrationMode, PipelineConfig, Record, VolumeError, VolumeManager};
 
 #[test]
 fn every_cut_keeps_the_acknowledged_prefix_and_nothing_torn() {

@@ -18,6 +18,12 @@ cargo fmt --all --check
 echo "==> doc identifiers (README.md + DESIGN.md vs the code)"
 scripts/doc_idents.sh
 
+# Panic-site gate: the write path's `panic!` / `expect` / `unwrap` /
+# `unreachable!` sites, per file, may fall but not rise above the
+# ceilings checked in beside the script (ROADMAP item 1 removes them).
+echo "==> write-path panic sites (per file vs scripts/panic_sites.ceiling)"
+scripts/panic_sites.sh
+
 # Clippy is optional on minimal toolchains; when present, warnings fail.
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy (deny warnings)"

@@ -87,12 +87,12 @@ fn sealed(mut body: Vec<u8>) -> Vec<u8> {
     body
 }
 
-fn frontier(tail: &[u8]) -> Frontier {
+fn frontier(tail: &[u8]) -> Frontier<'static> {
     Frontier {
         next_data_lpn: 2,
         next_index_lpn: 9_000,
         appended_bytes: 8_192 + tail.len() as u64,
-        tail: tail.to_vec(),
+        tail: tail.to_vec().into(),
     }
 }
 
@@ -106,7 +106,7 @@ fn commit(i: u8, dup: bool) -> ChunkCommit {
     }
 }
 
-fn journal_row(kind: &'static str, records: [Record; 2], golden: &'static str) -> Row {
+fn journal_row(kind: &'static str, records: [Record<'static>; 2], golden: &'static str) -> Row {
     Row {
         kind,
         records: records.map(|r| encode_record(&r)),
@@ -158,11 +158,11 @@ fn rows() -> Vec<Row> {
             "volume-create",
             [
                 Record::VolumeCreate {
-                    name: "vol0".to_owned(),
+                    name: "vol0".into(),
                     blocks: 48,
                 },
                 Record::VolumeCreate {
-                    name: "v1".to_owned(),
+                    name: "v1".into(),
                     blocks: 1 << 40,
                 },
             ],
@@ -172,13 +172,13 @@ fn rows() -> Vec<Row> {
             "map-update",
             [
                 Record::MapUpdate {
-                    name: "vol0".to_owned(),
+                    name: "vol0".into(),
                     start_block: 3,
                     nblocks: 2,
                     first_recipe: 17,
                 },
                 Record::MapUpdate {
-                    name: "vol0".to_owned(),
+                    name: "vol0".into(),
                     start_block: 40,
                     nblocks: 8,
                     first_recipe: 123_456,
@@ -191,11 +191,11 @@ fn rows() -> Vec<Row> {
             [
                 Record::BatchCommit(BatchCommit {
                     frontier: frontier(&[0xAB; 77]),
-                    chunks: vec![commit(1, false), commit(2, true)],
+                    chunks: vec![commit(1, false), commit(2, true)].into(),
                 }),
                 Record::BatchCommit(BatchCommit {
                     frontier: frontier(&[]),
-                    chunks: vec![commit(3, false)],
+                    chunks: vec![commit(3, false)].into(),
                 }),
             ],
             "913e35d7abd95637fb6d0ecadbe3e9ce147defab",
@@ -205,7 +205,7 @@ fn rows() -> Vec<Row> {
             [(8, &[0x5A; 9][..]), (3, &[])].map(|(n, tail)| {
                 Record::Checkpoint(Checkpoint {
                     frontier: frontier(tail),
-                    snapshot: snapshot(&populated_index(n)).expect("snapshot"),
+                    snapshot: snapshot(&populated_index(n)).expect("snapshot").into(),
                 })
             }),
             "96a83b35293b545d868eae65219b7869fe97fe4f",
@@ -374,10 +374,10 @@ fn small_device() -> (SsdDevice, Journal) {
     (ssd, journal)
 }
 
-fn sample_records() -> Vec<Record> {
+fn sample_records() -> Vec<Record<'static>> {
     (0..12u64)
         .map(|i| Record::VolumeCreate {
-            name: format!("v{i}"),
+            name: format!("v{i}").into(),
             blocks: 8 + i,
         })
         .collect()

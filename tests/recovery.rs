@@ -277,7 +277,7 @@ fn recovering_twice_from_the_same_journal_is_idempotent() {
     assert_eq!(second.records_replayed, first.records_replayed);
     assert_eq!(second.torn_discarded, first.torn_discarded);
     assert_eq!(second.chunks_recovered, first.chunks_recovered);
-    assert_eq!(second.volume_records, first.volume_records);
+    assert_eq!(second.records, first.records);
 
     let report_second = array.report().clone();
     assert_eq!(report_second.chunks, report_first.chunks);
