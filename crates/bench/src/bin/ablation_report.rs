@@ -12,7 +12,7 @@
 //! 6. **Operation order** — dedup-before-compression vs the reverse,
 //! 7. **SSD over-provisioning** — write amplification under overwrites.
 
-use dr_bench::{render_table, write_metrics_json};
+use dr_bench::render_table;
 use dr_binindex::{BinIndexConfig, MemoryModel, ReplacementPolicy};
 use dr_compress::{Codec, FastLz, GpuCompressor, GpuCompressorConfig};
 use dr_hashes::sha1_digest;
@@ -467,8 +467,5 @@ fn main() {
     degradation_policy(&mut snapshots);
     // Per-run pipeline metrics for the sections that exercise the full
     // pipeline (A2 buffer capacities, A5 replacement policies).
-    match write_metrics_json("ablation_report", &snapshots_to_json(&snapshots)) {
-        Ok(path) => println!("metrics: {}", path.display()),
-        Err(e) => eprintln!("metrics: write failed: {e}"),
-    }
+    dr_bench::finish("ablation_report", &snapshots_to_json(&snapshots), None);
 }

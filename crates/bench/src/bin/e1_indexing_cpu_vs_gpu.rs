@@ -10,7 +10,7 @@
 //! with batches of varying size, and reports per-batch execution time on
 //! each device plus the CPU-advantage ratio.
 
-use dr_bench::{render_table, write_metrics_json};
+use dr_bench::render_table;
 use dr_binindex::{BinIndex, BinIndexConfig, ChunkRef, GpuBinIndex, GpuBinIndexConfig};
 use dr_des::SimTime;
 use dr_gpu_sim::{GpuDevice, GpuSpec};
@@ -112,8 +112,5 @@ fn main() {
     // Device-side metrics for the GPU probes (kernel launches, batch
     // sizes, transfer volume).
     let snap = obs.snapshot().expect("enabled handle snapshots");
-    match write_metrics_json("e1_indexing_cpu_vs_gpu", &snap.to_json()) {
-        Ok(path) => println!("metrics: {}", path.display()),
-        Err(e) => eprintln!("metrics: write failed: {e}"),
-    }
+    dr_bench::finish("e1_indexing_cpu_vs_gpu", &snap.to_json(), None);
 }

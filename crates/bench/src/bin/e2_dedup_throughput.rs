@@ -11,7 +11,7 @@
 //! (as a warm primary storage system would be); the second pass is
 //! measured.
 
-use dr_bench::{kiops, pct_gain, render_table, scale, trace_path_from_args, write_metrics_json};
+use dr_bench::{kiops, pct_gain, render_table, scale, Trace};
 use dr_obs::{snapshots_to_json, ObsHandle, Snapshot, Tracer};
 use dr_reduction::{IntegrationMode, Pipeline, PipelineConfig};
 use dr_ssd_sim::{SsdDevice, SsdSpec};
@@ -59,8 +59,7 @@ fn run_mode(mode: IntegrationMode, stream_bytes: u64, tracer: Tracer) -> (f64, f
 
 fn main() {
     let stream_bytes = (32.0 * scale() * (1 << 20) as f64) as u64;
-    let trace_path = trace_path_from_args();
-    let tracer = trace_path.as_ref().map(|_| Tracer::enabled());
+    let trace = Trace::from_args();
 
     // Baseline: raw SSD 4 KB write throughput.
     let mut ssd = SsdDevice::new(SsdSpec {
@@ -73,11 +72,8 @@ fn main() {
     // zero, so a combined trace would overlay the two timelines.
     let (cpu_iops, _, cpu_snap) =
         run_mode(IntegrationMode::CpuOnly, stream_bytes, Tracer::disabled());
-    let (gpu_iops, _, gpu_snap) = run_mode(
-        IntegrationMode::GpuForDedup,
-        stream_bytes,
-        tracer.clone().unwrap_or_else(Tracer::disabled),
-    );
+    let (gpu_iops, _, gpu_snap) =
+        run_mode(IntegrationMode::GpuForDedup, stream_bytes, trace.tracer());
 
     println!("E2: dedup-only throughput (vdbench stream, dedup ratio 2.0, 4 KB chunks)\n");
     let rows = vec![
@@ -110,16 +106,9 @@ fn main() {
         pct_gain(gpu_iops, cpu_iops),
         gpu_iops / ssd_iops
     );
-    match write_metrics_json(
+    dr_bench::finish(
         "e2_dedup_throughput",
         &snapshots_to_json(&[cpu_snap, gpu_snap]),
-    ) {
-        Ok(path) => println!("metrics: {}", path.display()),
-        Err(e) => eprintln!("metrics: write failed: {e}"),
-    }
-    if let (Some(path), Some(tracer)) = (&trace_path, &tracer) {
-        if let Err(e) = dr_bench::write_trace(tracer, path) {
-            eprintln!("trace: write failed: {e}");
-        }
-    }
+        Some(&trace),
+    );
 }

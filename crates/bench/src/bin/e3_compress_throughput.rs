@@ -10,7 +10,7 @@
 //! compression-only pipeline (dedup disabled) in CPU and GPU modes,
 //! against the raw SSD baseline.
 
-use dr_bench::{kiops, pct_gain, render_table, scale, trace_path_from_args, write_metrics_json};
+use dr_bench::{kiops, pct_gain, render_table, scale, Trace};
 use dr_obs::{snapshots_to_json, ObsHandle, Snapshot, Tracer};
 use dr_reduction::{IntegrationMode, Pipeline, PipelineConfig};
 use dr_ssd_sim::{SsdDevice, SsdSpec};
@@ -47,8 +47,7 @@ fn run_mode(
 
 fn main() {
     let stream_bytes = (16.0 * scale() * (1 << 20) as f64) as u64;
-    let trace_path = trace_path_from_args();
-    let tracer = trace_path.as_ref().map(|_| Tracer::enabled());
+    let trace = Trace::from_args();
 
     let mut ssd = SsdDevice::new(SsdSpec {
         store_data: false,
@@ -69,9 +68,10 @@ fn main() {
         );
         // Trace one representative point: the GPU path at the paper's
         // dedup/compression ratio of 2.0.
-        let t = match &tracer {
-            Some(t) if ratio == 2.0 => t.clone(),
-            _ => Tracer::disabled(),
+        let t = if ratio == 2.0 {
+            trace.tracer()
+        } else {
+            Tracer::disabled()
         };
         let (gpu_iops, _, gpu_snap) =
             run_mode(IntegrationMode::GpuForCompression, ratio, stream_bytes, t);
@@ -107,13 +107,9 @@ fn main() {
         "paper: GPU +88.3% over parallel QuickLZ; CPU ~50K < SSD ~80K < GPU ~100K at low ratio"
     );
     println!("measured: average GPU gain {avg:+.1}% across the sweep");
-    match write_metrics_json("e3_compress_throughput", &snapshots_to_json(&snapshots)) {
-        Ok(path) => println!("metrics: {}", path.display()),
-        Err(e) => eprintln!("metrics: write failed: {e}"),
-    }
-    if let (Some(path), Some(tracer)) = (&trace_path, &tracer) {
-        if let Err(e) = dr_bench::write_trace(tracer, path) {
-            eprintln!("trace: write failed: {e}");
-        }
-    }
+    dr_bench::finish(
+        "e3_compress_throughput",
+        &snapshots_to_json(&snapshots),
+        Some(&trace),
+    );
 }

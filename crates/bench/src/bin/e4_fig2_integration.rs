@@ -11,7 +11,7 @@
 //! profile, and repeats it on a weak iGPU profile to show the ordering is
 //! platform dependent (the paper's motivation for dummy-I/O calibration).
 
-use dr_bench::{kiops, pct_gain, render_table, scale, trace_path_from_args, write_metrics_json};
+use dr_bench::{kiops, pct_gain, render_table, scale, Trace};
 use dr_gpu_sim::GpuSpec;
 use dr_obs::{snapshots_to_json, ObsHandle, Snapshot, Tracer};
 use dr_reduction::{IntegrationMode, Pipeline, PipelineConfig};
@@ -54,7 +54,7 @@ fn figure(
     stream_bytes: u64,
     label: &str,
     snapshots: &mut Vec<Snapshot>,
-    tracer: Option<&Tracer>,
+    tracer: Tracer,
 ) -> Vec<(IntegrationMode, f64)> {
     IntegrationMode::ALL
         .into_iter()
@@ -62,8 +62,8 @@ fn figure(
             // Each run's sim timeline starts at zero, so a combined trace
             // of all eight runs would overlay confusingly; trace only the
             // paper's winning configuration.
-            let t = match tracer {
-                Some(t) if mode == IntegrationMode::GpuForCompression => t.clone(),
+            let t = match mode {
+                IntegrationMode::GpuForCompression => tracer.clone(),
                 _ => Tracer::disabled(),
             };
             let (iops, snap) = run_mode(mode, gpu_spec.clone(), stream_bytes, label, t);
@@ -108,8 +108,7 @@ fn print_figure(title: &str, series: &[(IntegrationMode, f64)]) {
 fn main() {
     let stream_bytes = (24.0 * scale() * (1 << 20) as f64) as u64;
     let mut snapshots = Vec::new();
-    let trace_path = trace_path_from_args();
-    let tracer = trace_path.as_ref().map(|_| Tracer::enabled());
+    let trace = Trace::from_args();
 
     println!("E4 / Figure 2: integration-method throughput (dedup 2.0 x compression 2.0)\n");
     print_figure(
@@ -119,7 +118,7 @@ fn main() {
             stream_bytes,
             "hd7970",
             &mut snapshots,
-            tracer.as_ref(),
+            trace.tracer(),
         ),
     );
     print_figure(
@@ -129,21 +128,16 @@ fn main() {
             stream_bytes,
             "weak-igpu",
             &mut snapshots,
-            None,
+            Tracer::disabled(),
         ),
     );
     println!("paper: GPU-for-compression best, +89.7% over CPU-only (their testbed)");
 
-    if let (Some(path), Some(tracer)) = (&trace_path, &tracer) {
-        if let Err(e) = dr_bench::write_trace(tracer, path) {
-            eprintln!("trace: write failed: {e}");
-        }
-    }
-
     // One snapshot per (gpu, mode) run: per-stage latency histograms
     // (p50/p95/p99), router decision counters, device metrics.
-    match write_metrics_json("e4_fig2_integration", &snapshots_to_json(&snapshots)) {
-        Ok(path) => println!("metrics: {}", path.display()),
-        Err(e) => eprintln!("metrics: write failed: {e}"),
-    }
+    dr_bench::finish(
+        "e4_fig2_integration",
+        &snapshots_to_json(&snapshots),
+        Some(&trace),
+    );
 }

@@ -9,7 +9,7 @@
 //! This harness runs the calibration probe on three GPU profiles and
 //! shows the chosen mode adapting to the hardware.
 
-use dr_bench::{kiops, render_table, write_metrics_json};
+use dr_bench::{kiops, render_table};
 use dr_gpu_sim::GpuSpec;
 use dr_obs::{snapshots_to_json, ObsHandle};
 use dr_reduction::{calibrate, PipelineConfig};
@@ -56,8 +56,5 @@ fn main() {
         )
     );
     println!("paper: the probe \"can ensure the best performance even if the target platform is different\"");
-    match write_metrics_json("e5_calibration", &snapshots_to_json(&snapshots)) {
-        Ok(path) => println!("metrics: {}", path.display()),
-        Err(e) => eprintln!("metrics: write failed: {e}"),
-    }
+    dr_bench::finish("e5_calibration", &snapshots_to_json(&snapshots), None);
 }

@@ -8,7 +8,7 @@
 //! one stream through all three systems on identical SSD models and
 //! reports the page programs and endurance each consumed.
 
-use dr_bench::{render_table, write_metrics_json};
+use dr_bench::render_table;
 use dr_obs::ObsHandle;
 use dr_reduction::compare_endurance_with_obs;
 use dr_ssd_sim::SsdSpec;
@@ -63,8 +63,5 @@ fn main() {
     );
     // The inline system's stage latencies + destage/SSD write counters.
     let snap = obs.snapshot().expect("enabled handle snapshots");
-    match write_metrics_json("e6_endurance", &snap.to_json()) {
-        Ok(path) => println!("metrics: {}", path.display()),
-        Err(e) => eprintln!("metrics: write failed: {e}"),
-    }
+    dr_bench::finish("e6_endurance", &snap.to_json(), None);
 }

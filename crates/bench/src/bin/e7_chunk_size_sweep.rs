@@ -6,7 +6,7 @@
 //! authors navigated: bigger chunks amortize per-chunk costs (higher
 //! IOPS-equivalent bandwidth, smaller index) but find fewer duplicates.
 
-use dr_bench::{render_table, scale, write_metrics_json};
+use dr_bench::{render_table, scale};
 use dr_binindex::MemoryModel;
 use dr_obs::{snapshots_to_json, ObsHandle};
 use dr_reduction::{IntegrationMode, Pipeline, PipelineConfig};
@@ -58,8 +58,5 @@ fn main() {
     println!(
         "bigger chunks amortize per-chunk work and shrink the index; smaller chunks dedupe finer."
     );
-    match write_metrics_json("e7_chunk_size_sweep", &snapshots_to_json(&snapshots)) {
-        Ok(path) => println!("metrics: {}", path.display()),
-        Err(e) => eprintln!("metrics: write failed: {e}"),
-    }
+    dr_bench::finish("e7_chunk_size_sweep", &snapshots_to_json(&snapshots), None);
 }

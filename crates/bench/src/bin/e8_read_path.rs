@@ -16,7 +16,7 @@
 //! mode, on a read clock the pool width does not move — and exits
 //! non-zero on any divergence.
 
-use dr_bench::{kiops, render_table, scale, trace_path_from_args, write_metrics_json};
+use dr_bench::{kiops, render_table, scale, Trace};
 use dr_obs::{snapshots_to_json, ObsHandle, Snapshot, Tracer};
 use dr_reduction::{IntegrationMode, PipelineConfig, Report, VolumeManager};
 use dr_workload::{RwBurst, RwMixConfig, RwMixGenerator, ZipfSampler};
@@ -202,8 +202,7 @@ fn main() {
         std::process::exit(1);
     }
 
-    let trace_path = trace_path_from_args();
-    let tracer = trace_path.as_ref().map(|_| Tracer::enabled());
+    let trace = Trace::from_args();
 
     println!(
         "E8: read path ({} MB working set, cold {}-block batches, hot zipf {}-block batches)\n",
@@ -214,11 +213,7 @@ fn main() {
     let cpu = run_mode(IntegrationMode::CpuOnly, blocks, Tracer::disabled());
     // Trace only the GPU-assisted run: both runs start their sim clocks at
     // zero, so a combined trace would overlay the two timelines.
-    let gpu = run_mode(
-        IntegrationMode::GpuForCompression,
-        blocks,
-        tracer.clone().unwrap_or_else(Tracer::disabled),
-    );
+    let gpu = run_mode(IntegrationMode::GpuForCompression, blocks, trace.tracer());
 
     let row = |name: &str, r: &ModeRun| {
         vec![
@@ -249,16 +244,9 @@ fn main() {
          independent streams without serial back-reference chains, not for a batch of \
          <= {COLD_BATCH} frames of 4 KB.\nthe chunk cache absorbs hot zipf repeats."
     );
-    match write_metrics_json(
+    dr_bench::finish(
         "e8_read_path",
         &snapshots_to_json(&[cpu.snapshot, gpu.snapshot]),
-    ) {
-        Ok(path) => println!("metrics: {}", path.display()),
-        Err(e) => eprintln!("metrics: write failed: {e}"),
-    }
-    if let (Some(path), Some(tracer)) = (&trace_path, &tracer) {
-        if let Err(e) = dr_bench::write_trace(tracer, path) {
-            eprintln!("trace: write failed: {e}");
-        }
-    }
+        Some(&trace),
+    );
 }

@@ -19,7 +19,7 @@
 //!
 //! Exits non-zero when either invariant fails.
 
-use dr_bench::{kiops, render_table, scale, write_metrics_json};
+use dr_bench::{kiops, render_table, scale};
 use dr_cluster::{Cluster, ClusterConfig};
 use dr_hashes::{sha1_digest, ChunkDigest};
 use dr_obs::{snapshots_to_json, ObsHandle, Snapshot};
@@ -248,10 +248,7 @@ fn main() {
     }
 
     let snapshots: Vec<Snapshot> = runs.into_iter().map(|r| r.snapshot).collect();
-    match write_metrics_json("e9_cluster", &snapshots_to_json(&snapshots)) {
-        Ok(path) => println!("metrics: {}", path.display()),
-        Err(e) => eprintln!("metrics: write failed: {e}"),
-    }
+    dr_bench::finish("e9_cluster", &snapshots_to_json(&snapshots), None);
     if failed {
         std::process::exit(1);
     }

@@ -100,47 +100,70 @@ pub fn write_metrics_json(name: &str, json: &str) -> std::io::Result<std::path::
     Ok(path)
 }
 
-/// Extracts `--trace <path>` (or `--trace=<path>`) from the process
-/// arguments, if present. Experiment binaries that support tracing call
-/// this once at startup; everything else about their CLI is env-driven.
-pub fn trace_path_from_args() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-        if let Some(p) = a.strip_prefix("--trace=") {
-            return Some(std::path::PathBuf::from(p));
-        }
-    }
-    None
+/// An experiment's `--trace <path>` (or `--trace=<path>`) argument: a
+/// tracer that records only when the argument was passed, and the file
+/// [`finish`] writes its events to. Everything else about an
+/// experiment's CLI is env-driven.
+pub struct Trace {
+    path: Option<std::path::PathBuf>,
+    tracer: dr_obs::Tracer,
 }
 
-/// Drains `tracer`, writes the Chrome `trace_event` JSON to `path`, and
-/// prints the folded profiler report to **stderr** — stdout carries the
+impl Trace {
+    /// Reads `--trace` from the process arguments.
+    pub fn from_args() -> Trace {
+        let mut path = None;
+        let mut args = std::env::args().skip(1);
+        while let Some(a) = args.next() {
+            if a == "--trace" {
+                path = args.next().map(std::path::PathBuf::from);
+                break;
+            }
+            if let Some(p) = a.strip_prefix("--trace=") {
+                path = Some(std::path::PathBuf::from(p));
+                break;
+            }
+        }
+        let tracer = match path {
+            Some(_) => dr_obs::Tracer::enabled(),
+            None => dr_obs::Tracer::disabled(),
+        };
+        Trace { path, tracer }
+    }
+
+    /// The tracer to hand the traced run; disabled without `--trace`.
+    pub fn tracer(&self) -> dr_obs::Tracer {
+        self.tracer.clone()
+    }
+}
+
+/// The tail every experiment ends with: writes its metrics JSON (see
+/// [`write_metrics_json`]) and prints `metrics: <path>` on stdout, then,
+/// when `trace` was requested, writes the Chrome `trace_event` JSON and
+/// prints the folded profiler report on **stderr** — stdout carries the
 /// simulated results and must stay bit-identical whether tracing is on
-/// or off. Returns the number of events written.
-///
-/// # Panics
-///
-/// Panics when `tracer` is disabled — callers only construct one when
-/// `--trace` was passed.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from writing the trace file.
-pub fn write_trace(tracer: &dr_obs::Tracer, path: &std::path::Path) -> std::io::Result<usize> {
-    let sink = tracer.sink().expect("write_trace needs an enabled tracer");
+/// or off. Failures to write are reported on stderr, not fatal.
+pub fn finish(name: &str, metrics_json: &str, trace: Option<&Trace>) {
+    match write_metrics_json(name, metrics_json) {
+        Ok(path) => println!("metrics: {}", path.display()),
+        Err(e) => eprintln!("metrics: write failed: {e}"),
+    }
+    let Some(trace) = trace else { return };
+    let (Some(path), Some(sink)) = (&trace.path, trace.tracer.sink()) else {
+        return;
+    };
     let events = sink.drain();
     let dropped = sink.dropped();
-    std::fs::write(path, dr_obs::chrome_trace_json(&events, dropped))?;
+    if let Err(e) = std::fs::write(path, dr_obs::chrome_trace_json(&events, dropped)) {
+        eprintln!("trace: write failed: {e}");
+        return;
+    }
     eprint!("{}", dr_obs::profile(&events, dropped));
     eprintln!(
         "trace: {} events -> {} (open in chrome://tracing or ui.perfetto.dev)",
         events.len(),
         path.display()
     );
-    Ok(events.len())
 }
 
 /// Reads an experiment scale factor from `DR_SCALE` (default 1.0): CI runs

@@ -5,6 +5,9 @@
 //! the (minimized) op list, and the failure that was observed. All numeric
 //! fields are unsigned integers — rates and ratios travel in milli-units —
 //! so serialization is exact and replay is deterministic across platforms.
+//! An op is written and read through the fields the alphabet declares
+//! for it (`Op::fields`, `Op::from_fields`); a value too wide for its
+//! field is refused.
 //!
 //! Version 2 adds two optional post-mortem fields: `obs_snapshot` (the
 //! final metric snapshot of the shrunk failing run, embedded as a JSON
@@ -147,140 +150,16 @@ fn opt_field_str(v: &Value, key: &str) -> Result<Option<String>, String> {
 }
 
 fn op_to_json(op: &Op) -> String {
-    let tag = quote(op.tag());
-    match op {
-        Op::CreateVolume { vol, blocks } => {
-            format!("{{\"op\": {tag}, \"vol\": {vol}, \"blocks\": {blocks}}}")
-        }
-        Op::Write {
-            vol,
-            block,
-            nblocks,
-            seed,
-            ratio_milli,
-        } => format!(
-            "{{\"op\": {tag}, \"vol\": {vol}, \"block\": {block}, \"nblocks\": {nblocks}, \
-             \"seed\": {seed}, \"ratio_milli\": {ratio_milli}}}"
-        ),
-        Op::Read { vol, block } => {
-            format!("{{\"op\": {tag}, \"vol\": {vol}, \"block\": {block}}}")
-        }
-        Op::ReadBatch {
-            vol,
-            block,
-            nblocks,
-        } => {
-            format!("{{\"op\": {tag}, \"vol\": {vol}, \"block\": {block}, \"nblocks\": {nblocks}}}")
-        }
-        Op::ZipfBurst {
-            vol,
-            count,
-            theta_milli,
-            seed,
-        } => format!(
-            "{{\"op\": {tag}, \"vol\": {vol}, \"count\": {count}, \
-             \"theta_milli\": {theta_milli}, \"seed\": {seed}}}"
-        ),
-        Op::StreamBurst {
-            vol,
-            block,
-            nblocks,
-            seed,
-        } => format!(
-            "{{\"op\": {tag}, \"vol\": {vol}, \"block\": {block}, \
-             \"nblocks\": {nblocks}, \"seed\": {seed}}}"
-        ),
-        Op::SetSsdFaults {
-            write_milli,
-            busy_milli,
-            read_milli,
-            seed,
-        } => format!(
-            "{{\"op\": {tag}, \"write_milli\": {write_milli}, \"busy_milli\": {busy_milli}, \
-             \"read_milli\": {read_milli}, \"seed\": {seed}}}"
-        ),
-        Op::SetGpuFaults {
-            launch_milli,
-            timeout_milli,
-            seed,
-        } => format!(
-            "{{\"op\": {tag}, \"launch_milli\": {launch_milli}, \
-             \"timeout_milli\": {timeout_milli}, \"seed\": {seed}}}"
-        ),
-        Op::Crash { seed } => format!("{{\"op\": {tag}, \"seed\": {seed}}}"),
-        Op::NodeLeave { node } => format!("{{\"op\": {tag}, \"node\": {node}}}"),
-        Op::NodeCrash { node, seed } => {
-            format!("{{\"op\": {tag}, \"node\": {node}, \"seed\": {seed}}}")
-        }
-        Op::ClearFaults | Op::Flush | Op::SnapshotRestore | Op::NodeJoin => {
-            format!("{{\"op\": {tag}}}")
-        }
+    let mut out = format!("{{\"op\": {}", quote(op.tag()));
+    for field in op.fields() {
+        out.push_str(&format!(", \"{}\": {}", field.name, field.value));
     }
+    out.push('}');
+    out
 }
 
 fn op_from_json(v: &Value) -> Result<Op, String> {
-    let tag = field_str(v, "op")?;
-    let vol = |v: &Value| -> Result<u8, String> { Ok(field_u64(v, "vol")? as u8) };
-    match tag {
-        "create-volume" => Ok(Op::CreateVolume {
-            vol: vol(v)?,
-            blocks: field_u64(v, "blocks")?,
-        }),
-        "write" => Ok(Op::Write {
-            vol: vol(v)?,
-            block: field_u64(v, "block")?,
-            nblocks: field_u64(v, "nblocks")?,
-            seed: field_u64(v, "seed")?,
-            ratio_milli: field_u64(v, "ratio_milli")?,
-        }),
-        "read" => Ok(Op::Read {
-            vol: vol(v)?,
-            block: field_u64(v, "block")?,
-        }),
-        "read-batch" => Ok(Op::ReadBatch {
-            vol: vol(v)?,
-            block: field_u64(v, "block")?,
-            nblocks: field_u64(v, "nblocks")?,
-        }),
-        "zipf-burst" => Ok(Op::ZipfBurst {
-            vol: vol(v)?,
-            count: field_u64(v, "count")?,
-            theta_milli: field_u64(v, "theta_milli")?,
-            seed: field_u64(v, "seed")?,
-        }),
-        "stream-burst" => Ok(Op::StreamBurst {
-            vol: vol(v)?,
-            block: field_u64(v, "block")?,
-            nblocks: field_u64(v, "nblocks")?,
-            seed: field_u64(v, "seed")?,
-        }),
-        "set-ssd-faults" => Ok(Op::SetSsdFaults {
-            write_milli: field_u64(v, "write_milli")?,
-            busy_milli: field_u64(v, "busy_milli")?,
-            read_milli: field_u64(v, "read_milli")?,
-            seed: field_u64(v, "seed")?,
-        }),
-        "set-gpu-faults" => Ok(Op::SetGpuFaults {
-            launch_milli: field_u64(v, "launch_milli")?,
-            timeout_milli: field_u64(v, "timeout_milli")?,
-            seed: field_u64(v, "seed")?,
-        }),
-        "clear-faults" => Ok(Op::ClearFaults),
-        "flush" => Ok(Op::Flush),
-        "snapshot-restore" => Ok(Op::SnapshotRestore),
-        "crash" => Ok(Op::Crash {
-            seed: field_u64(v, "seed")?,
-        }),
-        "node-join" => Ok(Op::NodeJoin),
-        "node-leave" => Ok(Op::NodeLeave {
-            node: field_u64(v, "node")? as u8,
-        }),
-        "node-crash" => Ok(Op::NodeCrash {
-            node: field_u64(v, "node")? as u8,
-            seed: field_u64(v, "seed")?,
-        }),
-        other => Err(format!("unknown op tag '{other}'")),
-    }
+    Op::from_fields(field_str(v, "op")?, |name| field_u64(v, name))
 }
 
 #[cfg(test)]
@@ -373,9 +252,39 @@ mod tests {
             obs_snapshot: None,
             trace_path: None,
         };
-        let back = Artifact::from_json(&artifact.to_json()).unwrap();
+        let text = artifact.to_json();
+        // Every op kind's canonical text, pinned: an edit to the alphabet's
+        // declaration that moves an artifact byte fails here.
+        assert_eq!(text, EVERY_OP_KIND);
+        let back = Artifact::from_json(&text).unwrap();
         assert_eq!(back.ops, ops);
     }
+
+    const EVERY_OP_KIND: &str = r#"{
+  "version": 4,
+  "seed": 1,
+  "mode": "cpu-only",
+  "scenario": "fault-free",
+  "failure": {"op_index": 0, "invariant": "panic", "detail": ""},
+  "ops": [
+    {"op": "create-volume", "vol": 1, "blocks": 9},
+    {"op": "write", "vol": 0, "block": 2, "nblocks": 3, "seed": 4, "ratio_milli": 1500},
+    {"op": "read", "vol": 2, "block": 1},
+    {"op": "read-batch", "vol": 1, "block": 4, "nblocks": 6},
+    {"op": "zipf-burst", "vol": 3, "count": 5, "theta_milli": 990, "seed": 6},
+    {"op": "stream-burst", "vol": 0, "block": 7, "nblocks": 2, "seed": 8},
+    {"op": "set-ssd-faults", "write_milli": 120, "busy_milli": 100, "read_milli": 50, "seed": 18446744073709551615},
+    {"op": "set-gpu-faults", "launch_milli": 500, "timeout_milli": 250, "seed": 9},
+    {"op": "clear-faults"},
+    {"op": "flush"},
+    {"op": "snapshot-restore"},
+    {"op": "crash", "seed": 77},
+    {"op": "node-join"},
+    {"op": "node-leave", "node": 2},
+    {"op": "node-crash", "node": 1, "seed": 99}
+  ]
+}
+"#;
 
     #[test]
     fn post_mortem_fields_round_trip() {
@@ -433,5 +342,21 @@ mod tests {
         assert!(Artifact::from_json(wrong_version)
             .unwrap_err()
             .contains("version"));
+        // A field wider than its type is refused, not truncated.
+        for (op, field) in [
+            (r#"{"op": "read", "vol": 256, "block": 0}"#, "vol"),
+            (r#"{"op": "node-leave", "node": 300}"#, "node"),
+        ] {
+            let document = format!(
+                r#"{{"version": {VERSION}, "seed": 0, "mode": "cpu-only",
+                "scenario": "faulted", "failure": {{"op_index": 0,
+                "invariant": "x", "detail": ""}}, "ops": [{op}]}}"#
+            );
+            let err = Artifact::from_json(&document).unwrap_err();
+            assert!(
+                err.contains(&format!("field '{field}' out of range")),
+                "{op}: {err}"
+            );
+        }
     }
 }

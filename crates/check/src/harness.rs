@@ -186,7 +186,7 @@ pub(crate) fn drive<S: Sut>(sut: &mut S, ops: &[Op]) -> Result<(), Failure> {
         }));
         match step {
             Ok(outcome) => outcome?,
-            Err(payload) => return Err(fail(idx, "panic", panic_message(&payload))),
+            Err(payload) => return Err(fail(idx, "panic", panic_message(&*payload))),
         }
     }
     Ok(())
@@ -516,6 +516,9 @@ mod tests {
         /// Every run is reported on a node other than the one that took
         /// it (a front-end acking through the wrong member).
         WrongRunNode,
+        /// A flush panics with a formatted message (an abort deep in the
+        /// write path).
+        PanicOnFlush,
     }
 
     struct Planted<S> {
@@ -586,6 +589,10 @@ mod tests {
         }
 
         fn flush(&mut self) -> Result<(), String> {
+            if matches!(self.plant, Plant::PanicOnFlush) {
+                let code = 7;
+                panic!("journal sync failed: {code}");
+            }
             self.inner.flush()
         }
 
@@ -637,8 +644,9 @@ mod tests {
     }
 
     /// Sweeps the smoke seed range until `plant` is caught, shrinks the
-    /// catch, and checks both acceptance bounds.
-    fn assert_killed(plant: Plant, scenario: Scenario, invariant: &str) {
+    /// catch, and checks its invariant kind and that it shrank to at most
+    /// `max_ops` (DESIGN §11's table).
+    fn assert_killed(plant: Plant, scenario: Scenario, invariant: &str, max_ops: usize) {
         let run = |ops: &[Op]| run_planted(plant, scenario, ops);
         let caught = (0..25)
             .map(|seed| generate(seed, 40, scenario))
@@ -651,34 +659,49 @@ mod tests {
             shrunk.failure
         );
         assert!(
-            shrunk.ops.len() <= 10,
-            "{plant:?} reproducer did not shrink to <= 10 ops: {:?}",
+            shrunk.ops.len() <= max_ops,
+            "{plant:?} reproducer did not shrink to <= {max_ops} ops: {:?}",
             shrunk.ops
         );
     }
 
     #[test]
     fn a_flipped_read_byte_is_a_byte_identity_failure() {
-        assert_killed(Plant::FlipReadByte, Scenario::FaultFree, "byte-identity");
+        assert_killed(Plant::FlipReadByte, Scenario::FaultFree, "byte-identity", 2);
     }
 
     #[test]
     fn a_dropped_overwrite_is_a_byte_identity_failure() {
-        assert_killed(Plant::DropOverwrite, Scenario::Faulted, "byte-identity");
+        assert_killed(Plant::DropOverwrite, Scenario::Faulted, "byte-identity", 2);
     }
 
     #[test]
     fn a_written_block_read_as_unwritten_is_an_error_mirror_failure() {
-        assert_killed(Plant::UnwrittenRead, Scenario::FaultFree, "error-mirror");
+        assert_killed(Plant::UnwrittenRead, Scenario::FaultFree, "error-mirror", 2);
     }
 
     #[test]
     fn an_ack_before_the_write_is_durable_is_a_durability_failure() {
-        assert_killed(Plant::EarlyAck, Scenario::Crash, "durability");
+        assert_killed(Plant::EarlyAck, Scenario::Crash, "durability", 3);
     }
 
     #[test]
     fn a_run_acked_through_the_wrong_node_is_a_rebalance_mirror_failure() {
-        assert_killed(Plant::WrongRunNode, Scenario::Cluster, "rebalance-mirror");
+        assert_killed(
+            Plant::WrongRunNode,
+            Scenario::Cluster,
+            "rebalance-mirror",
+            3,
+        );
+    }
+
+    #[test]
+    fn a_panicking_step_is_reported_with_its_message() {
+        let failure =
+            run_planted(Plant::PanicOnFlush, Scenario::FaultFree, &[Op::Flush]).unwrap_err();
+        assert_eq!(
+            failure,
+            fail(0, "panic", "journal sync failed: 7".to_owned())
+        );
     }
 }

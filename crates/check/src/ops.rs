@@ -9,6 +9,13 @@
 //!
 //! Floats never appear: fault rates, skew, and compression targets are
 //! stored in integer milli-units so JSON artifacts round-trip bit-exactly.
+//!
+//! The alphabet is declared once, in the `declare_ops!` table below: each
+//! op's tag, its fields and each field's shrink floor. The artifact codec
+//! (`artifact.rs`) and the shrinker's per-field candidates (`shrink.rs`)
+//! are derived from it. Adding an op is one entry there, a band in
+//! [`generate`], and an arm in a `Sut` (`harness.rs`'s `apply`, or
+//! `apply_other` in `single.rs` / `cluster.rs`).
 
 use dr_des::SplitMix64;
 
@@ -23,51 +30,128 @@ pub fn vol_name(vol: u8) -> String {
     format!("v{vol}")
 }
 
-/// One step of a checker sequence.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Op {
+/// One declared field of an op, as the artifact and the shrinker see it.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Field {
+    /// The field's name, which is also its artifact key.
+    pub(crate) name: &'static str,
+    /// The value, widened to `u64`.
+    pub(crate) value: u64,
+    /// The value the shrinker may lower the field to; `None` when the
+    /// field is never shrunk.
+    pub(crate) floor: Option<u64>,
+}
+
+/// Declares the op alphabet. Each variant is written once: its artifact
+/// tag, then its fields in artifact order, a field marked `=> floor`
+/// being one the shrinker may lower to `floor`. Everything else —
+/// [`Op`], [`Op::tag`], [`Op::fields`], [`Op::from_fields`] — derives
+/// from the declaration.
+macro_rules! declare_ops {
+    (@floor) => { None };
+    (@floor $floor:literal) => { Some($floor) };
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident $tag:literal $({
+            $($(#[$field_doc:meta])* $field:ident: $ty:ty $(=> $floor:literal)?,)*
+        })?,
+    )*) => {
+        /// One step of a checker sequence.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum Op {
+            $($(#[$doc])* $variant $({ $($(#[$field_doc])* $field: $ty,)* })?,)*
+        }
+
+        impl Op {
+            /// Short tag for labels and artifacts.
+            pub fn tag(&self) -> &'static str {
+                match self {
+                    $(Op::$variant { .. } => $tag,)*
+                }
+            }
+
+            /// The declared fields, in declaration order.
+            pub(crate) fn fields(&self) -> Vec<Field> {
+                match self {
+                    $(Op::$variant $({ $($field,)* })? => vec![$($(Field {
+                        name: stringify!($field),
+                        value: u64::from(*$field),
+                        floor: declare_ops!(@floor $($floor)?),
+                    },)*)?],)*
+                }
+            }
+
+            /// Builds the op tagged `tag`, reading each declared field's
+            /// value through `get`.
+            ///
+            /// # Errors
+            ///
+            /// An unknown tag, `get`'s error, or a value the field's type
+            /// cannot hold (a `vol` of 256), naming the field.
+            pub(crate) fn from_fields(
+                tag: &str,
+                mut get: impl FnMut(&'static str) -> Result<u64, String>,
+            ) -> Result<Op, String> {
+                match tag {
+                    $($tag => Ok(Op::$variant $({ $(
+                        $field: narrow(stringify!($field), get(stringify!($field))?)?,
+                    )* })?),)*
+                    other => Err(format!("unknown op tag '{other}'")),
+                }
+            }
+        }
+    };
+}
+
+/// `value` as the field type `T`, or an error naming the field.
+fn narrow<T: TryFrom<u64>>(name: &str, value: u64) -> Result<T, String> {
+    T::try_from(value).map_err(|_| format!("field '{name}' out of range: {value}"))
+}
+
+declare_ops! {
     /// Create volume `vol` with `blocks` blocks.
-    CreateVolume {
+    CreateVolume "create-volume" {
         /// Volume index (`v0`..).
         vol: u8,
         /// Volume size in blocks.
-        blocks: u64,
+        blocks: u64 => 1,
     },
     /// Write `nblocks` synthesized chunks at `block`; payload bytes derive
     /// from `seed` and the target compression ratio (milli-units).
-    Write {
+    Write "write" {
         /// Volume index.
         vol: u8,
         /// First block to write.
-        block: u64,
+        block: u64 => 0,
         /// Number of consecutive blocks.
-        nblocks: u64,
+        nblocks: u64 => 1,
         /// Payload seed (block `i` uses `seed + i`).
-        seed: u64,
+        seed: u64 => 0,
         /// Target compression ratio × 1000.
         ratio_milli: u64,
     },
     /// Read one block and compare against the oracle.
-    Read {
+    Read "read" {
         /// Volume index.
         vol: u8,
         /// Block to read.
-        block: u64,
+        block: u64 => 0,
     },
     /// Read `nblocks` consecutive blocks in one batched call and compare
     /// every block against the oracle (and the error kind, when the range
     /// includes an invalid block).
-    ReadBatch {
+    ReadBatch "read-batch" {
         /// Volume index.
         vol: u8,
         /// First block to read.
-        block: u64,
+        block: u64 => 0,
         /// Number of consecutive blocks.
-        nblocks: u64,
+        nblocks: u64 => 1,
     },
     /// `count` single-block writes at Zipf-skewed offsets — the hot/cold
-    /// overwrite pattern that stresses recipe remapping.
-    ZipfBurst {
+    /// overwrite pattern that stresses recipe remapping. Shrinks only by
+    /// its rewrite to one [`Op::Write`].
+    ZipfBurst "zipf-burst" {
         /// Volume index.
         vol: u8,
         /// Number of writes.
@@ -79,7 +163,8 @@ pub enum Op {
     },
     /// A sequential burst from `dr-workload`'s stream generator starting
     /// at `block` — dedup-able, compressible, locality-shaped data.
-    StreamBurst {
+    /// Shrinks only by its rewrite to one [`Op::Write`].
+    StreamBurst "stream-burst" {
         /// Volume index.
         vol: u8,
         /// First block.
@@ -90,7 +175,8 @@ pub enum Op {
         seed: u64,
     },
     /// Swap in an SSD transient-fault schedule (rates in milli-units).
-    SetSsdFaults {
+    /// Shrinks only by its rewrite to one nonzero rate.
+    SetSsdFaults "set-ssd-faults" {
         /// Write-error rate × 1000.
         write_milli: u64,
         /// Busy rate × 1000.
@@ -100,8 +186,9 @@ pub enum Op {
         /// Fault-stream seed.
         seed: u64,
     },
-    /// Swap in a GPU fault schedule (rates in milli-units).
-    SetGpuFaults {
+    /// Swap in a GPU fault schedule (rates in milli-units). Shrinks only
+    /// by its rewrite to one nonzero rate.
+    SetGpuFaults "set-gpu-faults" {
         /// Kernel-launch failure rate × 1000.
         launch_milli: u64,
         /// Probe-timeout rate × 1000.
@@ -110,64 +197,59 @@ pub enum Op {
         seed: u64,
     },
     /// Zero every fault schedule.
-    ClearFaults,
+    ClearFaults "clear-faults",
     /// Force the destage partial page out to the SSD.
-    Flush,
+    Flush "flush",
     /// Snapshot the bin index, restore it, and verify the round trip is a
     /// fixed point; the restored index replaces the live one.
-    SnapshotRestore,
+    SnapshotRestore "snapshot-restore",
     /// Cut power at a seeded instant within the acknowledged horizon,
     /// recover from the metadata journal, and verify durability: every
     /// acknowledged operation survives, unacknowledged ones are atomically
     /// absent, and the recovered state keeps serving correct bytes.
-    Crash {
-        /// Seed for the cut instant and the torn-page split points.
+    Crash "crash" {
+        /// Seed for the cut instant and the torn-page split points. Not
+        /// shrunk: it pins the durable prefix, and no other seed is a
+        /// simpler cut of the same one.
         seed: u64,
     },
     /// Cluster scenario only: add a node and verify rebalancing moved
     /// every re-homed block intact.
-    NodeJoin,
+    NodeJoin "node-join",
     /// Cluster scenario only: remove a member and verify it drained
     /// completely. `node` is a *selector*, resolved against the live
     /// member list (`members[node % len]`), so the op stays valid in any
     /// subset the shrinker produces.
-    NodeLeave {
-        /// Member selector (index into the sorted live member list).
-        node: u8,
+    NodeLeave "node-leave" {
+        /// Member selector (index into the sorted live member list);
+        /// 0, the lowest live id, is the simplest target.
+        node: u8 => 0,
     },
     /// Cluster scenario only: power-cut one member at a seeded instant
     /// within its acked horizon, recover it from its journal, and verify
     /// the cluster-wide crash contract (acked blocks survive, reverted
     /// blocks match an older durable version, lost blocks had nothing
     /// acked).
-    NodeCrash {
+    NodeCrash "node-crash" {
         /// Member selector, as in [`Op::NodeLeave`].
-        node: u8,
+        node: u8 => 0,
         /// Seed for the cut instant and torn-page split points.
         seed: u64,
     },
 }
 
 impl Op {
-    /// Short tag for labels and artifacts.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            Op::CreateVolume { .. } => "create-volume",
-            Op::Write { .. } => "write",
-            Op::Read { .. } => "read",
-            Op::ReadBatch { .. } => "read-batch",
-            Op::ZipfBurst { .. } => "zipf-burst",
-            Op::StreamBurst { .. } => "stream-burst",
-            Op::SetSsdFaults { .. } => "set-ssd-faults",
-            Op::SetGpuFaults { .. } => "set-gpu-faults",
-            Op::ClearFaults => "clear-faults",
-            Op::Flush => "flush",
-            Op::SnapshotRestore => "snapshot-restore",
-            Op::Crash { .. } => "crash",
-            Op::NodeJoin => "node-join",
-            Op::NodeLeave { .. } => "node-leave",
-            Op::NodeCrash { .. } => "node-crash",
-        }
+    /// This op with each declared field set to `value(name, current)`.
+    ///
+    /// # Errors
+    ///
+    /// A value the field's type cannot hold.
+    pub(crate) fn with_fields(&self, value: impl Fn(&str, u64) -> u64) -> Result<Op, String> {
+        let fields = self.fields();
+        Op::from_fields(self.tag(), |name| {
+            let field = fields.iter().find(|f| f.name == name);
+            Ok(value(name, field.map_or(0, |f| f.value)))
+        })
     }
 }
 
@@ -346,6 +428,28 @@ mod tests {
             generate(42, 50, Scenario::Faulted),
             generate(43, 50, Scenario::Faulted)
         );
+    }
+
+    #[test]
+    fn every_generated_op_round_trips_through_its_declared_fields() {
+        for scenario in [
+            Scenario::FaultFree,
+            Scenario::Faulted,
+            Scenario::Crash,
+            Scenario::Cluster,
+        ] {
+            for seed in 0..64 {
+                for op in generate(seed, 200, scenario) {
+                    let fields = op.fields();
+                    let back = Op::from_fields(op.tag(), |name| {
+                        let field = fields.iter().find(|f| f.name == name);
+                        field.map(|f| f.value).ok_or(format!("no field '{name}'"))
+                    });
+                    assert_eq!(back.as_ref(), Ok(&op), "{scenario:?} seed {seed}");
+                    assert_eq!(op.with_fields(|_, value| value), Ok(op));
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!    granularity until no chunk can be removed (classic Zeller/Hildebrandt
 //!    minimization; valid because every op subset is a valid sequence).
 //! 2. **Payload simplification** — per surviving op, try strictly simpler
-//!    replacements (one block instead of four, seed 0, burst → single
-//!    write) until none applies.
+//!    replacements until none applies: the few cross-variant rewrites
+//!    below (burst → single write), then each field lowered to the floor
+//!    the alphabet declares for it (`ops.rs`: one block, seed 0).
 //!
 //! Every candidate execution counts against a budget so shrinking a
 //! pathological case stays bounded.
@@ -125,166 +126,58 @@ fn ddmin(current: &mut Vec<Op>, failure: &mut Failure, budget: &mut Budget<'_>) 
 }
 
 /// Strictly-simpler replacement candidates for one op, most aggressive
-/// first.
+/// first: its rewrites onto a simpler op, then each field the alphabet
+/// declares a floor for (`ops.rs`) lowered to that floor.
 fn simpler(op: &Op) -> Vec<Op> {
-    let mut out = Vec::new();
-    match op {
-        Op::CreateVolume { vol, blocks } => {
-            if *blocks > 1 {
-                out.push(Op::CreateVolume {
-                    vol: *vol,
-                    blocks: 1,
-                });
-            }
+    let mut out = rewrites(op);
+    for field in op.fields() {
+        if let Some(floor) = field.floor.filter(|&floor| field.value > floor) {
+            let lowered = op.with_fields(|name, v| if name == field.name { floor } else { v });
+            out.extend(lowered.ok());
         }
-        Op::Write {
-            vol,
-            block,
-            nblocks,
-            seed,
-            ratio_milli,
-        } => {
-            if *nblocks > 1 {
-                out.push(Op::Write {
-                    vol: *vol,
-                    block: *block,
-                    nblocks: 1,
-                    seed: *seed,
-                    ratio_milli: *ratio_milli,
-                });
-            }
-            if *block > 0 {
-                out.push(Op::Write {
-                    vol: *vol,
-                    block: 0,
-                    nblocks: *nblocks,
-                    seed: *seed,
-                    ratio_milli: *ratio_milli,
-                });
-            }
-            if *seed != 0 {
-                out.push(Op::Write {
-                    vol: *vol,
-                    block: *block,
-                    nblocks: *nblocks,
-                    seed: 0,
-                    ratio_milli: *ratio_milli,
-                });
-            }
-        }
-        Op::Read { vol, block } => {
-            if *block > 0 {
-                out.push(Op::Read {
-                    vol: *vol,
-                    block: 0,
-                });
-            }
-        }
+    }
+    out
+}
+
+/// The cross-variant rewrites: a multi-block batched read becomes a
+/// single read, a burst one write, a fault schedule each of its nonzero
+/// rates alone on the same fault stream (`seed`).
+fn rewrites(op: &Op) -> Vec<Op> {
+    match *op {
         Op::ReadBatch {
             vol,
             block,
             nblocks,
-        } => {
-            if *nblocks > 1 {
-                out.push(Op::Read {
-                    vol: *vol,
-                    block: *block,
-                });
-                out.push(Op::ReadBatch {
-                    vol: *vol,
-                    block: *block,
-                    nblocks: nblocks / 2,
-                });
-            }
-            if *block > 0 {
-                out.push(Op::ReadBatch {
-                    vol: *vol,
-                    block: 0,
-                    nblocks: *nblocks,
-                });
-            }
-        }
-        Op::ZipfBurst { vol, seed, .. } => {
-            out.push(Op::Write {
-                vol: *vol,
-                block: 0,
-                nblocks: 1,
-                seed: *seed,
-                ratio_milli: 2000,
-            });
-        }
+        } if nblocks > 1 => vec![Op::Read { vol, block }],
+        Op::ZipfBurst { vol, seed, .. } => vec![Op::Write {
+            vol,
+            block: 0,
+            nblocks: 1,
+            seed,
+            ratio_milli: 2000,
+        }],
         Op::StreamBurst {
             vol, block, seed, ..
-        } => {
-            out.push(Op::Write {
-                vol: *vol,
-                block: *block,
-                nblocks: 1,
-                seed: *seed,
-                ratio_milli: 2000,
-            });
-        }
-        Op::SetSsdFaults {
-            write_milli,
-            busy_milli,
-            read_milli,
+        } => vec![Op::Write {
+            vol,
+            block,
+            nblocks: 1,
             seed,
-        } => {
-            // Try dropping each non-zero rate separately.
-            for (w, b, r) in [
-                (*write_milli, 0, 0),
-                (0, *busy_milli, 0),
-                (0, 0, *read_milli),
-            ] {
-                let candidate = Op::SetSsdFaults {
-                    write_milli: w,
-                    busy_milli: b,
-                    read_milli: r,
-                    seed: *seed,
-                };
-                if candidate != *op && (w | b | r) != 0 {
-                    out.push(candidate);
-                }
-            }
-        }
-        Op::SetGpuFaults {
-            launch_milli,
-            timeout_milli,
-            seed,
-        } => {
-            for (l, t) in [(*launch_milli, 0), (0, *timeout_milli)] {
-                let candidate = Op::SetGpuFaults {
-                    launch_milli: l,
-                    timeout_milli: t,
-                    seed: *seed,
-                };
-                if candidate != *op && (l | t) != 0 {
-                    out.push(candidate);
-                }
-            }
-        }
-        // Member selectors resolve mod the live member list, so selector 0
-        // (the lowest live id) is the canonical simplest target.
-        Op::NodeLeave { node } => {
-            if *node > 0 {
-                out.push(Op::NodeLeave { node: 0 });
-            }
-        }
-        Op::NodeCrash { node, seed } => {
-            if *node > 0 {
-                out.push(Op::NodeCrash {
-                    node: 0,
-                    seed: *seed,
-                });
-            }
-        }
-        // A crash op's seed pins both the cut instant and the torn-page
-        // pattern — there is no "simpler" crash that reproduces the same
-        // durable prefix, so only ddmin removal applies. Joins carry no
-        // payload at all.
-        Op::Crash { .. } | Op::ClearFaults | Op::Flush | Op::SnapshotRestore | Op::NodeJoin => {}
+            ratio_milli: 2000,
+        }],
+        Op::SetSsdFaults { .. } | Op::SetGpuFaults { .. } => op
+            .fields()
+            .into_iter()
+            .filter(|rate| rate.name != "seed" && rate.value != 0)
+            .filter_map(|rate| {
+                let keep = |name: &str| name == rate.name || name == "seed";
+                op.with_fields(|name, v| if keep(name) { v } else { 0 })
+                    .ok()
+            })
+            .filter(|candidate| candidate != op)
+            .collect(),
+        _ => Vec::new(),
     }
-    out
 }
 
 fn simplify_payloads(current: &mut Vec<Op>, failure: &mut Failure, budget: &mut Budget<'_>) {
@@ -316,6 +209,7 @@ mod tests {
     //! from reads whose block number names the op.
 
     use super::*;
+    use crate::ops::{generate, Scenario};
 
     fn reads(blocks: std::ops::Range<u64>) -> Vec<Op> {
         blocks.map(|block| Op::Read { vol: 0, block }).collect()
@@ -334,6 +228,37 @@ mod tests {
                 detail: String::new(),
             }),
             false => Ok(()),
+        }
+    }
+
+    #[test]
+    fn every_candidate_lowers_one_field_to_its_floor_or_is_a_rewrite() {
+        for scenario in [
+            Scenario::FaultFree,
+            Scenario::Faulted,
+            Scenario::Crash,
+            Scenario::Cluster,
+        ] {
+            for seed in 0..64 {
+                for op in generate(seed, 200, scenario) {
+                    for candidate in simpler(&op) {
+                        assert_ne!(candidate, op, "a candidate must differ from its op");
+                        let changed: Vec<_> = op
+                            .fields()
+                            .into_iter()
+                            .zip(candidate.fields())
+                            .filter(|(was, now)| was != now)
+                            .collect();
+                        let lowered = candidate.tag() == op.tag()
+                            && matches!(&changed[..], [(was, now)]
+                                if now.floor == Some(now.value) && was.value > now.value);
+                        assert!(
+                            lowered || rewrites(&op).contains(&candidate),
+                            "{op:?} -> {candidate:?}: neither a floor nor a rewrite"
+                        );
+                    }
+                }
+            }
         }
     }
 

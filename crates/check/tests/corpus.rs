@@ -5,7 +5,8 @@
 
 use dr_check::{replay, Artifact, ReplayOutcome};
 
-fn corpus_artifacts() -> Vec<(String, Artifact)> {
+/// Every corpus file's path and text, sorted by path.
+fn corpus_files() -> Vec<(String, String)> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus");
     let mut out = Vec::new();
     for entry in std::fs::read_dir(dir).expect("corpus directory") {
@@ -14,12 +15,21 @@ fn corpus_artifacts() -> Vec<(String, Artifact)> {
             continue;
         }
         let text = std::fs::read_to_string(&path).expect("read corpus artifact");
-        let artifact = Artifact::from_json(&text)
-            .unwrap_or_else(|e| panic!("{} is not a valid artifact: {e}", path.display()));
-        out.push((path.display().to_string(), artifact));
+        out.push((path.display().to_string(), text));
     }
-    out.sort_by(|a, b| a.0.cmp(&b.0));
+    out.sort();
     out
+}
+
+fn corpus_artifacts() -> Vec<(String, Artifact)> {
+    corpus_files()
+        .into_iter()
+        .map(|(path, text)| {
+            let artifact = Artifact::from_json(&text)
+                .unwrap_or_else(|e| panic!("{path} is not a valid artifact: {e}"));
+            (path, artifact)
+        })
+        .collect()
 }
 
 #[test]
@@ -32,6 +42,14 @@ fn corpus_is_nonempty_and_well_formed() {
         // bit-identically after any rewrite.
         let back = Artifact::from_json(&artifact.to_json()).expect("round trip");
         assert_eq!(&back, artifact, "{path}: serialization not a fixed point");
+    }
+}
+
+#[test]
+fn corpus_files_re_serialize_byte_for_byte() {
+    for (path, text) in corpus_files() {
+        let artifact = Artifact::from_json(&text).expect("valid artifact");
+        assert_eq!(artifact.to_json(), text, "{path}: not in canonical form");
     }
 }
 
