@@ -567,12 +567,10 @@ impl Cluster {
     pub fn flush(&mut self) -> Result<(), ClusterError> {
         for node in self.nodes.values_mut() {
             node.vm.pipeline_mut().flush().map_err(VolumeError::from)?;
-            if node.vm.pipeline().config().journal_pages > 0 {
-                node.vm
-                    .pipeline_mut()
-                    .journal_checkpoint()
-                    .map_err(|e| ClusterError::Recovery(e.to_string()))?;
-            }
+            node.vm
+                .pipeline_mut()
+                .journal_checkpoint()
+                .map_err(|e| ClusterError::Recovery(e.to_string()))?;
         }
         Ok(())
     }

@@ -819,10 +819,7 @@ impl Pipeline {
             gpu_index.install_bin(at, &mut self.gpu, flush.bin, &entries)
         };
         match synced {
-            Ok(t) => {
-                self.fault.gpu_dedup.succeeded(t);
-                self.report.gpu_index_sync_end = self.report.gpu_index_sync_end.max(t);
-            }
+            Ok(t) => self.fault.gpu_dedup.succeeded(t),
             Err(_) => self.fault.gpu_dedup.failed(at),
         }
     }

@@ -879,6 +879,26 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn an_unjournaled_checkpoint_programs_nothing() {
+        let mut p = Pipeline::new(small_config(IntegrationMode::GpuForBoth));
+        p.run(&stream());
+        let (writes, report) = (p.ssd.stats().writes, p.report().clone());
+        p.journal_checkpoint().unwrap();
+        assert_eq!(p.ssd.stats().writes, writes);
+        assert_eq!(*p.report(), report);
+
+        // The same call on a journaled pipeline does program the device.
+        let mut journaled = Pipeline::new(PipelineConfig {
+            journal_pages: 64,
+            ..small_config(IntegrationMode::GpuForBoth)
+        });
+        journaled.run(&stream());
+        let writes = journaled.ssd.stats().writes;
+        journaled.journal_checkpoint().unwrap();
+        assert!(journaled.ssd.stats().writes > writes);
+    }
+
+    #[test]
     fn gpu_dedup_mode_uses_the_gpu_index() {
         let mut cfg = small_config(IntegrationMode::GpuForDedup);
         cfg.compress_enabled = false;

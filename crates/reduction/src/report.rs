@@ -50,8 +50,6 @@ pub struct Report {
     /// batch runs on the GPU. Kept only because the repository's
     /// benchmark package still reads it; it goes once that read does.
     pub gpu_decomp_batches: u64,
-    /// When the last GPU bin mirror finished syncing.
-    pub gpu_index_sync_end: SimTime,
     /// GPU index queries issued.
     pub gpu_index_queries: u64,
     /// GPU index hits.
@@ -102,7 +100,6 @@ impl Report {
             read_bytes: 0,
             read_cache_hits: 0,
             gpu_decomp_batches: 0,
-            gpu_index_sync_end: SimTime::ZERO,
             gpu_index_queries: 0,
             gpu_index_hits: 0,
             gpu_comp_batches: 0,

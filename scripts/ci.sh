@@ -11,12 +11,21 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-# Doc-name gate: every Rust-looking name README.md and DESIGN.md put in
-# backticks (DESIGN.md §17, the list of things not in the tree, aside)
-# must occur in the code, so deleting or renaming an item cannot leave
-# the docs naming something that is gone.
-echo "==> doc identifiers (README.md + DESIGN.md vs the code)"
+# Doc-name gate: every Rust-looking name README.md, the verify skill and
+# DESIGN.md put in backticks (DESIGN.md §17, the list of things not in
+# the tree, aside) must occur in the code, so deleting or renaming an
+# item cannot leave the docs naming something that is gone.
+echo "==> doc identifiers (README.md + verify skill + DESIGN.md vs the code)"
 scripts/doc_idents.sh
+
+# Doc-size gate: DESIGN.md describes the current design; history lives
+# in CHANGES.md. A cap keeps per-change narrative from piling up again.
+echo "==> DESIGN.md size (at most 70000 bytes)"
+design_bytes="$(wc -c < DESIGN.md)"
+if ((design_bytes > 70000)); then
+    echo "DESIGN.md is ${design_bytes} bytes, over the 70000-byte cap" >&2
+    exit 1
+fi
 
 # Panic-site gate: the write path's `panic!` / `expect` / `unwrap` /
 # `unreachable!` sites, per file, may fall but not rise above the
