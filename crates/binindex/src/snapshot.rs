@@ -159,13 +159,13 @@ pub fn restore(bytes: &[u8]) -> Result<BinIndex, SnapshotError> {
     if !(1..=3).contains(&prefix) {
         return Err(SnapshotError::BadField("prefix_bytes"));
     }
-    let buffer_capacity = u32::from_le_bytes(bytes[6..10].try_into().expect("4 bytes")) as usize;
+    let buffer_capacity = u32::from_le_bytes(le(bytes, 6)?) as usize;
     if buffer_capacity == 0 {
         return Err(SnapshotError::BadField("bin_buffer_capacity"));
     }
-    let max_entries = u64::from_le_bytes(bytes[10..18].try_into().expect("8 bytes"));
-    let seed = u64::from_le_bytes(bytes[18..26].try_into().expect("8 bytes"));
-    let count = u64::from_le_bytes(bytes[26..34].try_into().expect("8 bytes"));
+    let max_entries = u64::from_le_bytes(le(bytes, 10)?);
+    let seed = u64::from_le_bytes(le(bytes, 18)?);
+    let count = u64::from_le_bytes(le(bytes, 26)?);
 
     // Validate the declared count against what the blob actually holds
     // before sizing anything from it: a corrupted count must fail cleanly,
@@ -191,6 +191,15 @@ pub fn restore(bytes: &[u8]) -> Result<BinIndex, SnapshotError> {
     Ok(index)
 }
 
+/// The `N` bytes of `bytes` at `at`, for a fixed-width little-endian
+/// read; [`SnapshotError::Truncated`] when the blob ends first.
+fn le<const N: usize>(bytes: &[u8], at: usize) -> Result<[u8; N], SnapshotError> {
+    bytes
+        .get(at..at + N)
+        .and_then(|s| s.try_into().ok())
+        .ok_or(SnapshotError::Truncated)
+}
+
 /// Parses the columnar body: per-bin `(id, count)` headers
 /// followed by suffix / addr / len columns.
 fn restore_columnar(
@@ -208,10 +217,8 @@ fn restore_columnar(
         if body.len() - cursor < 8 {
             return Err(SnapshotError::Truncated);
         }
-        let bin_id =
-            u32::from_le_bytes(body[cursor..cursor + 4].try_into().expect("4 bytes")) as usize;
-        let n =
-            u32::from_le_bytes(body[cursor + 4..cursor + 8].try_into().expect("4 bytes")) as usize;
+        let bin_id = u32::from_le_bytes(le(body, cursor)?) as usize;
+        let n = u32::from_le_bytes(le(body, cursor + 4)?) as usize;
         cursor += 8;
         if bin_id >= bin_count {
             return Err(SnapshotError::BadField("bin_id"));
@@ -232,8 +239,8 @@ fn restore_columnar(
         for i in 0..n {
             let mut key: BinKey = [0u8; 20];
             key[prefix..].copy_from_slice(&suffixes[i * suffix_len..(i + 1) * suffix_len]);
-            let addr = u64::from_le_bytes(addrs[i * 8..(i + 1) * 8].try_into().expect("8 bytes"));
-            let len = u32::from_le_bytes(lens[i * 4..(i + 1) * 4].try_into().expect("4 bytes"));
+            let addr = u64::from_le_bytes(le(addrs, i * 8)?);
+            let len = u32::from_le_bytes(le(lens, i * 4)?);
             index.restore_entry(bin_id, key, ChunkRef::new(addr, len));
         }
         cursor += group;

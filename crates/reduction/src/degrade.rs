@@ -14,113 +14,18 @@ use dr_gpu_sim::GpuError;
 use dr_obs::trace::{trace_args, Tracer, Track};
 use dr_obs::{CounterHandle, ObsHandle};
 
-/// The degradation policy's knobs. The pipeline runs one policy,
-/// [`DEGRADE`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct DegradePolicy {
-    /// Retries allowed per operation before the component latches degraded.
-    max_retries: u32,
-    /// Backoff before the first retry.
-    backoff_base: SimDuration,
-    /// Backoff multiplier per subsequent retry.
-    backoff_factor: u64,
-    /// How long a degraded component rests before the next probe attempt.
-    reprobe_interval: SimDuration,
-    /// Consecutive probe successes required to close the latch again
-    /// (hysteresis: one lucky probe must not flap the pipeline back).
-    reprobe_successes: u32,
-}
-
-/// The pipeline's degradation policy: three retries at 50 µs doubling
-/// (350 µs of backoff at most), 10 ms rest, two clean probes to recover.
-const DEGRADE: DegradePolicy = DegradePolicy {
+/// The retry schedule of every guarded operation: three retries at 50 µs
+/// doubling (350 µs of backoff at most) before the latch opens.
+const BACKOFF: ExponentialBackoff = ExponentialBackoff {
+    base: SimDuration::from_micros(50),
+    factor: 2,
     max_retries: 3,
-    backoff_base: SimDuration::from_micros(50),
-    backoff_factor: 2,
-    reprobe_interval: SimDuration::from_millis(10),
-    reprobe_successes: 2,
 };
-
-impl DegradePolicy {
-    /// The retry schedule this policy prescribes.
-    pub(crate) fn backoff(&self) -> ExponentialBackoff {
-        ExponentialBackoff::new(self.backoff_base, self.backoff_factor, self.max_retries)
-    }
-}
-
-/// The sticky degraded-mode latch for one component.
-///
-/// State machine: healthy → (failure) → degraded; while degraded, one
-/// probe attempt is allowed each `reprobe_interval`; after
-/// `reprobe_successes` consecutive clean probes the latch closes. A
-/// failure at any point re-opens it and restarts the rest timer.
-#[derive(Debug, Clone)]
-pub(crate) struct ComponentLatch {
-    policy: DegradePolicy,
-    degraded: bool,
-    /// Earliest sim time the next probe may run (only while degraded).
-    next_probe_at: SimTime,
-    /// Clean probes in a row (only while degraded).
-    consecutive_ok: u32,
-    /// Times this latch opened (healthy → degraded transitions).
-    transitions: u64,
-}
-
-impl ComponentLatch {
-    /// A healthy latch under `policy`.
-    pub fn new(policy: DegradePolicy) -> Self {
-        ComponentLatch {
-            policy,
-            degraded: false,
-            next_probe_at: SimTime::ZERO,
-            consecutive_ok: 0,
-            transitions: 0,
-        }
-    }
-
-    /// Whether the component is currently degraded.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
-    /// Healthy → degraded transitions so far.
-    pub fn transitions(&self) -> u64 {
-        self.transitions
-    }
-
-    /// Whether an attempt may be made at `now`: always while healthy, and
-    /// once per rest interval while degraded (the probe).
-    pub fn allow_attempt(&self, now: SimTime) -> bool {
-        !self.degraded || now >= self.next_probe_at
-    }
-
-    /// Records an operation-level failure (after its retries were
-    /// exhausted). Opens the latch and starts/restarts the rest timer.
-    pub fn record_failure(&mut self, now: SimTime) {
-        if !self.degraded {
-            self.degraded = true;
-            self.transitions += 1;
-        }
-        self.consecutive_ok = 0;
-        self.next_probe_at = now + self.policy.reprobe_interval;
-    }
-
-    /// Records a successful operation. While degraded, counts toward the
-    /// hysteresis threshold and closes the latch once reached; spaces
-    /// probes a rest interval apart until then.
-    pub fn record_success(&mut self, now: SimTime) {
-        if !self.degraded {
-            return;
-        }
-        self.consecutive_ok += 1;
-        if self.consecutive_ok >= self.policy.reprobe_successes {
-            self.degraded = false;
-            self.consecutive_ok = 0;
-        } else {
-            self.next_probe_at = now + self.policy.reprobe_interval;
-        }
-    }
-}
+/// How long a degraded component rests before the next probe attempt.
+const REPROBE_INTERVAL: SimDuration = SimDuration::from_millis(10);
+/// Consecutive probe successes required to close the latch again
+/// (hysteresis: one lucky probe must not flap the pipeline back).
+const REPROBE_SUCCESSES: u32 = 2;
 
 /// The names one guarded component goes by: two `fault.*` counters and
 /// three instants on the fault trace track. Names are a tested contract,
@@ -156,15 +61,29 @@ pub(crate) const SSD_WRITE: ComponentNames = ComponentNames {
     latch_close: "ssd-write latch close",
 };
 
-/// One component behind the degradation policy: its latch and retry
-/// schedule with everything that accounts for them — the retry tally the
-/// report sums, the `fault.<component>.*` counters, the fault-track
-/// instants — so that bookkeeping exists once for every site.
+/// One component behind the degradation policy: its sticky latch and
+/// retry schedule with everything that accounts for them — the retry
+/// tally the report sums, the `fault.<component>.*` counters, the
+/// fault-track instants — so that bookkeeping exists once for every site.
+///
+/// The latch: healthy → (failure) → degraded; while degraded, one probe
+/// attempt is allowed each rest interval; after [`REPROBE_SUCCESSES`]
+/// consecutive clean probes it closes. A failure at any point re-opens it
+/// and restarts the rest timer.
 #[derive(Debug)]
 pub(crate) struct Guarded {
     names: &'static ComponentNames,
-    latch: ComponentLatch,
-    backoff: ExponentialBackoff,
+    /// Whether the latch is open (the component is degraded).
+    degraded: bool,
+    /// Earliest sim time the next probe may run (only while degraded).
+    next_probe_at: SimTime,
+    /// Clean probes in a row (only while degraded).
+    consecutive_ok: u32,
+    /// Times the latch opened (healthy → degraded transitions).
+    transitions: u64,
+    /// How long the component rests once degraded: [`REPROBE_INTERVAL`],
+    /// shortened only by tests.
+    rest: SimDuration,
     /// Retries spent so far (kept here because counters may be disabled).
     retries: u64,
     retries_counter: CounterHandle,
@@ -173,12 +92,15 @@ pub(crate) struct Guarded {
 }
 
 impl Guarded {
-    /// A healthy component under [`DEGRADE`], recording into `obs`.
+    /// A healthy component, recording into `obs`.
     pub(crate) fn new(names: &'static ComponentNames, obs: &ObsHandle) -> Self {
         let mut guarded = Guarded {
             names,
-            latch: ComponentLatch::new(DEGRADE),
-            backoff: DEGRADE.backoff(),
+            degraded: false,
+            next_probe_at: SimTime::ZERO,
+            consecutive_ok: 0,
+            transitions: 0,
+            rest: REPROBE_INTERVAL,
             retries: 0,
             retries_counter: CounterHandle::default(),
             degraded_counter: CounterHandle::default(),
@@ -195,26 +117,34 @@ impl Guarded {
         self.tracer = obs.tracer().clone();
     }
 
-    /// Closes the latch, as a restart does. The retry tally is kept.
+    /// Closes the latch and zeroes its transitions, as a restart does.
+    /// The retry tally is kept.
     pub(crate) fn reset(&mut self) {
-        self.latch = ComponentLatch::new(self.latch.policy);
+        self.degraded = false;
+        self.next_probe_at = SimTime::ZERO;
+        self.consecutive_ok = 0;
+        self.transitions = 0;
     }
 
-    /// Puts the component under `policy` with a closed latch.
+    /// Shortens the rest, so a test's latch re-probes inside one run.
     #[cfg(test)]
-    fn set_policy(&mut self, policy: DegradePolicy) {
-        self.latch = ComponentLatch::new(policy);
-        self.backoff = policy.backoff();
+    fn set_rest(&mut self, rest: SimDuration) {
+        self.rest = rest;
     }
 
     /// How long the component rests once degraded.
     pub(crate) fn reprobe_interval(&self) -> SimDuration {
-        self.latch.policy.reprobe_interval
+        self.rest
     }
 
-    /// The latch, to read its state.
-    pub(crate) fn latch(&self) -> &ComponentLatch {
-        &self.latch
+    /// Whether the latch is open.
+    pub(crate) fn is_degraded(&self) -> bool {
+        self.degraded
+    }
+
+    /// Healthy → degraded transitions so far.
+    pub(crate) fn transitions(&self) -> u64 {
+        self.transitions
     }
 
     /// Retries spent so far.
@@ -225,7 +155,7 @@ impl Guarded {
     /// Whether the component may be tried at `now`: always while healthy,
     /// once per rest interval while degraded.
     pub(crate) fn allow(&self, now: SimTime) -> bool {
-        self.latch.allow_attempt(now)
+        !self.degraded || now >= self.next_probe_at
     }
 
     /// Runs `op` under the retry schedule without touching the latch.
@@ -247,7 +177,7 @@ impl Guarded {
             self.tracer
                 .sim_instant(Track::Fault, instant, at.as_nanos(), args);
         };
-        self.backoff.retry(at, is_transient, on_retry, op)
+        BACKOFF.retry(at, is_transient, on_retry, op)
     }
 
     /// The whole policy for one GPU operation: skipped while the latch
@@ -277,25 +207,37 @@ impl Guarded {
         }
     }
 
-    /// Records an operation-level success, leaving a `latch close`
-    /// instant when it is the one that closed the latch.
+    /// Records an operation-level success. While degraded it counts toward
+    /// the hysteresis threshold, and the success that reaches it closes the
+    /// latch and leaves a `latch close` instant; until then probes are
+    /// spaced a rest interval apart. A healthy latch ignores it.
     pub(crate) fn succeeded(&mut self, now: SimTime) {
-        let was_degraded = self.latch.is_degraded();
-        self.latch.record_success(now);
-        if was_degraded && !self.latch.is_degraded() {
+        if !self.degraded {
+            return;
+        }
+        self.consecutive_ok += 1;
+        if self.consecutive_ok >= REPROBE_SUCCESSES {
+            self.degraded = false;
+            self.consecutive_ok = 0;
             self.fault_instant(self.names.latch_close, now);
+        } else {
+            self.next_probe_at = now + self.rest;
         }
     }
 
-    /// Records an operation-level failure: one transitions-counter bump
-    /// and one `latch open` instant per healthy → degraded edge.
+    /// Records an operation-level failure (after its retries were
+    /// exhausted): opens the latch and starts or restarts the rest timer.
+    /// Each healthy → degraded edge bumps the transitions counter once and
+    /// leaves one `latch open` instant.
     pub(crate) fn failed(&mut self, now: SimTime) {
-        let before = self.latch.transitions();
-        self.latch.record_failure(now);
-        if self.latch.transitions() > before {
+        if !self.degraded {
+            self.degraded = true;
+            self.transitions += 1;
             self.degraded_counter.incr();
             self.fault_instant(self.names.latch_open, now);
         }
+        self.consecutive_ok = 0;
+        self.next_probe_at = now + self.rest;
     }
 
     fn fault_instant(&self, name: &'static str, now: SimTime) {
@@ -309,108 +251,106 @@ impl Guarded {
 mod tests {
     use super::*;
 
-    fn policy() -> DegradePolicy {
-        DegradePolicy {
-            reprobe_interval: SimDuration::from_millis(1),
-            reprobe_successes: 2,
-            ..DEGRADE
-        }
-    }
+    /// The rest the tests' guards take: short, so latches re-probe soon.
+    const REST: SimDuration = SimDuration::from_millis(1);
 
-    #[test]
-    fn healthy_latch_always_allows() {
-        let latch = ComponentLatch::new(policy());
-        assert!(latch.allow_attempt(SimTime::ZERO));
-        assert!(!latch.is_degraded());
-        assert_eq!(latch.transitions(), 0);
-    }
-
-    #[test]
-    fn failure_opens_latch_and_blocks_until_reprobe() {
-        let mut latch = ComponentLatch::new(policy());
-        let t0 = SimTime::ZERO;
-        latch.record_failure(t0);
-        assert!(latch.is_degraded());
-        assert_eq!(latch.transitions(), 1);
-        assert!(!latch.allow_attempt(t0));
-        assert!(!latch.allow_attempt(t0 + SimDuration::from_micros(999)));
-        assert!(latch.allow_attempt(t0 + SimDuration::from_millis(1)));
-    }
-
-    #[test]
-    fn hysteresis_needs_consecutive_successes() {
-        let mut latch = ComponentLatch::new(policy());
-        let mut now = SimTime::ZERO;
-        latch.record_failure(now);
-        now += SimDuration::from_millis(1);
-        latch.record_success(now);
-        assert!(latch.is_degraded(), "one probe is not enough");
-        assert!(
-            !latch.allow_attempt(now),
-            "next probe waits a rest interval"
-        );
-        now += SimDuration::from_millis(1);
-        latch.record_success(now);
-        assert!(!latch.is_degraded(), "two clean probes close the latch");
-        assert!(latch.allow_attempt(now));
-    }
-
-    #[test]
-    fn probe_failure_resets_the_streak() {
-        let mut latch = ComponentLatch::new(policy());
-        let mut now = SimTime::ZERO;
-        latch.record_failure(now);
-        now += SimDuration::from_millis(1);
-        latch.record_success(now);
-        latch.record_failure(now);
-        assert!(latch.is_degraded());
-        // Still only one healthy→degraded transition (it never closed).
-        assert_eq!(latch.transitions(), 1);
-        now += SimDuration::from_millis(1);
-        latch.record_success(now);
-        assert!(latch.is_degraded(), "streak restarted after the failure");
-        now += SimDuration::from_millis(1);
-        latch.record_success(now);
-        assert!(!latch.is_degraded());
-    }
-
-    #[test]
-    fn reopening_counts_a_second_transition() {
-        let mut latch = ComponentLatch::new(policy());
-        let mut now = SimTime::ZERO;
-        latch.record_failure(now);
-        for _ in 0..2 {
-            now += SimDuration::from_millis(1);
-            latch.record_success(now);
-        }
-        assert!(!latch.is_degraded());
-        latch.record_failure(now);
-        assert_eq!(latch.transitions(), 2);
-    }
-
-    #[test]
-    fn success_while_healthy_is_a_no_op() {
-        let mut latch = ComponentLatch::new(policy());
-        latch.record_success(SimTime::ZERO);
-        assert!(!latch.is_degraded());
-        assert_eq!(latch.transitions(), 0);
-    }
-
-    #[test]
-    fn policy_backoff_matches_knobs() {
-        let b = DEGRADE.backoff();
-        assert_eq!(b.base, SimDuration::from_micros(50));
-        assert_eq!(b.delay(1), SimDuration::from_micros(100));
-        assert_eq!(b.max_attempts(), 4);
-    }
-
-    /// A guarded GPU component recording into a fresh registry and trace.
+    /// A guarded GPU component under [`REST`], recording into a fresh
+    /// registry and trace.
     fn guarded() -> (Guarded, ObsHandle, Tracer) {
         let tracer = Tracer::enabled();
         let obs = ObsHandle::enabled("guarded-test").with_tracer(tracer.clone());
         let mut g = Guarded::new(&GPU_COMPRESS, &obs);
-        g.set_policy(policy());
+        g.set_rest(REST);
         (g, obs, tracer)
+    }
+
+    #[test]
+    fn healthy_latch_always_allows() {
+        let (g, _, _) = guarded();
+        assert!(g.allow(SimTime::ZERO));
+        assert!(!g.is_degraded());
+        assert_eq!(g.transitions(), 0);
+    }
+
+    #[test]
+    fn failure_opens_latch_and_blocks_until_reprobe() {
+        let (mut g, _, _) = guarded();
+        let t0 = SimTime::ZERO;
+        g.failed(t0);
+        assert!(g.is_degraded());
+        assert_eq!(g.transitions(), 1);
+        assert!(!g.allow(t0));
+        assert!(!g.allow(t0 + SimDuration::from_micros(999)));
+        assert!(g.allow(t0 + SimDuration::from_millis(1)));
+    }
+
+    #[test]
+    fn hysteresis_needs_consecutive_successes() {
+        let (mut g, _, _) = guarded();
+        let mut now = SimTime::ZERO;
+        g.failed(now);
+        now += SimDuration::from_millis(1);
+        g.succeeded(now);
+        assert!(g.is_degraded(), "one probe is not enough");
+        assert!(!g.allow(now), "next probe waits a rest interval");
+        now += SimDuration::from_millis(1);
+        g.succeeded(now);
+        assert!(!g.is_degraded(), "two clean probes close the latch");
+        assert!(g.allow(now));
+    }
+
+    #[test]
+    fn probe_failure_resets_the_streak() {
+        let (mut g, _, _) = guarded();
+        let mut now = SimTime::ZERO;
+        g.failed(now);
+        now += SimDuration::from_millis(1);
+        g.succeeded(now);
+        g.failed(now);
+        assert!(g.is_degraded());
+        // Still only one healthy→degraded transition (it never closed).
+        assert_eq!(g.transitions(), 1);
+        now += SimDuration::from_millis(1);
+        g.succeeded(now);
+        assert!(g.is_degraded(), "streak restarted after the failure");
+        now += SimDuration::from_millis(1);
+        g.succeeded(now);
+        assert!(!g.is_degraded());
+    }
+
+    #[test]
+    fn reopening_counts_a_second_transition() {
+        let (mut g, _, _) = guarded();
+        let mut now = SimTime::ZERO;
+        g.failed(now);
+        for _ in 0..2 {
+            now += SimDuration::from_millis(1);
+            g.succeeded(now);
+        }
+        assert!(!g.is_degraded());
+        g.failed(now);
+        assert_eq!(g.transitions(), 2);
+    }
+
+    #[test]
+    fn success_while_healthy_is_a_no_op() {
+        let (mut g, _, tracer) = guarded();
+        g.succeeded(SimTime::ZERO);
+        assert!(!g.is_degraded());
+        assert_eq!(g.transitions(), 0);
+        assert!(fault_track(&tracer).is_empty(), "nothing to close");
+    }
+
+    #[test]
+    fn policy_backoff_matches_knobs() {
+        let b = BACKOFF;
+        assert_eq!(b.base, SimDuration::from_micros(50));
+        assert_eq!(b.delay(1), SimDuration::from_micros(100));
+        assert_eq!(b.max_attempts(), 4);
+        assert_eq!(b.total_delay(), SimDuration::from_micros(350));
+        let g = Guarded::new(&SSD_WRITE, &ObsHandle::disabled());
+        assert_eq!(g.reprobe_interval(), SimDuration::from_millis(10));
+        assert_eq!(REPROBE_SUCCESSES, 2);
     }
 
     fn counter(obs: &ObsHandle, name: &str) -> u64 {
@@ -449,7 +389,7 @@ mod tests {
         g.succeeded(t(3)); // second clean probe closes
         g.succeeded(t(4)); // healthy: nothing to close
         g.failed(t(5)); // second healthy -> degraded edge
-        assert_eq!(g.latch().transitions(), 2);
+        assert_eq!(g.transitions(), 2);
         assert_eq!(counter(&obs, "fault.gpu_compress.degraded_transitions"), 2);
         assert_eq!(
             fault_track(&tracer),
@@ -481,7 +421,7 @@ mod tests {
         assert_eq!(out, Ok(SimTime::ZERO + SimDuration::from_micros(150)));
         assert_eq!(g.retries(), 2);
         assert_eq!(counter(&obs, "fault.gpu_compress.retries"), 2);
-        assert!(!g.latch().is_degraded());
+        assert!(!g.is_degraded());
         assert_eq!(
             fault_track(&tracer),
             [
@@ -496,20 +436,20 @@ mod tests {
         let (mut g, obs, _) = guarded();
         let start = SimTime::ZERO + SimDuration::from_micros(3);
         let floor = g.attempt(start, |_| Err::<(), _>(launch_failed()), |_| SimTime::ZERO);
-        let burnt = start + policy().backoff().total_delay();
+        let burnt = start + BACKOFF.total_delay();
         assert_eq!(floor, Err(burnt));
         assert_eq!(g.retries(), 3);
         assert_eq!(counter(&obs, "fault.gpu_compress.retries"), 3);
-        assert!(g.latch().is_degraded());
+        assert!(g.is_degraded());
         assert!(!g.allow(burnt), "the rest starts at the burnt instant");
-        assert!(g.allow(burnt + policy().reprobe_interval));
+        assert!(g.allow(burnt + REST));
 
         // A hard fault is not retried at all.
         let (mut g, _, _) = guarded();
         let floor = g.attempt(start, |_| Err::<(), _>(GpuError::DeviceLost), |_| start);
         assert_eq!(floor, Err(start));
         assert_eq!(g.retries(), 0);
-        assert!(g.latch().is_degraded());
+        assert!(g.is_degraded());
     }
 
     #[test]
@@ -532,18 +472,19 @@ mod tests {
         let run = g.retry(None, SimTime::ZERO, |_: &()| true, |_| Err::<(), ()>(()));
         assert_eq!(run.retries, 3);
         g.failed(run.at);
-        assert!(g.latch().is_degraded());
+        assert!(g.is_degraded());
         g.reset();
-        assert!(!g.latch().is_degraded(), "a restart closes the latch");
+        assert!(!g.is_degraded(), "a restart closes the latch");
+        assert_eq!(g.transitions(), 0, "its transitions start over");
         assert_eq!(g.retries(), 3, "and keeps the tally");
-        assert_eq!(g.reprobe_interval(), policy().reprobe_interval);
+        assert_eq!(g.reprobe_interval(), REST, "and the rest");
     }
 
     /// Fault-track conformance: for every guarded component the fault-track
     /// instants, the `fault.*` counters and the report tallies must tell the
     /// same story, and tracing must not perturb a faulted run. The scenarios
-    /// put the pipeline's components under a short rest through
-    /// [`Guarded::set_policy`], so latches re-probe and close again inside
+    /// give the pipeline's components a short rest through
+    /// [`Guarded::set_rest`], so latches re-probe and close again inside
     /// one run.
     mod fault_track {
         use super::*;
@@ -575,14 +516,6 @@ mod tests {
             }
         }
 
-        /// The degradation policy with a rest of `reprobe_interval`.
-        fn resting(reprobe_interval: SimDuration) -> DegradePolicy {
-            DegradePolicy {
-                reprobe_interval,
-                ..DEGRADE
-            }
-        }
-
         /// What one faulted scenario left behind, traced.
         struct FaultedRun {
             report: Report,
@@ -604,12 +537,12 @@ mod tests {
             }
         }
 
-        /// Drives `cfg`, every guarded component under `policy`, through `drive`
+        /// Drives `cfg`, every guarded component resting `rest`, through `drive`
         /// twice — tracer off, tracer on — requires the two reports to be equal,
         /// and returns the traced run.
         fn run_faulted_traced(
             cfg: &PipelineConfig,
-            policy: DegradePolicy,
+            rest: SimDuration,
             drive: impl Fn(&mut Pipeline),
         ) -> FaultedRun {
             let run = |tracer: Tracer| {
@@ -618,9 +551,9 @@ mod tests {
                     obs: obs.clone(),
                     ..cfg.clone()
                 });
-                p.fault.gpu_dedup.set_policy(policy);
-                p.fault.gpu_compress.set_policy(policy);
-                p.destage.ssd_write.set_policy(policy);
+                p.fault.gpu_dedup.set_rest(rest);
+                p.fault.gpu_compress.set_rest(rest);
+                p.destage.ssd_write.set_rest(rest);
                 drive(&mut p);
                 (
                     p.report().clone(),
@@ -714,7 +647,7 @@ mod tests {
                 ..GpuFaultSpec::default()
             };
             let data = stream();
-            let quick = resting(SimDuration::from_micros(200));
+            let quick = SimDuration::from_micros(200);
             let run = run_faulted_traced(&cfg, quick, |p| {
                 p.run(&data);
                 p.run(&data);
@@ -734,7 +667,7 @@ mod tests {
                 ..GpuFaultSpec::default()
             };
             let data = stream();
-            let quick = resting(SimDuration::from_micros(200));
+            let quick = SimDuration::from_micros(200);
             let run = run_faulted_traced(&cfg, quick, |p| {
                 p.run(&data);
             });
@@ -764,7 +697,7 @@ mod tests {
             let data = stream();
             // The whole ingest is ~160 simulated µs of CPU time, so the latch
             // must rest far less than that to re-probe and close inside it.
-            let quick = resting(SimDuration::from_micros(5));
+            let quick = SimDuration::from_micros(5);
             let run = run_faulted_traced(&cfg, quick, |p| {
                 p.run(&data);
                 p.set_ssd_faults(SsdFaultSpec {

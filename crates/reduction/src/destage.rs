@@ -9,6 +9,7 @@
 //! batch covers, all at once, as [`Destager::drain_full`] issues a
 //! batch's full pages.
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -18,6 +19,7 @@ use dr_obs::{CounterHandle, ObsHandle, StageObs};
 use dr_ssd_sim::{SsdDevice, SsdError};
 
 use crate::degrade::{Guarded, SSD_WRITE};
+use crate::journal::Frontier;
 
 /// Interned `destage.*` metrics; inert by default.
 #[derive(Debug, Clone, Default)]
@@ -59,6 +61,9 @@ pub struct Destager {
     next_data_lpn: u64,
     /// Next index page to write (grows downward).
     next_index_lpn: u64,
+    /// The index frontier of an empty log: the top LPN, below any
+    /// reservation.
+    index_top: u64,
     /// Partially filled data page.
     buf: Vec<u8>,
     /// Total frame bytes appended (pre-padding).
@@ -83,10 +88,12 @@ impl Destager {
     /// Creates a destager for `ssd`.
     pub fn new(ssd: &SsdDevice) -> Self {
         let page_bytes = ssd.spec().page_bytes as usize;
+        let index_top = ssd.logical_pages() - 1;
         Destager {
             page_bytes,
             next_data_lpn: 0,
-            next_index_lpn: ssd.logical_pages() - 1,
+            next_index_lpn: index_top,
+            index_top,
             buf: Vec::with_capacity(page_bytes),
             appended_bytes: 0,
             data_end: SimTime::ZERO,
@@ -123,19 +130,21 @@ impl Destager {
             "journal reservation would swallow the index region"
         );
         self.next_index_lpn -= pages;
+        self.index_top -= pages;
     }
 
-    /// The current log frontiers `(next_data_lpn, next_index_lpn)` — what
-    /// a journal batch-commit record carries so recovery can restore them.
-    pub fn frontiers(&self) -> (u64, u64) {
-        (self.next_data_lpn, self.next_index_lpn)
-    }
-
-    /// The buffered (not yet written) tail of the open data page. A
-    /// power cut loses these bytes with the rest of RAM; the journal
-    /// carries a copy so recovery can restore them.
-    pub fn tail(&self) -> &[u8] {
-        &self.buf
+    /// The log's state as a state-bearing journal record carries it:
+    /// both frontiers, the appended-byte count and, borrowed, the buffered
+    /// tail of the open data page. A power cut loses that tail with the
+    /// rest of RAM; the journal's copy is what recovery
+    /// [`restore`](Self::restore)s.
+    pub fn frontier(&self) -> Frontier<'_> {
+        Frontier {
+            next_data_lpn: self.next_data_lpn,
+            next_index_lpn: self.next_index_lpn,
+            appended_bytes: self.appended_bytes,
+            tail: Cow::Borrowed(&self.buf),
+        }
     }
 
     /// When every data page below the frontier is durable: the latest
@@ -146,23 +155,28 @@ impl Destager {
         self.data_end
     }
 
-    /// Restores the log to a journaled state: frontiers, appended-byte
-    /// count, and the buffered tail of the open page. Used only by crash
+    /// Restores the log to a journaled [`frontier`](Self::frontier), or
+    /// to the empty log (below any reservation) when no record carried
+    /// one, and closes the SSD latch as a restart does. Used only by crash
     /// recovery — the device's pages below the frontiers are assumed to
     /// hold the journaled data already.
-    pub fn restore_state(
-        &mut self,
-        next_data_lpn: u64,
-        next_index_lpn: u64,
-        appended_bytes: u64,
-        tail: &[u8],
-    ) {
+    pub fn restore(&mut self, frontier: Option<&Frontier>) {
+        let (next_data_lpn, next_index_lpn, appended_bytes, tail) = match frontier {
+            Some(f) => (
+                f.next_data_lpn,
+                f.next_index_lpn,
+                f.appended_bytes,
+                &f.tail[..],
+            ),
+            None => (0, self.index_top, 0, &[][..]),
+        };
         self.next_data_lpn = next_data_lpn;
         self.next_index_lpn = next_index_lpn;
         self.appended_bytes = appended_bytes;
         self.data_end = SimTime::ZERO;
         self.buf.clear();
         self.buf.extend_from_slice(tail);
+        self.ssd_write.reset();
     }
 
     /// Total frame bytes appended so far (excludes page padding).
@@ -908,7 +922,7 @@ mod tests {
         let refused = log.flush(SimTime::ZERO, &mut dev).unwrap_err();
         assert!(refused.is_transient());
         // Neither cleared nor left padded out to a page.
-        assert_eq!(log.tail(), frame);
+        assert_eq!(log.frontier().tail, frame);
         assert_eq!(log.data_pages_written(), 0);
         dev.set_faults(SsdFaultSpec::default());
         // The next frame lands right behind it, and both read back.

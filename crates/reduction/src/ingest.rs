@@ -22,7 +22,7 @@ use dr_obs::trace::{trace_args, TraceArgs, Tracer, Track};
 use crate::cpu_model::CpuModel;
 use crate::journal::{BatchCommit, ChunkCommit, Record};
 use crate::pipeline::Pipeline;
-use crate::recovery::{destage_frontier, stage_record};
+use crate::recovery::stage_record;
 
 /// Unique chunks per participant below which CPU compression stays on the
 /// submitter: two, so a write with four unique chunks fans out.
@@ -562,7 +562,7 @@ impl Pipeline {
         // frames are sealed raw so a struggling device gets the simplest
         // possible write path (reduction is best-effort, correctness is
         // not). Re-probes close the latch again.
-        let raw = !self.config.compress_enabled || self.destage.ssd_write.latch().is_degraded();
+        let raw = !self.config.compress_enabled || self.destage.ssd_write.is_degraded();
         let frames: Vec<Frame> = if raw {
             unique
                 .iter()
@@ -873,7 +873,7 @@ impl Pipeline {
             );
             let at = self.report.reduction_end.max(self.destage.data_end());
             let record = Record::BatchCommit(BatchCommit {
-                frontier: destage_frontier(&self.destage),
+                frontier: self.destage.frontier(),
                 chunks: Cow::Borrowed(commits),
             });
             stage_record(self.journal.as_mut(), &mut self.ssd, at, &record);

@@ -396,7 +396,8 @@ pub enum TailState {
     },
 }
 
-/// The durable prefix of a journal region.
+/// The durable prefix of a journal region: what [`parse_log`] finds in
+/// an image and [`Journal::replay`] on the device.
 #[derive(Debug, Clone)]
 pub struct ParsedLog {
     /// Every record that validated, in append order.
@@ -405,6 +406,13 @@ pub struct ParsedLog {
     pub valid_bytes: usize,
     /// Whether anything past the valid prefix was discarded.
     pub tail: TailState,
+}
+
+impl ParsedLog {
+    /// True when a torn or corrupt tail was discarded.
+    pub fn torn(&self) -> bool {
+        matches!(self.tail, TailState::Corrupt { .. })
+    }
 }
 
 /// Parses a journal region image into its durable record prefix.
@@ -528,17 +536,6 @@ impl JournalObs {
             tracer: obs.tracer().clone(),
         }
     }
-}
-
-/// What [`Journal::replay`] recovered from the device.
-#[derive(Debug, Clone)]
-pub struct Replay {
-    /// The durable record prefix, in append order.
-    pub records: Vec<Record<'static>>,
-    /// True when a torn/corrupt tail was discarded.
-    pub torn: bool,
-    /// Sim time when the recovery reads finished.
-    pub done: SimTime,
 }
 
 /// The write-ahead journal: owns the reserved LPN region and the append
@@ -778,6 +775,7 @@ impl Journal {
     /// Reads the region back page by page (serial, retried) and parses
     /// the durable record prefix, resetting the append cursor to the end
     /// of that prefix so post-recovery appends overwrite any torn tail.
+    /// [`Journal::ack_end`] is then the instant the reads finished.
     ///
     /// # Errors
     ///
@@ -785,7 +783,7 @@ impl Journal {
     /// Never-written pages terminate the scan cleanly; pages whose only
     /// write was reverted by the power cut read back as zeros and
     /// terminate the parse instead.
-    pub fn replay(&mut self, now: SimTime, ssd: &mut SsdDevice) -> Result<Replay, SsdError> {
+    pub fn replay(&mut self, now: SimTime, ssd: &mut SsdDevice) -> Result<ParsedLog, SsdError> {
         let start = now;
         let mut at = now;
         let mut image: Vec<u8> = Vec::new();
@@ -813,7 +811,7 @@ impl Journal {
         self.end = at;
         self.ack = at;
         self.obs.recoveries.incr();
-        let torn = matches!(parsed.tail, TailState::Corrupt { .. });
+        let torn = parsed.torn();
         if torn {
             self.obs.torn_discards.incr();
         }
@@ -827,11 +825,7 @@ impl Journal {
                 ("torn", torn as u64),
             ]),
         );
-        Ok(Replay {
-            records: parsed.records,
-            torn,
-            done: at,
-        })
+        Ok(parsed)
     }
 }
 
@@ -986,8 +980,9 @@ mod tests {
         let mut fresh = Journal::new(ssd.logical_pages(), ssd.spec().page_bytes, pages);
         let replay = fresh.replay(SimTime::ZERO, &mut ssd).unwrap();
         assert_eq!(replay.records, records);
-        assert!(!replay.torn);
-        assert!(replay.done > SimTime::ZERO, "recovery reads charge time");
+        assert!(!replay.torn());
+        let done = fresh.ack_end();
+        assert!(done > SimTime::ZERO, "recovery reads charge time");
         assert_eq!(fresh.written_bytes(), journal.written_bytes());
 
         // And appends keep working after a replay.
@@ -995,7 +990,7 @@ mod tests {
             name: "post".into(),
             blocks: 1,
         };
-        fresh.append(replay.done, &mut ssd, &extra).unwrap();
+        fresh.append(done, &mut ssd, &extra).unwrap();
         let mut again = Journal::new(ssd.logical_pages(), ssd.spec().page_bytes, pages);
         let replay2 = again.replay(SimTime::ZERO, &mut ssd).unwrap();
         assert_eq!(replay2.records.len(), records.len() + 1);
@@ -1276,7 +1271,7 @@ mod tests {
         let mut journal = Journal::new(ssd.logical_pages(), ssd.spec().page_bytes, 8);
         let replay = journal.replay(SimTime::ZERO, &mut ssd).unwrap();
         assert!(replay.records.is_empty());
-        assert!(!replay.torn);
+        assert!(!replay.torn());
         assert_eq!(journal.written_bytes(), 0);
     }
 }

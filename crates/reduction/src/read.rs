@@ -756,7 +756,7 @@ mod tests {
         p.ingest(&stream(), None);
         let last = *p.recipe.last().unwrap();
         assert!(
-            !p.destage.tail().is_empty(),
+            !p.destage.frontier().tail.is_empty(),
             "the last frame sits in the open page"
         );
         let before = p.report().ssd_end;
@@ -765,7 +765,10 @@ mod tests {
             ..dr_ssd_sim::SsdFaultSpec::default()
         });
         assert!(matches!(p.read_chunks(&[last]), Err(ReadError::Device(_))));
-        assert!(p.destage.tail().is_empty(), "the open page was programmed");
+        assert!(
+            p.destage.frontier().tail.is_empty(),
+            "the open page was programmed"
+        );
         let flushed = p.destage.data_end();
         assert!(flushed > before);
         assert!(
@@ -819,7 +822,7 @@ mod tests {
                 let len = 1 + rng.next_below(32);
                 (0..len).map(|_| rng.next_below(blocks) as usize).collect()
             };
-            let open = !batched.destage.tail().is_empty();
+            let open = !batched.destage.frontier().tail.is_empty();
             let batch = random_batch(&mut rng, blocks);
             let got = batched.read_blocks(&batch).unwrap();
             for (&i, bytes) in batch.iter().zip(&got) {
@@ -830,7 +833,7 @@ mod tests {
                 );
                 assert_eq!(bytes[..], data[i * 4096..][..4096], "case {case} block {i}");
             }
-            open_page_batches += (open && batched.destage.tail().is_empty()) as u32;
+            open_page_batches += (open && batched.destage.frontier().tail.is_empty()) as u32;
             let (at, serial_at) = (batched.report().read_end, serial.report().read_end);
             assert!(
                 at <= serial_at,

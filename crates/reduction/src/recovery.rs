@@ -8,9 +8,8 @@ use dr_binindex::{BinIndex, ChunkRef};
 use dr_des::{Grant, SimTime};
 use dr_ssd_sim::{CrashReport, CrashSpec, SsdDevice};
 
-use crate::destage::Destager;
 use crate::ingest::FrameArena;
-use crate::journal::{Checkpoint, Frontier, Journal, JournalError, Record};
+use crate::journal::{Checkpoint, Journal, JournalError, Record};
 use crate::pipeline::{power_on_gpu, FaultState, Pipeline};
 use crate::report::Report;
 
@@ -29,8 +28,6 @@ pub struct RecoveryOutcome {
     /// The durable record prefix, in append order: the volume layer
     /// rebuilds its block maps from the create and map records in it.
     pub records: Vec<Record<'static>>,
-    /// Sim time when recovery finished (the journal region re-read).
-    pub recovered_end: SimTime,
 }
 
 /// Crash-recovery failures.
@@ -52,18 +49,6 @@ impl std::fmt::Display for RecoverError {
 }
 
 impl std::error::Error for RecoverError {}
-
-/// The destage-log state a state-bearing journal record carries, the
-/// tail borrowed from `destage`.
-pub(crate) fn destage_frontier(destage: &Destager) -> Frontier<'_> {
-    let (next_data_lpn, next_index_lpn) = destage.frontiers();
-    Frontier {
-        next_data_lpn,
-        next_index_lpn,
-        appended_bytes: destage.appended_bytes(),
-        tail: Cow::Borrowed(destage.tail()),
-    }
-}
 
 /// Stages a write-path record — a batch commit or a map update — in
 /// `journal`, when there is one, no earlier than `at`; the operation's
@@ -136,7 +121,7 @@ impl Pipeline {
         // Like a batch commit, not before the pages below the frontier.
         let at = self.report.reduction_end.max(self.destage.data_end());
         let record = Record::Checkpoint(Checkpoint {
-            frontier: destage_frontier(&self.destage),
+            frontier: self.destage.frontier(),
             snapshot: Cow::Owned(snapshot),
         });
         let g = journal.append(at, &mut self.ssd, &record)?;
@@ -198,6 +183,7 @@ impl Pipeline {
         let replay = journal
             .replay(now, &mut self.ssd)
             .map_err(RecoverError::Device)?;
+        let done = journal.ack_end();
 
         // Restore the index: from the last embedded checkpoint when one
         // exists, else empty. Replay then re-inserts only the unique
@@ -253,32 +239,19 @@ impl Pipeline {
         }
 
         // Destage frontier: from the last state-bearing record, else the
-        // empty-log initial state (below the journal reservation).
-        match frontier {
-            Some(f) => self.destage.restore_state(
-                f.next_data_lpn,
-                f.next_index_lpn,
-                f.appended_bytes,
-                &f.tail,
-            ),
-            None => {
-                let top = self.ssd.logical_pages() - 1 - self.config.journal_pages;
-                self.destage.restore_state(0, top, 0, &[]);
-            }
-        }
+        // empty log. The SSD latch closes with it.
+        self.destage.restore(frontier);
 
         // Every other volatile structure restarts fresh, exactly as a
-        // reboot would leave it: cold read cache, closed latches, empty
-        // frame arena, a power-cycled GPU with an empty index mirror.
-        self.read_cache.clear();
-        self.obs.read_cache_entries.set(0);
+        // reboot would leave it: cold read cache, closed GPU latches,
+        // empty frame arena, a power-cycled GPU with an empty index mirror.
+        self.drop_read_cache();
         self.fault = FaultState::new(&self.config.obs);
-        self.destage.ssd_write.reset();
         self.arena = FrameArena::new(self.config.batch_chunks);
         (self.gpu, self.gpu_index) = power_on_gpu(&self.config);
 
-        report.reduction_end = replay.done;
-        report.ssd_end = replay.done;
+        report.reduction_end = done;
+        report.ssd_end = done;
         self.index = index;
         self.report = report;
         let chunks_recovered = recipe.len() as u64;
@@ -288,10 +261,9 @@ impl Pipeline {
         Ok(RecoveryOutcome {
             crash: CrashReport::default(),
             records_replayed: replay.records.len() as u64,
-            torn_discarded: replay.torn,
+            torn_discarded: replay.torn(),
             chunks_recovered,
             records: replay.records,
-            recovered_end: replay.done,
         })
     }
 }

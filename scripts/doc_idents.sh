@@ -4,10 +4,11 @@
 # Scans README.md, the verify skill (.claude/skills/verify/SKILL.md) and
 # DESIGN.md (DESIGN.md's §17, the list of things that are not in the
 # tree, excepted) for backticked tokens that look like a Rust path:
-# `a::b`, `name` or `name()`. The last segment of each must occur, as a
-# substring, in a .rs, .sh, .toml, .json or .yml file under
-# crates/, src/, tests/, examples/, benchmark/src or scripts/. A name that
-# is not Rust but reads like one goes in SKIP below.
+# `a::b`, `name` or `name()`. The last segment of each must occur as a
+# whole word in the code: a .rs, .sh, .toml, .json or .yml file under
+# crates/, src/, tests/, examples/, benchmark/src or scripts/, without its
+# comment lines (`//` lines in .rs files, `#` lines in .sh, .toml and .yml
+# files). A name that is not Rust but reads like one goes in SKIP below.
 #
 # Usage: scripts/doc_idents.sh   (from anywhere; exits 1 and lists the
 # missing names when one is found)
@@ -16,8 +17,10 @@ set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
 
-# An instruction mnemonic and an intrinsic the docs mention in prose.
-SKIP=(_rdtsc crc32x)
+# Names the docs use in prose: instruction mnemonics, an intrinsic, a
+# register, a bench binary's short name, a syscall, a trace format, a
+# doctest attribute and this list.
+SKIP=(_rdtsc crc32x vpconflictd vpternlogd zmm e4 futex trace_event compile_fail SKIP)
 
 # The doc lines to scan: README.md and the skill whole, DESIGN.md
 # without §17.
@@ -38,19 +41,30 @@ mapfile -t tokens < <(
         sort -u
 )
 
+# Every word of the code, comment lines dropped by file type.
+declare -A words
+while IFS= read -r word; do
+    words[$word]=1
+done < <(
+    find crates src tests examples benchmark/src scripts -type f \
+        \( -name '*.rs' -o -name '*.sh' -o -name '*.toml' -o -name '*.json' \
+        -o -name '*.yml' \) ! -name doc_idents.sh -print0 |
+        xargs -0 awk '
+            FILENAME ~ /\.rs$/ && /^[[:space:]]*\/\// { next }
+            FILENAME ~ /\.(sh|toml|yml)$/ && /^[[:space:]]*#/ { next }
+            { print }' |
+        grep -oE '[A-Za-z0-9_]+' | sort -u
+)
+for skip in "${SKIP[@]}"; do
+    words[$skip]=1
+done
+
 missing=()
 for token in "${tokens[@]}"; do
     name="${token//\`/}"
     name="${name%()}"
     name="${name##*::}"
-    for skip in "${SKIP[@]}"; do
-        [[ $name == "$skip" ]] && continue 2
-    done
-    if ! grep -rqF --include='*.rs' --include='*.sh' --include='*.toml' \
-        --include='*.json' --include='*.yml' --exclude=doc_idents.sh -e "$name" \
-        crates src tests examples benchmark/src scripts; then
-        missing+=("$token")
-    fi
+    [[ -n ${words[$name]:-} ]] || missing+=("$token")
 done
 
 if ((${#missing[@]})); then

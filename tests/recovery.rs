@@ -268,8 +268,8 @@ fn recovering_twice_from_the_same_journal_is_idempotent() {
 
     // Second recovery: same journal, no new power cut. Everything that is
     // a pure function of the durable prefix must come back identical
-    // (`recovered_end` may differ — the journal re-read is charged on a
-    // device clock the first recovery already advanced).
+    // (the report's end instants may differ — the journal re-read is
+    // charged on a device clock the first recovery already advanced).
     let second = array
         .pipeline_mut()
         .recover(cut)
