@@ -12,7 +12,7 @@
 //! 6. **Operation order** — dedup-before-compression vs the reverse,
 //! 7. **SSD over-provisioning** — write amplification under overwrites.
 
-use dr_bench::render_table;
+use dr_bench::{fault_tally, render_table};
 use dr_binindex::{BinIndexConfig, MemoryModel, ReplacementPolicy};
 use dr_compress::{Codec, FastLz, GpuCompressor, GpuCompressorConfig};
 use dr_hashes::sha1_digest;
@@ -420,14 +420,16 @@ fn degradation_policy(snapshots: &mut Vec<Snapshot>) {
         cfg.gpu_spec.faults = gpu_faults.clone();
         let mut p = Pipeline::new(cfg);
         let r = p.run(&flat);
+        let [injected, retries, degraded] =
+            ["injected", "retries", "degraded_transitions"].map(|t| fault_tally(&obs, t));
         let intact = (0..p.ingested_chunks())
             .all(|i| p.read_block(i).ok().as_deref() == flat.chunks(BLOCK).nth(i));
         snapshots.push(obs.snapshot().expect("enabled"));
         rows.push(vec![
             (*label).into(),
-            r.faults_injected.to_string(),
-            r.fault_retries.to_string(),
-            r.degraded_transitions.to_string(),
+            injected.to_string(),
+            retries.to_string(),
+            degraded.to_string(),
             format!("{:.2}x", flat.len() as f64 / r.stored_bytes as f64),
             if intact {
                 "ok".into()

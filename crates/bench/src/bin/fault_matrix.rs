@@ -10,9 +10,11 @@
 //! Exits non-zero when any scenario diverges — or injects no faults at
 //! all, since a fault-free "fault run" would prove nothing.
 
+use dr_bench::fault_tally;
 use dr_cluster::{Cluster, ClusterConfig};
 use dr_gpu_sim::GpuFaultSpec;
 use dr_hashes::sha1_digest;
+use dr_obs::ObsHandle;
 use dr_reduction::{IntegrationMode, Pipeline, PipelineConfig};
 use dr_ssd_sim::{CrashSpec, SsdFaultSpec};
 use dr_workload::{StreamConfig, StreamGenerator};
@@ -123,17 +125,20 @@ fn volume_digest(p: &mut Pipeline) -> dr_hashes::ChunkDigest {
     sha1_digest(&acc)
 }
 
+/// Runs the stream through a fresh pipeline under `ssd` and `gpu` faults;
+/// returns it with the faults injected so far, read off its registry.
 fn run(mode: IntegrationMode, ssd: SsdFaultSpec, gpu: GpuFaultSpec) -> (Pipeline, u64) {
     let mut cfg = PipelineConfig {
         mode,
         batch_chunks: 32, // more kernel launches => more fault draws
+        obs: ObsHandle::enabled("fault-matrix"),
         ..PipelineConfig::default()
     };
     cfg.ssd_spec.faults = ssd;
     cfg.gpu_spec.faults = gpu;
     let mut p = Pipeline::new(cfg);
-    let report = p.run(&stream());
-    let injected = report.faults_injected;
+    p.run(&stream());
+    let injected = fault_tally(p.obs(), "injected");
     (p, injected)
 }
 
@@ -174,6 +179,7 @@ fn cluster_column(mode: IntegrationMode, failures: &mut u32) {
             mode,
             batch_chunks: 32,
             journal_pages: journal,
+            obs: ObsHandle::enabled("fault-matrix"),
             ..PipelineConfig::default()
         },
         ..ClusterConfig::default()
@@ -214,10 +220,9 @@ fn cluster_column(mode: IntegrationMode, failures: &mut u32) {
     faulted.write("cm", 0, &data).unwrap();
 
     let injected: u64 = faulted
-        .report()
-        .nodes
-        .iter()
-        .map(|(_, r)| r.faults_injected)
+        .node_ids()
+        .into_iter()
+        .map(|id| fault_tally(&faulted.node(id).expect("member").obs, "injected"))
         .sum();
     let got = cluster_digest(&mut faulted, "cm", blocks);
     let verdict = if injected == 0 {
@@ -267,8 +272,8 @@ fn main() -> ExitCode {
             println!(
                 "  {mode_name:<16} {:<22} injected={injected:<6} retries={:<5} degraded={:<3} {verdict}",
                 s.name,
-                p.report().fault_retries,
-                p.report().degraded_transitions,
+                fault_tally(p.obs(), "retries"),
+                fault_tally(p.obs(), "degraded_transitions"),
             );
         }
         // Crash column: journal on, power cut at the acknowledged horizon,

@@ -79,6 +79,21 @@ pub fn kiops(iops: f64) -> String {
     format!("{:.1}K", iops / 1000.0)
 }
 
+/// The sum of the `fault.<component>.<tally>` counters in `obs` over
+/// every component: `injected` (the device models), `retries` or
+/// `degraded_transitions` (the guarded pipeline components). 0 when `obs`
+/// is disabled.
+pub fn fault_tally(obs: &dr_obs::ObsHandle, tally: &str) -> u64 {
+    let suffix = format!(".{tally}");
+    let snapshot = obs.snapshot().unwrap_or_default();
+    snapshot
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("fault.") && name.ends_with(&suffix))
+        .map(|(_, n)| n)
+        .sum()
+}
+
 /// Writes an experiment's metrics-snapshot JSON and returns the path it
 /// landed at.
 ///

@@ -56,16 +56,6 @@ impl Bin {
         Bin::default()
     }
 
-    /// Entries in the buffer.
-    pub fn buffer_len(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// Entries in the flushed (sorted) store.
-    pub fn tree_len(&self) -> usize {
-        self.flushed.len()
-    }
-
     /// Total entries in this bin.
     pub fn len(&self) -> usize {
         self.buffer.len() + self.flushed.len()
@@ -233,6 +223,11 @@ mod tests {
         k
     }
 
+    /// Where `bin` finds key `n`: buffer, tree, or nowhere.
+    fn hit(bin: &Bin, n: u8) -> Option<BinHit> {
+        bin.lookup(&key(n)).map(|(_, hit)| hit)
+    }
+
     #[test]
     fn insert_then_lookup_hits_buffer() {
         let mut bin = Bin::new();
@@ -252,11 +247,10 @@ mod tests {
         let flush = flush.expect("fourth insert must flush");
         assert_eq!(flush.bin, 7);
         assert_eq!(flush.entries.len(), 4);
-        assert_eq!(bin.buffer_len(), 0);
-        assert_eq!(bin.tree_len(), 4);
-        // Entries remain findable, now via the tree.
-        let (_, hit) = bin.lookup(&key(2)).unwrap();
-        assert_eq!(hit, BinHit::Tree);
+        // Every entry remains findable, now via the tree.
+        for i in 0..4 {
+            assert_eq!(hit(&bin, i), Some(BinHit::Tree), "key {i}");
+        }
     }
 
     #[test]
@@ -287,11 +281,17 @@ mod tests {
             bin.insert(key(i), ChunkRef::new(i as u64, 1), 4, 0);
         }
         bin.insert(key(9), ChunkRef::new(9, 1), 4, 0);
-        assert_eq!(bin.tree_len(), 4);
-        assert_eq!(bin.buffer_len(), 1);
+        let in_tree = |bin: &Bin| {
+            (0..4)
+                .filter(|&i| hit(bin, i) == Some(BinHit::Tree))
+                .count()
+        };
+        assert_eq!(in_tree(&bin), 4);
+        assert_eq!(hit(&bin, 9), Some(BinHit::Buffer));
         let evicted = bin.evict_random(2).unwrap();
         assert_ne!(evicted, key(9), "buffer entry evicted before tree");
-        assert_eq!(bin.tree_len(), 3);
+        assert_eq!(in_tree(&bin), 3);
+        assert_eq!(hit(&bin, 9), Some(BinHit::Buffer));
     }
 
     #[test]

@@ -14,7 +14,6 @@ use std::fmt;
 /// use dr_binindex::ChunkRef;
 /// let r = ChunkRef::new(8192 + 100, 2048);
 /// assert_eq!(r.addr(), 8292);
-/// assert_eq!(r.page_of(4096), 2);
 /// assert_eq!(r.stored_len(), 2048);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -38,11 +37,6 @@ impl ChunkRef {
         self.addr
     }
 
-    /// The logical page containing the chunk's first byte.
-    pub fn page_of(&self, page_bytes: u64) -> u64 {
-        self.addr / page_bytes
-    }
-
     /// Stored (compressed) size in bytes.
     pub fn stored_len(&self) -> u32 {
         self.stored_len
@@ -64,7 +58,6 @@ mod tests {
         let r = ChunkRef::new(123, 2048);
         assert_eq!(r.addr(), 123);
         assert_eq!(r.stored_len(), 2048);
-        assert_eq!(r.page_of(100), 1);
         assert_eq!(r.to_string(), "addr 123 (2048 bytes)");
     }
 

@@ -617,12 +617,24 @@ fn placed_run_acks_strictly_increase_per_node() {
 
 /// Every node checks its own books, so they hold with observability off —
 /// the default — through writes that outlive their device retries, a
-/// join, a leave and a node crash.
+/// join, a leave and a node crash. The same run with observability on
+/// shows, in the nodes' counters, that a drain did outlive its retries.
 #[test]
 fn every_node_keeps_its_books_with_observability_off() {
+    books_through_faults_and_membership(ObsHandle::disabled());
+    let latched = books_through_faults_and_membership(ObsHandle::enabled("books"));
+    assert!(latched > 0, "a drain outlived its retries");
+}
+
+/// Drives a journaled cluster recording into `obs` through faulted
+/// writes, a join, a leave, a node crash and writes after it, checking
+/// every node's books at each step; returns the SSD latch openings the
+/// nodes counted during the faulted writes.
+fn books_through_faults_and_membership(obs: ObsHandle) -> u64 {
     let mut c = Cluster::new(ClusterConfig {
         node: PipelineConfig {
             journal_pages: 1024,
+            obs,
             ..PipelineConfig::default()
         },
         ..ClusterConfig::default()
@@ -649,9 +661,11 @@ fn every_node_keeps_its_books_with_observability_off() {
         c.write("v", b, &payload(2000 + b)).unwrap();
         check(&c, "a faulted write");
     }
-    let report = c.report();
-    let latched = report.nodes.iter().map(|(_, r)| r.degraded_transitions);
-    assert!(latched.sum::<u64>() > 0, "a drain outlived its retries");
+    let latched = c.node_ids().into_iter().map(|id| {
+        let obs = &c.node(id).unwrap().obs;
+        obs.counter("fault.ssd_write.degraded_transitions").get()
+    });
+    let latched = latched.sum();
     set_faults(&mut c, 0.0);
     let (joined, _) = c.join().unwrap();
     check(&c, "the join");
@@ -663,4 +677,5 @@ fn every_node_keeps_its_books_with_observability_off() {
         c.write("v", b, &payload(3000 + b)).unwrap();
         check(&c, "a write after the crash");
     }
+    latched
 }

@@ -39,16 +39,6 @@ pub enum Token {
     },
 }
 
-impl Token {
-    /// Number of decoded bytes this token produces.
-    pub fn decoded_len(&self) -> usize {
-        match self {
-            Token::Literals(bytes) => bytes.len(),
-            Token::Match { len, .. } => *len,
-        }
-    }
-}
-
 /// Appends a literal run to a wire stream, splitting runs longer than
 /// [`MAX_LITERAL_RUN`]. Shared by [`encode_tokens`] and the single-pass
 /// codecs that emit wire bytes without materializing a token IR.
@@ -289,12 +279,6 @@ mod tests {
             decode_stream(&wire, &mut out),
             Err(CodecError::BadMatchOffset { offset: 5, .. })
         ));
-    }
-
-    #[test]
-    fn decoded_len_reports() {
-        assert_eq!(Token::Literals(b"ab".to_vec()).decoded_len(), 2);
-        assert_eq!(Token::Match { offset: 1, len: 7 }.decoded_len(), 7);
     }
 
     #[test]

@@ -138,12 +138,6 @@ impl Resource {
             .expect("capacity > 0")
     }
 
-    /// True when a job arriving at `at` would have to queue (all slots busy
-    /// past `at`).
-    pub fn is_saturated_at(&self, at: SimTime) -> bool {
-        self.earliest_free() > at
-    }
-
     /// Total number of jobs served so far.
     pub fn jobs_served(&self) -> u64 {
         self.jobs
@@ -290,15 +284,6 @@ mod tests {
         let mut r = Resource::new("duo", 2);
         r.acquire(SimTime::ZERO, us(10));
         assert!((r.utilization() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn saturation_probe() {
-        let mut r = Resource::new("cpu", 1);
-        assert!(!r.is_saturated_at(SimTime::ZERO));
-        r.acquire(SimTime::ZERO, us(10));
-        assert!(r.is_saturated_at(SimTime::ZERO));
-        assert!(!r.is_saturated_at(SimTime::ZERO + us(10)));
     }
 
     #[test]

@@ -62,9 +62,10 @@ pub(crate) const SSD_WRITE: ComponentNames = ComponentNames {
 };
 
 /// One component behind the degradation policy: its sticky latch and
-/// retry schedule with everything that accounts for them — the retry
-/// tally the report sums, the `fault.<component>.*` counters, the
-/// fault-track instants — so that bookkeeping exists once for every site.
+/// retry schedule with everything that accounts for them — the
+/// `fault.<component>.*` counters, the only fault tallies the pipeline
+/// keeps, and the fault-track instants — so that bookkeeping exists once
+/// for every site.
 ///
 /// The latch: healthy → (failure) → degraded; while degraded, one probe
 /// attempt is allowed each rest interval; after [`REPROBE_SUCCESSES`]
@@ -79,13 +80,9 @@ pub(crate) struct Guarded {
     next_probe_at: SimTime,
     /// Clean probes in a row (only while degraded).
     consecutive_ok: u32,
-    /// Times the latch opened (healthy → degraded transitions).
-    transitions: u64,
     /// How long the component rests once degraded: [`REPROBE_INTERVAL`],
     /// shortened only by tests.
     rest: SimDuration,
-    /// Retries spent so far (kept here because counters may be disabled).
-    retries: u64,
     retries_counter: CounterHandle,
     degraded_counter: CounterHandle,
     tracer: Tracer,
@@ -99,9 +96,7 @@ impl Guarded {
             degraded: false,
             next_probe_at: SimTime::ZERO,
             consecutive_ok: 0,
-            transitions: 0,
             rest: REPROBE_INTERVAL,
-            retries: 0,
             retries_counter: CounterHandle::default(),
             degraded_counter: CounterHandle::default(),
             tracer: Tracer::disabled(),
@@ -117,13 +112,11 @@ impl Guarded {
         self.tracer = obs.tracer().clone();
     }
 
-    /// Closes the latch and zeroes its transitions, as a restart does.
-    /// The retry tally is kept.
+    /// Closes the latch, as a restart does. The counters run on.
     pub(crate) fn reset(&mut self) {
         self.degraded = false;
         self.next_probe_at = SimTime::ZERO;
         self.consecutive_ok = 0;
-        self.transitions = 0;
     }
 
     /// Shortens the rest, so a test's latch re-probes inside one run.
@@ -142,16 +135,6 @@ impl Guarded {
         self.degraded
     }
 
-    /// Healthy → degraded transitions so far.
-    pub(crate) fn transitions(&self) -> u64 {
-        self.transitions
-    }
-
-    /// Retries spent so far.
-    pub(crate) fn retries(&self) -> u64 {
-        self.retries
-    }
-
     /// Whether the component may be tried at `now`: always while healthy,
     /// once per rest interval while degraded.
     pub(crate) fn allow(&self, now: SimTime) -> bool {
@@ -159,7 +142,7 @@ impl Guarded {
     }
 
     /// Runs `op` under the retry schedule without touching the latch.
-    /// Each retry is tallied, counted, and left on the fault track as
+    /// Each retry is counted and left on the fault track as
     /// `instant` (by default the component's own `retry` name; a second
     /// loop on the same counter passes its own).
     pub(crate) fn retry<T, E>(
@@ -171,7 +154,6 @@ impl Guarded {
     ) -> Retried<T, E> {
         let instant = instant.unwrap_or(self.names.retry);
         let on_retry = |at: SimTime, k: u32| {
-            self.retries += 1;
             self.retries_counter.incr();
             let args = trace_args(&[("retry", k as u64)]);
             self.tracer
@@ -232,7 +214,6 @@ impl Guarded {
     pub(crate) fn failed(&mut self, now: SimTime) {
         if !self.degraded {
             self.degraded = true;
-            self.transitions += 1;
             self.degraded_counter.incr();
             self.fault_instant(self.names.latch_open, now);
         }
@@ -266,19 +247,19 @@ mod tests {
 
     #[test]
     fn healthy_latch_always_allows() {
-        let (g, _, _) = guarded();
+        let (g, obs, _) = guarded();
         assert!(g.allow(SimTime::ZERO));
         assert!(!g.is_degraded());
-        assert_eq!(g.transitions(), 0);
+        assert_eq!(transitions(&obs), 0);
     }
 
     #[test]
     fn failure_opens_latch_and_blocks_until_reprobe() {
-        let (mut g, _, _) = guarded();
+        let (mut g, obs, _) = guarded();
         let t0 = SimTime::ZERO;
         g.failed(t0);
         assert!(g.is_degraded());
-        assert_eq!(g.transitions(), 1);
+        assert_eq!(transitions(&obs), 1);
         assert!(!g.allow(t0));
         assert!(!g.allow(t0 + SimDuration::from_micros(999)));
         assert!(g.allow(t0 + SimDuration::from_millis(1)));
@@ -301,7 +282,7 @@ mod tests {
 
     #[test]
     fn probe_failure_resets_the_streak() {
-        let (mut g, _, _) = guarded();
+        let (mut g, obs, _) = guarded();
         let mut now = SimTime::ZERO;
         g.failed(now);
         now += SimDuration::from_millis(1);
@@ -309,7 +290,7 @@ mod tests {
         g.failed(now);
         assert!(g.is_degraded());
         // Still only one healthy→degraded transition (it never closed).
-        assert_eq!(g.transitions(), 1);
+        assert_eq!(transitions(&obs), 1);
         now += SimDuration::from_millis(1);
         g.succeeded(now);
         assert!(g.is_degraded(), "streak restarted after the failure");
@@ -320,7 +301,7 @@ mod tests {
 
     #[test]
     fn reopening_counts_a_second_transition() {
-        let (mut g, _, _) = guarded();
+        let (mut g, obs, _) = guarded();
         let mut now = SimTime::ZERO;
         g.failed(now);
         for _ in 0..2 {
@@ -329,15 +310,15 @@ mod tests {
         }
         assert!(!g.is_degraded());
         g.failed(now);
-        assert_eq!(g.transitions(), 2);
+        assert_eq!(transitions(&obs), 2);
     }
 
     #[test]
     fn success_while_healthy_is_a_no_op() {
-        let (mut g, _, tracer) = guarded();
+        let (mut g, obs, tracer) = guarded();
         g.succeeded(SimTime::ZERO);
         assert!(!g.is_degraded());
-        assert_eq!(g.transitions(), 0);
+        assert_eq!(transitions(&obs), 0);
         assert!(fault_track(&tracer).is_empty(), "nothing to close");
     }
 
@@ -353,12 +334,14 @@ mod tests {
         assert_eq!(REPROBE_SUCCESSES, 2);
     }
 
-    fn counter(obs: &ObsHandle, name: &str) -> u64 {
-        let snap = obs.snapshot().expect("enabled");
-        snap.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
+    /// The test component's latch openings, as its counter holds them.
+    fn transitions(obs: &ObsHandle) -> u64 {
+        obs.counter("fault.gpu_compress.degraded_transitions").get()
+    }
+
+    /// The test component's retries, as its counter holds them.
+    fn retries(obs: &ObsHandle) -> u64 {
+        obs.counter("fault.gpu_compress.retries").get()
     }
 
     fn fault_track(tracer: &Tracer) -> Vec<(String, u64)> {
@@ -389,8 +372,7 @@ mod tests {
         g.succeeded(t(3)); // second clean probe closes
         g.succeeded(t(4)); // healthy: nothing to close
         g.failed(t(5)); // second healthy -> degraded edge
-        assert_eq!(g.transitions(), 2);
-        assert_eq!(counter(&obs, "fault.gpu_compress.degraded_transitions"), 2);
+        assert_eq!(transitions(&obs), 2);
         assert_eq!(
             fault_track(&tracer),
             [
@@ -419,8 +401,7 @@ mod tests {
         );
         // Two retries: 50 us, then 100 us more.
         assert_eq!(out, Ok(SimTime::ZERO + SimDuration::from_micros(150)));
-        assert_eq!(g.retries(), 2);
-        assert_eq!(counter(&obs, "fault.gpu_compress.retries"), 2);
+        assert_eq!(retries(&obs), 2);
         assert!(!g.is_degraded());
         assert_eq!(
             fault_track(&tracer),
@@ -438,23 +419,22 @@ mod tests {
         let floor = g.attempt(start, |_| Err::<(), _>(launch_failed()), |_| SimTime::ZERO);
         let burnt = start + BACKOFF.total_delay();
         assert_eq!(floor, Err(burnt));
-        assert_eq!(g.retries(), 3);
-        assert_eq!(counter(&obs, "fault.gpu_compress.retries"), 3);
+        assert_eq!(retries(&obs), 3);
         assert!(g.is_degraded());
         assert!(!g.allow(burnt), "the rest starts at the burnt instant");
         assert!(g.allow(burnt + REST));
 
         // A hard fault is not retried at all.
-        let (mut g, _, _) = guarded();
+        let (mut g, obs, _) = guarded();
         let floor = g.attempt(start, |_| Err::<(), _>(GpuError::DeviceLost), |_| start);
         assert_eq!(floor, Err(start));
-        assert_eq!(g.retries(), 0);
+        assert_eq!(retries(&obs), 0);
         assert!(g.is_degraded());
     }
 
     #[test]
     fn attempt_on_a_resting_latch_does_not_call_op() {
-        let (mut g, _, _) = guarded();
+        let (mut g, obs, _) = guarded();
         g.failed(SimTime::ZERO);
         let resting = SimTime::ZERO + SimDuration::from_micros(999);
         let out = g.attempt(
@@ -463,32 +443,112 @@ mod tests {
             |_| SimTime::ZERO,
         );
         assert_eq!(out, Err(SimTime::ZERO), "a resting latch costs nothing");
-        assert_eq!(g.retries(), 0);
+        assert_eq!(retries(&obs), 0);
     }
 
     #[test]
     fn reset_closes_the_latch_and_keeps_the_tally() {
-        let (mut g, _, _) = guarded();
+        let (mut g, obs, _) = guarded();
         let run = g.retry(None, SimTime::ZERO, |_: &()| true, |_| Err::<(), ()>(()));
         assert_eq!(run.retries, 3);
         g.failed(run.at);
         assert!(g.is_degraded());
         g.reset();
         assert!(!g.is_degraded(), "a restart closes the latch");
-        assert_eq!(g.transitions(), 0, "its transitions start over");
-        assert_eq!(g.retries(), 3, "and keeps the tally");
+        assert!(g.allow(run.at), "and ends the rest");
+        assert_eq!(retries(&obs), 3, "the counters run on");
+        assert_eq!(transitions(&obs), 1);
         assert_eq!(g.reprobe_interval(), REST, "and the rest");
     }
 
+    /// A power cut closes every latch and the `fault.*` counters run on
+    /// across it: none reads less after the recovery than before, and the
+    /// next faulted write raises them again.
+    #[test]
+    fn a_power_cut_closes_every_latch_and_the_counters_run_on() {
+        use crate::{IntegrationMode, Pipeline, PipelineConfig};
+        let obs = ObsHandle::enabled("restart");
+        let mut cfg = PipelineConfig {
+            mode: IntegrationMode::GpuForBoth,
+            batch_chunks: 8,
+            journal_pages: 256,
+            obs: obs.clone(),
+            ..PipelineConfig::default()
+        };
+        cfg.ssd_spec.faults = dr_ssd_sim::SsdFaultSpec {
+            write_error_rate: 0.5,
+            seed: 3,
+            ..Default::default()
+        };
+        cfg.gpu_spec.faults = dr_gpu_sim::GpuFaultSpec {
+            launch_failure_rate: 0.8,
+            seed: 3,
+            ..Default::default()
+        };
+        // Unique blocks, so every write compresses and programs pages.
+        let noise = |seed: u64| {
+            let mut rng = dr_des::SplitMix64::new(seed);
+            (0..64 * 4096)
+                .map(|_| rng.next_u64() as u8)
+                .collect::<Vec<u8>>()
+        };
+        let counters = || {
+            let snapshot = obs.snapshot().expect("enabled");
+            let fault = snapshot.counters.into_iter();
+            fault
+                .filter(|(name, _)| name.starts_with("fault."))
+                .collect::<Vec<_>>()
+        };
+        let latches = |p: &Pipeline| {
+            let guards = [
+                &p.fault.gpu_dedup,
+                &p.fault.gpu_compress,
+                &p.destage.ssd_write,
+            ];
+            guards.map(Guarded::is_degraded)
+        };
+        let mut p = Pipeline::new(cfg);
+        p.run(&noise(1));
+        let before = counters();
+        assert_eq!(before.len(), 8, "{before:?}");
+        assert!(before.iter().all(|(_, n)| *n > 0), "{before:?}");
+        assert_eq!(latches(&p), [true; 3], "every latch open before the cut");
+
+        let at = p.last_ack();
+        let cut = dr_ssd_sim::CrashSpec { at, torn_seed: 7 };
+        p.power_cut_and_recover(cut).expect("recovery");
+        assert_eq!(latches(&p), [false; 3], "a restart closes every latch");
+        let after = counters();
+        assert_eq!(after.len(), before.len());
+        for ((name, was), (_, is)) in before.iter().zip(&after) {
+            assert!(is >= was, "{name}: {was} before the cut, {is} after");
+        }
+
+        // Gentler SSD faults, so no drain outlives its rest.
+        p.set_ssd_faults(dr_ssd_sim::SsdFaultSpec {
+            write_error_rate: 0.2,
+            seed: 5,
+            ..Default::default()
+        });
+        p.run(&noise(2));
+        let total = |counters: &[(String, u64)], tally: &str| -> u64 {
+            let of = counters.iter().filter(|(name, _)| name.ends_with(tally));
+            of.map(|(_, n)| n).sum()
+        };
+        for tally in [".injected", ".retries"] {
+            assert!(total(&counters(), tally) > total(&after, tally), "{tally}");
+        }
+    }
+
     /// Fault-track conformance: for every guarded component the fault-track
-    /// instants, the `fault.*` counters and the report tallies must tell the
-    /// same story, and tracing must not perturb a faulted run. The scenarios
+    /// instants and the `fault.*` counters must tell the same story, and
+    /// tracing must not perturb a faulted run. The scenarios
     /// give the pipeline's components a short rest through
     /// [`Guarded::set_rest`], so latches re-probe and close again inside
     /// one run.
     mod fault_track {
         use super::*;
-        use crate::{IntegrationMode, Pipeline, PipelineConfig, Report};
+        use crate::{IntegrationMode, Pipeline, PipelineConfig};
         use dr_gpu_sim::GpuFaultSpec;
         use dr_ssd_sim::SsdFaultSpec;
 
@@ -518,7 +578,6 @@ mod tests {
 
         /// What one faulted scenario left behind, traced.
         struct FaultedRun {
-            report: Report,
             /// Fault-track event names, in emission order.
             fault_track: Vec<String>,
             counters: Vec<(String, u64)>,
@@ -579,7 +638,6 @@ mod tests {
                 .map(|e| e.name.into_owned())
                 .collect();
             FaultedRun {
-                report,
                 fault_track,
                 counters,
             }
@@ -588,8 +646,7 @@ mod tests {
         /// The per-component contract. `track` is the fault-track prefix
         /// (`gpu-dedup`), `metric` the counter infix (`gpu_dedup`), and
         /// `retry_instants` every instant name that tallies on the component's
-        /// retry counter. The scenario must fault this component only, so its
-        /// share of the report tallies is the whole of them.
+        /// retry counter.
         fn assert_component_conforms(
             run: &FaultedRun,
             track: &str,
@@ -603,10 +660,6 @@ mod tests {
                 run.counter(&format!("fault.{metric}.retries")),
                 "{track}: retry instants vs counter"
             );
-            assert_eq!(
-                retries, run.report.fault_retries,
-                "{track}: retry instants vs Report::fault_retries"
-            );
             let (open, close) = (
                 format!("{track} latch open"),
                 format!("{track} latch close"),
@@ -615,11 +668,6 @@ mod tests {
                 run.instants(&open),
                 run.counter(&format!("fault.{metric}.degraded_transitions")),
                 "{track}: latch-open instants vs counter"
-            );
-            assert_eq!(
-                run.instants(&open),
-                run.report.degraded_transitions,
-                "{track}: latch-open instants vs Report::degraded_transitions"
             );
             // Opens and closes alternate, starting with an open.
             let mut is_open = false;

@@ -190,12 +190,6 @@ impl Destager {
         self.next_data_lpn
     }
 
-    /// Retries spent on transient SSD faults (reads and writes) so far.
-    #[cfg(test)]
-    pub fn fault_retries(&self) -> u64 {
-        self.ssd_write.retries()
-    }
-
     /// Data pages still writable before the data log meets the index
     /// region (the open partial page not included).
     fn free_data_pages(&self) -> u64 {
@@ -517,6 +511,14 @@ pub struct FetchedFrame {
 mod tests {
     use super::*;
     use dr_ssd_sim::SsdSpec;
+
+    /// Points `log` at a registry of its own and returns the counter of
+    /// the retries it spends on transient SSD faults, reads and writes.
+    fn retries(log: &mut Destager) -> dr_obs::CounterHandle {
+        let obs = ObsHandle::enabled("destage-retries");
+        log.set_obs(&obs);
+        obs.counter("fault.ssd_write.retries")
+    }
 
     fn ssd() -> SsdDevice {
         SsdDevice::new(SsdSpec {
@@ -892,16 +894,14 @@ mod tests {
         spec.faults.write_error_rate = 0.4;
         let mut dev = SsdDevice::new(spec);
         let mut log = Destager::new(&dev);
+        let retried = retries(&mut log);
         let frame: Vec<u8> = (0..4096u32).map(|i| (i % 241) as u8).collect();
         let mut refs = Vec::new();
         for _ in 0..16 {
             let (r, _) = log.append(SimTime::ZERO, &mut dev, &frame).unwrap();
             refs.push(r);
         }
-        assert!(
-            log.fault_retries() > 0,
-            "faults at 0.4 must trigger retries"
-        );
+        assert!(retried.get() > 0, "faults at 0.4 must trigger retries");
         assert!(dev.stats().faults_injected > 0);
         for r in refs {
             assert_eq!(read_back(&mut log, &mut dev, r).unwrap().bytes, frame);
@@ -973,6 +973,7 @@ mod tests {
         };
         let (mut dev, mut twin) = (SsdDevice::new(spec()), SsdDevice::new(spec()));
         let (mut log, mut twin_log) = (Destager::new(&dev), Destager::new(&twin));
+        let (retried, twin_retried) = (retries(&mut log), retries(&mut twin_log));
         // 3000-byte frames on 4096-byte pages: three in four span two.
         let frames: Vec<Vec<u8>> = (0..24u32)
             .map(|f| (0..3000u32).map(|i| (i * 7 + f * 31) as u8).collect())
@@ -1000,14 +1001,14 @@ mod tests {
             flipped += (read.bytes != *frame) as u32;
         }
         assert_eq!(dev.stats().faults_injected, twin.stats().faults_injected);
-        assert_eq!(log.fault_retries(), twin_log.fault_retries());
+        assert_eq!(retried.get(), twin_retried.get());
         assert_eq!(dev.stats().reads, twin.stats().reads);
         // The tallies of this seed's one fault stream (bit flips and read
         // errors drawn from it in turn), pinned so a changed draw order
         // shows.
         assert_eq!(two_page, 17);
         assert_eq!(
-            (dev.stats().faults_injected, log.fault_retries(), flipped),
+            (dev.stats().faults_injected, retried.get(), flipped),
             (6, 6, 4)
         );
 
@@ -1029,7 +1030,7 @@ mod tests {
             assert_eq!(Some(&f.ready), ready, "frame at {addr}");
         }
         assert_eq!(dev.stats().faults_injected, twin.stats().faults_injected);
-        assert_eq!(log.fault_retries(), twin_log.fault_retries());
+        assert_eq!(retried.get(), twin_retried.get());
         assert_eq!(dev.stats().reads, twin.stats().reads);
     }
 
@@ -1045,11 +1046,12 @@ mod tests {
         spec.faults.write_error_rate = 1.0;
         let mut dev = SsdDevice::new(spec);
         let mut log = Destager::new(&dev);
+        let retried = retries(&mut log);
         let err = log
             .append(SimTime::ZERO, &mut dev, &vec![1u8; 4096])
             .unwrap_err();
         assert!(err.is_transient(), "exhausted retries surface the fault");
-        assert_eq!(log.fault_retries(), 3, "default budget is three retries");
+        assert_eq!(retried.get(), 3, "default budget is three retries");
     }
 
     #[test]
@@ -1064,14 +1066,15 @@ mod tests {
         spec.faults.write_error_rate = 0.5;
         let mut dev = SsdDevice::new(spec);
         let mut log = Destager::new(&dev);
+        let retried = retries(&mut log);
         let frame = vec![2u8; 4096];
         // Every append starts at t=0, so any write whose grant starts
         // later than t=0 was pushed there by retry backoff.
         let mut saw_delayed_grant = false;
         for _ in 0..32 {
-            let retries_before = log.fault_retries();
+            let retries_before = retried.get();
             let (_, grants) = log.append(SimTime::ZERO, &mut dev, &frame).unwrap();
-            if log.fault_retries() > retries_before {
+            if retried.get() > retries_before {
                 let g = grants.first().expect("full-page append writes a page");
                 assert!(g.start > SimTime::ZERO, "retry must charge backoff time");
                 saw_delayed_grant = true;

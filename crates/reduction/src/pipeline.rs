@@ -271,15 +271,6 @@ pub(crate) struct FaultState {
     pub(crate) gpu_compress: Guarded,
 }
 
-impl FaultState {
-    pub(crate) fn new(obs: &ObsHandle) -> Self {
-        FaultState {
-            gpu_dedup: Guarded::new(&GPU_DEDUP, obs),
-            gpu_compress: Guarded::new(&GPU_COMPRESS, obs),
-        }
-    }
-}
-
 /// A powered-on GPU with, when the mode assigns indexing to it, an empty
 /// device-resident index mirror — at start-up and after a power cycle.
 /// An index that does not fit in device memory is left out: every probe
@@ -425,7 +416,10 @@ impl Pipeline {
             pool,
             arena: FrameArena::new(config.batch_chunks),
             scratch: BatchScratch::default(),
-            fault: FaultState::new(&config.obs),
+            fault: FaultState {
+                gpu_dedup: Guarded::new(&GPU_DEDUP, &config.obs),
+                gpu_compress: Guarded::new(&GPU_COMPRESS, &config.obs),
+            },
             obs: PipelineObs::new(&config.obs),
             batch_seq: 0,
             report: Report::new(config.mode),
@@ -684,27 +678,12 @@ impl Pipeline {
         let _ = self.flush();
         // End-of-run gauge sweep: per-bin occupancy (recorded once).
         self.index.record_bin_occupancy();
-        self.report.index_stats = self.index.stats();
         self.report.ssd_writes = self.ssd.stats().writes;
         self.report.ssd_bytes_written = self.ssd.stats().bytes_written;
         self.report.write_amplification = self.ssd.ftl_stats().write_amplification();
         self.report.gpu_kernels = self.gpu.stats().kernels;
         self.report.gpu_busy = self.gpu.stats().kernel_busy;
         self.report.cpu_busy = self.cpu.total_busy_time();
-        self.sync_fault_counters();
-    }
-
-    /// Folds the device and latch fault tallies into the report — called
-    /// when a run closes out and after every read batch, failed ones
-    /// included, so read-time retries and latch transitions are visible
-    /// without another write.
-    pub(crate) fn sync_fault_counters(&mut self) {
-        self.report.faults_injected =
-            self.ssd.stats().faults_injected + self.gpu.stats().faults_injected;
-        let (gpu, ssd) = (&self.fault, &self.destage.ssd_write);
-        let guarded = [&gpu.gpu_dedup, &gpu.gpu_compress, ssd];
-        self.report.fault_retries = guarded.iter().map(|g| g.retries()).sum();
-        self.report.degraded_transitions = guarded.iter().map(|g| g.transitions()).sum();
     }
 }
 
@@ -1424,6 +1403,8 @@ pub(crate) mod tests {
                 cfg.batch_chunks = 8;
                 cfg.journal_pages = 64;
                 cfg.gpu_spec.faults = spec;
+                cfg.obs = ObsHandle::enabled("gpu-resident");
+                let injected = cfg.obs.counter("fault.gpu.injected");
                 let mut p = Pipeline::new(cfg);
                 // Device memory is the index table and nothing else: every
                 // transient kernel buffer was freed, faulted launch or not.
@@ -1437,7 +1418,7 @@ pub(crate) mod tests {
                 p.run(&data);
                 conserved(&p, "second run");
                 if f > 0 && mode != IntegrationMode::CpuOnly {
-                    assert!(p.report().faults_injected > 0, "{mode}, faults {f}");
+                    assert!(injected.get() > 0, "{mode}, faults {f}");
                 }
                 let at = p.report().ssd_end;
                 p.power_cut_and_recover(dr_ssd_sim::CrashSpec { at, torn_seed: 9 })

@@ -283,21 +283,11 @@ impl Pipeline {
         Ok(out.pop().expect("one result per request"))
     }
 
-    /// Reads a batch of stored chunks through the read pipeline, then
-    /// folds the faults it met into the report, failed or not.
+    /// Reads a batch of stored chunks through the read pipeline.
     fn read_chunks(&mut self, refs: &[ChunkRef]) -> Result<Vec<Vec<u8>>, ReadError> {
         if refs.is_empty() {
             return Ok(Vec::new());
         }
-        let out = self.read_batch(refs);
-        // On every exit: the retries and latch transitions a failed batch
-        // burnt belong in the report as much as a successful one's.
-        self.sync_fault_counters();
-        out
-    }
-
-    /// The body of [`Pipeline::read_chunks`] for a non-empty batch.
-    fn read_batch(&mut self, refs: &[ChunkRef]) -> Result<Vec<Vec<u8>>, ReadError> {
         let now = self.report.read_end.max(self.report.reduction_end);
         self.obs.read_batches.incr();
 
@@ -735,18 +725,23 @@ mod tests {
 
     #[test]
     fn a_failed_read_batch_still_reports_the_faults_it_burnt() {
-        let mut p = Pipeline::new(small_config(IntegrationMode::CpuOnly));
+        let obs = dr_obs::ObsHandle::enabled("failed-read");
+        let mut p = Pipeline::new(crate::PipelineConfig {
+            obs: obs.clone(),
+            ..small_config(IntegrationMode::CpuOnly)
+        });
         p.run(&stream());
-        assert_eq!(p.report().fault_retries, 0);
+        let counter = |name| obs.counter(name).get();
+        assert_eq!(counter("fault.ssd_write.retries"), 0);
         p.set_ssd_faults(dr_ssd_sim::SsdFaultSpec {
             read_error_rate: 1.0,
             ..dr_ssd_sim::SsdFaultSpec::default()
         });
         assert!(matches!(p.read_block(0), Err(ReadError::Device(_))));
-        // No successful call since: the report already has the first
+        // No successful call since: the counters already hold the first
         // attempt and the three retries the failed batch spent.
-        assert_eq!(p.report().fault_retries, 3);
-        assert_eq!(p.report().faults_injected, 4);
+        assert_eq!(counter("fault.ssd_write.retries"), 3);
+        assert_eq!(counter("fault.ssd.injected"), 4);
     }
 
     #[test]

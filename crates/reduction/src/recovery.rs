@@ -5,12 +5,12 @@
 use std::borrow::Cow;
 
 use dr_binindex::{BinIndex, ChunkRef};
-use dr_des::{Grant, SimTime};
+use dr_des::SimTime;
 use dr_ssd_sim::{CrashReport, CrashSpec, SsdDevice};
 
 use crate::ingest::FrameArena;
 use crate::journal::{Checkpoint, Journal, JournalError, Record};
-use crate::pipeline::{power_on_gpu, FaultState, Pipeline};
+use crate::pipeline::{power_on_gpu, Pipeline};
 use crate::report::Report;
 
 /// What [`Pipeline::recover`] rebuilt from the journal.
@@ -50,9 +50,9 @@ impl std::fmt::Display for RecoverError {
 
 impl std::error::Error for RecoverError {}
 
-/// Stages a write-path record — a batch commit or a map update — in
-/// `journal`, when there is one, no earlier than `at`; the operation's
-/// [`Pipeline::commit`] acknowledges it.
+/// Stages a write-path record — a batch commit, a map update or a volume
+/// create — in `journal`, when there is one, no earlier than `at`; the
+/// operation's [`Pipeline::journal_sync`] acknowledges it.
 ///
 /// # Panics
 ///
@@ -72,36 +72,18 @@ pub(crate) fn stage_record(
 }
 
 impl Pipeline {
-    /// Runs one journal operation that ends in a sync — `op` gets the
-    /// journal and the device — and folds its grant into the device
-    /// clock; `Ok(None)` when journaling is off.
-    fn journal_with(
-        &mut self,
-        op: impl FnOnce(&mut Journal, &mut SsdDevice) -> Result<Grant, JournalError>,
-    ) -> Result<Option<Grant>, JournalError> {
-        let Some(journal) = self.journal.as_mut() else {
-            return Ok(None);
-        };
-        let g = op(journal, &mut self.ssd)?;
-        self.report.ssd_end = self.report.ssd_end.max(g.end);
-        Ok(Some(g))
-    }
-
-    /// Appends a volume-level record to the journal and syncs it (no-op
-    /// when journaling is disabled); returns its durability grant.
-    pub(crate) fn journal_record(&mut self, record: &Record) -> Option<Grant> {
-        let at = self.report.reduction_end;
-        self.journal_with(|journal, ssd| journal.append(at, ssd, record))
-            .unwrap_or_else(|e| panic!("journal {} append failed: {e}", record.kind_name()))
-    }
-
     /// Syncs the journal: one program of its open page for every record
     /// staged since the last sync, whose grant end becomes
-    /// [`Pipeline::last_ack`]. A no-op when journaling is disabled.
+    /// [`Pipeline::last_ack`] and raises the device clock. A no-op when
+    /// journaling is disabled.
     pub(crate) fn journal_sync(&mut self) {
-        let at = self.report.reduction_end;
-        self.journal_with(|journal, ssd| journal.sync(at, ssd))
+        let Some(journal) = self.journal.as_mut() else {
+            return;
+        };
+        let g = journal
+            .sync(self.report.reduction_end, &mut self.ssd)
             .unwrap_or_else(|e| panic!("journal sync failed: {e}"));
+        self.report.ssd_end = self.report.ssd_end.max(g.end);
     }
 
     /// Embeds an index checkpoint in the journal, so a later recovery can
@@ -158,7 +140,8 @@ impl Pipeline {
     /// as a restart after a power failure would: every in-memory
     /// structure (bin index, recipe, read cache, degradation latches, GPU
     /// state, destage frontier, report counters) is discarded and
-    /// reconstructed from the journal's durable record prefix.
+    /// reconstructed from the journal's durable record prefix. The
+    /// `fault.*` counters in the obs registry run on across the restart.
     ///
     /// The journal region is re-read page by page on the simulated
     /// device (charged, retried); a torn tail is discarded, so exactly
@@ -246,7 +229,8 @@ impl Pipeline {
         // reboot would leave it: cold read cache, closed GPU latches,
         // empty frame arena, a power-cycled GPU with an empty index mirror.
         self.drop_read_cache();
-        self.fault = FaultState::new(&self.config.obs);
+        self.fault.gpu_dedup.reset();
+        self.fault.gpu_compress.reset();
         self.arena = FrameArena::new(self.config.batch_chunks);
         (self.gpu, self.gpu_index) = power_on_gpu(&self.config);
 
@@ -256,7 +240,6 @@ impl Pipeline {
         self.report = report;
         let chunks_recovered = recipe.len() as u64;
         self.recipe = recipe;
-        self.sync_fault_counters();
 
         Ok(RecoveryOutcome {
             crash: CrashReport::default(),

@@ -1,6 +1,5 @@
 //! The pipeline's end-of-run report: the metrics the paper plots.
 
-use dr_binindex::IndexStats;
 use dr_des::{SimDuration, SimTime};
 
 use crate::pipeline::IntegrationMode;
@@ -58,8 +57,6 @@ pub struct Report {
     pub gpu_comp_batches: u64,
     /// Bin-buffer flushes (each produced one sequential index write).
     pub bin_flushes: u64,
-    /// CPU-side index statistics.
-    pub index_stats: IndexStats,
     /// Host page writes the SSD served.
     pub ssd_writes: u64,
     /// Host bytes the SSD absorbed.
@@ -72,12 +69,6 @@ pub struct Report {
     pub gpu_busy: SimDuration,
     /// Total CPU busy time across workers.
     pub cpu_busy: SimDuration,
-    /// Faults the device models injected (SSD + GPU).
-    pub faults_injected: u64,
-    /// Transient-fault retries the pipeline and destager performed.
-    pub fault_retries: u64,
-    /// Healthy→degraded latch transitions across all components.
-    pub degraded_transitions: u64,
 }
 
 impl Report {
@@ -104,16 +95,12 @@ impl Report {
             gpu_index_hits: 0,
             gpu_comp_batches: 0,
             bin_flushes: 0,
-            index_stats: IndexStats::default(),
             ssd_writes: 0,
             ssd_bytes_written: 0,
             write_amplification: 1.0,
             gpu_kernels: 0,
             gpu_busy: SimDuration::ZERO,
             cpu_busy: SimDuration::ZERO,
-            faults_injected: 0,
-            fault_retries: 0,
-            degraded_transitions: 0,
         }
     }
 
@@ -209,15 +196,6 @@ impl std::fmt::Display for Report {
                 self.read_end.as_secs_f64(),
             )?;
         }
-        // Printed only when something actually faulted, so fault-free runs
-        // produce byte-identical output to builds without the fault layer.
-        if self.faults_injected > 0 || self.fault_retries > 0 || self.degraded_transitions > 0 {
-            write!(
-                f,
-                "\n  faults: {} injected, {} retries, {} degraded transitions",
-                self.faults_injected, self.fault_retries, self.degraded_transitions,
-            )?;
-        }
         Ok(())
     }
 }
@@ -258,17 +236,6 @@ mod tests {
         r.reduction_end = SimTime::ZERO + SimDuration::from_millis(10);
         assert!((r.iops() - 100_000.0).abs() < 1.0);
         assert!((r.mb_per_sec() - 409.6).abs() < 0.1);
-    }
-
-    #[test]
-    fn fault_line_appears_only_when_faults_happened() {
-        let mut r = Report::new(IntegrationMode::CpuOnly);
-        assert!(!r.to_string().contains("faults:"));
-        r.faults_injected = 3;
-        r.fault_retries = 2;
-        assert!(r
-            .to_string()
-            .contains("faults: 3 injected, 2 retries, 0 degraded transitions"));
     }
 
     #[test]

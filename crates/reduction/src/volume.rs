@@ -276,10 +276,18 @@ impl VolumeManager {
     /// [`VolumeError::NameTooLong`] / [`VolumeError::AlreadyExists`].
     pub fn create_volume(&mut self, name: &str, blocks: u64) -> Result<(), VolumeError> {
         self.volumes.create(name, blocks)?;
-        self.pipeline.journal_record(&Record::VolumeCreate {
+        let record = Record::VolumeCreate {
             name: name.into(),
             blocks,
-        });
+        };
+        let p = &mut self.pipeline;
+        stage_record(
+            p.journal.as_mut(),
+            &mut p.ssd,
+            p.report.reduction_end,
+            &record,
+        );
+        p.journal_sync();
         Ok(())
     }
 
@@ -888,12 +896,14 @@ mod tests {
             seed: 2,
             ..Default::default()
         });
+        // Only a drain that outlived its retries opens the SSD latch.
+        let mut latched = false;
         for b in 16..64 {
             m.write("v", b, &noise(b % 40)).unwrap();
             books(&m, "a faulted write");
+            latched |= m.pipeline().destage.ssd_write.is_degraded();
         }
-        let r = m.report();
-        assert!(r.degraded_transitions > 0, "a drain outlived its retries");
+        assert!(latched, "a drain outlived its retries");
         m.pipeline_mut().set_ssd_faults(Default::default());
         m.pipeline_mut().flush().unwrap();
         books(&m, "the flush");

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Panic sites on the write path, per file, against a checked-in ceiling.
+# Panic sites on the write and read paths, per file, against a checked-in
+# ceiling.
 #
 # Counts the `panic!`, `.expect(`, `.unwrap()` and `unreachable!` sites in
 # the non-test code (what `scripts/nontest_lines.awk` keeps) of the files
-# a host write and a cluster operation run through, and of the index
+# a host write, a host read and a cluster operation run through (the
+# degrade policy both paths retry under included), and of the index
 # snapshot decoder that recovery feeds device bytes, and fails when a
 # file's count exceeds its ceiling in `scripts/panic_sites.ceiling` (a file
 # missing there has a ceiling of 0). A change that removes sites lowers
@@ -17,8 +19,8 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
 ceilings=scripts/panic_sites.ceiling
 
-files=(crates/reduction/src/{ingest,journal,recovery,volume,destage}.rs crates/cluster/src/*.rs
-    crates/binindex/src/snapshot.rs)
+files=(crates/reduction/src/{ingest,journal,recovery,volume,destage,read,pipeline,degrade}.rs
+    crates/cluster/src/*.rs crates/binindex/src/snapshot.rs)
 
 sites() {
     awk -f scripts/nontest_lines.awk "$1" |

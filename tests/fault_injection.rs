@@ -33,10 +33,39 @@ fn config(mode: IntegrationMode) -> PipelineConfig {
     }
 }
 
-/// Runs `cfg` over the stream and returns the pipeline plus every
-/// logically-reconstructed block.
+/// `cfg` recording into a registry of its own, the one book of its
+/// `fault.*` counters.
+fn counted(cfg: PipelineConfig) -> PipelineConfig {
+    PipelineConfig {
+        obs: ObsHandle::enabled("fault-injection"),
+        ..cfg
+    }
+}
+
+/// The device models' injected-fault counters.
+const INJECTED: [&str; 2] = ["fault.gpu.injected", "fault.ssd.injected"];
+/// The guarded components' retry counters.
+const RETRIES: [&str; 3] = [
+    "fault.gpu_dedup.retries",
+    "fault.gpu_compress.retries",
+    "fault.ssd_write.retries",
+];
+/// The guarded components' latch-opening counters.
+const DEGRADED: [&str; 3] = [
+    "fault.gpu_dedup.degraded_transitions",
+    "fault.gpu_compress.degraded_transitions",
+    "fault.ssd_write.degraded_transitions",
+];
+
+/// The sum of `p`'s counters `names`.
+fn sum(p: &Pipeline, names: &[&str]) -> u64 {
+    names.iter().map(|name| p.obs().counter(name).get()).sum()
+}
+
+/// Runs `cfg` over the stream, counted, and returns the pipeline plus
+/// every logically-reconstructed block.
 fn run_and_read_back(cfg: PipelineConfig, data: &[u8]) -> (Pipeline, Vec<Vec<u8>>) {
-    let mut p = Pipeline::new(cfg);
+    let mut p = Pipeline::new(counted(cfg));
     p.run(data);
     let blocks: Vec<Vec<u8>> = (0..p.ingested_chunks())
         .map(|i| p.read_block(i).expect("logical read"))
@@ -54,7 +83,7 @@ fn assert_logical_contents_identical(cfg: PipelineConfig, label: &str) {
     let (_, fault_free) = run_and_read_back(clean, &data);
     let (p, faulted) = run_and_read_back(cfg, &data);
     assert!(
-        p.report().faults_injected > 0,
+        sum(&p, &INJECTED) > 0,
         "{label}: scenario injected no faults — the test proves nothing"
     );
     assert_eq!(
@@ -136,7 +165,7 @@ fn lost_gpu_device_degrades_to_cpu_and_preserves_contents() {
     let report = p.report();
     // The device died and stayed dead: the pipeline must have latched
     // degraded at least once and finished the run on the CPU path.
-    assert!(report.degraded_transitions >= 1, "never latched degraded");
+    assert!(sum(&p, &DEGRADED) >= 1, "never latched degraded");
     assert!(
         report.gpu_kernels < fault_free_p.report().gpu_kernels,
         "a lost device cannot have served the full kernel load"
@@ -153,8 +182,8 @@ fn total_gpu_launch_failure_forces_degraded_mode() {
     let data = stream();
     let (p, blocks) = run_and_read_back(cfg, &data);
     let report = p.report();
-    assert!(report.degraded_transitions >= 1, "never latched degraded");
-    assert!(report.fault_retries > 0, "no retries were attempted");
+    assert!(sum(&p, &DEGRADED) >= 1, "never latched degraded");
+    assert!(sum(&p, &RETRIES) > 0, "no retries were attempted");
     assert_eq!(
         report.gpu_comp_batches, 0,
         "no GPU batch can complete at failure rate 1.0"
@@ -197,12 +226,6 @@ fn fault_metrics_appear_in_obs_snapshots() {
         counter("fault.gpu_compress.retries") > 0,
         "GPU compression retries not counted"
     );
-    let report = p.report();
-    assert_eq!(
-        report.faults_injected,
-        counter("fault.gpu.injected") + counter("fault.ssd.injected"),
-        "report and obs disagree on injected faults"
-    );
 }
 
 #[test]
@@ -217,9 +240,9 @@ fn faults_cost_simulated_time() {
         launch_failure_rate: 0.5,
         ..GpuFaultSpec::default()
     };
-    let mut faulty = Pipeline::new(cfg);
+    let mut faulty = Pipeline::new(counted(cfg));
     let faulty_report = faulty.run(&data);
-    assert!(faulty_report.faults_injected > 0);
+    assert!(sum(&faulty, &INJECTED) > 0);
     assert!(
         faulty_report.reduction_end >= clean_report.reduction_end,
         "retries and fallbacks must not make the run faster: {:?} < {:?}",
@@ -245,10 +268,9 @@ fn cold_reads_decode_on_the_cpu_even_when_the_gpu_fails_every_launch() {
         seed: 7,
         ..GpuFaultSpec::default()
     });
-    // The report's fault tallies, and the device's own counters: the obs
-    // mirror of its `GpuStats` (launches, both transfer directions, faults).
+    // The fault tallies, and the device's own counters: the obs mirror
+    // of its `GpuStats` (launches, both transfer directions, faults).
     let tallies = |p: &Pipeline| {
-        let r = p.report();
         let device = [
             "gpu.kernel_launches",
             "gpu.h2d_bytes",
@@ -256,7 +278,7 @@ fn cold_reads_decode_on_the_cpu_even_when_the_gpu_fails_every_launch() {
             "fault.gpu.injected",
         ]
         .map(|name| obs.counter(name).get());
-        (r.fault_retries, r.degraded_transitions, device)
+        (sum(p, &RETRIES), sum(p, &DEGRADED), device)
     };
     let before = tallies(&p);
     let all: Vec<usize> = (0..p.ingested_chunks()).collect();
@@ -269,7 +291,7 @@ fn cold_reads_decode_on_the_cpu_even_when_the_gpu_fails_every_launch() {
 #[test]
 fn transient_ssd_read_errors_are_absorbed_by_retries() {
     let data = stream();
-    let mut p = Pipeline::new(config(IntegrationMode::CpuOnly));
+    let mut p = Pipeline::new(counted(config(IntegrationMode::CpuOnly)));
     p.run(&data);
     p.set_ssd_faults(SsdFaultSpec {
         read_error_rate: 0.2,
@@ -281,9 +303,8 @@ fn transient_ssd_read_errors_are_absorbed_by_retries() {
     for (i, original) in data.chunks(4096).enumerate() {
         assert_eq!(blocks[i], original, "block {i} diverged under read faults");
     }
-    let report = p.report();
-    assert!(report.faults_injected > 0, "no read faults were drawn");
-    assert!(report.fault_retries > 0, "no read retries were charged");
+    assert!(sum(&p, &INJECTED) > 0, "no read faults were drawn");
+    assert!(sum(&p, &RETRIES) > 0, "no read retries were charged");
 }
 
 #[test]
@@ -298,16 +319,16 @@ fn zero_fault_config_is_bit_identical_to_default() {
         let mut cfg = config(mode);
         cfg.ssd_spec.faults = SsdFaultSpec::default();
         cfg.gpu_spec.faults = GpuFaultSpec::default();
-        let mut explicit = Pipeline::new(cfg);
+        let mut explicit = Pipeline::new(counted(cfg));
         let re = explicit.run(&data);
         assert_eq!(rb.chunks, re.chunks, "{mode}");
         assert_eq!(rb.stored_bytes, re.stored_bytes, "{mode}");
         assert_eq!(rb.reduction_end, re.reduction_end, "{mode}");
         assert_eq!(rb.ssd_end, re.ssd_end, "{mode}");
-        assert_eq!(re.faults_injected, 0, "{mode}");
-        assert_eq!(re.fault_retries, 0, "{mode}");
-        assert_eq!(re.degraded_transitions, 0, "{mode}");
-        // The printed report is also byte-identical (no fault line).
+        for name in INJECTED.iter().chain(&RETRIES).chain(&DEGRADED) {
+            assert_eq!(explicit.obs().counter(name).get(), 0, "{mode}: {name}");
+        }
+        // The printed report is also byte-identical.
         assert_eq!(rb.to_string(), re.to_string(), "{mode}");
     }
 }

@@ -75,6 +75,7 @@ fn index_snapshotted_after_a_faulty_run_still_recovers() {
     // snapshot the index it built, "crash", and keep deduplicating: the
     // degradation machinery must never leave the index unsnapshottable or
     // the stored chunks unreadable.
+    use inline_dr::obs::ObsHandle;
     use inline_dr::reduction::{IntegrationMode, Pipeline, PipelineConfig};
     use inline_dr::ssd_sim::SsdSpec;
 
@@ -85,11 +86,13 @@ fn index_snapshotted_after_a_faulty_run_still_recovers() {
         mode: IntegrationMode::CpuOnly,
         ssd_spec,
         verify: true,
+        obs: ObsHandle::enabled("faulty-run"),
         ..PipelineConfig::default()
     });
     let data: Vec<u8> = blocks().into_iter().flatten().collect();
     let report = pipeline.run(&data);
-    assert!(report.faults_injected > 0, "no faults were injected");
+    let injected = pipeline.obs().counter("fault.ssd.injected").get();
+    assert!(injected > 0, "no faults were injected");
 
     let blob = snapshot(pipeline.index()).expect("snapshot");
     let mut recovered = restore(&blob).expect("restore");

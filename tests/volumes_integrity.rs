@@ -2,6 +2,7 @@
 //! end on the device models.
 
 use inline_dr::gpu_sim::GpuSpec;
+use inline_dr::obs::ObsHandle;
 use inline_dr::reduction::{IntegrationMode, PipelineConfig, VolumeManager};
 use inline_dr::ssd_sim::SsdFaultSpec;
 use inline_dr::workload::synthesize_block;
@@ -142,6 +143,7 @@ fn blocks_written_under_open_ssd_write_latch_read_back() {
     let mut config = PipelineConfig {
         mode: IntegrationMode::CpuOnly,
         integrity: true,
+        obs: ObsHandle::enabled("open-latch"),
         ..PipelineConfig::default()
     };
     // The latch opens only after the destager's in-line retries (4
@@ -161,13 +163,13 @@ fn blocks_written_under_open_ssd_write_latch_read_back() {
         .collect();
     array.write("v", 0, &blocks.concat()).unwrap();
 
-    let r = array.report();
+    let counter = |name| array.pipeline().obs().counter(name).get();
     assert!(
-        r.faults_injected > 0,
+        counter("fault.ssd.injected") > 0,
         "no write faults fired — the scenario proves nothing"
     );
     assert!(
-        r.degraded_transitions >= 1,
+        counter("fault.ssd_write.degraded_transitions") >= 1,
         "the ssd-write latch never opened — raise the fault rate"
     );
     for (i, expect) in blocks.iter().enumerate() {
