@@ -36,25 +36,6 @@ impl Default for BinIndexConfig {
     }
 }
 
-/// Cumulative index statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IndexStats {
-    /// Total lookups.
-    pub lookups: u64,
-    /// Lookups satisfied by a bin buffer.
-    pub buffer_hits: u64,
-    /// Lookups satisfied by a bin tree.
-    pub tree_hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Entries inserted.
-    pub inserts: u64,
-    /// Entries evicted by the replacement policy.
-    pub evictions: u64,
-    /// Bin-buffer flushes.
-    pub flushes: u64,
-}
-
 /// Interned metric handles for the `index.*` namespace. Inert (all
 /// `None`) until [`BinIndex::set_obs`] wires a live registry in.
 #[derive(Debug, Clone, Default)]
@@ -97,7 +78,6 @@ pub struct BinIndex {
     bins: Vec<Bin>,
     entries: u64,
     rng: SplitMix64,
-    stats: IndexStats,
     obs: IndexObs,
 }
 
@@ -121,7 +101,6 @@ impl BinIndex {
             entries: 0,
             rng: SplitMix64::new(config.seed),
             config,
-            stats: IndexStats::default(),
             obs: IndexObs::default(),
         }
     }
@@ -164,11 +143,6 @@ impl BinIndex {
         self.entries == 0
     }
 
-    /// Cumulative statistics.
-    pub fn stats(&self) -> IndexStats {
-        self.stats
-    }
-
     /// Read-only view of one bin (GPU rebuilds, tests).
     pub fn bin(&self, id: usize) -> &Bin {
         &self.bins[id]
@@ -186,31 +160,27 @@ impl BinIndex {
     /// Looks up a digest. Checks the bin buffer first, then the bin tree —
     /// the paper's CPU indexing path.
     pub fn lookup(&mut self, digest: &ChunkDigest) -> Option<ChunkRef> {
-        self.stats.lookups += 1;
         self.obs.probes.incr();
         let bin = self.router.route(digest);
         let key = self.key_of(digest);
         match self.bins[bin].lookup(&key) {
             Some((r, BinHit::Buffer)) => {
-                self.stats.buffer_hits += 1;
                 self.obs.buffer_hits.incr();
                 Some(r)
             }
             Some((r, BinHit::Tree)) => {
-                self.stats.tree_hits += 1;
                 self.obs.tree_hits.incr();
                 Some(r)
             }
             None => {
-                self.stats.misses += 1;
                 self.obs.misses.incr();
                 None
             }
         }
     }
 
-    /// Whether a digest is present, without touching lookup statistics or
-    /// obs counters. This is a metadata audit probe
+    /// Whether a digest is present, without touching the `index.*`
+    /// counters. This is a metadata audit probe
     /// (the cluster's integrity check cross-checks its placement map
     /// against node indexes with it); the hot path must keep using
     /// [`BinIndex::lookup`] so hit/miss accounting stays truthful.
@@ -241,16 +211,13 @@ impl BinIndex {
             };
             if self.bins[victim_bin].evict_random(nonce).is_some() {
                 self.entries -= 1;
-                self.stats.evictions += 1;
                 self.obs.evictions.incr();
             }
         }
         self.entries += 1;
-        self.stats.inserts += 1;
         self.obs.inserts.incr();
         let flush = self.bins[bin].insert(key, r, self.config.bin_buffer_capacity, bin);
         if let Some(f) = &flush {
-            self.stats.flushes += 1;
             self.obs.flushes.incr();
             self.obs.flushed_entries.add(f.entries.len() as u64);
         }
@@ -268,11 +235,11 @@ impl BinIndex {
         }
     }
 
-    /// Stats-free batched probe over an existing pool, in input order.
+    /// Counter-free batched probe over an existing pool, in input order.
     ///
     /// The pipeline's dedup stage owns its own hit accounting (simulated
     /// per-chunk costs must be charged serially, in input order), so this
-    /// variant leaves [`IndexStats`] untouched and takes `&self` — probes
+    /// variant leaves the `index.*` counters untouched and takes `&self` — probes
     /// only read the bin pages, so participants share them without locks.
     /// A probe is tens of nanoseconds and a fan-out is microseconds, so
     /// the batch is cut into one contiguous range per participant only
@@ -320,7 +287,7 @@ impl BinIndex {
         });
     }
 
-    /// One stats-free probe of the digest's bin.
+    /// One counter-free probe of the digest's bin.
     fn probe_one(&self, digest: &ChunkDigest, kind: ProbeKind) -> Option<(ChunkRef, BinHit)> {
         let bin = &self.bins[self.router.route(digest)];
         let key = self.key_of(digest);
@@ -360,6 +327,15 @@ mod tests {
 
     fn digest(i: u64) -> ChunkDigest {
         sha1_digest(&i.to_le_bytes())
+    }
+
+    /// An index built from `config` with observability on, and the handle
+    /// its `index.*` counters are read through.
+    fn observed(config: BinIndexConfig) -> (BinIndex, ObsHandle) {
+        let obs = ObsHandle::enabled("index-test");
+        let mut idx = BinIndex::new(config);
+        idx.set_obs(&obs);
+        (idx, obs)
     }
 
     #[test]
@@ -438,18 +414,19 @@ mod tests {
 
     #[test]
     fn contains_probe_leaves_stats_untouched() {
-        let mut idx = BinIndex::new(BinIndexConfig::default());
+        let (mut idx, obs) = observed(BinIndexConfig::default());
         idx.insert(digest(1), ChunkRef::new(1, 4096));
-        let before = idx.stats();
+        let before = obs.snapshot().expect("enabled handle snapshots").counters;
         assert!(idx.contains(&digest(1)));
         assert!(!idx.contains(&digest(2)));
-        assert_eq!(idx.stats(), before, "audit probe must not perturb stats");
+        let after = obs.snapshot().expect("enabled handle snapshots").counters;
+        assert_eq!(after, before, "audit probe must not perturb the counters");
         assert_eq!(idx.lookup(&digest(1)), Some(ChunkRef::new(1, 4096)));
     }
 
     #[test]
     fn stats_classify_hits() {
-        let mut idx = BinIndex::new(BinIndexConfig {
+        let (mut idx, obs) = observed(BinIndexConfig {
             bin_buffer_capacity: 2,
             prefix_bytes: 1,
             ..BinIndexConfig::default()
@@ -468,15 +445,14 @@ mod tests {
         assert!(idx.lookup(&d0).is_some()); // buffer hit
         idx.insert(d_same, ChunkRef::new(1, 1)); // buffer reaches 2 -> flush
         assert!(idx.lookup(&d0).is_some()); // tree hit
-        let s = idx.stats();
-        assert_eq!(s.buffer_hits, 1);
-        assert_eq!(s.tree_hits, 1);
-        assert_eq!(s.flushes, 1);
+        assert_eq!(obs.counter("index.buffer_hits").get(), 1);
+        assert_eq!(obs.counter("index.tree_hits").get(), 1);
+        assert_eq!(obs.counter("index.flushes").get(), 1);
     }
 
     #[test]
     fn flush_fires_at_buffer_capacity() {
-        let mut idx = BinIndex::new(BinIndexConfig {
+        let (mut idx, obs) = observed(BinIndexConfig {
             prefix_bytes: 1,
             bin_buffer_capacity: 4,
             ..BinIndexConfig::default()
@@ -488,12 +464,12 @@ mod tests {
             }
         }
         assert!(flushes > 0);
-        assert_eq!(idx.stats().flushes, flushes);
+        assert_eq!(obs.counter("index.flushes").get(), flushes);
     }
 
     #[test]
     fn capacity_bound_evicts_and_misses_are_tolerated() {
-        let mut idx = BinIndex::new(BinIndexConfig {
+        let (mut idx, obs) = observed(BinIndexConfig {
             max_entries: 64,
             ..BinIndexConfig::default()
         });
@@ -501,7 +477,7 @@ mod tests {
             idx.insert(digest(i), ChunkRef::new(i, 1));
         }
         assert_eq!(idx.len(), 64);
-        assert_eq!(idx.stats().evictions, 1000 - 64);
+        assert_eq!(obs.counter("index.evictions").get(), 1000 - 64);
         // Most old digests are gone (missed duplicates), recent survive
         // probabilistically; the index must simply not crash or grow.
         let found = (0..1000)
@@ -511,22 +487,22 @@ mod tests {
     }
 
     #[test]
-    fn obs_mirrors_stats() {
-        let obs = dr_obs::ObsHandle::enabled("t");
-        let mut idx = BinIndex::new(BinIndexConfig {
+    fn counters_count_every_lookup_and_insert() {
+        let (mut idx, obs) = observed(BinIndexConfig {
             bin_buffer_capacity: 4,
             prefix_bytes: 1,
             ..BinIndexConfig::default()
         });
-        idx.set_obs(&obs);
+        let mut flushes = 0;
         for i in 0..200 {
-            idx.insert(digest(i), ChunkRef::new(i, 1));
+            flushes += u64::from(idx.insert(digest(i), ChunkRef::new(i, 1)).is_some());
         }
-        for i in 0..300 {
-            idx.lookup(&digest(i));
-        }
+        // 200 hits, then 100 misses; no memory bound, so nothing evicted.
+        let found = (0..300)
+            .filter(|&i| idx.lookup(&digest(i)).is_some())
+            .count();
+        assert_eq!(found, 200);
         idx.record_bin_occupancy();
-        let s = idx.stats();
         let snap = obs.snapshot().unwrap();
         let counter = |name: &str| {
             snap.counters
@@ -535,14 +511,16 @@ mod tests {
                 .map(|(_, v)| *v)
                 .unwrap_or(0)
         };
-        assert_eq!(counter("index.probes"), s.lookups);
-        assert_eq!(counter("index.inserts"), s.inserts);
-        assert_eq!(counter("index.flushes"), s.flushes);
-        assert_eq!(counter("index.misses"), s.misses);
+        assert_eq!(counter("index.probes"), 300);
+        assert_eq!(counter("index.inserts"), 200);
+        assert_eq!(counter("index.flushes"), flushes);
+        assert_eq!(counter("index.misses"), 100);
         assert_eq!(
             counter("index.buffer_hits") + counter("index.tree_hits"),
-            s.buffer_hits + s.tree_hits
+            200
         );
+        assert!(counter("index.buffer_hits") > 0 && counter("index.tree_hits") > 0);
+        assert_eq!(counter("index.evictions"), 0);
         // Occupancy: one sample per bin, totalling every entry.
         let (_, occ) = snap
             .histograms

@@ -10,7 +10,8 @@
 //! * **In-memory only.** Entries never spill to disk; when the memory
 //!   budget is reached a victim entry is evicted (random replacement).
 //!   Missed duplicates are tolerated — "that is not a big deal" — and the
-//!   miss-rate consequences are measurable via [`IndexStats`].
+//!   miss-rate consequences are measurable in the `index.misses` and
+//!   `index.evictions` counters.
 //! * **Prefix truncation.** A digest's first `n` bytes choose its bin, so
 //!   the bin only stores the remaining `20 − n` bytes. With a 2-byte prefix
 //!   a 4 TB / 8 KB-chunk system saves 1 GB of index memory (the paper's
@@ -58,7 +59,7 @@ pub use entry::ChunkRef;
 pub use gpu::{
     GpuBinIndex, GpuBinIndexConfig, GpuBinLayout, GpuLookupReport, GpuProbe, ReplacementPolicy,
 };
-pub use index::{BinIndex, BinIndexConfig, IndexStats, ProbeKind};
+pub use index::{BinIndex, BinIndexConfig, ProbeKind};
 pub use memory::MemoryModel;
 pub use page::EntryPage;
 pub use router::{BinRouter, RoutingObs};

@@ -421,8 +421,12 @@ mod tests {
         // must not immediately flush a huge buffer.
         let index = populated(300);
         let mut restored = restore(&snapshot(&index).unwrap()).unwrap();
-        let stats_before = restored.stats();
-        restored.insert(sha1_digest(b"new"), ChunkRef::new(0, 1));
-        assert_eq!(restored.stats().flushes, stats_before.flushes);
+        let obs = dr_obs::ObsHandle::enabled("restore-test");
+        restored.set_obs(&obs);
+        assert!(restored
+            .insert(sha1_digest(b"new"), ChunkRef::new(0, 1))
+            .is_none());
+        assert_eq!(obs.counter("index.flushes").get(), 0);
+        assert_eq!(obs.counter("index.inserts").get(), 1);
     }
 }

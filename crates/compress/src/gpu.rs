@@ -52,24 +52,26 @@ const KERNEL_CYCLES_PER_BYTE: u64 = 16;
 /// on the calling thread: two, so a batch of four chunks fans out.
 ///
 /// A participant's share must outweigh a hand-off to a worker that is
-/// already awake (about 3 µs), not a wake-up: in the write path the hash
-/// fan-out before this stage has just woken the worker, or the previous
-/// write left it spinning. Measured on the 2-core reference host (one
-/// worker thread beside the caller, each pinned to its CPU, paper-profile
-/// 4 KiB chunks; `compress_batch` on an inline pool / fanned out to a
-/// spinning worker / fanned out after a 2 ms sleep, µs, medians of 500,
-/// median of three runs): 4 chunks 29.2 / 19.7 / 47.1, 6 chunks 37.0 /
-/// 21.7 / 63.7, 8 chunks 54.9 / 32.8 / 76.4, 12 chunks 53.7 / 42.9 /
-/// 91.6 (the three runs spread by up to 40 % on the inline column). That
-/// is with the matcher's sixteen-lane probe step, at about half the cost
-/// per chunk of the one-position loop, where the same table read 49.2 /
-/// 29.9 / 63.7, 80.5 / 48.1 / 85.1, 81.0 / 53.7 / 97.4 and 157 / 90.7 /
-/// 125. A hand-off to a spinning worker still wins from four chunks on;
-/// one that has to wake a parked worker now loses up to twelve, where it
-/// used to break even at eight. Two chunks stay the grain, because the
-/// rule is judged per write, where the hash fan-out before this stage
-/// has just woken the worker; DESIGN.md §9 has the write-level table
-/// that the rule answers to, and a new grain needs that table re-measured.
+/// already awake (about 3 µs), not a wake-up. A write of 32 chunks or more
+/// has woken the worker with its hash fan-out just before this stage; a
+/// shorter one hashes on the submitter, so this fan-out is its first
+/// hand-off and finds the worker awake only when the previous write's
+/// hand-off was less than a spin window (40 µs) ago. Measured on the
+/// 2-core reference host (one worker thread beside the caller, each
+/// pinned to its CPU, paper-profile 4 KiB chunks; `compress_batch` on an
+/// inline pool / fanned out to a spinning worker / fanned out after a
+/// 2 ms sleep, µs, medians of 500, median of three runs): 4 chunks 29.2 /
+/// 19.7 / 47.1, 6 chunks 37.0 / 21.7 / 63.7, 8 chunks 54.9 / 32.8 / 76.4,
+/// 12 chunks 53.7 / 42.9 / 91.6 (the three runs spread by up to 40 % on
+/// the inline column). A hand-off to a spinning worker wins from four
+/// chunks on; one that has to wake a parked worker loses up to twelve.
+/// Two chunks stay the grain because whole writes do not lose by it:
+/// DESIGN.md §9 has the write-level table, and a grain of 16 tried on
+/// `read_mix` (gpu-compression, 1–8-chunk overwrites after a preload of
+/// 32-chunk writes) raised `setup_s` from 0.31–0.37 to 0.41–0.46 s,
+/// because the preload's writes stopped fanning out, and left
+/// `ingest_mb_s` no better (284–372 MB/s against 346–446 for the same
+/// build at grain 2). A new grain needs the write-level table re-measured.
 const KERNEL_FANOUT_GRAIN: usize = 2;
 
 /// Parameters of the GPU compression kernel.

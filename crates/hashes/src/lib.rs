@@ -6,8 +6,9 @@
 //!
 //! * [`Sha1`] — FIPS 180-1 SHA-1 with an incremental API, verified against
 //!   the standard test vectors,
-//! * [`sha1_mb`] — multi-buffer SHA-1: sixteen equal-length messages per
-//!   instruction stream on AVX-512 hosts ([`sha1_digest_many`]),
+//! * [`sha1_mb`] — multi-buffer SHA-1: eight or sixteen equal-length
+//!   messages per instruction stream on AVX-512 hosts
+//!   ([`sha1_digest_many`]),
 //! * [`fast`] — fast non-cryptographic 64-bit hashes for compression match
 //!   tables and bin routing,
 //! * [`lz_hash`] — the LZ match-table slot hash, one key or (vectorised) a

@@ -4,16 +4,16 @@
 //! chunking stage's output can be fingerprinted by any number of CPU worker
 //! threads — and, within one thread, by any number of SIMD lanes.
 //! [`hash_chunks_pooled`] does both: it cuts a batch into groups of
-//! [`SHA1_MB_LANES`] chunks, the unit [`sha1_digest_many`]'s multi-buffer
+//! [`SHA1_MB_LANES`] chunks, the unit [`sha1_digest_many`]'s sixteen-lane
 //! arm hashes in one instruction stream, and fans the groups out over a
 //! caller-owned persistent [`WorkerPool`] — worker threads are created
 //! once, not per batch, and idle workers steal from busy ones instead of
 //! relying on static partitioning. A batch of fewer than two whole groups
-//! (`HASH_FANOUT_GRAIN`) is hashed on the caller. Digests always come back
-//! in input order.
+//! (`HASH_FANOUT_GRAIN`) is hashed on the caller, and so is the tail of
+//! fewer than sixteen chunks, which [`sha1_digest_many`] puts in padded
+//! lanes when it is long enough. Digests always come back in input order.
 
 use crate::digest::ChunkDigest;
-use crate::sha1::sha1_digest;
 use crate::sha1_mb::{sha1_digest_many, SHA1_MB_LANES};
 use dr_pool::WorkerPool;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -37,8 +37,8 @@ pub fn hash_chunks_pooled<T: AsRef<[u8]> + Sync>(
 }
 
 /// [`hash_chunks_pooled`], and with the digests how many chunks went
-/// through the multi-buffer arm (what [`sha1_digest_many`] returns, summed
-/// over the groups).
+/// through a lane arm (what [`sha1_digest_many`] returns, summed over the
+/// groups and the tail).
 pub fn hash_chunks_pooled_counted<T: AsRef<[u8]> + Sync>(
     pool: &WorkerPool,
     chunks: &[T],
@@ -52,13 +52,14 @@ pub fn hash_chunks_pooled_counted<T: AsRef<[u8]> + Sync>(
             std::array::from_fn(|lane| chunks[g * SHA1_MB_LANES + lane].as_ref());
         wide.fetch_add(sha1_digest_many(&msgs, out), Ordering::Relaxed);
     });
-    // What is left is less than a group: too little for the wide arm or
-    // for another thread.
-    let tail_chunks = &chunks[chunks.len() - tail.len()..];
-    for (digest, chunk) in tail.iter_mut().zip(tail_chunks) {
-        *digest = sha1_digest(chunk.as_ref());
+    // What is left is less than a group: too little for another thread,
+    // and its views fit on the stack.
+    let mut views: [&[u8]; SHA1_MB_LANES] = [&[]; SHA1_MB_LANES];
+    for (view, chunk) in views.iter_mut().zip(&chunks[chunks.len() - tail.len()..]) {
+        *view = chunk.as_ref();
     }
-    (digests, wide.into_inner())
+    let tail_wide = sha1_digest_many(&views[..tail.len()], tail);
+    (digests, wide.into_inner() + tail_wide)
 }
 
 /// Groups of [`SHA1_MB_LANES`] chunks per participant below which
@@ -87,14 +88,14 @@ mod tests {
     #[test]
     fn shared_pool_hashing_preserves_order_and_equals_serial() {
         // Pool widths: inline (the caller alone), then 1, 2 and 7 threads;
-        // batches: empty, single, either side of every group boundary up
-        // to three groups, and two that span many. Each pool is reused
-        // across all batch sizes. Chunks are whole blocks of distinct
-        // bytes, so full groups take the multi-buffer arm where there is
-        // one; the second round's short last chunk keeps its group off it.
+        // batches: every size up to two and a half groups, and two that
+        // span many. Each pool is reused across all batch sizes. Chunks are
+        // whole blocks of distinct bytes, so runs take lanes where the
+        // host has them; the second round's short last chunk keeps itself
+        // out and shortens its group's run by one.
         for threads in [0usize, 1, 2, 7] {
             let pool = WorkerPool::new(threads);
-            for n in [0usize, 1, 15, 16, 17, 31, 32, 33, 48, 97, 128] {
+            for n in (0..=40usize).chain([97, 128]) {
                 for last_len in [256usize, 100] {
                     let mut chunks: Vec<Vec<u8>> = (0..n)
                         .map(|i| (0..256).map(|j| (i * 31 + j) as u8).collect())
@@ -102,7 +103,8 @@ mod tests {
                     if let Some(last) = chunks.last_mut() {
                         last.truncate(last_len);
                     }
-                    let serial: Vec<ChunkDigest> = chunks.iter().map(|c| sha1_digest(c)).collect();
+                    let serial: Vec<ChunkDigest> =
+                        chunks.iter().map(|c| crate::sha1_digest(c)).collect();
                     let (digests, wide) = hash_chunks_pooled_counted(&pool, &chunks);
                     assert_eq!(digests, serial, "{threads} pool threads, {n} chunks");
                     assert_eq!(hash_chunks_pooled(&pool, &chunks), serial);
@@ -111,12 +113,8 @@ mod tests {
                     } else {
                         n.saturating_sub(1)
                     };
-                    let full_groups = if crate::simd::sha1_mb_avx512() {
-                        whole / SHA1_MB_LANES
-                    } else {
-                        0
-                    };
-                    assert_eq!(wide, full_groups * SHA1_MB_LANES, "{threads} threads, {n}");
+                    let lanes = crate::sha1_mb::tests::lanes(whole);
+                    assert_eq!(wide, lanes, "{threads} threads, {n}, last {last_len}");
                 }
             }
         }

@@ -2,14 +2,14 @@
 //!
 //! The SHA-1, CRC-32C, LZ slot-hashing and LZ match-probing hot loops each
 //! have a portable scalar reference and `std::arch` fast paths (x86_64 SHA
-//! extensions for one SHA-1 message, AVX-512F+BW for sixteen at once in
-//! [`crate::sha1_digest_many`], SSE4.2 `crc32` / aarch64 `crc32c*` for
-//! CRC-32C, AVX-512DQ+BW or AVX2 for [`crate::lz_slots`],
-//! AVX-512F+CD+BW+VBMI for [`crate::lz_find_match`]). The arms are
-//! bit-identical by construction — the fast paths compute the same FIPS
-//! 180-1 / Castagnoli / `mix64` functions and make the same match
-//! decisions in the same order — and are pinned against each other by
-//! differential property tests.
+//! extensions for one SHA-1 message, AVX-512F+BW for sixteen lanes and
+//! AVX-512F+VL for eight in [`crate::sha1_digest_many`], SSE4.2 `crc32` /
+//! aarch64 `crc32c*` for CRC-32C, AVX-512DQ+BW or AVX2 for
+//! [`crate::lz_slots`], AVX-512F+CD+BW+VBMI for [`crate::lz_find_match`]).
+//! The arms are bit-identical by construction — the fast paths compute the
+//! same FIPS 180-1 / Castagnoli / `mix64` functions and make the same
+//! match decisions in the same order — and are pinned against each other
+//! by differential property tests.
 //!
 //! Dispatch is decided **once** per process: CPU feature detection plus
 //! the `DR_SIMD` environment override, cached so the per-call cost is one
@@ -85,6 +85,22 @@ pub fn sha1_mb_avx512() -> bool {
         #[cfg(target_arch = "x86_64")]
         {
             is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    })
+}
+
+/// True when [`crate::sha1_digest_many`] can take its eight-lane arm
+/// (`vpternlogd` and `vprold` on `ymm` registers need VL beside F).
+pub fn sha1_mb8_avx512vl() -> bool {
+    static STATE: AtomicU8 = AtomicU8::new(0);
+    cached_detect(&STATE, || {
+        #[cfg(target_arch = "x86_64")]
+        {
+            is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl")
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
@@ -197,6 +213,7 @@ mod tests {
     fn detection_is_stable_across_calls() {
         assert_eq!(sha1_hw(), sha1_hw());
         assert_eq!(sha1_mb_avx512(), sha1_mb_avx512());
+        assert_eq!(sha1_mb8_avx512vl(), sha1_mb8_avx512vl());
         assert_eq!(crc32c_hw(), crc32c_hw());
         assert_eq!(lz_slots_avx512(), lz_slots_avx512());
         assert_eq!(lz_slots_avx2(), lz_slots_avx2());

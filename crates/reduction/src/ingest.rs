@@ -28,8 +28,10 @@ use crate::recovery::stage_record;
 /// submitter: two, so a write with four unique chunks fans out.
 ///
 /// A participant's share must outweigh a hand-off to a worker that is
-/// already awake (about 3 µs), not a wake-up: the write's hash fan-out
-/// has just woken the worker, or the previous write left it spinning.
+/// already awake (about 3 µs), not a wake-up. A write of 32 chunks or more
+/// has woken the worker with its hash fan-out; a shorter one hashes on the
+/// submitter, so this fan-out finds the worker awake only when the
+/// previous write's hand-off was less than a spin window (40 µs) ago.
 /// Measured on the 2-core reference host (one worker thread beside the
 /// submitter, each pinned to its CPU, `FastLz::compress_to` on unique
 /// 4 KiB VDI chunks; serial / fanned out to a spinning worker / fanned
@@ -37,8 +39,9 @@ use crate::recovery::stage_record;
 /// 2 chunks 9.2 / 10.7 / 28.2, 3 chunks 24.3 / 18.1 / 39.7, 4 chunks
 /// 32.4 / 19.4 / 46.3, 8 chunks 67.1 / 29.7 / 71.3, 16 chunks 152 /
 /// 76.3 / 112. One chunk per participant does not repay the hand-off;
-/// two do. DESIGN.md §9 has the write-level table that the rule answers
-/// to.
+/// two do, to a spinning worker, and whole writes repay the wake-up:
+/// DESIGN.md §9 has the write-level table that the rule answers to, and
+/// `dr_compress`'s `KERNEL_FANOUT_GRAIN` a trial at sixteen.
 const CPU_COMPRESS_FANOUT_GRAIN: usize = 2;
 
 /// How deduplication resolved one chunk.

@@ -72,10 +72,11 @@ cargo test --workspace -q
 # opt-level 1 with debug assertions; what ships has
 # `debug_assert!(HashedChunks::verify())` compiled out — a pre-hashed
 # write is stored under whatever digest it carries, nothing re-hashes it
-# on entry — and the 16-lane SHA-1 arm scheduled and register-allocated
-# at opt-level 3. This runs both crates' tests on that code, and
-# dr-cluster's, whose nodes take those pre-hashed writes; dr-reduction's
-# include the group-commit power-cut sweep (`tests/group_commit_cuts.rs`).
+# on entry — and the SHA-1 lane arms (sixteen and eight messages per
+# instruction stream) scheduled and register-allocated at opt-level 3.
+# This runs both crates' tests on that code, and dr-cluster's, whose
+# nodes take those pre-hashed writes; dr-reduction's include the
+# group-commit power-cut sweep (`tests/group_commit_cuts.rs`).
 # dr-pool's run here too: the lifetime-erased closures of `map_batch` and
 # of `WorkerPool::join` (whose pool job borrows a write's bytes while the
 # submitter processes the batch before it) run as shipped, not only under
@@ -106,10 +107,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # disjoint-slot pointer of `for_each_mut`) beside a hand-rolled
 # spin-then-park wake-up protocol; its tests run every one of those paths
 # on real threads. dr-hashes holds the rest: the `std::arch` arms of
-# SHA-1 (one message and sixteen at once), CRC-32C, LZ slot hashing and
-# LZ match probing, whose tests call every arm the CPU has, at every tail
-# length and load offset (the multi-buffer arm: sixteen lanes at sixteen
-# alignments, the last message ending where its heap block ends; the
+# SHA-1 (one message, and eight or sixteen in lanes), CRC-32C, LZ slot
+# hashing and LZ match probing, whose tests call every arm the CPU has, at
+# every tail length and load offset (each lane arm: every lane at its own
+# alignment, the last message ending where its heap block ends; the
 # probe arm: key loads that end at the input's last byte), so an
 # out-of-bounds pointer load or store there is ASan's to find. `-Zsanitizer` needs a
 # nightly toolchain (an explicit --target keeps the flag off build
@@ -238,12 +239,16 @@ target/release/e8_read_path --parity-check
 # must leave simulated stdout bit-identical to the hardware-path run
 # above — the accelerated paths are pure speedups, never behaviour. (e2
 # fingerprints 128-chunk batches, so on an AVX-512 host the run above
-# took the multi-buffer SHA-1 arm for every chunk and this one for none.)
+# took the sixteen-lane SHA-1 arm for every chunk and this one for none;
+# dr-check's 1–4-block writes took the eight-lane arm above and the
+# portable one here.)
 echo "==> scalar-fallback leg (DR_SIMD=scalar)"
 DR_SIMD=scalar cargo test -q -p dr-hashes -p dr-compress
 DR_SCALE=0.125 DR_SIMD=scalar target/release/e2_dedup_throughput \
     > target/ci-e2-scalar.out
 diff target/ci-e2-plain.out target/ci-e2-scalar.out
+DR_SIMD=scalar target/release/dr-check run --mode all --scenario both \
+    | diff target/ci-check-both.out -
 # e2 never compresses; e3 runs both codecs — the CPU one and the GPU
 # kernel emulation — and e4 runs the kernel emulation inside the write
 # path, both through the matcher whose slot pass is vectorised. At full

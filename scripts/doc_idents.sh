@@ -20,7 +20,7 @@ cd "$root"
 # Names the docs use in prose: instruction mnemonics, an intrinsic, a
 # register, a bench binary's short name, a syscall, a trace format, a
 # doctest attribute and this list.
-SKIP=(_rdtsc crc32x vpconflictd vpternlogd zmm e4 futex trace_event compile_fail SKIP)
+SKIP=(_rdtsc crc32x vpconflictd vpternlogd vprold zmm e4 futex trace_event compile_fail SKIP)
 
 # The doc lines to scan: README.md and the skill whole, DESIGN.md
 # without §17.
