@@ -10,7 +10,7 @@
 
 use dr_bench::render_table;
 use dr_obs::ObsHandle;
-use dr_reduction::compare_endurance_with_obs;
+use dr_reduction::compare_endurance;
 use dr_ssd_sim::SsdSpec;
 use dr_workload::{StreamConfig, StreamGenerator};
 
@@ -30,7 +30,7 @@ fn main() {
         ..SsdSpec::samsung_830_256g()
     };
     let obs = ObsHandle::enabled("e6/inline");
-    let cmp = compare_endurance_with_obs(&blocks, &spec, &obs);
+    let cmp = compare_endurance(&blocks, &spec, &obs);
 
     println!("E6: NAND wear for 16 MiB of writes (dedup 2.0 x compression 2.0)\n");
     let base = cmp.inline_nand_writes as f64;

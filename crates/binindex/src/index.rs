@@ -2,7 +2,7 @@
 
 use dr_des::SplitMix64;
 use dr_hashes::ChunkDigest;
-use dr_obs::{CounterHandle, HistogramHandle, ObsHandle};
+use dr_obs::{CounterHandle, ObsHandle};
 use dr_pool::WorkerPool;
 
 use crate::bin::{Bin, BinHit, BinKey, FlushEvent};
@@ -48,7 +48,6 @@ struct IndexObs {
     evictions: CounterHandle,
     flushes: CounterHandle,
     flushed_entries: CounterHandle,
-    bin_occupancy: HistogramHandle,
 }
 
 impl IndexObs {
@@ -62,7 +61,6 @@ impl IndexObs {
             evictions: obs.counter("index.evictions"),
             flushes: obs.counter("index.flushes"),
             flushed_entries: obs.counter("index.flushed_entries"),
-            bin_occupancy: obs.histogram("index.bin_occupancy"),
         }
     }
 }
@@ -110,17 +108,6 @@ impl BinIndex {
     /// atomic increment when enabled and a `None` branch when not.
     pub fn set_obs(&mut self, obs: &ObsHandle) {
         self.obs = IndexObs::new(obs);
-    }
-
-    /// Records every bin's current entry count into the
-    /// `index.bin_occupancy` histogram (call at end of run — occupancy
-    /// is a distribution over bins, not over time).
-    pub fn record_bin_occupancy(&self) {
-        if self.obs.bin_occupancy.is_live() && self.obs.bin_occupancy.count() == 0 {
-            for bin in &self.bins {
-                self.obs.bin_occupancy.record(bin.len() as u64);
-            }
-        }
     }
 
     /// The configuration this index was built with.
@@ -502,7 +489,6 @@ mod tests {
             .filter(|&i| idx.lookup(&digest(i)).is_some())
             .count();
         assert_eq!(found, 200);
-        idx.record_bin_occupancy();
         let snap = obs.snapshot().unwrap();
         let counter = |name: &str| {
             snap.counters
@@ -521,14 +507,6 @@ mod tests {
         );
         assert!(counter("index.buffer_hits") > 0 && counter("index.tree_hits") > 0);
         assert_eq!(counter("index.evictions"), 0);
-        // Occupancy: one sample per bin, totalling every entry.
-        let (_, occ) = snap
-            .histograms
-            .iter()
-            .find(|(n, _)| n == "index.bin_occupancy")
-            .expect("occupancy recorded");
-        assert_eq!(occ.count, idx.router().bin_count() as u64);
-        assert_eq!(occ.sum, idx.len());
     }
 
     #[test]

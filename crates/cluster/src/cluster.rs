@@ -45,6 +45,7 @@ use dr_binindex::BinRouter;
 use dr_des::{SimTime, SplitMix64};
 use dr_hashes::{open, seal, sha1_digest, ChunkDigest};
 use dr_obs::{merge_snapshots, CounterHandle, HistogramHandle, ObsHandle, Snapshot};
+use dr_pool::WorkerPool;
 use dr_reduction::{HashedChunks, PipelineConfig, RecoveryOutcome, Report, VolumeError, Volumes};
 use dr_ssd_sim::CrashSpec;
 
@@ -311,6 +312,12 @@ pub struct Cluster {
     /// still reads "host ns spent fingerprinting". Wall side only — the
     /// simulated hash cost stays the node's to charge.
     hashing_wall: HistogramHandle,
+    /// `hashing.multibuffer_chunks` beside it: the chunks of that pass
+    /// hashed in SIMD lanes.
+    hashing_lanes: CounterHandle,
+    /// The router's fingerprinting pool: zero-width, so the pass stays on
+    /// the calling thread.
+    pool: WorkerPool,
     /// Digest per chunk of the write in progress (reused).
     digests: Vec<ChunkDigest>,
     /// Home node per chunk of the write in progress (reused).
@@ -355,6 +362,8 @@ impl Cluster {
             ingest_unique: obs.counter("ingest.unique"),
             ingest_dedup_hits: obs.counter("ingest.dedup_hits"),
             hashing_wall: obs.histogram("hashing.wall_ns"),
+            hashing_lanes: obs.counter("hashing.multibuffer_chunks"),
+            pool: WorkerPool::new(0),
             digests: Vec::new(),
             routed: Vec::new(),
             obs,
@@ -453,8 +462,9 @@ impl Cluster {
             std::mem::take(&mut self.routed),
         );
         let span = self.hashing_wall.span();
-        let write = HashedChunks::hash(data, chunk_bytes, &mut digests);
+        let (write, lanes) = HashedChunks::hash(&self.pool, data, chunk_bytes, &mut digests);
         span.finish();
+        self.hashing_lanes.add(lanes as u64);
         routed.clear();
         routed.extend(write.digests().iter().map(|digest| self.home(digest)));
         let outcome = self.write_runs(name, start_block, &write, &routed);
@@ -712,14 +722,14 @@ impl Cluster {
         block: u64,
     ) -> Result<Vec<u8>, ClusterError> {
         let node = self.nodes.get_mut(&node_id).expect("reading from a member");
-        let mut last = None;
-        for _ in 0..=TRANSIENT_RETRIES {
-            match node.vm.read(name, block) {
-                Ok(data) => return Ok(data),
-                Err(e) => last = Some(e),
+        let mut last = node.vm.read(name, block);
+        for _ in 0..TRANSIENT_RETRIES {
+            if last.is_ok() {
+                break;
             }
+            last = node.vm.read(name, block);
         }
-        Err(ClusterError::Volume(last.expect("loop ran")))
+        last.map_err(ClusterError::Volume)
     }
 
     /// Power-cuts one node at a seeded instant within its acked horizon,

@@ -450,6 +450,7 @@ fn router_metric_names_are_a_contract() {
     assert_eq!(
         names,
         [
+            "router.hashing.multibuffer_chunks",
             "router.ingest.dedup_hits",
             "router.ingest.unique",
             "router.membership.crashes",
@@ -537,6 +538,41 @@ fn a_client_write_is_fingerprinted_once_at_the_router() {
         .find(|(n, _)| n == "cluster.hashing.sim_ns");
     assert_eq!(sim.expect("nodes charge the hash").1.count, writes);
     c.check_integrity().unwrap();
+}
+
+#[test]
+fn the_router_counts_the_chunks_it_hashed_in_lanes() {
+    // The lane rule as the pipeline's own counter test states it: runs of
+    // three or more whole-block chunks take lanes where `dr_hashes::simd`
+    // finds both AVX-512 arms (nowhere under DR_SIMD=scalar) — here all 5
+    // of the first write and all 16 of the second.
+    let arms = (
+        dr_hashes::simd::sha1_mb_avx512(),
+        dr_hashes::simd::sha1_mb8_avx512vl(),
+    );
+    let mut c = cluster(3, false);
+    c.create_volume("v", 32).unwrap();
+    for (start, blocks) in [(0u64, 5u64), (8, 16)] {
+        let data: Vec<u8> = (start..start + blocks).flat_map(payload).collect();
+        c.write("v", start, &data).unwrap();
+    }
+    let roll = c.rollup();
+    let counter = |name: &str| {
+        let found = roll.counters.iter().find(|(n, _)| n == name);
+        found.expect("counter interned at construction").1
+    };
+    let lanes = counter("router.hashing.multibuffer_chunks");
+    match arms {
+        (true, true) => assert_eq!(lanes, 21),
+        (false, false) => assert_eq!(lanes, 0),
+        // One arm only: `dr_hashes::sha1_mb`'s tests model that host.
+        _ => {}
+    }
+    assert_eq!(counter("cluster.hashing.multibuffer_chunks"), lanes);
+    for id in c.node_ids() {
+        let node = format!("node{id}.hashing.multibuffer_chunks");
+        assert_eq!(counter(&node), 0, "node {id} hashed again");
+    }
 }
 
 #[test]

@@ -93,14 +93,8 @@ pub fn seal_with(original: &[u8], out: &mut Vec<u8>, encode: impl FnOnce(&[u8], 
     }
 }
 
-/// Wraps `original` as a stored-raw frame unconditionally.
-pub fn seal_raw(original: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + original.len());
-    seal_raw_into(original, &mut out);
-    out
-}
-
-/// [`seal_raw`] into a recycled buffer (cleared first).
+/// Wraps `original` as a stored-raw frame unconditionally, into a
+/// recycled buffer (cleared first).
 ///
 /// # Panics
 ///
@@ -166,6 +160,13 @@ pub fn compression_ratio(original_len: usize, block: &[u8]) -> f64 {
 mod tests {
     use super::*;
 
+    /// A stored-raw frame of `original`, in a buffer of its own.
+    fn raw(original: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        seal_raw_into(original, &mut out);
+        out
+    }
+
     #[test]
     fn compressible_input_uses_lz() {
         let original = b"abcabcabcabcabcabcabcabcabc";
@@ -196,7 +197,7 @@ mod tests {
 
     #[test]
     fn seal_raw_is_always_raw() {
-        let block = seal_raw(b"abcabcabc");
+        let block = raw(b"abcabcabc");
         assert_eq!(inspect(&block).unwrap().0, Frame::Raw);
         assert_eq!(open(&block).unwrap(), b"abcabcabc");
     }
@@ -230,7 +231,7 @@ mod tests {
             ],
         );
         assert_eq!(inspect(&lz).unwrap().0, Frame::Lz);
-        for valid in [seal_raw(original), lz] {
+        for valid in [raw(original), lz] {
             for method in 2..=255u8 {
                 let mut block = valid.clone();
                 block[0] = method;
@@ -242,7 +243,7 @@ mod tests {
 
     #[test]
     fn length_mismatch_detected_for_raw() {
-        let mut block = seal_raw(b"abcdef");
+        let mut block = raw(b"abcdef");
         block.pop();
         assert!(matches!(
             open(&block),
@@ -263,7 +264,7 @@ mod tests {
 
     #[test]
     fn protect_round_trips() {
-        let frame = seal_raw(b"some frame");
+        let frame = raw(b"some frame");
         let protected = protect(&frame);
         assert_eq!(protected.len(), frame.len() + dr_hashes::SEAL_LEN);
         assert_eq!(protected[..frame.len()], frame[..]);
@@ -272,7 +273,7 @@ mod tests {
 
     #[test]
     fn protect_detects_every_single_bit_flip() {
-        let frame = seal_raw(b"integrity matters");
+        let frame = raw(b"integrity matters");
         let protected = protect(&frame);
         for byte in 0..protected.len() {
             let mut corrupt = protected.clone();
@@ -292,7 +293,7 @@ mod tests {
         // The envelope is checked first: a method byte damaged on the
         // device is a checksum error, whether or not the new value names a
         // method (0 -> 1 would otherwise decode raw bytes as tokens).
-        let protected = protect(&seal_raw(b"integrity matters"));
+        let protected = protect(&raw(b"integrity matters"));
         for method in 1..=255u8 {
             let mut corrupt = protected.clone();
             corrupt[0] = method;
@@ -308,7 +309,7 @@ mod tests {
 
     #[test]
     fn protect_rejects_truncation() {
-        let protected = protect(&seal_raw(b"integrity matters"));
+        let protected = protect(&raw(b"integrity matters"));
         for len in 0..dr_hashes::SEAL_LEN {
             assert_eq!(
                 dr_hashes::open(&protected[..len]),

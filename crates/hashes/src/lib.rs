@@ -50,7 +50,7 @@ pub use digest::ChunkDigest;
 pub use fast::mix64;
 pub use lz_hash::{lz_slot, lz_slots, LZ_SLOT_BITS};
 pub use lz_match::lz_find_match;
-pub use parallel::{hash_chunks_pooled, hash_chunks_pooled_counted};
+pub use parallel::{hash_chunks_into, hash_chunks_pooled};
 pub use seal::{open, seal, SealError, SEAL_LEN};
 pub use sha1::{sha1_digest, Sha1};
 pub use sha1_mb::sha1_digest_many;

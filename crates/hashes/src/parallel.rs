@@ -3,18 +3,18 @@
 //! The paper observes that hashing has *no inter-chunk dependency*, so the
 //! chunking stage's output can be fingerprinted by any number of CPU worker
 //! threads — and, within one thread, by any number of SIMD lanes.
-//! [`hash_chunks_pooled`] does both: it cuts a batch into groups of
-//! [`SHA1_MB_LANES`] chunks, the unit [`sha1_digest_many`]'s sixteen-lane
-//! arm hashes in one instruction stream, and fans the groups out over a
-//! caller-owned persistent [`WorkerPool`] — worker threads are created
-//! once, not per batch, and idle workers steal from busy ones instead of
-//! relying on static partitioning. A batch of fewer than two whole groups
+//! [`hash_chunks_into`] does both, and is the one place a batch is
+//! fingerprinted: it cuts the batch into groups of [`SHA1_MB_LANES`]
+//! chunks, the unit [`sha1_digest_many`]'s sixteen-lane arm hashes in one
+//! instruction stream, and fans the groups out over a caller-owned
+//! persistent [`WorkerPool`] — worker threads are created once, not per
+//! batch, and idle workers steal from busy ones instead of relying on
+//! static partitioning. A batch of fewer than two whole groups
 //! (`HASH_FANOUT_GRAIN`) is hashed on the caller, and so is the tail of
 //! fewer than sixteen chunks, which [`sha1_digest_many`] puts in padded
 //! lanes when it is long enough. Digests always come back in input order.
 
-use crate::digest::ChunkDigest;
-use crate::sha1_mb::{sha1_digest_many, SHA1_MB_LANES};
+use crate::{digest::ChunkDigest, sha1_mb::sha1_digest_many, sha1_mb::SHA1_MB_LANES};
 use dr_pool::WorkerPool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -33,37 +33,48 @@ pub fn hash_chunks_pooled<T: AsRef<[u8]> + Sync>(
     pool: &WorkerPool,
     chunks: &[T],
 ) -> Vec<ChunkDigest> {
-    hash_chunks_pooled_counted(pool, chunks).0
+    let mut digests = vec![ChunkDigest::zero(); chunks.len()];
+    hash_chunks_into(pool, |i| chunks[i].as_ref(), &mut digests);
+    digests
 }
 
-/// [`hash_chunks_pooled`], and with the digests how many chunks went
-/// through a lane arm (what [`sha1_digest_many`] returns, summed over the
-/// groups and the tail).
-pub fn hash_chunks_pooled_counted<T: AsRef<[u8]> + Sync>(
+/// Fingerprints `out.len()` chunks, the `i`-th being `chunk(i)`, into
+/// `out` in input order, and returns how many went through a lane arm
+/// (what [`sha1_digest_many`] returns, summed over the groups and the
+/// tail). Nothing is allocated for the chunk views: a group's are built on
+/// the stack of whichever participant hashes it.
+///
+/// ```
+/// use dr_hashes::{hash_chunks_into, sha1_digest, ChunkDigest};
+/// use dr_pool::WorkerPool;
+/// let data = [5u8; 10];
+/// let mut out = [ChunkDigest::zero(); 3];
+/// hash_chunks_into(&WorkerPool::new(0), |i| &data[i * 4..(i * 4 + 4).min(10)], &mut out);
+/// assert_eq!(out[2], sha1_digest(&[5, 5]));
+/// ```
+pub fn hash_chunks_into<'a>(
     pool: &WorkerPool,
-    chunks: &[T],
-) -> (Vec<ChunkDigest>, usize) {
-    let mut digests = vec![ChunkDigest::zero(); chunks.len()];
-    let (groups, tail) = digests.as_chunks_mut::<SHA1_MB_LANES>();
+    chunk: impl Fn(usize) -> &'a [u8] + Sync,
+    out: &mut [ChunkDigest],
+) -> usize {
+    let n = out.len();
+    let (groups, tail) = out.as_chunks_mut::<SHA1_MB_LANES>();
     // A statistic summed across participants; it publishes nothing.
     let wide = AtomicUsize::new(0);
     pool.for_each_mut_grained(groups, HASH_FANOUT_GRAIN, |g, out| {
-        let msgs: [&[u8]; SHA1_MB_LANES] =
-            std::array::from_fn(|lane| chunks[g * SHA1_MB_LANES + lane].as_ref());
+        let msgs: [_; SHA1_MB_LANES] = std::array::from_fn(|lane| chunk(g * SHA1_MB_LANES + lane));
         wide.fetch_add(sha1_digest_many(&msgs, out), Ordering::Relaxed);
     });
-    // What is left is less than a group: too little for another thread,
-    // and its views fit on the stack.
-    let mut views: [&[u8]; SHA1_MB_LANES] = [&[]; SHA1_MB_LANES];
-    for (view, chunk) in views.iter_mut().zip(&chunks[chunks.len() - tail.len()..]) {
-        *view = chunk.as_ref();
+    // What is left is less than a group: too little for another thread.
+    let mut views = [&[][..]; SHA1_MB_LANES];
+    for (view, i) in views.iter_mut().zip(n - tail.len()..n) {
+        *view = chunk(i);
     }
-    let tail_wide = sha1_digest_many(&views[..tail.len()], tail);
-    (digests, wide.into_inner() + tail_wide)
+    wide.into_inner() + sha1_digest_many(&views[..tail.len()], tail)
 }
 
 /// Groups of [`SHA1_MB_LANES`] chunks per participant below which
-/// [`hash_chunks_pooled`] stays on the caller: one, so any batch of two
+/// [`hash_chunks_into`] stays on the caller: one, so any batch of two
 /// whole groups (32 chunks) fans out.
 ///
 /// The rule is that a participant's share must outweigh a hand-off to a
@@ -92,7 +103,9 @@ mod tests {
         // span many. Each pool is reused across all batch sizes. Chunks are
         // whole blocks of distinct bytes, so runs take lanes where the
         // host has them; the second round's short last chunk keeps itself
-        // out and shortens its group's run by one.
+        // out and shortens its group's run by one. Each batch is hashed
+        // from a list of chunks and from one buffer cut at the block size,
+        // the way the pipeline views a write.
         for threads in [0usize, 1, 2, 7] {
             let pool = WorkerPool::new(threads);
             for n in (0..=40usize).chain([97, 128]) {
@@ -105,9 +118,12 @@ mod tests {
                     }
                     let serial: Vec<ChunkDigest> =
                         chunks.iter().map(|c| crate::sha1_digest(c)).collect();
-                    let (digests, wide) = hash_chunks_pooled_counted(&pool, &chunks);
-                    assert_eq!(digests, serial, "{threads} pool threads, {n} chunks");
                     assert_eq!(hash_chunks_pooled(&pool, &chunks), serial);
+                    let buffer = chunks.concat();
+                    let cut = |i: usize| &buffer[i * 256..((i + 1) * 256).min(buffer.len())];
+                    let mut digests = vec![ChunkDigest::zero(); n];
+                    let wide = hash_chunks_into(&pool, cut, &mut digests);
+                    assert_eq!(digests, serial, "{threads} pool threads, {n} chunks");
                     let whole = if last_len == 256 {
                         n
                     } else {

@@ -197,14 +197,10 @@ impl EnduranceComparison {
 }
 
 /// Runs `blocks`, 4 KiB each, through all three systems on identical SSD
-/// profiles.
-pub fn compare_endurance(blocks: &[Vec<u8>], ssd_spec: &SsdSpec) -> EnduranceComparison {
-    compare_endurance_with_obs(blocks, ssd_spec, &dr_obs::ObsHandle::disabled())
-}
-
-/// [`compare_endurance`] with the inline pipeline wired to `obs`, so the
-/// wear comparison also yields the inline system's destage/SSD metrics.
-pub fn compare_endurance_with_obs(
+/// profiles, the inline pipeline wired to `obs` (pass a disabled handle
+/// for none), so the wear comparison can also yield the inline system's
+/// destage/SSD metrics.
+pub fn compare_endurance(
     blocks: &[Vec<u8>],
     ssd_spec: &SsdSpec,
     obs: &dr_obs::ObsHandle,
@@ -291,7 +287,7 @@ mod tests {
     #[test]
     fn background_wears_the_flash_more_than_inline() {
         let data = blocks(64);
-        let cmp = compare_endurance(&data, &spec());
+        let cmp = compare_endurance(&data, &spec(), &dr_obs::ObsHandle::disabled());
         assert!(
             cmp.background_nand_writes > cmp.inline_nand_writes,
             "background {} vs inline {}",

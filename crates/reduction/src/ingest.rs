@@ -15,9 +15,9 @@ use std::ops::Range;
 use dr_binindex::{BinHit, ChunkRef, FlushEvent, GpuProbe, ProbeKind};
 use dr_compress::{frame, Codec};
 use dr_des::{Grant, SimTime};
-use dr_hashes::sha1_mb::SHA1_MB_LANES;
-use dr_hashes::{sha1_digest, sha1_digest_many, ChunkDigest};
+use dr_hashes::{hash_chunks_into, sha1_digest, ChunkDigest};
 use dr_obs::trace::{trace_args, TraceArgs, Tracer, Track};
+use dr_pool::WorkerPool;
 
 use crate::cpu_model::CpuModel;
 use crate::journal::{BatchCommit, ChunkCommit, Record};
@@ -90,6 +90,9 @@ pub(crate) struct BatchScratch {
     firsts: HashMap<ChunkDigest, usize>,
     /// The batch's chunk commits, for its journal record.
     commits: Vec<ChunkCommit>,
+    /// The digests of the batch in flight and of the one fingerprinted
+    /// meanwhile, swapped batch by batch.
+    pub(crate) digests: [Vec<ChunkDigest>; 2],
 }
 
 /// Chunk payloads for one batch: a view of the caller's own write buffer,
@@ -128,11 +131,12 @@ impl<'a> BatchPayload<'a> {
 ///
 /// ```
 /// use dr_hashes::sha1_digest;
+/// use dr_pool::WorkerPool;
 /// use dr_reduction::HashedChunks;
 ///
 /// let data = vec![7u8; 8192];
 /// let mut digests = Vec::new();
-/// let write = HashedChunks::hash(&data, 4096, &mut digests);
+/// let (write, _lanes) = HashedChunks::hash(&WorkerPool::new(0), &data, 4096, &mut digests);
 /// assert_eq!(write.digests(), [sha1_digest(&data[..4096]); 2]);
 /// assert_eq!(write.slice(1..2).data(), &data[4096..]);
 /// ```
@@ -163,32 +167,32 @@ pub struct HashedChunks<'a> {
 
 impl<'a> HashedChunks<'a> {
     /// Fingerprints `data` chunk by chunk (the last chunk may be short)
-    /// into `digests`, cleared and refilled — a front-end that keeps the
-    /// list fingerprints every write without allocating — and views the
-    /// bytes with them.
+    /// over `pool` into `digests`, cleared and refilled — a front-end that
+    /// keeps the list fingerprints every write without allocating — and
+    /// views the bytes with them. Returns the view and how many chunks
+    /// were hashed in SIMD lanes, for the caller's
+    /// `hashing.multibuffer_chunks`.
     ///
     /// # Panics
     ///
     /// Panics when `chunk_bytes` is zero.
-    pub fn hash(data: &'a [u8], chunk_bytes: usize, digests: &'a mut Vec<ChunkDigest>) -> Self {
+    pub fn hash(
+        pool: &WorkerPool,
+        data: &'a [u8],
+        chunk_bytes: usize,
+        digests: &'a mut Vec<ChunkDigest>,
+    ) -> (Self, usize) {
         assert!(chunk_bytes > 0, "chunk size must be positive");
+        let payload = BatchPayload { data, chunk_bytes };
         digests.clear();
-        digests.resize(data.len().div_ceil(chunk_bytes), ChunkDigest::zero());
-        // One multi-buffer group of chunk views at a time, on the stack:
-        // a one-chunk write should not allocate a list of them.
-        let mut chunks = data.chunks(chunk_bytes);
-        for out in digests.chunks_mut(SHA1_MB_LANES) {
-            let mut views: [&[u8]; SHA1_MB_LANES] = [&[]; SHA1_MB_LANES];
-            for (view, chunk) in views.iter_mut().zip(&mut chunks) {
-                *view = chunk;
-            }
-            sha1_digest_many(&views[..out.len()], out);
-        }
-        HashedChunks {
+        digests.resize(payload.len(), ChunkDigest::zero());
+        let lanes = hash_chunks_into(pool, |i| payload.view(i), digests);
+        let write = HashedChunks {
             data,
             chunk_bytes,
             digests,
-        }
+        };
+        (write, lanes)
     }
 
     /// The chunks `chunks` of this write, as a view of their own.
@@ -405,7 +409,9 @@ impl Pipeline {
             .map(|c| c.ready_at)
             .max()
             .unwrap_or(SimTime::ZERO);
-        let use_gpu = self.gpu_index.is_some() && self.fault.gpu_dedup.allow(batch_ready);
+        let gpu_dedup = &self.fault.gpu_dedup;
+        let gpu_index = (self.gpu_index.as_mut()).filter(|_| gpu_dedup.allow(batch_ready));
+        let use_gpu = gpu_index.is_some();
         let routing = &self.obs.routing;
         let routed = if use_gpu {
             &routing.to_gpu
@@ -419,10 +425,9 @@ impl Pipeline {
             batch_ready.as_nanos(),
             trace_args(&[("batch", batch.id), ("chunks", chunks.len() as u64)]),
         );
-        if !use_gpu {
+        let Some(gpu_index) = gpu_index else {
             return;
-        }
-        let gpu_index = self.gpu_index.as_mut().expect("use_gpu implies an index");
+        };
         let (gpu, probes) = (&mut self.gpu, &mut self.scratch.gpu_probes);
         let looked_up = self.fault.gpu_dedup.attempt(
             batch_ready,
@@ -487,33 +492,30 @@ impl Pipeline {
                 .filter_map(|(chunk, digest)| chunk.cpu_probe.map(|kind| (*digest, kind))),
         );
         self.index.probe_batch_into(&self.pool, queries, hits);
-        let mut probed = hits.iter().copied();
-        for (i, chunk) in batch.chunks.iter_mut().enumerate() {
-            if let Some(kind) = chunk.cpu_probe {
-                let hit = probed.next().expect("one probe per planned chunk");
-                // Tree probes always pay the buffer scan first; a
-                // buffer-only probe never reaches the tree.
-                let cost = match (kind, hit) {
-                    (ProbeKind::BufferOnly, _) | (_, Some((_, BinHit::Buffer))) => {
-                        CpuModel::I7_3770K.buffer_probe_cost()
-                    }
-                    _ => {
-                        CpuModel::I7_3770K.buffer_probe_cost()
-                            + CpuModel::I7_3770K.tree_probe_cost()
-                    }
-                };
-                self.obs.index_probe.record_sim_ns(cost.as_nanos());
-                chunk.ready_at = self.cpu.acquire(chunk.ready_at, cost).end;
-                if let Some((r, place)) = hit {
-                    match place {
-                        BinHit::Buffer => self.report.buffer_hits += 1,
-                        BinHit::Tree => self.report.tree_hits += 1,
-                    }
-                    chunk.outcome = DedupOutcome::Duplicate;
-                    chunk.stored = Some(r);
+        // One hit per query, in the order the queries were planned.
+        let planned = (batch.chunks.iter_mut()).filter_map(|c| Some((c.cpu_probe?, c)));
+        for ((kind, chunk), &hit) in planned.zip(hits.iter()) {
+            // Tree probes always pay the buffer scan first; a buffer-only
+            // probe never reaches the tree.
+            let cost = match (kind, hit) {
+                (ProbeKind::BufferOnly, _) | (_, Some((_, BinHit::Buffer))) => {
+                    CpuModel::I7_3770K.buffer_probe_cost()
                 }
+                _ => CpuModel::I7_3770K.buffer_probe_cost() + CpuModel::I7_3770K.tree_probe_cost(),
+            };
+            self.obs.index_probe.record_sim_ns(cost.as_nanos());
+            chunk.ready_at = self.cpu.acquire(chunk.ready_at, cost).end;
+            if let Some((r, place)) = hit {
+                match place {
+                    BinHit::Buffer => self.report.buffer_hits += 1,
+                    BinHit::Tree => self.report.tree_hits += 1,
+                }
+                chunk.outcome = DedupOutcome::Duplicate;
+                chunk.stored = Some(r);
             }
-            // Found by the GPU pass or just now: count it in the report.
+        }
+        // Found by the GPU pass or just now: count it in the report.
+        for (i, chunk) in batch.chunks.iter().enumerate() {
             if chunk.outcome == DedupOutcome::Duplicate {
                 self.report.dedup_hits += 1;
                 self.report.bytes_deduped += batch.payload.view(i).len() as u64;
@@ -896,8 +898,8 @@ mod tests {
         let data: Vec<u8> = (0..(2 * 16 + 6) * 4096 + 1000)
             .map(|i: usize| (i / 4096 * 37 + i % 251) as u8)
             .collect();
-        let mut digests = Vec::new();
-        let write = HashedChunks::hash(&data, 4096, &mut digests);
+        let (pool, mut digests) = (WorkerPool::new(0), Vec::new());
+        let (write, _) = HashedChunks::hash(&pool, &data, 4096, &mut digests);
         let one_by_one: Vec<ChunkDigest> = data.chunks(4096).map(sha1_digest).collect();
         assert_eq!(write.digests(), one_by_one);
         assert_eq!(write.digests().len(), 39);
@@ -905,7 +907,8 @@ mod tests {
         let tail = write.slice(30..39);
         assert_eq!(tail.digests(), &one_by_one[30..]);
         assert!(tail.verify());
-        assert!(HashedChunks::hash(&[], 4096, &mut digests)
+        assert!(HashedChunks::hash(&pool, &[], 4096, &mut digests)
+            .0
             .digests()
             .is_empty());
     }

@@ -79,10 +79,7 @@ pub mod volume;
 #[path = "../tests/cut_sweep/mod.rs"]
 mod cut_sweep;
 
-pub use background::{
-    compare_endurance, compare_endurance_with_obs, BackgroundReducer, BackgroundReport,
-    EnduranceComparison,
-};
+pub use background::{compare_endurance, BackgroundReducer, BackgroundReport, EnduranceComparison};
 pub use calibrate::{calibrate, CalibrationOutcome};
 pub use cpu_model::CpuModel;
 pub use error::ReadError;

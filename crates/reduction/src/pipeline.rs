@@ -7,12 +7,11 @@ use dr_binindex::{BinIndex, BinIndexConfig, ChunkRef, GpuBinIndex, GpuBinIndexCo
 use dr_compress::{FastLz, GpuCompressor, GpuCompressorConfig};
 use dr_des::{Resource, SimTime};
 use dr_gpu_sim::{GpuDevice, GpuSpec};
-use dr_hashes::{hash_chunks_pooled_counted, ChunkDigest};
+use dr_hashes::{hash_chunks_into, ChunkDigest};
 use dr_obs::trace::Tracer;
 use dr_obs::{CounterHandle, GaugeHandle, HistogramHandle, ObsHandle, StageObs};
 use dr_pool::WorkerPool;
 use dr_ssd_sim::{SsdDevice, SsdSpec};
-use std::borrow::Cow;
 
 use crate::cpu_model::CpuModel;
 use crate::degrade::{Guarded, GPU_COMPRESS, GPU_DEDUP};
@@ -290,36 +289,27 @@ pub(crate) fn power_on_gpu(config: &PipelineConfig) -> (GpuDevice, Option<GpuBin
     (gpu, gpu_index.ok())
 }
 
-/// A batch with its fingerprints, ready for [`Pipeline::process_batch`].
-type HashedBatch<'a> = (BatchPayload<'a>, Cow<'a, [ChunkDigest]>);
-
-/// Fingerprints one batch: a `hash_chunks_pooled_counted` fan-out under
-/// the `hashing` wall span, the same whether the submitter calls it or a
-/// pool job does — unless the batch came out of a [`HashedChunks`], whose
-/// digests are `supplied` and borrowed as they are. Fingerprints only
+/// Fingerprints one batch into `digests`, cleared and refilled: a
+/// [`hash_chunks_into`] pass under the `hashing` wall span, the same
+/// whether the submitter calls it or a pool job does. Fingerprints only
 /// exist on behalf of deduplication — the paper's compression-only
 /// experiment does not hash, so with dedup disabled the digests are zero
-/// sentinels, supplied or not, and no SHA-1 is computed at all.
-fn fingerprint<'a>(
+/// sentinels and no SHA-1 is computed at all.
+fn fingerprint(
     pool: &WorkerPool,
     dedup_enabled: bool,
     obs: &HashingObs,
-    payload: BatchPayload<'a>,
-    supplied: Option<&'a [ChunkDigest]>,
-) -> HashedBatch<'a> {
-    let digests = if !dedup_enabled {
-        Cow::Owned(vec![ChunkDigest::zero(); payload.len()])
-    } else if let Some(digests) = supplied {
-        Cow::Borrowed(digests)
-    } else {
+    payload: BatchPayload,
+    digests: &mut Vec<ChunkDigest>,
+) {
+    digests.clear();
+    digests.resize(payload.len(), ChunkDigest::zero());
+    if dedup_enabled {
         let span = obs.stage.span();
-        let views: Vec<&[u8]> = (0..payload.len()).map(|i| payload.view(i)).collect();
-        let (digests, wide) = hash_chunks_pooled_counted(pool, &views);
+        let wide = hash_chunks_into(pool, |i| payload.view(i), digests);
         span.finish();
         obs.multibuffer_chunks.add(wide as u64);
-        Cow::Owned(digests)
-    };
-    (payload, digests)
+    }
 }
 
 /// The integrated inline data reduction pipeline.
@@ -621,53 +611,65 @@ impl Pipeline {
     }
 
     /// The double-buffered batch loop. `stream` is cut into batches of
-    /// `batch_chunks` chunks, each a view of the caller's bytes with its
-    /// share of `digests` when the caller brought them. While batch N runs
-    /// its downstream stages (dedup, compression, destage) on the calling
-    /// thread, batch N+1 is fingerprinted by a pool job that borrows its
-    /// bytes through [`WorkerPool::join`], which does not return (or
-    /// unwind) before the job has finished. A job is started only to
-    /// overlap with a batch in flight: the first batch of a call — for a
-    /// small write the only one — has nothing to hide behind, so handing
-    /// it to another thread and sleeping until it comes back would buy
-    /// two wake-ups and no overlap; it is fingerprinted right here.
-    /// A batch that arrives with its digests has nothing to compute and
-    /// is never worth a job either. Simulated-time accounting stays serial
-    /// and in input order inside [`Pipeline::process_batch`], so where —
-    /// or whether — this host hashed a batch changes wall-clock behavior
-    /// only: simulated results are bit-identical.
-    fn drive(&mut self, stream: &[u8], digests: Option<&[ChunkDigest]>) {
+    /// `batch_chunks` chunks, each a view of the caller's bytes. A stream
+    /// whose digests the caller `supplied` borrows each batch's share of
+    /// them as it is; any other batch is fingerprinted into one of the two
+    /// digest buffers the pipeline recycles ([`BatchScratch::digests`]).
+    /// While batch N runs its downstream stages (dedup, compression,
+    /// destage) on the calling thread, batch N+1 is fingerprinted into the
+    /// other buffer by a pool job that borrows its bytes through
+    /// [`WorkerPool::join`], which does not return (or unwind) before the
+    /// job has finished. A job is started only to overlap with a batch in
+    /// flight: the first batch of a call — for a small write the only one
+    /// — has nothing to hide behind, so handing it to another thread and
+    /// sleeping until it comes back would buy two wake-ups and no overlap;
+    /// it is fingerprinted right here. A stream that arrives with its
+    /// digests has nothing to compute and is never worth a job either.
+    /// Simulated-time accounting stays serial and in input order inside
+    /// [`Pipeline::process_batch`], so where — or whether — this host
+    /// hashed a batch changes wall-clock behavior only: simulated results
+    /// are bit-identical.
+    fn drive(&mut self, stream: &[u8], supplied: Option<&[ChunkDigest]>) {
         let (chunk_bytes, batch_chunks) = (self.config.chunk_bytes, self.config.batch_chunks);
         let dedup_enabled = self.config.dedup_enabled;
         // Chunks sit at fixed offsets, so the cut is arithmetic on `stream`.
         let span = self.obs.chunking.span();
-        let batches = stream.chunks(chunk_bytes * batch_chunks);
+        let mut batches = (stream.chunks(chunk_bytes * batch_chunks))
+            .map(|data| BatchPayload { data, chunk_bytes });
         span.finish();
-        let mut in_flight: Option<HashedBatch> = None;
-        for (b, data) in batches.enumerate() {
-            let payload = BatchPayload { data, chunk_bytes };
-            let supplied = digests.map(|d| &d[b * batch_chunks..][..payload.len()]);
-            in_flight = Some(match in_flight {
-                Some((prev, digests)) if supplied.is_none() => {
+        if let Some(supplied) = supplied.filter(|_| dedup_enabled) {
+            for (payload, digests) in batches.zip(supplied.chunks(batch_chunks)) {
+                self.process_batch(payload, digests);
+            }
+            return;
+        }
+        let [mut ready, mut next] = std::mem::take(&mut self.scratch.digests);
+        let mut in_flight = batches.next();
+        if let Some(payload) = in_flight {
+            let hashing = &self.obs.hashing;
+            fingerprint(&self.pool, dedup_enabled, hashing, payload, &mut ready);
+        }
+        while let Some(payload) = in_flight {
+            in_flight = batches.next();
+            match in_flight {
+                Some(upcoming) if supplied.is_none() => {
                     let (pool, hashing) = (self.pool.clone(), self.obs.hashing.clone());
-                    let (next, ()) = pool.join(
-                        || fingerprint(&pool, dedup_enabled, &hashing, payload, None),
-                        || self.process_batch(prev, &digests),
+                    pool.join(
+                        || fingerprint(&pool, dedup_enabled, &hashing, upcoming, &mut next),
+                        || self.process_batch(payload, &ready),
                     );
-                    next
                 }
-                waiting => {
-                    if let Some((prev, digests)) = waiting {
-                        self.process_batch(prev, &digests);
+                upcoming => {
+                    self.process_batch(payload, &ready);
+                    if let Some(upcoming) = upcoming {
+                        let hashing = &self.obs.hashing;
+                        fingerprint(&self.pool, dedup_enabled, hashing, upcoming, &mut next);
                     }
-                    let hashing = &self.obs.hashing;
-                    fingerprint(&self.pool, dedup_enabled, hashing, payload, supplied)
                 }
-            });
+            }
+            std::mem::swap(&mut ready, &mut next);
         }
-        if let Some((payload, digests)) = in_flight {
-            self.process_batch(payload, &digests);
-        }
+        self.scratch.digests = [ready, next];
     }
 
     /// Acknowledges and closes out an operation: one journal sync for
@@ -677,8 +679,6 @@ impl Pipeline {
         self.journal_sync();
         // A refused flush leaves the tail buffered for the next one.
         let _ = self.flush();
-        // End-of-run gauge sweep: per-bin occupancy (recorded once).
-        self.index.record_bin_occupancy();
         self.report.ssd_writes = self.ssd.stats().writes;
         self.report.ssd_bytes_written = self.ssd.stats().bytes_written;
         self.report.write_amplification = self.ssd.ftl_stats().write_amplification();

@@ -735,10 +735,10 @@ mod tests {
                 );
                 plain.create_volume("v", 32).unwrap();
                 hashed.create_volume("v", 32).unwrap();
-                let mut digests = Vec::new();
+                let (pool, mut digests) = (dr_pool::WorkerPool::new(0), Vec::new());
                 for (start, data) in &writes {
                     plain.write("v", *start, data).unwrap();
-                    let view = HashedChunks::hash(data, 4096, &mut digests);
+                    let (view, _) = HashedChunks::hash(&pool, data, 4096, &mut digests);
                     hashed.write_hashed("v", *start, &view).unwrap();
                     assert_eq!(plain.report(), hashed.report(), "{what}");
                     assert_eq!(plain.last_ack(), hashed.last_ack(), "{what}");
@@ -773,13 +773,22 @@ mod tests {
         let mut m = manager();
         m.create_volume("v", 2).unwrap();
         let (short, mut digests) = ([1u8, 2, 3], Vec::new());
+        let pool = dr_pool::WorkerPool::new(0);
         assert!(matches!(
-            m.write_hashed("v", 0, &HashedChunks::hash(&short, 4096, &mut digests)),
+            m.write_hashed(
+                "v",
+                0,
+                &HashedChunks::hash(&pool, &short, 4096, &mut digests).0
+            ),
             Err(VolumeError::Misaligned { .. })
         ));
         let long = block_run(&[1, 2]);
         assert!(matches!(
-            m.write_hashed("v", 1, &HashedChunks::hash(&long, 4096, &mut digests)),
+            m.write_hashed(
+                "v",
+                1,
+                &HashedChunks::hash(&pool, &long, 4096, &mut digests).0
+            ),
             Err(VolumeError::OutOfRange { .. })
         ));
     }

@@ -7,11 +7,12 @@
 //! its map update) straight into the journal's tail and programs the tail
 //! page once — the sync that acknowledges it — into the buffer the device
 //! already holds for that page. Its stages run on the pipeline's reused
-//! per-batch lists, and in gpu-both mode the GPU-index probe adds no
-//! allocation either: a duplicate write allocates nothing but amortized
-//! growth. A 1 MiB duplicate write — two full batches, the second hashed
-//! while the first runs its stages — allocates its fingerprint lists and
-//! no more. This test
+//! per-batch lists, its digests in the pipeline's two recycled digest
+//! buffers, and in gpu-both mode the GPU-index probe adds no allocation
+//! either: a duplicate write allocates nothing but amortized growth, and
+//! no more than the same write fingerprinted upstream. A 1 MiB duplicate
+//! write — two full batches, the second hashed while the first runs its
+//! stages — allocates far less than a copy of itself. This test
 //! pins both with a counting global allocator, so a copy of the stream, an
 //! encoded-record buffer, a cloned tail page or a copy of the page a write
 //! displaced fails here rather than in a benchmark run. The integrity
@@ -27,6 +28,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use dr_pool::WorkerPool;
 use dr_reduction::{HashedChunks, IntegrationMode, PipelineConfig, VolumeManager};
 
 struct CountingAlloc;
@@ -160,10 +162,11 @@ fn two_batch_duplicate_write_bytes() -> u64 {
     bytes
 }
 
-/// Allocations of the ninth pre-hashed single-block duplicate write into
-/// a fresh journaled array in `mode`, and how many GPU-index queries it
-/// made.
-fn duplicate_write_allocs(mode: IntegrationMode) -> (u64, u64) {
+/// Allocations of the ninth single-block duplicate write into a fresh
+/// journaled array in `mode`, pre-hashed, and how many GPU-index queries
+/// it made; then the allocations of a tenth fingerprinted by the pipeline
+/// and of an eleventh pre-hashed again.
+fn duplicate_write_allocs(mode: IntegrationMode) -> (u64, u64, [u64; 2]) {
     let mut array = VolumeManager::new(PipelineConfig {
         mode,
         journal_pages: 256,
@@ -175,14 +178,21 @@ fn duplicate_write_allocs(mode: IntegrationMode) -> (u64, u64) {
     for b in 0..8 {
         array.write("v", b, &block).unwrap();
     }
-    let mut digests = Vec::new();
-    let write = HashedChunks::hash(&block, 4096, &mut digests);
+    let (pool, mut digests) = (WorkerPool::new(0), Vec::new());
+    let (write, _) = HashedChunks::hash(&pool, &block, 4096, &mut digests);
     let (queries, dedup_hits) = (array.report().gpu_index_queries, array.report().dedup_hits);
-    let before = ALLOCS.load(Ordering::Relaxed);
-    array.write_hashed("v", 8, &write).unwrap();
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = |f: &mut dyn FnMut()| {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        f();
+        ALLOCS.load(Ordering::Relaxed) - before
+    };
+    let hashed = allocs(&mut || array.write_hashed("v", 8, &write).unwrap());
     assert_eq!(array.report().dedup_hits, dedup_hits + 1);
-    (allocs, array.report().gpu_index_queries - queries)
+    let queries = array.report().gpu_index_queries - queries;
+    let plain = allocs(&mut || array.write("v", 9, &block).unwrap());
+    let hashed_again = allocs(&mut || array.write_hashed("v", 10, &write).unwrap());
+    assert_eq!(array.report().dedup_hits, dedup_hits + 3);
+    (hashed, queries, [plain, hashed_again])
 }
 
 #[test]
@@ -209,8 +219,8 @@ fn a_journaled_write_allocates_no_copy_of_its_data() {
 
     // Fingerprinted upstream: the same budget (the digest list is the
     // caller's).
-    let mut digests = Vec::new();
-    let write = HashedChunks::hash(&block, 4096, &mut digests);
+    let (pool, mut digests) = (WorkerPool::new(0), Vec::new());
+    let (write, _) = HashedChunks::hash(&pool, &block, 4096, &mut digests);
     let (pages, bytes) = allocated_during(|| array.write_hashed("v", 10, &write).unwrap());
     assert_eq!(array.report().dedup_hits, dedup_hits + 2);
     assert!(pages <= 1, "pre-hashed write: {pages} page-sized buffers");
@@ -223,8 +233,9 @@ fn a_journaled_write_allocates_no_copy_of_its_data() {
     // as much in gpu-both mode as in cpu-only mode, which has no GPU
     // pass: at most the amortized growth of the recipe and of the
     // device's crash-capture log.
-    let (cpu_allocs, cpu_queries) = duplicate_write_allocs(IntegrationMode::CpuOnly);
-    let (gpu_allocs, gpu_queries) = duplicate_write_allocs(IntegrationMode::GpuForBoth);
+    let (cpu_allocs, cpu_queries, [plain, hashed]) =
+        duplicate_write_allocs(IntegrationMode::CpuOnly);
+    let (gpu_allocs, gpu_queries, _) = duplicate_write_allocs(IntegrationMode::GpuForBoth);
     assert_eq!((cpu_queries, gpu_queries), (0, 1));
     assert_eq!(
         gpu_allocs,
@@ -233,6 +244,12 @@ fn a_journaled_write_allocates_no_copy_of_its_data() {
         gpu_allocs as i64 - cpu_allocs as i64
     );
     assert!(cpu_allocs <= 2, "duplicate write: {cpu_allocs} allocations");
+    // The pipeline fingerprints into digest buffers it recycles, so a
+    // write it hashes itself allocates no more than one hashed upstream.
+    assert_eq!(
+        plain, hashed,
+        "a duplicate write allocates {plain} times, {hashed} pre-hashed"
+    );
 
     // A copy of the stream alone would be 1 MiB.
     let big = two_batch_duplicate_write_bytes();

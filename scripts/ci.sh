@@ -149,9 +149,10 @@ cargo run --release -q -p dr-bench --bin fault_matrix | diff crates/bench/fault_
 # when the write path's stages or cost models do. Like the fault matrix,
 # a PR that moves one on purpose re-records its golden and says why. Run
 # at the default scale, with the metrics path the goldens name.
-for bin in e1_indexing_cpu_vs_gpu e2_dedup_throughput e3_compress_throughput \
-    e4_fig2_integration e5_calibration e6_endurance e7_chunk_size_sweep \
-    e8_read_path e9_cluster ablation_report; do
+goldens=(e1_indexing_cpu_vs_gpu e2_dedup_throughput e3_compress_throughput
+    e4_fig2_integration e5_calibration e6_endurance e7_chunk_size_sweep
+    e8_read_path e9_cluster ablation_report)
+for bin in "${goldens[@]}"; do
     echo "==> ${bin} (table vs golden)"
     env -u DR_SCALE -u DR_METRICS_OUT "target/release/${bin}" \
         | diff "crates/bench/${bin}.golden" -
@@ -189,9 +190,7 @@ cargo run --release -q -p dr-check -- run --mode all --scenario cluster
 # pool thread and with four as they did at the default width above.
 for workers in 1 4; do
     echo "==> pool-width leg (DR_POOL_WORKERS=${workers}: goldens, fault matrix, dr-check)"
-    for bin in e1_indexing_cpu_vs_gpu e2_dedup_throughput e3_compress_throughput \
-        e4_fig2_integration e5_calibration e6_endurance e7_chunk_size_sweep \
-        e8_read_path e9_cluster ablation_report; do
+    for bin in "${goldens[@]}"; do
         env -u DR_SCALE -u DR_METRICS_OUT DR_POOL_WORKERS="${workers}" \
             "target/release/${bin}" | diff "crates/bench/${bin}.golden" -
     done

@@ -161,7 +161,7 @@ fn cmd_endurance(args: &Args) -> Result<(), String> {
         blocks_per_die: 1024,
         ..SsdSpec::samsung_830_256g()
     };
-    let cmp = compare_endurance(&blocks, &spec);
+    let cmp = compare_endurance(&blocks, &spec, &ObsHandle::disabled());
     println!(
         "NAND page programs  inline: {}  none: {}  background: {}",
         cmp.inline_nand_writes, cmp.none_nand_writes, cmp.background_nand_writes
