@@ -14,9 +14,7 @@
 //!   with **random replacement** when the linear table is full (FIFO and
 //!   LRU are provided for the ablation benches).
 
-use std::collections::HashMap;
-
-use dr_des::{SimTime, SplitMix64};
+use dr_des::{IdMap, SimTime, SplitMix64};
 use dr_gpu_sim::{
     BufferId, GpuDevice, GpuError, LaunchConfig, LaunchReport, MemAccess, WorkItemCost,
 };
@@ -134,7 +132,7 @@ pub struct GpuBinIndex {
     /// it holds the tables' capacity and takes each slot's upload.
     table: BufferId,
     /// bin id → slot.
-    slot_of_bin: HashMap<usize, usize>,
+    slot_of_bin: IdMap<usize, usize>,
     /// slot → bin id.
     bin_of_slot: Vec<Option<usize>>,
     /// Host-side metadata, parallel to the device linear tables: one SoA
@@ -176,7 +174,7 @@ impl GpuBinIndex {
         Ok(GpuBinIndex {
             router,
             table,
-            slot_of_bin: HashMap::new(),
+            slot_of_bin: IdMap::default(),
             bin_of_slot: vec![None; config.bin_slots],
             meta: vec![EntryPage::new(); config.bin_slots],
             complete: vec![false; config.bin_slots],

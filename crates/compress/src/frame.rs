@@ -124,30 +124,46 @@ pub fn inspect(block: &[u8]) -> Result<(Frame, usize), CodecError> {
     }
 }
 
-/// Unwraps a frame back to the original bytes.
+/// Unwraps a frame back to the original bytes, in a buffer of its own:
+/// [`open_into`] on a fresh `Vec`.
+///
+/// # Errors
+///
+/// As [`open_into`].
+pub fn open(block: &[u8]) -> Result<Vec<u8>, CodecError> {
+    let mut out = Vec::new();
+    open_into(block, &mut out)?;
+    Ok(out)
+}
+
+/// Unwraps a frame back to the original bytes into a recycled buffer
+/// (cleared first) — the one frame decoder. Reuses whatever capacity
+/// `out` already has, so a recycled buffer makes a decode
+/// allocation-free.
 ///
 /// # Errors
 ///
 /// Any [`CodecError`]: truncation, corruption, or a length mismatch between
-/// the header and the decoded payload.
-pub fn open(block: &[u8]) -> Result<Vec<u8>, CodecError> {
+/// the header and the decoded payload. `out` then holds an unspecified
+/// prefix of the decode.
+pub fn open_into(block: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
     let (method, original_len) = inspect(block)?;
     let payload = &block[HEADER_LEN..];
-    let out = match method {
-        Frame::Raw => payload.to_vec(),
+    out.clear();
+    match method {
+        Frame::Raw => out.extend_from_slice(payload),
         Frame::Lz => {
-            let mut out = Vec::with_capacity(original_len);
-            decode_stream(payload, &mut out)?;
-            out
+            out.reserve(original_len);
+            decode_stream(payload, out)?;
         }
-    };
+    }
     if out.len() != original_len {
         return Err(CodecError::LengthMismatch {
             expected: original_len,
             got: out.len(),
         });
     }
-    Ok(out)
+    Ok(())
 }
 
 /// `original / compressed` size ratio of a sealed block; > 1 means the
@@ -325,6 +341,36 @@ mod tests {
                 "a {len}-byte prefix must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn open_into_a_used_buffer_decodes_like_open_and_keeps_its_capacity() {
+        let original = b"abcabcabcabcabcabcabc";
+        let tokens = vec![
+            Token::Literals(b"abc".to_vec()),
+            Token::Match {
+                offset: 3,
+                len: original.len() - 3,
+            },
+        ];
+        // A match may only reach back into this frame's own output, never
+        // into what the recycled buffer held before.
+        let mut out = vec![0xEE; 4096];
+        let capacity = out.capacity();
+        for block in [seal(original, &tokens), raw(original)] {
+            open_into(&block, &mut out).unwrap();
+            assert_eq!(out, open(&block).unwrap());
+            assert_eq!(out.capacity(), capacity, "no reallocation");
+        }
+        let mut bad = seal(original, &tokens);
+        bad[1] = 5;
+        assert_eq!(
+            open_into(&bad, &mut out),
+            Err(CodecError::LengthMismatch {
+                expected: 5,
+                got: original.len()
+            })
+        );
     }
 
     #[test]

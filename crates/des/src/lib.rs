@@ -9,6 +9,8 @@
 //!   command queues, PCIe links and SSD channels; a simulation is a chain
 //!   of its [`Grant`]s, there is no event queue,
 //! * [`backoff`] — the bounded retry schedule device faults are met with,
+//! * [`idhash`] — a deterministic multiply-based hasher ([`IdMap`],
+//!   [`IdSet`]) for maps keyed by page numbers, addresses and indices,
 //! * [`rng`] — a tiny deterministic RNG (SplitMix64 / xoshiro256**) so device
 //!   models do not need an external dependency for reproducible noise,
 //! * [`testkit`] — a seeded randomized-test harness the workspace's test
@@ -32,12 +34,14 @@
 #![forbid(unsafe_code)]
 
 pub mod backoff;
+pub mod idhash;
 pub mod resource;
 pub mod rng;
 pub mod testkit;
 pub mod time;
 
 pub use backoff::{ExponentialBackoff, Retried};
+pub use idhash::{BuildIdHasher, IdHasher, IdMap, IdSet};
 pub use resource::{Grant, Resource};
 pub use rng::SplitMix64;
 pub use time::{SimDuration, SimTime};

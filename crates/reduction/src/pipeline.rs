@@ -19,7 +19,7 @@ use crate::destage::Destager;
 use crate::error::ReadError;
 use crate::ingest::{BatchPayload, BatchScratch, FrameArena, HashedChunks};
 use crate::journal::Journal;
-use crate::read::{ReadCache, READ_CACHE_CHUNKS};
+use crate::read::{ReadCache, ReadScratch, READ_CACHE_CHUNKS};
 use crate::report::Report;
 
 pub use crate::recovery::{RecoverError, RecoveryOutcome};
@@ -325,6 +325,8 @@ pub struct Pipeline {
     pub(crate) gpu_comp: GpuCompressor,
     /// Capacity-bounded LRU of decompressed chunks (read path).
     pub(crate) read_cache: ReadCache,
+    /// The read path's reused per-call lists and decode buffers.
+    pub(crate) read_scratch: ReadScratch,
     pub(crate) codec: FastLz,
     pub(crate) ssd: SsdDevice,
     pub(crate) destage: Destager,
@@ -398,6 +400,7 @@ impl Pipeline {
             index,
             gpu_comp,
             read_cache: ReadCache::new(READ_CACHE_CHUNKS),
+            read_scratch: ReadScratch::default(),
             codec: FastLz::new(),
             gpu,
             gpu_index,
@@ -624,7 +627,9 @@ impl Pipeline {
     /// — has nothing to hide behind, so handing it to another thread and
     /// sleeping until it comes back would buy two wake-ups and no overlap;
     /// it is fingerprinted right here. A stream that arrives with its
-    /// digests has nothing to compute and is never worth a job either.
+    /// digests, or any stream while dedup is disabled (its digests are
+    /// zero sentinels, filled on the submitter), has nothing to compute
+    /// and is never worth a job either.
     /// Simulated-time accounting stays serial and in input order inside
     /// [`Pipeline::process_batch`], so where — or whether — this host
     /// hashed a batch changes wall-clock behavior only: simulated results
@@ -652,7 +657,9 @@ impl Pipeline {
         while let Some(payload) = in_flight {
             in_flight = batches.next();
             match in_flight {
-                Some(upcoming) if supplied.is_none() => {
+                // With dedup on, nothing was `supplied` (that case returned
+                // above), so this batch has SHA-1 to hide.
+                Some(upcoming) if dedup_enabled => {
                     let (pool, hashing) = (self.pool.clone(), self.obs.hashing.clone());
                     pool.join(
                         || fingerprint(&pool, dedup_enabled, &hashing, upcoming, &mut next),
@@ -1261,6 +1268,23 @@ pub(crate) mod tests {
             p.run(&data);
             assert_eq!(obs.counter("pool.jobs").get(), 2 * (batches - 1));
         }
+    }
+
+    #[test]
+    fn a_compression_only_run_spawns_no_hash_jobs() {
+        // With dedup disabled no batch has a SHA-1 to hide: its zero
+        // digests are filled on the submitter, never by a pool job.
+        let obs = ObsHandle::enabled("no-hash-jobs-test");
+        let mut cfg = small_config(IntegrationMode::CpuOnly);
+        cfg.dedup_enabled = false;
+        cfg.pool_workers = 2;
+        cfg.batch_chunks = 4;
+        cfg.obs = obs.clone();
+        let mut p = Pipeline::new(cfg);
+        let report = p.run(&stream()); // 128 chunks, 32 batches
+        assert_eq!(report.unique_chunks, 128);
+        assert_eq!(obs.counter("pipeline.batches").get(), 32);
+        assert_eq!(obs.counter("pool.jobs").get(), 0);
     }
 
     #[test]

@@ -11,12 +11,11 @@
 //! even a modest cache absorbs the re-read traffic of hot working sets
 //! (the VDI boot storm the paper targets).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use dr_binindex::ChunkRef;
 use dr_compress::frame;
-use dr_des::SimTime;
+use dr_des::{IdMap, SimTime};
 use dr_obs::trace::{trace_args, Track};
 
 use crate::cpu_model::CpuModel;
@@ -53,7 +52,7 @@ struct CacheEntry {
 #[derive(Debug)]
 pub(crate) struct ReadCache {
     cap: usize,
-    map: HashMap<u64, usize>,
+    map: IdMap<u64, usize>,
     /// Resident entries; an eviction's slot is reused by the insert that
     /// forced it, so the slab never holds a vacant slot.
     slab: Vec<CacheEntry>,
@@ -68,7 +67,7 @@ impl ReadCache {
     pub(crate) fn new(cap: usize) -> Self {
         ReadCache {
             cap,
-            map: HashMap::with_capacity(cap),
+            map: IdMap::with_capacity_and_hasher(cap, Default::default()),
             slab: Vec::with_capacity(cap),
             lru: NIL,
             mru: NIL,
@@ -142,14 +141,15 @@ impl ReadCache {
     }
 
     /// Inserts (or refreshes) a decompressed chunk, evicting the
-    /// least-recently-used one when full. Returns the number of evictions.
-    pub(crate) fn insert(&mut self, addr: u64, bytes: SharedChunk) -> u64 {
+    /// least-recently-used one when full, and hands back the chunk it
+    /// displaced.
+    pub(crate) fn insert(&mut self, addr: u64, bytes: SharedChunk) -> Displaced {
         if let Some(&i) = self.map.get(&addr) {
             // Refresh: promote without growing.
-            self.slab[i].bytes = bytes;
+            let old = std::mem::replace(&mut self.slab[i].bytes, bytes);
             self.unlink(i);
             self.link_mru(i);
-            return 0;
+            return Displaced::Refreshed(old);
         }
         let entry = CacheEntry {
             addr,
@@ -157,19 +157,45 @@ impl ReadCache {
             prev: NIL,
             next: NIL,
         };
-        let (i, evicted) = if self.slab.len() < self.cap {
+        let (i, displaced) = if self.slab.len() < self.cap {
             self.slab.push(entry);
-            (self.slab.len() - 1, 0)
+            (self.slab.len() - 1, Displaced::Nothing)
         } else {
             let victim = self.lru;
             self.unlink(victim);
             self.map.remove(&self.slab[victim].addr);
-            self.slab[victim] = entry;
-            (victim, 1)
+            let old = std::mem::replace(&mut self.slab[victim], entry);
+            (victim, Displaced::Evicted(old.bytes))
         };
         self.map.insert(addr, i);
         self.link_mru(i);
-        evicted
+        displaced
+    }
+}
+
+/// The chunk a [`ReadCache::insert`] pushed out, for the read path to
+/// recycle once nothing else holds it.
+#[derive(Debug)]
+pub(crate) enum Displaced {
+    /// A fresh address and room to spare.
+    Nothing,
+    /// A refresh: the address's previous bytes.
+    Refreshed(SharedChunk),
+    /// A fresh address into a full cache: the least-recently-used chunk.
+    Evicted(SharedChunk),
+}
+
+impl Displaced {
+    /// The evictions this insert cost: 1 or 0.
+    pub(crate) fn evictions(&self) -> u64 {
+        matches!(self, Displaced::Evicted(_)) as u64
+    }
+
+    fn into_chunk(self) -> Option<SharedChunk> {
+        match self {
+            Displaced::Nothing => None,
+            Displaced::Refreshed(chunk) | Displaced::Evicted(chunk) => Some(chunk),
+        }
     }
 }
 
@@ -180,6 +206,7 @@ impl ReadCache {
 const SCAN_MAX_REQUESTS: usize = 32;
 
 /// One distinct stored frame of a read batch.
+#[derive(Debug)]
 struct Slot {
     addr: u64,
     /// The decompressed chunk: captured from the cache at batch issue, or
@@ -203,33 +230,90 @@ fn cold_slots_mut(slots: &mut [Slot]) -> impl Iterator<Item = &mut Slot> {
 }
 
 /// The distinct frames of a read batch, in first-appearance order.
+#[derive(Debug, Default)]
 struct Grouped {
     slots: Vec<Slot>,
-    /// Address → slot index, for batches above [`SCAN_MAX_REQUESTS`].
-    by_addr: Option<HashMap<u64, usize>>,
+    /// Address → slot index, for batches above [`SCAN_MAX_REQUESTS`];
+    /// empty for the others.
+    by_addr: IdMap<u64, usize>,
+    /// Whether this batch finds its frames through `by_addr`.
+    mapped: bool,
 }
 
 impl Grouped {
-    fn for_requests(requests: usize) -> Self {
-        Grouped {
-            slots: Vec::with_capacity(requests),
-            by_addr: (requests > SCAN_MAX_REQUESTS).then(|| HashMap::with_capacity(requests)),
+    /// Starts grouping a batch of `requests` requests, on emptied lists.
+    fn start(&mut self, requests: usize) {
+        self.mapped = requests > SCAN_MAX_REQUESTS;
+        if self.mapped {
+            self.by_addr.reserve(requests);
         }
+        self.slots.reserve(requests);
     }
 
     fn find(&self, addr: u64) -> Option<usize> {
-        match &self.by_addr {
-            Some(by_addr) => by_addr.get(&addr).copied(),
-            None => self.slots.iter().position(|s| s.addr == addr),
+        if self.mapped {
+            self.by_addr.get(&addr).copied()
+        } else {
+            self.slots.iter().position(|s| s.addr == addr)
         }
     }
 
     fn push(&mut self, slot: Slot) {
-        if let Some(by_addr) = &mut self.by_addr {
-            by_addr.insert(slot.addr, self.slots.len());
+        if self.mapped {
+            self.by_addr.insert(slot.addr, self.slots.len());
         }
         self.slots.push(slot);
     }
+}
+
+/// The read path's per-call lists, kept by the pipeline and reused by
+/// every batch as [`BatchScratch`](crate::ingest::BatchScratch) is by the
+/// write path, so once the cache is full a cold batch allocates nothing
+/// per frame.
+#[derive(Debug, Default)]
+pub(crate) struct ReadScratch {
+    /// The batch's cold frames as fetched: one buffer for all their bytes.
+    fetched: FetchedFrames,
+    grouped: Grouped,
+    /// The cold frames, in the order of their slots.
+    cold: Vec<ChunkRef>,
+    /// Decoded-chunk buffers that nothing else holds, at most
+    /// [`SCAN_MAX_REQUESTS`]: what the cache evicted, refreshed, or
+    /// never took.
+    spare: Vec<SharedChunk>,
+}
+
+impl ReadScratch {
+    /// Ends a call: its slots let go of their chunks, and a chunk only the
+    /// batch held — a hit its own inserts evicted, a decode of a batch
+    /// that failed — is kept for the next decode.
+    fn release(&mut self) {
+        for slot in self.grouped.slots.drain(..) {
+            if let Some(chunk) = slot.bytes {
+                recycle(&mut self.spare, chunk);
+            }
+        }
+        self.grouped.by_addr.clear();
+        self.cold.clear();
+    }
+}
+
+/// Keeps `chunk` for a later decode when nothing else holds it and
+/// `spare` has room; drops it otherwise.
+fn recycle(spare: &mut Vec<SharedChunk>, mut chunk: SharedChunk) {
+    if spare.len() < SCAN_MAX_REQUESTS && Arc::get_mut(&mut chunk).is_some() {
+        spare.push(chunk);
+    }
+}
+
+/// A buffer to decode into, that nothing else holds: a recycled one, or a
+/// fresh one.
+fn take_spare(spare: &mut Vec<SharedChunk>) -> SharedChunk {
+    let mut chunk = spare.pop().unwrap_or_default();
+    if Arc::get_mut(&mut chunk).is_none() {
+        chunk = SharedChunk::default();
+    }
+    chunk
 }
 
 impl Pipeline {
@@ -288,6 +372,20 @@ impl Pipeline {
         if refs.is_empty() {
             return Ok(Vec::new());
         }
+        // The scratch comes back on every exit, a failed batch's too.
+        let mut scratch = std::mem::take(&mut self.read_scratch);
+        let out = self.read_with(refs, &mut scratch);
+        scratch.release();
+        self.read_scratch = scratch;
+        out
+    }
+
+    /// [`Pipeline::read_chunks`] on the pipeline's read scratch.
+    fn read_with(
+        &mut self,
+        refs: &[ChunkRef],
+        scratch: &mut ReadScratch,
+    ) -> Result<Vec<Vec<u8>>, ReadError> {
         let now = self.report.read_end.max(self.report.reduction_end);
         self.obs.read_batches.incr();
 
@@ -295,9 +393,8 @@ impl Pipeline {
         // capture cache hits *now* — the batch's own fresh inserts may
         // evict them before delivery. Each distinct cold frame is fetched
         // and decompressed exactly once.
-        let mut grouped = Grouped::for_requests(refs.len());
-        // The cold frames, in the order of their slots.
-        let mut cold: Vec<ChunkRef> = Vec::new();
+        let (grouped, cold) = (&mut scratch.grouped, &mut scratch.cold);
+        grouped.start(refs.len());
         for r in refs {
             if grouped.find(r.addr()).is_some() {
                 continue;
@@ -324,10 +421,8 @@ impl Pipeline {
             // integrity envelope where it landed and narrow the frame's
             // range to the frame in front of its seal.
             let fetch_span = self.obs.read_fetch.span();
-            let mut fetched = FetchedFrames::default();
-            let read = self
-                .destage
-                .read_frames(now, &mut self.ssd, &cold, &mut fetched);
+            let fetched = &mut scratch.fetched;
+            let read = self.destage.read_frames(now, &mut self.ssd, cold, fetched);
             // The flush programmed its page whether or not the reads after
             // it succeeded.
             if let Some(g) = fetched.flush {
@@ -348,7 +443,7 @@ impl Pipeline {
             fetch_span.finish();
 
             let decode_span = self.obs.read_decode.span();
-            let decoded = self.decode_cold(&fetched, &mut grouped.slots)?;
+            let decoded = self.decode_cold(scratch)?;
             self.obs
                 .read_decode
                 .record_sim_ns(decoded.saturating_duration_since(at).as_nanos());
@@ -356,15 +451,20 @@ impl Pipeline {
 
             // Fresh decodes enter the cache — the batch keeps sharing
             // them — and only once every frame decoded, so a corrupt
-            // frame is re-detected on every re-read.
-            for slot in cold_slots(&grouped.slots) {
+            // frame is re-detected on every re-read. What they push out
+            // is kept for the next decodes unless a batch still holds it.
+            for slot in cold_slots(&scratch.grouped.slots) {
                 let bytes = slot.bytes.as_ref().expect("cold frame was decoded");
-                let evicted = self.read_cache.insert(slot.addr, Arc::clone(bytes));
-                if evicted > 0 {
-                    self.obs.read_cache_evictions.add(evicted);
+                let displaced = self.read_cache.insert(slot.addr, Arc::clone(bytes));
+                if displaced.evictions() > 0 {
+                    self.obs.read_cache_evictions.add(displaced.evictions());
+                }
+                if let Some(chunk) = displaced.into_chunk() {
+                    recycle(&mut scratch.spare, chunk);
                 }
             }
         }
+        let grouped = &scratch.grouped;
         self.obs
             .read_cache_entries
             .set(self.read_cache.len() as i64);
@@ -404,29 +504,37 @@ impl Pipeline {
             "read-batch",
             now.as_nanos(),
             read_end.as_nanos(),
-            trace_args(&[("reads", refs.len() as u64), ("cold", cold.len() as u64)]),
+            trace_args(&[
+                ("reads", refs.len() as u64),
+                ("cold", scratch.cold.len() as u64),
+            ]),
         );
         Ok(out)
     }
 
     /// Decodes a batch's fetched cold frames into their slots, on the
-    /// host, once each, and charges each decode to a simulated CPU worker
-    /// from its own frame's fetch-ready instant. Returns when the last
-    /// frame was ready.
+    /// host, once each, into recycled buffers where the scratch has them,
+    /// and charges each decode to a simulated CPU worker from its own
+    /// frame's fetch-ready instant. Returns when the last frame was ready.
     ///
     /// A frame that fails to decode fails the batch; the frames before it
     /// stay charged.
-    fn decode_cold(
-        &mut self,
-        fetched: &FetchedFrames,
-        slots: &mut [Slot],
-    ) -> Result<SimTime, ReadError> {
+    fn decode_cold(&mut self, scratch: &mut ReadScratch) -> Result<SimTime, ReadError> {
+        let ReadScratch {
+            fetched,
+            grouped,
+            spare,
+            ..
+        } = scratch;
         let mut done = SimTime::ZERO;
-        for (slot, f) in cold_slots_mut(slots).zip(&fetched.frames) {
-            let chunk = frame::open(&fetched.bytes[f.bytes.clone()])?;
+        for (slot, f) in cold_slots_mut(&mut grouped.slots).zip(&fetched.frames) {
+            let mut chunk = take_spare(spare);
+            // Nothing else holds `chunk`, so this borrows it, never clones.
+            let out = Arc::make_mut(&mut chunk);
+            frame::open_into(&fetched.bytes[f.bytes.clone()], out)?;
             let cost = CpuModel::I7_3770K.decompress_cost(chunk.len());
             let g = self.cpu.acquire(f.ready, cost);
-            slot.bytes = Some(Arc::new(chunk));
+            slot.bytes = Some(chunk);
             slot.decoded_at = Some(g.end);
             done = done.max(g.end);
         }
@@ -441,6 +549,7 @@ mod tests {
     use crate::pipeline::IntegrationMode;
     use dr_des::Resource;
     use dr_hashes::sha1_digest;
+    use std::collections::HashMap;
 
     #[test]
     fn default_config_enables_cache_and_gpu_routing() {
@@ -454,11 +563,14 @@ mod tests {
     #[test]
     fn insert_get_round_trips_and_bounds_capacity() {
         let mut cache = ReadCache::new(2);
-        assert_eq!(cache.insert(10, Arc::new(vec![1])), 0);
-        assert_eq!(cache.insert(20, Arc::new(vec![2])), 0);
+        assert_eq!(cache.insert(10, Arc::new(vec![1])).evictions(), 0);
+        assert_eq!(cache.insert(20, Arc::new(vec![2])).evictions(), 0);
         assert_eq!(cache.len(), 2);
-        // Third insert evicts the least-recently-used (addr 10).
-        assert_eq!(cache.insert(30, Arc::new(vec![3])), 1);
+        // Third insert evicts the least-recently-used (addr 10), and
+        // hands its bytes back.
+        let displaced = cache.insert(30, Arc::new(vec![3]));
+        assert_eq!(displaced.evictions(), 1);
+        assert_eq!(displaced.into_chunk(), Some(Arc::new(vec![1])));
         assert!(!cache.contains(10));
         assert_eq!(cache.get(20), Some(Arc::new(vec![2])));
         assert_eq!(cache.get(30), Some(Arc::new(vec![3])));
@@ -481,11 +593,9 @@ mod tests {
         let mut cache = ReadCache::new(2);
         cache.insert(1, Arc::new(vec![1]));
         cache.insert(2, Arc::new(vec![2]));
-        assert_eq!(
-            cache.insert(1, Arc::new(vec![9])),
-            0,
-            "refresh is not an insert"
-        );
+        let displaced = cache.insert(1, Arc::new(vec![9]));
+        assert_eq!(displaced.evictions(), 0, "refresh is not an insert");
+        assert_eq!(displaced.into_chunk(), Some(Arc::new(vec![1])));
         assert_eq!(cache.get(1), Some(Arc::new(vec![9])));
         assert_eq!(cache.len(), 2);
     }
@@ -566,7 +676,7 @@ mod tests {
                     }
                     _ => {
                         let tag = rng.next_u64() as u8;
-                        evictions += cache.insert(addr, Arc::new(vec![tag]));
+                        evictions += cache.insert(addr, Arc::new(vec![tag])).evictions();
                         want_evictions += model.insert(addr, tag);
                     }
                 }
@@ -680,6 +790,10 @@ mod tests {
         p.read_cache = ReadCache::new(4);
         p.run(&data);
         p.read_block(0).unwrap(); // warm the cache with block 0's frame
+                                  // A second handle on block 0's cached chunk, as a batch still
+                                  // delivering it would hold one.
+        let addr = p.recipe[0].addr();
+        let held = p.read_cache.get(addr).expect("block 0's frame is cached");
         let batch = p.read_blocks(&[0, 1, 2, 3, 4, 5]).expect("batched read");
         for (i, got) in batch.iter().enumerate() {
             assert_eq!(got, &data[i * 4096..][..4096], "block {i}");
@@ -689,6 +803,22 @@ mod tests {
             1,
             "block 0 was a capture-time hit"
         );
+        // The batch's five fresh inserts into four places evicted block
+        // 0's frame and block 1's fresh decode. Only block 1's, which
+        // nothing held once the batch ended, was kept for a later decode.
+        assert!(!p.read_cache.contains(addr));
+        let spare = &p.read_scratch.spare;
+        assert_eq!(spare.len(), 1, "the batch's own evicted decode is recycled");
+        assert!(spare.iter().all(|c| Arc::strong_count(c) == 1));
+        assert!(!spare.iter().any(|c| Arc::ptr_eq(c, &held)));
+        // The next cold batch decodes into the recycled buffers; the held
+        // chunk is not among them, so it still reads as block 0.
+        p.read_cache.clear();
+        let again = p.read_blocks(&[5, 4, 3, 2, 1, 0]).expect("batched read");
+        for (got, want) in again.iter().zip(batch.iter().rev()) {
+            assert_eq!(got, want);
+        }
+        assert_eq!(held[..], data[..4096], "a held chunk is never decoded over");
     }
 
     #[test]

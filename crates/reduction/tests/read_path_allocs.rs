@@ -1,11 +1,13 @@
 //! Allocation budget of the read path.
 //!
-//! A cold chunk costs one frame copy (into the batch's one fetch buffer),
+//! A cold chunk costs one frame copy (into the pipeline's fetch buffer),
 //! one decode and one delivery copy; a cache hit costs the delivery copy
 //! alone, shared out of the cache; a single-block read builds no hash
-//! container. This test pins those budgets with a counting global
-//! allocator, so a per-request clone or a per-call map that creeps back in
-//! fails here rather than in a benchmark run.
+//! container. Once the cache is full, a cold decode lands in a buffer the
+//! cache evicted, so nothing is allocated per frame. This test pins those
+//! budgets with a counting global allocator, so a per-request clone, a
+//! per-call map or a per-frame buffer that creeps back in fails here
+//! rather than in a benchmark run.
 //!
 //! Kept to a single `#[test]` on purpose: the libtest harness runs tests
 //! in one process, and a sibling test allocating concurrently would make
@@ -46,12 +48,16 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCS.load(Ordering::Relaxed) - before)
 }
 
-/// 64 distinct blocks, half of each compressible, so every frame is a
-/// real LZ decode.
+/// Distinct blocks in [`stream`]: more than the pipeline's 256-chunk read
+/// cache holds.
+const BLOCKS: usize = 384;
+
+/// [`BLOCKS`] distinct blocks, half of each compressible, so every frame
+/// is a real LZ decode.
 fn stream() -> Vec<u8> {
     let mut out = Vec::new();
     let mut state = 0x5EEDu64;
-    for i in 0..64u32 {
+    for i in 0..BLOCKS as u32 {
         let mut block = vec![i as u8; 4096];
         for b in &mut block[..2048] {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -71,7 +77,7 @@ fn reads_allocate_per_frame_and_per_request_not_per_copy() {
     });
     p.run(&data);
     // Everything the first read forces once (the open page's flush).
-    p.read_block(63).unwrap();
+    p.read_block(BLOCKS - 1).unwrap();
 
     // Cold, CPU arm: 32 requests over 32 distinct frames. Per frame a
     // decode buffer and its share handle — the stored bytes land in one
@@ -105,4 +111,33 @@ fn reads_allocate_per_frame_and_per_request_not_per_copy() {
     assert_eq!(p.report().read_cache_hits, hits_before + 9);
     assert!(n <= 3, "single-block hit allocated {n} times (budget 3)");
     assert_eq!(got, &data[20 * 4096..][..4096]);
+
+    // Steady state: every other block read cold, 32 at a time. More than
+    // the cache's 256 frames have passed through it, so it is full, and
+    // each batch's evictions are the next batch's decode buffers.
+    for batch in (32..BLOCKS).collect::<Vec<_>>().chunks(32) {
+        p.read_blocks(batch).unwrap();
+    }
+    // Blocks 0..32 were evicted since: the batch is cold again. Per
+    // request the returned `Vec`; per call the request and result lists;
+    // per frame nothing.
+    let hits_before = p.report().read_cache_hits;
+    let (got, n) = allocs_during(|| p.read_blocks(&cold).unwrap());
+    assert_eq!(p.report().read_cache_hits, hits_before);
+    assert!(
+        n <= 32 + 3,
+        "steady-state cold 32-block batch allocated {n} times (budget 1 per request + 3 per call)"
+    );
+    for (i, block) in got.iter().enumerate() {
+        assert_eq!(block, &data[i * 4096..][..4096]);
+    }
+
+    // One resident block: the result list and its one buffer.
+    let (got, n) = allocs_during(|| p.read_block(BLOCKS - 1).unwrap());
+    assert_eq!(p.report().read_cache_hits, hits_before + 1);
+    assert!(
+        n <= 2,
+        "steady-state single-block hit allocated {n} times (budget 2)"
+    );
+    assert_eq!(got, &data[(BLOCKS - 1) * 4096..][..4096]);
 }

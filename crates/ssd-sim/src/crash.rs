@@ -48,9 +48,8 @@
 //! does neither.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
 
-use dr_des::{Grant, SimTime, SplitMix64};
+use dr_des::{Grant, IdMap, IdSet, SimTime, SplitMix64};
 
 /// When and how to cut power. `torn_seed` drives the split points of
 /// torn pages, so a crash experiment replays bit-identically.
@@ -100,7 +99,7 @@ impl Prev {
 /// page's buffer takes the new contents in place unless the capture has
 /// to keep it; a first write is the only other allocation.
 pub(crate) fn program(
-    store: &mut HashMap<u64, Vec<u8>>,
+    store: &mut IdMap<u64, Vec<u8>>,
     lpn: u64,
     new: &[u8],
     armed: bool,
@@ -196,7 +195,7 @@ impl CaptureLog {
 
 /// Applies `spec` to a capture log, mutating `store` in place.
 pub(crate) fn apply_power_cut(
-    store: &mut HashMap<u64, Vec<u8>>,
+    store: &mut IdMap<u64, Vec<u8>>,
     log: Vec<Capture>,
     page_bytes: usize,
     spec: CrashSpec,
@@ -205,7 +204,7 @@ pub(crate) fn apply_power_cut(
     let mut report = CrashReport::default();
     // LPNs with a write the cut does not leave alone. Everywhere else
     // every capture is durable and is dropped unread.
-    let unsettled: HashSet<u64> = log
+    let unsettled: IdSet<u64> = log
         .iter()
         .filter_map(|entry| match entry {
             Capture::Write(cap) if cap.grant.end > spec.at => Some(cap.lpn),
@@ -214,7 +213,7 @@ pub(crate) fn apply_power_cut(
         .collect();
     // Per unsettled LPN, the page the capture about to be visited left
     // behind, when that is no longer what the store holds.
-    let mut left_behind: HashMap<u64, Vec<u8>> = HashMap::new();
+    let mut left_behind: IdMap<u64, Vec<u8>> = IdMap::default();
     for entry in log.into_iter().rev() {
         let cap = match entry {
             Capture::Write(cap) => cap,
@@ -295,7 +294,7 @@ mod tests {
 
     #[test]
     fn durable_reverted_and_torn_classify_by_grant() {
-        let mut store = HashMap::new();
+        let mut store = IdMap::default();
         store.insert(0, vec![1u8; 8]);
         store.insert(1, vec![2u8; 8]);
         store.insert(2, vec![3u8; 8]);
@@ -338,7 +337,7 @@ mod tests {
 
     #[test]
     fn overwrite_chains_unwind_in_reverse() {
-        let mut store = HashMap::new();
+        let mut store = IdMap::default();
         store.insert(5, vec![3u8; 4]);
         // Three generations on one LPN: 1s (durable), 2s (durable), 3s
         // (reverted). The survivor must be the 2s.
@@ -368,7 +367,7 @@ mod tests {
     #[test]
     fn torn_split_is_seed_deterministic() {
         let run = |seed: u64| {
-            let mut store = HashMap::new();
+            let mut store = IdMap::default();
             store.insert(0, vec![0xAAu8; 64]);
             let log = vec![Capture::Write(WriteCapture {
                 lpn: 0,
@@ -392,7 +391,7 @@ mod tests {
 
     #[test]
     fn cut_before_everything_reverts_everything() {
-        let mut store = HashMap::new();
+        let mut store = IdMap::default();
         store.insert(0, vec![1u8; 4]);
         let log = vec![Capture::Write(WriteCapture {
             lpn: 0,

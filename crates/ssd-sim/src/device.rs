@@ -1,10 +1,9 @@
 //! The SSD request path: host commands → FTL ops → per-die timing.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::slice;
 
-use dr_des::{Grant, Resource, SimTime};
+use dr_des::{Grant, IdMap, Resource, SimTime};
 use dr_obs::trace::{trace_args, Tracer, Track};
 use dr_obs::{CounterHandle, GaugeHandle, HistogramHandle, ObsHandle};
 
@@ -92,7 +91,7 @@ pub struct SsdDevice {
     /// Controller/firmware front-end, one command at a time.
     controller: Resource,
     /// Functional page store (only when `spec.store_data`).
-    store: Option<HashMap<u64, Vec<u8>>>,
+    store: Option<IdMap<u64, Vec<u8>>>,
     /// The fault schedule's stream ([`SsdFaultSpec`]): transient errors
     /// and silent bit flips, each drawn only while its rate is nonzero.
     fault_rng: dr_des::SplitMix64,
@@ -117,7 +116,7 @@ impl SsdDevice {
             .map(|i| Resource::new(format!("{}-die{}", spec.name, i), 1))
             .collect();
         let controller = Resource::new(format!("{}-ctrl", spec.name), 1);
-        let store = spec.store_data.then(HashMap::new);
+        let store = spec.store_data.then(IdMap::default);
         SsdDevice {
             fault_rng: dr_des::SplitMix64::new(spec.faults.seed),
             ftl: Ftl::new(spec),
@@ -788,7 +787,7 @@ mod tests {
     /// clone of the page's previous contents per write, unwound backwards.
     #[derive(Default)]
     struct CloneEverything {
-        store: HashMap<u64, Vec<u8>>,
+        store: IdMap<u64, Vec<u8>>,
         log: Vec<(u64, Grant, Option<Vec<u8>>)>,
     }
 

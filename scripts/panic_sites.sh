@@ -5,11 +5,14 @@
 # Counts the `panic!`, `.expect(`, `.unwrap()` and `unreachable!` sites in
 # the non-test code (what `scripts/nontest_lines.awk` keeps) of the files
 # a host write, a host read and a cluster operation run through (the
-# degrade policy both paths retry under included), and of the index
-# snapshot decoder that recovery feeds device bytes, and fails when a
-# file's count exceeds its ceiling in `scripts/panic_sites.ceiling` (a file
-# missing there has a ceiling of 0). A change that removes sites lowers
-# the file's ceiling, so they cannot come back unnoticed.
+# degrade policy both paths retry under included), of the SSD model's
+# request path and power-cut replay that every page read and write
+# crosses, of the frame and token decoders a cold read runs on device
+# bytes, and of the index snapshot decoder that recovery feeds device
+# bytes, and fails when a file's count exceeds its ceiling in
+# `scripts/panic_sites.ceiling` (a file missing there has a ceiling of
+# 0). A change that removes sites lowers the file's ceiling, so they
+# cannot come back unnoticed.
 #
 # Usage: scripts/panic_sites.sh   (from anywhere; prints one
 # `file sites ceiling` line per file, exits 1 when a count is over)
@@ -20,7 +23,8 @@ cd "$root"
 ceilings=scripts/panic_sites.ceiling
 
 files=(crates/reduction/src/{ingest,journal,recovery,volume,destage,read,pipeline,degrade}.rs
-    crates/cluster/src/*.rs crates/binindex/src/snapshot.rs)
+    crates/cluster/src/*.rs crates/binindex/src/snapshot.rs
+    crates/ssd-sim/src/{device,crash}.rs crates/compress/src/{frame,token}.rs)
 
 sites() {
     awk -f scripts/nontest_lines.awk "$1" |
